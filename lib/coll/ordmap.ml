@@ -143,6 +143,21 @@ let iter_range f t ~lo ~hi =
   in
   go t.root
 
+(* Reverse-order iteration over the same [lo <= k < hi] range.  Raising
+   from [f] after the first visit costs one root-to-leaf descent, so the
+   last binding below [hi] is found in O(log n). *)
+let iter_range_rev f t ~lo ~hi =
+  let above_lo k = match lo with None -> true | Some b -> t.compare k b >= 0 in
+  let below_hi k = match hi with None -> true | Some b -> t.compare k b < 0 in
+  let rec go = function
+    | Leaf -> ()
+    | Node { l; k; v; r; _ } ->
+        if below_hi k then go r;
+        if above_lo k && below_hi k then f k v;
+        if above_lo k then go l
+  in
+  go t.root
+
 let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
 
 let clear t =

@@ -23,6 +23,11 @@ val iter_range :
 (** In-order over keys [k] with [lo <= k < hi]; a missing bound is
     unbounded. *)
 
+val iter_range_rev :
+  ('k -> 'v -> unit) -> ('k, 'v) t -> lo:'k option -> hi:'k option -> unit
+(** [iter_range] in descending key order; [f] may raise for early exit,
+    which makes "last binding below [hi]" O(log n). *)
+
 val to_list : ('k, 'v) t -> ('k * 'v) list
 val clear : ('k, 'v) t -> unit
 

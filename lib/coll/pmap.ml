@@ -149,6 +149,21 @@ let iter_range f m ~lo ~hi =
   in
   go m.root
 
+(* [iter_range] in descending key order; raising from [f] after the first
+   visit leaves an O(log n) walk. *)
+let iter_range_rev f m ~lo ~hi =
+  let cmp = m.cmp in
+  let above k = match lo with None -> true | Some b -> cmp k b >= 0 in
+  let below k = match hi with None -> true | Some b -> cmp k b < 0 in
+  let rec go = function
+    | Empty -> ()
+    | Node { l; k; v; r; _ } ->
+        if below k then go r;
+        if above k && below k then f k v;
+        if above k then go l
+  in
+  go m.root
+
 let of_seq ~compare seq =
   Seq.fold_left (fun m (k, v) -> add m k v) (empty ~compare) seq
 

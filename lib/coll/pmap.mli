@@ -24,5 +24,10 @@ val iter_range :
 (** In-order over [lo <= k < hi] (missing bound = unbounded); [f] may
     raise for early exit. *)
 
+val iter_range_rev :
+  ('k -> 'v -> unit) -> ('k, 'v) t -> lo:'k option -> hi:'k option -> unit
+(** [iter_range] in descending key order; [f] may raise for early exit,
+    which makes "last binding below [hi]" O(log n). *)
+
 val of_seq : compare:('k -> 'k -> int) -> ('k * 'v) Seq.t -> ('k, 'v) t
 val to_list : ('k, 'v) t -> ('k * 'v) list

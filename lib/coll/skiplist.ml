@@ -63,6 +63,22 @@ let find_predecessors t key =
   done;
   update
 
+(* The same descent without recording the path: the rightmost node whose
+   key is < [bound] ([None] = no bound), or the head sentinel when there is
+   none.  O(log n) expected, allocation-free. *)
+let last_before t bound =
+  let before n =
+    match bound with None -> true | Some b -> t.compare n.key b < 0
+  in
+  let rec descend node i =
+    if i < 0 then node
+    else
+      match node.forward.(i) with
+      | Some n when before n -> descend n i
+      | _ -> descend node (i - 1)
+  in
+  descend t.head (t.level - 1)
+
 let find t key =
   let update = find_predecessors t key in
   match update.(0).forward.(0) with
@@ -109,12 +125,8 @@ let min_binding t =
   Option.map (fun n -> (n.key, n.value)) t.head.forward.(0)
 
 let max_binding t =
-  let rec go node best =
-    match node.forward.(0) with
-    | Some n -> go n (Some (n.key, n.value))
-    | None -> best
-  in
-  go t.head None
+  let n = last_before t None in
+  if n == t.head then None else Some (n.key, n.value)
 
 let iter f t =
   let rec go = function
@@ -140,6 +152,18 @@ let iter_range f t ~lo ~hi =
     | _ -> ()
   in
   go start
+
+(* The list is singly linked, so each reverse step is a fresh predecessor
+   descent: O(log n) per visited binding and no materialised range. *)
+let iter_range_rev f t ~lo ~hi =
+  let above k = match lo with None -> true | Some b -> t.compare k b >= 0 in
+  let rec go n =
+    if n != t.head && above n.key then begin
+      f n.key n.value;
+      go (last_before t (Some n.key))
+    end
+  in
+  go (last_before t hi)
 
 let fold f t init =
   let acc = ref init in

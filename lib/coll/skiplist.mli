@@ -21,6 +21,11 @@ val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 val iter_range :
   ('k -> 'v -> unit) -> ('k, 'v) t -> lo:'k option -> hi:'k option -> unit
 
+val iter_range_rev :
+  ('k -> 'v -> unit) -> ('k, 'v) t -> lo:'k option -> hi:'k option -> unit
+(** [iter_range] in descending key order, one O(log n) predecessor descent
+    per visited binding; [f] may raise for early exit. *)
+
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 val to_list : ('k, 'v) t -> ('k * 'v) list
 val clear : ('k, 'v) t -> unit

@@ -246,6 +246,11 @@ module type SORTED_MAP_OPS = sig
   val iter_range : (key -> 'v -> unit) -> 'v t -> lo:key option -> hi:key option -> unit
   (** In-order iteration over keys [k] with [lo <= k < hi] (missing bound =
       unbounded), matching Java's half-open [subMap] views. *)
+
+  val iter_range_rev : (key -> 'v -> unit) -> 'v t -> lo:key option -> hi:key option -> unit
+  (** [iter_range] in descending key order.  [f] may raise for early exit;
+      reaching the first visited binding must cost O(log n), which is what
+      makes the sorted-map [lastKey] of a view cheap. *)
 end
 
 (** Operations of an underlying FIFO queue wrapped by the transactional work

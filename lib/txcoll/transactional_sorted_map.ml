@@ -202,6 +202,26 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
       M.iter_range f t.shards.(i) ~lo ~hi
     done
 
+  (* The same walk in descending key order: shards by descending index,
+     each in reverse.  With an early exit from [f], finding the last
+     committed binding of [lo, hi) costs O(log n). *)
+  let iter_committed_rev t f ~lo ~hi =
+    let ilo, ihi = L.interval_span t.locks ~lo ~hi in
+    for i = ihi downto ilo do
+      M.iter_range_rev f t.shards.(i) ~lo ~hi
+    done
+
+  (* First binding an ordered walk visits; [iter] gets a visitor that ends
+     the walk at once. *)
+  let first_visited iter =
+    let r = ref None in
+    (try
+       iter (fun k v ->
+           r := Some (k, v);
+           raise_notrace Exit)
+     with Exit -> ());
+    !r
+
   (* ---------------- snapshot publication ---------------- *)
 
   (* Caller holds interval [i]'s region: publications to one shadow chain
@@ -694,15 +714,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
       l.ranges_mask <- l.ranges_mask lor (1 lsl i)
     done
 
-  (* Ordered fold over [lo, hi) with Table 5 locking: range lock over the
-     iterated span, first lock when the span starts at the map's minimum,
-     last lock when it runs past the maximum.  Runs under the span's
-     interval regions, nested ascending (committing writers of those
-     intervals hold them, so the merged view is stable); the structure
-     region is entered first — it has the lowest rid — only when an
-     unbounded end needs a first/last lock.  The user callback runs after
-     the regions are released: the registered locks, not the regions, are
-     what guarantee serializability of the observed snapshot. *)
   (* Snapshot ordered iteration over [lo, hi): every overlapped shard's
      shadow is read at the same pinned stamp, so the cross-interval
      concatenation (shards hold disjoint ascending intervals) is one
@@ -715,6 +726,22 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
       Coll.Pmap.iter_range f (Coll.Vchain.read_at t.snap.(i) ts) ~lo ~hi
     done
 
+  let snap_iter_range_rev t f ~lo ~hi =
+    let ts = TM.snapshot_stamp () in
+    let ilo, ihi = L.interval_span t.locks ~lo ~hi in
+    for i = ihi downto ilo do
+      Coll.Pmap.iter_range_rev f (Coll.Vchain.read_at t.snap.(i) ts) ~lo ~hi
+    done
+
+  (* Ordered fold over [lo, hi) with Table 5 locking: range lock over the
+     iterated span, first lock when the span starts at the map's minimum,
+     last lock when it runs past the maximum.  Runs under the span's
+     interval regions, nested ascending (committing writers of those
+     intervals hold them, so the merged view is stable); the structure
+     region is entered first — it has the lowest rid — only when an
+     unbounded end needs a first/last lock.  The user callback runs after
+     the regions are released: the registered locks, not the regions, are
+     what guarantee serializability of the observed snapshot. *)
   let fold_range f t init ~lo ~hi =
     if TM.in_snapshot () then begin
       let acc = ref init in
@@ -755,71 +782,55 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
   let iter f t = fold (fun k v () -> f k v) t ()
   let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
 
-  (* First/last bindings of the merged view of [lo, hi).  Caller holds the
-     span's interval regions. *)
-  let merged_first t l ~lo ~hi =
-    let under = ref None in
-    (try
-       iter_committed t
-         (fun k v ->
-           match Coll.Ordmap.find l.buffer k with
-           | Some _ -> ()
-           | None ->
-               under := Some (k, v);
-               raise Exit)
-         ~lo ~hi
-     with Exit -> ());
-    let buf = ref None in
-    (try
-       Coll.Ordmap.iter_range
-         (fun k w ->
-           match w.pending with
-           | Some v ->
-               buf := Some (k, v);
-               raise Exit
-           | None -> ())
-         l.buffer ~lo ~hi
-     with Exit -> ());
-    match (!under, !buf) with
+  (* Visitor filters for the merged walks below: committed bindings the
+     buffer does not override, buffered bindings that are present, keys
+     strictly above [above] (any key when [None]). *)
+  let not_overridden l f k v = if not (Coll.Ordmap.mem l.buffer k) then f k v
+
+  let buffered_some f k w =
+    match w.pending with Some v -> f k v | None -> ()
+
+  let strictly_above above f k v =
+    match above with Some a when M.compare_key k a <= 0 -> () | _ -> f k v
+
+  (* Of two candidates with distinct keys, [b] when [wins (compare kb ka)]. *)
+  let pick wins a b =
+    match (a, b) with
     | None, x | x, None -> x
-    | Some (ku, _), Some (kb, vb) when M.compare_key kb ku < 0 -> Some (kb, vb)
-    | u, _ -> u
+    | Some (ka, _), Some (kb, _) -> if wins (M.compare_key kb ka) then b else a
 
   (* First merged binding strictly above [above] (or from [lo] when [above]
-     is [None]), below [hi]. *)
+     is [None]), below [hi]: the first committed key the buffer does not
+     override against the first buffered [Some], each found by an
+     early-exit walk.  Caller holds the span's interval regions. *)
   let merged_first_above t l ~above ~lo ~hi =
-    let scan_lo = match above with Some _ as a -> a | None -> lo in
-    let strictly k =
-      match above with None -> true | Some a -> M.compare_key k a > 0
+    let lo = match above with Some _ -> above | None -> lo in
+    let under =
+      first_visited (fun f ->
+          iter_committed t (strictly_above above (not_overridden l f)) ~lo ~hi)
     in
-    let under = ref None in
-    (try
-       iter_committed t
-         (fun k v ->
-           if strictly k && Coll.Ordmap.find l.buffer k = None then begin
-             under := Some (k, v);
-             raise Exit
-           end)
-         ~lo:scan_lo ~hi
-     with Exit -> ());
-    let buf = ref None in
-    (try
-       Coll.Ordmap.iter_range
-         (fun k w ->
-           match w.pending with
-           | Some v when strictly k ->
-               buf := Some (k, v);
-               raise Exit
-           | _ -> ())
-         l.buffer ~lo:scan_lo ~hi
-     with Exit -> ());
-    match (!under, !buf) with
-    | None, x | x, None -> x
-    | Some (ku, _), Some (kb, vb) when M.compare_key kb ku < 0 -> Some (kb, vb)
-    | u, _ -> u
+    let buf =
+      first_visited (fun f ->
+          Coll.Ordmap.iter_range
+            (buffered_some (strictly_above above f))
+            l.buffer ~lo ~hi)
+    in
+    pick (fun c -> c < 0) under buf
 
+  let merged_first t l ~lo ~hi = merged_first_above t l ~above:None ~lo ~hi
+
+  (* The mirror image: the larger of the last unoverridden committed key and
+     the last buffered [Some], both found walking in reverse. *)
   let merged_last t l ~lo ~hi =
-    match List.rev (merged_range t l ~lo ~hi) with [] -> None | x :: _ -> Some x
+    let under =
+      first_visited (fun f ->
+          iter_committed_rev t (not_overridden l f) ~lo ~hi)
+    in
+    let buf =
+      first_visited (fun f ->
+          Coll.Ordmap.iter_range_rev (buffered_some f) l.buffer ~lo ~hi)
+    in
+    pick (fun c -> c > 0) under buf
 
   (* firstKey/lastKey read the maintained committed endpoints under the
      structure region; only a transaction with local buffered writes needs
@@ -915,36 +926,19 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
     let iter f v = fold (fun k value () -> f k value) v ()
     let to_list v = List.rev (fold (fun k value acc -> (k, value) :: acc) v [])
     let size v = fold (fun _ _ n -> n + 1) v 0
-    let is_empty v = to_list v = []
 
     (* firstKey of a view reveals the absence of any key in [lo, found):
-       a range lock over that prefix plus a key lock on the found key. *)
+       a range lock over that prefix plus a key lock on the found key.
+       Every mode stops at the first binding it meets: O(log n). *)
     let first_binding v =
       let t = v.parent in
-      if TM.in_snapshot () then begin
-        let r = ref None in
-        (try
-           snap_iter_range t
-             (fun k value ->
-               r := Some (k, value);
-               raise Exit)
-             ~lo:v.lo ~hi:v.hi
-         with Exit -> ());
-        !r
-      end
+      if TM.in_snapshot () then
+        first_visited (fun f -> snap_iter_range t f ~lo:v.lo ~hi:v.hi)
       else
       let ilo, ihi = L.interval_span t.locks ~lo:v.lo ~hi:v.hi in
       if not (TM.in_txn ()) then
         critical_stripes t ilo ihi (fun () ->
-            let r = ref None in
-            (try
-               iter_committed t
-                 (fun k value ->
-                   r := Some (k, value);
-                   raise Exit)
-                 ~lo:v.lo ~hi:v.hi
-             with Exit -> ());
-            !r)
+            first_visited (fun f -> iter_committed t f ~lo:v.lo ~hi:v.hi))
       else begin
         let l = local_of t in
         critical_stripes t ilo ihi (fun () ->
@@ -958,22 +952,16 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
                 Some (k, value))
       end
 
+    (* The mirror image, walking in reverse: O(log n) in every mode. *)
     let last_binding v =
       let t = v.parent in
-      if TM.in_snapshot () then begin
-        let r = ref None in
-        snap_iter_range t (fun k value -> r := Some (k, value)) ~lo:v.lo
-          ~hi:v.hi;
-        !r
-      end
+      if TM.in_snapshot () then
+        first_visited (fun f -> snap_iter_range_rev t f ~lo:v.lo ~hi:v.hi)
       else
       let ilo, ihi = L.interval_span t.locks ~lo:v.lo ~hi:v.hi in
       if not (TM.in_txn ()) then
         critical_stripes t ilo ihi (fun () ->
-            let r = ref None in
-            iter_committed t (fun k value -> r := Some (k, value)) ~lo:v.lo
-              ~hi:v.hi;
-            !r)
+            first_visited (fun f -> iter_committed_rev t f ~lo:v.lo ~hi:v.hi))
       else begin
         let l = local_of t in
         critical_stripes t ilo ihi (fun () ->
@@ -991,6 +979,10 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
 
     let first_key v = Option.map fst (first_binding v)
     let last_key v = Option.map fst (last_binding v)
+
+    (* An empty view holds a range lock over all of it; a non-empty one
+       holds [first_binding]'s locks, which pin one present key. *)
+    let is_empty v = Option.is_none (first_binding v)
   end
 
   (* ---------------- ordered cursor (Table 5 iterator) ---------------- *)
@@ -1034,25 +1026,14 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
       (* Each step re-resolves against the section's pinned stamp, so the
          whole walk — across interval boundaries included — observes one
          consistent cut without locking anything. *)
-      let r = ref None in
-      (try
-         snap_iter_range t
-           (fun k v ->
-             let ok =
-               match c.cpos with
-               | None -> true
-               | Some p -> M.compare_key k p > 0
-             in
-             if ok then begin
-               r := Some (k, v);
-               raise Exit
-             end)
-           ~lo:span_lo ~hi:c.chi
-       with Exit -> ());
-      (match !r with
+      let r =
+        first_visited (fun f ->
+            snap_iter_range t (strictly_above c.cpos f) ~lo:span_lo ~hi:c.chi)
+      in
+      (match r with
       | Some (k, _) -> c.cpos <- Some k
       | None -> c.cexhausted <- true);
-      !r
+      r
     end
     else
     let ilo, ihi = L.interval_span t.locks ~lo:span_lo ~hi:c.chi in
@@ -1060,23 +1041,13 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
       critical_stripes t ilo ihi (fun () ->
           (* Outside a transaction: plain ordered walk of the committed
              shards. *)
-          let r = ref None in
-          (try
-             iter_committed t
-               (fun k v ->
-                 let ok =
-                   match c.cpos with
-                   | None -> true
-                   | Some p -> M.compare_key k p > 0
-                 in
-                 if ok then begin
-                   r := Some (k, v);
-                   raise Exit
-                 end)
-               ~lo:span_lo ~hi:c.chi
-           with Exit -> ());
-          (match !r with Some (k, _) -> c.cpos <- Some k | None -> ());
-          !r)
+          let r =
+            first_visited (fun f ->
+                iter_committed t (strictly_above c.cpos f) ~lo:span_lo
+                  ~hi:c.chi)
+          in
+          (match r with Some (k, _) -> c.cpos <- Some k | None -> ());
+          r)
     else begin
       let l = local_of t in
       let run () =

@@ -118,13 +118,21 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
     val iter : (M.key -> 'v -> unit) -> 'v view -> unit
     val to_list : 'v view -> (M.key * 'v) list
     val size : 'v view -> int
+
     val is_empty : 'v view -> bool
+    (** [first_binding v = None], with its locks: a range lock over the
+        whole view when it is empty. *)
 
     val first_binding : 'v view -> (M.key * 'v) option
     (** Reveals the absence of keys in [lo, found): takes a range lock over
-        that prefix and a key lock on the found key. *)
+        that prefix and a key lock on the found key.  O(log n) in every read
+        mode. *)
 
     val last_binding : 'v view -> (M.key * 'v) option
+    (** The mirror image: a range lock over [found, hi) and a key lock on
+        the found key (a range lock over the whole view when it is empty).
+        O(log n) in every read mode. *)
+
     val first_key : 'v view -> M.key option
     val last_key : 'v view -> M.key option
   end

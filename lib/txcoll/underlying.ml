@@ -48,6 +48,7 @@ module Ordered_map_ops (K : ORDERED) :
   let min_binding = Coll.Ordmap.min_binding
   let max_binding = Coll.Ordmap.max_binding
   let iter_range = Coll.Ordmap.iter_range
+  let iter_range_rev = Coll.Ordmap.iter_range_rev
 end
 
 module Oa_map_ops (K : HASHED) :
@@ -83,6 +84,7 @@ module Skiplist_map_ops (K : ORDERED) :
   let min_binding = Coll.Skiplist.min_binding
   let max_binding = Coll.Skiplist.max_binding
   let iter_range = Coll.Skiplist.iter_range
+  let iter_range_rev = Coll.Skiplist.iter_range_rev
 end
 
 module Deque_ops : Tm_intf.QUEUE_OPS with type 'v t = 'v Coll.Fifo_deque.t =

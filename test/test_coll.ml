@@ -133,6 +133,79 @@ let prop_ordmap_model =
       && sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) sorted)
 
 (* ------------------------------------------------------------------ *)
+(* Reverse range iteration (Ordmap, Pmap, Skiplist)                    *)
+
+(* Keys to insert, [lo], [hi] and how many bindings the reverse walk may
+   visit before [f] raises.  Bounds reach past the key space at both ends,
+   and [lo >= hi] (empty or inverted) comes up often. *)
+let arb_rev_case =
+  let bound = QCheck.Gen.(opt ~ratio:0.75 (int_range (-2) 34)) in
+  QCheck.make
+    ~print:(fun (keys, lo, hi, stop) ->
+      let b = function None -> "-" | Some k -> string_of_int k in
+      Printf.sprintf "keys=[%s] lo=%s hi=%s stop=%d"
+        (String.concat ";" (List.map string_of_int keys))
+        (b lo) (b hi) stop)
+    QCheck.Gen.(
+      quad (list_size (int_bound 40) (int_bound 31)) bound bound (int_bound 12))
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+(* [iter_range] visits [expect]; [iter_range_rev] visits exactly its
+   [List.rev]; raising from [f] after [stop] visits leaves that prefix of
+   the reverse walk. *)
+let rev_mirrors_fwd ~iter_range ~iter_range_rev ~lo ~hi ~stop expect =
+  let collect ?(stop = max_int) iter =
+    let acc = ref [] in
+    (try
+       iter (fun k v ->
+           if List.length !acc = stop then raise Exit;
+           acc := (k, v) :: !acc)
+     with Exit -> ());
+    List.rev !acc
+  in
+  let fwd = collect (fun f -> iter_range f ~lo ~hi) in
+  fwd = expect
+  && collect (fun f -> iter_range_rev f ~lo ~hi) = List.rev expect
+  && collect ~stop (fun f -> iter_range_rev f ~lo ~hi)
+     = take stop (List.rev expect)
+
+let prop_iter_range_rev =
+  QCheck.Test.make
+    ~name:"iter_range_rev mirrors iter_range (ordmap, pmap, skiplist)"
+    ~count:300 arb_rev_case (fun (keys, lo, hi, stop) ->
+      let o = O.create ~compare:Int.compare () in
+      let s = Coll.Skiplist.create ~compare:Int.compare () in
+      List.iter
+        (fun k ->
+          O.add o k (k * 10);
+          Coll.Skiplist.add s k (k * 10))
+        keys;
+      let p =
+        Coll.Pmap.of_seq ~compare:Int.compare
+          (List.to_seq (List.map (fun k -> (k, k * 10)) keys))
+      in
+      let expect =
+        List.sort_uniq Int.compare keys
+        |> List.filter (fun k ->
+               (match lo with None -> true | Some b -> k >= b)
+               && match hi with None -> true | Some b -> k < b)
+        |> List.map (fun k -> (k, k * 10))
+      in
+      rev_mirrors_fwd ~lo ~hi ~stop expect
+        ~iter_range:(fun f -> O.iter_range f o)
+        ~iter_range_rev:(fun f -> O.iter_range_rev f o)
+      && rev_mirrors_fwd ~lo ~hi ~stop expect
+           ~iter_range:(fun f -> Coll.Pmap.iter_range f p)
+           ~iter_range_rev:(fun f -> Coll.Pmap.iter_range_rev f p)
+      && rev_mirrors_fwd ~lo ~hi ~stop expect
+           ~iter_range:(fun f -> Coll.Skiplist.iter_range f s)
+           ~iter_range_rev:(fun f -> Coll.Skiplist.iter_range_rev f s)
+      && Coll.Skiplist.max_binding s = O.max_binding o)
+
+(* ------------------------------------------------------------------ *)
 (* Fifo_deque                                                          *)
 
 let test_deque_fifo () =
@@ -193,6 +266,7 @@ let suites =
           test_ordmap_reverse_comparator;
         QCheck_alcotest.to_alcotest prop_ordmap_model;
       ] );
+    ("coll.range_rev", [ QCheck_alcotest.to_alcotest prop_iter_range_rev ]);
     ( "coll.deque",
       [
         Alcotest.test_case "fifo" `Quick test_deque_fifo;

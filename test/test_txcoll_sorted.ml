@@ -367,3 +367,249 @@ let suites =
             test_sorted_pessimistic_parallel_correct;
         ] );
     ]
+
+(* ---------------- view endpoints: lastKey and isEmpty ---------------- *)
+
+let test_view_last_conflict_suffix_insert () =
+  let m = seeded () in
+  let n =
+    conflict_scenario
+      ~reader:(fun () -> ignore (SM.View.last_key (SM.head_map m ~hi:45)))
+      ~writer:(fun () -> ignore (SM.put m 42 "between found and hi"))
+  in
+  (* headMap(45).lastKey returned 40; inserting 42 invalidates it. *)
+  Alcotest.(check int) "suffix insert aborts view lastKey" 2 n
+
+let test_view_last_no_conflict_prefix_insert () =
+  let m = seeded () in
+  let n =
+    conflict_scenario
+      ~reader:(fun () -> ignore (SM.View.last_key (SM.head_map m ~hi:45)))
+      ~writer:(fun () -> ignore (SM.put m 35 "below found key"))
+  in
+  Alcotest.(check int) "prefix insert commutes with view lastKey" 1 n
+
+let test_view_is_empty_conflict_insert () =
+  let m = seeded () in
+  let seen = ref [] in
+  let n =
+    conflict_scenario
+      ~reader:(fun () ->
+        seen := SM.View.is_empty (SM.sub_map m ~lo:31 ~hi:39) :: !seen)
+      ~writer:(fun () -> ignore (SM.put m 35 "into the empty view"))
+  in
+  Alcotest.(check int) "insert into empty view aborts isEmpty" 2 n;
+  Alcotest.(check (list bool)) "empty, then not after the retry"
+    [ true; false ] (List.rev !seen)
+
+(* What the model test below uses of a sorted map over int keys; both the
+   AVL and the skip-list instances match it. *)
+module type ENDPOINT_MAP = sig
+  type 'v t
+  type 'v view
+  type isempty_policy
+  type write_policy
+
+  val create :
+    ?splitters:int list ->
+    ?isempty_policy:isempty_policy ->
+    ?write_policy:write_policy ->
+    ?copy_key:(int -> int) ->
+    ?tm_policy:string ->
+    unit ->
+    'v t
+
+  val put : 'v t -> int -> 'v -> 'v option
+  val remove : 'v t -> int -> 'v option
+  val last_key : 'v t -> int option
+  val sub_map : 'v t -> lo:int -> hi:int -> 'v view
+  val head_map : 'v t -> hi:int -> 'v view
+  val tail_map : 'v t -> lo:int -> 'v view
+  val outstanding_locks : 'v t -> int
+
+  module View : sig
+    val first_key : 'v view -> int option
+    val last_key : 'v view -> int option
+    val is_empty : 'v view -> bool
+  end
+end
+
+type view_op = Vput of int | Vremove of int | Vcheck of int * int
+
+let arb_view_case =
+  let key = QCheck.Gen.int_bound 31 in
+  QCheck.make
+    ~print:(fun (init, ops) ->
+      Printf.sprintf "init=[%s] ops=[%s]"
+        (String.concat ";" (List.map string_of_int init))
+        (String.concat ";"
+           (List.map
+              (function
+                | Vput k -> Printf.sprintf "put(%d)" k
+                | Vremove k -> Printf.sprintf "rm(%d)" k
+                | Vcheck (a, b) -> Printf.sprintf "check(%d,%d)" a b)
+              ops)))
+    QCheck.Gen.(
+      pair
+        (list_size (int_bound 24) key)
+        (list_size (int_bound 40)
+           (frequency
+              [
+                (3, map (fun k -> Vput k) key);
+                (2, map (fun k -> Vremove k) key);
+                ( 3,
+                  map2
+                    (fun a b -> Vcheck (a, b))
+                    (int_range (-1) 34) (int_range (-1) 34) );
+              ])))
+
+(* Model test of view endpoints over maps whose views cross interval
+   boundaries, in all three read modes: committed state outside any
+   transaction and inside [Stm.snapshot], then the merged state inside a
+   transaction whose buffer removes the committed maximum and applies
+   random puts and removes, then the committed state again. *)
+
+module View_endpoints (S : ENDPOINT_MAP) = struct
+  (* Views over [a, b] in every shape: sub, head and tail. *)
+  let views m a b =
+    let lo = min a b and hi = max a b in
+    [
+      (S.sub_map m ~lo ~hi, Some lo, Some hi);
+      (S.head_map m ~hi, None, Some hi);
+      (S.tail_map m ~lo, Some lo, None);
+    ]
+
+  let agrees model m a b =
+    List.for_all
+      (fun (v, lo, hi) ->
+        let inside =
+          IntMap.filter
+            (fun k _ ->
+              (match lo with None -> true | Some b -> k >= b)
+              && match hi with None -> true | Some b -> k < b)
+            model
+        in
+        S.View.first_key v = Option.map fst (IntMap.min_binding_opt inside)
+        && S.View.last_key v = Option.map fst (IntMap.max_binding_opt inside)
+        && S.View.is_empty v = IntMap.is_empty inside)
+      (views m a b)
+
+  let checks ops =
+    List.filter_map (function Vcheck (a, b) -> Some (a, b) | _ -> None) ops
+
+  (* Every check outside a transaction and inside one snapshot. *)
+  let committed_agree model m ops =
+    let all () =
+      List.for_all (fun (a, b) -> agrees model m a b) ((0, 32) :: checks ops)
+    in
+    all () && Stm.snapshot all
+
+  let prop name =
+    QCheck.Test.make ~name ~count:100 arb_view_case (fun (init, ops) ->
+        let m = S.create ~splitters:[ 8; 16; 24 ] () in
+        let model =
+          List.fold_left
+            (fun acc k ->
+              ignore (S.put m k k);
+              IntMap.add k k acc)
+            IntMap.empty init
+        in
+        let ok = committed_agree model m ops in
+        let model, ok_in =
+          Stm.atomic (fun () ->
+              let model =
+                match S.last_key m with
+                | None -> model
+                | Some mx ->
+                    ignore (S.remove m mx);
+                    IntMap.remove mx model
+              in
+              let ok_in = ref true in
+              let model =
+                List.fold_left
+                  (fun model op ->
+                    match op with
+                    | Vput k ->
+                        ignore (S.put m k k);
+                        IntMap.add k k model
+                    | Vremove k ->
+                        ignore (S.remove m k);
+                        IntMap.remove k model
+                    | Vcheck (a, b) ->
+                        if not (agrees model m a b) then ok_in := false;
+                        model)
+                  model ops
+              in
+              (model, !ok_in && agrees model m 0 32))
+        in
+        ok && ok_in && committed_agree model m ops && S.outstanding_locks m = 0)
+end
+
+module Tree_endpoints = View_endpoints (IntSM)
+
+module SkipSM = Txcoll.Host.Sorted_map_over_skiplist (Txcoll.Host.Int_ordered)
+module Skip_endpoints = View_endpoints (SkipSM)
+
+(* Allocation gate for [View.last_key] on a two-interval map whose view
+   spans both intervals, in all three read modes: a fixed minor-words
+   budget per call, and no growth with the map's size.  Rebuilding the
+   merged range to read one endpoint costs tens of thousands of words per
+   call at 10 000 keys. *)
+let last_key_words ~n =
+  let m = SM.create ~splitters:[ n / 2 ] () in
+  for k = 0 to n - 1 do
+    ignore (SM.put m k "v")
+  done;
+  let v = SM.sub_map m ~lo:0 ~hi:n in
+  let per_call read =
+    for _ = 1 to 50 do
+      ignore (read ())
+    done;
+    let iters = 500 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to iters do
+      ignore (read ())
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int iters
+  in
+  let last () = SM.View.last_key v in
+  [
+    ("in a transaction", 2000., per_call (fun () -> Stm.atomic last));
+    ("in a snapshot", 500., per_call (fun () -> Stm.snapshot last));
+    ("outside a transaction", 500., per_call last);
+  ]
+
+let test_view_last_key_allocation () =
+  let small = last_key_words ~n:1_000 and large = last_key_words ~n:10_000 in
+  List.iter2
+    (fun (mode, budget, s) (_, _, l) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words per call at 10k keys (<= %.0f)" mode l
+           budget)
+        true (l <= budget);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 10k keys %.0f vs 1k keys %.0f words (<= 2x)" mode
+           l s)
+        true
+        (l <= 2. *. s))
+    small large
+
+let suites =
+  suites
+  @ [
+      ( "txsorted.view_endpoints",
+        [
+          Alcotest.test_case "view lastKey suffix insert" `Quick
+            test_view_last_conflict_suffix_insert;
+          Alcotest.test_case "view lastKey prefix insert" `Quick
+            test_view_last_no_conflict_prefix_insert;
+          Alcotest.test_case "insert into empty view vs isEmpty" `Quick
+            test_view_is_empty_conflict_insert;
+          QCheck_alcotest.to_alcotest
+            (Tree_endpoints.prop "view endpoints match model (AVL)");
+          QCheck_alcotest.to_alcotest
+            (Skip_endpoints.prop "view endpoints match model (skip list)");
+          Alcotest.test_case "view lastKey allocation" `Quick
+            test_view_last_key_allocation;
+        ] );
+    ]
