@@ -72,9 +72,14 @@ type 'v masters = {
   g_gen : int;
 }
 
+(* Per-transaction, per-place local state: the captured master generation
+   and the replication buffer (newest first). *)
+type 'v plocal = { pl_g : 'v masters; mutable pl_ops : 'v rop list }
+
 type 'v place = {
   p_id : int;
   p_region : Tm.region;
+  p_local : 'v plocal Tm.local_key;
   p_masters : 'v masters Atomic.t;
   p_state : state Atomic.t;
   p_inbox : 'v inbox;
@@ -84,19 +89,12 @@ type 'v place = {
   p_max_lag : int Atomic.t; (* high-water post-ship pending count *)
 }
 
-(* Per-transaction, per-place local state: the captured master generation
-   and the replication buffer (newest first). *)
-type 'v plocal = { pl_g : 'v masters; mutable pl_ops : 'v rop list }
-
 type 'v t = {
   t_places : 'v place array;
   t_width : int;
   t_key_space : int;
   t_mode : mode;
   t_stripes : int;
-  t_locals : (int, 'v plocal) Hashtbl.t Domain.DLS.key;
-      (* keyed by txn_id * 64 + place id; entries removed by the commit
-         apply / abort handlers of the registering transaction *)
   t_stop : bool Atomic.t;
   mutable t_drainer : unit Domain.t option;
 }
@@ -177,30 +175,24 @@ let up_and_current pl (l : 'v plocal) =
    (reads included: a read of a later-killed place must not serialise
    after the failover, so even read-only transactions get the prepare
    check via the read_only certificate turning false). *)
+let attach mode pl _txn _spare =
+  if Atomic.get pl.p_state <> Up then raise (place_down pl);
+  let l = { pl_g = Atomic.get pl.p_masters; pl_ops = [] } in
+  Tm.on_commit_prepared pl.p_region
+    ~read_only:(fun () -> l.pl_ops = [] && up_and_current pl l)
+    ~prepare:(fun () ->
+      (* Region held, before the commit point: the authoritative
+         failure-domain gate.  Raising here vetoes the whole commit —
+         nothing applied, nothing shipped. *)
+      if not (up_and_current pl l) then raise (place_down pl))
+    ~apply:(fun wv ->
+      if l.pl_ops <> [] then ship mode pl wv (List.rev l.pl_ops));
+  l
+
 let local_of t pl =
-  let tbl = Domain.DLS.get t.t_locals in
-  let key = (Tm.txn_id (Tm.current ()) * 64) + pl.p_id in
-  match Hashtbl.find_opt tbl key with
-  | Some l ->
-      if not (up_and_current pl l) then raise (place_down pl);
-      l
-  | None ->
-      if Atomic.get pl.p_state <> Up then raise (place_down pl);
-      let l = { pl_g = Atomic.get pl.p_masters; pl_ops = [] } in
-      Hashtbl.add tbl key l;
-      let cleanup () = Hashtbl.remove tbl key in
-      Tm.on_commit_prepared pl.p_region
-        ~read_only:(fun () -> l.pl_ops = [] && up_and_current pl l)
-        ~prepare:(fun () ->
-          (* Region held, before the commit point: the authoritative
-             failure-domain gate.  Raising here vetoes the whole commit —
-             nothing applied, nothing shipped. *)
-          if not (up_and_current pl l) then raise (place_down pl))
-        ~apply:(fun wv ->
-          if l.pl_ops <> [] then ship t.t_mode pl wv (List.rev l.pl_ops);
-          cleanup ());
-      Tm.on_abort cleanup;
-      l
+  let l = Tm.txn_local pl.p_local (attach t.t_mode) pl in
+  if not (up_and_current pl l) then raise (place_down pl);
+  l
 
 (* Snapshot access: resolve against whatever generation is current.  A
    frozen (killed) generation is still the correct committed state at any
@@ -412,8 +404,7 @@ let spawn_drainer t =
 
 let create ?(place_count = 4) ?(key_space = 1024) ?(mode = Eager)
     ?(background = true) ?(stripes = 8) () =
-  if place_count < 1 || place_count > 64 then
-    invalid_arg "Places.create: place_count must be in [1, 64]";
+  if place_count < 1 then invalid_arg "Places.create: place_count must be >= 1";
   if key_space < place_count then
     invalid_arg "Places.create: key_space must be >= place_count";
   (match mode with
@@ -425,6 +416,7 @@ let create ?(place_count = 4) ?(key_space = 1024) ?(mode = Eager)
     {
       p_id = i;
       p_region = Tm.new_region ();
+      p_local = Tm.new_local_key ();
       p_masters =
         Atomic.make
           {
@@ -454,7 +446,6 @@ let create ?(place_count = 4) ?(key_space = 1024) ?(mode = Eager)
       t_key_space = key_space;
       t_mode = mode;
       t_stripes = stripes;
-      t_locals = Domain.DLS.new_key (fun () -> Hashtbl.create 16);
       t_stop = Atomic.make false;
       t_drainer = None;
     }

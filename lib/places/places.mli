@@ -51,8 +51,8 @@ val create :
   ?stripes:int ->
   unit ->
   'v t
-(** [create ()] builds a store of [place_count] (default 4, clamped to
-    [1, 64]) places over keys [0, key_space) (default 1024), replicating
+(** [create ()] builds a store of [place_count] (default 4, at least 1)
+    places over keys [0, key_space) (default 1024), replicating
     per [mode] (default [Eager]).  [stripes] (default 8) is forwarded to
     each place's master hash map.  With [Lazy] mode and [background]
     (default [true]), a drainer domain is spawned; {!close} must be called

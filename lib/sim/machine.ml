@@ -15,6 +15,9 @@ open Ops
 (* ------------------------------------------------------------------ *)
 (* Transactional state (TCC)                                           *)
 
+(* A transaction-local value, tagged with its key ([Tcc.Tm_ops.txn_local]). *)
+type slot = Slot : 'a Type.Id.t * 'a -> slot
+
 type frame = {
   depth : int; (* 0 = top level *)
   kind : [ `Top | `Closed | `Open ];
@@ -22,6 +25,7 @@ type frame = {
   mutable writes : (int, int) Hashtbl.t; (* addr -> buffered value *)
   mutable commit_handlers : (unit -> unit) list; (* newest first *)
   mutable abort_handlers : (unit -> unit) list; (* newest first *)
+  mutable locals : slot list; (* top frame only *)
 }
 
 let fresh_frame depth kind =
@@ -32,6 +36,7 @@ let fresh_frame depth kind =
     writes = Hashtbl.create 16;
     commit_handlers = [];
     abort_handlers = [];
+    locals = [];
   }
 
 type txn_state = {

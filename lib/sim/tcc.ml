@@ -161,21 +161,23 @@ and open_nested body =
       in
       attempt 0
 
-let on_commit h =
-  if not (machine_running ()) then h ()
+(* The outermost frame of the running CPU's transaction, if any: handlers
+   and transaction-local values belong to the top level. *)
+let top_frame () =
+  if not (machine_running ()) then None
   else
-    let st = state () in
-    match List.rev st.Machine.frames with
-    | [] -> h ()
-    | top :: _ -> top.Machine.commit_handlers <- h :: top.Machine.commit_handlers
+    let rec last = function [] -> None | [ f ] -> Some f | _ :: r -> last r in
+    last (state ()).Machine.frames
+
+let on_commit h =
+  match top_frame () with
+  | None -> h ()
+  | Some top -> top.Machine.commit_handlers <- h :: top.Machine.commit_handlers
 
 let on_abort h =
-  if not (machine_running ()) then ()
-  else
-    let st = state () in
-    match List.rev st.Machine.frames with
-    | [] -> ()
-    | top :: _ -> top.Machine.abort_handlers <- h :: top.Machine.abort_handlers
+  match top_frame () with
+  | None -> ()
+  | Some top -> top.Machine.abort_handlers <- h :: top.Machine.abort_handlers
 
 let self_abort () = if in_txn () then raise Explicit_exn else invalid_arg "Tcc.self_abort"
 
@@ -217,7 +219,34 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
   let current = current
   let in_txn = in_txn
   let same_txn a b = a.cpu = b.cpu && a.epoch = b.epoch
-  let txn_id t = (t.epoch * 64) + t.cpu
+
+  (* Epochs are unique across CPUs, so a running transaction is named by
+     its epoch alone; auto-commit handles (epoch 0) take negative ids, one
+     per CPU (-1 off the machine). *)
+  let txn_id t = if t.epoch = 0 then -(t.cpu + 2) else t.epoch
+
+  (* Slots live on the top frame, which a commit or abort discards; the
+     machine offers no spares.  Open nesting pushes a frame under the same
+     top, so an open transaction shares its parent's values. *)
+  type 'a local_key = 'a Type.Id.t
+
+  let new_local_key = Type.Id.make
+
+  let txn_local (type a) (key : a local_key) init env : a =
+    match top_frame () with
+    | None -> init env (current ()) None
+    | Some top -> (
+        let find (Machine.Slot (k, v)) : a option =
+          match Type.Id.provably_equal key k with
+          | Some Equal -> Some v
+          | None -> None
+        in
+        match List.find_map find top.Machine.locals with
+        | Some v -> v
+        | None ->
+            let v = init env (current ()) None in
+            top.Machine.locals <- Machine.Slot (key, v) :: top.Machine.locals;
+            v)
 
   type region = int
 

@@ -245,6 +245,56 @@ let in_txn () = Option.is_some !(context ())
 let same_txn (a : handle) (b : handle) = a.txn_id = b.txn_id
 let txn_id (t : handle) = t.txn_id
 
+(* Transaction-local slots, held in the top-level descriptor ([slots] in
+   types.ml).  A transaction touches few collections, so lookups scan. *)
+type 'a local_key = 'a Type.Id.t
+
+let new_local_key = Type.Id.make
+
+let push_live s slot =
+  if s.n_live = Array.length s.live then begin
+    let a = Array.make (max 4 (2 * s.n_live)) no_slot in
+    Array.blit s.live 0 a 0 s.n_live;
+    s.live <- a
+  end;
+  s.live.(s.n_live) <- slot;
+  s.n_live <- s.n_live + 1
+
+(* Index [i] scans the live values, then the spares at [i - n_live]; a
+   miss builds the value, reusing the key's spare if there is one. *)
+let rec lookup :
+    type a e. txn -> a local_key -> (e -> txn -> a option -> a) -> e -> int -> a
+    =
+ fun top key init env i ->
+  let s = top.slots in
+  if i < s.n_live then
+    let (Slot (k, v)) = s.live.(i) in
+    match Type.Id.provably_equal key k with
+    | Some Equal -> v
+    | None -> lookup top key init env (i + 1)
+  else if i = s.n_live + s.n_spare then begin
+    let v = init env top None in
+    push_live s (Slot (key, v));
+    v
+  end
+  else
+    let j = i - s.n_live in
+    let (Slot (k, sv) as slot) = s.spare.(j) in
+    match Type.Id.provably_equal key k with
+    | Some Equal ->
+        s.n_spare <- s.n_spare - 1;
+        s.spare.(j) <- s.spare.(s.n_spare);
+        s.spare.(s.n_spare) <- no_slot;
+        let v = init env top (Some sv) in
+        push_live s (if v == sv then slot else Slot (key, v));
+        v
+    | None -> lookup top key init env (i + 1)
+
+let txn_local key init env =
+  match !(context ()) with
+  | None -> init env (current ()) None
+  | Some t -> lookup t.top key init env 0
+
 (* Handlers carry the commit region they operate on; [None] means the
    process-wide fallback region (plain [on_commit] callers).  Handlers
    registered through these untyped entry points are never assumed
@@ -718,8 +768,8 @@ let mark_aborted t = ignore (Atomic.compare_and_set t.top_status Active Aborted)
    The descriptor comes from the domain-local pool and is reset in place
    per attempt (fresh leased txn_id, cleared grow-only read/write sets),
    so the retry loop allocates nothing.  It is released back to the pool
-   on every exit path — after compensation handlers have run, and with
-   its handler lists intact for [open_nested] to migrate. *)
+   on every exit path after compensation handlers have run — except a
+   committed open-nested one, which [open_nested] releases itself. *)
 let run_top ?(defer_handlers = false) ?cm ?pol ?budget f =
   let ctx = context () in
   let cm = match cm with Some c -> c | None -> Atomic.get global_cm in
@@ -829,7 +879,8 @@ let run_top ?(defer_handlers = false) ?cm ?pol ?budget f =
   match attempt 0 with
   | r ->
       (my_stats ()).s_inflight <- (my_stats ()).s_inflight - 1;
-      release_top t;
+      (* [open_nested] decides itself whether the descriptor goes back. *)
+      if not defer_handlers then release_top t;
       (r, t)
   | exception e ->
       (my_stats ()).s_inflight <- (my_stats ()).s_inflight - 1;
@@ -1044,9 +1095,6 @@ let open_nested f =
   | None -> fst (run_top f)
   | Some parent ->
       ctx := None;
-      (* [run_top] returns the (pooled) descriptor with its handler lists
-         intact; they are migrated here, on the same domain, before any
-         other transaction can re-acquire the descriptor. *)
       (match run_top ~defer_handlers:true f with
       | r, open_txn ->
           ctx := parent.self_opt;
@@ -1056,6 +1104,10 @@ let open_nested f =
           parent.commit_handlers <-
             open_txn.commit_handlers @ parent.commit_handlers;
           parent.abort_handlers <- open_txn.abort_handlers @ parent.abort_handlers;
+          (* A descriptor whose transaction-local values those handlers
+             still use — a collection's, whose semantic locks it also owns
+             — must not be recycled before they run. *)
+          if open_txn.slots.n_live = 0 then release_top open_txn;
           r
       | exception e ->
           ctx := parent.self_opt;
@@ -1216,6 +1268,11 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = handle = struct
   let in_txn = in_txn
   let same_txn = same_txn
   let txn_id = txn_id
+
+  type nonrec 'a local_key = 'a local_key
+
+  let new_local_key = new_local_key
+  let txn_local = txn_local
 
   type region = Types.region
 

@@ -244,7 +244,8 @@ val open_nested : (unit -> 'a) -> 'a
     immediately and independently of the enclosing transaction, exposing its
     writes and discarding its read dependencies from the parent's point of
     view.  Commit/abort handlers registered inside migrate to the parent
-    when the open transaction commits. *)
+    when the open transaction commits; its transaction-local values
+    ({!Tm_ops.txn_local}) stay valid until those handlers have run. *)
 
 (** {1 Snapshot reads} — the abort-free multi-version read-only mode.
 

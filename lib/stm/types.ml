@@ -558,6 +558,22 @@ type commit_handler = {
 
 let never_read_only () = false
 
+(* Transaction-local values ([txn_local] in stm.ml), each tagged with its
+   key; [Type.Id] recovers the value's type on lookup.  [live] holds this
+   attempt's values; [spare] the previous attempt's, whose handlers have
+   run, offered back for reuse and dropped one attempt later
+   ([retire_slots]).  Both arrays are grow-only. *)
+type slot = Slot : 'a Type.Id.t * 'a -> slot
+
+type slots = {
+  mutable live : slot array;
+  mutable n_live : int;
+  mutable spare : slot array;
+  mutable n_spare : int;
+}
+
+let no_slot = Slot (Type.Id.make (), ())
+
 type txn = {
   mutable txn_id : int;
       (* fresh per attempt (leased); mutable because descriptors are pooled *)
@@ -602,6 +618,7 @@ type txn = {
   mutable strategy : strategy;
       (* the per-tvar protocol behind [pol]: one of four static records,
          installed by [acquire_top] — dispatch is a field load *)
+  slots : slots; (* the top level's, shared by its children *)
 }
 
 (* The per-policy read/write protocol.  Both fields are explicitly
@@ -1259,6 +1276,7 @@ let make_top ?cm ?prio ?pol () =
       self_opt = Some t;
       pol;
       strategy = strategy_of pol;
+      slots = { live = [||]; n_live = 0; spare = [||]; n_spare = 0 };
     }
   in
   t
@@ -1287,6 +1305,7 @@ let make_child parent =
       self_opt = Some t;
       pol = parent.top.pol;
       strategy = parent.top.strategy;
+      slots = parent.top.slots;
     }
   in
   t
@@ -1322,13 +1341,20 @@ let acquire_top ~cm ~prio ~pol =
       t
   | [] -> make_top ~cm ~prio ~pol ()
 
-(* The released descriptor's fields stay intact until the next
-   [acquire_top] on this domain: [open_nested] reads the migrated handler
-   lists off the returned descriptor immediately after [run_top] returns
-   it. *)
 let release_top t =
   let pool = Domain.DLS.get top_pool_key in
   pool := t :: !pool
+
+(* The previous attempt's values become the spares and unclaimed spares
+   are dropped: a collection stays reachable from a descriptor for at most
+   two attempts after its last use there. *)
+let retire_slots s =
+  Array.fill s.spare 0 s.n_spare no_slot;
+  let old = s.spare in
+  s.spare <- s.live;
+  s.n_spare <- s.n_live;
+  s.live <- old;
+  s.n_live <- 0
 
 let reset_for_attempt t =
   t.txn_id <- fresh_txn_id ();
@@ -1342,7 +1368,8 @@ let reset_for_attempt t =
   t.wlen <- 0;
   t.commit_handlers <- [];
   t.abort_handlers <- [];
-  t.in_prepare <- false
+  t.in_prepare <- false;
+  retire_slots t.slots
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection (chaos) hook points.  When installed, the hook is

@@ -45,8 +45,33 @@ module type TM_OPS = sig
   val same_txn : txn -> txn -> bool
 
   val txn_id : txn -> int
-  (** Unique identifier of a top-level transaction; keys per-transaction
-      local state (store buffers, held-lock lists) inside collections. *)
+  (** Unique identifier of a top-level transaction attempt, consistent with
+      {!same_txn}; keys semantic-lock ownership in the collections' lock
+      tables.  Transaction-local state goes through {!txn_local}. *)
+
+  (** {2 Transaction-local state}
+
+      Each collection keeps one value per top-level transaction — store
+      buffer, held locks — with one commit and one abort handler (paper
+      §5, Table 3).  The TM holds the values; a collection holds only its
+      key, so a dropped collection leaves nothing behind. *)
+
+  type 'a local_key
+
+  val new_local_key : unit -> 'a local_key
+
+  val txn_local : 'a local_key -> ('e -> txn -> 'a option -> 'a) -> 'e -> 'a
+  (** [txn_local k init env] is the current top-level transaction's value
+      for [k].  The first call in a transaction attempt returns
+      [init env txn spare], which builds the value and registers its
+      handlers; later calls return the same value.  The value belongs to
+      the attempt until those handlers have run.  After that the TM drops
+      it, or keeps it briefly to offer to a later attempt as [spare], for
+      [init] to reset and reuse instead of allocating.  ([env] lets a
+      caller pass a closed [init] and allocate nothing per call.)  Values
+      registered inside an open-nested transaction stay valid until the
+      handlers it passed to its parent have run.  Outside a transaction
+      every call is its own auto-commit transaction. *)
 
   type region
   (** An isolation region protecting one collection's shared transactional

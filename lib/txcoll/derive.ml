@@ -130,16 +130,11 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     mutable key_locks : S.key list;
     mutable stripes_mask : int;
     mutable struct_locked : bool;
-    mutable h_read_only : unit -> bool;
-    mutable h_regions : unit -> TM.region list;
-    mutable h_prepare : unit -> unit;
-    mutable h_apply : int -> unit;
-    mutable h_abort : unit -> unit;
-  }
-
-  type domain_locals = {
-    tbl : (int, local) Hashtbl.t;
-    mutable pool : local list;
+    h_read_only : unit -> bool;
+    h_regions : unit -> TM.region list;
+    h_prepare : unit -> unit;
+    h_apply : int -> unit;
+    h_abort : unit -> unit;
   }
 
   type t = {
@@ -149,36 +144,15 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
         (* sum of committed weights; read/written only under the
            structure region, and only maintained when a structural facet
            is in use *)
-    dls : domain_locals Domain.DLS.key;
+    local_key : local TM.local_key;
     pinned_policy : string option;
   }
 
   let default_stripes = 16
 
-  (* All transactional state the functor generates is semantic (store
-     buffers, lock tables, commit/abort handlers) — no tvar-level
-     protocol axis can reach the wrapped structure, so every TM policy is
-     safe.  Same capability record and rationale as the hand-written
-     wrappers. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
+  let policy_support = Semlock.policy_support
 
   let track_struct = S.uses_size || S.uses_isempty || S.uses_first
-
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
 
   let create ?(stripes = default_stripes) ?hash ?tm_policy () =
     Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
@@ -194,7 +168,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       locks;
       shards = Array.init k (fun _ -> S.create ());
       csize = 0;
-      dls = Domain.DLS.new_key (fun () -> { tbl = Hashtbl.create 8; pool = [] });
+      local_key = TM.new_local_key ();
       pinned_policy = tm_policy;
     }
 
@@ -220,14 +194,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
         TM.critical (key_region t k) (fun () -> L.release_key t.locks l.txn k))
       l.key_locks;
     if l.struct_locked then
-      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn);
-    let d = Domain.DLS.get t.dls in
-    Hashtbl.remove d.tbl (TM.txn_id l.txn);
-    Coll.Chain_hashmap.clear l.buffer;
-    l.key_locks <- [];
-    l.stripes_mask <- 0;
-    l.struct_locked <- false;
-    d.pool <- l :: d.pool
+      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn)
 
   (* Committed observation backing a buffer entry; blind entries read it
      from the shard under a nested stripe critical (ascending rid from
@@ -294,7 +261,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      the TM's commit point so an exception aborts with nothing applied.
      Every critical below re-enters a region the plan already holds. *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
+    L.check_pinned_policy t.pinned_policy;
     let self = l.txn in
     Coll.Chain_hashmap.iter
       (fun k _ ->
@@ -333,53 +300,48 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       TM.critical (sregion t) (fun () -> t.csize <- t.csize + !delta);
     cleanup t l
 
-  let abort_handler t l () = cleanup t l
+  (* One local record per top-level transaction; its first use registers
+     the single commit handler and single abort handler of §5's
+     guidelines.  A spare offered by the TM keeps its handlers and buffer
+     capacity; it is reset here rather than by [cleanup], so a handler
+     that raised half-way cannot leak state into the reuse.
 
-  let fresh_local t txn =
+     Read-only certificate: an empty store buffer means prepare would
+     detect nothing and apply only releases read locks, so a
+     getter-only transaction takes the TM's read-only fast path. *)
+  let attach t txn spare =
     let l =
-      {
-        txn;
-        buffer = Coll.Chain_hashmap.create ();
-        key_locks = [];
-        stripes_mask = 0;
-        struct_locked = false;
-        h_read_only = (fun () -> false);
-        h_regions = (fun () -> []);
-        h_prepare = ignore;
-        h_apply = (fun _ -> ());
-        h_abort = ignore;
-      }
+      match spare with
+      | Some l ->
+          l.txn <- txn;
+          Coll.Chain_hashmap.clear l.buffer;
+          l.key_locks <- [];
+          l.stripes_mask <- 0;
+          l.struct_locked <- false;
+          l
+      | None ->
+          let rec l =
+            {
+              txn;
+              buffer = Coll.Chain_hashmap.create ();
+              key_locks = [];
+              stripes_mask = 0;
+              struct_locked = false;
+              h_read_only = (fun () -> Coll.Chain_hashmap.is_empty l.buffer);
+              h_regions = (fun () -> regions_plan t l ());
+              h_prepare = (fun () -> prepare_handler t l ());
+              h_apply = (fun stamp -> apply_handler t l stamp);
+              h_abort = (fun () -> cleanup t l);
+            }
+          in
+          l
     in
-    (* Read-only certificate: an empty store buffer means prepare would
-       detect nothing and apply only releases read locks, so a
-       getter-only transaction takes the TM's read-only fast path. *)
-    l.h_read_only <- (fun () -> Coll.Chain_hashmap.is_empty l.buffer);
-    l.h_regions <- regions_plan t l;
-    l.h_prepare <- prepare_handler t l;
-    l.h_apply <- apply_handler t l;
-    l.h_abort <- abort_handler t l;
+    TM.on_commit_prepared ~read_only:l.h_read_only ~regions:l.h_regions
+      (sregion t) ~prepare:l.h_prepare ~apply:l.h_apply;
+    TM.on_abort l.h_abort;
     l
 
-  let local_of t =
-    let txn = TM.current () in
-    let id = TM.txn_id txn in
-    let d = Domain.DLS.get t.dls in
-    match Hashtbl.find_opt d.tbl id with
-    | Some l -> l
-    | None ->
-        let l =
-          match d.pool with
-          | l :: rest ->
-              d.pool <- rest;
-              l.txn <- txn;
-              l
-          | [] -> fresh_local t txn
-        in
-        Hashtbl.add d.tbl id l;
-        TM.on_commit_prepared ~read_only:l.h_read_only ~regions:l.h_regions
-          (sregion t) ~prepare:l.h_prepare ~apply:l.h_apply;
-        TM.on_abort l.h_abort;
-        l
+  let local_of t = TM.txn_local t.local_key attach t
 
   (* Caller holds [key_region t k]. *)
   let lock_key t l k =
@@ -602,9 +564,5 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let buffered_writes t =
     if not (TM.in_txn ()) then 0
-    else
-      let d = Domain.DLS.get t.dls in
-      match Hashtbl.find_opt d.tbl (TM.txn_id (TM.current ())) with
-      | None -> 0
-      | Some l -> Coll.Chain_hashmap.size l.buffer
+    else Coll.Chain_hashmap.size (local_of t).buffer
 end

@@ -74,33 +74,25 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
     prior : bool option; (* presence read at operation time; None = blind *)
   }
 
-  (* Local records are pooled per domain (see [cleanup]): [txn] is rebound
-     on reuse and the handler closures are built once, closing over the
-     record itself, so steady-state transactions allocate neither a fresh
-     store buffer nor fresh handlers.  [stripes_mask] accumulates the
-     stripe indices of every locked or buffered key; [struct_locked] is set
-     by the structure reads (size/isEmpty/enumeration) — together they are
-     the transaction's commit region plan. *)
+  (* The transaction-local record.  [local_of] reuses the TM's spare
+     record when it offers one: [txn] is rebound and the handler closures,
+     built once over the record itself, are kept, so steady-state
+     transactions allocate neither a fresh store buffer nor fresh
+     handlers.  [stripes_mask] accumulates the stripe indices of every
+     locked or buffered key; [struct_locked] is set by the structure reads
+     (size/isEmpty/enumeration) — together they are the transaction's
+     commit region plan. *)
   type 'v local = {
     mutable txn : TM.txn;
     buffer : (M.key, 'v write) Coll.Chain_hashmap.t;
     mutable key_locks : M.key list;
     mutable stripes_mask : int;
     mutable struct_locked : bool;
-    mutable h_read_only : unit -> bool;
-    mutable h_regions : unit -> TM.region list;
-    mutable h_prepare : unit -> unit;
-    mutable h_apply : int -> unit;
-    mutable h_abort : unit -> unit;
-  }
-
-  (* Locals are domain-local: a top-level transaction runs, commits and
-     compensates on one domain, so keying the records (and the recycling
-     pool) by domain removes the last piece of shared mutable state that
-     would otherwise need a cross-stripe lock on every operation. *)
-  type 'v domain_locals = {
-    tbl : (int, 'v local) Hashtbl.t;
-    mutable pool : 'v local list;
+    h_read_only : unit -> bool;
+    h_regions : unit -> TM.region list;
+    h_prepare : unit -> unit;
+    h_apply : int -> unit;
+    h_abort : unit -> unit;
   }
 
   (* Immutable shadow of one shard: persistent map from key hash to the
@@ -119,7 +111,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
            stripe [i]'s region is held *)
     snap_struct : int Coll.Vchain.t;
         (* committed-size chain; published only under the structure region *)
-    dls : 'v domain_locals Domain.DLS.key;
+    local_key : 'v local TM.local_key;
     isempty_policy : isempty_policy;
     write_policy : write_policy;
     copy_key : M.key -> M.key;
@@ -135,32 +127,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
 
   let default_stripes = 16
 
-  (* TM policy matrix: this collection's transactional state is purely
-     semantic (store buffers, lock tables, commit/abort handlers), so
-     every tvar-level protocol axis is safe — the TM's acquire/read/
-     versioning choices never reach the wrapped structure. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
-
-  (* Pinned-policy enforcement point: runs in the prepare phase (before
-     the TM's commit point), so a transaction mutating the collection
-     under the wrong policy fails fast with nothing applied.  The raise
-     escapes [atomic] un-retried — misconfiguration, not contention.
-     Read-only commits skip prepare and are not checked. *)
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
+  let policy_support = Semlock.policy_support
 
   (* ---------------- snapshot shadows ---------------- *)
 
@@ -222,9 +189,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
         Array.map (fun shard -> Coll.Vchain.make 0 (shadow_of_shard shard))
           shards;
       snap_struct = Coll.Vchain.make 0 csize;
-      dls =
-        Domain.DLS.new_key (fun () ->
-            { tbl = Hashtbl.create 8; pool = [] });
+      local_key = TM.new_local_key ();
       isempty_policy;
       write_policy;
       copy_key;
@@ -246,26 +211,17 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
   (* ---------------- commit/abort handlers ---------------- *)
 
   (* Runs exactly once per transaction (the apply and abort handlers are
-     mutually exclusive), so the record can be scrubbed and recycled: the
-     buffer keeps its capacity across reuses.  The releases run as
-     sequential (never nested) criticals, one per touched region: with the
-     commit's region plan held they are reentrant; on the abort and
-     read-only paths nothing is held, so each stands alone and no ordering
-     constraint arises. *)
+     mutually exclusive).  The releases run as sequential (never nested)
+     criticals, one per touched region: with the commit's region plan held
+     they are reentrant; on the abort and read-only paths nothing is held,
+     so each stands alone and no ordering constraint arises. *)
   let cleanup t l =
     List.iter
       (fun k ->
         TM.critical (key_region t k) (fun () -> L.release_key t.locks l.txn k))
       l.key_locks;
     if l.struct_locked then
-      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn);
-    let d = Domain.DLS.get t.dls in
-    Hashtbl.remove d.tbl (TM.txn_id l.txn);
-    Coll.Chain_hashmap.clear l.buffer;
-    l.key_locks <- [];
-    l.stripes_mask <- 0;
-    l.struct_locked <- false;
-    d.pool <- l :: d.pool
+      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn)
 
   (* Net size change of the store buffer.  Blind writes read their prior
      presence from the shard under a nested stripe critical (ascending rid
@@ -318,7 +274,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
      TM's commit point so an exception here aborts with nothing applied.
      Every critical below re-enters a region the plan already holds. *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
+    L.check_pinned_policy t.pinned_policy;
     let self = l.txn in
     Coll.Chain_hashmap.iter
       (fun k _ ->
@@ -394,56 +350,49 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
           publish_struct t ~min_epoch stamp);
     cleanup t l
 
-  let abort_handler t l () = cleanup t l
+  (* One local record per top-level transaction; its first use registers
+     the single commit handler and single abort handler of §5's
+     guidelines.  A spare offered by the TM keeps its handlers and buffer
+     capacity; it is reset here rather than by [cleanup], so a handler
+     that raised half-way cannot leak state into the reuse.
 
-  let fresh_local t txn =
+     Read-only certificate: an empty store buffer means prepare would
+     detect nothing and apply only releases read locks, so a getter-only
+     transaction (find/mem/size/is_empty) can take the TM's read-only
+     commit fast path. *)
+  let attach t txn spare =
     let l =
-      {
-        txn;
-        buffer = Coll.Chain_hashmap.create ();
-        key_locks = [];
-        stripes_mask = 0;
-        struct_locked = false;
-        h_read_only = (fun () -> false);
-        h_regions = (fun () -> []);
-        h_prepare = ignore;
-        h_apply = (fun _ -> ());
-        h_abort = ignore;
-      }
+      match spare with
+      | Some l ->
+          l.txn <- txn;
+          Coll.Chain_hashmap.clear l.buffer;
+          l.key_locks <- [];
+          l.stripes_mask <- 0;
+          l.struct_locked <- false;
+          l
+      | None ->
+          let rec l =
+            {
+              txn;
+              buffer = Coll.Chain_hashmap.create ();
+              key_locks = [];
+              stripes_mask = 0;
+              struct_locked = false;
+              h_read_only = (fun () -> Coll.Chain_hashmap.is_empty l.buffer);
+              h_regions = (fun () -> regions_plan t l ());
+              h_prepare = (fun () -> prepare_handler t l ());
+              h_apply = (fun stamp -> apply_handler t l stamp);
+              h_abort = (fun () -> cleanup t l);
+            }
+          in
+          l
     in
-    (* Read-only certificate: an empty store buffer means prepare would
-       detect nothing and apply only releases read locks, so a getter-only
-       transaction (find/mem/size/is_empty) can take the TM's read-only
-       commit fast path. *)
-    l.h_read_only <- (fun () -> Coll.Chain_hashmap.is_empty l.buffer);
-    l.h_regions <- regions_plan t l;
-    l.h_prepare <- prepare_handler t l;
-    l.h_apply <- apply_handler t l;
-    l.h_abort <- abort_handler t l;
+    TM.on_commit_prepared ~read_only:l.h_read_only ~regions:l.h_regions
+      (sregion t) ~prepare:l.h_prepare ~apply:l.h_apply;
+    TM.on_abort l.h_abort;
     l
 
-  (* One local record per top-level transaction; its creation registers the
-     single commit handler and single abort handler of §5's guidelines. *)
-  let local_of t =
-    let txn = TM.current () in
-    let id = TM.txn_id txn in
-    let d = Domain.DLS.get t.dls in
-    match Hashtbl.find_opt d.tbl id with
-    | Some l -> l
-    | None ->
-        let l =
-          match d.pool with
-          | l :: rest ->
-              d.pool <- rest;
-              l.txn <- txn;
-              l
-          | [] -> fresh_local t txn
-        in
-        Hashtbl.add d.tbl id l;
-        TM.on_commit_prepared ~read_only:l.h_read_only ~regions:l.h_regions
-          (sregion t) ~prepare:l.h_prepare ~apply:l.h_apply;
-        TM.on_abort l.h_abort;
-        l
+  let local_of t = TM.txn_local t.local_key attach t
 
   (* Caller holds [key_region t k]. *)
   let lock_key t l k =
@@ -823,9 +772,9 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
 
   (* Live rendering of Table 3's state inventory: committed state (the
      sharded wrapped map), shared transactional state (lock tables), and
-     the local transactional state of the calling domain's active
-     transactions (locals are domain-local). *)
+     the calling transaction's local state. *)
   let dump_state ppf t =
+    let local = if TM.in_txn () then Some (local_of t) else None in
     L.critical_all t.locks (fun () ->
         Format.fprintf ppf "Committed state:@.";
         Format.fprintf ppf "  map                 %d bindings in %d stripes@."
@@ -837,20 +786,17 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
           (L.size_locker_count t.locks);
         Format.fprintf ppf "  isEmptyLockers      %d@."
           (L.isempty_locker_count t.locks);
-        let d = Domain.DLS.get t.dls in
-        Format.fprintf ppf "Local transactional state (%d active txns):@."
-          (Hashtbl.length d.tbl);
-        Hashtbl.iter
-          (fun id l ->
+        Format.fprintf ppf "Local transactional state (calling txn):@.";
+        match local with
+        | None -> Format.fprintf ppf "  none (outside a transaction)@."
+        | Some l ->
             Format.fprintf ppf
-              "  txn %-6d storeBuffer=%d entries, keyLocks=%d@." id
+              "  txn %-6d storeBuffer=%d entries, keyLocks=%d@."
+              (TM.txn_id l.txn)
               (Coll.Chain_hashmap.size l.buffer)
               (List.length l.key_locks))
-          d.tbl)
 
   let buffered_writes t =
-    let d = Domain.DLS.get t.dls in
-    match Hashtbl.find_opt d.tbl (TM.txn_id (TM.current ())) with
-    | None -> 0
-    | Some l -> Coll.Chain_hashmap.size l.buffer
+    if not (TM.in_txn ()) then 0
+    else Coll.Chain_hashmap.size (local_of t).buffer
 end

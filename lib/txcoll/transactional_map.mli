@@ -159,7 +159,8 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
       mid-flight (lock-leak detector). *)
 
   val buffered_writes : 'v t -> int
-  (** Size of the calling transaction's store buffer. *)
+  (** Size of the calling transaction's store buffer; [0] outside a
+      transaction. *)
 
   val snapshot_history_length : 'v t -> int
   (** Longest multi-version shadow chain (over all stripes and the
@@ -169,5 +170,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
 
   val dump_state : Format.formatter -> 'v t -> unit
   (** Live rendering of Table 3's state inventory (committed / shared
-      transactional / local transactional state). *)
+      transactional / local transactional state).  The local section shows
+      the calling transaction's state, and none outside a transaction. *)
 end

@@ -41,38 +41,17 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
   type 'v t = {
     map : 'v M.t;
     locks : M.key L.t;
-    locals : (int, 'v local) Hashtbl.t;
+    local_key : 'v local TM.local_key;
     pinned_policy : string option;
         (* TM policy the map was wrapped with, if any; enforced against
            the committing transaction's policy in [prepare]. *)
   }
 
-  (* TM policy matrix: although this collection mutates the wrapped map
-     in place at operation time, that mutation happens inside [critical]
-     regions with its own semantic undo log — it never goes through
-     tvars, so every tvar-level protocol axis (including the TM's own
-     undo logging) remains safe.  The collection is itself the
-     encounter-time point of the design space; a matching pin is
-     [eager_rl_ul], but any policy is sound. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
-
-  (* Prepare-phase enforcement of a wrap-time policy pin; the raise
-     escapes [atomic] un-retried (misconfiguration, not contention). *)
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
+  (* The in-place updates happen inside [critical] regions, never through
+     tvars.  The collection is itself the encounter-time point of the
+     design space; a matching pin is [eager_rl_ul], but any policy is
+     sound. *)
+  let policy_support = Semlock.policy_support
 
   (* A single stripe (K = 1): in-place updates plus an undo log need one
      atomic view of the whole map (size is read live, compensation replays
@@ -84,7 +63,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
     {
       map;
       locks = L.create ~stripes:1 ();
-      locals = Hashtbl.create 32;
+      local_key = TM.new_local_key ();
       pinned_policy = tm_policy;
     }
 
@@ -92,15 +71,13 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
   let pinned_policy t = t.pinned_policy
   let critical t f = TM.critical (L.struct_region t.locks) f
 
-  let cleanup t l =
-    L.release_all t.locks l.txn ~keys:l.key_locks;
-    Hashtbl.remove t.locals (TM.txn_id l.txn)
+  let cleanup t l = L.release_all t.locks l.txn ~keys:l.key_locks
 
   (* In-place changes are already applied; the prepare phase (read-only,
      before the TM's commit point) detects the remaining abstract-state
      conflicts, the apply phase only releases. *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
+    L.check_pinned_policy t.pinned_policy;
     critical t (fun () ->
         if l.delta <> 0 then begin
           L.conflict_size t.locks ~self:l.txn;
@@ -134,35 +111,30 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
         end;
         cleanup t l)
 
-  let local_of t =
-    let txn = TM.current () in
-    let id = TM.txn_id txn in
-    match Hashtbl.find_opt t.locals id with
-    | Some l -> l
-    | None ->
-        let l =
-          {
-            txn;
-            undo = [];
-            written = Coll.Chain_hashmap.create ();
-            key_locks = [];
-            delta = 0;
-          }
-        in
-        Hashtbl.add t.locals id l;
-        (* The undo variant mutates in place at operation time, so "read
-           only" means no undo log, no size delta and no recorded writes:
-           then prepare detects nothing, apply only releases read locks,
-           and the commit can take the TM's read-only fast path. *)
-        TM.on_commit_prepared
-          ~read_only:(fun () ->
-            l.undo = [] && l.delta = 0
-            && Coll.Chain_hashmap.is_empty l.written)
-          (L.struct_region t.locks)
-          ~prepare:(prepare_handler t l)
-          ~apply:(apply_handler t l);
-        TM.on_abort (abort_handler t l);
-        l
+  let attach t txn _spare =
+    let l =
+      {
+        txn;
+        undo = [];
+        written = Coll.Chain_hashmap.create ();
+        key_locks = [];
+        delta = 0;
+      }
+    in
+    (* The undo variant mutates in place at operation time, so "read only"
+       means no undo log, no size delta and no recorded writes: then
+       prepare detects nothing, apply only releases read locks, and the
+       commit can take the TM's read-only fast path. *)
+    TM.on_commit_prepared
+      ~read_only:(fun () ->
+        l.undo = [] && l.delta = 0 && Coll.Chain_hashmap.is_empty l.written)
+      (L.struct_region t.locks)
+      ~prepare:(prepare_handler t l)
+      ~apply:(apply_handler t l);
+    TM.on_abort (abort_handler t l);
+    l
+
+  let local_of t = TM.txn_local t.local_key attach t
 
   let lock_read t l k =
     if not (L.key_locked_by t.locks l.txn k) then begin

@@ -38,7 +38,7 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
   type 'v t = {
     queue : 'v Q.t;
     locks : unit L.t; (* only the empty lock is used *)
-    locals : (int, 'v local) Hashtbl.t;
+    local_key : 'v local TM.local_key;
     snap : 'v Coll.Pdeque.t Coll.Vchain.t;
         (* immutable images of [queue]; published only while the structure
            region is held, so [Vchain.latest] is the current image there *)
@@ -47,29 +47,7 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
            the committing transaction's policy in [prepare]. *)
   }
 
-  (* TM policy matrix: the queue's transactional state is semantic
-     (buffers, the emptiness lock set) and its reduced-isolation takes go
-     through [critical] regions, not tvars — every protocol axis is
-     safe. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
-
-  (* Prepare-phase enforcement of a wrap-time policy pin; the raise
-     escapes [atomic] un-retried (misconfiguration, not contention). *)
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
+  let policy_support = Semlock.policy_support
 
   (* A single stripe (K = 1): the queue's isolation is already reduced —
      takes hit the underlying queue at operation time — so every operation
@@ -94,7 +72,7 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
     {
       queue;
       locks = L.create ~stripes:1 ();
-      locals = Hashtbl.create 32;
+      local_key = TM.new_local_key ();
       snap = Coll.Vchain.make 0 (Coll.Pdeque.of_list items);
       pinned_policy = tm_policy;
     }
@@ -119,15 +97,13 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
 
   let image t = Coll.Vchain.latest t.snap
 
-  let cleanup t l =
-    L.release_all t.locks l.txn ~keys:[];
-    Hashtbl.remove t.locals (TM.txn_id l.txn)
+  let cleanup t l = L.release_all t.locks l.txn ~keys:[]
 
   (* Prepare phase (before the TM's commit point, read-only, may raise):
      additions becoming visible invalidate transactions that observed an
      empty queue (Table 8: put conflicts "if now non-empty"). *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
+    L.check_pinned_policy t.pinned_policy;
     critical t (fun () ->
         if not (Coll.Fifo_deque.is_empty l.add_buffer) then
           L.conflict_isempty t.locks ~self:l.txn)
@@ -164,33 +140,29 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
         end;
         cleanup t l)
 
-  let local_of t =
-    let txn = TM.current () in
-    let id = TM.txn_id txn in
-    match Hashtbl.find_opt t.locals id with
-    | Some l -> l
-    | None ->
-        let l =
-          {
-            txn;
-            add_buffer = Coll.Fifo_deque.create ();
-            remove_buffer = Coll.Fifo_deque.create ();
-          }
-        in
-        Hashtbl.add t.locals id l;
-        (* An empty add buffer means prepare would check nothing (the
-           isempty conflict only fires for pending enqueues) and apply
-           only drops buffers and releases locks: peek-only transactions
-           take the TM's read-only commit fast path.  Takes are applied to
-           the underlying queue at operation time, so a taking transaction
-           still qualifies — its commit publishes nothing. *)
-        TM.on_commit_prepared
-          ~read_only:(fun () -> Coll.Fifo_deque.is_empty l.add_buffer)
-          (L.struct_region t.locks)
-          ~prepare:(prepare_handler t l)
-          ~apply:(apply_handler t l);
-        TM.on_abort (abort_handler t l);
-        l
+  let attach t txn _spare =
+    let l =
+      {
+        txn;
+        add_buffer = Coll.Fifo_deque.create ();
+        remove_buffer = Coll.Fifo_deque.create ();
+      }
+    in
+    (* An empty add buffer means prepare would check nothing (the isempty
+       conflict only fires for pending enqueues) and apply only drops
+       buffers and releases locks: peek-only transactions take the TM's
+       read-only commit fast path.  Takes are applied to the underlying
+       queue at operation time, so a taking transaction still qualifies —
+       its commit publishes nothing. *)
+    TM.on_commit_prepared
+      ~read_only:(fun () -> Coll.Fifo_deque.is_empty l.add_buffer)
+      (L.struct_region t.locks)
+      ~prepare:(prepare_handler t l)
+      ~apply:(apply_handler t l);
+    TM.on_abort (abort_handler t l);
+    l
+
+  let local_of t = TM.txn_local t.local_key attach t
 
   let lock_empty t l = L.lock_isempty t.locks l.txn
 
@@ -272,20 +244,22 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
 
   let outstanding_locks t = critical t (fun () -> L.total_lockers t.locks)
 
-  (* Live rendering of Table 9's state inventory. *)
+  (* Live rendering of Table 9's state inventory (local state is the
+     calling transaction's). *)
   let dump_state ppf t =
+    let local = if TM.in_txn () then Some (local_of t) else None in
     critical t (fun () ->
         Format.fprintf ppf "Committed state:@.";
         Format.fprintf ppf "  queue               %d elements@." (Q.length t.queue);
         Format.fprintf ppf "Shared transactional state (open-nested):@.";
         Format.fprintf ppf "  emptyLockers        %d@."
           (L.isempty_locker_count t.locks);
-        Format.fprintf ppf "Local transactional state (%d active txns):@."
-          (Hashtbl.length t.locals);
-        Hashtbl.iter
-          (fun id l ->
-            Format.fprintf ppf "  txn %-6d addBuffer=%d, removeBuffer=%d@." id
+        Format.fprintf ppf "Local transactional state (calling txn):@.";
+        match local with
+        | None -> Format.fprintf ppf "  none (outside a transaction)@."
+        | Some l ->
+            Format.fprintf ppf "  txn %-6d addBuffer=%d, removeBuffer=%d@."
+              (TM.txn_id l.txn)
               (Coll.Fifo_deque.length l.add_buffer)
               (Coll.Fifo_deque.length l.remove_buffer))
-          t.locals)
 end

@@ -66,5 +66,6 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) : sig
 
   val dump_state : Format.formatter -> 'v t -> unit
   (** Live rendering of Table 9's state inventory (committed queue, shared
-      emptyLockers, per-transaction addBuffer/removeBuffer). *)
+      emptyLockers, the calling transaction's addBuffer/removeBuffer —
+      none outside a transaction). *)
 end

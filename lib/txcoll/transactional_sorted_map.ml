@@ -72,11 +72,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
     mutable struct_locked : bool; (* holds size/isEmpty/first/last *)
   }
 
-  (* Locals are domain-local (a transaction runs, commits and compensates
-     on one domain), so point reads on different stripes share no mutable
-     lookup state. *)
-  type 'v domain_locals = { tbl : (int, 'v local) Hashtbl.t }
-
   type 'v t = {
     shards : 'v M.t array; (* shard i = interval i's committed bindings *)
     locks : M.key L.t;
@@ -89,7 +84,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
     snap_struct : (int * M.key option * M.key option) Coll.Vchain.t;
         (* (size, min, max) chain; published only under the structure
            region *)
-    dls : 'v domain_locals Domain.DLS.key;
+    local_key : 'v local TM.local_key;
     isempty_policy : isempty_policy;
     write_policy : write_policy;
     copy_key : M.key -> M.key;
@@ -100,28 +95,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
 
   type 'v view = { parent : 'v t; lo : M.key option; hi : M.key option }
 
-  (* TM policy matrix: all transactional state is semantic (ordered store
-     buffers, interval lock tables, handlers), so every tvar-level
-     protocol axis is safe for this collection. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
-
-  (* Prepare-phase enforcement of a wrap-time policy pin; the raise
-     escapes [atomic] un-retried (misconfiguration, not contention). *)
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
+  let policy_support = Semlock.policy_support
 
   let wrap ?(splitters = []) ?(isempty_policy = Dedicated)
       ?(write_policy = Optimistic) ?(copy_key = Fun.id) ?tm_policy map =
@@ -156,7 +130,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
       snap =
         Array.map (fun shard -> Coll.Vchain.make 0 (shadow_of shard)) shards;
       snap_struct = Coll.Vchain.make 0 (csize, cmin, cmax);
-      dls = Domain.DLS.new_key (fun () -> { tbl = Hashtbl.create 8 });
+      local_key = TM.new_local_key ();
       isempty_policy;
       write_policy;
       copy_key;
@@ -256,8 +230,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
               L.release_ranges_in_stripe t.locks l.txn i)
       done;
     if l.struct_locked then
-      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn);
-    Hashtbl.remove (Domain.DLS.get t.dls).tbl (TM.txn_id l.txn)
+      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn)
 
   (* Commit region plan.  The apply mutates only the shards of the buffered
      keys' intervals, so the plan names those intervals (all buffered keys
@@ -318,7 +291,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
      rather than deferring it (committer wins, as in the seed semantics).
      All criticals below only re-enter regions the plan holds. *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
+    L.check_pinned_policy t.pinned_policy;
     if not (Coll.Ordmap.is_empty l.buffer) then begin
       let self = l.txn in
       Coll.Ordmap.iter
@@ -460,35 +433,30 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
 
   let abort_handler t l () = cleanup t l
 
-  let local_of t =
-    let txn = TM.current () in
-    let id = TM.txn_id txn in
-    let d = Domain.DLS.get t.dls in
-    match Hashtbl.find_opt d.tbl id with
-    | Some l -> l
-    | None ->
-        let l =
-          {
-            txn;
-            buffer = Coll.Ordmap.create ~compare:M.compare_key ();
-            key_locks = [];
-            stripes_mask = 0;
-            ranges_mask = 0;
-            struct_locked = false;
-          }
-        in
-        Hashtbl.add d.tbl id l;
-        (* Empty write buffer: prepare has no conflicts to detect and
-           apply only releases key/range/endpoint read locks, so
-           getter-only transactions (get/first/last/range scans) commit on
-           the TM's read-only fast path. *)
-        TM.on_commit_prepared
-          ~read_only:(fun () -> Coll.Ordmap.is_empty l.buffer)
-          ~regions:(regions_plan t l) (sregion t)
-          ~prepare:(prepare_handler t l)
-          ~apply:(apply_handler t l);
-        TM.on_abort (abort_handler t l);
-        l
+  let attach t txn _spare =
+    let l =
+      {
+        txn;
+        buffer = Coll.Ordmap.create ~compare:M.compare_key ();
+        key_locks = [];
+        stripes_mask = 0;
+        ranges_mask = 0;
+        struct_locked = false;
+      }
+    in
+    (* Empty write buffer: prepare has no conflicts to detect and apply
+       only releases key/range/endpoint read locks, so getter-only
+       transactions (get/first/last/range scans) commit on the TM's
+       read-only fast path. *)
+    TM.on_commit_prepared
+      ~read_only:(fun () -> Coll.Ordmap.is_empty l.buffer)
+      ~regions:(regions_plan t l) (sregion t)
+      ~prepare:(prepare_handler t l)
+      ~apply:(apply_handler t l);
+    TM.on_abort (abort_handler t l);
+    l
+
+  let local_of t = TM.txn_local t.local_key attach t
 
   (* Takes the key's stripe critical itself: callers hold either that same
      stripe (point operations — reentrant) or lower-rid regions (ordered
@@ -1115,8 +1083,9 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
   let commit_plan_size t = List.length (regions_plan t (local_of t) ())
 
   (* Live rendering of Table 6's state inventory (local state is the
-     calling domain's). *)
+     calling transaction's). *)
   let dump_state ppf t =
+    let local = if TM.in_txn () then Some (local_of t) else None in
     L.critical_all t.locks (fun () ->
         Format.fprintf ppf "Committed state:@.";
         Format.fprintf ppf "  sortedMap           %d bindings (%d intervals)@."
@@ -1133,14 +1102,13 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
           (L.last_locker_count t.locks);
         Format.fprintf ppf "  rangeLockers        %d@."
           (L.range_locker_count t.locks);
-        let d = Domain.DLS.get t.dls in
-        Format.fprintf ppf "Local transactional state (%d active txns):@."
-          (Hashtbl.length d.tbl);
-        Hashtbl.iter
-          (fun id l ->
+        Format.fprintf ppf "Local transactional state (calling txn):@.";
+        match local with
+        | None -> Format.fprintf ppf "  none (outside a transaction)@."
+        | Some l ->
             Format.fprintf ppf
-              "  txn %-6d sortedStoreBuffer=%d entries, keyLocks=%d@." id
+              "  txn %-6d sortedStoreBuffer=%d entries, keyLocks=%d@."
+              (TM.txn_id l.txn)
               (Coll.Ordmap.size l.buffer)
               (List.length l.key_locks))
-          d.tbl)
 end

@@ -180,5 +180,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
       advanced past the excess versions. *)
 
   val dump_state : Format.formatter -> 'v t -> unit
-  (** Live rendering of Table 6's state inventory. *)
+  (** Live rendering of Table 6's state inventory; the local section shows
+      the calling transaction's state, and none outside a transaction. *)
 end

@@ -225,6 +225,35 @@ let test_tcc_remote_abort () =
   ignore (Machine.run m [| aborter; victim |]);
   Alcotest.(check int) "victim retried" 2 !attempts
 
+(* Semantic lock tables key membership by [txn_id], so it must agree with
+   [same_txn] on every handle a run can produce — also with more than 64
+   CPUs. *)
+let test_tcc_txn_id_injective () =
+  let n_cpus = 65 in
+  let m = Machine.create ~n_cpus () in
+  let handles = ref [] in
+  let record () = handles := Tcc.current () :: !handles in
+  let body () =
+    record ();
+    for _ = 1 to 2 do
+      Tcc.atomic record
+    done
+  in
+  ignore (Machine.run m (Array.make n_cpus body));
+  let hs = Array.of_list !handles in
+  Alcotest.(check int) "handles" (3 * n_cpus) (Array.length hs);
+  let module T = Tcc.Tm_ops in
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          if T.same_txn a b <> (T.txn_id a = T.txn_id b) then
+            Alcotest.failf "cpu %d epoch %d and cpu %d epoch %d: id %d vs %d"
+              a.Tcc.cpu a.Tcc.epoch b.Tcc.cpu b.Tcc.epoch (T.txn_id a)
+              (T.txn_id b))
+        hs)
+    hs
+
 (* ---------------- critical sections ---------------- *)
 
 let test_critical_atomic_and_costed () =
@@ -263,6 +292,8 @@ let suites =
           test_tcc_rollback_semantics;
         Alcotest.test_case "open nested survives abort" `Quick
           test_tcc_open_nested_survives_abort;
+        Alcotest.test_case "txn_id injective above 64 cpus" `Quick
+          test_tcc_txn_id_injective;
         Alcotest.test_case "handlers" `Quick test_tcc_handlers;
         Alcotest.test_case "open handler migrates" `Quick
           test_tcc_open_handler_migrates;
