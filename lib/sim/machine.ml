@@ -25,7 +25,10 @@ type frame = {
   mutable writes : (int, int) Hashtbl.t; (* addr -> buffered value *)
   mutable commit_handlers : (unit -> unit) list; (* newest first *)
   mutable abort_handlers : (unit -> unit) list; (* newest first *)
-  mutable locals : slot list; (* top frame only *)
+  mutable local_aborts : (unit -> unit) list;
+      (* open frames only: the part of [abort_handlers] the collection
+         classes registered for their transaction-local values *)
+  mutable locals : slot list; (* top and open frames only *)
 }
 
 let fresh_frame depth kind =
@@ -36,6 +39,7 @@ let fresh_frame depth kind =
     writes = Hashtbl.create 16;
     commit_handlers = [];
     abort_handlers = [];
+    local_aborts = [];
     locals = [];
   }
 

@@ -50,6 +50,19 @@ let pop_frame () =
 
 let run_handlers hs = List.iter (fun h -> h ()) hs
 
+(* The frame owning collection state: the innermost open frame, else the
+   top level.  As on the host STM, an open transaction's collections keep
+   their own transaction-local values and handlers: on the open commit the
+   handlers migrate to the parent, on its abort the collection abort
+   handlers run. *)
+let owner_frame () =
+  let rec find = function
+    | [] -> None
+    | ({ Machine.kind = `Open | `Top; _ } as f) :: _ -> Some f
+    | _ :: rest -> find rest
+  in
+  if machine_running () then find (state ()).Machine.frames else None
+
 (* ------------------------------------------------------------------ *)
 
 let rec top_level body =
@@ -143,20 +156,32 @@ and open_nested body =
         with
         | r ->
             (* Open commit done: read dependencies are discarded; handlers
-               migrate to the parent. *)
+               migrate to the parent, and an enclosing open frame must run
+               the collections' ones if it aborts. *)
             ignore (pop_frame ());
             parent.Machine.commit_handlers <-
               child.Machine.commit_handlers @ parent.Machine.commit_handlers;
             parent.Machine.abort_handlers <-
               child.Machine.abort_handlers @ parent.Machine.abort_handlers;
+            (match owner_frame () with
+            | Some ({ Machine.kind = `Open; _ } as f) ->
+                f.Machine.local_aborts <-
+                  child.Machine.local_aborts @ f.Machine.local_aborts
+            | _ -> ());
             r
         | exception Rollback d when d = child.Machine.depth ->
             ignore (pop_frame ());
+            run_handlers child.Machine.local_aborts;
             let m = Machine.the_machine () in
             work (backoff_cycles m.Machine.cfg retries);
             attempt (retries + 1)
         | exception e ->
+            (* The aborting attempt discards its body's handlers (paper
+               §4) but releases what its collections took: their semantic
+               locks were taken in critical sections, which commit at
+               once. *)
             ignore (pop_frame ());
+            run_handlers child.Machine.local_aborts;
             raise e
       in
       attempt 0
@@ -225,27 +250,27 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
      per CPU (-1 off the machine). *)
   let txn_id t = if t.epoch = 0 then -(t.cpu + 2) else t.epoch
 
-  (* Slots live on the top frame, which a commit or abort discards; the
-     machine offers no spares.  Open nesting pushes a frame under the same
-     top, so an open transaction shares its parent's values. *)
+  (* Slots live on the owner frame ([owner_frame]), which a commit or
+     abort discards; the machine offers no spares.  An open transaction
+     gets values of its own, as on the host STM. *)
   type 'a local_key = 'a Type.Id.t
 
   let new_local_key = Type.Id.make
 
   let txn_local (type a) (key : a local_key) init env : a =
-    match top_frame () with
+    match owner_frame () with
     | None -> init env (current ()) None
-    | Some top -> (
+    | Some f -> (
         let find (Machine.Slot (k, v)) : a option =
           match Type.Id.provably_equal key k with
           | Some Equal -> Some v
           | None -> None
         in
-        match List.find_map find top.Machine.locals with
+        match List.find_map find f.Machine.locals with
         | Some v -> v
         | None ->
             let v = init env (current ()) None in
-            top.Machine.locals <- Machine.Slot (key, v) :: top.Machine.locals;
+            f.Machine.locals <- Machine.Slot (key, v) :: f.Machine.locals;
             v)
 
   type region = int
@@ -271,7 +296,10 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
   (* Commit handlers on the simulated machine already run inside the
      CPU's hardware commit (which holds the commit token), so the region
      only scopes conflict detection, not handler serialisation. *)
-  let on_commit _region h = on_commit h
+  let on_commit _region h =
+    match owner_frame () with
+    | None -> h ()
+    | Some f -> f.Machine.commit_handlers <- h :: f.Machine.commit_handlers
 
   (* Commit stamps: the simulated machine keeps no multi-version state,
      but the collections still publish into their shard chains through
@@ -296,7 +324,14 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
         prepare ();
         apply (next_stamp ()))
 
-  let on_abort = on_abort
+  let on_abort h =
+    match owner_frame () with
+    | None -> ()
+    | Some f ->
+        f.Machine.abort_handlers <- h :: f.Machine.abort_handlers;
+        if f.Machine.kind = `Open then
+          f.Machine.local_aborts <- h :: f.Machine.local_aborts
+
   let remote_abort = remote_abort
   let self_abort () = self_abort ()
   let retry () = retry_now ()

@@ -375,12 +375,18 @@ let on_top_commit_prepared ?(read_only = never_read_only) ?regions region
         }
         :: top.commit_handlers
 
+(* The collection classes' registration mode: their abort handlers
+   compensate for transaction-local state, semantic locks taken in
+   [critical] sections that no abort rolls back.  Inside an open-nested
+   attempt they are also kept apart, so that the attempt releases what it
+   took even when it aborts (see [run_top]). *)
 let on_top_abort h =
   match !(context ()) with
   | None -> ()
   | Some t ->
       let top = t.top in
-      top.abort_handlers <- h :: top.abort_handlers
+      top.abort_handlers <- h :: top.abort_handlers;
+      if top.open_attempt then top.local_aborts <- h :: top.local_aborts
 
 let self_abort () =
   match !(context ()) with
@@ -743,7 +749,7 @@ let commit_top ?(run_handlers = true) top =
 (* Newest-first: compensations undo in reverse registration order.  Every
    handler runs even if one raises; failures are counted and returned for
    the caller to surface as [Handler_failure]. *)
-let run_abort_handlers t =
+let run_abort_handlers handlers =
   List.rev
     (List.fold_left
        (fun acc h ->
@@ -754,7 +760,7 @@ let run_abort_handlers t =
            let s = my_stats () in
            s.s_handler_failures <- s.s_handler_failures + 1;
            e :: acc)
-       [] t.abort_handlers)
+       [] handlers)
 
 let mark_aborted t = ignore (Atomic.compare_and_set t.top_status Active Aborted)
 
@@ -805,6 +811,7 @@ let run_top ?(defer_handlers = false) ?cm ?pol ?budget f =
         end
   in
   let t = acquire_top ~cm ~prio ~pol in
+  t.open_attempt <- defer_handlers;
   (* In-flight accounting: the quiescence probe behind [reset_stats].  The
      increment/decrement bracket every exit path below (commit, starvation,
      explicit abort, escaping exception), always on the same domain, so a
@@ -816,11 +823,14 @@ let run_top ?(defer_handlers = false) ?cm ?pol ?budget f =
        visible read locks) before compensations run: a compensation may
        start its own transaction against the same tvars. *)
     release_policy_state t ~committed:false;
-    if defer_handlers then []
-      (* Handlers registered inside an aborting open-nested transaction
-         are discarded without running (paper §4); only a transaction that
-         owns its handlers compensates. *)
-    else run_abort_handlers t
+    (* An aborting open-nested attempt discards the handlers its body
+       registered (paper §4): its rolled-back effects need no
+       compensation.  The collections' handlers still run: the semantic
+       locks they release were taken in [critical] sections, which commit
+       at once, and the attempt owns the transaction-local values they
+       clean up.  A transaction that owns its handlers runs them all. *)
+    run_abort_handlers
+      (if defer_handlers then t.local_aborts else t.abort_handlers)
   in
   let rec attempt n =
     reset_for_attempt t;
@@ -1104,6 +1114,10 @@ let open_nested f =
           parent.commit_handlers <-
             open_txn.commit_handlers @ parent.commit_handlers;
           parent.abort_handlers <- open_txn.abort_handlers @ parent.abort_handlers;
+          (* An enclosing open attempt must release them if it aborts. *)
+          let ptop = parent.top in
+          if ptop.open_attempt then
+            ptop.local_aborts <- open_txn.local_aborts @ ptop.local_aborts;
           (* A descriptor whose transaction-local values those handlers
              still use — a collection's, whose semantic locks it also owns
              — must not be recycled before they run. *)
@@ -1199,6 +1213,7 @@ type stats = {
   remote_aborts_delivered : int;
   remote_aborts_late : int;
   handler_failures : int;
+  region_parks : int;
   clock_bumps : int;
   clock_cas_retries : int;
   snapshot_reads : int;
@@ -1221,6 +1236,7 @@ let global_stats () =
     remote_aborts_delivered = stats_sum (fun s -> s.s_ra_delivered);
     remote_aborts_late = stats_sum (fun s -> s.s_ra_late);
     handler_failures = stats_sum (fun s -> s.s_handler_failures);
+    region_parks = stats_sum (fun s -> s.s_region_parks);
     clock_bumps = stats_sum (fun s -> s.s_clock_bumps);
     clock_cas_retries = stats_sum (fun s -> s.s_clock_cas_retries);
     snapshot_reads = stats_sum (fun s -> s.s_snapshot_reads);

@@ -371,6 +371,11 @@ val on_top_commit : (unit -> unit) -> unit
     classes use, since lock ownership belongs to the top-level outcome. *)
 
 val on_top_abort : (unit -> unit) -> unit
+(** Like {!on_abort}, but always registers on the top-level transaction —
+    the collection classes' mode, for compensating state that aborts do
+    not roll back (semantic locks).  Inside an open-nested transaction the
+    handler also runs if that open attempt aborts; otherwise it migrates
+    to the parent with the open transaction's other handlers. *)
 
 val self_abort : unit -> 'a
 (** Abort the current transaction; {!atomic} raises {!Aborted}. *)
@@ -460,6 +465,9 @@ type stats = {
   remote_aborts_delivered : int;  (** {!remote_abort_outcome} = [Delivered] *)
   remote_aborts_late : int;  (** {!remote_abort_outcome} = [Too_late] *)
   handler_failures : int;  (** commit/abort handlers that raised *)
+  region_parks : int;
+      (** commit-region waits ({!commit_region_waits}) that outlasted the
+          bounded spin and parked the domain on the region's mutex *)
   clock_bumps : int;
       (** global version-clock advances (every mutating commit, including
           semantic-only handler commits: version-chain entries need a
@@ -510,8 +518,10 @@ val in_flight_transactions : unit -> int
     quiescence; the probe behind {!reset_stats}'s guard. *)
 
 val commit_region_waits : unit -> int
-(** Number of semantic-commit region acquisitions that had to block on a
-    contended region since the last {!reset_stats} — the contention probe
+(** Number of semantic-commit region acquisitions that found the region
+    held on their first try since the last {!reset_stats} (each then spins
+    briefly and parks only if the holder outlasts the spin; parks are
+    counted in {!stats.region_parks}) — the contention probe
     for commit sharding: disjoint-collection workloads should keep it at
     zero while shared-collection workloads accumulate waits. *)
 

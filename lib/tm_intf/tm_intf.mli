@@ -152,7 +152,10 @@ module type TM_OPS = sig
 
   val on_abort : (unit -> unit) -> unit
   (** Register an abort handler: a compensating action that releases semantic
-      locks and clears local buffers when the top-level transaction aborts. *)
+      locks and clears local buffers when the top-level transaction aborts.
+      Inside an open-nested transaction it also runs when that open
+      attempt aborts, since the locks it releases were taken in
+      {!critical} sections, which no abort rolls back. *)
 
   val remote_abort : txn -> bool
   (** [remote_abort t] requests the abort of another transaction that holds a

@@ -63,13 +63,21 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
 
   type 'v write = { pending : 'v option; prior : bool option }
 
+  (* The transaction-local record, reused through the TM's spare as in
+     [Transactional_map]: [txn] is rebound and the handler closures, built
+     once over the record itself, are kept. *)
   type 'v local = {
-    txn : TM.txn;
+    mutable txn : TM.txn;
     buffer : (M.key, 'v write) Coll.Ordmap.t; (* sortedStoreBuffer *)
     mutable key_locks : M.key list;
     mutable stripes_mask : int; (* intervals of held key locks + blind keys *)
     mutable ranges_mask : int; (* intervals of held range locks *)
     mutable struct_locked : bool; (* holds size/isEmpty/first/last *)
+    h_read_only : unit -> bool;
+    h_regions : unit -> TM.region list;
+    h_prepare : unit -> unit;
+    h_apply : int -> unit;
+    h_abort : unit -> unit;
   }
 
   type 'v t = {
@@ -431,29 +439,46 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
     end;
     cleanup t l
 
-  let abort_handler t l () = cleanup t l
+  (* A spare offered by the TM keeps its handlers and its buffer; it is
+     reset here rather than by [cleanup], so a handler that raised half-way
+     cannot leak state into the reuse.
 
-  let attach t txn _spare =
+     Empty write buffer: prepare has no conflicts to detect and apply only
+     releases key/range/endpoint read locks, so getter-only transactions
+     (get/first/last/range scans) commit on the TM's read-only fast
+     path. *)
+  let attach t txn spare =
     let l =
-      {
-        txn;
-        buffer = Coll.Ordmap.create ~compare:M.compare_key ();
-        key_locks = [];
-        stripes_mask = 0;
-        ranges_mask = 0;
-        struct_locked = false;
-      }
+      match spare with
+      | Some l ->
+          l.txn <- txn;
+          Coll.Ordmap.clear l.buffer;
+          l.key_locks <- [];
+          l.stripes_mask <- 0;
+          l.ranges_mask <- 0;
+          l.struct_locked <- false;
+          l
+      | None ->
+          let rec l =
+            {
+              txn;
+              buffer = Coll.Ordmap.create ~compare:M.compare_key ();
+              key_locks = [];
+              stripes_mask = 0;
+              ranges_mask = 0;
+              struct_locked = false;
+              h_read_only = (fun () -> Coll.Ordmap.is_empty l.buffer);
+              h_regions = (fun () -> regions_plan t l ());
+              h_prepare = (fun () -> prepare_handler t l ());
+              h_apply = (fun stamp -> apply_handler t l stamp);
+              h_abort = (fun () -> cleanup t l);
+            }
+          in
+          l
     in
-    (* Empty write buffer: prepare has no conflicts to detect and apply
-       only releases key/range/endpoint read locks, so getter-only
-       transactions (get/first/last/range scans) commit on the TM's
-       read-only fast path. *)
-    TM.on_commit_prepared
-      ~read_only:(fun () -> Coll.Ordmap.is_empty l.buffer)
-      ~regions:(regions_plan t l) (sregion t)
-      ~prepare:(prepare_handler t l)
-      ~apply:(apply_handler t l);
-    TM.on_abort (abort_handler t l);
+    TM.on_commit_prepared ~read_only:l.h_read_only ~regions:l.h_regions
+      (sregion t) ~prepare:l.h_prepare ~apply:l.h_apply;
+    TM.on_abort l.h_abort;
     l
 
   let local_of t = TM.txn_local t.local_key attach t

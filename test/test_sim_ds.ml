@@ -200,6 +200,44 @@ let test_txcoll_over_tcc_semantic_conflict () =
   Alcotest.(check (option int)) "write committed" (Some 99)
     (SimTxMap.find tm 1)
 
+(* Open nesting on the TCC machine matches the host STM: an open attempt
+   that aborts — retried after a violation, or raising — releases the
+   semantic locks its collection operations took and drops its buffered
+   writes. *)
+let test_txcoll_over_tcc_open_abort () =
+  let m = Machine.create ~n_cpus:2 () in
+  let tm = SimTxMap.create () in
+  let w = Machine.alloc_words m 1 in
+  let attempts = ref 0 in
+  let opener () =
+    Tcc.atomic (fun () ->
+        Tcc.open_nested (fun () ->
+            incr attempts;
+            ignore (Ops.load w);
+            ignore (SimTxMap.put tm 1 !attempts);
+            if !attempts = 1 then
+              for _ = 1 to 100 do
+                Ops.work 10
+              done));
+    Tcc.atomic (fun () ->
+        try
+          Tcc.open_nested (fun () ->
+              ignore (SimTxMap.put tm 2 2);
+              failwith "open body failed")
+        with Failure _ -> ())
+  in
+  let writer () =
+    Ops.work 50;
+    Tcc.atomic (fun () -> Ops.store w 1)
+  in
+  ignore (Machine.run m [| opener; writer |]);
+  Alcotest.(check int) "open attempt retried" 2 !attempts;
+  Alcotest.(check int) "locks released" 0 (SimTxMap.outstanding_locks tm);
+  Alcotest.(check (option int)) "retry's write applied" (Some 2)
+    (SimTxMap.find tm 1);
+  Alcotest.(check (option int)) "raising attempt's write dropped" None
+    (SimTxMap.find tm 2)
+
 let suites =
   [
     ( "sim_ds.host",
@@ -224,5 +262,7 @@ let suites =
           test_txcoll_over_tcc;
         Alcotest.test_case "semantic conflict on tcc" `Quick
           test_txcoll_over_tcc_semantic_conflict;
+        Alcotest.test_case "aborted open attempt on tcc" `Quick
+          test_txcoll_over_tcc_open_abort;
       ] );
   ]

@@ -273,6 +273,99 @@ let test_chains_bounded_under_traffic () =
   Alcotest.(check bool) "sorted-map chains bounded" true
     (SM.snapshot_history_length m <= Stm.version_chain_bound)
 
+(* ---------------- in-place trimming under concurrent readers ---------------- *)
+
+(* A writer domain publishes tvar, sorted-map and bare chain versions —
+   each publication cutting its chain in place — while reader domains sit
+   pinned in [Stm.snapshot] across many of those publications.  The bare
+   chain is published the way the collections publish theirs
+   ([begin_publish] stamp, [reclaim_epoch] trim), so the readers can probe
+   it with [read_at_opt] directly.  Every read at a pin must resolve (no
+   [None]) and show the committed prefix at the pin: write [i] sets the
+   tvar to [i] and key [i mod keys] to [i], so a reader that sees tvar [t]
+   must see, for every key, the last write to it at or below [t], and a
+   bare-chain value of [t - 1] or [t] (published between writes [t] and
+   [t + 1]).  After the readers unpin, one more round trims every chain
+   back to the bound. *)
+let test_inplace_trim_race () =
+  let module Tm = Stm.Tm_ops in
+  let keys = 8 and writes = 3000 and readers = 2 in
+  let tv = Tvar.make 0 in
+  let m = SM.create ~splitters:[ keys / 2 ] () in
+  let chain = Coll.Vchain.make 0 0 in
+  let publish_bare i =
+    let wv = Tm.begin_publish () in
+    Tm.note_reclaimed
+      (Coll.Vchain.publish chain ~keep:Stm.version_chain_bound
+         ~min_epoch:(Tm.reclaim_epoch ()) wv i);
+    Tm.end_publish ()
+  in
+  let done_ = Atomic.make false in
+  let progress = Atomic.make 0 in
+  let misses = Atomic.make 0 and torn = Atomic.make 0 in
+  let max_len = Atomic.make 0 and snapshots = Atomic.make 0 in
+  let check_prefix () =
+    let t = Tvar.get tv in
+    (match Coll.Vchain.read_at_opt chain (Stm.snapshot_stamp ()) with
+    | None -> Atomic.incr misses
+    | Some b -> if b <> t && b <> t - 1 then Atomic.incr torn);
+    for k = 0 to keys - 1 do
+      let last = if t < k then None else Some (t - ((t - k) mod keys)) in
+      let expect = match last with Some 0 | None -> None | v -> v in
+      if SM.find m k <> expect then Atomic.incr torn
+    done;
+    t
+  in
+  let reader () =
+    while not (Atomic.get done_) do
+      Stm.snapshot (fun () ->
+          let t0 = check_prefix () in
+          (* Stay pinned while the writer publishes past the bound. *)
+          let target = Atomic.get progress + (2 * Stm.version_chain_bound) in
+          while Atomic.get progress < target && not (Atomic.get done_) do
+            Domain.cpu_relax ()
+          done;
+          let l = Coll.Vchain.length chain in
+          if l > Atomic.get max_len then Atomic.set max_len l;
+          if check_prefix () <> t0 then Atomic.incr torn);
+      Atomic.incr snapshots
+    done
+  in
+  let rs = List.init readers (fun _ -> Domain.spawn reader) in
+  let writer =
+    Domain.spawn (fun () ->
+        for i = 1 to writes do
+          Stm.atomic (fun () ->
+              Tvar.set tv i;
+              ignore (SM.put m (i mod keys) i));
+          publish_bare i;
+          Atomic.set progress i
+        done;
+        Atomic.set done_ true)
+  in
+  Domain.join writer;
+  List.iter Domain.join rs;
+  Alcotest.(check bool) "readers took snapshots" true (Atomic.get snapshots > 0);
+  Alcotest.(check bool) "pinned readers grew the chain past the bound" true
+    (Atomic.get max_len > Stm.version_chain_bound);
+  Alcotest.(check int) "read_at_opt never None at a pin" 0 (Atomic.get misses);
+  Alcotest.(check int) "committed prefix at every pin" 0 (Atomic.get torn);
+  (* Unpinned: one more publication per chain trims it to the bound (the
+     new key moves the size, so the structure chain publishes too). *)
+  Stm.atomic (fun () ->
+      Tvar.set tv 0;
+      for k = 0 to keys do
+        ignore (SM.put m k 0)
+      done);
+  publish_bare 0;
+  let bound = Stm.version_chain_bound in
+  Alcotest.(check bool) "tvar chain back to bound" true
+    (Tvar.history_length tv <= bound);
+  Alcotest.(check bool) "sorted-map chains back to bound" true
+    (SM.snapshot_history_length m <= bound);
+  Alcotest.(check bool) "bare chain back to bound" true
+    (Coll.Vchain.length chain <= bound)
+
 (* ---------------- allocation budget ---------------- *)
 
 (* The snapshot-read commit path is pin + chain reads + unpin: after
@@ -292,6 +385,26 @@ let test_snapshot_allocation_budget () =
   Alcotest.(check bool)
     (Printf.sprintf "snapshot commit allocates %.1f words (<= 215)" per)
     true (per <= 215.)
+
+(* A writing commit publishes one version per written tvar.  After
+   warm-up, a commit writing 8 distinct tvars must stay within 400 minor
+   words: rebuilding each chain's retained prefix on every publication
+   (the list-copy chains) cost about 690. *)
+let test_commit_8_tvars_allocation_budget () =
+  let tvs = Array.init 8 Tvar.make in
+  let commit i = Stm.atomic (fun () -> Array.iter (fun tv -> Tvar.set tv i) tvs) in
+  for i = 1 to 100 do
+    commit i
+  done;
+  let iters = 2000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to iters do
+    commit i
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int iters in
+  Alcotest.(check bool)
+    (Printf.sprintf "8-tvar commit allocates %.1f words (<= 400)" per)
+    true (per <= 400.)
 
 let suites =
   [
@@ -323,5 +436,9 @@ let suites =
           test_chains_bounded_under_traffic;
         Alcotest.test_case "snapshot commit allocation budget" `Quick
           test_snapshot_allocation_budget;
+        Alcotest.test_case "in-place trim vs pinned readers" `Quick
+          test_inplace_trim_race;
+        Alcotest.test_case "8-tvar commit allocation budget" `Quick
+          test_commit_8_tvars_allocation_budget;
       ] );
   ]

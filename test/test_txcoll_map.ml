@@ -377,6 +377,52 @@ let prop_reads_inside_txn_consistent =
 
 let _ = map_matches_model
 
+(* ---------------- aborted open-nested attempts ---------------- *)
+
+(* An open-nested attempt that aborts releases the semantic locks its map
+   operations took: they were taken in critical sections, which no abort
+   rolls back.  The program handlers its body registered are discarded
+   (paper §4).  Conflict path: another domain overwrites a tvar the open
+   attempt read, so its commit validation fails and it retries. *)
+let test_open_nested_conflict_releases_locks () =
+  let m = IM.create () in
+  let probe = Tcc_stm.Tvar.make 0 in
+  let attempts = ref 0 and compensations = ref 0 in
+  Stm.atomic (fun () ->
+      Stm.open_nested (fun () ->
+          incr attempts;
+          ignore (Tcc_stm.Tvar.get probe);
+          ignore (IM.put m 1 !attempts);
+          Stm.on_abort (fun () -> incr compensations);
+          if !attempts = 1 then
+            Domain.join (Domain.spawn (fun () -> Tcc_stm.Tvar.set probe 1))));
+  Alcotest.(check int) "open attempt retried" 2 !attempts;
+  Alcotest.(check int) "aborted attempt's own handler discarded" 0
+    !compensations;
+  Alcotest.(check int) "locks released" 0 (IM.outstanding_locks m);
+  Alcotest.(check (option int)) "retry's write applied" (Some 2) (IM.find m 1)
+
+(* Exception path: the open body raises, the outer transaction catches it
+   and commits.  The aborted attempt's locks are released and its buffered
+   write is dropped — including what an inner open transaction, which
+   committed into it, handed over. *)
+let test_open_nested_exception_releases_locks () =
+  let m = IM.create () in
+  let compensations = ref 0 in
+  Stm.atomic (fun () ->
+      try
+        Stm.open_nested (fun () ->
+            ignore (IM.put m 2 2);
+            Stm.open_nested (fun () -> ignore (IM.put m 3 3));
+            Stm.on_abort (fun () -> incr compensations);
+            failwith "open body failed")
+      with Failure _ -> ());
+  Alcotest.(check int) "aborted attempt's own handler discarded" 0
+    !compensations;
+  Alcotest.(check int) "locks released" 0 (IM.outstanding_locks m);
+  Alcotest.(check (option int)) "write dropped" None (IM.find m 2);
+  Alcotest.(check (option int)) "inner open's write dropped" None (IM.find m 3)
+
 let suites =
   [
     ( "txmap.single",
@@ -424,6 +470,13 @@ let suites =
           test_empty_check_then_put_race;
         Alcotest.test_case "parallel disjoint inserts" `Quick
           test_parallel_disjoint_inserts_scale_correctly;
+      ] );
+    ( "txmap.open_nested",
+      [
+        Alcotest.test_case "conflict retry releases locks" `Quick
+          test_open_nested_conflict_releases_locks;
+        Alcotest.test_case "exception releases locks" `Quick
+          test_open_nested_exception_releases_locks;
       ] );
     ( "txmap.properties",
       List.map QCheck_alcotest.to_alcotest
