@@ -111,18 +111,13 @@ let fig4 () =
     "@.premise check — Atomos Baseline speedup at 8 CPUs: single warehouse      %.2f, one warehouse per CPU %.2f@."
     (speedup `Single) (speedup `Per_cpu)
 
-(* Defined below with the policy-matrix machinery (it needs the tvar
-   workloads and the stmscale plumbing). *)
-let ablation_extra : (unit -> unit) ref = ref (fun () -> ())
-
 let ablation () =
   Harness.Ablations.(render ppf "isEmpty lock encoding (§5.1)" (isempty ()));
   Harness.Ablations.(render ppf "blind put (§5.1 Extensions)" (blind_put ()));
   Harness.Ablations.(render ppf "contention backoff" (backoff ()));
   Harness.Ablations.(
     render ppf "redo vs undo logging, host STM (cycles = elapsed µs; violations = retried attempts)"
-      (redo_vs_undo ()));
-  !ablation_extra ()
+      (redo_vs_undo ()))
 
 let hostmap () = Harness.Host_validation.(render ppf (run ()))
 let queue () = Harness.Queue_bench.(render ppf (sweep ()))
@@ -211,12 +206,6 @@ let chaos_seeds =
       |> List.filter (fun tok -> tok <> "")
       |> List.map int_of_string
 
-(* CHAOS_TM_POLICY pins the whole soak matrix to one TM policy (a fixed
-   name or "adaptive") — the replay knob printed in every failing soak's
-   repro line, and the CI axis that re-runs the soak under non-default
-   points of the policy matrix. *)
-let chaos_tm_policy = Sys.getenv_opt "CHAOS_TM_POLICY"
-
 let chaos_matrix ~ops_per_domain =
   List.concat_map
     (fun p ->
@@ -226,9 +215,8 @@ let chaos_matrix ~ops_per_domain =
             (fun policy ->
               let r =
                 Harness.Chaos.run_soak
-                  (Harness.Chaos.default_soak ~policy
-                     ?tm_policy:chaos_tm_policy ~domains:2 ~ops_per_domain
-                     ~seed p)
+                  (Harness.Chaos.default_soak ~policy ~domains:2
+                     ~ops_per_domain ~seed p)
               in
               (p, seed, policy, r))
             [ Stm.Contention.default; Stm.Contention.Greedy ])
@@ -243,8 +231,8 @@ let snapshot_soak_matrix ~ops_per_domain =
     (fun seed ->
       ( seed,
         Harness.Chaos.run_snapshot_soak
-          (Harness.Chaos.default_soak ?tm_policy:chaos_tm_policy ~domains:2
-             ~ops_per_domain ~key_space:48 ~seed 0.05) ))
+          (Harness.Chaos.default_soak ~domains:2 ~ops_per_domain
+             ~key_space:48 ~seed 0.05) ))
     chaos_seeds
 
 let chaos () =
@@ -277,8 +265,8 @@ let chaos () =
     (fun seed ->
       let r =
         Harness.Chaos.run_derived_soak
-          (Harness.Chaos.default_soak ?tm_policy:chaos_tm_policy ~domains:2
-             ~ops_per_domain:800 ~seed 0.05)
+          (Harness.Chaos.default_soak ~domains:2 ~ops_per_domain:800
+             ~seed 0.05)
       in
       if not r.ok then failed := true;
       let c, ra, hf, d = r.injections in
@@ -660,255 +648,6 @@ let sortedscale_snapshot_run ~intervals ~domains ~txns_per_domain =
     so_region_waits = Stm.commit_region_waits () - waits_before;
   }
 
-(* ------------------------------------------------------------------ *)
-(* TM policy matrix ablation: the same tvar-level workloads under every
-   fixed policy of the acquire/read/versioning matrix plus the adaptive
-   controller.  The semantic-collection workloads above barely touch
-   tvars (their transactional state is store buffers and lock tables),
-   so the matrix is measured where the policies actually differ: raw
-   tvar read/write/commit protocol cost.  Single-domain discriminators,
-   stable on small CI runners:
-     - read_mostly: the lazy read-only fast path (no locks, no clock)
-       is unbeatable for read-dominated traffic;
-     - shared/jbb: write-heavy transactions re-writing their write set
-       favour undo logging (re-writes mutate in place, allocation-free,
-       and the redo log's commit-time replay disappears);
-     - disjoint: small read-write transactions, the near-tie baseline.
-   Each cell is best-of-[pm_reps] commits/s (max, not mean: the repeat
-   discards scheduler noise, which only ever slows a run down). *)
-
-type policy_cell = {
-  pm_workload : string;
-  pm_policy : string; (* fixed policy name, or "adaptive" *)
-  pm_commits_per_s : float;
-  pm_aborts : int;
-  pm_switches : int; (* adaptive controller switches during the cell *)
-  pm_final_policy : string; (* global policy when the cell ended *)
-}
-
-let policy_workload_names = [ "disjoint"; "shared"; "read_mostly"; "jbb" ]
-let pm_reps = 3
-let pm_warmup = 2_000
-let pm_adapt_epoch = 256
-
-(* Deterministic allocation-free key mixer. *)
-let pm_mix i = (i * 48271) land 0x3FFFFFFF
-
-let pm_ntvars = function
-  | "read_mostly" -> 1024
-  | "jbb" -> 256
-  | _ -> 64
-
-let pm_txn ~workload ~tvs ?tm_policy i =
-  match workload with
-  | "disjoint" ->
-      (* 4-tvar read-modify-write over a private slice: per-transaction
-         protocol overhead with no contention and no re-writes. *)
-      Stm.atomic ?tm_policy (fun () ->
-          let base = pm_mix i in
-          for j = 0 to 3 do
-            let tv = tvs.((base + (j * 17)) land 63) in
-            Tvar.set tv (Tvar.get tv + 1)
-          done)
-  | "shared" ->
-      (* Write-heavy: 8 distinct tvars, 4 blind writes each.  The redo
-         log pays an entry allocation per write and replays at commit;
-         undo logging pays one acquisition per tvar and the re-writes
-         go in place. *)
-      Stm.atomic ?tm_policy (fun () ->
-          let base = pm_mix i in
-          for j = 0 to 7 do
-            let tv = tvs.((base + (j * 7)) land 63) in
-            for r = 0 to 3 do
-              Tvar.set tv (i + r)
-            done
-          done)
-  | "read_mostly" ->
-      (* 95% read-only transactions of 16 reads (through [atomic], not
-         [snapshot] — the point is the policy's read path), 5% single
-         writes. *)
-      if i mod 20 = 0 then
-        Stm.atomic ?tm_policy (fun () ->
-            Tvar.set tvs.(pm_mix i land 1023) i)
-      else
-        Stm.atomic ?tm_policy (fun () ->
-            let base = pm_mix i in
-            let acc = ref 0 in
-            for j = 0 to 15 do
-              acc := !acc + Tvar.get tvs.((base + (j * 61)) land 1023)
-            done;
-            ignore !acc)
-  | _ ->
-      (* "jbb": the order-mix shape — half heavy order transactions
-         (read 4 hot tvars, write 12 with re-writes), half light
-         payment/status transactions (read 12, write 2). *)
-      if i land 1 = 0 then
-        Stm.atomic ?tm_policy (fun () ->
-            let base = pm_mix i in
-            let acc = ref 0 in
-            for j = 0 to 3 do
-              acc := !acc + Tvar.get tvs.((base + j) land 255)
-            done;
-            for j = 0 to 11 do
-              let tv = tvs.((base + 16 + (j * 5)) land 255) in
-              for r = 0 to 2 do
-                Tvar.set tv (!acc + r)
-              done
-            done)
-      else
-        Stm.atomic ?tm_policy (fun () ->
-            let base = pm_mix i in
-            let acc = ref 0 in
-            for j = 0 to 11 do
-              acc := !acc + Tvar.get tvs.((base + (j * 61)) land 255)
-            done;
-            Tvar.set tvs.(base land 255) !acc;
-            Tvar.set tvs.((base + 7) land 255) (!acc + 1))
-
-(* One measured repetition.  Fixed cells select the policy per-[atomic]
-   through [?tm_policy] (the global stays untouched); the adaptive cell
-   leaves [?tm_policy] unset and lets the controller steer the global
-   policy, warmed up over several controller windows before timing. *)
-let pm_rep ~workload ~policy ~txns =
-  let tvs = Array.init (pm_ntvars workload) (fun _ -> Tvar.make 0) in
-  let tm_policy = match policy with `Fixed p -> Some p | `Adaptive -> None in
-  let saved = Stm.Policy.global () in
-  (match policy with
-  | `Adaptive -> Stm.Policy.enable_adaptive ~epoch:pm_adapt_epoch ()
-  | `Fixed _ -> ());
-  for i = 1 to pm_warmup do
-    pm_txn ~workload ~tvs ?tm_policy i
-  done;
-  let stats0 = Stm.global_stats () in
-  let sw0 = Stm.Policy.switches () in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to txns do
-    pm_txn ~workload ~tvs ?tm_policy i
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let stats1 = Stm.global_stats () in
-  let final = Stm.Policy.name (Stm.Policy.global ()) in
-  (match policy with
-  | `Adaptive ->
-      Stm.Policy.disable_adaptive ();
-      Stm.Policy.set_global saved
-  | `Fixed _ -> ());
-  {
-    pm_workload = workload;
-    pm_policy =
-      (match policy with
-      | `Fixed p -> Stm.Policy.name p
-      | `Adaptive -> "adaptive");
-    pm_commits_per_s = float_of_int txns /. elapsed;
-    pm_aborts = stat_aborts stats1 - stat_aborts stats0;
-    pm_switches = Stm.Policy.switches () - sw0;
-    pm_final_policy = final;
-  }
-
-let pm_cell ~workload ~policy ~txns =
-  let reps = List.init pm_reps (fun _ -> pm_rep ~workload ~policy ~txns) in
-  List.fold_left
-    (fun best r ->
-      if r.pm_commits_per_s > best.pm_commits_per_s then r else best)
-    (List.hd reps) (List.tl reps)
-
-let policy_matrix_rows ~txns =
-  List.concat_map
-    (fun workload ->
-      List.map
-        (fun p -> pm_cell ~workload ~policy:(`Fixed p) ~txns)
-        Stm.Policy.all
-      @ [ pm_cell ~workload ~policy:`Adaptive ~txns ])
-    policy_workload_names
-
-let pm_render rows =
-  Fmt.pf ppf
-    "@.TM policy matrix (tvar-level workloads, best of %d reps)@." pm_reps;
-  Fmt.pf ppf "  %-12s %-12s %14s %8s %9s %-12s@." "workload" "policy"
-    "commits/s" "aborts" "switches" "final";
-  List.iter
-    (fun c ->
-      Fmt.pf ppf "  %-12s %-12s %14.0f %8d %9d %-12s@." c.pm_workload
-        c.pm_policy c.pm_commits_per_s c.pm_aborts c.pm_switches
-        (if c.pm_policy = "adaptive" then c.pm_final_policy else "-"))
-    rows
-
-(* The acceptance gate, evaluated per workload over the matrix rows:
-   the adaptive controller must land within [pm_gate_slack] of the best
-   fixed policy everywhere, and must strictly beat the worst fixed
-   policy on at least one workload.  Returned as messages so the CI
-   gate (python, on the JSON) and the local run agree on the rule. *)
-let pm_gate_slack = 0.90
-
-let policy_matrix_gate rows =
-  let failures = ref [] in
-  let beats_worst = ref false in
-  List.iter
-    (fun w ->
-      let cells = List.filter (fun c -> c.pm_workload = w) rows in
-      let fixed = List.filter (fun c -> c.pm_policy <> "adaptive") cells in
-      match List.find_opt (fun c -> c.pm_policy = "adaptive") cells with
-      | None -> failures := Printf.sprintf "%s: no adaptive cell" w :: !failures
-      | Some ad ->
-          let by f a b = if f a b then a else b in
-          let best =
-            List.fold_left
-              (by (fun a b -> a.pm_commits_per_s >= b.pm_commits_per_s))
-              (List.hd fixed) (List.tl fixed)
-          in
-          let worst =
-            List.fold_left
-              (by (fun a b -> a.pm_commits_per_s <= b.pm_commits_per_s))
-              (List.hd fixed) (List.tl fixed)
-          in
-          if ad.pm_commits_per_s > worst.pm_commits_per_s then
-            beats_worst := true;
-          if ad.pm_commits_per_s < pm_gate_slack *. best.pm_commits_per_s then
-            failures :=
-              Printf.sprintf
-                "%s: adaptive %.0f/s under %.0f%% of best fixed %s %.0f/s" w
-                ad.pm_commits_per_s
-                (100. *. pm_gate_slack)
-                best.pm_policy best.pm_commits_per_s
-              :: !failures)
-    policy_workload_names;
-  if not !beats_worst then
-    failures :=
-      "adaptive never strictly beats the worst fixed policy" :: !failures;
-  List.rev !failures
-
-(* Commit-region plan construction must stay O(regions) per commit: one
-   transaction writing one present key in each of [n] single-stripe maps
-   registers [n] handlers whose merged region plan has [n] regions.
-   Minor-heap words per commit growing ~linearly in [n] (ratio bounded
-   well under the quadratic blowup) is the micro-assert backing the
-   rid-sorted-merge dedup in [commit_regions]. *)
-let plan_alloc_probe () =
-  let mk n =
-    Array.init n (fun _ ->
-        let m = IM.create ~stripes:1 () in
-        ignore (IM.put m 0 0);
-        m)
-  in
-  let words_per_commit maps =
-    let body () = Array.iter (fun m -> ignore (IM.put m 0 1)) maps in
-    for _ = 1 to 50 do
-      Stm.atomic body
-    done;
-    let reps = 200 in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to reps do
-      Stm.atomic body
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int reps
-  in
-  let small_n = 16 and large_n = 64 in
-  let small = words_per_commit (mk small_n) in
-  let large = words_per_commit (mk large_n) in
-  (small_n, small, large_n, large, large /. small)
-
-let plan_alloc_ratio_bound = 6.0
-
 (* Float fields for the hand-rolled JSON emitters: NaN and the
    infinities are not JSON, and one degenerate run (zero elapsed, zero
    commits, an empty latency set) must not corrupt the BENCH artifacts
@@ -916,80 +655,8 @@ let plan_alloc_ratio_bound = 6.0
 let jf ?(dp = 3) v =
   if Float.is_finite v then Printf.sprintf "%.*f" dp v else "null"
 
-let policy_matrix_json ~rows
-    ~plan_alloc:(small_n, small, large_n, large, ratio) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"note\": \"TM policy matrix ablation: commits/s per (workload, \
-        policy) cell, best of %d reps; 'adaptive' rows ran under the \
-        runtime controller (epoch %d, final = policy it converged to). \
-        Gate: adaptive >= %.0f%% of the best fixed policy on every \
-        workload and strictly above the worst on at least one. \
-        plan_alloc: minor words/commit of an n-region commit plan; the \
-        ratio bounds plan construction to O(regions).\",\n"
-       pm_reps pm_adapt_epoch (100. *. pm_gate_slack));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"gate\": {\"adaptive_min_fraction_of_best\": %.2f, \
-        \"plan_alloc_max_ratio\": %.1f},\n"
-       pm_gate_slack plan_alloc_ratio_bound);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"plan_alloc\": {\"small_regions\": %d, \"small_words\": %s, \
-        \"large_regions\": %d, \"large_words\": %s, \"ratio\": %s},\n"
-       small_n (jf ~dp:1 small) large_n (jf ~dp:1 large) (jf ~dp:2 ratio));
-  Buffer.add_string b "  \"policy_matrix\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"workload\": \"%s\", \"policy\": \"%s\", \
-            \"commits_per_s\": %s, \"aborts\": %d, \"switches\": %d, \
-            \"final_policy\": \"%s\"}%s\n"
-           c.pm_workload c.pm_policy
-           (jf ~dp:1 c.pm_commits_per_s)
-           c.pm_aborts c.pm_switches c.pm_final_policy
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-(* Full-size policy sweep + plan-allocation micro-assert: the CI
-   ablation job runs this, uploads BENCH_policy_matrix.json and re-checks
-   the same gate on the JSON. *)
-let policy_ablation () =
-  let rows = policy_matrix_rows ~txns:20_000 in
-  pm_render rows;
-  let ((sn, sw, ln, lw, ratio) as plan_alloc) = plan_alloc_probe () in
-  Fmt.pf ppf
-    "@.Commit-plan allocation: %d regions -> %.1f words/commit, %d regions \
-     -> %.1f words/commit (ratio %.2f, bound %.1f)@."
-    sn sw ln lw ratio plan_alloc_ratio_bound;
-  let json = policy_matrix_json ~rows ~plan_alloc in
-  let oc = open_out "BENCH_policy_matrix.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf ppf "  wrote BENCH_policy_matrix.json@.";
-  let failures = policy_matrix_gate rows in
-  let failures =
-    if ratio > plan_alloc_ratio_bound then
-      Printf.sprintf "plan alloc ratio %.2f above bound %.1f" ratio
-        plan_alloc_ratio_bound
-      :: failures
-    else failures
-  in
-  if failures <> [] then begin
-    List.iter (fun m -> Fmt.pf ppf "  POLICY GATE FAILED: %s@." m) failures;
-    exit 1
-  end
-  else Fmt.pf ppf "  policy gates passed@."
-
-let () = ablation_extra := policy_ablation
-
 let stmscale_json ~cores ~chaos_rows ~snapshot_soak_rows ~failover_rows
-    ~starvation_rows ~semscale_rows ~sortedscale_rows ~policy_rows rows =
+    ~starvation_rows ~semscale_rows ~sortedscale_rows rows =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
@@ -1083,20 +750,6 @@ let stmscale_json ~cores ~chaos_rows ~snapshot_soak_rows ~failover_rows
            (jf ~dp:1 r.ss_p99_us) r.ss_region_waits
            (if i = List.length semscale_rows - 1 then "" else ",")))
     semscale_rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"policy_matrix\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"workload\": \"%s\", \"policy\": \"%s\", \
-            \"commits_per_s\": %s, \"aborts\": %d, \"switches\": %d, \
-            \"final_policy\": \"%s\"}%s\n"
-           c.pm_workload c.pm_policy
-           (jf ~dp:1 c.pm_commits_per_s)
-           c.pm_aborts c.pm_switches c.pm_final_policy
-           (if i = List.length policy_rows - 1 then "" else ",")))
-    policy_rows;
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"configs\": [\n";
   List.iteri
@@ -1270,14 +923,9 @@ let stmscale () =
   let snapshot_soak_rows = snapshot_soak_matrix ~ops_per_domain:400 in
   let failover_rows = failover_matrix ~ops_per_domain:600 in
   let starvation_rows = starve_rows () in
-  (* The policy-matrix ablation rides along at reduced size so every
-     BENCH_stm.json carries the full trajectory; the [ablation] target
-     runs the full-size sweep and applies the gate. *)
-  let policy_rows = policy_matrix_rows ~txns:8_000 in
-  pm_render policy_rows;
   let json =
     stmscale_json ~cores ~chaos_rows ~snapshot_soak_rows ~failover_rows
-      ~starvation_rows ~semscale_rows ~sortedscale_rows ~policy_rows rows
+      ~starvation_rows ~semscale_rows ~sortedscale_rows rows
   in
   let oc = open_out "BENCH_stm.json" in
   output_string oc json;

@@ -86,10 +86,11 @@ let stream_key : int64 ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0L
 (* ---------------- failure context ---------------- *)
 
 (* Every failure message a soak emits carries the seed, the soak section
-   that produced it, and the most recent injection the reporting domain's
-   own stream fired — plus, once per failing report, the one command that
-   replays the exact schedule.  The injection site is tracked per-domain
-   so a worker's failure names its own last fault, not another domain's. *)
+   that produced it, the contention manager the soak ran under, and the
+   most recent injection the reporting domain's own stream fired — plus,
+   once per failing report, the one command that replays the exact
+   schedule.  The injection site is tracked per-domain so a worker's
+   failure names its own last fault, not another domain's. *)
 
 let last_injection_key : string ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref "none")
@@ -97,19 +98,13 @@ let last_injection_key : string ref Domain.DLS.key =
 let note_injection site = Domain.DLS.get last_injection_key := site
 let last_injection () = !(Domain.DLS.get last_injection_key)
 
-let fail_context cfg ~section =
-  Printf.sprintf "[seed=%d section=%s policy=%s last_injection=%s] " cfg.seed
-    section
-    (Stm.Policy.name (Stm.Policy.global ()))
-    (last_injection ())
+let fail_context ~cm cfg ~section =
+  Printf.sprintf "[seed=%d section=%s cm=%s last_injection=%s] " cfg.seed
+    section (Stm.Contention.name cm) (last_injection ())
 
 let repro_hint ~target cfg =
-  Printf.sprintf
-    "reproduce: CHAOS_SEEDS=%d CHAOS_TM_POLICY=%s dune exec bench/main.exe \
-     -- %s"
-    cfg.seed
-    (Stm.Policy.name (Stm.Policy.global ()))
-    target
+  Printf.sprintf "reproduce: CHAOS_SEEDS=%d dune exec bench/main.exe -- %s"
+    cfg.seed target
 
 (* ---------------- injection counters ---------------- *)
 
@@ -183,48 +178,18 @@ let uninstall () = Stm.Chaos.set_hook None
 type soak_config = {
   chaos : config;
   policy : Stm.Contention.policy;
-  tm_policy : string option;
-      (* TM policy the whole soak runs under: a fixed policy name,
-         "adaptive" for the runtime controller, or [None] to leave the
-         process policy untouched.  An ablation axis: the same seeded
-         schedule must produce a linearizable outcome under every point
-         of the policy matrix. *)
   domains : int;
   ops_per_domain : int;
   key_space : int;  (* per-worker partition width *)
 }
 
-let default_soak ?(policy = Stm.Contention.default) ?tm_policy ?(domains = 2)
+let default_soak ?(policy = Stm.Contention.default) ?(domains = 2)
     ?(ops_per_domain = 1500) ?(key_space = 64) ~seed p =
-  {
-    chaos = uniform ~seed p;
-    policy;
-    tm_policy;
-    domains;
-    ops_per_domain;
-    key_space;
-  }
+  { chaos = uniform ~seed p; policy; domains; ops_per_domain; key_space }
 
-(* Install the soak's TM policy for the duration of [f], restoring the
-   previous global policy (and the adaptive controller, if it was on)
-   afterwards so soaks compose with surrounding tests. *)
-let with_tm_policy sc f =
-  match sc.tm_policy with
-  | None -> f ()
-  | Some name ->
-      let prev = Stm.Policy.global () in
-      let prev_adaptive = Stm.Policy.adaptive () in
-      (if String.equal name "adaptive" then Stm.Policy.enable_adaptive ()
-       else
-         match Stm.Policy.of_name name with
-         | Some p -> Stm.Policy.set_global p
-         | None -> invalid_arg (Printf.sprintf "unknown TM policy %S" name));
-      Fun.protect
-        ~finally:(fun () ->
-          Stm.Policy.disable_adaptive ();
-          Stm.Policy.set_global prev;
-          if prev_adaptive then Stm.Policy.enable_adaptive ())
-        f
+(* Failure-message prefix of a soak: names the contention manager the
+   soak's transactions ran under. *)
+let soak_context sc ~section = fail_context ~cm:sc.policy sc.chaos ~section
 
 type soak_report = {
   ok : bool;
@@ -269,7 +234,7 @@ let worker_loop sc ~index ~map ~sorted ~queue ~counter =
   (* Run one op transactionally; [apply_model] records its effects iff the
      transaction committed — including commits surfaced through
      [Handler_failure { committed = true }] from an injected fault. *)
-  let ctx () = fail_context sc.chaos ~section:"soak.worker" in
+  let ctx () = soak_context sc ~section:"soak.worker" in
   let run_txn body apply_model =
     match Stm.atomic ~policy:sc.policy body with
     | () ->
@@ -393,7 +358,6 @@ let worker_loop sc ~index ~map ~sorted ~queue ~counter =
 let check name cond errors = if not cond then errors := name :: !errors
 
 let run_soak sc =
-  with_tm_policy sc @@ fun () ->
   install sc.chaos;
   let map = Map.create () in
   (* Interval splitters at the per-worker partition boundaries: multi-domain
@@ -416,7 +380,7 @@ let run_soak sc =
   uninstall ();
   let errors = ref [] in
   let check name cond errors =
-    check (fail_context sc.chaos ~section:"soak.final" ^ name) cond errors
+    check (soak_context sc ~section:"soak.final" ^ name) cond errors
   in
   List.iter
     (fun md -> List.iter (fun e -> errors := e :: !errors) md.m_errors)
@@ -544,7 +508,6 @@ let run_soak sc =
    subsets — still compose soundly with commits into the same stripe and
    with size/isEmpty readers serialised on the structure stripe. *)
 let run_striped_soak ?(stripes = 16) sc =
-  with_tm_policy sc @@ fun () ->
   install sc.chaos;
   let map = Map.create ~stripes () in
   let counter = Tvar.make 0 in
@@ -561,7 +524,7 @@ let run_striped_soak ?(stripes = 16) sc =
         m_errors = [];
       }
     in
-    let ctx () = fail_context sc.chaos ~section:"striped.worker" in
+    let ctx () = soak_context sc ~section:"striped.worker" in
     let run_txn body apply_model =
       match Stm.atomic ~policy:sc.policy body with
       | () ->
@@ -642,7 +605,7 @@ let run_striped_soak ?(stripes = 16) sc =
   uninstall ();
   let errors = ref [] in
   let check name cond errors =
-    check (fail_context sc.chaos ~section:"striped.final" ^ name) cond errors
+    check (soak_context sc ~section:"striped.final" ^ name) cond errors
   in
   List.iter
     (fun md -> List.iter (fun e -> errors := e :: !errors) md.m_errors)
@@ -723,7 +686,6 @@ type derived_model = {
    it committed, and the final committed state must equal the union of
    the models. *)
 let run_derived_soak sc =
-  with_tm_policy sc @@ fun () ->
   install sc.chaos;
   let set = Dset.create () in
   let bag = Dbag.create () in
@@ -742,7 +704,7 @@ let run_derived_soak sc =
         dm_errors = [];
       }
     in
-    let ctx () = fail_context sc.chaos ~section:"derived.worker" in
+    let ctx () = soak_context sc ~section:"derived.worker" in
     let run_txn body apply_model =
       match Stm.atomic ~policy:sc.policy body with
       | () ->
@@ -842,7 +804,7 @@ let run_derived_soak sc =
   uninstall ();
   let errors = ref [] in
   let check name cond errors =
-    check (fail_context sc.chaos ~section:"derived.final" ^ name) cond errors
+    check (soak_context sc ~section:"derived.final" ^ name) cond errors
   in
   List.iter
     (fun md -> List.iter (fun e -> errors := e :: !errors) md.dm_errors)
@@ -974,7 +936,6 @@ type snapshot_soak_report = {
 }
 
 let run_snapshot_soak sc =
-  with_tm_policy sc @@ fun () ->
   install sc.chaos;
   let map = Map.create ~stripes:8 () in
   let sorted =
@@ -992,7 +953,7 @@ let run_snapshot_soak sc =
       Printf.ksprintf
         (fun s ->
           errors :=
-            (fail_context sc.chaos ~section:"snapshot.reader" ^ s) :: !errors)
+            (soak_context sc ~section:"snapshot.reader" ^ s) :: !errors)
         fmt
     in
     let snapshots = ref 0 in
@@ -1035,7 +996,7 @@ let run_snapshot_soak sc =
     let committed = ref 0 in
     let errs = ref [] in
     let base = index * sc.key_space in
-    let ctx () = fail_context sc.chaos ~section:"snapshot.writer" in
+    let ctx () = soak_context sc ~section:"snapshot.writer" in
     let run body =
       match Stm.atomic ~policy:sc.policy body with
       | () -> incr committed
@@ -1085,7 +1046,7 @@ let run_snapshot_soak sc =
   uninstall ();
   let errors = ref (List.rev reader_errors) in
   let check name cond errors =
-    check (fail_context sc.chaos ~section:"snapshot.final" ^ name) cond errors
+    check (soak_context sc ~section:"snapshot.final" ^ name) cond errors
   in
   List.iter
     (fun (_, es) -> List.iter (fun e -> errors := e :: !errors) es)
@@ -1197,8 +1158,9 @@ let run_failover_soak fc =
     Places.create ~place_count:fc.fo_places ~key_space:fc.fo_key_space
       ~mode:fc.fo_mode ()
   in
-  let section suffix =
-    Printf.sprintf "failover-%s.%s" (mode_name fc.fo_mode) suffix
+  let context suffix =
+    fail_context ~cm:fc.fo_policy fc.fo_chaos
+      ~section:(Printf.sprintf "failover-%s.%s" (mode_name fc.fo_mode) suffix)
   in
   let stop = Atomic.make false in
   let ops_done = Atomic.make 0 in
@@ -1211,7 +1173,7 @@ let run_failover_soak fc =
     let model = Hashtbl.create 64 in
     let committed = ref 0 in
     let errs = ref [] in
-    let ctx () = fail_context fc.fo_chaos ~section:(section "writer") in
+    let ctx () = context "writer" in
     (* Worker [index] owns the keys congruent to [index] modulo the worker
        count: disjoint ownership keeps the union of models linearizable,
        and every worker's keys span every place, so traffic keeps flowing
@@ -1304,7 +1266,7 @@ let run_failover_soak fc =
   in
   let reader () =
     let errs = ref [] in
-    let ctx () = fail_context fc.fo_chaos ~section:(section "reader") in
+    let ctx () = context "reader" in
     let fail fmt =
       Printf.ksprintf (fun s -> errs := (ctx () ^ s) :: !errs) fmt
     in
@@ -1368,7 +1330,7 @@ let run_failover_soak fc =
   uninstall ();
   let errors = ref [] in
   let check name cond errors =
-    check (fail_context fc.fo_chaos ~section:(section "final") ^ name) cond errors
+    check (context "final" ^ name) cond errors
   in
   List.iter
     (fun (_, _, es) -> List.iter (fun e -> errors := e :: !errors) es)

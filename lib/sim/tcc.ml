@@ -346,37 +346,4 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
   let reclaim_epoch () = max_int
   let note_reclaimed _ = ()
   let version_chain_bound = 8
-
-  (* The simulated TCC machine has one fixed protocol — hardware
-     conflict detection with lazy commit-time arbitration — but the
-     shared policy names are still validated so a collection pinned to a
-     policy fails fast identically on both TMs.  The axes table mirrors
-     the host STM's matrix. *)
-  let policy_axes = function
-    | "lazy_rv_wb" -> Some (false, false, false)
-    | "eager_rv_wb" -> Some (true, false, false)
-    | "lazy_rl_wb" -> Some (false, true, false)
-    | "eager_rl_ul" -> Some (true, true, true)
-    | _ -> None
-
-  let validate_policy ~support name =
-    match policy_axes name with
-    | None -> invalid_arg (Printf.sprintf "unknown TM policy %S" name)
-    | Some (eager, rl, ul) ->
-        let reject axis =
-          invalid_arg
-            (Printf.sprintf
-               "TM policy %s: this collection does not support %s" name axis)
-        in
-        if eager && not support.Tm_intf.ps_eager_acquire then
-          reject "encounter-time acquisition";
-        if rl && not support.Tm_intf.ps_read_locking then
-          reject "read locking";
-        if ul && not support.Tm_intf.ps_undo_logging then
-          reject "undo logging"
-
-  (* The hardware protocol is closest to the default point of the
-     matrix: lazy acquisition, (hardware-)validated reads, buffered
-     writes committed at once. *)
-  let txn_policy_name () = "lazy_rv_wb"
 end

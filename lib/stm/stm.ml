@@ -68,161 +68,6 @@ module Contention = struct
   let name = policy_name
 end
 
-(* ------------------------------------------------------------------ *)
-(* TM policy matrix: selection and the adaptive controller.
-
-   The controller samples the sharded stats over epoch windows (one
-   window = [adapt_epoch] completed transactions across all domains,
-   counted per-domain to stay off shared cache lines) and derives two
-   regime signals from the deltas: the read-only commit ratio and the
-   abort rate.  A regime maps to a target policy; the global policy only
-   switches after [adapt_hysteresis] consecutive windows agree on the
-   same target (and it differs from the current one), so a transient
-   burst cannot flap the system.  Every switch increments the sharded
-   [s_policy_switches] counter, making flapping observable. *)
-
-let adaptive_on = Atomic.make false
-let adapt_epoch = Atomic.make 512 (* completed txns per controller window *)
-let adapt_hysteresis = 2 (* consecutive agreeing windows before a switch *)
-
-let adapt_min_window = 64
-(* Minimum commits a window must span before its signals count.  Open-loop
-   traffic arrives in bursts with idle gaps; a window that happens to close
-   during a gap carries a handful of commits, and an abort-rate or
-   read-ratio computed over single digits is noise that can flap
-   [policy_switches].  A window smaller than this is skipped *without*
-   advancing the baselines, so the sample keeps accumulating until the
-   next tick sees at least [adapt_min_window] commits. *)
-
-(* Single-writer under the [adapt_ticking] CAS guard below. *)
-type adapt_state = {
-  mutable a_commits : int;
-  mutable a_ro : int;
-  mutable a_aborts : int;
-  mutable a_writes : int;
-  mutable a_target : tm_policy; (* target of the last window *)
-  mutable a_stable : int; (* consecutive windows agreeing on [a_target] *)
-}
-
-let adapt_state =
-  { a_commits = 0; a_ro = 0; a_aborts = 0; a_writes = 0;
-    a_target = pol_lazy_rv_wb; a_stable = 0 }
-
-let adapt_ticking = Atomic.make false
-
-let adapt_local_key : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-(* Regime -> policy.  Read-dominated traffic wants the default: its
-   read-only fast path commits without locks or clock bumps, which no
-   visible-reader policy can match.  Contended write traffic wants
-   encounter-time read-locking with undo logging: conflicts surface at
-   first touch instead of after a wasted body, re-writes mutate in place
-   without growing the redo log, and commits publish without re-locking.
-   The mid abort band keeps invisible reads but acquires eagerly.  Even
-   without aborts, write-dominated traffic (large write sets, almost no
-   read-only commits) prefers undo logging: re-writes are
-   allocation-free and the redo log's commit-time replay disappears. *)
-let adapt_decide ~ro_ratio ~abort_rate ~writes_per_commit =
-  if ro_ratio >= 0.60 then pol_lazy_rv_wb
-  else if abort_rate >= 0.20 then pol_eager_rl_ul
-  else if abort_rate >= 0.02 then pol_eager_rv_wb
-  else if ro_ratio < 0.10 && writes_per_commit >= 6.0 then pol_eager_rl_ul
-  else pol_lazy_rv_wb
-
-let adapt_reset_window () =
-  adapt_state.a_commits <- stats_sum (fun s -> s.s_commits);
-  adapt_state.a_ro <- stats_sum (fun s -> s.s_ro_commits);
-  adapt_state.a_aborts <-
-    stats_sum (fun s -> s.s_conflict_aborts + s.s_remote_aborts);
-  adapt_state.a_writes <- stats_sum (fun s -> s.s_tvar_writes);
-  adapt_state.a_target <- Atomic.get global_tm_policy;
-  adapt_state.a_stable <- 0
-
-(* Called once per completed top-level transaction (and snapshot read).
-   Off: one Atomic.get.  On: one domain-local increment until the local
-   count crosses the window size, then at most one domain wins the CAS
-   and evaluates the window. *)
-let adaptive_tick () =
-  if Atomic.get adaptive_on then begin
-    let c = Domain.DLS.get adapt_local_key in
-    incr c;
-    if !c >= Atomic.get adapt_epoch then begin
-      c := 0;
-      if Atomic.compare_and_set adapt_ticking false true then begin
-        let commits = stats_sum (fun s -> s.s_commits) in
-        let ro = stats_sum (fun s -> s.s_ro_commits) in
-        let aborts =
-          stats_sum (fun s -> s.s_conflict_aborts + s.s_remote_aborts)
-        in
-        let writes = stats_sum (fun s -> s.s_tvar_writes) in
-        let dc = commits - adapt_state.a_commits in
-        let dro = ro - adapt_state.a_ro in
-        let da = aborts - adapt_state.a_aborts in
-        let dw = writes - adapt_state.a_writes in
-        (* Under-sampled window (idle gap between arrival bursts): leave
-           the baselines where they are and decide nothing — the commits
-           roll into the next window until enough have accumulated. *)
-        if dc >= adapt_min_window then begin
-          adapt_state.a_commits <- commits;
-          adapt_state.a_ro <- ro;
-          adapt_state.a_aborts <- aborts;
-          adapt_state.a_writes <- writes;
-          let ro_ratio = float_of_int dro /. float_of_int dc in
-          let abort_rate = float_of_int da /. float_of_int (dc + da) in
-          let writes_per_commit = float_of_int dw /. float_of_int dc in
-          let target = adapt_decide ~ro_ratio ~abort_rate ~writes_per_commit in
-          if target == adapt_state.a_target then
-            adapt_state.a_stable <- adapt_state.a_stable + 1
-          else begin
-            adapt_state.a_target <- target;
-            adapt_state.a_stable <- 1
-          end;
-          if
-            adapt_state.a_stable >= adapt_hysteresis
-            && Atomic.get global_tm_policy != target
-          then begin
-            Atomic.set global_tm_policy target;
-            let s = my_stats () in
-            s.s_policy_switches <- s.s_policy_switches + 1
-          end
-        end;
-        Atomic.set adapt_ticking false
-      end
-    end
-  end
-
-module Policy = struct
-  type t = Types.tm_policy
-
-  let lazy_rv_wb = pol_lazy_rv_wb
-  let eager_rv_wb = pol_eager_rv_wb
-  let lazy_rl_wb = pol_lazy_rl_wb
-  let eager_rl_ul = pol_eager_rl_ul
-  let all = all_tm_policies
-  let name p = p.p_name
-  let of_name = tm_policy_of_name
-
-  let set_global p =
-    Atomic.set adaptive_on false;
-    Atomic.set global_tm_policy p
-
-  let global () = Atomic.get global_tm_policy
-
-  let enable_adaptive ?epoch () =
-    (match epoch with Some e when e > 0 -> Atomic.set adapt_epoch e | _ -> ());
-    adapt_reset_window ();
-    Atomic.set adaptive_on true
-
-  let disable_adaptive () = Atomic.set adaptive_on false
-  let adaptive () = Atomic.get adaptive_on
-  let switches () = stats_sum (fun s -> s.s_policy_switches)
-
-  (* Windows spanning fewer commits than this are skipped by the
-     controller (signals too noisy to act on); exposed for tests. *)
-  let min_window_commits = adapt_min_window
-end
-
 type budget = { max_retries : int option; max_seconds : float option }
 
 (* Auto-commit context: an already-committed handle so that semantic lock
@@ -469,14 +314,8 @@ let release_locks top n =
 (* Acquire write locks in tv_id order (no deadlock), spinning a bounded
    number of times on each before declaring a conflict.  [wids] is sorted
    at insertion and the pre-lock vlock values go into the [acq_old]
-   scratch, so acquisition allocates nothing.  After each lock the
-   visible readers of the tvar are drained — any policy's writer must
-   wait out read-locking transactions, and when this transaction itself
-   holds a read lock on the tvar it drains to its own residual count of
-   one (the entry is released at attempt end, not here).  Lazy only:
-   eager policies acquired at encounter time. *)
+   scratch, so acquisition allocates nothing. *)
 let lock_writes top =
-  let rl = top.pol.p_read = Read_lock in
   for i = 0 to top.wlen - 1 do
     let (W (tv, _)) = Hashtbl.find top.writes top.wids.(i) in
     let rec try_lock spins =
@@ -490,15 +329,8 @@ let lock_writes top =
           Domain.cpu_relax ();
           try_lock (spins - 1)
         end
-      else if Atomic.compare_and_set tv.vlock cur (cur + 1) then begin
-        let self = if rl && rs_mem top.reads tv.tv_id then 1 else 0 in
-        if readers_drained ~self tv then top.acq_old.(i) <- cur
-        else begin
-          Atomic.set tv.vlock cur;
-          release_locks top i;
-          raise Conflict_exn
-        end
-      end
+      else if Atomic.compare_and_set tv.vlock cur (cur + 1) then
+        top.acq_old.(i) <- cur
       else try_lock spins
     in
     try_lock 1024
@@ -513,14 +345,6 @@ let validate_reads top =
     incr i
   done;
   !ok
-
-(* Read-locking policies need no commit-time validation: every read
-   entry holds a visible lock, so its tvar cannot have been republished
-   since the read (strict two-phase locking).  Version checks would in
-   fact spuriously fail there — a writer parked on one of our read locks
-   has already marked the vlock. *)
-let commit_validate top =
-  top.pol.p_read = Read_lock || validate_reads top
 
 (* The rid-sorted, deduplicated set of commit regions the transaction's
    handlers touch.  A handler with a region plan ([ch_regions]) contributes
@@ -577,31 +401,18 @@ let run_applies wv handlers =
    this publication out or pins above [wv]. *)
 let publish_writes top wv =
   let min_epoch = oldest_active_epoch () in
-  (match top.pol.p_version with
-  | Ver_redo ->
-      for i = 0 to top.wlen - 1 do
-        let (W (tv, v)) = Hashtbl.find top.writes top.wids.(i) in
-        Atomic.set tv.value v;
-        hist_publish tv ~min_epoch wv v;
-        Atomic.set tv.vlock wv
-      done
-  | Ver_undo ->
-      (* In-place writes already happened at encounter time; the table
-         holds the undo images.  Publish the live value into the chain
-         and stamp the vlock — the commit is the unlock. *)
-      for i = 0 to top.wlen - 1 do
-        let (W (tv, _)) = Hashtbl.find top.writes top.wids.(i) in
-        let v = Atomic.get tv.value in
-        hist_publish tv ~min_epoch wv v;
-        Atomic.set tv.vlock wv
-      done);
+  for i = 0 to top.wlen - 1 do
+    let (W (tv, v)) = Hashtbl.find top.writes top.wids.(i) in
+    Atomic.set tv.value v;
+    hist_publish tv ~min_epoch wv v;
+    Atomic.set tv.vlock wv
+  done;
   ring_publish wv (Array.sub top.wids 0 top.wlen)
 
 let finish_commit top =
   Atomic.set top.top_status Committed;
   let s = my_stats () in
-  s.s_commits <- s.s_commits + 1;
-  s.s_tvar_writes <- s.s_tvar_writes + top.wlen
+  s.s_commits <- s.s_commits + 1
 
 (* Publish the redo log and finish a handler-less writing commit.  Every
    mutating commit draws a write version: snapshot readers key visibility
@@ -655,39 +466,28 @@ let finish_read_only top =
    state), each under its own collection's [critical] region.  The chaos
    hook and the Active->Committing settlement CAS stay on the fast path,
    so injected faults and remote aborts keep their full power there. *)
-(* Policy interaction.  Eager policies acquired their write locks at
-   encounter time, so [lock_writes] is skipped and — crucially — the
-   failure paths below must NOT release the write set: an aborting eager
-   attempt still owns in-place (undo-logged) values that
-   [release_policy_state] has to roll back before unlocking, and it runs
-   on every abort path of [run_top].  Read-locking policies skip read
-   validation ([commit_validate]) and drop their visible-reader counts in
-   the same [release_policy_state], after the commit published. *)
 let commit_top ?(run_handlers = true) top =
-  let eager = top.pol.p_acquire = Acq_eager in
   let handlers = if run_handlers then List.rev top.commit_handlers else [] in
   if handlers = [] then
     if top.wlen = 0 then begin
       (* Pure read-only fast path: no locks, no regions, no clock. *)
-      if not (commit_validate top) then raise Conflict_exn;
+      if not (validate_reads top) then raise Conflict_exn;
       chaos Chaos_in_commit;
       if not (Atomic.compare_and_set top.top_status Active Committing) then
         raise Remote_aborted_exn;
-      finish_read_only top;
-      release_policy_state top ~committed:true
+      finish_read_only top
     end
     else begin
-      if not eager then lock_writes top;
+      lock_writes top;
       (try
-         if not (commit_validate top) then raise Conflict_exn;
+         if not (validate_reads top) then raise Conflict_exn;
          chaos Chaos_in_commit;
          if not (Atomic.compare_and_set top.top_status Active Committing) then
            raise Remote_aborted_exn
        with e ->
-         if not eager then release_locks top top.wlen;
+         release_locks top top.wlen;
          raise e);
-      publish_and_finish top;
-      release_policy_state top ~committed:true
+      publish_and_finish top
     end
   else if top.wlen = 0 && List.for_all (fun h -> h.ch_read_only ()) handlers
   then begin
@@ -696,14 +496,13 @@ let commit_top ?(run_handlers = true) top =
        semantic read locks — no commit regions are pre-acquired and the
        clock stays untouched.  The applies take their own [critical]
        sections, which is all lock release needs. *)
-    if not (commit_validate top) then raise Conflict_exn;
+    if not (validate_reads top) then raise Conflict_exn;
     chaos Chaos_in_commit;
     if not (Atomic.compare_and_set top.top_status Active Committing) then
       raise Remote_aborted_exn;
     (* Commit point passed. *)
     let failures = run_applies 0 handlers in
     finish_read_only top;
-    release_policy_state top ~committed:true;
     if failures <> [] then raise (Handler_failure { committed = true; failures })
   end
   else begin
@@ -712,9 +511,9 @@ let commit_top ?(run_handlers = true) top =
     Fun.protect
       ~finally:(fun () -> List.iter region_unlock (List.rev regions))
       (fun () ->
-        if not eager then lock_writes top;
+        lock_writes top;
         (try
-           if not (commit_validate top) then raise Conflict_exn;
+           if not (validate_reads top) then raise Conflict_exn;
            chaos Chaos_in_commit;
            top.in_prepare <- true;
            List.iter
@@ -726,7 +525,7 @@ let commit_top ?(run_handlers = true) top =
            then raise Remote_aborted_exn
          with e ->
            top.in_prepare <- false;
-           if not eager then release_locks top top.wlen;
+           release_locks top top.wlen;
            raise e);
         (* Commit point passed.  The publication window opens before the
            bump: a snapshot pin concurrent with this commit either waits
@@ -741,7 +540,6 @@ let commit_top ?(run_handlers = true) top =
         publish_writes top wv;
         publish_window_exit ();
         finish_commit top;
-        release_policy_state top ~committed:true;
         if failures <> [] then
           raise (Handler_failure { committed = true; failures }))
   end
@@ -776,10 +574,9 @@ let mark_aborted t = ignore (Atomic.compare_and_set t.top_status Active Aborted)
    so the retry loop allocates nothing.  It is released back to the pool
    on every exit path after compensation handlers have run — except a
    committed open-nested one, which [open_nested] releases itself. *)
-let run_top ?(defer_handlers = false) ?cm ?pol ?budget f =
+let run_top ?(defer_handlers = false) ?cm ?budget f =
   let ctx = context () in
   let cm = match cm with Some c -> c | None -> Atomic.get global_cm in
-  let pol = match pol with Some p -> p | None -> Atomic.get global_tm_policy in
   let prio = fresh_prio () in
   let t0 =
     match budget with
@@ -810,7 +607,7 @@ let run_top ?(defer_handlers = false) ?cm ?pol ?budget f =
           raise (Starved { attempts = n; elapsed })
         end
   in
-  let t = acquire_top ~cm ~prio ~pol in
+  let t = acquire_top ~cm ~prio in
   t.open_attempt <- defer_handlers;
   (* In-flight accounting: the quiescence probe behind [reset_stats].  The
      increment/decrement bracket every exit path below (commit, starvation,
@@ -819,10 +616,6 @@ let run_top ?(defer_handlers = false) ?cm ?pol ?budget f =
   (my_stats ()).s_inflight <- (my_stats ()).s_inflight + 1;
   let abort_and_compensate () =
     mark_aborted t;
-    (* Roll back policy-owned state (eager write locks, undo images,
-       visible read locks) before compensations run: a compensation may
-       start its own transaction against the same tvars. *)
-    release_policy_state t ~committed:false;
     (* An aborting open-nested attempt discards the handlers its body
        registered (paper §4): its rolled-back effects need no
        compensation.  The collections' handlers still run: the semantic
@@ -846,7 +639,6 @@ let run_top ?(defer_handlers = false) ?cm ?pol ?budget f =
     | r ->
         ctx := None;
         record_retries cm n;
-        adaptive_tick ();
         r
     | exception
         ((Conflict_exn | Child_conflict_exn | Remote_aborted_exn | Deferred_exn)
@@ -927,25 +719,16 @@ let closed_nested_in parent f =
   in
   attempt 0
 
-let atomic ?policy ?tm_policy ?budget ?on_starved f =
+let atomic ?policy ?budget ?on_starved f =
   if Types.in_snapshot () then
     invalid_arg "Stm.atomic: inside a snapshot read section";
   match !(context ()) with
   | None -> (
       match on_starved with
-      | None -> fst (run_top ?cm:policy ?pol:tm_policy ?budget f)
+      | None -> fst (run_top ?cm:policy ?budget f)
       | Some fallback -> (
-          try fst (run_top ?cm:policy ?pol:tm_policy ?budget f)
-          with Starved _ -> fallback ()))
-  | Some parent ->
-      (* Closed nesting with partial rollback is a default-policy
-         optimisation: visible read locks and in-place undo state are
-         owned per top-level attempt, so the other policies run nested
-         bodies flattened (subsumption) — a child conflict retries the
-         whole top level, which [run_top] already does. *)
-      if parent.top.strategy == strategy_lazy_rv_wb then
-        closed_nested_in parent f
-      else f ()
+          try fst (run_top ?cm:policy ?budget f) with Starved _ -> fallback ()))
+  | Some parent -> closed_nested_in parent f
 
 let closed_nested f = atomic f
 
@@ -1068,16 +851,16 @@ module Admission = struct
   (* Gated [atomic].  No gate configured -> plain [atomic].  Calls from
      inside a transaction are never gated (the enclosing top level was
      already admitted): they run as ordinary nested transactions. *)
-  let run ?policy ?tm_policy ?budget f =
+  let run ?policy ?budget f =
     match Atomic.get gate with
-    | None -> atomic ?policy ?tm_policy ?budget f
-    | Some _ when in_txn () -> atomic ?policy ?tm_policy ?budget f
+    | None -> atomic ?policy ?budget f
+    | Some _ when in_txn () -> atomic ?policy ?budget f
     | Some g ->
         if try_admit g then begin
           let budget =
             match budget with Some _ -> budget | None -> g.g_budget
           in
-          match atomic ?policy ?tm_policy ?budget f with
+          match atomic ?policy ?budget f with
           | r ->
               let s = my_stats () in
               s.s_admitted <- s.s_admitted + 1;
@@ -1164,8 +947,7 @@ let snapshot f =
         let s = my_stats () in
         s.s_commits <- s.s_commits + 1;
         s.s_ro_commits <- s.s_ro_commits + 1;
-        s.s_snapshot_reads <- s.s_snapshot_reads + 1;
-        adaptive_tick ())
+        s.s_snapshot_reads <- s.s_snapshot_reads + 1)
       f
   end
 
@@ -1218,7 +1000,6 @@ type stats = {
   clock_cas_retries : int;
   snapshot_reads : int;
   versions_reclaimed : int;
-  policy_switches : int;
   admitted : int;
   shed : int;
   serialised_overflow : int;
@@ -1241,7 +1022,6 @@ let global_stats () =
     clock_cas_retries = stats_sum (fun s -> s.s_clock_cas_retries);
     snapshot_reads = stats_sum (fun s -> s.s_snapshot_reads);
     versions_reclaimed = stats_sum (fun s -> s.s_versions_reclaimed);
-    policy_switches = stats_sum (fun s -> s.s_policy_switches);
     admitted = stats_sum (fun s -> s.s_admitted);
     shed = stats_sum (fun s -> s.s_shed);
     serialised_overflow = stats_sum (fun s -> s.s_serialised_overflow);
@@ -1312,25 +1092,4 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = handle = struct
   let reclaim_epoch () = oldest_active_epoch ()
   let note_reclaimed = Types.note_reclaimed
   let version_chain_bound = Types.version_chain_bound
-
-  let validate_policy ~support name =
-    match tm_policy_of_name name with
-    | None -> invalid_arg (Printf.sprintf "unknown TM policy %S" name)
-    | Some p ->
-        let reject axis =
-          invalid_arg
-            (Printf.sprintf
-               "TM policy %s: this collection does not support %s" name axis)
-        in
-        if p.p_acquire = Acq_eager && not support.Tm_intf.ps_eager_acquire
-        then reject "encounter-time acquisition";
-        if p.p_read = Read_lock && not support.Tm_intf.ps_read_locking then
-          reject "read locking";
-        if p.p_version = Ver_undo && not support.Tm_intf.ps_undo_logging then
-          reject "undo logging"
-
-  let txn_policy_name () =
-    match !(context ()) with
-    | None -> (Atomic.get global_tm_policy).p_name
-    | Some t -> t.top.pol.p_name
 end

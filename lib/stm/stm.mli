@@ -129,87 +129,6 @@ module Contention : sig
       {!retry_histogram}. *)
 end
 
-(** {1 TM policy matrix}
-
-    The per-tvar read/write/commit protocol is one point in a three-axis
-    design space: {e acquire} (commit-time lazy vs encounter-time eager
-    write locking), {e read strategy} (record-and-revalidate invisible
-    reads vs visible blocking read locks), and {e versioning} (redo log
-    applied at commit vs in-place writes with an undo log).  Four
-    policies ship; [lazy_rv_wb] is the seed protocol, bit for bit, and
-    the default.  A policy can be selected process-wide
-    ({!Policy.set_global}), per {!atomic} call ([?tm_policy]), or pinned
-    per collection at wrap time; the adaptive controller
-    ({!Policy.enable_adaptive}) switches the global policy from live
-    stats over epoch windows with hysteresis.
-
-    Non-default policies run closed-nested transactions flattened into
-    the top level (subsumption): visible read locks and in-place undo
-    state are owned per top-level attempt, so partial rollback of a
-    child is a [lazy_rv_wb]-only optimisation. *)
-
-module Policy : sig
-  type t = Types.tm_policy
-
-  val lazy_rv_wb : t
-  (** Lazy acquire, read validation, write buffer: the seed TL2-style
-      protocol and the default.  Best for read-dominated traffic — its
-      read-only fast path commits with no locks and no clock bump. *)
-
-  val eager_rv_wb : t
-  (** Encounter-time write locking, invisible validated reads, buffered
-      writes: write-write conflicts surface at first touch instead of
-      after a wasted body. *)
-
-  val lazy_rl_wb : t
-  (** Commit-time acquire with visible read locks: reads block writers
-      and are abort-free once acquired (no commit-time validation). *)
-
-  val eager_rl_ul : t
-  (** Encounter-time locking, visible read locks, undo logging: writes
-      go in place under the held lock (re-writes are allocation-free),
-      commit publishes without re-locking, abort rolls back from the
-      undo log.  The pessimistic end of the matrix, for write-heavy
-      contended regimes. *)
-
-  val all : t list
-  val name : t -> string
-  val of_name : string -> t option
-
-  val set_global : t -> unit
-  (** Set the policy used by {!atomic} calls that do not pass
-      [?tm_policy].  Affects transactions started after the call; also
-      disables the adaptive controller. *)
-
-  val global : unit -> t
-
-  val enable_adaptive : ?epoch:int -> unit -> unit
-  (** Start the adaptive controller: every [epoch] completed transactions
-      (default 512, counted across domains) it derives the read-only
-      ratio and abort rate of the window just ended and, when two
-      consecutive windows agree on a policy different from the current
-      global one (hysteresis), switches the global policy and increments
-      [policy_switches].  Transactions pinning [?tm_policy] are
-      unaffected. *)
-
-  val disable_adaptive : unit -> unit
-
-  val adaptive : unit -> bool
-  (** [true] while the adaptive controller is enabled. *)
-
-  val switches : unit -> int
-  (** Total adaptive policy switches since the last {!reset_stats} — the
-      flapping observability counter (also in {!global_stats}). *)
-
-  val min_window_commits : int
-  (** Minimum commits an epoch window must have accumulated before the
-      adaptive controller evaluates it.  Under-sampled windows (idle gaps
-      between open-loop arrival bursts) are skipped without advancing the
-      window baselines, so their commits roll into the next evaluation
-      instead of feeding a near-zero-sample signal that flaps
-      [policy_switches]. *)
-end
-
 type budget = { max_retries : int option; max_seconds : float option }
 (** Progress budget for one {!atomic} call.  [max_retries = Some m] allows
     [m] retries ([m + 1] executions in total); [max_seconds] is a
@@ -218,7 +137,6 @@ type budget = { max_retries : int option; max_seconds : float option }
 
 val atomic :
   ?policy:Contention.policy ->
-  ?tm_policy:Policy.t ->
   ?budget:budget ->
   ?on_starved:(unit -> 'a) ->
   (unit -> 'a) ->
@@ -228,12 +146,11 @@ val atomic :
     contention [?policy] (default: the global policy) — until it commits
     or the [?budget] is exhausted, which raises {!Starved} or, when
     [?on_starved] is given, returns [on_starved ()] instead (typically
-    {!serialised}[ f]).  [?tm_policy] pins the TM policy for this call
-    (default: the global policy, possibly adaptive).  Nested inside
-    another transaction it is a closed-nested transaction and the options
-    are ignored — under non-default policies the nested body runs
-    flattened into the parent (subsumption).  Exceptions raised by [f]
-    abort the transaction and propagate. *)
+    {!serialised}[ f]).  Nested inside another transaction it is a
+    closed-nested transaction and the options are ignored: a conflict
+    confined to the child rolls back and retries only the child (partial
+    rollback).  Exceptions raised by [f] abort the transaction and
+    propagate. *)
 
 val closed_nested : (unit -> 'a) -> 'a
 (** Alias of {!atomic}: nested transactions are closed by default.  A
@@ -331,8 +248,7 @@ module Admission : sig
   val current_policy : unit -> overload_policy option
 
   val run :
-    ?policy:Contention.policy -> ?tm_policy:Policy.t -> ?budget:budget ->
-    (unit -> 'a) -> 'a
+    ?policy:Contention.policy -> ?budget:budget -> (unit -> 'a) -> 'a
   (** [run f] is {!atomic}[ f] through the admission gate.  With no gate
       configured, or nested inside a transaction, it is exactly
       {!atomic}.  Otherwise it takes a token (admitting) or invokes the
@@ -483,9 +399,6 @@ type stats = {
       (** version-chain entries reclaimed by epoch-based lazy trimming —
           with {!snapshot_reads}, the observability handle on the
           multi-version memory story *)
-  policy_switches : int;
-      (** global-policy switches performed by the adaptive controller
-          ({!Policy.enable_adaptive}); flapping shows up here *)
   admitted : int;
       (** {!Admission.run} calls that took a token and committed (or
           raised from the body) without starving *)

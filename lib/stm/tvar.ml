@@ -7,7 +7,6 @@ let make v =
     tv_id = Atomic.fetch_and_add next_tv_id 1;
     value = Atomic.make v;
     vlock = Atomic.make 0;
-    readers = Atomic.make 0;
     hist = Coll.Vchain.make 0 v;
   }
 
@@ -23,22 +22,13 @@ let get tv =
   else
     match !(context ()) with
     | None -> fst (read_committed tv)
-    | Some txn -> txn.top.strategy.st_read txn tv
+    | Some txn -> lazy_rv_read txn tv
 
-(* Non-transactional store: lock, drain visible readers (read-locking
-   transactions may hold the value pinned), open the publication window,
-   advance the clock, publish (value, version chain, unlocking vlock).
-   The drain is bounded; on timeout the lock is restored and the store
-   retried, so a parked reader can never wedge a non-transactional
-   writer behind a stale lock word. *)
+(* Non-transactional store: lock, open the publication window, advance
+   the clock, publish (value, version chain, unlocking vlock). *)
 let rec nontx_set tv v =
   let cur = Atomic.get tv.vlock in
   if locked cur || not (Atomic.compare_and_set tv.vlock cur (cur + 1)) then begin
-    Domain.cpu_relax ();
-    nontx_set tv v
-  end
-  else if not (readers_drained ~self:0 tv) then begin
-    Atomic.set tv.vlock cur;
     Domain.cpu_relax ();
     nontx_set tv v
   end
@@ -57,6 +47,6 @@ let set tv v =
     invalid_arg "Tvar.set: inside a snapshot read section";
   match !(context ()) with
   | None -> nontx_set tv v
-  | Some txn -> txn.top.strategy.st_write txn tv v
+  | Some txn -> buffered_write txn tv v
 
 let modify tv f = set tv (f (get tv))

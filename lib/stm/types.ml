@@ -92,72 +92,6 @@ let rand_bits () =
 let rand_int bound = if bound <= 0 then 0 else rand_bits () mod bound
 
 (* ------------------------------------------------------------------ *)
-(* TM policy matrix.  The per-tvar read/write/commit protocol is one
-   point in a three-axis design space (the x10 TxManager matrix, "On the
-   Cost of Concurrency in TM"):
-
-   - {e acquire}: when a writer takes a tvar's versioned write lock —
-     at commit time after the body ran ([Acq_lazy], the seed behaviour)
-     or at the first write ([Acq_eager], detecting write conflicts at
-     encounter time, before more work is wasted);
-   - {e read strategy}: how reads stay consistent — record the version
-     and revalidate at commit ([Read_validate], invisible readers) or
-     take a visible per-tvar read lock that blocks writers until the
-     reader finishes ([Read_lock], abort-free reads, writer-side cost);
-   - {e versioning}: where uncommitted writes live — a redo log applied
-     at commit ([Ver_redo], cheap aborts) or in place with an undo log
-     restored on abort ([Ver_undo], cheap commits and re-writes;
-     requires [Acq_eager]).
-
-   Four concrete policies ship; [pol_lazy_rv_wb] is bit-for-bit the
-   pre-matrix protocol and remains the default.  The protocol behind a
-   policy is a [strategy] record of explicitly-polymorphic closures
-   (zero-allocation dispatch: one field load and an indirect call),
-   installed on the top-level descriptor when the transaction starts.
-
-   Non-default policies run closed-nested transactions flattened
-   (subsumption into the top level): visible read locks and in-place
-   undo state are owned per top-level attempt, so partial rollback is a
-   [Acq_lazy]+[Read_validate]+[Ver_redo]-only optimisation. *)
-
-type acquire_mode = Acq_lazy | Acq_eager
-type read_mode = Read_validate | Read_lock
-type version_mode = Ver_redo | Ver_undo
-
-type tm_policy = {
-  p_name : string;
-  p_acquire : acquire_mode;
-  p_read : read_mode;
-  p_version : version_mode;
-}
-
-let pol_lazy_rv_wb =
-  { p_name = "lazy_rv_wb"; p_acquire = Acq_lazy; p_read = Read_validate;
-    p_version = Ver_redo }
-
-let pol_eager_rv_wb =
-  { p_name = "eager_rv_wb"; p_acquire = Acq_eager; p_read = Read_validate;
-    p_version = Ver_redo }
-
-let pol_lazy_rl_wb =
-  { p_name = "lazy_rl_wb"; p_acquire = Acq_lazy; p_read = Read_lock;
-    p_version = Ver_redo }
-
-let pol_eager_rl_ul =
-  { p_name = "eager_rl_ul"; p_acquire = Acq_eager; p_read = Read_lock;
-    p_version = Ver_undo }
-
-let all_tm_policies =
-  [ pol_lazy_rv_wb; pol_eager_rv_wb; pol_lazy_rl_wb; pol_eager_rl_ul ]
-
-let tm_policy_of_name name =
-  List.find_opt (fun p -> String.equal p.p_name name) all_tm_policies
-
-(* Policy used by transactions that do not pin one explicitly; the
-   adaptive controller rewrites it on sustained regime changes. *)
-let global_tm_policy : tm_policy Atomic.t = Atomic.make pol_lazy_rv_wb
-
-(* ------------------------------------------------------------------ *)
 (* Sharded statistics.  Every counter the hot loop touches lives in a
    per-domain record written only by its owning domain — no shared cache
    line is dirtied per transaction.  Records are registered in a global
@@ -200,11 +134,6 @@ type domain_stats = {
   mutable s_clock_cas_retries : int;
   mutable s_snapshot_reads : int; (* completed snapshot-read transactions *)
   mutable s_versions_reclaimed : int; (* chain entries reclaimed by epoch *)
-  mutable s_policy_switches : int; (* adaptive controller policy changes *)
-  mutable s_tvar_writes : int;
-      (* distinct tvars written by committed writing transactions (the
-         write-set length at commit) — the adaptive controller's
-         write-intensity signal for uncontended regimes *)
   mutable s_admitted : int;
       (* admission-gate grants that ran to completion on the normal path *)
   mutable s_shed : int;
@@ -249,8 +178,6 @@ let fresh_stats () =
     s_clock_cas_retries = 0;
     s_snapshot_reads = 0;
     s_versions_reclaimed = 0;
-    s_policy_switches = 0;
-    s_tvar_writes = 0;
     s_admitted = 0;
     s_shed = 0;
     s_serialised_overflow = 0;
@@ -307,8 +234,6 @@ let stats_reset () =
       s.s_clock_cas_retries <- 0;
       s.s_snapshot_reads <- 0;
       s.s_versions_reclaimed <- 0;
-      s.s_policy_switches <- 0;
-      s.s_tvar_writes <- 0;
       s.s_admitted <- 0;
       s.s_shed <- 0;
       s.s_serialised_overflow <- 0;
@@ -383,13 +308,6 @@ type 'a tvar_repr = {
   tv_id : int;
   value : 'a Atomic.t;
   vlock : int Atomic.t;
-  readers : int Atomic.t;
-      (* visible-reader count for [Read_lock] policies.  A reader
-         increments it and then revalidates [vlock]; every writer — any
-         policy, and the non-transactional store — waits for it to drain
-         (bounded) after locking [vlock] and before mutating [value].
-         Always 0 when no read-locking transaction is live, so the
-         default policy pays one relaxed load per write lock. *)
   hist : 'a Coll.Vchain.t;
       (* last K committed versions, stamped with the commit clock; written
          only while [vlock] is held (commit, non-transactional store), read
@@ -414,21 +332,12 @@ let dummy_rentry =
         tv_id = 0;
         value = Atomic.make 0;
         vlock = Atomic.make 0;
-        readers = Atomic.make 0;
         hist = Coll.Vchain.make 0 0;
       },
       0 )
 
 let rs_create () = { r_arr = [||]; r_len = 0; r_idx = Hashtbl.create 16 }
 let rs_mem rs tv_id = Hashtbl.mem rs.r_idx tv_id
-
-(* Version recorded for [tv_id], if this read set holds it. *)
-let rs_find rs tv_id =
-  match Hashtbl.find_opt rs.r_idx tv_id with
-  | None -> None
-  | Some i ->
-      let (R (_, ver)) = rs.r_arr.(i) in
-      Some ver
 
 (* Reuse: drop the entries but keep the array and the index's bucket
    vector (Hashtbl.clear does not shrink), so a recycled descriptor's read
@@ -648,22 +557,7 @@ type txn = {
   mutable self_opt : txn option;
       (* [Some self], built once: installing the context per attempt reuses
          it instead of allocating a fresh option *)
-  mutable pol : tm_policy;
-      (* the TM policy governing this top-level attempt; meaningful on the
-         top level (children mirror their top's) *)
-  mutable strategy : strategy;
-      (* the per-tvar protocol behind [pol]: one of four static records,
-         installed by [acquire_top] — dispatch is a field load *)
   slots : slots; (* the top level's, shared by its children *)
-}
-
-(* The per-policy read/write protocol.  Both fields are explicitly
-   polymorphic so one static record serves tvars of every type; the four
-   instances live at the bottom of this file (they need the commit
-   machinery above). *)
-and strategy = {
-  st_read : 'a. txn -> 'a tvar_repr -> 'a;
-  st_write : 'a. txn -> 'a tvar_repr -> 'a -> unit;
 }
 
 let clock : int Atomic.t = Atomic.make 0
@@ -864,12 +758,8 @@ let wids_ensure txn n =
     txn.acq_old <- Array.make cap 0
   end
 
-(* Insert [tv_id] into the sorted id array (binary search + shift),
-   returning the insertion slot.  [acq_old] is shifted in lockstep: under
-   eager acquisition it already holds live pre-lock vlock values at the
-   existing slots (under lazy acquisition it is commit-time scratch and
-   the extra blit is harmless). *)
-let wids_insert_idx txn tv_id =
+(* Insert [tv_id] into the sorted id array (binary search + shift). *)
+let wids_insert txn tv_id =
   wids_ensure txn (txn.wlen + 1);
   let lo = ref 0 and hi = ref txn.wlen in
   while !lo < !hi do
@@ -877,18 +767,8 @@ let wids_insert_idx txn tv_id =
     if txn.wids.(mid) < tv_id then lo := mid + 1 else hi := mid
   done;
   Array.blit txn.wids !lo txn.wids (!lo + 1) (txn.wlen - !lo);
-  Array.blit txn.acq_old !lo txn.acq_old (!lo + 1) (txn.wlen - !lo);
   txn.wids.(!lo) <- tv_id;
-  txn.wlen <- txn.wlen + 1;
-  !lo
-
-let wids_insert txn tv_id = ignore (wids_insert_idx txn tv_id : int)
-
-(* Eager-acquisition variant: the caller just write-locked [tv_id] and
-   records the pre-lock vlock for release/undo on abort. *)
-let wids_insert_locked txn tv_id old =
-  let slot = wids_insert_idx txn tv_id in
-  txn.acq_old.(slot) <- old
+  txn.wlen <- txn.wlen + 1
 
 (* Record a (first) write of [tv_id], keeping the sorted id array current. *)
 let record_write txn tv_id w =
@@ -927,16 +807,13 @@ let rentry_valid ?(self = None) (R (tv, ver)) =
     | None -> false
   else false
 
-(* Per-tvar check of one level's entries from index [from].  [self] names
-   the top-level transaction whose own write locks must not invalidate
-   its reads — eager acquisition holds them during the body, so read
-   validation there must look through them. *)
-let level_valid ?(from = 0) ?(self = None) txn =
+(* Per-tvar check of one level's entries from index [from]. *)
+let level_valid ?(from = 0) txn =
   let rs = txn.reads in
   let ok = ref true in
   let i = ref from in
   while !ok && !i < rs.r_len do
-    if not (rentry_valid ~self rs.r_arr.(!i)) then ok := false;
+    if not (rentry_valid rs.r_arr.(!i)) then ok := false;
     incr i
   done;
   !ok
@@ -985,7 +862,7 @@ let ring_window_clean stack ~from_v ~to_v =
    does, so long transactions survive concurrent unrelated commits.  The
    validated prefix of each level is cleared through the commit ring when
    possible; otherwise every entry is re-checked (the seed behaviour). *)
-let extend_read_version ?(self = None) innermost =
+let extend_read_version innermost =
   let top = innermost.top in
   let new_rv = Atomic.get clock in
   let rec stack_of t =
@@ -999,7 +876,7 @@ let extend_read_version ?(self = None) innermost =
   List.iter
     (fun lvl ->
       let from = if incremental then lvl.validated else 0 in
-      if not (level_valid ~from ~self lvl) then
+      if not (level_valid ~from lvl) then
         if lvl == innermost && lvl.parent <> None && !result = `Ok then
           result := `Child_only
         else result := `Top)
@@ -1033,17 +910,10 @@ let cm_wait cm n =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Per-policy read/write protocols.  One static [strategy] record per
-   policy, installed on the top-level descriptor by [acquire_top]; the
-   hot path pays one field load and an indirect call, no allocation. *)
-
-(* Bound on transactional waits introduced by the non-default policies
-   (encounter-time lock holds, visible-reader drains).  Unlike the
-   committed-read spin — whose holder is always mid-publication, hence
-   finite — these waits can target a lock held across a whole transaction
-   body, possibly itself blocked on state we hold; bounding them converts
-   every such cycle into a conflict-retry. *)
-let tx_spin_bound = 1024
+(* The tvar protocol: lazy versioning, commit-time conflict detection.
+   Reads record the committed version (revalidated at commit and on
+   read-version extension); writes go to the redo log, published under
+   commit-time write locks. *)
 
 (* The write set is keyed by [tv_id], which is unique per tvar, so an
    entry found under our id necessarily wraps this very tvar and its
@@ -1053,46 +923,6 @@ let pending_value : type a. a tvar_repr -> wentry -> a =
  fun tv (W (tv', v)) ->
   assert (Obj.repr tv' == Obj.repr tv);
   (Obj.magic v : a)
-
-(* Bounded variant of [read_committed] for eager policies: the lock
-   holder blocking us may be an encounter-time writer parked for its
-   whole body (possibly on a lock we hold), not a finite publication. *)
-let read_committed_bounded tv =
-  let rec go spins =
-    let v1 = Atomic.get tv.vlock in
-    if locked v1 then
-      if spins <= 0 then raise Conflict_exn
-      else begin
-        Domain.cpu_relax ();
-        go (spins - 1)
-      end
-    else
-      let v = Atomic.get tv.value in
-      let v2 = Atomic.get tv.vlock in
-      if v1 = v2 then (v, v1)
-      else if spins <= 0 then raise Conflict_exn
-      else begin
-        Domain.cpu_relax ();
-        go (spins - 1)
-      end
-  in
-  go tx_spin_bound
-
-(* Wait for [tv]'s visible-reader count to drain to [self] (1 when the
-   caller itself holds a read lock on [tv], else 0).  Bounded: a reader
-   we wait for may itself be waiting on a lock we hold. *)
-let readers_drained ~self tv =
-  let rec go spins =
-    if Atomic.get tv.readers <= self then true
-    else if spins <= 0 then false
-    else begin
-      Domain.cpu_relax ();
-      go (spins - 1)
-    end
-  in
-  go tx_spin_bound
-
-(* --- lazy_rv_wb: the seed protocol, bit for bit ------------------- *)
 
 let rec lazy_rv_read : type a. txn -> a tvar_repr -> a =
  fun txn tv ->
@@ -1114,181 +944,12 @@ let buffered_write : type a. txn -> a tvar_repr -> a -> unit =
   check_not_aborted txn;
   record_write txn tv.tv_id (W (tv, v))
 
-(* --- shared eager machinery --------------------------------------- *)
-
-(* Encounter-time write-lock acquisition: CAS the vlock locked, wait out
-   visible readers (to 1 when we hold a read lock on [tv] ourselves — the
-   read entry keeps its count until the attempt ends), then check
-   read-write consistency: a version recorded for [tv] by an earlier read
-   must still be the committed one, else the read set is already stale.
-   On any failure the vlock is restored and the attempt retries.  Returns
-   the pre-lock vlock for [acq_old]. *)
-let eager_acquire top tv =
-  let rec lock spins =
-    let cur = Atomic.get tv.vlock in
-    if locked cur then
-      if spins <= 0 then raise Conflict_exn
-      else begin
-        Domain.cpu_relax ();
-        lock (spins - 1)
-      end
-    else if Atomic.compare_and_set tv.vlock cur (cur + 1) then cur
-    else lock spins
-  in
-  let cur = lock tx_spin_bound in
-  let self =
-    if top.pol.p_read = Read_lock && rs_mem top.reads tv.tv_id then 1 else 0
-  in
-  if not (readers_drained ~self tv) then begin
-    Atomic.set tv.vlock cur;
-    raise Conflict_exn
-  end;
-  (match rs_find top.reads tv.tv_id with
-  | Some ver when ver <> cur ->
-      Atomic.set tv.vlock cur;
-      raise Conflict_exn
-  | _ -> ());
-  cur
-
-(* --- eager_rv_wb --------------------------------------------------- *)
-
-(* Like the lazy read, but bounded on locked vlocks (the holder may be an
-   encounter-time writer, not a finite publication) and validating
-   through our own held write locks.  Non-default policies run flattened,
-   so the top level is the only level. *)
-let rec eager_rv_read : type a. txn -> a tvar_repr -> a =
- fun txn tv ->
-  check_not_aborted txn;
-  let top = txn.top in
-  match Hashtbl.find_opt top.writes tv.tv_id with
-  | Some w -> pending_value tv w
-  | None ->
-      let v, ver = read_committed_bounded tv in
-      if ver > top.rv then
-        if extend_read_version ~self:(Some top) txn then eager_rv_read txn tv
-        else raise Conflict_exn
-      else begin
-        if not (rs_mem top.reads tv.tv_id) then rs_push top.reads (R (tv, ver));
-        v
-      end
-
-let eager_wb_write : type a. txn -> a tvar_repr -> a -> unit =
- fun txn tv v ->
-  check_not_aborted txn;
-  let top = txn.top in
-  if Hashtbl.mem top.writes tv.tv_id then
-    Hashtbl.replace top.writes tv.tv_id (W (tv, v))
-  else begin
-    let old = eager_acquire top tv in
-    Hashtbl.add top.writes tv.tv_id (W (tv, v));
-    wids_insert_locked top tv.tv_id old
-  end
-
-(* --- read-locking (visible readers) -------------------------------- *)
-
-(* Acquire a visible read lock: announce in [tv.readers], then revalidate
-   the vlock.  A writer locks the vlock first and only then waits for
-   readers to drain, so observing an unlocked vlock after our increment
-   proves every current and future writer sees us and waits; the value
-   read below cannot change until our count drops at attempt end.  Reads
-   are therefore abort-free once acquired (strict two-phase locking);
-   no commit-time validation is needed. *)
-let rl_read : type a. txn -> a tvar_repr -> a =
- fun txn tv ->
-  check_not_aborted txn;
-  let top = txn.top in
-  if Hashtbl.mem top.writes tv.tv_id then
-    match top.pol.p_version with
-    | Ver_undo -> Atomic.get tv.value (* in place; the table holds undo *)
-    | Ver_redo -> pending_value tv (Hashtbl.find top.writes tv.tv_id)
-  else if rs_mem top.reads tv.tv_id then Atomic.get tv.value
-  else
-    let rec acquire spins =
-      Atomic.incr tv.readers;
-      let ver = Atomic.get tv.vlock in
-      if locked ver then begin
-        Atomic.decr tv.readers;
-        if spins <= 0 then raise Conflict_exn;
-        Domain.cpu_relax ();
-        acquire (spins - 1)
-      end
-      else begin
-        rs_push top.reads (R (tv, ver));
-        Atomic.get tv.value
-      end
-    in
-    acquire tx_spin_bound
-
-(* --- eager_rl_ul: in-place writes, the table holds the undo log ---- *)
-
-let eager_ul_write : type a. txn -> a tvar_repr -> a -> unit =
- fun txn tv v ->
-  check_not_aborted txn;
-  let top = txn.top in
-  if Hashtbl.mem top.writes tv.tv_id then Atomic.set tv.value v
-  else begin
-    let old = eager_acquire top tv in
-    Hashtbl.add top.writes tv.tv_id (W (tv, Atomic.get tv.value));
-    wids_insert_locked top tv.tv_id old;
-    Atomic.set tv.value v
-  end
-
-let strategy_lazy_rv_wb = { st_read = lazy_rv_read; st_write = buffered_write }
-let strategy_eager_rv_wb = { st_read = eager_rv_read; st_write = eager_wb_write }
-let strategy_lazy_rl_wb = { st_read = rl_read; st_write = buffered_write }
-let strategy_eager_rl_ul = { st_read = rl_read; st_write = eager_ul_write }
-
-(* Nested matches, not a tuple match: this runs per [acquire_top] and a
-   tuple scrutinee would allocate. *)
-let strategy_of pol =
-  match pol.p_acquire with
-  | Acq_lazy -> (
-      match pol.p_read with
-      | Read_validate -> strategy_lazy_rv_wb
-      | Read_lock -> strategy_lazy_rl_wb)
-  | Acq_eager -> (
-      match pol.p_version with
-      | Ver_redo -> strategy_eager_rv_wb
-      | Ver_undo -> strategy_eager_rl_ul)
-
-(* Release the policy-owned per-attempt state; runs exactly once per
-   attempt, after the commit published or the abort was decided.  On an
-   aborted eager attempt the write locks are still held: under undo
-   logging the in-place values are rolled back first, then the vlocks
-   restored (in that order, so no committed reader can observe an
-   uncommitted value through an unlocked vlock).  Read-locking policies
-   drop every visible-reader count — including those kept through a
-   write-lock upgrade.  A no-op for the default policy, which owns no
-   visible state between the commit machinery's own acquire/release
-   pairs. *)
-let release_policy_state t ~committed =
-  let pol = t.pol in
-  if pol.p_acquire = Acq_eager && not committed then begin
-    if pol.p_version = Ver_undo then
-      for i = 0 to t.wlen - 1 do
-        let (W (tv, old)) = Hashtbl.find t.writes t.wids.(i) in
-        Atomic.set tv.value old
-      done;
-    for i = 0 to t.wlen - 1 do
-      let (W (tv, _)) = Hashtbl.find t.writes t.wids.(i) in
-      Atomic.set tv.vlock t.acq_old.(i)
-    done
-  end;
-  if pol.p_read = Read_lock then begin
-    let rs = t.reads in
-    for i = 0 to rs.r_len - 1 do
-      let (R (tv, _)) = rs.r_arr.(i) in
-      Atomic.decr tv.readers
-    done
-  end
-
 (* ------------------------------------------------------------------ *)
 
-let make_top ?cm ?prio ?pol () =
+let make_top ?cm ?prio () =
   let rv = Atomic.get clock in
   let cm = match cm with Some c -> c | None -> Atomic.get global_cm in
   let prio = match prio with Some p -> p | None -> fresh_prio () in
-  let pol = match pol with Some p -> p | None -> Atomic.get global_tm_policy in
   let rec t =
     {
       txn_id = fresh_txn_id ();
@@ -1312,8 +973,6 @@ let make_top ?cm ?prio ?pol () =
       prio;
       in_prepare = false;
       self_opt = Some t;
-      pol;
-      strategy = strategy_of pol;
       slots = { live = [||]; n_live = 0; spare = [||]; n_spare = 0 };
     }
   in
@@ -1343,8 +1002,6 @@ let make_child parent =
       prio = parent.top.prio;
       in_prepare = false;
       self_opt = Some t;
-      pol = parent.top.pol;
-      strategy = parent.top.strategy;
       slots = parent.top.slots;
     }
   in
@@ -1367,7 +1024,7 @@ let make_child parent =
 let top_pool_key : txn list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let acquire_top ~cm ~prio ~pol =
+let acquire_top ~cm ~prio =
   let pool = Domain.DLS.get top_pool_key in
   match !pool with
   | t :: rest ->
@@ -1375,11 +1032,9 @@ let acquire_top ~cm ~prio ~pol =
       t.cm <- cm;
       t.prio <- prio;
       t.retries <- 0;
-      t.pol <- pol;
-      t.strategy <- strategy_of pol;
       t.top_status <- Atomic.make Active;
       t
-  | [] -> make_top ~cm ~prio ~pol ()
+  | [] -> make_top ~cm ~prio ()
 
 let release_top t =
   let pool = Domain.DLS.get top_pool_key in

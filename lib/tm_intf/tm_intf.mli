@@ -5,26 +5,6 @@
     code runs on either system, mirroring the paper's claim that the classes
     apply to both hardware and software TM. *)
 
-type policy_support = {
-  ps_eager_acquire : bool;
-      (** The collection tolerates encounter-time write-lock acquisition
-          on the tvars its operations touch. *)
-  ps_read_locking : bool;
-      (** The collection tolerates visible (blocking) read locks on its
-          tvars. *)
-  ps_undo_logging : bool;
-      (** The collection tolerates in-place tvar writes with undo-log
-          rollback (uncommitted values transiently live in the tvar,
-          hidden behind its write lock). *)
-}
-(** A collection's certification of which TM-policy axes it supports,
-    passed to {!TM_OPS.validate_policy} when the collection is created or
-    wraps an existing structure with a pinned policy.  Collections whose
-    transactional state is purely semantic (store buffers, lock tables,
-    commit handlers) support every axis; a collection that bypasses part
-    of the protocol — e.g. one that performs its own in-place mutation
-    with compensating undo — declares the axes its machinery assumes. *)
-
 (** The transactional semantics required by transactional collection classes
     (paper §4): nested transactions (open and closed), commit and abort
     handlers, and program-directed transaction abort. *)
@@ -218,28 +198,6 @@ module type TM_OPS = sig
   (** Maximum committed versions a collection should retain per chain (the
       [keep] argument for [Vchain.publish]); matches the TM's bound for
       tvar chains. *)
-
-  (** {2 TM policy matrix}
-
-      A TM may let callers select the per-tvar read/write/commit protocol
-      — the acquire/read/versioning policy matrix.  Collections interact
-      with it in two ways: they certify which axes their machinery
-      supports ({!policy_support}, checked by {!validate_policy} when a
-      policy is pinned at wrap time), and they may consult
-      {!txn_policy_name} to enforce a pinned policy during their prepare
-      phase.  A TM with a single fixed protocol (the simulated TCC
-      machine) validates names against its fixed point in the matrix. *)
-
-  val validate_policy : support:policy_support -> string -> unit
-  (** [validate_policy ~support name] checks that the TM knows policy
-      [name] and that every axis the policy exercises is supported per
-      [support].  Raises [Invalid_argument] otherwise.  Called at
-      collection wrap/create time, so misconfiguration fails fast rather
-      than mid-workload. *)
-
-  val txn_policy_name : unit -> string
-  (** Name of the TM policy governing the current transaction (the
-      process-wide policy when called outside one). *)
 end
 
 (** Operations a wrapped (underlying) map implementation must provide.  All

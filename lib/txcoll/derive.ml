@@ -145,17 +145,13 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
            structure region, and only maintained when a structural facet
            is in use *)
     local_key : local TM.local_key;
-    pinned_policy : string option;
   }
 
   let default_stripes = 16
 
-  let policy_support = Semlock.policy_support
-
   let track_struct = S.uses_size || S.uses_isempty || S.uses_first
 
-  let create ?(stripes = default_stripes) ?hash ?tm_policy () =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
+  let create ?(stripes = default_stripes) ?hash () =
     if S.uses_first && Option.is_none S.compare_key then
       invalid_arg (S.name ^ ": uses_first requires compare_key");
     (* The first facet is whole-collection state: observing the minimum
@@ -169,10 +165,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       shards = Array.init k (fun _ -> S.create ());
       csize = 0;
       local_key = TM.new_local_key ();
-      pinned_policy = tm_policy;
     }
 
-  let pinned_policy t = t.pinned_policy
   let sregion t = L.struct_region t.locks
   let shard_of t k = t.shards.(L.stripe_index t.locks k)
   let key_region t k = L.region_of_key t.locks k
@@ -261,7 +255,6 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      the TM's commit point so an exception aborts with nothing applied.
      Every critical below re-enters a region the plan already holds. *)
   let prepare_handler t l () =
-    L.check_pinned_policy t.pinned_policy;
     let self = l.txn in
     Coll.Chain_hashmap.iter
       (fun k _ ->

@@ -61,34 +61,7 @@
    thereby serialised before the committing writer, which is not a
    conflict. *)
 
-(* The TM policy support of every collection on this lock manager.  Their
-   transactional state is semantic — store buffers, lock tables, handlers,
-   and in-place work inside [critical] regions — never tvars, so no
-   tvar-level protocol axis can reach the wrapped structure. *)
-let policy_support =
-  {
-    Tm_intf.ps_eager_acquire = true;
-    ps_read_locking = true;
-    ps_undo_logging = true;
-  }
-
 module Make (TM : Tm_intf.TM_OPS) = struct
-  (* Enforces a collection's wrap-time policy pin from its prepare phase,
-     before the TM's commit point, so a transaction mutating the collection
-     under the wrong policy fails fast with nothing applied.  The raise
-     escapes [atomic] un-retried (misconfiguration, not contention);
-     read-only commits skip prepare and are not checked. *)
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
-
   type 'k range = { lo : 'k option; hi : 'k option }
   (* Half-open interval [lo, hi); [None] = unbounded on that side. *)
 

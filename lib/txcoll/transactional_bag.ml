@@ -44,10 +44,7 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
 
   type t = D.t
 
-  let policy_support = D.policy_support
-
-  let create ?stripes ?tm_policy () =
-    D.create ?stripes ~hash:K.hash ?tm_policy ()
+  let create ?stripes () = D.create ?stripes ~hash:K.hash ()
 
   let add t x = D.write_blind t x 1
   let add_n t x n = if n > 0 then D.write_blind t x n
@@ -69,7 +66,6 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
   let fold = D.fold
   let iter = D.iter
   let to_list t = fold (fun k m acc -> (k, m) :: acc) t []
-  let pinned_policy = D.pinned_policy
   let outstanding_locks = D.outstanding_locks
   let stripe_count = D.stripe_count
 end

@@ -7,8 +7,7 @@
 module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) : sig
   type t
 
-  val policy_support : Tm_intf.policy_support
-  val create : ?stripes:int -> ?tm_policy:string -> unit -> t
+  val create : ?stripes:int -> unit -> t
 
   val add : t -> K.t -> unit
   (** Blind: buffers a +1 multiplicity delta, takes no lock. *)
@@ -33,7 +32,6 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) : sig
   val fold : (K.t -> int -> 'acc -> 'acc) -> t -> 'acc -> 'acc
   val iter : (K.t -> int -> unit) -> t -> unit
   val to_list : t -> (K.t * int) list
-  val pinned_policy : t -> string option
   val outstanding_locks : t -> int
   val stripe_count : t -> int
 end

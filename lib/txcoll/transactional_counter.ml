@@ -48,10 +48,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   type t = { d : D.t; shards : int }
 
-  let policy_support = D.policy_support
-
-  let create ?(shards = 16) ?tm_policy () =
-    let d = D.create ~stripes:shards ~hash:(fun k -> k) ?tm_policy () in
+  let create ?(shards = 16) () =
+    let d = D.create ~stripes:shards ~hash:(fun k -> k) () in
     { d; shards = D.stripe_count d }
 
   let shard_key t = (Domain.self () :> int) mod t.shards
@@ -70,7 +68,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
       !sum)
     else D.fold (fun _ v acc -> acc + v) t.d 0
 
-  let pinned_policy t = D.pinned_policy t.d
   let outstanding_locks t = D.outstanding_locks t.d
   let shard_count t = t.shards
 end

@@ -10,9 +10,7 @@
 module Make (TM : Tm_intf.TM_OPS) : sig
   type t
 
-  val policy_support : Tm_intf.policy_support
-
-  val create : ?shards:int -> ?tm_policy:string -> unit -> t
+  val create : ?shards:int -> unit -> t
   (** [shards] (default 16, clamped to the lock table's stripe maximum)
       is the number of independent sub-counters increments spread over. *)
 
@@ -27,7 +25,6 @@ module Make (TM : Tm_intf.TM_OPS) : sig
       under its semantic lock (serialisable, but conflicts with every
       concurrent delta); outside it reads committed state consistently. *)
 
-  val pinned_policy : t -> string option
   val outstanding_locks : t -> int
   val shard_count : t -> int
 end

@@ -120,14 +120,9 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
            they remain visible to other transactions through equals/hash.
            Supplying a copier stores an independent committed copy instead.
            The default is identity — correct for immutable keys. *)
-    pinned_policy : string option;
-        (* TM policy the collection was wrapped with, if any; enforced
-           against the committing transaction's policy in [prepare]. *)
   }
 
   let default_stripes = 16
-
-  let policy_support = Semlock.policy_support
 
   (* ---------------- snapshot shadows ---------------- *)
 
@@ -164,8 +159,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
     !pm
 
   let wrap ?(stripes = default_stripes) ?hash ?(isempty_policy = Dedicated)
-      ?(write_policy = Optimistic) ?(copy_key = Fun.id) ?tm_policy map =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
+      ?(write_policy = Optimistic) ?(copy_key = Fun.id) map =
     let locks = L.create ~stripes ?hash () in
     let k = L.stripe_count locks in
     let shards, csize =
@@ -193,15 +187,10 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
       isempty_policy;
       write_policy;
       copy_key;
-      pinned_policy = tm_policy;
     }
 
-  let create ?stripes ?hash ?isempty_policy ?write_policy ?copy_key ?tm_policy
-      () =
-    wrap ?stripes ?hash ?isempty_policy ?write_policy ?copy_key ?tm_policy
-      (M.create ())
-
-  let pinned_policy t = t.pinned_policy
+  let create ?stripes ?hash ?isempty_policy ?write_policy ?copy_key () =
+    wrap ?stripes ?hash ?isempty_policy ?write_policy ?copy_key (M.create ())
 
   let sregion t = L.struct_region t.locks
   let shard_of t k = t.shards.(L.stripe_index t.locks k)
@@ -274,7 +263,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
      TM's commit point so an exception here aborts with nothing applied.
      Every critical below re-enters a region the plan already holds. *)
   let prepare_handler t l () =
-    L.check_pinned_policy t.pinned_policy;
     let self = l.txn in
     Coll.Chain_hashmap.iter
       (fun k _ ->

@@ -45,7 +45,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
     ?isempty_policy:isempty_policy ->
     ?write_policy:write_policy ->
     ?copy_key:(M.key -> M.key) ->
-    ?tm_policy:string ->
     unit ->
     'v t
   (** Create a map with a fresh underlying [M.t].
@@ -62,17 +61,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
       [copy_key] stores independent copies of keys in the shared lock
       table, preventing the §5.1 "leaking uncommitted data" hazard for
       mutable or not-yet-committed key objects (default: identity, correct
-      for immutable keys).
-
-      [tm_policy] pins the collection to one TM policy (by name, e.g.
-      ["lazy_rv_wb"]; see [Stm.Policy]).  The name and this collection's
-      axis support are validated here — an unknown or unsupported policy
-      raises [Invalid_argument] at creation.  Thereafter every mutating
-      commit's prepare phase checks the committing transaction's policy
-      against the pin and raises [Invalid_argument] on mismatch (escaping
-      [atomic] un-retried: misconfiguration, not contention).  Read-only
-      commits take the fast path without a prepare phase and are not
-      checked. *)
+      for immutable keys). *)
 
   val wrap :
     ?stripes:int ->
@@ -80,7 +69,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
     ?isempty_policy:isempty_policy ->
     ?write_policy:write_policy ->
     ?copy_key:(M.key -> M.key) ->
-    ?tm_policy:string ->
     'v M.t ->
     'v t
   (** Wrap an existing underlying map (its bindings are migrated into the
@@ -89,9 +77,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
 
   val stripe_count : 'v t -> int
   (** Number of key stripes this map was created with. *)
-
-  val pinned_policy : 'v t -> string option
-  (** The [tm_policy] the map was created with, if any. *)
 
   (** {1 Point operations} *)
 

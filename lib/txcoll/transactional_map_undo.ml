@@ -42,33 +42,17 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
     map : 'v M.t;
     locks : M.key L.t;
     local_key : 'v local TM.local_key;
-    pinned_policy : string option;
-        (* TM policy the map was wrapped with, if any; enforced against
-           the committing transaction's policy in [prepare]. *)
   }
-
-  (* The in-place updates happen inside [critical] regions, never through
-     tvars.  The collection is itself the encounter-time point of the
-     design space; a matching pin is [eager_rl_ul], but any policy is
-     sound. *)
-  let policy_support = Semlock.policy_support
 
   (* A single stripe (K = 1): in-place updates plus an undo log need one
      atomic view of the whole map (size is read live, compensation replays
      against it), so the lock manager's structure region — which K = 1
      shares with its only key stripe — serialises everything, exactly the
      historical single-region behaviour. *)
-  let wrap ?tm_policy map =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
-    {
-      map;
-      locks = L.create ~stripes:1 ();
-      local_key = TM.new_local_key ();
-      pinned_policy = tm_policy;
-    }
+  let wrap map =
+    { map; locks = L.create ~stripes:1 (); local_key = TM.new_local_key () }
 
-  let create ?tm_policy () = wrap ?tm_policy (M.create ())
-  let pinned_policy t = t.pinned_policy
+  let create () = wrap (M.create ())
   let critical t f = TM.critical (L.struct_region t.locks) f
 
   let cleanup t l = L.release_all t.locks l.txn ~keys:l.key_locks
@@ -77,7 +61,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
      before the TM's commit point) detects the remaining abstract-state
      conflicts, the apply phase only releases. *)
   let prepare_handler t l () =
-    L.check_pinned_policy t.pinned_policy;
     critical t (fun () ->
         if l.delta <> 0 then begin
           L.conflict_size t.locks ~self:l.txn;

@@ -8,18 +8,8 @@
 module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
   type 'v t
 
-  val create : ?tm_policy:string -> unit -> 'v t
-  (** [tm_policy] pins the map to one TM policy by name (see [Stm.Policy]
-      and {!Transactional_map.Make.create}): validated here, enforced
-      against the committing transaction's policy in every mutating
-      commit's prepare phase.  This collection is itself the
-      encounter-time/undo point of the design space, so [eager_rl_ul] is
-      the natural pin, but any policy is sound. *)
-
-  val wrap : ?tm_policy:string -> 'v M.t -> 'v t
-
-  val pinned_policy : 'v t -> string option
-  (** The [tm_policy] the map was created with, if any. *)
+  val create : unit -> 'v t
+  val wrap : 'v M.t -> 'v t
 
   val find : 'v t -> M.key -> 'v option
   (** Retries transparently while another transaction write-locks the key. *)

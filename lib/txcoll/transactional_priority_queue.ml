@@ -58,8 +58,7 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
 
   type t = D.t
 
-  let policy_support = D.policy_support
-  let create ?tm_policy () = D.create ?tm_policy ()
+  let create () = D.create ()
   let insert t p = D.write_blind t p 1
   let count t p = Option.value (D.find t p) ~default:0
   let peek_min t = D.min_view t
@@ -84,6 +83,5 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
   let fold = D.fold
   let iter = D.iter
   let to_list t = List.rev (fold (fun p m acc -> (p, m) :: acc) t [])
-  let pinned_policy = D.pinned_policy
   let outstanding_locks = D.outstanding_locks
 end

@@ -10,8 +10,7 @@
 module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) : sig
   type t
 
-  val policy_support : Tm_intf.policy_support
-  val create : ?tm_policy:string -> unit -> t
+  val create : unit -> t
 
   val insert : t -> P.t -> unit
   (** Blind +1 multiplicity delta; inserts never conflict each other. *)
@@ -38,6 +37,5 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) : sig
 
   val iter : (P.t -> int -> unit) -> t -> unit
   val to_list : t -> (P.t * int) list
-  val pinned_policy : t -> string option
   val outstanding_locks : t -> int
 end

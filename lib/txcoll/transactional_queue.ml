@@ -42,19 +42,13 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
     snap : 'v Coll.Pdeque.t Coll.Vchain.t;
         (* immutable images of [queue]; published only while the structure
            region is held, so [Vchain.latest] is the current image there *)
-    pinned_policy : string option;
-        (* TM policy the queue was wrapped with, if any; enforced against
-           the committing transaction's policy in [prepare]. *)
   }
-
-  let policy_support = Semlock.policy_support
 
   (* A single stripe (K = 1): the queue's isolation is already reduced —
      takes hit the underlying queue at operation time — so every operation
      serialises on the lock manager's structure region, which doubles as
      the commit region. *)
-  let wrap ?tm_policy queue =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
+  let wrap queue =
     (* QUEUE_OPS has no iteration, so the initial image drains and refills
        the wrapped queue (wrap-time is quiescent: the caller hands the
        queue over and must not touch it afterwards). *)
@@ -74,11 +68,9 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
       locks = L.create ~stripes:1 ();
       local_key = TM.new_local_key ();
       snap = Coll.Vchain.make 0 (Coll.Pdeque.of_list items);
-      pinned_policy = tm_policy;
     }
 
-  let create ?tm_policy () = wrap ?tm_policy (Q.create ())
-  let pinned_policy t = t.pinned_policy
+  let create () = wrap (Q.create ())
   let critical t f = TM.critical (L.struct_region t.locks) f
 
   (* Publish the next queue image at [stamp].  Caller holds the structure
@@ -103,7 +95,6 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
      additions becoming visible invalidate transactions that observed an
      empty queue (Table 8: put conflicts "if now non-empty"). *)
   let prepare_handler t l () =
-    L.check_pinned_policy t.pinned_policy;
     critical t (fun () ->
         if not (Coll.Fifo_deque.is_empty l.add_buffer) then
           L.conflict_isempty t.locks ~self:l.txn)

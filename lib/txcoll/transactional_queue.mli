@@ -20,16 +20,8 @@
 module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) : sig
   type 'v t
 
-  val create : ?tm_policy:string -> unit -> 'v t
-  (** [tm_policy] pins the queue to one TM policy by name (see
-      [Stm.Policy] and {!Transactional_map.Make.create}): validated here,
-      enforced against the committing transaction's policy in every
-      enqueueing commit's prepare phase. *)
-
-  val wrap : ?tm_policy:string -> 'v Q.t -> 'v t
-
-  val pinned_policy : 'v t -> string option
-  (** The [tm_policy] the queue was created with, if any. *)
+  val create : unit -> 'v t
+  val wrap : 'v Q.t -> 'v t
 
   val put : 'v t -> 'v -> unit
   (** Enqueue at commit time; discarded if the transaction aborts. *)

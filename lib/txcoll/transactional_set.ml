@@ -46,8 +46,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
 
   type t = D.t
 
-  let policy_support = D.policy_support
-  let create ?stripes ?hash ?tm_policy () = D.create ?stripes ?hash ?tm_policy ()
+  let create ?stripes ?hash () = D.create ?stripes ?hash ()
   let add t k = Option.is_none (D.write t k true ~blind:false)
   let remove t k = Option.is_some (D.write t k false ~blind:false)
   let add_blind t k = D.write_blind t k true
@@ -58,7 +57,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
   let fold f t init = D.fold (fun k () acc -> f k acc) t init
   let iter f t = D.iter (fun k () -> f k) t
   let to_list t = fold (fun k acc -> k :: acc) t []
-  let pinned_policy = D.pinned_policy
   let outstanding_locks = D.outstanding_locks
   let stripe_count = D.stripe_count
 end

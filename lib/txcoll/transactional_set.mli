@@ -9,10 +9,7 @@
 module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
   type t
 
-  val policy_support : Tm_intf.policy_support
-
-  val create :
-    ?stripes:int -> ?hash:(M.key -> int) -> ?tm_policy:string -> unit -> t
+  val create : ?stripes:int -> ?hash:(M.key -> int) -> unit -> t
 
   val add : t -> M.key -> bool
   (** [true] when newly added (reads the element: takes its key lock). *)
@@ -28,7 +25,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
   val fold : (M.key -> 'acc -> 'acc) -> t -> 'acc -> 'acc
   val iter : (M.key -> unit) -> t -> unit
   val to_list : t -> M.key list
-  val pinned_policy : t -> string option
 
   val outstanding_locks : t -> int
   (** Total semantic-lock registrations in the set's lock table — 0 when

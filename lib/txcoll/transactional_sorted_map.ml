@@ -96,18 +96,12 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
     isempty_policy : isempty_policy;
     write_policy : write_policy;
     copy_key : M.key -> M.key;
-    pinned_policy : string option;
-        (* TM policy the collection was wrapped with, if any; enforced
-           against the committing transaction's policy in [prepare]. *)
   }
 
   type 'v view = { parent : 'v t; lo : M.key option; hi : M.key option }
 
-  let policy_support = Semlock.policy_support
-
   let wrap ?(splitters = []) ?(isempty_policy = Dedicated)
-      ?(write_policy = Optimistic) ?(copy_key = Fun.id) ?tm_policy map =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
+      ?(write_policy = Optimistic) ?(copy_key = Fun.id) map =
     let locks =
       L.create_intervals ~splitters:(Array.of_list splitters)
         ~compare:M.compare_key ()
@@ -142,14 +136,10 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
       isempty_policy;
       write_policy;
       copy_key;
-      pinned_policy = tm_policy;
     }
 
-  let create ?splitters ?isempty_policy ?write_policy ?copy_key ?tm_policy () =
-    wrap ?splitters ?isempty_policy ?write_policy ?copy_key ?tm_policy
-      (M.create ())
-
-  let pinned_policy t = t.pinned_policy
+  let create ?splitters ?isempty_policy ?write_policy ?copy_key () =
+    wrap ?splitters ?isempty_policy ?write_policy ?copy_key (M.create ())
 
   let compare_key = M.compare_key
   let sregion t = L.struct_region t.locks
@@ -299,7 +289,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
      rather than deferring it (committer wins, as in the seed semantics).
      All criticals below only re-enter regions the plan holds. *)
   let prepare_handler t l () =
-    L.check_pinned_policy t.pinned_policy;
     if not (Coll.Ordmap.is_empty l.buffer) then begin
       let self = l.txn in
       Coll.Ordmap.iter

@@ -26,7 +26,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
     ?isempty_policy:isempty_policy ->
     ?write_policy:write_policy ->
     ?copy_key:(M.key -> M.key) ->
-    ?tm_policy:string ->
     unit ->
     'v t
   (** [splitters] cuts the key space into B = [length splitters + 1]
@@ -37,19 +36,13 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
       names only the intervals its buffered keys and locked ranges touch
       (plus the structure region on presence changes; removals still plan
       every region for the endpoint rescan).  The default (no splitters) is
-      a single interval — exactly the historical unsharded behaviour.
-
-      [tm_policy] pins the collection to one TM policy by name (see
-      [Stm.Policy] and {!Transactional_map.Make.create}): validated here,
-      enforced against the committing transaction's policy in every
-      mutating commit's prepare phase. *)
+      a single interval — exactly the historical unsharded behaviour. *)
 
   val wrap :
     ?splitters:M.key list ->
     ?isempty_policy:isempty_policy ->
     ?write_policy:write_policy ->
     ?copy_key:(M.key -> M.key) ->
-    ?tm_policy:string ->
     'v M.t ->
     'v t
 
@@ -57,9 +50,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
 
   val stripe_count : 'v t -> int
   (** Number of intervals B. *)
-
-  val pinned_policy : 'v t -> string option
-  (** The [tm_policy] the map was created with, if any. *)
 
   (** {1 Point operations} (as TransactionalMap) *)
 

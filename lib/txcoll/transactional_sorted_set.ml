@@ -6,10 +6,9 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
 
   type t = unit Map.t
 
-  let create ?splitters ?isempty_policy ?tm_policy () : t =
-    Map.create ?splitters ?isempty_policy ?tm_policy ()
+  let create ?splitters ?isempty_policy () : t =
+    Map.create ?splitters ?isempty_policy ()
 
-  let pinned_policy (t : t) = Map.pinned_policy t
   let mem (t : t) k = Map.mem t k
   let add (t : t) k = Map.put t k () = None
   let add_blind (t : t) k = Map.put_blind t k ()

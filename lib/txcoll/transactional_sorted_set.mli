@@ -6,16 +6,14 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
 
   type t = unit Map.t
 
-  (** [splitters]/[tm_policy] as in
+  (** [splitters] as in
       {!Transactional_sorted_map.Make.create}. *)
   val create :
     ?splitters:M.key list ->
     ?isempty_policy:Map.isempty_policy ->
-    ?tm_policy:string ->
     unit ->
     t
 
-  val pinned_policy : t -> string option
   val mem : t -> M.key -> bool
   val add : t -> M.key -> bool
   val add_blind : t -> M.key -> unit

@@ -250,12 +250,22 @@ let test_remote_abort_settlement_vs_snapshots () =
     (Stm.in_flight_transactions ())
 
 let test_soak_karma_smoke () =
-  let r =
-    Chaos.run_soak
-      (Chaos.default_soak ~policy:Stm.Contention.Karma ~domains:2
-         ~ops_per_domain:400 ~seed:7 0.05)
+  let sc =
+    Chaos.default_soak ~policy:Stm.Contention.Karma ~domains:2
+      ~ops_per_domain:400 ~seed:7 0.05
   in
-  if not r.ok then Alcotest.failf "karma soak: %s" (String.concat "; " r.errors)
+  let r = Chaos.run_soak sc in
+  if not r.ok then Alcotest.failf "karma soak: %s" (String.concat "; " r.errors);
+  (* A failing report names the manager the soak ran under and replays
+     from the seed alone. *)
+  let expected = "[seed=7 section=soak.final cm=karma " in
+  let prefix = Chaos.soak_context sc ~section:"soak.final" in
+  Alcotest.(check string) "failure prefix names the contention manager"
+    expected
+    (String.sub prefix 0 (min (String.length prefix) (String.length expected)));
+  Alcotest.(check string) "repro line"
+    "reproduce: CHAOS_SEEDS=7 dune exec bench/main.exe -- chaos"
+    (Chaos.repro_hint ~target:"chaos" sc.chaos)
 
 (* ---------------- failover (kill/recover) soak ---------------- *)
 

@@ -6,5 +6,5 @@ let () =
    @ Test_sim_ds.suites @ Test_harness.suites @ Test_jbb.suites @ Test_alt_underlying.suites @ Test_alternatives.suites @ Test_serializability.suites @ Test_key_leak.suites @ Test_stm_advanced.suites @ Test_stm_readset.suites @ Test_sim_deeper.suites @ Test_equivalence.suites @ Test_soak.suites @ Test_semlock.suites @ Test_sets.suites
    @ Test_contention.suites @ Test_chaos.suites @ Test_stm_scaling.suites
    @ Test_striping.suites @ Test_snapshot.suites @ Test_places.suites
-   @ Test_policy.suites @ Test_openloop.suites @ Test_derive.suites
+   @ Test_openloop.suites @ Test_derive.suites
    @ Test_txn_local.suites)

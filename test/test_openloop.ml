@@ -1,6 +1,6 @@
 (* Open-loop harness pieces: the Hdr histogram's accuracy contract, the
-   admission gate's rejection ledger, the Poisson generator's request
-   accounting, and the adaptive controller's minimum-window guard. *)
+   admission gate's rejection ledger and the Poisson generator's request
+   accounting. *)
 
 module Stm = Tcc_stm.Stm
 module Tvar = Tcc_stm.Tvar
@@ -289,50 +289,6 @@ let test_rate_search_finds_knee () =
   Alcotest.(check bool) "knee is sustainable" true
     (knee.OL.dropped = 0 && knee.OL.shed = 0)
 
-(* ---------------- adaptive minimum window ---------------- *)
-
-let test_adaptive_min_window () =
-  (* With a tiny epoch, write-heavy traffic that stops short of
-     [min_window_commits] must not move the policy: every tick sees an
-     under-sampled window and skips it without advancing the baselines.
-     Continuing the same traffic past two full windows then switches. *)
-  Fun.protect
-    ~finally:(fun () ->
-      Stm.Policy.disable_adaptive ();
-      Stm.Policy.set_global Stm.Policy.lazy_rv_wb)
-  @@ fun () ->
-  let min_w = Stm.Policy.min_window_commits in
-  Alcotest.(check bool) "min window is real" true (min_w >= 8);
-  let tvs = Array.init 64 (fun _ -> Tvar.make 0) in
-  let write_heavy i =
-    Stm.atomic (fun () ->
-        for j = 0 to 7 do
-          let t = tvs.((i + (j * 9)) land 63) in
-          Tvar.set t (Tvar.get t + 1)
-        done)
-  in
-  let sw0 = Stm.Policy.switches () in
-  Stm.Policy.enable_adaptive ~epoch:8 ();
-  (* Phase 1: fewer commits than one evaluable window.  Ticks fire every
-     8 commits but each window is under-sampled -> skipped. *)
-  for i = 1 to min_w - 8 do
-    write_heavy i
-  done;
-  Alcotest.(check int) "under-sampled windows never switch" sw0
-    (Stm.Policy.switches ());
-  Alcotest.(check string) "policy unmoved" "lazy_rv_wb"
-    (Stm.Policy.name (Stm.Policy.global ()));
-  (* Phase 2: same traffic, enough commits for two evaluated windows
-     (hysteresis) — the skipped commits above roll into the first one. *)
-  for i = 1 to (3 * min_w) + 16 do
-    write_heavy i
-  done;
-  Alcotest.(check bool) "full windows switch" true
-    (Stm.Policy.switches () > sw0);
-  Alcotest.(check string) "converged to the undo-logging policy"
-    "eager_rl_ul"
-    (Stm.Policy.name (Stm.Policy.global ()))
-
 let suites =
   [
     ( "harness.hdr",
@@ -364,7 +320,5 @@ let suites =
           test_openloop_shed_counted;
         Alcotest.test_case "rate search finds a knee" `Slow
           test_rate_search_finds_knee;
-        Alcotest.test_case "adaptive min window" `Quick
-          test_adaptive_min_window;
       ] );
   ]

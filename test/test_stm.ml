@@ -277,6 +277,29 @@ let prop_abort_never_leaks =
         writes;
       Tvar.get v = 0)
 
+(* Bit-for-bit guard for the tvar protocol: a fixed single-domain
+   transaction program must produce exactly these counters.  Any drift
+   here means the commit path changed. *)
+let test_lazy_stats_pinned () =
+  Stm.reset_stats ();
+  let v = Tvar.make 0 and w = Tvar.make 0 in
+  for i = 1 to 3 do
+    Stm.atomic (fun () ->
+        Tvar.set v i;
+        Tvar.set w (Tvar.get v + i))
+  done;
+  for _ = 1 to 2 do
+    ignore (Stm.atomic (fun () -> Tvar.get v + Tvar.get w))
+  done;
+  let s = Stm.global_stats () in
+  check "commits" 5 s.commits;
+  check "read-only fast-path commits" 2 s.read_only_commits;
+  check "clock bumps (one per mutating commit)" 3 s.clock_bumps;
+  check "conflict aborts" 0 s.conflict_aborts;
+  check "remote aborts" 0 s.remote_aborts;
+  check "handler failures" 0 s.handler_failures;
+  check "final value" 6 (Tvar.get w)
+
 let suites =
   [
     ( "stm.basic",
@@ -286,6 +309,8 @@ let suites =
         Alcotest.test_case "self abort" `Quick test_self_abort;
         Alcotest.test_case "non-transactional access" `Quick test_nontx_access;
         Alcotest.test_case "modify" `Quick test_modify;
+        Alcotest.test_case "lazy_rv_wb stats pinned" `Quick
+          test_lazy_stats_pinned;
       ] );
     ( "stm.nesting",
       [

@@ -2,8 +2,8 @@
    lazily aggregated) statistics under a multi-domain workload, the
    read-only commit fast path (clock untouched, serializability and chaos
    injection preserved), uniqueness of block-leased transaction ids, the
-   one-bump-per-writing-commit clock invariant, and the allocation bound
-   the pooled descriptors buy the retry loop. *)
+   one-bump-per-writing-commit clock invariant, and the allocation bounds
+   of the pooled retry loop and of commit-plan construction. *)
 
 module Stm = Tcc_stm.Stm
 module Tvar = Tcc_stm.Tvar
@@ -168,6 +168,40 @@ let test_retry_loop_allocation_free () =
     (Printf.sprintf "empty atomic allocates %.1f words (< 80)" per)
     true (per < 80.)
 
+(* Commit-region plan construction must stay O(regions) per commit: one
+   transaction writing one present key in each of [n] single-stripe maps
+   registers [n] handlers whose merged region plan has [n] regions.
+   Minor-heap words per commit growing ~linearly in [n] (ratio bounded
+   well under the quadratic blowup) is the micro-assert backing the
+   rid-sorted-merge dedup in [commit_regions]. *)
+let test_commit_plan_allocation_linear () =
+  let mk n =
+    Array.init n (fun _ ->
+        let m = IM.create ~stripes:1 () in
+        ignore (IM.put m 0 0);
+        m)
+  in
+  let words_per_commit maps =
+    let body () = Array.iter (fun m -> ignore (IM.put m 0 1)) maps in
+    for _ = 1 to 50 do
+      Stm.atomic body
+    done;
+    let reps = 200 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      Stm.atomic body
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int reps
+  in
+  let small = words_per_commit (mk 16) in
+  let large = words_per_commit (mk 64) in
+  let ratio = large /. small in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "16 regions %.1f words/commit, 64 regions %.1f (ratio %.2f <= 6.0)"
+       small large ratio)
+    true (ratio <= 6.0)
+
 let suites =
   [
     ( "stm_scaling",
@@ -186,5 +220,7 @@ let suites =
           test_one_bump_per_writing_commit;
         Alcotest.test_case "pooled retry loop is allocation-free" `Quick
           test_retry_loop_allocation_free;
+        Alcotest.test_case "commit-plan allocation linear in regions" `Quick
+          test_commit_plan_allocation_linear;
       ] );
   ]

@@ -415,7 +415,6 @@ module type ENDPOINT_MAP = sig
     ?isempty_policy:isempty_policy ->
     ?write_policy:write_policy ->
     ?copy_key:(int -> int) ->
-    ?tm_policy:string ->
     unit ->
     'v t
 
