@@ -1148,6 +1148,9 @@ type failover_report = {
   fv_injections : int * int * int * int;
 }
 
+(* Operations each writer issues after the final recovery. *)
+let failover_tail_ops = 16
+
 let mode_name = function
   | Places.Eager -> "eager"
   | Places.Lazy _ -> "lazy"
@@ -1212,7 +1215,7 @@ let run_failover_soak fc =
           errs :=
             (ctx () ^ "transaction raised: " ^ Printexc.to_string e) :: !errs
     in
-    for i = 1 to fc.fo_ops_per_domain do
+    let op i =
       let k = own () in
       let dice = rand_int rng 100 in
       if dice < 45 then
@@ -1261,7 +1264,25 @@ let run_failover_soak fc =
                 :: !errs)
       end;
       Atomic.incr ops_done
+    in
+    for i = 1 to fc.fo_ops_per_domain do
+      op i
     done;
+    (* [fo_ops_per_domain] is a floor.  The writer then waits for the
+       controller's final recovery (its last kill threshold lies below the
+       writers' total quota, so the recovery always comes) and issues a
+       bounded tail.  "Commits after the last failover" thus checks that
+       the recovered store takes commits, not that the quota outlasted the
+       kill window; a store that stays down refuses the whole tail and
+       fails the check. *)
+    if fc.fo_kills > 0 then begin
+      while not (Atomic.get after_failover) do
+        Unix.sleepf 0.0002
+      done;
+      for i = 1 to failover_tail_ops do
+        op (fc.fo_ops_per_domain + i)
+      done
+    end;
     (model, !committed, List.rev !errs)
   in
   let reader () =

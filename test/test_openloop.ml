@@ -82,7 +82,8 @@ let test_hdr_merge () =
 let test_hdr_p99_exact_parity () =
   (* [p99_us] replaced an inline concat-sort-index block at every
      closed-loop bench site; it must reproduce that block bit for bit so
-     recorded BENCH trajectories stay comparable. *)
+     the p99 columns of the bench tables stay comparable across
+     versions. *)
   let rng = Chaos.stream_of_seed 0x99 3 in
   let lats =
     List.init 4 (fun _ ->

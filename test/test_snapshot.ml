@@ -185,6 +185,70 @@ let test_snapshot_sorted_map_pinned_vs_writers () =
         (SM.fold (fun k _ acc -> k :: acc) m []));
   Alcotest.(check int) "live size" 60 (Stm.snapshot (fun () -> SM.size m))
 
+(* The snapshot rows of the stmscale bench, at its sizes (20 000 sections
+   per domain): snapshot finds on one shared un-striped map, and
+   cross-interval folds on an 8-interval sorted map, take no commit region
+   and never abort at any domain count. *)
+let sections_per_domain = 20_000
+
+let aborts () =
+  let s = Stm.global_stats () in
+  s.conflict_aborts + s.remote_aborts + s.explicit_aborts
+
+let check_region_and_abort_free label ~domains section =
+  let a0 = aborts () and w0 = Stm.commit_region_waits () in
+  List.init domains (fun d ->
+      Domain.spawn (fun () ->
+          for i = 1 to sections_per_domain do
+            Stm.snapshot (fun () -> section d i)
+          done))
+  |> List.iter Domain.join;
+  Alcotest.(check int)
+    (Printf.sprintf "%s, %d domains: aborts" label domains)
+    0
+    (aborts () - a0);
+  Alcotest.(check int)
+    (Printf.sprintf "%s, %d domains: region waits" label domains)
+    0
+    (Stm.commit_region_waits () - w0)
+
+let test_snapshot_rows_region_and_abort_free () =
+  let keys = 1024 in
+  let m = IM.create ~stripes:1 () in
+  for k = 0 to keys - 1 do
+    ignore (IM.put m k k)
+  done;
+  List.iter
+    (fun domains ->
+      check_region_and_abort_free "map find" ~domains (fun d i ->
+          ignore (IM.find m (((d * 37) + i) land (keys - 1)))))
+    [ 1; 2; 4; 8 ];
+  (* Domain d's keys [d*K, (d+1)*K) form interval d; each fold reads a
+     window straddling the upper boundary of its domain's interval. *)
+  let per_domain = 1024 and intervals = 8 in
+  let cores = Domain.recommended_domain_count () in
+  List.iter
+    (fun domains ->
+      let sm =
+        SM.create
+          ~splitters:(List.init (intervals - 1) (fun i -> (i + 1) * per_domain))
+          ()
+      in
+      for k = 0 to (domains * per_domain) - 1 do
+        ignore (SM.put sm k 0)
+      done;
+      check_region_and_abort_free "sorted cross-interval fold" ~domains
+        (fun d i ->
+          let edge = min ((d + 1) * per_domain) ((domains * per_domain) - 16) in
+          ignore (SM.find sm ((d * per_domain) + (i land (per_domain - 1))));
+          ignore
+            (SM.fold_range
+               (fun _ _ n -> n + 1)
+               sm 0
+               ~lo:(Some (edge - 16))
+               ~hi:(Some (edge + 16)))))
+    (List.filter (fun d -> d <= max 4 cores) [ 1; 2; 4; 8 ])
+
 (* ---------------- reclamation properties (QCheck) ---------------- *)
 
 (* A pinned reader keeps resolving its pinned version no matter how many
@@ -425,6 +489,8 @@ let suites =
         Alcotest.test_case "queue peek/length" `Quick test_snapshot_queue;
         Alcotest.test_case "sorted map pinned vs writers" `Quick
           test_snapshot_sorted_map_pinned_vs_writers;
+        Alcotest.test_case "multi-domain rows region- and abort-free" `Quick
+          test_snapshot_rows_region_and_abort_free;
       ] );
     ( "snapshot.reclamation",
       [
