@@ -1,6 +1,6 @@
-(* Bounded multi-version chain: the last K committed versions of one cell,
-   newest first, each stamped with the commit-clock value that published
-   it.  The chain is a singly linked list of nodes behind an [Atomic.t]
+(* Multi-version chain of one cell: the versions a snapshot reader can
+   still resolve, newest first, each stamped with the commit-clock value
+   that published it.  A singly linked list of nodes behind an [Atomic.t]
    head; a node's stamp and value are immutable, its [next] link is the
    only mutable word:
 
@@ -12,26 +12,33 @@
      so publication is a plain read-modify-write, no CAS loop.
 
    Publication prepends one node (4 words) and reclaims in place: it cuts
-   the tail after index max(first entry stamped <= min_epoch, keep - 1) by
+   the tail right after the first entry stamped <= [min_epoch] by
    overwriting that node's [next] with [Nil].  Nothing else is copied, so
    a publication allocates one node however long the chain is, and the
    surviving nodes — long-lived, hence promoted — are never rebuilt.
 
-   Why the cut is safe against concurrent readers.  [min_epoch] is the
-   oldest epoch any present or future snapshot reader can resolve (the
-   clock-first pin protocol in [Types]: a reader pinned now or later has
-   a stamp >= [min_epoch]).  Stamps descend along the chain, so the cut
-   node [c] — at or after the first entry stamped <= [min_epoch] — has
-   [c.stamp <= min_epoch <= ts] for every such reader [ts].  A walk stops
-   at the first node stamped <= [ts] and reads the [next] link only of
-   nodes stamped above [ts]; it therefore stops at [c] or earlier and
-   never reads the one word the cut writes.  This holds even for a reader
-   that loaded an older head: its walk is a suffix of the current chain
-   and meets the same nodes.  When no entry is stamped <= [min_epoch], a
-   reader pinned at the oldest epoch may still need the whole tail, so
-   nothing is cut (grow-only under a long-pinned reader, never blocking
-   the writer); once the oldest reader epoch advances, the next
-   publication trims the chain back to the bound. *)
+   What is retained.  [min_epoch] is the oldest epoch any present or
+   future snapshot reader can resolve (the clock-first pin protocol in
+   [Types]: a reader pinned now or later has a stamp >= [min_epoch]).
+   The first entry stamped <= [min_epoch] is what a reader pinned at
+   [min_epoch] resolves, the entries before it may be later pins'
+   versions, and every entry after it is shadowed for all such readers.
+   A publisher's window sample is below its stamp, so the new head is
+   stamped above [min_epoch] and a chain with no reader pinned and no
+   other publication in flight settles at two entries: the new head and
+   the version it replaced.  A TM without snapshots passes [max_int] and
+   keeps the head alone.
+
+   Why the cut is safe against concurrent readers.  Stamps descend along
+   the chain, so the cut node [c] has [c.stamp <= min_epoch <= ts] for
+   every reader [ts] above.  A walk stops at the first node stamped
+   <= [ts] and reads the [next] link only of nodes stamped above [ts]; it
+   therefore stops at [c] or earlier and never reads the one word the cut
+   writes.  This holds even for a reader that loaded an older head: its
+   walk is a suffix of the current chain and meets the same nodes.  When
+   no entry is stamped <= [min_epoch] nothing is cut: the chain grows
+   under a long-pinned reader instead of blocking the writer, and the
+   first publication after the reader's epoch advances cuts it back. *)
 
 type 'a node = Nil | Node of { stamp : int; v : 'a; mutable next : 'a node }
 type 'a t = 'a node Atomic.t
@@ -74,29 +81,25 @@ let read_at t ts =
   | Nil -> assert false
   | Node r as head -> find_or ts r.v head
 
-(* Cut the chain after index max(first entry stamped <= min_epoch,
-   keep - 1); returns the number of nodes cut off.  [seen]: some entry at
-   an index <= [i] is stamped <= min_epoch. *)
-let rec trim ~keep ~min_epoch i seen = function
+(* Cut the chain right after its first entry stamped <= [min_epoch];
+   returns the number of nodes cut off. *)
+let rec trim min_epoch = function
   | Nil -> 0
-  | Node r ->
-      let seen = seen || r.stamp <= min_epoch in
-      if seen && i >= keep - 1 then begin
-        let dropped = count 0 r.next in
-        r.next <- Nil;
-        dropped
-      end
-      else trim ~keep ~min_epoch (i + 1) seen r.next
+  | Node r when r.stamp <= min_epoch ->
+      let dropped = count 0 r.next in
+      r.next <- Nil;
+      dropped
+  | Node r -> trim min_epoch r.next
 
 (* Publish a new version stamped [stamp] and lazily reclaim shadowed
-   entries beyond the bound.  Publishers are serialised per chain and
-   stamps grow monotonically (each publisher advances the commit clock
-   while holding the serialising lock), so the plain insert-at-head is
-   order-correct; the in-place sorted insert below is a defensive
-   fallback for a stamp race that the locking discipline should make
-   impossible (a reader walking past the splice sees either link, both
-   valid chains).  Returns the number of versions reclaimed. *)
-let publish t ~keep ~min_epoch stamp v =
+   entries.  Publishers are serialised per chain and stamps grow
+   monotonically (each publisher advances the commit clock while holding
+   the serialising lock), so the plain insert-at-head is order-correct;
+   the in-place sorted insert below is a defensive fallback for a stamp
+   race that the locking discipline should make impossible (a reader
+   walking past the splice sees either link, both valid chains).
+   Returns the number of versions reclaimed. *)
+let publish t ~min_epoch stamp v =
   (match Atomic.get t with
   | Node r as head when r.stamp >= stamp ->
       (* Out-of-order stamp (defensive): splice after the last node
@@ -110,4 +113,4 @@ let publish t ~keep ~min_epoch stamp v =
       in
       ins head
   | head -> Atomic.set t (Node { stamp; v; next = head }));
-  trim ~keep ~min_epoch 0 false (Atomic.get t)
+  trim min_epoch (Atomic.get t)

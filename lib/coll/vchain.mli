@@ -1,8 +1,9 @@
-(** Bounded multi-version chain: the last K committed versions of one
-    cell, stamped with the commit clock, read lock-free by snapshot
-    readers and trimmed lazily against the oldest active reader epoch.
-    Publishers must be externally serialised per chain (a versioned lock
-    or commit region); readers need no synchronisation at all. *)
+(** Multi-version chain of one cell: committed versions newest first,
+    stamped with the commit clock, read lock-free by snapshot readers and
+    cut on every publication right after the version a reader pinned at
+    the oldest active reader epoch resolves (with no reader pinned, the
+    newest version and the one before it).  Publishers must be externally
+    serialised per chain (a versioned lock or commit region). *)
 
 type 'a t
 
@@ -27,9 +28,9 @@ val read_at_opt : 'a t -> int -> 'a option
 (** As {!read_at} but [None] instead of the fallback — lets tests detect
     a reclaimed-version observation. *)
 
-val publish : 'a t -> keep:int -> min_epoch:int -> int -> 'a -> int
-(** [publish t ~keep ~min_epoch stamp v] prepends version [v] at [stamp]
-    and reclaims every version that is beyond the [keep] bound and
-    shadowed for all epochs [>= min_epoch] (some newer entry has a stamp
-    [<= min_epoch]).  Returns the number of versions reclaimed.  Callers
-    must be serialised per chain. *)
+val publish : 'a t -> min_epoch:int -> int -> 'a -> int
+(** [publish t ~min_epoch stamp v] prepends version [v] at [stamp] and
+    reclaims every version shadowed for all epochs [>= min_epoch]: the
+    chain is cut right after its first entry stamped [<= min_epoch].
+    Returns the number of versions reclaimed.  Callers must be serialised
+    per chain. *)

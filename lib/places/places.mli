@@ -164,6 +164,6 @@ val outstanding_locks : 'v t -> int
 val snapshot_history_length : 'v t -> int
 (** Longest multi-version shadow chain over all current master
     collections — the reclamation probe: converges back to at most
-    [Stm.version_chain_bound] after recovery once no pinned reader holds
-    an old epoch (dead generations are unreachable and simply collected).
-    *)
+    [Stm.version_chain_bound] (a chain's newest version and the one it
+    replaced) after recovery once no pinned reader holds an old epoch
+    (dead generations are unreachable and simply collected). *)

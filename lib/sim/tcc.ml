@@ -345,5 +345,4 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
   let end_publish () = ()
   let reclaim_epoch () = max_int
   let note_reclaimed _ = ()
-  let version_chain_bound = 8
 end

@@ -1091,5 +1091,4 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = handle = struct
   let end_publish () = publish_window_exit ()
   let reclaim_epoch () = oldest_active_epoch ()
   let note_reclaimed = Types.note_reclaimed
-  let version_chain_bound = Types.version_chain_bound
 end

@@ -191,9 +191,10 @@ val snapshot_stamp : unit -> int
 (** The pinned snapshot timestamp (meaningful only {!in_snapshot}). *)
 
 val version_chain_bound : int
-(** K: committed versions retained per chain once no older snapshot
-    reader is pinned.  Chains grow beyond K only while an old reader
-    holds its epoch pinned, and are trimmed back lazily at the next
+(** 2: the length a version chain settles at with no snapshot reader
+    pinned — its newest version and the one it replaced, which a reader
+    pinned before the newest commit resolves.  Chains grow only while an
+    old reader holds its epoch pinned, and are cut back at the next
     publication. *)
 
 val serialised : (unit -> 'a) -> 'a

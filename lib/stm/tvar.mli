@@ -23,5 +23,5 @@ val modify : 'a t -> ('a -> 'a) -> unit
 val history_length : 'a t -> int
 (** Number of committed versions currently retained in this tvar's version
     chain (introspection for reclamation tests and leak probes).  At most
-    {!Stm.version_chain_bound} once the oldest snapshot-reader epoch has
-    advanced past the excess versions. *)
+    {!Stm.version_chain_bound} once no snapshot reader is pinned below
+    the newest versions. *)

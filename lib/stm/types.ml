@@ -298,20 +298,20 @@ let fresh_prio () = lease_from next_prio (Domain.DLS.get prio_lease_key)
 
 (* ------------------------------------------------------------------ *)
 
-(* Bound on retained committed versions per chain (tvars and semantic
-   shards).  Chains grow past the bound only while a snapshot reader
-   pinned at an older epoch is still active; the next publication trims
-   them back (see [Coll.Vchain]). *)
-let version_chain_bound = 8
+(* Length a version chain (tvar or semantic shard) settles at once no
+   snapshot reader is pinned: the newest version and the one it replaced.
+   Chains grow past it only while a reader pinned at an older epoch is
+   still active; the next publication cuts them back (see [Coll.Vchain]). *)
+let version_chain_bound = 2
 
 type 'a tvar_repr = {
   tv_id : int;
   value : 'a Atomic.t;
   vlock : int Atomic.t;
   hist : 'a Coll.Vchain.t;
-      (* last K committed versions, stamped with the commit clock; written
-         only while [vlock] is held (commit, non-transactional store), read
-         lock-free by snapshot readers *)
+      (* committed versions a snapshot reader can still resolve, stamped
+         with the commit clock; written only while [vlock] is held (commit,
+         non-transactional store), read lock-free by snapshot readers *)
 }
 
 type rentry = R : 'a tvar_repr * int -> rentry
@@ -638,6 +638,9 @@ let fresh_slot () =
     e_pad6 = 0;
   }
 
+(* Registries of the live domains' slots: a domain registers on first use
+   and [Domain.at_exit] removes it, so [slots_min] (every reclamation epoch,
+   every pin) walks one slot per live domain, not one per domain spawned. *)
 let reader_slots : epoch_slot list Atomic.t = Atomic.make []
 let publish_slots : epoch_slot list Atomic.t = Atomic.make []
 
@@ -645,17 +648,20 @@ let rec slots_push reg s =
   let cur = Atomic.get reg in
   if not (Atomic.compare_and_set reg cur (s :: cur)) then slots_push reg s
 
-let reader_slot_key : epoch_slot Domain.DLS.key =
+let rec slots_remove reg s =
+  let cur = Atomic.get reg in
+  let rest = List.filter (fun x -> x != s) cur in
+  if not (Atomic.compare_and_set reg cur rest) then slots_remove reg s
+
+let slot_key reg =
   Domain.DLS.new_key (fun () ->
       let s = fresh_slot () in
-      slots_push reader_slots s;
+      slots_push reg s;
+      Domain.at_exit (fun () -> slots_remove reg s);
       s)
 
-let publish_slot_key : epoch_slot Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s = fresh_slot () in
-      slots_push publish_slots s;
-      s)
+let reader_slot_key = slot_key reader_slots
+let publish_slot_key = slot_key publish_slots
 
 let slots_min reg =
   List.fold_left
@@ -721,8 +727,7 @@ let snap_unpin () =
    holds the tvar's versioned lock (publications are serialised per
    chain) and supplies the reclamation epoch, computed once per commit. *)
 let hist_publish tv ~min_epoch wv v =
-  note_reclaimed
-    (Coll.Vchain.publish tv.hist ~keep:version_chain_bound ~min_epoch wv v)
+  note_reclaimed (Coll.Vchain.publish tv.hist ~min_epoch wv v)
 
 (* ------------------------------------------------------------------ *)
 

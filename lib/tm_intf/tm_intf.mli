@@ -193,11 +193,6 @@ module type TM_OPS = sig
 
   val note_reclaimed : int -> unit
   (** Report [n] reclaimed chain entries to the TM's statistics. *)
-
-  val version_chain_bound : int
-  (** Maximum committed versions a collection should retain per chain (the
-      [keep] argument for [Vchain.publish]); matches the TM's bound for
-      tvar chains. *)
 end
 
 (** Operations a wrapped (underlying) map implementation must provide.  All

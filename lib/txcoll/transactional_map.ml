@@ -282,14 +282,11 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
      serializes publications to the chain and makes stamps monotone:
      every publisher draws its stamp while already holding the region. *)
   let publish_stripe t si ~min_epoch stamp shadow =
-    TM.note_reclaimed
-      (Coll.Vchain.publish t.snap.(si) ~keep:TM.version_chain_bound
-         ~min_epoch stamp shadow)
+    TM.note_reclaimed (Coll.Vchain.publish t.snap.(si) ~min_epoch stamp shadow)
 
   let publish_struct t ~min_epoch stamp =
     TM.note_reclaimed
-      (Coll.Vchain.publish t.snap_struct ~keep:TM.version_chain_bound
-         ~min_epoch stamp t.csize)
+      (Coll.Vchain.publish t.snap_struct ~min_epoch stamp t.csize)
 
   (* Apply phase, after the commit point: flush the store buffer (redo
      log) to the shards, fold the net presence change into the committed
@@ -735,8 +732,8 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
   (* ---------------- introspection for tests/traces ---------------- *)
 
   (* Longest shadow chain (stripes and structure) — reclamation probe for
-     leak tests: bounded by [TM.version_chain_bound] once the oldest
-     snapshot-reader epoch has advanced. *)
+     leak tests: at most 2 once no snapshot reader is pinned below the
+     newest versions. *)
   let snapshot_history_length t =
     Array.fold_left
       (fun acc chain -> max acc (Coll.Vchain.length chain))

@@ -77,8 +77,7 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
      region (commit plan or an explicit critical). *)
   let publish_at t stamp image =
     TM.note_reclaimed
-      (Coll.Vchain.publish t.snap ~keep:TM.version_chain_bound
-         ~min_epoch:(TM.reclaim_epoch ()) stamp image)
+      (Coll.Vchain.publish t.snap ~min_epoch:(TM.reclaim_epoch ()) stamp image)
 
   (* Same, for mutations outside a commit's apply phase (op-time takes,
      abort compensation, non-transactional operations): draw a fresh stamp

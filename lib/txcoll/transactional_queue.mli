@@ -45,9 +45,10 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) : sig
       part of the Channel interface; takes no locks. *)
 
   val snapshot_history_length : 'v t -> int
-  (** Length of the multi-version image chain — reclamation probe: at most
-      [TM.version_chain_bound] once the oldest snapshot-reader epoch has
-      advanced past the excess versions. *)
+  (** Length of the multi-version image chain — reclamation probe: at
+      most 2 (the newest image and the one it replaced) once no snapshot
+      reader is pinned below the newest versions; 1 on a TM without
+      snapshots. *)
 
   val holds_empty_lock : 'v t -> bool
 

@@ -200,16 +200,13 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
      are serialized there and every publisher drew its stamp while already
      holding the region, so stamps are monotone per chain. *)
   let publish_shard t i ~min_epoch stamp shadow =
-    TM.note_reclaimed
-      (Coll.Vchain.publish t.snap.(i) ~keep:TM.version_chain_bound ~min_epoch
-         stamp shadow)
+    TM.note_reclaimed (Coll.Vchain.publish t.snap.(i) ~min_epoch stamp shadow)
 
   (* Caller holds the structure region; snapshots the maintained
      (size, min, max) triple as of now. *)
   let publish_struct t ~min_epoch stamp =
     TM.note_reclaimed
-      (Coll.Vchain.publish t.snap_struct ~keep:TM.version_chain_bound
-         ~min_epoch stamp
+      (Coll.Vchain.publish t.snap_struct ~min_epoch stamp
          (t.csize, t.cmin, t.cmax))
 
   (* ---------------- handlers ---------------- *)

@@ -165,9 +165,9 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
 
   val snapshot_history_length : 'v t -> int
   (** Longest multi-version shadow chain (over all interval shards and the
-      structure chain) — reclamation probe: at most
-      [TM.version_chain_bound] once the oldest snapshot-reader epoch has
-      advanced past the excess versions. *)
+      structure chain) — reclamation probe: at most 2 (a chain's newest
+      version and the one it replaced) once no snapshot reader is pinned
+      below the newest versions; 1 on a TM without snapshots. *)
 
   val dump_state : Format.formatter -> 'v t -> unit
   (** Live rendering of Table 6's state inventory; the local section shows

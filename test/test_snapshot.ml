@@ -321,7 +321,9 @@ let test_map_reclamation_property () =
 
 (* Leak probe alongside test_key_leak: sustained write traffic with
    snapshots opening and closing must leave every chain at the bound, not
-   growing with the write count. *)
+   growing with the write count.  Once traffic goes quiescent (no reader
+   pinned, one commit at a time), every chain kind settles at exactly two
+   entries: the newest version and the one it replaced. *)
 let test_chains_bounded_under_traffic () =
   let tv = Tvar.make 0 in
   let m = SM.create ~splitters:[ 50 ] () in
@@ -335,7 +337,53 @@ let test_chains_bounded_under_traffic () =
   Alcotest.(check bool) "tvar chain bounded" true
     (Tvar.history_length tv <= Stm.version_chain_bound);
   Alcotest.(check bool) "sorted-map chains bounded" true
-    (SM.snapshot_history_length m <= Stm.version_chain_bound)
+    (SM.snapshot_history_length m <= Stm.version_chain_bound);
+  let hm = IM.create ~stripes:4 () and q = Q.create () in
+  for round = 1 to 20 do
+    Stm.atomic (fun () ->
+        Tvar.set tv round;
+        ignore (SM.put m (round mod 100) round);
+        for k = 0 to 7 do
+          ignore (IM.put hm k round)
+        done;
+        Q.put q round)
+  done;
+  Alcotest.(check int) "quiescent tvar chain" 2 (Tvar.history_length tv);
+  Alcotest.(check int) "quiescent sorted-map chains" 2
+    (SM.snapshot_history_length m);
+  Alcotest.(check int) "quiescent striped-map chains" 2
+    (IM.snapshot_history_length hm);
+  Alcotest.(check int) "quiescent queue chain" 2 (Q.snapshot_history_length q)
+
+(* An exited domain's epoch slots leave the registries: 600 short-lived
+   domains, one live at a time, each running a writing commit
+   (publication slot) and a snapshot (reader slot), grow the registries
+   that every reclamation epoch and every pin scan by at most the one
+   slot a second live domain needs, not by one slot per domain. *)
+let test_dead_domain_slots_released () =
+  let module T = Tcc_stm.Types in
+  let tv = Tvar.make 0 in
+  Stm.atomic (fun () -> Tvar.set tv 0);
+  ignore (Stm.snapshot (fun () -> Tvar.get tv));
+  let len reg = List.length (Atomic.get reg) in
+  let readers0 = len T.reader_slots and publishers0 = len T.publish_slots in
+  for i = 1 to 600 do
+    Domain.join
+      (Domain.spawn (fun () ->
+           Stm.atomic (fun () -> Tvar.set tv i);
+           ignore (Stm.snapshot (fun () -> Tvar.get tv))))
+  done;
+  let check name reg before =
+    let bound = before + 1 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s slots %d <= %d" name (len reg) bound)
+      true
+      (len reg <= bound)
+  in
+  check "reader" T.reader_slots readers0;
+  check "publication" T.publish_slots publishers0;
+  Alcotest.(check int) "last domain's write visible" 600
+    (Stm.snapshot (fun () -> Tvar.get tv))
 
 (* ---------------- in-place trimming under concurrent readers ---------------- *)
 
@@ -360,8 +408,7 @@ let test_inplace_trim_race () =
   let publish_bare i =
     let wv = Tm.begin_publish () in
     Tm.note_reclaimed
-      (Coll.Vchain.publish chain ~keep:Stm.version_chain_bound
-         ~min_epoch:(Tm.reclaim_epoch ()) wv i);
+      (Coll.Vchain.publish chain ~min_epoch:(Tm.reclaim_epoch ()) wv i);
     Tm.end_publish ()
   in
   let done_ = Atomic.make false in
@@ -500,6 +547,8 @@ let suites =
           test_map_reclamation_property;
         Alcotest.test_case "chains bounded under traffic" `Quick
           test_chains_bounded_under_traffic;
+        Alcotest.test_case "dead domains' epoch slots released" `Quick
+          test_dead_domain_slots_released;
         Alcotest.test_case "snapshot commit allocation budget" `Quick
           test_snapshot_allocation_budget;
         Alcotest.test_case "in-place trim vs pinned readers" `Quick
