@@ -346,7 +346,6 @@ let starve () =
     r
   in
   ignore (run ~budget Stm.Contention.default);
-  ignore (run ~budget Stm.Contention.Karma);
   let greedy = run Stm.Contention.Greedy in
   gate_eq "starve.greedy_completed" greedy.completed greedy.rounds;
   gate_eq "starve.greedy_starved" greedy.starved 0
@@ -797,7 +796,7 @@ let stmscale () =
    collapse on a fast runner. *)
 
 module OL = Harness.Openloop
-module Admission = Stm.Admission
+module Admission = Harness.Admission
 
 let ol_domains = max 1 (min 2 (Domain.recommended_domain_count ()))
 let ol_keys = 1024

@@ -23,9 +23,9 @@
    [dropped], so overloaded probes terminate in bounded time while still
    reporting the collapse (dropped requests count against goodput).
 
-   Requests that raise {!Stm.Overloaded} (the [Shed] admission policy)
-   are counted as [shed], not completed — shedding trades goodput
-   accounting at the generator for bounded latency at the service.
+   Requests that raise {!Admission.Overloaded} (the [Shed] policy) are
+   counted as [shed], not completed — shedding trades goodput accounting
+   at the generator for bounded latency at the service.
 
    [rate_search] walks offered load to the knee: a geometric ramp
    (doubling) while the SLO holds, then a geometric-mean bisection
@@ -41,7 +41,7 @@ type result = {
   scheduled : int;  (* arrivals generated across all domains *)
   completed : int;  (* requests that ran to completion *)
   within_slo : int;  (* completions with latency <= slo *)
-  shed : int;  (* requests rejected with Stm.Overloaded *)
+  shed : int;  (* requests rejected with Admission.Overloaded *)
   dropped : int;  (* schedule abandoned after queueing collapse *)
   throughput : float;  (* completed / duration *)
   goodput : float;  (* within_slo / duration *)
@@ -55,7 +55,7 @@ type result = {
 (* [worker ~domain] is called once per domain before its stream starts
    and returns the request thunk — per-domain RNG and scratch live in
    the closure.  The thunk is one request; it may raise
-   [Stm.Overloaded] (counted as shed), any other exception kills the
+   [Admission.Overloaded] (counted as shed), any other exception kills the
    run. *)
 type worker = domain:int -> unit -> unit
 
@@ -107,7 +107,7 @@ let run_at ?(domains = 2) ?(seed = 1) ?(slo_us = 1000.) ?(lag_bail = 1.0)
               Hdr.record_s h lat;
               incr completed;
               if lat <= slo_s then incr within
-          | exception Stm.Overloaded -> incr shed
+          | exception Admission.Overloaded -> incr shed
         end
       end;
       step ()

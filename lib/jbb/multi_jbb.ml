@@ -112,8 +112,9 @@ let pick_remote t rng ~home =
 (* ---------------- the five operations ----------------
 
    Each takes [run], the top-level transaction runner — [Stm.atomic] by
-   default, [Stm.Admission.run] when the bench turns the admission gate
-   on (so [Stm.Overloaded] propagates to the open-loop generator). *)
+   default, [Harness.Admission.run] when the bench turns the admission
+   gate on (so [Harness.Admission.Overloaded] propagates to the open-loop
+   generator). *)
 
 let new_order ?(run = fun f -> Stm.atomic f) t rng =
   let home = pick_home t rng in

@@ -3,12 +3,6 @@ open Types
 exception Aborted
 exception Starved of { attempts : int; elapsed : float }
 
-exception Overloaded
-(* Typed admission rejection: the admission gate (see {!Admission}) is
-   configured with the [Shed] overload policy and either had no token for
-   this request or the admitted transaction exhausted its budget.  The
-   request ran no effects; the caller (load balancer, open-loop driver)
-   decides whether to retry later, degrade, or count the shed. *)
 exception Handler_failure of { committed : bool; failures : exn list }
 
 exception Place_down of { place : int }
@@ -57,10 +51,7 @@ end
 (* Contention management *)
 
 module Contention = struct
-  type policy = Types.cm_policy =
-    | Backoff of { base : int; max_exp : int; jitter : bool }
-    | Karma
-    | Greedy
+  type policy = Types.cm_policy = Backoff | Greedy
 
   let default = default_cm
   let set_global p = Atomic.set global_cm p
@@ -249,13 +240,12 @@ type remote_abort_outcome = Delivered | Already_aborted | Too_late
 (* Program-directed abort with contention-manager arbitration.  When the
    caller is a transaction inside its own prepare phase (semantic conflict
    detection at commit), the caller's policy may decide to *defer* to the
-   target instead of aborting it: Greedy yields to older start tickets,
-   Karma to higher accumulated retry counts.  Deferring raises
-   [Deferred_exn], unwinding the caller's commit attempt (nothing has been
-   applied yet — prepare runs before the commit point) so it retries while
-   the elder proceeds.  The oldest transaction in the system is never
-   deferred-out and never aborted by a Greedy committer: starvation
-   freedom for semantic conflicts.
+   target instead of aborting it: Greedy yields to older start tickets.
+   Deferring raises [Deferred_exn], unwinding the caller's commit attempt
+   (nothing has been applied yet — prepare runs before the commit point)
+   so it retries while the elder proceeds.  The oldest transaction in the
+   system is never deferred-out and never aborted by a Greedy committer:
+   starvation freedom for semantic conflicts.
 
    The status race against a target that is concurrently entering its own
    commit is resolved deterministically by the CAS loop below, and every
@@ -266,11 +256,9 @@ let remote_abort_outcome (t : handle) =
   (match !(context ()) with
   | Some self when self.top.in_prepare && self.top.txn_id <> t.txn_id ->
       let defer =
-        Atomic.get t.top_status = Active
-        && (match self.top.cm with
-           | Greedy -> t.prio < self.top.prio
-           | Karma -> t.retries > self.top.retries
-           | Backoff _ -> false)
+        self.top.cm = Greedy
+        && Atomic.get t.top_status = Active
+        && t.prio < self.top.prio
       in
       if defer then begin
         let s = my_stats () in
@@ -336,15 +324,7 @@ let lock_writes top =
     try_lock 1024
   done
 
-let validate_reads top =
-  let rs = top.reads in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < rs.r_len do
-    if not (rentry_valid ~self:(Some top) rs.r_arr.(!i)) then ok := false;
-    incr i
-  done;
-  !ok
+let validate_reads top = level_valid ~self:(Some top) top
 
 (* The rid-sorted, deduplicated set of commit regions the transaction's
    handlers touch.  A handler with a region plan ([ch_regions]) contributes
@@ -406,8 +386,7 @@ let publish_writes top wv =
     Atomic.set tv.value v;
     hist_publish tv ~min_epoch wv v;
     Atomic.set tv.vlock wv
-  done;
-  ring_publish wv (Array.sub top.wids 0 top.wlen)
+  done
 
 let finish_commit top =
   Atomic.set top.top_status Committed;
@@ -573,8 +552,13 @@ let mark_aborted t = ignore (Atomic.compare_and_set t.top_status Active Aborted)
    per attempt (fresh leased txn_id, cleared grow-only read/write sets),
    so the retry loop allocates nothing.  It is released back to the pool
    on every exit path after compensation handlers have run — except a
-   committed open-nested one, which [open_nested] releases itself. *)
+   committed open-nested one, which [open_nested] releases itself.
+
+   Every top-level entry ([atomic], [serialised], [open_nested]) starts
+   here, so each rejects a call from inside a snapshot section. *)
 let run_top ?(defer_handlers = false) ?cm ?budget f =
+  if Types.in_snapshot () then
+    invalid_arg "Stm.atomic: inside a snapshot read section";
   let ctx = context () in
   let cm = match cm with Some c -> c | None -> Atomic.get global_cm in
   let prio = fresh_prio () in
@@ -720,8 +704,6 @@ let closed_nested_in parent f =
   attempt 0
 
 let atomic ?policy ?budget ?on_starved f =
-  if Types.in_snapshot () then
-    invalid_arg "Stm.atomic: inside a snapshot read section";
   match !(context ()) with
   | None -> (
       match on_starved with
@@ -745,142 +727,6 @@ let serialised f =
       ~finally:(fun () -> region_unlock global_commit_region)
       (fun () -> fst (run_top f))
   end
-
-(* ------------------------------------------------------------------ *)
-(* Admission control: a process-wide token-bucket gate in front of
-   [atomic], plus an overload policy deciding what happens to traffic the
-   gate (or a transaction budget) rejects.
-
-   Open-loop traffic does not slow down when the system saturates — the
-   arrival rate is set by the outside world.  Without a gate, offered load
-   past the knee of the throughput/latency curve makes every queue grow
-   without bound: p99 explodes and goodput (requests completing within
-   their deadline) collapses even though raw commit throughput looks
-   fine.  The gate holds admitted load at a configured sustainable rate:
-
-   - [Shed]: overflow is rejected immediately with the typed
-     [Overloaded] exception and counted in [s_shed].  Admitted requests
-     run at the configured rate and keep pre-knee latency.
-   - [Serialise]: overflow is routed through [serialised] — the
-     process-wide fallback commit region — so excess transactions trickle
-     through one at a time instead of amplifying contention.  Nothing is
-     rejected, at the price of overflow latency.
-
-   The same overload policy is wired through PR 2's transaction budgets:
-   an *admitted* transaction that exhausts its retry/time budget
-   ([Starved]) is handed to the overload path instead of surfacing the
-   starvation — under contention storms Shed converts starvation into
-   typed rejections and Serialise into guaranteed (serial) completion.
-
-   Exactly one of [s_admitted] / [s_shed] / [s_serialised_overflow] is
-   incremented per [Admission.run] call, so the three counters ledger
-   against offered load. *)
-
-module Admission = struct
-  type overload_policy = Shed | Serialise
-
-  let policy_name = function Shed -> "shed" | Serialise -> "serialise"
-
-  type gate = {
-    g_rate : float; (* tokens per second *)
-    g_burst : float; (* bucket capacity *)
-    g_policy : overload_policy;
-    g_budget : budget option; (* default budget for admitted transactions *)
-    g_lock : Mutex.t;
-    mutable g_tokens : float;
-    mutable g_last : float;
-  }
-
-  let gate : gate option Atomic.t = Atomic.make None
-
-  let configure ?(burst = 64) ?budget ~rate ~policy () =
-    if rate <= 0. then
-      invalid_arg "Stm.Admission.configure: rate must be positive";
-    Atomic.set gate
-      (Some
-         {
-           g_rate = rate;
-           g_burst = float_of_int (max 1 burst);
-           g_policy = policy;
-           g_budget = budget;
-           g_lock = Mutex.create ();
-           g_tokens = float_of_int (max 1 burst);
-           g_last = Monoclock.now ();
-         })
-
-  let disable () = Atomic.set gate None
-  let enabled () = Option.is_some (Atomic.get gate)
-
-  let current_policy () =
-    Option.map (fun g -> g.g_policy) (Atomic.get gate)
-
-  (* Lazy refill under the gate mutex: the bucket is a contended shared
-     resource by design (it *is* the throttle), and the critical section
-     is a handful of float operations. *)
-  let try_admit g =
-    Mutex.protect g.g_lock (fun () ->
-        let now = Monoclock.now () in
-        (* The clock is clamped monotone, but the refill keeps its own
-           guard: a gate configured on one domain and refilled on another
-           orders [g_last] through the gate mutex, not the clock CAS, so
-           never let a stale reading drain the bucket. *)
-        let tokens =
-          Float.min g.g_burst
-            (g.g_tokens +. (Float.max 0. (now -. g.g_last) *. g.g_rate))
-        in
-        g.g_last <- now;
-        if tokens >= 1.0 then begin
-          g.g_tokens <- tokens -. 1.0;
-          true
-        end
-        else begin
-          g.g_tokens <- tokens;
-          false
-        end)
-
-  let overflow g f =
-    let s = my_stats () in
-    match g.g_policy with
-    | Shed ->
-        s.s_shed <- s.s_shed + 1;
-        raise Overloaded
-    | Serialise ->
-        s.s_serialised_overflow <- s.s_serialised_overflow + 1;
-        serialised f
-
-  (* Gated [atomic].  No gate configured -> plain [atomic].  Calls from
-     inside a transaction are never gated (the enclosing top level was
-     already admitted): they run as ordinary nested transactions. *)
-  let run ?policy ?budget f =
-    match Atomic.get gate with
-    | None -> atomic ?policy ?budget f
-    | Some _ when in_txn () -> atomic ?policy ?budget f
-    | Some g ->
-        if try_admit g then begin
-          let budget =
-            match budget with Some _ -> budget | None -> g.g_budget
-          in
-          match atomic ?policy ?budget f with
-          | r ->
-              let s = my_stats () in
-              s.s_admitted <- s.s_admitted + 1;
-              r
-          | exception Starved _ -> overflow g f
-          | exception e ->
-              (* A user exception escaping an admitted transaction still
-                 consumed the admission: count it before re-raising, so
-                 exactly one ledger column is incremented per call even on
-                 the failure path. *)
-              let s = my_stats () in
-              s.s_admitted <- s.s_admitted + 1;
-              raise e
-        end
-        else overflow g f
-
-  let admitted () = stats_sum (fun s -> s.s_admitted)
-  let shed () = stats_sum (fun s -> s.s_shed)
-  let serialised_overflow () = stats_sum (fun s -> s.s_serialised_overflow)
-end
 
 let open_nested f =
   let ctx = context () in
@@ -1000,9 +846,6 @@ type stats = {
   clock_cas_retries : int;
   snapshot_reads : int;
   versions_reclaimed : int;
-  admitted : int;
-  shed : int;
-  serialised_overflow : int;
 }
 
 let global_stats () =
@@ -1022,16 +865,13 @@ let global_stats () =
     clock_cas_retries = stats_sum (fun s -> s.s_clock_cas_retries);
     snapshot_reads = stats_sum (fun s -> s.s_snapshot_reads);
     versions_reclaimed = stats_sum (fun s -> s.s_versions_reclaimed);
-    admitted = stats_sum (fun s -> s.s_admitted);
-    shed = stats_sum (fun s -> s.s_shed);
-    serialised_overflow = stats_sum (fun s -> s.s_serialised_overflow);
   }
 
 let commit_region_waits () = stats_sum (fun s -> s.s_region_waits)
 let regions_held () = stats_sum (fun s -> s.s_regions_held)
 
 let retry_histogram () =
-  [ Contention.default; Karma; Greedy ]
+  [ Backoff; Greedy ]
   |> List.map (fun p ->
          let i = policy_index p in
          let row = Array.make hist_buckets 0 in

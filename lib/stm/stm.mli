@@ -9,12 +9,9 @@
     transactions survive unrelated concurrent commits.
 
     Hot-path representation: the read set is a deduplicating growable array
-    (re-reading a tvar is an O(1) no-op), read-version extension validates
-    incrementally from a per-level high-water mark using a global ring of
-    recently committed write sets (falling back to a full rescan whenever
-    the ring cannot prove the validated prefix untouched), and semantic
-    commit phases are serialised per collection region rather than under
-    one global token.
+    (re-reading a tvar is an O(1) no-op), read-version extension re-checks
+    each nesting level's reads tvar by tvar, and semantic commit phases are
+    serialised per collection region rather than under one global token.
 
     The hot loop touches no shared mutable state per transaction:
     statistics are sharded per domain and aggregated lazily by
@@ -40,12 +37,6 @@ exception Starved of { attempts : int; elapsed : float }
     the transaction could commit: [attempts] executions were aborted and
     [elapsed] seconds passed (0. when no deadline was set).  Never raised
     unless a {!budget} was supplied. *)
-
-exception Overloaded
-(** Raised out of {!Admission.run} when the admission gate is closed (no
-    token available, or the admitted transaction starved) and the overload
-    policy is [Shed]: the request is rejected without running.  Counted in
-    {!global_stats} as a [shed].  Never raised by plain {!atomic}. *)
 
 module Monoclock : sig
   val now : unit -> float
@@ -97,16 +88,11 @@ type handle
 
 module Contention : sig
   type policy = Types.cm_policy =
-    | Backoff of { base : int; max_exp : int; jitter : bool }
-        (** Jittered (or plain) exponential backoff: wait
-            [~ base * 2^min(retries, max_exp)] cpu-relax spins between
-            attempts.  The default, matching the seed behaviour plus
-            jitter. *)
-    | Karma
-        (** Priority accumulation: a committer defers (retries itself)
-            rather than remote-aborting a transaction that has accumulated
-            more retries than it — work done is karma.  Linear, bounded
-            backoff between attempts. *)
+    | Backoff
+        (** Jittered exponential backoff: wait [~ 2^min(retries, 12)]
+            cpu-relax spins between attempts; a committer always aborts a
+            conflicting lock holder.  The default, matching the seed
+            behaviour plus jitter. *)
     | Greedy
         (** Timestamp priority: every top-level [atomic] call draws one
             monotonic start ticket kept across its retries; a committer
@@ -116,7 +102,8 @@ module Contention : sig
             freedom for semantic conflicts. *)
 
   val default : policy
-  (** [Backoff { base = 1; max_exp = 12; jitter = true }]. *)
+  (** [Backoff].  [Greedy] is not the default: a younger writer defers to
+      an older reader that may itself be waiting for that writer. *)
 
   val set_global : policy -> unit
   (** Set the policy used by {!atomic} calls that do not pass [?policy].
@@ -125,7 +112,7 @@ module Contention : sig
   val global : unit -> policy
 
   val name : policy -> string
-  (** ["backoff"], ["karma"] or ["greedy"] — the keys of
+  (** ["backoff"] or ["greedy"] — the keys of
       {!retry_histogram}. *)
 end
 
@@ -178,11 +165,12 @@ val open_nested : (unit -> 'a) -> 'a
 val snapshot : (unit -> 'a) -> 'a
 (** [snapshot f] runs [f] as an abort-free snapshot read.  Raises
     [Invalid_argument] when called inside {!atomic} (a transaction's
-    store buffer cannot be reconciled with a frozen timestamp); nested
-    [snapshot] calls share the outer pin.  {!Tvar.set} and mutating
-    collection operations inside raise [Invalid_argument].  Counted in
-    {!global_stats} as a commit, a read-only commit and a
-    [snapshot_reads]. *)
+    store buffer cannot be reconciled with a frozen timestamp), and every
+    top-level entry ({!atomic}, {!serialised}, {!open_nested}) raises
+    [Invalid_argument] when called inside [f]; nested [snapshot] calls
+    share the outer pin.  {!Tvar.set} and mutating collection operations
+    inside raise [Invalid_argument].  Counted in {!global_stats} as a
+    commit, a read-only commit and a [snapshot_reads]. *)
 
 val in_snapshot : unit -> bool
 (** [true] iff the calling thread is inside a {!snapshot} section. *)
@@ -204,65 +192,6 @@ val serialised : (unit -> 'a) -> 'a
     with — and win against or retry on — ordinary optimistic
     transactions).  Intended as [~on_starved:(fun () -> serialised f)].
     Inside a transaction it just runs [f] in the enclosing transaction. *)
-
-(** {1 Admission control} — the open-loop overload valve.
-
-    Closed-loop benches self-limit: a slow system slows its own load.  An
-    open-loop generator does not — past the saturation knee the arrival
-    rate exceeds the service rate, queues grow without bound and p99
-    collapses.  The admission gate bounds the rate at which transactions
-    are {e started}: a token bucket refilled at a configured rate admits
-    requests up to its burst capacity, and requests arriving with the
-    bucket empty hit the overload policy instead of queueing:
-
-    - [Shed]: reject with the typed {!Overloaded} exception (counted as
-      [shed] in {!global_stats}); the caller drops or retries later.
-    - [Serialise]: route through {!serialised} — the request still runs,
-      but on the process-wide fallback region, trading latency for
-      completion (counted as [serialised_overflow]).
-
-    An admitted transaction that exhausts its budget ({!Starved}) is also
-    handed to the overload policy — starvation under load {e is}
-    overload.  Ledger property: every {!Admission.run} call increments
-    exactly one of [admitted], [shed] or [serialised_overflow]. *)
-module Admission : sig
-  type overload_policy =
-    | Shed  (** reject: raise {!Overloaded} without running the body *)
-    | Serialise  (** degrade: run the body via {!serialised} *)
-
-  val policy_name : overload_policy -> string
-  (** ["shed"] or ["serialise"]. *)
-
-  val configure :
-    ?burst:int -> ?budget:budget -> rate:float -> policy:overload_policy ->
-    unit -> unit
-  (** Install the process-wide admission gate: a token bucket refilled at
-      [rate] tokens/second holding at most [burst] tokens (default 64).
-      [?budget] is applied to admitted transactions that do not pass
-      their own (so starvation feeds the overload policy).  Raises
-      [Invalid_argument] unless [rate > 0]. *)
-
-  val disable : unit -> unit
-  (** Remove the gate: {!run} becomes plain {!atomic}. *)
-
-  val enabled : unit -> bool
-  val current_policy : unit -> overload_policy option
-
-  val run :
-    ?policy:Contention.policy -> ?budget:budget -> (unit -> 'a) -> 'a
-  (** [run f] is {!atomic}[ f] through the admission gate.  With no gate
-      configured, or nested inside a transaction, it is exactly
-      {!atomic}.  Otherwise it takes a token (admitting) or invokes the
-      overload policy; an admitted run that raises {!Starved} is handed
-      to the overload policy as well.  Any other exception escaping an
-      admitted run still counts the admission before propagating, so the
-      one-column-per-call ledger property holds on every path. *)
-
-  val admitted : unit -> int
-  val shed : unit -> int
-  val serialised_overflow : unit -> int
-  (** Live aggregated ledger counters (also in {!global_stats}). *)
-end
 
 val on_commit : (unit -> unit) -> unit
 (** Register a commit handler on the current nesting level.  Handlers run
@@ -327,10 +256,9 @@ val remote_abort_outcome : handle -> remote_abort_outcome
 
     Contention-manager arbitration: when the caller is itself inside its
     commit's prepare phase, its policy may instead {e defer} — Greedy to an
-    older target, Karma to a target with more accumulated retries — by
-    raising an internal exception that retries the caller with nothing
-    applied.  Callers that hold resources across this call must release
-    them in an abort/[Fun.protect] path. *)
+    older target — by raising an internal exception that retries the
+    caller with nothing applied.  Callers that hold resources across this
+    call must release them in an abort/[Fun.protect] path. *)
 
 val remote_abort : handle -> bool
 (** [remote_abort t] is [true] unless the outcome was [Too_late]. *)
@@ -378,7 +306,7 @@ type stats = {
   explicit_aborts : int;  (** {!self_abort} occurrences *)
   starved : int;  (** budget exhaustions ({!Starved} raised or fallback run) *)
   deferrals : int;
-      (** committer-side contention-manager deferrals (Greedy/Karma) *)
+      (** committer-side contention-manager deferrals (Greedy) *)
   remote_aborts_delivered : int;  (** {!remote_abort_outcome} = [Delivered] *)
   remote_aborts_late : int;  (** {!remote_abort_outcome} = [Too_late] *)
   handler_failures : int;  (** commit/abort handlers that raised *)
@@ -400,15 +328,6 @@ type stats = {
       (** version-chain entries reclaimed by epoch-based lazy trimming —
           with {!snapshot_reads}, the observability handle on the
           multi-version memory story *)
-  admitted : int;
-      (** {!Admission.run} calls that took a token and committed (or
-          raised from the body) without starving *)
-  shed : int;
-      (** {!Admission.run} calls rejected with {!Overloaded} under the
-          [Shed] overload policy *)
-  serialised_overflow : int;
-      (** {!Admission.run} calls routed through {!serialised} under the
-          [Serialise] overload policy *)
 }
 
 val global_stats : unit -> stats

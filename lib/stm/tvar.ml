@@ -38,7 +38,6 @@ let rec nontx_set tv v =
     Atomic.set tv.value v;
     hist_publish tv ~min_epoch:(oldest_active_epoch ()) wv v;
     Atomic.set tv.vlock wv;
-    ring_publish wv [| tv.tv_id |];
     publish_window_exit ()
   end
 

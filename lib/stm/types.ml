@@ -13,12 +13,8 @@
    - the read set is a deduplicating growable array plus a tv_id -> slot
      table, so re-reading a tvar is an O(1) no-op and nested-transaction
      merges are index-aware bulk appends;
-   - read-version extension is incremental: a global ring of recently
-     committed write sets lets a transaction prove that its
-     already-validated prefix is untouched by the commits that advanced the
-     clock, so only entries recorded since the last validation are
-     re-checked per-tvar (with a conservative full rescan whenever the ring
-     window is insufficient);
+   - read-version extension re-checks every nesting level's reads tvar by
+     tvar, the rescan that invisible reads make inherent;
    - the write set keeps its tv_ids in a sorted grow-only array maintained
      at insertion, so commit-time lock acquisition needs no fold+sort and
      allocates nothing;
@@ -52,26 +48,22 @@ exception Explicit_abort_exn
 
 exception Deferred_exn
 (* The committing transaction's contention manager chose to yield to an
-   older (or higher-karma) lock holder instead of aborting it; retry. *)
+   older lock holder instead of aborting it; retry. *)
 
 (* ------------------------------------------------------------------ *)
 (* Contention management.  The policy decides two things: how long an
    aborted transaction waits before retrying, and — during the semantic
    prepare phase — whether a committer aborts a conflicting lock holder or
    defers to it (see [Stm.remote_abort]).  [Backoff] is the seed behaviour
-   (always abort the other, jittered exponential wait); [Karma] defers to
-   transactions that have accumulated more retries; [Greedy] defers to
+   (always abort the other, jittered exponential wait); [Greedy] defers to
    transactions with an older start ticket, which totally orders
    transactions and therefore guarantees the oldest transaction in the
    system is never deferred-out or aborted semantically: starvation
    freedom for semantic conflicts. *)
 
-type cm_policy =
-  | Backoff of { base : int; max_exp : int; jitter : bool }
-  | Karma
-  | Greedy
+type cm_policy = Backoff | Greedy
 
-let default_cm = Backoff { base = 1; max_exp = 12; jitter = true }
+let default_cm = Backoff
 let global_cm : cm_policy Atomic.t = Atomic.make default_cm
 
 (* Per-domain splitmix64 state for backoff jitter: avoids a shared Random
@@ -109,11 +101,8 @@ let rand_int bound = if bound <= 0 then 0 else rand_bits () mod bound
 
 let hist_buckets = 16
 
-let policy_index = function Backoff _ -> 0 | Karma -> 1 | Greedy -> 2
-let policy_name = function
-  | Backoff _ -> "backoff"
-  | Karma -> "karma"
-  | Greedy -> "greedy"
+let policy_index = function Backoff -> 0 | Greedy -> 1
+let policy_name = function Backoff -> "backoff" | Greedy -> "greedy"
 
 type domain_stats = {
   mutable s_commits : int;
@@ -134,14 +123,6 @@ type domain_stats = {
   mutable s_clock_cas_retries : int;
   mutable s_snapshot_reads : int; (* completed snapshot-read transactions *)
   mutable s_versions_reclaimed : int; (* chain entries reclaimed by epoch *)
-  mutable s_admitted : int;
-      (* admission-gate grants that ran to completion on the normal path *)
-  mutable s_shed : int;
-      (* requests rejected by the admission gate's Shed overload policy
-         (typed [Stm.Overloaded]), at the gate or after budget starvation *)
-  mutable s_serialised_overflow : int;
-      (* requests routed through [Stm.serialised] by the Serialise
-         overload policy (gate overflow or budget starvation) *)
   mutable s_inflight : int;
       (* top-level transactions of this domain currently between their
          first attempt and their final outcome.  Not a statistic: a
@@ -178,11 +159,8 @@ let fresh_stats () =
     s_clock_cas_retries = 0;
     s_snapshot_reads = 0;
     s_versions_reclaimed = 0;
-    s_admitted = 0;
-    s_shed = 0;
-    s_serialised_overflow = 0;
     s_inflight = 0;
-    s_hist = Array.init 3 (fun _ -> Array.make hist_buckets 0);
+    s_hist = Array.init 2 (fun _ -> Array.make hist_buckets 0);
     s_pad0 = 0;
     s_pad1 = 0;
     s_pad2 = 0;
@@ -234,9 +212,6 @@ let stats_reset () =
       s.s_clock_cas_retries <- 0;
       s.s_snapshot_reads <- 0;
       s.s_versions_reclaimed <- 0;
-      s.s_admitted <- 0;
-      s.s_shed <- 0;
-      s.s_serialised_overflow <- 0;
       (* [s_inflight] is deliberately left alone: it is a liveness probe,
          not a counter, and zeroing it would erase the evidence that a
          caller violated the quiescence precondition. *)
@@ -521,10 +496,6 @@ type txn = {
          so that stale handles from earlier transactions CAS a dead cell *)
   mutable rv : int; (* read version; meaningful on the top level *)
   reads : read_set;
-  mutable validated : int;
-      (* entries [0, validated) of [reads] were valid at [top.validated_rv];
-         read-version extension re-checks only [validated, r_len) per-tvar
-         when the commit ring proves the prefix untouched *)
   writes : (int, wentry) Hashtbl.t;
   mutable wids : int array;
       (* tv_ids of [writes] in ascending order, maintained at insertion:
@@ -544,9 +515,6 @@ type txn = {
   parent : txn option;
   mutable top : txn;
   mutable retries : int;
-  mutable validated_rv : int;
-      (* top level only: the clock value against which every level's
-         validated prefix was last known valid *)
   mutable cm : cm_policy; (* contention policy governing this top-level txn *)
   mutable prio : int;
       (* start ticket of the owning [atomic] call; constant across its
@@ -568,9 +536,9 @@ let clock : int Atomic.t = Atomic.make 0
    advance past it with a single wait-free fetch_and_add instead of
    looping the CAS.  A committer therefore performs at most one extra
    atomic step per conflicting bump ([s_clock_cas_retries] counts exactly
-   those adoptions), and write versions stay unique — which the commit
-   ring and the deduplicated read set rely on (a shared timestamp would
-   let a same-version commit slip past a validated prefix). *)
+   those adoptions), and write versions stay unique — which read-set
+   validation and snapshot visibility rely on (a shared timestamp would
+   let a second commit to a tvar reuse the version a reader recorded). *)
 let bump_clock () =
   let s = my_stats () in
   s.s_clock_bumps <- s.s_clock_bumps + 1;
@@ -812,101 +780,44 @@ let rentry_valid ?(self = None) (R (tv, ver)) =
     | None -> false
   else false
 
-(* Per-tvar check of one level's entries from index [from]. *)
-let level_valid ?(from = 0) txn =
+(* Per-tvar check of one level's entries; [self] is the committing
+   transaction, whose own write locks do not invalidate its reads. *)
+let level_valid ?(self = None) txn =
   let rs = txn.reads in
   let ok = ref true in
-  let i = ref from in
+  let i = ref 0 in
   while !ok && !i < rs.r_len do
-    if not (rentry_valid rs.r_arr.(!i)) then ok := false;
+    if not (rentry_valid ~self rs.r_arr.(!i)) then ok := false;
     incr i
   done;
   !ok
 
-(* ------------------------------------------------------------------ *)
-(* Commit ring: the write sets of recent commits, indexed by write
-   version.  Read-version extension consults it to prove that commits in
-   (validated_rv, new_rv] touched none of the transaction's reads, making
-   prefix revalidation O(commits in window) instead of O(read set).  Any
-   doubt (slot overwritten by wraparound, commit still in flight) falls
-   back to the exact per-tvar scan, so the ring is purely an accelerator.
-   Soundness depends on write versions being unique — see [bump_clock]. *)
-
-let ring_size = 1024 (* power of two; commits covered before wraparound *)
-
-type ring_slot = { slot_wv : int; slot_ids : int array }
-
-let empty_slot = { slot_wv = 0; slot_ids = [||] }
-let commit_ring = Array.init ring_size (fun _ -> Atomic.make empty_slot)
-
-let ring_publish wv ids =
-  Atomic.set commit_ring.((wv lsr 1) land (ring_size - 1)) { slot_wv = wv; slot_ids = ids }
-
-(* [true] when every commit in (from_v, to_v] is present in the ring and
-   wrote no tvar read by any level in [stack]. *)
-let ring_window_clean stack ~from_v ~to_v =
-  to_v <= from_v
-  || to_v - from_v < 2 * ring_size
-     &&
-     let clean = ref true in
-     let v = ref (from_v + 2) in
-     while !clean && !v <= to_v do
-       let slot = Atomic.get commit_ring.((!v lsr 1) land (ring_size - 1)) in
-       if slot.slot_wv <> !v then clean := false
-       else
-         Array.iter
-           (fun id ->
-             if List.exists (fun lvl -> rs_mem lvl.reads id) stack then
-               clean := false)
-           slot.slot_ids;
-       v := !v + 2
-     done;
-     !clean
-
 (* Try to extend the top-level read version to the current clock, as TL2
-   does, so long transactions survive concurrent unrelated commits.  The
-   validated prefix of each level is cleared through the commit ring when
-   possible; otherwise every entry is re-checked (the seed behaviour). *)
+   does, so long transactions survive concurrent unrelated commits.  Every
+   level of the nesting stack is re-checked tvar by tvar; when only the
+   innermost closed child is invalid, only that child rolls back. *)
 let extend_read_version innermost =
-  let top = innermost.top in
   let new_rv = Atomic.get clock in
-  let rec stack_of t =
-    t :: (match t.parent with None -> [] | Some p -> stack_of p)
+  let rec ancestors_valid = function
+    | None -> true
+    | Some lvl -> level_valid lvl && ancestors_valid lvl.parent
   in
-  let stack = stack_of innermost in
-  let incremental =
-    ring_window_clean stack ~from_v:top.validated_rv ~to_v:new_rv
-  in
-  let result = ref `Ok in
-  List.iter
-    (fun lvl ->
-      let from = if incremental then lvl.validated else 0 in
-      if not (level_valid ~from lvl) then
-        if lvl == innermost && lvl.parent <> None && !result = `Ok then
-          result := `Child_only
-        else result := `Top)
-    stack;
-  match !result with
-  | `Ok ->
-      top.rv <- new_rv;
-      top.validated_rv <- new_rv;
-      List.iter (fun lvl -> lvl.validated <- lvl.reads.r_len) stack;
-      true
-  | `Child_only -> raise Child_conflict_exn
-  | `Top -> false
+  if not (ancestors_valid innermost.parent) then false
+  else if level_valid innermost then begin
+    innermost.top.rv <- new_rv;
+    true
+  end
+  else if innermost.parent <> None then raise Child_conflict_exn
+  else false
 
 (* Policy-directed wait before the next attempt.  Backoff is the seed's
-   exponential spin, now jittered per-domain; Karma grows only linearly
-   (the retry count itself is the priority that will eventually win);
+   exponential spin (2^min(n, 12) cpu-relax rounds), jittered per-domain;
    Greedy relies on priority for progress and pauses briefly. *)
 let cm_wait cm n =
   let spins =
     match cm with
-    | Backoff { base; max_exp; jitter } ->
-        let s = base lsl min n max_exp in
-        if jitter then (s / 2) + 1 + rand_int (s + 1) else s
-    | Karma ->
-        let s = 16 * (min n 256 + 1) in
+    | Backoff ->
+        let s = 1 lsl min n 12 in
         (s / 2) + 1 + rand_int (s + 1)
     | Greedy -> 64 + rand_int 256
   in
@@ -952,16 +863,14 @@ let buffered_write : type a. txn -> a tvar_repr -> a -> unit =
 (* ------------------------------------------------------------------ *)
 
 let make_top ?cm ?prio () =
-  let rv = Atomic.get clock in
   let cm = match cm with Some c -> c | None -> Atomic.get global_cm in
   let prio = match prio with Some p -> p | None -> fresh_prio () in
   let rec t =
     {
       txn_id = fresh_txn_id ();
       top_status = Atomic.make Active;
-      rv;
+      rv = Atomic.get clock;
       reads = rs_create ();
-      validated = 0;
       writes = Hashtbl.create 16;
       wids = [||];
       wlen = 0;
@@ -973,7 +882,6 @@ let make_top ?cm ?prio () =
       parent = None;
       top = t;
       retries = 0;
-      validated_rv = rv;
       cm;
       prio;
       in_prepare = false;
@@ -990,7 +898,6 @@ let make_child parent =
       top_status = parent.top_status;
       rv = parent.top.rv;
       reads = rs_create ();
-      validated = 0;
       writes = Hashtbl.create 8;
       wids = [||];
       wlen = 0;
@@ -1002,7 +909,6 @@ let make_child parent =
       parent = Some parent;
       top = parent.top;
       retries = 0;
-      validated_rv = 0;
       cm = parent.top.cm;
       prio = parent.top.prio;
       in_prepare = false;
@@ -1059,10 +965,7 @@ let retire_slots s =
 let reset_for_attempt t =
   t.txn_id <- fresh_txn_id ();
   Atomic.set t.top_status Active;
-  let rv = Atomic.get clock in
-  t.rv <- rv;
-  t.validated_rv <- rv;
-  t.validated <- 0;
+  t.rv <- Atomic.get clock;
   rs_clear t.reads;
   Hashtbl.clear t.writes;
   t.wlen <- 0;

@@ -249,16 +249,17 @@ let test_remote_abort_settlement_vs_snapshots () =
   Alcotest.(check int) "all transactions settled (quiescent)" 0
     (Stm.in_flight_transactions ())
 
-let test_soak_karma_smoke () =
+let test_soak_greedy_smoke () =
   let sc =
-    Chaos.default_soak ~policy:Stm.Contention.Karma ~domains:2
+    Chaos.default_soak ~policy:Stm.Contention.Greedy ~domains:2
       ~ops_per_domain:400 ~seed:7 0.05
   in
   let r = Chaos.run_soak sc in
-  if not r.ok then Alcotest.failf "karma soak: %s" (String.concat "; " r.errors);
+  if not r.ok then
+    Alcotest.failf "greedy soak: %s" (String.concat "; " r.errors);
   (* A failing report names the manager the soak ran under and replays
      from the seed alone. *)
-  let expected = "[seed=7 section=soak.final cm=karma " in
+  let expected = "[seed=7 section=soak.final cm=greedy " in
   let prefix = Chaos.soak_context sc ~section:"soak.final" in
   Alcotest.(check string) "failure prefix names the contention manager"
     expected
@@ -316,7 +317,7 @@ let suites =
           test_chaos_determinism;
         Alcotest.test_case "soak matrix (3 probs x 3 seeds x 2 policies)"
           `Slow test_soak_matrix;
-        Alcotest.test_case "soak under karma" `Quick test_soak_karma_smoke;
+        Alcotest.test_case "soak under greedy" `Quick test_soak_greedy_smoke;
         Alcotest.test_case "snapshot readers vs injected writers" `Quick
           test_snapshot_reader_soak;
         Alcotest.test_case "remote-abort settlement races snapshot readers"

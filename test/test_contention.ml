@@ -93,7 +93,7 @@ let test_policies_commit () =
       Alcotest.(check int)
         ("counter under " ^ Stm.Contention.name policy)
         1500 (Tvar.get v))
-    [ Stm.Contention.default; Stm.Contention.Karma; Stm.Contention.Greedy ]
+    [ Stm.Contention.default; Stm.Contention.Greedy ]
 
 let test_global_policy () =
   Stm.Contention.set_global Stm.Contention.Greedy;

@@ -7,7 +7,7 @@ module Tvar = Tcc_stm.Tvar
 module Hdr = Harness.Hdr
 module Chaos = Harness.Chaos
 module OL = Harness.Openloop
-module Admission = Stm.Admission
+module Admission = Harness.Admission
 
 (* ---------------- Hdr histogram ---------------- *)
 
@@ -133,7 +133,7 @@ let test_admission_shed_ledger () =
                 Admission.run (fun () -> Tvar.set tv (Tvar.get tv + 1))
               with
               | () -> incr ok
-              | exception Stm.Overloaded -> incr over
+              | exception Admission.Overloaded -> incr over
             done))
   in
   Alcotest.(check int) "every call accounted" calls (!ok + !over);
@@ -163,14 +163,7 @@ let test_admission_serialise_ledger () =
     (Tvar.get tv)
 
 let test_admission_stats_surface () =
-  (* The module accessors and the [global_stats] fields are the same
-     shard sums; [disable] restores plain (unledgered) atomic. *)
-  let st = Stm.global_stats () in
-  Alcotest.(check int) "admitted" (Admission.admitted ()) st.Stm.admitted;
-  Alcotest.(check int) "shed" (Admission.shed ()) st.Stm.shed;
-  Alcotest.(check int) "serialised_overflow"
-    (Admission.serialised_overflow ())
-    st.Stm.serialised_overflow;
+  (* [disable] restores plain (unledgered) atomic. *)
   Alcotest.(check bool) "no gate outside with_gate" false
     (Admission.enabled ());
   let tv = Tvar.make 0 in
@@ -261,13 +254,13 @@ let test_openloop_accounting () =
     (r.OL.p50_us <= r.OL.p99_us && r.OL.p99_us <= r.OL.p999_us)
 
 let test_openloop_shed_counted () =
-  (* Stm.Overloaded out of the worker is shed, not completed and not a
+  (* Admission.Overloaded out of the worker is shed, not completed and not a
      crash; everything else still conserves. *)
   let worker ~domain:_ =
     let i = ref 0 in
     fun () ->
       incr i;
-      if !i mod 3 = 0 then raise Stm.Overloaded
+      if !i mod 3 = 0 then raise Admission.Overloaded
   in
   let r = OL.run_at ~domains:1 ~rate:2000. ~duration:0.25 worker in
   Alcotest.(check bool) "some shed" true (r.OL.shed > 0);

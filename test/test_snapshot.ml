@@ -51,6 +51,28 @@ let test_snapshot_rejects_writes_and_atomics () =
            "Transactional_map: write inside a snapshot read section")
         (fun () -> ignore (IM.put m 1 1)))
 
+let test_snapshot_rejects_every_top_level_entry () =
+  (* [serialised] and [open_nested] used to start a top-level transaction
+     inside the section and return the snapshot's value; every entry must
+     reject the call as [atomic] does, the admission gate included. *)
+  let tv = Tvar.make 1 in
+  let rejects name entry =
+    match entry (fun () -> Tvar.get tv) with
+    | v -> Alcotest.failf "%s ran inside a snapshot and returned %d" name v
+    | exception Invalid_argument _ -> ()
+  in
+  let module Admission = Harness.Admission in
+  Fun.protect ~finally:Admission.disable (fun () ->
+      Admission.configure ~rate:1e-3 ~burst:1 ~policy:Admission.Shed ();
+      Stm.snapshot (fun () ->
+          rejects "atomic" (fun f -> Stm.atomic f);
+          rejects "serialised" Stm.serialised;
+          rejects "open_nested" Stm.open_nested;
+          rejects "Admission.run" (fun f -> Admission.run f)));
+  Alcotest.(check int) "no commit region left held" 0 (Stm.regions_held ());
+  Alcotest.(check int) "no transaction left in flight" 0
+    (Stm.in_flight_transactions ())
+
 let test_snapshot_nesting () =
   let tv = Tvar.make 7 in
   let v =
@@ -526,6 +548,8 @@ let suites =
           test_snapshot_counts_as_ro_commit;
         Alcotest.test_case "rejects writes and nested atomics" `Quick
           test_snapshot_rejects_writes_and_atomics;
+        Alcotest.test_case "every top-level entry rejected inside" `Quick
+          test_snapshot_rejects_every_top_level_entry;
         Alcotest.test_case "nesting" `Quick test_snapshot_nesting;
         Alcotest.test_case "isolation across domains" `Quick
           test_snapshot_isolation_across_domains;

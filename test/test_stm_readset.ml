@@ -1,8 +1,8 @@
 (* Read-set representation and sharded-commit tests: deduplication keeps
    one entry per tvar, validation still catches conflicting writes to
-   deduplicated entries, incremental read-version extension stays opaque,
-   and commits into disjoint collections never contend on a commit
-   region. *)
+   deduplicated entries, read-version extension stays opaque and rolls
+   back only the invalid nesting level, and commits into disjoint
+   collections never contend on a commit region. *)
 
 module Stm = Tcc_stm.Stm
 module Tvar = Tcc_stm.Tvar
@@ -56,10 +56,9 @@ let test_dedup_entry_still_validated () =
 
 let test_incremental_extension_consistent () =
   (* Unrelated commits advance the clock; reading a tvar they wrote forces
-     read-version extension.  The first extension validates the whole read
-     set and records the high-water mark; the second only the suffix (the
-     commit ring proves the prefix untouched).  The transaction must still
-     commit on its first attempt. *)
+     read-version extension, twice.  Each extension re-checks the whole
+     read set, which the unrelated commits left untouched, so the
+     transaction must still commit on its first attempt. *)
   let prefix = Array.init 8 (fun i -> Tvar.make i) in
   let x = Tvar.make 0 and y = Tvar.make 0 and z = Tvar.make 0 in
   let attempts = ref 0 in
@@ -78,6 +77,40 @@ let test_incremental_extension_consistent () =
   in
   Alcotest.(check int) "single attempt" 1 !attempts;
   Alcotest.(check int) "sum consistent" (28 + 200 + 300) total
+
+(* The parent reads [a], a closed child reads [b]; another domain then
+   commits [b] (or [a]) together with [c], and the child reads [c], which
+   forces read-version extension.  Returns (parent runs, child runs). *)
+let extension_with_child ~overwrite =
+  let a = Tvar.make 0 and b = Tvar.make 0 and c = Tvar.make 0 in
+  let parent_runs = ref 0 and child_runs = ref 0 and injected = ref false in
+  let stale = if overwrite = `Parent_read then a else b in
+  Stm.atomic (fun () ->
+      incr parent_runs;
+      ignore (Tvar.get a);
+      Stm.closed_nested (fun () ->
+          incr child_runs;
+          ignore (Tvar.get b);
+          if not !injected then begin
+            injected := true;
+            Domain.join
+              (Domain.spawn (fun () ->
+                   Stm.atomic (fun () ->
+                       Tvar.set stale 1;
+                       Tvar.set c 1)))
+          end;
+          ignore (Tvar.get c)));
+  (!parent_runs, !child_runs)
+
+let test_extension_rolls_back_child_only () =
+  Alcotest.(check (pair int int))
+    "only the child re-ran" (1, 2)
+    (extension_with_child ~overwrite:`Child_read)
+
+let test_extension_retries_parent () =
+  Alcotest.(check (pair int int))
+    "the whole transaction re-ran" (2, 2)
+    (extension_with_child ~overwrite:`Parent_read)
 
 let test_disjoint_commits_never_wait () =
   (* Each domain commits into its own collection: every commit acquires
@@ -129,6 +162,10 @@ let suites =
           test_dedup_entry_still_validated;
         Alcotest.test_case "incremental extension consistent" `Quick
           test_incremental_extension_consistent;
+        Alcotest.test_case "extension rolls back the child only" `Quick
+          test_extension_rolls_back_child_only;
+        Alcotest.test_case "extension retries the parent" `Quick
+          test_extension_retries_parent;
         Alcotest.test_case "disjoint commits never wait" `Quick
           test_disjoint_commits_never_wait;
         Alcotest.test_case "shared commits correct" `Quick
