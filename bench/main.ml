@@ -47,6 +47,12 @@ let gate_ge name fresh bound =
     ~bound:(Printf.sprintf ">=%.3f" bound)
     (fresh >= bound)
 
+(* A float ceiling; NaN (a missing or degenerate row) fails it. *)
+let gate_le name fresh bound =
+  gate name ~fresh:(Printf.sprintf "%.3f" fresh)
+    ~bound:(Printf.sprintf "<=%.3f" bound)
+    (fresh <= bound)
+
 (* Every run of a soak passed: [oks] holds one verdict per run. *)
 let gate_runs name oks =
   gate_eq name (List.length (List.filter Fun.id oks)) (List.length oks)
@@ -757,7 +763,7 @@ let stmscale () =
          sortedscale_rows)
   in
   let b8 = sortedscale sortedscale_intervals and b1 = sortedscale 1 in
-  Fmt.pf ppf "@.Gates (1->4-domain scaling ratios)@.";
+  Fmt.pf ppf "@.Gates (1->4-domain scaling ratios, minor words per commit)@.";
   gate_ge "stmscale.disjoint_scaling_1_to_4" (workload_scaling "disjoint")
     (scaling_floor 0.275);
   gate_ge "stmscale.read_mostly_scaling_1_to_4"
@@ -765,6 +771,23 @@ let stmscale () =
     (scaling_floor 0.383);
   gate_ge "stmscale.semscale_scaling_1_to_4" semscale (scaling_floor 0.597);
   gate_ge "stmscale.sortedscale_scaling_1_to_4" b8 (scaling_floor 0.216);
+  (* Minor words per disjoint commit, worst row: deterministic and
+     host-independent.  Hashtable lock owners and write set with the
+     per-call retry-loop closures read 753 on OCaml 5.1; owner lists, the
+     array write set and the closure-free loop read 553.  The bound sits
+     10% above. *)
+  let disjoint_words =
+    match
+      List.filter_map
+        (fun r ->
+          if r.workload = "disjoint" then Some r.minor_words_per_commit
+          else None)
+        rows
+    with
+    | [] -> nan
+    | ws -> List.fold_left Float.max neg_infinity ws
+  in
+  gate_le "stmscale.disjoint_minor_words_per_commit" disjoint_words 610.;
   (* Absolute scaling needs the cores to scale onto. *)
   let skip = cores < 4 in
   let cores_note = if skip then Printf.sprintf " (cores=%d < 4)" cores else "" in

@@ -295,7 +295,7 @@ let remote_abort t =
    saved in [acq_old] at acquisition. *)
 let release_locks top n =
   for i = 0 to n - 1 do
-    let (W (tv, _)) = Hashtbl.find top.writes top.wids.(i) in
+    let (W (tv, _)) = top.wents.(i) in
     Atomic.set tv.vlock top.acq_old.(i)
   done
 
@@ -305,7 +305,7 @@ let release_locks top n =
    scratch, so acquisition allocates nothing. *)
 let lock_writes top =
   for i = 0 to top.wlen - 1 do
-    let (W (tv, _)) = Hashtbl.find top.writes top.wids.(i) in
+    let (W (tv, _)) = top.wents.(i) in
     let rec try_lock spins =
       let cur = Atomic.get tv.vlock in
       if locked cur then
@@ -324,7 +324,17 @@ let lock_writes top =
     try_lock 1024
   done
 
-let validate_reads top = level_valid ~self:(Some top) top
+let validate_reads top = level_valid top.self_opt top
+
+let by_rid a b = compare a.rid b.rid
+
+(* Insert [r] into a rid-sorted duplicate-free list. *)
+let rec insert_region r = function
+  | [] -> [ r ]
+  | x :: rest as l ->
+      if r.rid < x.rid then r :: l
+      else if r.rid = x.rid then l
+      else x :: insert_region r rest
 
 (* The rid-sorted, deduplicated set of commit regions the transaction's
    handlers touch.  A handler with a region plan ([ch_regions]) contributes
@@ -343,35 +353,53 @@ let commit_regions handlers =
             Option.value h.ch_region ~default:global_commit_region :: acc)
       [] handlers
   in
-  (* Collect everything first, sort by rid once, drop adjacent duplicates:
-     O(n log n) with O(n) allocation, where the old List.exists-per-insert
-     plan construction was O(n^2) — measurable once striped collections
-     contribute dozens of stripe regions per commit. *)
-  let sorted = List.sort (fun a b -> compare a.rid b.rid) all in
-  let rec dedup = function
-    | a :: (b :: _ as rest) when a.rid = b.rid -> dedup rest
-    | a :: rest -> a :: dedup rest
-    | [] -> []
-  in
-  dedup sorted
+  (* Collect everything first, sort by rid once in an array (in place),
+     drop adjacent duplicates while rebuilding the list: O(n log n) time
+     with O(n) allocation, where the old List.exists-per-insert plan
+     construction was O(n^2) — measurable once striped collections
+     contribute dozens of stripe regions per commit.  Plans of up to three
+     regions, the common case, are ordered by hand without the copies. *)
+  match all with
+  | [] | [ _ ] -> all
+  | [ a; b ] ->
+      if a.rid < b.rid then all else if a.rid = b.rid then [ a ] else [ b; a ]
+  | [ a; b; c ] -> insert_region a (insert_region b [ c ])
+  | _ ->
+      let arr = Array.of_list all in
+      Array.sort by_rid arr;
+      let plan = ref [] in
+      for i = Array.length arr - 1 downto 0 do
+        match !plan with
+        | r :: _ when r.rid = arr.(i).rid -> ()
+        | _ -> plan := arr.(i) :: !plan
+      done;
+      !plan
+
+let note_handler_failure () =
+  let s = my_stats () in
+  s.s_handler_failures <- s.s_handler_failures + 1
+
+(* Run [f h x] for every handler [h] in order, even if some raise; the
+   failures are counted and returned in handler order. *)
+let rec run_guarded f x failures = function
+  | [] -> List.rev failures
+  | h :: rest ->
+      let failures =
+        match f h x with
+        | () -> failures
+        | exception e ->
+            note_handler_failure ();
+            e :: failures
+      in
+      run_guarded f x failures rest
 
 (* Run every apply handler even if some raise; failures are aggregated
    (in registration order) and surfaced after the commit completes.  A
    raising handler can therefore never skip another collection's buffer
    application or semantic lock release.  [wv] is the commit stamp the
    handlers publish their shard versions at (0 on read-only paths). *)
-let run_applies wv handlers =
-  List.rev
-    (List.fold_left
-       (fun acc h ->
-         try
-           h.ch_apply wv;
-           acc
-         with e ->
-           let s = my_stats () in
-           s.s_handler_failures <- s.s_handler_failures + 1;
-           e :: acc)
-       [] handlers)
+let apply_at h wv = h.ch_apply wv
+let run_applies wv handlers = run_guarded apply_at wv [] handlers
 
 (* Publish the redo log at write version [wv]: per tvar — value, version
    chain (while the write lock is still held: chain publications are
@@ -382,7 +410,7 @@ let run_applies wv handlers =
 let publish_writes top wv =
   let min_epoch = oldest_active_epoch () in
   for i = 0 to top.wlen - 1 do
-    let (W (tv, v)) = Hashtbl.find top.writes top.wids.(i) in
+    let (W (tv, v)) = top.wents.(i) in
     Atomic.set tv.value v;
     hist_publish tv ~min_epoch wv v;
     Atomic.set tv.vlock wv
@@ -409,6 +437,45 @@ let finish_read_only top =
   let s = my_stats () in
   s.s_commits <- s.s_commits + 1;
   s.s_ro_commits <- s.s_ro_commits + 1
+
+(* Release pre-acquired commit regions in reverse acquisition order. *)
+let rec unlock_regions = function
+  | [] -> ()
+  | r :: rest ->
+      unlock_regions rest;
+      region_unlock r
+
+(* The handler path of [commit_top], run with every region of the commit
+   plan held. *)
+let commit_in_regions top handlers =
+  lock_writes top;
+  (try
+     if not (validate_reads top) then raise Conflict_exn;
+     chaos Chaos_in_commit;
+     top.in_prepare <- true;
+     List.iter
+       (fun h -> match h.ch_prepare with Some p -> p () | None -> ())
+       handlers;
+     top.in_prepare <- false;
+     if not (Atomic.compare_and_set top.top_status Active Committing) then
+       raise Remote_aborted_exn
+   with e ->
+     top.in_prepare <- false;
+     release_locks top top.wlen;
+     raise e);
+  (* Commit point passed.  The publication window opens before the bump:
+     a snapshot pin concurrent with this commit either waits out the chain
+     publications below (tvar chains and the semantic shard chains the
+     applies publish at [wv]) or pins above [wv].  Every mutating commit
+     draws a write version here — semantic-only commits included —
+     because snapshot visibility is keyed off unique commit stamps. *)
+  publish_window_enter ();
+  let wv = bump_clock () in
+  let failures = run_applies wv handlers in
+  publish_writes top wv;
+  publish_window_exit ();
+  finish_commit top;
+  if failures <> [] then raise (Handler_failure { committed = true; failures })
 
 (* Commit a top-level transaction.  When the transaction registered
    handlers, the whole sequence
@@ -445,9 +512,9 @@ let finish_read_only top =
    state), each under its own collection's [critical] region.  The chaos
    hook and the Active->Committing settlement CAS stay on the fast path,
    so injected faults and remote aborts keep their full power there. *)
-let commit_top ?(run_handlers = true) top =
+let commit_top ~run_handlers top =
   let handlers = if run_handlers then List.rev top.commit_handlers else [] in
-  if handlers = [] then
+  if handlers == [] then
     if top.wlen = 0 then begin
       (* Pure read-only fast path: no locks, no regions, no clock. *)
       if not (validate_reads top) then raise Conflict_exn;
@@ -487,191 +554,161 @@ let commit_top ?(run_handlers = true) top =
   else begin
     let regions = commit_regions handlers in
     List.iter region_lock regions;
-    Fun.protect
-      ~finally:(fun () -> List.iter region_unlock (List.rev regions))
-      (fun () ->
-        lock_writes top;
-        (try
-           if not (validate_reads top) then raise Conflict_exn;
-           chaos Chaos_in_commit;
-           top.in_prepare <- true;
-           List.iter
-             (fun h ->
-               match h.ch_prepare with Some p -> p () | None -> ())
-             handlers;
-           top.in_prepare <- false;
-           if not (Atomic.compare_and_set top.top_status Active Committing)
-           then raise Remote_aborted_exn
-         with e ->
-           top.in_prepare <- false;
-           release_locks top top.wlen;
-           raise e);
-        (* Commit point passed.  The publication window opens before the
-           bump: a snapshot pin concurrent with this commit either waits
-           out the chain publications below (tvar chains and the semantic
-           shard chains the applies publish at [wv]) or pins above [wv].
-           Every mutating commit draws a write version here — semantic-
-           only commits included — because snapshot visibility is keyed
-           off unique commit stamps. *)
-        publish_window_enter ();
-        let wv = bump_clock () in
-        let failures = run_applies wv handlers in
-        publish_writes top wv;
-        publish_window_exit ();
-        finish_commit top;
-        if failures <> [] then
-          raise (Handler_failure { committed = true; failures }))
+    (* Hand-rolled instead of Fun.protect, as in [region_critical]. *)
+    match commit_in_regions top handlers with
+    | () -> unlock_regions regions
+    | exception e ->
+        unlock_regions regions;
+        raise e
   end
 
 (* Newest-first: compensations undo in reverse registration order.  Every
    handler runs even if one raises; failures are counted and returned for
    the caller to surface as [Handler_failure]. *)
-let run_abort_handlers handlers =
-  List.rev
-    (List.fold_left
-       (fun acc h ->
-         try
-           h ();
-           acc
-         with e ->
-           let s = my_stats () in
-           s.s_handler_failures <- s.s_handler_failures + 1;
-           e :: acc)
-       [] handlers)
+let run_abort_handlers handlers = run_guarded (fun h () -> h ()) () [] handlers
 
 let mark_aborted t = ignore (Atomic.compare_and_set t.top_status Active Aborted)
 
 (* Run [f] as a fresh top-level transaction, retrying on conflicts and
    remote aborts under the contention policy until it commits or the
    budget (max retries / wall-clock deadline) is exhausted, which raises
-   [Starved].  With [defer_handlers], commit handlers are not executed at
-   commit; the caller (open nesting) migrates them to the suspended parent
-   instead.
+   [Starved].  An open-nested attempt ([open_attempt]) does not execute
+   its commit handlers at commit; [open_nested] migrates them to the
+   suspended parent instead.
 
    The descriptor comes from the domain-local pool and is reset in place
-   per attempt (fresh leased txn_id, cleared grow-only read/write sets),
-   so the retry loop allocates nothing.  It is released back to the pool
-   on every exit path after compensation handlers have run — except a
-   committed open-nested one, which [open_nested] releases itself.
+   per attempt (fresh leased txn_id, cleared grow-only read/write sets).
+   The retry loop is a set of top-level functions that take their state
+   as arguments, so a call allocates no closures and no result pair: an
+   empty [atomic] allocates only the fresh status cell and the pool's
+   free-list cell.  The descriptor is released back to the pool on every
+   exit path after compensation handlers have run — except a committed
+   open-nested one, which [open_nested] releases itself.
 
    Every top-level entry ([atomic], [serialised], [open_nested]) starts
-   here, so each rejects a call from inside a snapshot section. *)
-let run_top ?(defer_handlers = false) ?cm ?budget f =
+   in [begin_top], so each rejects a call from inside a snapshot
+   section. *)
+let begin_top ~open_attempt cm =
   if Types.in_snapshot () then
     invalid_arg "Stm.atomic: inside a snapshot read section";
-  let ctx = context () in
   let cm = match cm with Some c -> c | None -> Atomic.get global_cm in
-  let prio = fresh_prio () in
-  let t0 =
-    match budget with
-    | Some { max_seconds = Some _; _ } -> Monoclock.now ()
-    | _ -> 0.
-  in
-  (* [n] is the index of the attempt that would run next; called after
-     attempt [n - 1] failed. *)
-  let check_budget n =
-    match budget with
-    | None -> ()
-    | Some b ->
-        let elapsed =
-          match b.max_seconds with
-          | Some _ -> Monoclock.now () -. t0
-          | None -> 0.
-        in
-        let over_retries =
-          match b.max_retries with Some m -> n > m | None -> false
-        in
-        let over_time =
-          match b.max_seconds with Some s -> elapsed > s | None -> false
-        in
-        if over_retries || over_time then begin
-          let s = my_stats () in
-          s.s_starved <- s.s_starved + 1;
-          record_retries cm n;
-          raise (Starved { attempts = n; elapsed })
-        end
-  in
-  let t = acquire_top ~cm ~prio in
-  t.open_attempt <- defer_handlers;
+  let t = acquire_top ~cm ~prio:(fresh_prio ()) in
+  t.open_attempt <- open_attempt;
   (* In-flight accounting: the quiescence probe behind [reset_stats].  The
-     increment/decrement bracket every exit path below (commit, starvation,
-     explicit abort, escaping exception), always on the same domain, so a
-     quiescent domain's count nets to zero. *)
-  (my_stats ()).s_inflight <- (my_stats ()).s_inflight + 1;
-  let abort_and_compensate () =
-    mark_aborted t;
-    (* An aborting open-nested attempt discards the handlers its body
-       registered (paper §4): its rolled-back effects need no
-       compensation.  The collections' handlers still run: the semantic
-       locks they release were taken in [critical] sections, which commit
-       at once, and the attempt owns the transaction-local values they
-       clean up.  A transaction that owns its handlers runs them all. *)
-    run_abort_handlers
-      (if defer_handlers then t.local_aborts else t.abort_handlers)
-  in
-  let rec attempt n =
-    reset_for_attempt t;
-    t.retries <- n;
-    ctx := t.self_opt;
-    match
-      chaos Chaos_attempt;
-      let r = f () in
-      chaos Chaos_before_commit;
-      commit_top ~run_handlers:(not defer_handlers) t;
-      r
-    with
-    | r ->
-        ctx := None;
-        record_retries cm n;
-        r
-    | exception
-        ((Conflict_exn | Child_conflict_exn | Remote_aborted_exn | Deferred_exn)
-         as e) ->
-        (let s = my_stats () in
-         match e with
-         | Remote_aborted_exn -> s.s_remote_aborts <- s.s_remote_aborts + 1
-         | Deferred_exn -> () (* counted at the deferral site *)
-         | _ -> s.s_conflict_aborts <- s.s_conflict_aborts + 1);
-        ctx := None;
-        let failures = abort_and_compensate () in
-        if failures <> [] then
-          raise (Handler_failure { committed = false; failures });
-        check_budget (n + 1);
-        cm_wait cm n;
-        attempt (n + 1)
-    | exception (Handler_failure _ as e)
-      when Atomic.get t.top_status = Committed ->
-        (* Our own commit completed; apply-handler failures surface after
-           the fact, with the transaction's effects in place. *)
-        ctx := None;
-        record_retries cm n;
-        raise e
-    | exception Explicit_abort_exn ->
+     increment/decrement bracket every exit path of [run_attempts]
+     (commit, starvation, explicit abort, escaping exception), always on
+     the same domain, so a quiescent domain's count nets to zero. *)
+  let s = my_stats () in
+  s.s_inflight <- s.s_inflight + 1;
+  t
+
+(* Start of the wall-clock budget; 0 when no deadline is set. *)
+let budget_start = function
+  | Some { max_seconds = Some _; _ } -> Monoclock.now ()
+  | _ -> 0.
+
+(* [n] is the index of the attempt that would run next; called after
+   attempt [n - 1] failed. *)
+let check_budget t budget t0 n =
+  match budget with
+  | None -> ()
+  | Some b ->
+      let elapsed =
+        match b.max_seconds with Some _ -> Monoclock.now () -. t0 | None -> 0.
+      in
+      let over_retries =
+        match b.max_retries with Some m -> n > m | None -> false
+      in
+      let over_time =
+        match b.max_seconds with Some s -> elapsed > s | None -> false
+      in
+      if over_retries || over_time then begin
         let s = my_stats () in
-        s.s_explicit_aborts <- s.s_explicit_aborts + 1;
-        ctx := None;
-        let failures = abort_and_compensate () in
-        if failures <> [] then
-          raise (Handler_failure { committed = false; failures });
-        raise Aborted
-    | exception e ->
-        (* Any other exception aborts the transaction and propagates; a
-           failure raised by a compensation handler is counted but the
-           original exception wins. *)
-        ctx := None;
-        ignore (abort_and_compensate ());
-        raise e
-  in
-  match attempt 0 with
+        s.s_starved <- s.s_starved + 1;
+        record_retries t.cm n;
+        raise (Starved { attempts = n; elapsed })
+      end
+
+(* An aborting open-nested attempt discards the handlers its body
+   registered (paper §4): its rolled-back effects need no compensation.
+   The collections' handlers still run: the semantic locks they release
+   were taken in [critical] sections, which commit at once, and the
+   attempt owns the transaction-local values they clean up.  A
+   transaction that owns its handlers runs them all. *)
+let abort_and_compensate t =
+  mark_aborted t;
+  run_abort_handlers (if t.open_attempt then t.local_aborts else t.abort_handlers)
+
+let rec attempt ctx t budget t0 f n =
+  reset_for_attempt t;
+  t.retries <- n;
+  ctx := t.self_opt;
+  match
+    chaos Chaos_attempt;
+    let r = f () in
+    chaos Chaos_before_commit;
+    commit_top ~run_handlers:(not t.open_attempt) t;
+    r
+  with
   | r ->
-      (my_stats ()).s_inflight <- (my_stats ()).s_inflight - 1;
-      (* [open_nested] decides itself whether the descriptor goes back. *)
-      if not defer_handlers then release_top t;
-      (r, t)
+      ctx := None;
+      record_retries t.cm n;
+      r
+  | exception
+      ((Conflict_exn | Child_conflict_exn | Remote_aborted_exn | Deferred_exn)
+       as e) ->
+      (let s = my_stats () in
+       match e with
+       | Remote_aborted_exn -> s.s_remote_aborts <- s.s_remote_aborts + 1
+       | Deferred_exn -> () (* counted at the deferral site *)
+       | _ -> s.s_conflict_aborts <- s.s_conflict_aborts + 1);
+      ctx := None;
+      let failures = abort_and_compensate t in
+      if failures <> [] then
+        raise (Handler_failure { committed = false; failures });
+      check_budget t budget t0 (n + 1);
+      cm_wait t.cm n;
+      attempt ctx t budget t0 f (n + 1)
+  | exception (Handler_failure _ as e) when Atomic.get t.top_status = Committed
+    ->
+      (* Our own commit completed; apply-handler failures surface after
+         the fact, with the transaction's effects in place. *)
+      ctx := None;
+      record_retries t.cm n;
+      raise e
+  | exception Explicit_abort_exn ->
+      let s = my_stats () in
+      s.s_explicit_aborts <- s.s_explicit_aborts + 1;
+      ctx := None;
+      let failures = abort_and_compensate t in
+      if failures <> [] then
+        raise (Handler_failure { committed = false; failures });
+      raise Aborted
   | exception e ->
-      (my_stats ()).s_inflight <- (my_stats ()).s_inflight - 1;
+      (* Any other exception aborts the transaction and propagates; a
+         failure raised by a compensation handler is counted but the
+         original exception wins. *)
+      ctx := None;
+      ignore (abort_and_compensate t);
+      raise e
+
+let run_attempts t budget t0 f =
+  match attempt (context ()) t budget t0 f 0 with
+  | r ->
+      let s = my_stats () in
+      s.s_inflight <- s.s_inflight - 1;
+      (* [open_nested] decides itself whether the descriptor goes back. *)
+      if not t.open_attempt then release_top t;
+      r
+  | exception e ->
+      let s = my_stats () in
+      s.s_inflight <- s.s_inflight - 1;
       release_top t;
       raise e
+
+let run_top ?cm ?budget f =
+  let t = begin_top ~open_attempt:false cm in
+  run_attempts t budget (budget_start budget) f
 
 let closed_nested_in parent f =
   let ctx = context () in
@@ -684,10 +721,8 @@ let closed_nested_in parent f =
            skipped in O(1). *)
         rs_append parent.reads child.reads;
         for i = 0 to child.wlen - 1 do
-          let id = child.wids.(i) in
-          if not (Hashtbl.mem parent.writes id) then wids_insert parent id
+          record_write parent child.wids.(i) child.wents.(i)
         done;
-        Hashtbl.iter (fun k w -> Hashtbl.replace parent.writes k w) child.writes;
         parent.commit_handlers <- child.commit_handlers @ parent.commit_handlers;
         parent.abort_handlers <- child.abort_handlers @ parent.abort_handlers;
         ctx := parent.self_opt;
@@ -707,9 +742,9 @@ let atomic ?policy ?budget ?on_starved f =
   match !(context ()) with
   | None -> (
       match on_starved with
-      | None -> fst (run_top ?cm:policy ?budget f)
+      | None -> run_top ?cm:policy ?budget f
       | Some fallback -> (
-          try fst (run_top ?cm:policy ?budget f) with Starved _ -> fallback ()))
+          try run_top ?cm:policy ?budget f with Starved _ -> fallback ()))
   | Some parent -> closed_nested_in parent f
 
 let closed_nested f = atomic f
@@ -725,17 +760,20 @@ let serialised f =
     region_lock global_commit_region;
     Fun.protect
       ~finally:(fun () -> region_unlock global_commit_region)
-      (fun () -> fst (run_top f))
+      (fun () -> run_top f)
   end
 
 let open_nested f =
   let ctx = context () in
   match !ctx with
-  | None -> fst (run_top f)
+  | None -> run_top f
   | Some parent ->
+      (* Inside a transaction, so never inside a snapshot: [begin_top]
+         cannot raise here. *)
+      let open_txn = begin_top ~open_attempt:true None in
       ctx := None;
-      (match run_top ~defer_handlers:true f with
-      | r, open_txn ->
+      (match run_attempts open_txn None 0. f with
+      | r ->
           ctx := parent.self_opt;
           (* Handlers registered inside the open-nested transaction become
              the parent's responsibility once the open transaction commits

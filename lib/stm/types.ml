@@ -15,9 +15,11 @@
      merges are index-aware bulk appends;
    - read-version extension re-checks every nesting level's reads tvar by
      tvar, the rescan that invisible reads make inherent;
-   - the write set keeps its tv_ids in a sorted grow-only array maintained
-     at insertion, so commit-time lock acquisition needs no fold+sort and
-     allocates nothing;
+   - the write set is two grow-only arrays kept in step: the tv_ids in
+     ascending order and their buffered entries.  Lookups and inserts
+     binary-search the ids, and commit-time locking, publication and
+     release walk the arrays in order, so the write set needs no hashtable
+     and commit-time lock acquisition allocates nothing;
    - every per-transaction touch of shared mutable state is gone from the
      hot loop: statistics are sharded per domain (aggregated lazily),
      transaction ids and priority tickets are leased to domains in blocks,
@@ -301,15 +303,19 @@ type read_set = {
   r_idx : (int, int) Hashtbl.t; (* tv_id -> index into [r_arr] *)
 }
 
-let dummy_rentry =
-  R
-    ( {
-        tv_id = 0;
-        value = Atomic.make 0;
-        vlock = Atomic.make 0;
-        hist = Coll.Vchain.make 0 0;
-      },
-      0 )
+let dummy_tvar =
+  {
+    tv_id = 0;
+    value = Atomic.make 0;
+    vlock = Atomic.make 0;
+    hist = Coll.Vchain.make 0 0;
+  }
+
+let dummy_rentry = R (dummy_tvar, 0)
+
+(* Filler for unused write-set slots, and [find_write]'s "no write"
+   answer (compared physically). *)
+let no_write = W (dummy_tvar, 0)
 
 let rs_create () = { r_arr = [||]; r_len = 0; r_idx = Hashtbl.create 16 }
 let rs_mem rs tv_id = Hashtbl.mem rs.r_idx tv_id
@@ -496,10 +502,13 @@ type txn = {
          so that stale handles from earlier transactions CAS a dead cell *)
   mutable rv : int; (* read version; meaningful on the top level *)
   reads : read_set;
-  writes : (int, wentry) Hashtbl.t;
   mutable wids : int array;
-      (* tv_ids of [writes] in ascending order, maintained at insertion:
-         the commit-time lock-acquisition order.  Grow-only scratch. *)
+      (* tv_ids of the buffered writes in ascending order, maintained at
+         insertion: the lookup key and the commit-time lock-acquisition
+         order.  Grow-only scratch. *)
+  mutable wents : wentry array;
+      (* the buffered writes, parallel to [wids]; slots from [wlen] on hold
+         [no_write] *)
   mutable wlen : int;
   mutable acq_old : int array;
       (* commit-time scratch, parallel to [wids]: the pre-lock vlock values
@@ -707,11 +716,22 @@ let context () = Domain.DLS.get ctx_key
 let check_not_aborted txn =
   if Atomic.get txn.top_status = Aborted then raise Remote_aborted_exn
 
-(* Walk the nesting stack, innermost first, looking for a buffered write. *)
+(* Slot of [tv_id] in [txn]'s sorted write ids, or [-(p + 1)] when absent,
+   [p] being the slot it would be inserted at. *)
+let write_slot txn tv_id =
+  let lo = ref 0 and hi = ref txn.wlen in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if txn.wids.(mid) < tv_id then lo := mid + 1 else hi := mid
+  done;
+  if !lo < txn.wlen && txn.wids.(!lo) = tv_id then !lo else - !lo - 1
+
+(* Walk the nesting stack, innermost first, looking for a buffered write;
+   [no_write] when there is none. *)
 let rec find_write txn tv_id =
-  match Hashtbl.find_opt txn.writes tv_id with
-  | Some _ as w -> w
-  | None -> ( match txn.parent with None -> None | Some p -> find_write p tv_id)
+  let i = write_slot txn tv_id in
+  if i >= 0 then txn.wents.(i)
+  else match txn.parent with None -> no_write | Some p -> find_write p tv_id
 
 (* [true] iff some level of the nesting stack already recorded a read of
    [tv_id]; makes re-reads O(1) no-ops on the read-set. *)
@@ -720,35 +740,33 @@ let rec stack_has_read txn tv_id =
   ||
   match txn.parent with None -> false | Some p -> stack_has_read p tv_id
 
-(* Grow [wids] (and the parallel [acq_old] scratch) to hold at least [n]
-   entries; grow-only, reused across attempts and transactions. *)
+(* Grow the write-set arrays (and the parallel [acq_old] scratch) to hold
+   at least [n] entries; grow-only, reused across attempts and
+   transactions. *)
 let wids_ensure txn n =
   if Array.length txn.wids < n then begin
     let cap = max 8 (max n (2 * Array.length txn.wids)) in
-    let w = Array.make cap 0 in
+    let w = Array.make cap 0 and e = Array.make cap no_write in
     Array.blit txn.wids 0 w 0 txn.wlen;
+    Array.blit txn.wents 0 e 0 txn.wlen;
     txn.wids <- w;
+    txn.wents <- e;
     txn.acq_old <- Array.make cap 0
   end
 
-(* Insert [tv_id] into the sorted id array (binary search + shift). *)
-let wids_insert txn tv_id =
-  wids_ensure txn (txn.wlen + 1);
-  let lo = ref 0 and hi = ref txn.wlen in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if txn.wids.(mid) < tv_id then lo := mid + 1 else hi := mid
-  done;
-  Array.blit txn.wids !lo txn.wids (!lo + 1) (txn.wlen - !lo);
-  txn.wids.(!lo) <- tv_id;
-  txn.wlen <- txn.wlen + 1
-
-(* Record a (first) write of [tv_id], keeping the sorted id array current. *)
+(* Record a write of [tv_id]: overwrite its slot, or insert it in id
+   order (binary search + shift). *)
 let record_write txn tv_id w =
-  if Hashtbl.mem txn.writes tv_id then Hashtbl.replace txn.writes tv_id w
+  let i = write_slot txn tv_id in
+  if i >= 0 then txn.wents.(i) <- w
   else begin
-    Hashtbl.add txn.writes tv_id w;
-    wids_insert txn tv_id
+    let pos = -i - 1 in
+    wids_ensure txn (txn.wlen + 1);
+    Array.blit txn.wids pos txn.wids (pos + 1) (txn.wlen - pos);
+    Array.blit txn.wents pos txn.wents (pos + 1) (txn.wlen - pos);
+    txn.wids.(pos) <- tv_id;
+    txn.wents.(pos) <- w;
+    txn.wlen <- txn.wlen + 1
   end
 
 let locked v = v land 1 = 1
@@ -770,24 +788,26 @@ let rec read_committed tv =
     end
 
 (* A read entry is still valid if its tvar is unlocked at the recorded
-   version, or locked by [txn] itself (commit-time validation only). *)
-let rentry_valid ?(self = None) (R (tv, ver)) =
+   version, or locked by [self] itself (commit-time validation only).
+   [self] is an option passed positionally, so validating allocates
+   nothing. *)
+let rentry_valid self (R (tv, ver)) =
   let cur = Atomic.get tv.vlock in
   if cur = ver then true
   else if locked cur && cur = ver + 1 then
     match self with
-    | Some txn -> Hashtbl.mem txn.writes tv.tv_id
+    | Some txn -> write_slot txn tv.tv_id >= 0
     | None -> false
   else false
 
 (* Per-tvar check of one level's entries; [self] is the committing
    transaction, whose own write locks do not invalidate its reads. *)
-let level_valid ?(self = None) txn =
+let level_valid self txn =
   let rs = txn.reads in
   let ok = ref true in
   let i = ref 0 in
   while !ok && !i < rs.r_len do
-    if not (rentry_valid ~self rs.r_arr.(!i)) then ok := false;
+    if not (rentry_valid self rs.r_arr.(!i)) then ok := false;
     incr i
   done;
   !ok
@@ -800,10 +820,10 @@ let extend_read_version innermost =
   let new_rv = Atomic.get clock in
   let rec ancestors_valid = function
     | None -> true
-    | Some lvl -> level_valid lvl && ancestors_valid lvl.parent
+    | Some lvl -> level_valid None lvl && ancestors_valid lvl.parent
   in
   if not (ancestors_valid innermost.parent) then false
-  else if level_valid innermost then begin
+  else if level_valid None innermost then begin
     innermost.top.rv <- new_rv;
     true
   end
@@ -843,17 +863,17 @@ let pending_value : type a. a tvar_repr -> wentry -> a =
 let rec lazy_rv_read : type a. txn -> a tvar_repr -> a =
  fun txn tv ->
   check_not_aborted txn;
-  match find_write txn tv.tv_id with
-  | Some w -> pending_value tv w
-  | None ->
-      let v, ver = read_committed tv in
-      if ver > txn.top.rv then
-        if extend_read_version txn then lazy_rv_read txn tv
-        else raise Conflict_exn
-      else begin
-        if not (stack_has_read txn tv.tv_id) then rs_push txn.reads (R (tv, ver));
-        v
-      end
+  let w = find_write txn tv.tv_id in
+  if w != no_write then pending_value tv w
+  else
+    let v, ver = read_committed tv in
+    if ver > txn.top.rv then
+      if extend_read_version txn then lazy_rv_read txn tv
+      else raise Conflict_exn
+    else begin
+      if not (stack_has_read txn tv.tv_id) then rs_push txn.reads (R (tv, ver));
+      v
+    end
 
 let buffered_write : type a. txn -> a tvar_repr -> a -> unit =
  fun txn tv v ->
@@ -871,8 +891,8 @@ let make_top ?cm ?prio () =
       top_status = Atomic.make Active;
       rv = Atomic.get clock;
       reads = rs_create ();
-      writes = Hashtbl.create 16;
       wids = [||];
+      wents = [||];
       wlen = 0;
       acq_old = [||];
       commit_handlers = [];
@@ -898,8 +918,8 @@ let make_child parent =
       top_status = parent.top_status;
       rv = parent.top.rv;
       reads = rs_create ();
-      writes = Hashtbl.create 8;
       wids = [||];
+      wents = [||];
       wlen = 0;
       acq_old = [||];
       commit_handlers = [];
@@ -921,8 +941,8 @@ let make_child parent =
 (* ------------------------------------------------------------------ *)
 (* Descriptor pool.  Top-level descriptors are recycled through a
    domain-local free list, so the retry loop allocates nothing: the read
-   set, write-set hashtable and scratch arrays are grow-only and cleared
-   in place per attempt.  A fresh status cell and a fresh leased txn_id
+   set, write-set arrays and scratch arrays are grow-only and cleared in
+   place per attempt.  A fresh status cell and a fresh leased txn_id
    are installed per acquisition/attempt, so a handle captured by an
    earlier transaction (e.g. by a semantic lock table whose cleanup
    raced) can only CAS an orphaned cell, never abort the new incarnation.
@@ -967,7 +987,7 @@ let reset_for_attempt t =
   Atomic.set t.top_status Active;
   t.rv <- Atomic.get clock;
   rs_clear t.reads;
-  Hashtbl.clear t.writes;
+  Array.fill t.wents 0 t.wlen no_write;
   t.wlen <- 0;
   t.commit_handlers <- [];
   t.abort_handlers <- [];

@@ -44,15 +44,23 @@
    internally (regions are reentrant, so calling them with regions held is
    fine).
 
-   Membership structures are keyed by [TM.txn_id] — which coincides with
-   [TM.same_txn] equality on both TM implementations — so acquiring,
-   releasing and re-checking a lock are O(1) instead of list scans, and
-   [any_other_writer] is O(1) per stripe via a maintained per-transaction
-   write-lock count.  Key write locks track *every* pending writer (a
-   lockers table, not a single slot): a second writer registering on the
-   same key must not displace the first, or the first's write-write
-   conflict would be lost at commit time.  The commit-time conflict checks
-   iterate the tables directly and allocate nothing.
+   Lock owners (a key's readers and pending writers, the size, isEmpty,
+   first and last lockers) are plain lists deduplicated by [TM.txn_id] —
+   which coincides with [TM.same_txn] equality on both TM
+   implementations.  A list holds at most one entry per live transaction,
+   so the scans stay short, and read-locking a key no one holds costs one
+   entry record and one cons.  [any_other_writer] stays O(1) per stripe
+   via a maintained per-transaction write-lock count.  Key write locks track
+   *every* pending writer: a second writer registering on the same key
+   must not displace the first, or the first's write-write conflict would
+   be lost at commit time.  The commit-time conflict checks walk the
+   lists directly and allocate nothing.
+
+   Key tables follow the partition's notion of key equality: hashed mode
+   keys them by [Hashtbl.hash] and structural equality, interval mode by
+   the partition's comparator, so a sorted map under a coarser comparator
+   (say, case-insensitive strings) locks the same key its store buffer
+   and committed shards see.
 
    Conflict detection is optimistic (paper §5.1): writers examine these
    tables at commit time and abort conflicting readers (and conflicting
@@ -65,21 +73,25 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   type 'k range = { lo : 'k option; hi : 'k option }
   (* Half-open interval [lo, hi); [None] = unbounded on that side. *)
 
-  type lockers = (int, TM.txn) Hashtbl.t
-  (* txn_id -> owner; Hashtbl.replace makes acquisition idempotent. *)
+  type lockers = TM.txn list
+  (* Distinct owners by [TM.txn_id], newest first. *)
 
   type key_entry = {
-    readers : lockers;
-    writers : lockers;
+    mutable readers : lockers;
+    mutable writers : lockers;
         (* Pending writers, used only by the pessimistic/undo-logging
            variants (§5.1); the optimistic wrapper never writes here.
            Plural: concurrent writers of the same key must all stay
            registered so each one's commit conflicts with the others. *)
   }
 
+  type 'k key_table =
+    | Hashed_keys of ('k, key_entry) Coll.Chain_hashmap.t
+    | Ordered_keys of ('k, key_entry) Coll.Ordmap.t
+
   type 'k stripe = {
     st_region : TM.region;
-    key_lockers : ('k, key_entry) Coll.Chain_hashmap.t;
+    key_lockers : 'k key_table;
     st_writers : (int, int) Hashtbl.t;
         (* txn_id -> number of key write-locks held in this stripe *)
     st_ranges : (int, 'k range list * TM.txn) Hashtbl.t;
@@ -110,10 +122,10 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     sregion : TM.region;
         (* structure stripe: size/isEmpty/first/last (+ hashed-mode range)
            locks *)
-    size_lockers : lockers;
-    isempty_lockers : lockers;
-    first_lockers : lockers;
-    last_lockers : lockers;
+    mutable size_lockers : lockers;
+    mutable isempty_lockers : lockers;
+    mutable first_lockers : lockers;
+    mutable last_lockers : lockers;
     range_lockers : (int, 'k range list * TM.txn) Hashtbl.t;
         (* hashed mode: txn_id -> pairwise non-touching ranges, coalesced
            on insertion *)
@@ -123,10 +135,15 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let max_stripes = 62
   (* Collection wrappers plan commit regions with an int bitmask. *)
 
-  let make_stripe region =
+  let make_stripe partition region =
+    let key_lockers =
+      match partition with
+      | Hashed _ -> Hashed_keys (Coll.Chain_hashmap.create ())
+      | Intervals { cmp; _ } -> Ordered_keys (Coll.Ordmap.create ~compare:cmp ())
+    in
     {
       st_region = region;
-      key_lockers = Coll.Chain_hashmap.create ();
+      key_lockers;
       st_writers = Hashtbl.create 8;
       st_ranges = Hashtbl.create 8;
       st_range_count = 0;
@@ -144,17 +161,17 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let build partition n =
     let sregion = TM.new_region () in
     let stripes =
-      if n = 1 then [| make_stripe sregion |]
-      else Array.init n (fun _ -> make_stripe (TM.new_region ()))
+      if n = 1 then [| make_stripe partition sregion |]
+      else Array.init n (fun _ -> make_stripe partition (TM.new_region ()))
     in
     {
       stripes;
       partition;
       sregion;
-      size_lockers = Hashtbl.create 8;
-      isempty_lockers = Hashtbl.create 8;
-      first_lockers = Hashtbl.create 8;
-      last_lockers = Hashtbl.create 8;
+      size_lockers = [];
+      isempty_lockers = [];
+      first_lockers = [];
+      last_lockers = [];
       range_lockers = Hashtbl.create 8;
       range_count = 0;
     }
@@ -188,23 +205,25 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let stripe_count t = Array.length t.stripes
   let struct_region t = t.sregion
 
-  (* Number of splitters [pred]-related to the probe: binary search over the
-     sorted splitter array. *)
-  let count_splitters pred splitters =
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if pred splitters.(mid) then go (mid + 1) hi else go lo mid
-    in
-    go 0 (Array.length splitters)
+  (* Number of splitters at or below [k] ([< k] when [strict]): a plain
+     binary search over the sorted splitter array.  No predicate closure,
+     so the several stripe lookups of every sorted-map operation allocate
+     nothing; without splitters the loop never runs. *)
+  let count_splitters ~strict cmp splitters k =
+    let lo = ref 0 and hi = ref (Array.length splitters) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let c = cmp splitters.(mid) k in
+      if c < 0 || (c = 0 && not strict) then lo := mid + 1 else hi := mid
+    done;
+    !lo
 
   let stripe_index t k =
     match t.partition with
     | Hashed hash -> hash k land max_int mod Array.length t.stripes
     | Intervals { splitters; cmp } ->
         (* interval index = #{ s | s <= k } *)
-        count_splitters (fun s -> cmp s k <= 0) splitters
+        count_splitters ~strict:false cmp splitters k
 
   let stripe_region t i = t.stripes.(i).st_region
   let region_of_key t k = (t.stripes.(stripe_index t k)).st_region
@@ -221,12 +240,12 @@ module Make (TM : Tm_intf.TM_OPS) = struct
         let ilo =
           match lo with
           | None -> 0
-          | Some l -> count_splitters (fun s -> cmp s l <= 0) splitters
+          | Some l -> count_splitters ~strict:false cmp splitters l
         in
         let ihi =
           match hi with
           | None -> Array.length t.stripes - 1
-          | Some h -> count_splitters (fun s -> cmp s h < 0) splitters
+          | Some h -> count_splitters ~strict:true cmp splitters h
         in
         (ilo, max ilo ihi)
 
@@ -240,9 +259,45 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     in
     TM.critical t.sregion (fun () -> go 0)
 
-  let add_locker tbl txn = Hashtbl.replace tbl (TM.txn_id txn) txn
-  let drop_locker tbl txn = Hashtbl.remove tbl (TM.txn_id txn)
-  let locker_mem tbl txn = Hashtbl.mem tbl (TM.txn_id txn)
+  (* Owner-list primitives.  Membership and removal go by [TM.txn_id];
+     [drop_id] returns the list itself when [id] is absent and copies only
+     the prefix before it otherwise. *)
+  let rec mem_id id = function
+    | [] -> false
+    | o :: rest -> TM.txn_id o = id || mem_id id rest
+
+  let rec drop_id id = function
+    | [] -> []
+    | o :: rest as l ->
+        if TM.txn_id o = id then rest
+        else
+          let rest' = drop_id id rest in
+          if rest' == rest then l else o :: rest'
+
+  let locker_mem l txn = mem_id (TM.txn_id txn) l
+  let add_locker l txn = if locker_mem l txn then l else txn :: l
+  let drop_locker l txn = drop_id (TM.txn_id txn) l
+
+  (* Does [l] hold an owner other than [self]? *)
+  let rec has_other ~self = function
+    | [] -> false
+    | o :: rest -> (not (TM.same_txn self o)) || has_other ~self rest
+
+  let kt_find kt k =
+    match kt with
+    | Hashed_keys h -> Coll.Chain_hashmap.find h k
+    | Ordered_keys o -> Coll.Ordmap.find o k
+
+  let kt_size = function
+    | Hashed_keys h -> Coll.Chain_hashmap.size h
+    | Ordered_keys o -> Coll.Ordmap.size o
+
+  let kt_fold f kt acc =
+    match kt with
+    | Hashed_keys h -> Coll.Chain_hashmap.fold f h acc
+    | Ordered_keys o -> Coll.Ordmap.fold f o acc
+
+  let find_entry t k = kt_find t.stripes.(stripe_index t k).key_lockers k
 
   let writer_incr st txn =
     let id = TM.txn_id txn in
@@ -261,16 +316,18 @@ module Make (TM : Tm_intf.TM_OPS) = struct
      [struct_region t]. *)
 
   let entry_for st k =
-    match Coll.Chain_hashmap.find st.key_lockers k with
+    match kt_find st.key_lockers k with
     | Some e -> e
     | None ->
-        let e = { readers = Hashtbl.create 4; writers = Hashtbl.create 2 } in
-        Coll.Chain_hashmap.add st.key_lockers k e;
+        let e = { readers = []; writers = [] } in
+        (match st.key_lockers with
+        | Hashed_keys h -> Coll.Chain_hashmap.add h k e
+        | Ordered_keys o -> Coll.Ordmap.add o k e);
         e
 
   let lock_key t txn k =
     let e = entry_for t.stripes.(stripe_index t k) k in
-    add_locker e.readers txn
+    e.readers <- add_locker e.readers txn
 
   (* Register [txn] as a pending writer of [k].  Idempotent per
      transaction; every distinct writer stays registered, so a later
@@ -279,41 +336,25 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     let st = t.stripes.(stripe_index t k) in
     let e = entry_for st k in
     if not (locker_mem e.writers txn) then begin
-      add_locker e.writers txn;
+      e.writers <- txn :: e.writers;
       writer_incr st txn
     end
 
   (* Allocation-free reader probe for the pessimistic write policies: does
      any transaction other than [self] hold a read lock on [k]? *)
   let key_has_other_reader t ~self k =
-    match Coll.Chain_hashmap.find t.stripes.(stripe_index t k).key_lockers k with
-    | None -> false
-    | Some e -> (
-        try
-          Hashtbl.iter
-            (fun _ owner -> if not (TM.same_txn self owner) then raise Exit)
-            e.readers;
-          false
-        with Exit -> true)
+    match find_entry t k with None -> false | Some e -> has_other ~self e.readers
 
   (* Some registered writer of [k], if any (introspection; when several
      writers are pending the choice is arbitrary — callers that need
      "a writer other than me" must use [key_has_foreign_writer]). *)
   let key_writer t k =
-    match Coll.Chain_hashmap.find t.stripes.(stripe_index t k).key_lockers k with
-    | None -> None
-    | Some e -> Hashtbl.fold (fun _ w _ -> Some w) e.writers None
+    match find_entry t k with
+    | Some { writers = w :: _; _ } -> Some w
+    | _ -> None
 
   let key_has_foreign_writer t ~self k =
-    match Coll.Chain_hashmap.find t.stripes.(stripe_index t k).key_lockers k with
-    | None -> false
-    | Some e -> (
-        try
-          Hashtbl.iter
-            (fun _ owner -> if not (TM.same_txn self owner) then raise Exit)
-            e.writers;
-          false
-        with Exit -> true)
+    match find_entry t k with None -> false | Some e -> has_other ~self e.writers
 
   let any_other_writer t ~self =
     let id = TM.txn_id self in
@@ -324,10 +365,10 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     let rec go i = i < Array.length t.stripes && (other t.stripes.(i) || go (i + 1)) in
     go 0
 
-  let lock_size t txn = add_locker t.size_lockers txn
-  let lock_isempty t txn = add_locker t.isempty_lockers txn
-  let lock_first t txn = add_locker t.first_lockers txn
-  let lock_last t txn = add_locker t.last_lockers txn
+  let lock_size t txn = t.size_lockers <- add_locker t.size_lockers txn
+  let lock_isempty t txn = t.isempty_lockers <- add_locker t.isempty_lockers txn
+  let lock_first t txn = t.first_lockers <- add_locker t.first_lockers txn
+  let lock_last t txn = t.last_lockers <- add_locker t.last_lockers txn
 
   (* Range insertion coalesces: the per-transaction range list is kept
      pairwise non-touching, so a cursor sweeping an interval in small
@@ -402,16 +443,19 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   let release_key t txn k =
     let st = t.stripes.(stripe_index t k) in
-    match Coll.Chain_hashmap.find st.key_lockers k with
+    match kt_find st.key_lockers k with
     | None -> ()
-    | Some e ->
-        drop_locker e.readers txn;
+    | Some e -> (
+        e.readers <- drop_locker e.readers txn;
         if locker_mem e.writers txn then begin
-          drop_locker e.writers txn;
+          e.writers <- drop_locker e.writers txn;
           writer_decr st txn
         end;
-        if Hashtbl.length e.readers = 0 && Hashtbl.length e.writers = 0 then
-          Coll.Chain_hashmap.remove st.key_lockers k
+        match (e, st.key_lockers) with
+        | { readers = []; writers = [] }, Hashed_keys h ->
+            Coll.Chain_hashmap.remove h k
+        | { readers = []; writers = [] }, Ordered_keys o -> Coll.Ordmap.remove o k
+        | _ -> ())
 
   (* Caller holds [stripe_region t i]. *)
   let release_ranges_in_stripe t txn i =
@@ -425,10 +469,10 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   (* Caller holds [struct_region]. *)
   let release_structure t txn =
-    drop_locker t.size_lockers txn;
-    drop_locker t.isempty_lockers txn;
-    drop_locker t.first_lockers txn;
-    drop_locker t.last_lockers txn;
+    t.size_lockers <- drop_locker t.size_lockers txn;
+    t.isempty_lockers <- drop_locker t.isempty_lockers txn;
+    t.first_lockers <- drop_locker t.first_lockers txn;
+    t.last_lockers <- drop_locker t.last_lockers txn;
     let id = TM.txn_id txn in
     match Hashtbl.find_opt t.range_lockers id with
     | None -> ()
@@ -454,10 +498,14 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let abort_other ~self owner =
     if not (TM.same_txn self owner) then ignore (TM.remote_abort owner)
 
-  let abort_others ~self tbl = Hashtbl.iter (fun _ owner -> abort_other ~self owner) tbl
+  let rec abort_others ~self = function
+    | [] -> ()
+    | owner :: rest ->
+        abort_other ~self owner;
+        abort_others ~self rest
 
   let conflict_key t ~self k =
-    match Coll.Chain_hashmap.find t.stripes.(stripe_index t k).key_lockers k with
+    match find_entry t k with
     | None -> ()
     | Some e ->
         abort_others ~self e.readers;
@@ -493,7 +541,7 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   (* -------------------- introspection (tests, Table 2/5 traces) -------- *)
 
   let key_locked_by t txn k =
-    match Coll.Chain_hashmap.find t.stripes.(stripe_index t k).key_lockers k with
+    match find_entry t k with
     | None -> false
     | Some e -> locker_mem e.readers txn || locker_mem e.writers txn
 
@@ -524,14 +572,12 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   (* Entry counts for state dumps (the tables themselves are abstract). *)
   let key_entry_count t =
-    Array.fold_left
-      (fun acc st -> acc + Coll.Chain_hashmap.size st.key_lockers)
-      0 t.stripes
+    Array.fold_left (fun acc st -> acc + kt_size st.key_lockers) 0 t.stripes
 
-  let size_locker_count t = Hashtbl.length t.size_lockers
-  let isempty_locker_count t = Hashtbl.length t.isempty_lockers
-  let first_locker_count t = Hashtbl.length t.first_lockers
-  let last_locker_count t = Hashtbl.length t.last_lockers
+  let size_locker_count t = List.length t.size_lockers
+  let isempty_locker_count t = List.length t.isempty_lockers
+  let first_locker_count t = List.length t.first_lockers
+  let last_locker_count t = List.length t.last_lockers
 
   let range_locker_count t =
     Array.fold_left (fun acc st -> acc + st.st_range_count) t.range_count t.stripes
@@ -539,14 +585,14 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let total_lockers t =
     Array.fold_left
       (fun acc st ->
-        Coll.Chain_hashmap.fold
-          (fun _ e acc -> acc + Hashtbl.length e.readers + Hashtbl.length e.writers)
+        kt_fold
+          (fun _ e acc -> acc + List.length e.readers + List.length e.writers)
           st.key_lockers acc
         + st.st_range_count)
       0 t.stripes
-    + Hashtbl.length t.size_lockers
-    + Hashtbl.length t.isempty_lockers
-    + Hashtbl.length t.first_lockers
-    + Hashtbl.length t.last_lockers
+    + List.length t.size_lockers
+    + List.length t.isempty_lockers
+    + List.length t.first_lockers
+    + List.length t.last_lockers
     + t.range_count
 end

@@ -151,6 +151,101 @@ let test_shared_commits_correct () =
   List.iter Domain.join domains;
   Alcotest.(check int) "every put applied" (n_domains * txns) (IM.size m)
 
+(* The write set against an array model.  Random programs of
+   [Tvar.get]/[Tvar.set] over 16 tvars run as top-level transactions with
+   closed-nested children; a child or a whole transaction may end by
+   raising, which its parent (or the caller) catches, discarding its
+   writes.  Every in-transaction read, a full sweep at the end of each
+   body and the committed state after each transaction must match the
+   model.  Random indices insert write-set ids below and above the ids
+   already buffered, overwrite them, and merge children into parents. *)
+type wop = Get of int | Set of int * int | Child of wop list * bool
+
+exception Rollback
+
+let n_wtvars = 16
+
+let rec pp_wop = function
+  | Get i -> Printf.sprintf "get %d" i
+  | Set (i, v) -> Printf.sprintf "set %d %d" i v
+  | Child (ops, raises) ->
+      Printf.sprintf "child%s [%s]"
+        (if raises then "!" else "")
+        (String.concat "; " (List.map pp_wop ops))
+
+let rec gen_wops depth =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun i -> Get i) (int_bound (n_wtvars - 1));
+        map2 (fun i v -> Set (i, v)) (int_bound (n_wtvars - 1)) (int_bound 999);
+      ]
+  in
+  let op =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (4, leaf); (1, map2 (fun ops r -> Child (ops, r)) (gen_wops (depth - 1)) bool) ]
+  in
+  list_size (int_range 0 10) op
+
+let arb_write_programs =
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        list (fun (ops, raises) ->
+            Printf.sprintf "txn%s [%s]"
+              (if raises then "!" else "")
+              (String.concat "; " (List.map pp_wop ops))))
+    QCheck.Gen.(list_size (int_range 1 6) (pair (gen_wops 3) bool))
+
+let write_set_matches_model programs =
+  let tvs = Array.init n_wtvars Tvar.make in
+  let model = Array.init n_wtvars Fun.id in
+  let ok = ref true in
+  let expect v m = if v <> m then ok := false in
+  let sweep view = Array.iteri (fun i tv -> expect (Tvar.get tv) view.(i)) tvs in
+  let rec run view ops =
+    List.iter
+      (function
+        | Get i -> expect (Tvar.get tvs.(i)) view.(i)
+        | Set (i, v) ->
+            Tvar.set tvs.(i) v;
+            view.(i) <- v
+        | Child (body, raises) -> (
+            let child = Array.copy view in
+            match
+              Stm.atomic (fun () ->
+                  Array.blit view 0 child 0 n_wtvars;
+                  run child body;
+                  sweep child;
+                  if raises then raise Rollback)
+            with
+            | () -> Array.blit child 0 view 0 n_wtvars
+            | exception Rollback -> ()))
+      ops
+  in
+  List.iter
+    (fun (ops, raises) ->
+      let view = Array.copy model in
+      (match
+         Stm.atomic (fun () ->
+             Array.blit model 0 view 0 n_wtvars;
+             run view ops;
+             sweep view;
+             if raises then raise Rollback)
+       with
+      | () -> Array.blit view 0 model 0 n_wtvars
+      | exception Rollback -> ());
+      sweep model)
+    programs;
+  !ok
+
+let prop_write_set_matches_model =
+  QCheck.Test.make ~name:"write set matches an array model" ~count:300
+    arb_write_programs write_set_matches_model
+
 let suites =
   [
     ( "stm.readset",
@@ -170,5 +265,8 @@ let suites =
           test_disjoint_commits_never_wait;
         Alcotest.test_case "shared commits correct" `Quick
           test_shared_commits_correct;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| 22 |])
+          prop_write_set_matches_model;
       ] );
   ]

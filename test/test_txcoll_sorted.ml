@@ -612,3 +612,72 @@ let suites =
             test_view_last_key_allocation;
         ] );
     ]
+
+(* ---------------- key locks under the map's comparator ---------------- *)
+
+(* Keys equal under the map's comparator are one key to the semantic
+   locks too.  Under a case-insensitive order, T1 reads "A" and later
+   writes "B" := A; T2 meanwhile reads "B" and commits "a" := B + 10.
+   T2's write of "a" must abort T1's read of "A", so T1 re-runs and the
+   outcome is the serial T2-then-T1 one, (A, B) = (110, 110).  Key locks
+   keyed by structural hashing missed the conflict: T1 committed once and
+   left (110, 1), which no serial order gives.  Run with one interval and
+   with "A" and "B" in different intervals. *)
+module Ci_string = struct
+  type t = string
+
+  let compare a b =
+    String.compare (String.lowercase_ascii a) (String.lowercase_ascii b)
+end
+
+module CSM = Txcoll.Host.Sorted_map (Ci_string)
+
+let test_key_locks_follow_comparator () =
+  List.iter
+    (fun splitters ->
+      let m = CSM.create ~splitters () in
+      ignore (CSM.put m "A" 1);
+      ignore (CSM.put m "B" 100);
+      let phase = Atomic.make 0 in
+      let await n =
+        while Atomic.get phase < n do
+          Domain.cpu_relax ()
+        done
+      in
+      let attempts = ref 0 in
+      let t1 =
+        Domain.spawn (fun () ->
+            Stm.atomic (fun () ->
+                incr attempts;
+                let a = Option.get (CSM.find m "A") in
+                if Atomic.get phase < 1 then Atomic.set phase 1;
+                if !attempts = 1 then await 2;
+                ignore (CSM.put m "B" a)))
+      in
+      let t2 =
+        Domain.spawn (fun () ->
+            await 1;
+            Stm.atomic (fun () ->
+                let b = Option.get (CSM.find m "B") in
+                ignore (CSM.put m "a" (b + 10)));
+            Atomic.set phase 2)
+      in
+      Domain.join t1;
+      Domain.join t2;
+      let label = Printf.sprintf "%d splitter(s)" (List.length splitters) in
+      Alcotest.(check (pair int int))
+        (label ^ ": serial outcome (T2 then T1)")
+        (110, 110)
+        (Option.get (CSM.find m "A"), Option.get (CSM.find m "B"));
+      Alcotest.(check int) (label ^ ": T1 re-ran") 2 !attempts)
+    [ []; [ "B" ] ]
+
+let suites =
+  suites
+  @ [
+      ( "txsorted.comparator",
+        [
+          Alcotest.test_case "key locks follow the comparator" `Quick
+            test_key_locks_follow_comparator;
+        ] );
+    ]
