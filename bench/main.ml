@@ -1009,9 +1009,9 @@ let openloop () =
 (* ------------------------------------------------------------------ *)
 (* Derived-collection section.  Two gates:
    (a) the spec-derived TransactionalSet stays within 15% of the
-       hand-written map wrapper it replaced, on the disjoint stmscale
-       workload (private instance per domain, write + read-previous per
-       transaction);
+       TransactionalMap, derived from the map spec the set shares, on
+       the disjoint stmscale workload (private instance per domain,
+       write + read-previous per transaction);
    (b) the TransactionalCounter's commutative increments commit with
        zero aborts of any kind and zero commit-region waits across 4
        domains — the "never conflicting with each other" guarantee as a
@@ -1029,7 +1029,7 @@ let derived_set_run ~impl ~domains ~txns_per_domain =
     List.init domains (fun _ ->
         Domain.spawn (fun () ->
             match impl with
-            | `Handwritten ->
+            | `Map ->
                 let m : unit IM.t = IM.create () in
                 for i = 1 to txns_per_domain do
                   Stm.atomic (fun () ->
@@ -1090,7 +1090,7 @@ let derived () =
             in
             Fmt.pf ppf "  %-18s %7d %12.0f@." name domains cps;
             (name, domains, cps))
-          [ (`Handwritten, "handwritten_map"); (`Derived, "derived_set") ])
+          [ (`Map, "map"); (`Derived, "derived_set") ])
       [ 1; 4 ]
   in
   let find name domains =
@@ -1099,7 +1099,7 @@ let derived () =
     in
     cps
   in
-  let ratio = find "derived_set" 4 /. find "handwritten_map" 4 in
+  let ratio = find "derived_set" 4 /. find "map" 4 in
   let domains = 4 and incrs = 25_000 in
   let cps, aborts, waits, total =
     derived_counter_run ~domains ~incrs_per_domain:incrs

@@ -214,6 +214,16 @@ module type MAP_OPS = sig
   val iter : (key -> 'v -> unit) -> 'v t -> unit
 end
 
+(** A {!MAP_OPS} over hashed keys that also exposes its key hash and
+    equality, so a wrapper's stripes, store buffer, lock tables and
+    snapshot shadows agree with the map on which keys are equal. *)
+module type HASHED_MAP_OPS = sig
+  include MAP_OPS
+
+  val hash : key -> int
+  val equal : key -> key -> bool
+end
+
 (** Operations of an underlying ordered map, extending {!MAP_OPS} with the
     ordered traversals the [SortedMap] wrapper needs. *)
 module type SORTED_MAP_OPS = sig

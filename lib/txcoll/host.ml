@@ -6,7 +6,11 @@
      module M = Txcoll.Host.Map (Txcoll.Host.String_hashed)
      let m = M.create ()
      let () = Tcc_stm.Stm.atomic (fun () -> ignore (M.put m "k" 1))
-   ]} *)
+   ]}
+
+   Map, Set, Bag, Counter and Priority_queue are derived from their
+   commutativity specs through {!Derive}; a hashed class takes its key
+   equality and hash from [K]. *)
 
 module Tm = Tcc_stm.Stm.Tm_ops
 
@@ -23,9 +27,6 @@ module Sorted_set (K : Underlying.ORDERED) =
   Transactional_sorted_set.Make (Tm) (Underlying.Ordered_map_ops (K))
 
 module Queue = Transactional_queue.Make (Tm) (Underlying.Deque_ops)
-
-(* Collections minted directly from their commutativity specs through
-   {!Derive}. *)
 
 module Counter = Transactional_counter.Make (Tm)
 

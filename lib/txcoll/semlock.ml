@@ -57,10 +57,10 @@
    lists directly and allocate nothing.
 
    Key tables follow the partition's notion of key equality: hashed mode
-   keys them by [Hashtbl.hash] and structural equality, interval mode by
-   the partition's comparator, so a sorted map under a coarser comparator
-   (say, case-insensitive strings) locks the same key its store buffer
-   and committed shards see.
+   keys them by the collection's own [hash]/[equal], interval mode by the
+   partition's comparator, so a map under a coarser equality (say,
+   case-insensitive strings) locks the same key its store buffer and
+   committed shards see.
 
    Conflict detection is optimistic (paper §5.1): writers examine these
    tables at commit time and abort conflicting readers (and conflicting
@@ -110,7 +110,7 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   }
 
   type 'k partition =
-    | Hashed of ('k -> int)
+    | Hashed of { hash : 'k -> int; equal : 'k -> 'k -> bool }
     | Intervals of { splitters : 'k array; cmp : 'k -> 'k -> int }
         (* [splitters] sorted ascending, no duplicates; B = len + 1
            intervals: interval 0 = (-inf, s0), interval i = [s_{i-1}, s_i),
@@ -138,7 +138,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let make_stripe partition region =
     let key_lockers =
       match partition with
-      | Hashed _ -> Hashed_keys (Coll.Chain_hashmap.create ())
+      | Hashed { hash; equal } ->
+          Hashed_keys (Coll.Chain_hashmap.create ~hash ~equal ())
       | Intervals { cmp; _ } -> Ordered_keys (Coll.Ordmap.create ~compare:cmp ())
     in
     {
@@ -176,9 +177,10 @@ module Make (TM : Tm_intf.TM_OPS) = struct
       range_count = 0;
     }
 
-  let create ?(stripes = 1) ?(hash = Hashtbl.hash) () =
+  (* Hash-partitioned table; [hash] must agree with [equal]. *)
+  let create ?(stripes = 1) ~hash ~equal () =
     let k = max 1 (min stripes max_stripes) in
-    build (Hashed hash) k
+    build (Hashed { hash; equal }) k
 
   (* Interval-partitioned table: [splitters] (any order, duplicates fine)
      is sorted, deduplicated and clamped to [max_stripes - 1] cut points. *)
@@ -220,7 +222,7 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   let stripe_index t k =
     match t.partition with
-    | Hashed hash -> hash k land max_int mod Array.length t.stripes
+    | Hashed { hash; _ } -> hash k land max_int mod Array.length t.stripes
     | Intervals { splitters; cmp } ->
         (* interval index = #{ s | s <= k } *)
         count_splitters ~strict:false cmp splitters k

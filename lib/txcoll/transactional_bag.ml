@@ -10,12 +10,14 @@
 
 module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
   module Spec = struct
-    type state = (K.t, int) Coll.Chain_hashmap.t
+    type _ state = (K.t, int) Coll.Chain_hashmap.t
     type key = K.t
-    type value = int (* multiplicity, always >= 1 in committed state *)
-    type wop = int (* multiplicity delta *)
+    type _ value = int (* multiplicity, always >= 1 in committed state *)
+    type _ wop = int (* multiplicity delta *)
 
     let name = "TransactionalBag"
+    let hash = K.hash
+    let equal = K.equal
     let create () = Coll.Chain_hashmap.create ~hash:K.hash ~equal:K.equal ()
     let find s k = Coll.Chain_hashmap.find s k
 
@@ -25,7 +27,6 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
       else Coll.Chain_hashmap.add s k m
 
     let fold f s acc = Coll.Chain_hashmap.fold f s acc
-    let min_key _ ~excluded:_ = None
     let combine ~earlier ~later = earlier + later
 
     let view prior d =
@@ -42,9 +43,9 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
 
   module D = Derive.Make (TM) (Spec)
 
-  type t = D.t
+  type t = unit D.t
 
-  let create ?stripes () = D.create ?stripes ~hash:K.hash ()
+  let create ?stripes () : t = D.create ?stripes ()
 
   let add t x = D.write_blind t x 1
   let add_n t x n = if n > 0 then D.write_blind t x n

@@ -2,7 +2,8 @@
     the same element commute (blind multiplicity deltas) and never
     conflict; {!val:remove_one} reads the element's count first and so
     conflicts exactly where the paper's commutativity table says it
-    must. *)
+    must.  Elements are equal when [K.equal] says so; reads inside
+    [Stm.snapshot] see the pinned prefix. *)
 
 module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) : sig
   type t

@@ -11,20 +11,22 @@
    increments, exactly the paper's Table 4 row for [add].
 
    To also make the *region* plan disjoint across domains, the veneer
-   shards the single logical counter across [shards] keys with the
-   identity hash and [stripes = shards]: domain [d] always writes key
+   shards the single logical counter across [shards] keys, which the
+   spec hashes by identity, with [stripes = shards]: domain [d] always writes key
    [d mod shards], which maps to stripe [d mod shards], so concurrent
    incrementing domains commit under disjoint regions — zero aborts and
    zero region waits by construction. *)
 
 module Make (TM : Tm_intf.TM_OPS) = struct
   module Spec = struct
-    type state = (int, int) Hashtbl.t
+    type _ state = (int, int) Hashtbl.t
     type key = int
-    type value = int
-    type wop = int (* delta *)
+    type _ value = int
+    type _ wop = int (* delta *)
 
     let name = "TransactionalCounter"
+    let hash k = k
+    let equal = Int.equal
     let create () = Hashtbl.create 16
     let find s k = Hashtbl.find_opt s k
 
@@ -33,7 +35,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
       Hashtbl.replace s k v
 
     let fold f s acc = Hashtbl.fold f s acc
-    let min_key _ ~excluded:_ = None
     let combine ~earlier ~later = earlier + later
     let view prior d = Some (Option.value prior ~default:0 + d)
     let absorbing _ = false
@@ -46,10 +47,10 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   module D = Derive.Make (TM) (Spec)
 
-  type t = { d : D.t; shards : int }
+  type t = { d : unit D.t; shards : int }
 
   let create ?(shards = 16) () =
-    let d = D.create ~stripes:shards ~hash:(fun k -> k) () in
+    let d = D.create ~stripes:shards () in
     { d; shards = D.stripe_count d }
 
   let shard_key t = (Domain.self () :> int) mod t.shards
@@ -70,4 +71,5 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   let outstanding_locks t = D.outstanding_locks t.d
   let shard_count t = t.shards
+  let snapshot_history_length t = D.snapshot_history_length t.d
 end

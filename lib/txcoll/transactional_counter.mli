@@ -23,8 +23,12 @@ module Make (TM : Tm_intf.TM_OPS) : sig
   val get : t -> int
   (** Sum of all shards.  In a transaction this reads every shard key
       under its semantic lock (serialisable, but conflicts with every
-      concurrent delta); outside it reads committed state consistently. *)
+      concurrent delta); outside it reads committed state consistently,
+      and inside [Stm.snapshot] the sum at the pinned stamp. *)
 
   val outstanding_locks : t -> int
   val shard_count : t -> int
+
+  val snapshot_history_length : t -> int
+  (** Longest snapshot version chain — 2 at quiescence. *)
 end

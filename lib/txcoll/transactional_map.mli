@@ -9,13 +9,26 @@
     All operations may be called inside or outside transactions; outside,
     each operation is its own atomic (auto-commit) transaction.
 
+    Keys are equal when [M.equal] says so; [M.hash] picks their stripe.
+
     Inside a snapshot read section ([TM.in_snapshot], e.g. [Stm.snapshot]),
     every read operation — point lookups, size/is_empty, folds and cursors
     — resolves against bounded multi-version shadow chains at the pinned
     snapshot stamp: no semantic locks, no critical regions, no conflicts,
     no aborts.  Write operations raise [Invalid_argument] there. *)
 
-module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
+(** The map's commutativity spec over [M]: a write is the binding it
+    installs ([None] = removal), last write wins and reads back without
+    a committed read, and an observation weighs its presence.
+    {!Transactional_set} derives from it at [unit] values. *)
+module Spec (M : Tm_intf.HASHED_MAP_OPS) :
+  Derive.SPEC
+    with type 'v state = 'v M.t
+     and type key = M.key
+     and type 'v value = 'v
+     and type 'v wop = 'v option
+
+module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
   type 'v t
 
   (** Encoding of [isEmpty] (§5.1 "Alternative semantic locks"). *)
@@ -28,22 +41,9 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
         (** [is_empty] derives from [size] and takes the size lock,
             conflicting with every size change (kept for the ablation). *)
 
-  (** When write conflicts are detected (§5.1 "Alternatives to optimistic
-      concurrency control"). *)
-  type write_policy =
-    | Optimistic  (** At commit: the committer aborts semantic-lock holders. *)
-    | Pessimistic_aggressive
-        (** At operation time: the writer immediately aborts other holders
-            of the written key's lock. *)
-    | Pessimistic_timid
-        (** At operation time: the writer retries itself transparently
-            while another transaction holds the written key. *)
-
   val create :
     ?stripes:int ->
-    ?hash:(M.key -> int) ->
     ?isempty_policy:isempty_policy ->
-    ?write_policy:write_policy ->
     ?copy_key:(M.key -> M.key) ->
     unit ->
     'v t
@@ -54,26 +54,12 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
       behind its own critical region: transactions committing disjoint-key
       writes into this one map commit in parallel, while size/isEmpty reads
       and enumerations serialise through a dedicated structure region.
-      [stripes = 1] restores a fully serial collection.  [hash] picks the
-      stripe of a key (default [Hashtbl.hash]); it must agree with [M]'s
-      key equality.
+      [stripes = 1] restores a fully serial collection.
 
       [copy_key] stores independent copies of keys in the shared lock
       table, preventing the §5.1 "leaking uncommitted data" hazard for
       mutable or not-yet-committed key objects (default: identity, correct
       for immutable keys). *)
-
-  val wrap :
-    ?stripes:int ->
-    ?hash:(M.key -> int) ->
-    ?isempty_policy:isempty_policy ->
-    ?write_policy:write_policy ->
-    ?copy_key:(M.key -> M.key) ->
-    'v M.t ->
-    'v t
-  (** Wrap an existing underlying map (its bindings are migrated into the
-      stripe shards unless [stripes = 1]).  The caller must not touch the
-      wrapped map directly afterwards. *)
 
   val stripe_count : 'v t -> int
   (** Number of key stripes this map was created with. *)

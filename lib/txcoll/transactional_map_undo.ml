@@ -50,7 +50,11 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
      shares with its only key stripe — serialises everything, exactly the
      historical single-region behaviour. *)
   let wrap map =
-    { map; locks = L.create ~stripes:1 (); local_key = TM.new_local_key () }
+    {
+      map;
+      locks = L.create ~hash:Hashtbl.hash ~equal:( = ) ();
+      local_key = TM.new_local_key ();
+    }
 
   let create () = wrap (M.create ())
   let critical t f = TM.critical (L.struct_region t.locks) f

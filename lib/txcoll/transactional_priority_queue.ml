@@ -1,7 +1,8 @@
 (* TransactionalPriorityQueue (leaderboards), derived through {!Derive}.
 
    State is an ordered multiset: priority -> multiplicity over an
-   ordered map, so [min_key] is the committed minimum in key order.
+   ordered map; the spec's comparator orders its snapshot shadows, whose
+   least key is the committed minimum.
    [insert] is a blind +1 delta — inserts of distinct priorities
    commute.  [peek_min]/[poll_min] read the first facet; the functor's
    conservative first-invalidation rule (any shrink, or an insert at or
@@ -14,12 +15,19 @@
 
 module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
   module Spec = struct
-    type state = (P.t, int) Coll.Ordmap.t
+    type _ state = (P.t, int) Coll.Ordmap.t
     type key = P.t
-    type value = int (* multiplicity, always >= 1 in committed state *)
-    type wop = int (* multiplicity delta *)
+    type _ value = int (* multiplicity, always >= 1 in committed state *)
+    type _ wop = int (* multiplicity delta *)
 
     let name = "TransactionalPriorityQueue"
+
+    (* Key equality is [P.compare]; a constant hash is the one that
+       agrees with any comparator.  It only buckets the store buffer and
+       the lock table, which hold just the keys live transactions touch
+       (one stripe, ordered shadows). *)
+    let hash _ = 0
+    let equal a b = P.compare a b = 0
     let create () = Coll.Ordmap.create ~compare:P.compare ()
     let find s k = Coll.Ordmap.find s k
 
@@ -28,18 +36,6 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
       if m <= 0 then Coll.Ordmap.remove s k else Coll.Ordmap.add s k m
 
     let fold f s acc = Coll.Ordmap.fold f s acc
-
-    exception Found of P.t
-
-    let min_key s ~excluded =
-      (* Ordmap.iter is in-order: the first non-excluded key is the
-         committed minimum once buffered removals are masked out. *)
-      match
-        Coll.Ordmap.iter (fun k _ -> if not (excluded k) then raise (Found k)) s
-      with
-      | () -> None
-      | exception Found k -> Some k
-
     let combine ~earlier ~later = earlier + later
 
     let view prior d =
@@ -56,9 +52,9 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
 
   module D = Derive.Make (TM) (Spec)
 
-  type t = D.t
+  type t = unit D.t
 
-  let create () = D.create ()
+  let create () : t = D.create ()
   let insert t p = D.write_blind t p 1
   let count t p = Option.value (D.find t p) ~default:0
   let peek_min t = D.min_view t

@@ -5,7 +5,7 @@
     (conservatively, per the functor's first-invalidation rule).
 
     The first facet is whole-collection state, so the lock table has a
-    single stripe. *)
+    single stripe.  Reads inside [Stm.snapshot] see the pinned prefix. *)
 
 module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) : sig
   type t

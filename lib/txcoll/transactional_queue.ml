@@ -65,7 +65,7 @@ module Make (TM : Tm_intf.TM_OPS) (Q : Tm_intf.QUEUE_OPS) = struct
     List.iter (Q.enqueue queue) items;
     {
       queue;
-      locks = L.create ~stripes:1 ();
+      locks = L.create ~hash:(fun () -> 0) ~equal:(fun () () -> true) ();
       local_key = TM.new_local_key ();
       snap = Coll.Vchain.make 0 (Coll.Pdeque.of_list items);
     }

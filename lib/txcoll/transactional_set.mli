@@ -1,15 +1,14 @@
-(** TransactionalSet, derived through {!Derive} from a presence-valued
-    commutativity spec (paper §5.1).  The former hand-written delegation
-    wrapper over {!Transactional_map} is gone: the functor generates the
-    semantic locks, store buffer and commit/abort handlers from the spec.
+(** TransactionalSet, derived through {!Derive} from the map's
+    commutativity spec ({!Transactional_map.Spec}) at [unit] values
+    (paper §5.1): the functor generates the semantic locks, store buffer,
+    commit/abort handlers and snapshot version chains.  Elements are
+    equal when [M.equal] says so.  Reads inside [Stm.snapshot] see the
+    pinned prefix. *)
 
-    Unlike the map, derived wrappers do not publish snapshot version
-    chains: reads inside [Stm.snapshot] raise [Invalid_argument]. *)
-
-module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
+module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
   type t
 
-  val create : ?stripes:int -> ?hash:(M.key -> int) -> unit -> t
+  val create : ?stripes:int -> unit -> t
 
   val add : t -> M.key -> bool
   (** [true] when newly added (reads the element: takes its key lock). *)
@@ -31,4 +30,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
       quiescent; for leak probes. *)
 
   val stripe_count : t -> int
+
+  val snapshot_history_length : t -> int
+  (** Longest snapshot version chain — 2 at quiescence. *)
 end

@@ -64,8 +64,8 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
   type 'v write = { pending : 'v option; prior : bool option }
 
   (* The transaction-local record, reused through the TM's spare as in
-     [Transactional_map]: [txn] is rebound and the handler closures, built
-     once over the record itself, are kept. *)
+     [Derive]: [txn] is rebound and the handler closures, built once over
+     the record itself, are kept. *)
   type 'v local = {
     mutable txn : TM.txn;
     buffer : (M.key, 'v write) Coll.Ordmap.t; (* sortedStoreBuffer *)

@@ -18,7 +18,12 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
 
   type isempty_policy = Dedicated | Via_size
 
-  (** As in {!Transactional_map.Make}: when write conflicts are detected. *)
+  (** When write conflicts are detected (§5.1 "Alternatives to optimistic
+      concurrency control"): at commit, the committer aborts semantic-lock
+      holders ([Optimistic]); at operation time, the writer immediately
+      aborts other holders of the written key's lock
+      ([Pessimistic_aggressive]) or retries itself while another
+      transaction holds that key ([Pessimistic_timid]). *)
   type write_policy = Optimistic | Pessimistic_aggressive | Pessimistic_timid
 
   val create :

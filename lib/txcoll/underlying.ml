@@ -16,10 +16,14 @@ module type ORDERED = sig
 end
 
 module Hashed_map_ops (K : HASHED) :
-  Tm_intf.MAP_OPS with type key = K.t and type 'v t = (K.t, 'v) Coll.Chain_hashmap.t =
-struct
+  Tm_intf.HASHED_MAP_OPS
+    with type key = K.t
+     and type 'v t = (K.t, 'v) Coll.Chain_hashmap.t = struct
   type key = K.t
   type 'v t = (K.t, 'v) Coll.Chain_hashmap.t
+
+  let hash = K.hash
+  let equal = K.equal
 
   let create () = Coll.Chain_hashmap.create ~hash:K.hash ~equal:K.equal ()
   let find = Coll.Chain_hashmap.find
@@ -52,10 +56,14 @@ module Ordered_map_ops (K : ORDERED) :
 end
 
 module Oa_map_ops (K : HASHED) :
-  Tm_intf.MAP_OPS with type key = K.t and type 'v t = (K.t, 'v) Coll.Oa_hashmap.t =
-struct
+  Tm_intf.HASHED_MAP_OPS
+    with type key = K.t
+     and type 'v t = (K.t, 'v) Coll.Oa_hashmap.t = struct
   type key = K.t
   type 'v t = (K.t, 'v) Coll.Oa_hashmap.t
+
+  let hash = K.hash
+  let equal = K.equal
 
   let create () = Coll.Oa_hashmap.create ~hash:K.hash ~equal:K.equal ()
   let find = Coll.Oa_hashmap.find

@@ -1,8 +1,8 @@
-(* Tests for the §5.1 alternative implementation strategies: pessimistic
-   semantic conflict detection and the undo-logging map. *)
+(* Tests for the §5.1 alternative implementation strategy of the hash
+   map: the undo-logging map.  (The pessimistic write policies are the
+   sorted map's; test_txcoll_sorted.ml covers them.) *)
 
 module Stm = Tcc_stm.Stm
-module IM = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
 
 let conflict_scenario ~reader ~writer =
@@ -31,44 +31,6 @@ let conflict_scenario ~reader ~writer =
   Domain.join d1;
   Domain.join d2;
   !attempts
-
-(* ---------------- pessimistic write policies ---------------- *)
-
-let test_pessimistic_aggressive_aborts_reader_early () =
-  let m = IM.create ~write_policy:IM.Pessimistic_aggressive () in
-  ignore (IM.put m 1 "seed");
-  (* The reader holds the key lock; the pessimistic writer aborts it at
-     operation time — before the writer even commits. *)
-  let n =
-    conflict_scenario
-      ~reader:(fun () -> ignore (IM.find m 1))
-      ~writer:(fun () -> ignore (IM.put m 1 "w"))
-  in
-  Alcotest.(check int) "reader aborted" 2 n
-
-let test_pessimistic_policies_still_correct () =
-  List.iter
-    (fun policy ->
-      let m = IM.create ~write_policy:policy () in
-      let worker base () =
-        for i = 0 to 99 do
-          Stm.atomic (fun () -> ignore (IM.put m (base + i) i))
-        done
-      in
-      let ds = [ Domain.spawn (worker 0); Domain.spawn (worker 1000) ] in
-      List.iter Domain.join ds;
-      Alcotest.(check int) "all inserts" 200 (IM.size m);
-      Alcotest.(check int) "no leaks" 0 (IM.outstanding_locks m))
-    [ IM.Pessimistic_aggressive; IM.Pessimistic_timid ]
-
-let test_pessimistic_timid_single_thread_noop () =
-  (* Timid self-retry must not trigger on the transaction's own locks. *)
-  let m = IM.create ~write_policy:IM.Pessimistic_timid () in
-  Stm.atomic (fun () ->
-      ignore (IM.find m 3);
-      ignore (IM.put m 3 "mine");
-      ignore (IM.put m 3 "again"));
-  Alcotest.(check (option string)) "committed" (Some "again") (IM.find m 3)
 
 (* ---------------- undo-logging map ---------------- *)
 
@@ -199,15 +161,6 @@ let test_undo_model_property () =
 
 let suites =
   [
-    ( "alt.pessimistic",
-      [
-        Alcotest.test_case "aggressive aborts reader early" `Quick
-          test_pessimistic_aggressive_aborts_reader_early;
-        Alcotest.test_case "policies correct in parallel" `Quick
-          test_pessimistic_policies_still_correct;
-        Alcotest.test_case "timid ignores own locks" `Quick
-          test_pessimistic_timid_single_thread_noop;
-      ] );
     ( "alt.undo",
       [
         Alcotest.test_case "basic semantics" `Quick test_undo_basic_semantics;

@@ -120,16 +120,62 @@ let test_pq_basics () =
   Alcotest.(check bool) "abort discards insert" true (Pq.is_empty q);
   Alcotest.(check int) "no leaked locks" 0 (Pq.outstanding_locks q)
 
-let test_no_snapshot_reads () =
-  (* Derived wrappers publish no version chains; a snapshot read must
-     fail loudly instead of returning an unversioned value. *)
-  let c = Counter.create () in
-  let raised = ref false in
+(* ---------------- unit: snapshot reads ---------------- *)
+
+(* Every derived class serves its reads inside [Stm.snapshot] from its
+   version chains.  A reader pinned before a writer on another domain
+   commits (one transaction over all four classes, then two
+   non-transactional writes) sees the prefix at its pin before and after
+   that commit, and the writer's state once it pins again. *)
+let test_snapshot_reads_pinned_prefix () =
+  let s = DSet.create () and b = Bag.create () and q = Pq.create () in
+  let c = Counter.create ~shards:4 () in
+  Stm.atomic (fun () ->
+      List.iter (fun k -> ignore (DSet.add s k)) [ 1; 2; 3 ];
+      Bag.add_n b 7 2;
+      Counter.add c 5;
+      List.iter (Pq.insert q) [ 4; 9 ]);
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let pairs l = ints (List.concat_map (fun (k, m) -> [ k; m ]) l) in
+  let observe () =
+    Printf.sprintf
+      "set=[%s] size=%d empty=%b mem4=%b | bag=[%s] count7=%d size=%d | \
+       counter=%d | pq=[%s] min=%s size=%d count4=%d"
+      (ints (List.sort compare (DSet.to_list s)))
+      (DSet.size s) (DSet.is_empty s) (DSet.mem s 4)
+      (pairs (List.sort compare (Bag.to_list b)))
+      (Bag.count b 7) (Bag.size b) (Counter.get c)
+      (pairs (List.sort compare (Pq.to_list q)))
+      (match Pq.peek_min q with None -> "-" | Some p -> string_of_int p)
+      (Pq.size q) (Pq.count q 4)
+  in
+  let pinned =
+    "set=[1,2,3] size=3 empty=false mem4=false | bag=[7,2] count7=2 size=2 \
+     | counter=5 | pq=[4,1,9,1] min=4 size=2 count4=1"
+  in
+  let writer () =
+    Stm.atomic (fun () ->
+        ignore (DSet.remove s 1);
+        ignore (DSet.add s 4);
+        Bag.add b 7;
+        Bag.add b 8;
+        Counter.add c 10;
+        ignore (Pq.poll_min q);
+        Pq.insert q 2);
+    ignore (DSet.add s 5);
+    Counter.incr c
+  in
   Stm.snapshot (fun () ->
-      match Counter.get c with
-      | exception Invalid_argument _ -> raised := true
-      | _ -> ());
-  Alcotest.(check bool) "snapshot read rejected" true !raised
+      Alcotest.(check string) "pinned prefix" pinned (observe ());
+      Domain.join (Domain.spawn writer);
+      Alcotest.(check string) "still the pinned prefix" pinned (observe ()));
+  let committed =
+    "set=[2,3,4,5] size=4 empty=false mem4=true | bag=[7,3,8,1] count7=3 \
+     size=4 | counter=16 | pq=[2,1,9,1] min=2 size=2 count4=0"
+  in
+  Alcotest.(check string) "later pin sees the commit" committed
+    (Stm.snapshot observe);
+  Alcotest.(check string) "committed state agrees" committed (observe ())
 
 (* ---------------- QCheck spec soundness ---------------- *)
 
@@ -591,7 +637,8 @@ let suites =
           test_counter_zero_conflicts;
         Alcotest.test_case "bag basics" `Quick test_bag_basics;
         Alcotest.test_case "pq basics" `Quick test_pq_basics;
-        Alcotest.test_case "no snapshot reads" `Quick test_no_snapshot_reads;
+        Alcotest.test_case "snapshot reads pinned prefix" `Quick
+          test_snapshot_reads_pinned_prefix;
       ] );
     ("derive.spec.set", qsuite Set_sound.tests);
     ("derive.spec.bag", qsuite Bag_sound.tests);

@@ -2,7 +2,12 @@
    conflict targeting, range overlap, and a randomized consistency property
    against a reference model. *)
 
-module L = Txcoll.Semlock.Make (Tcc_stm.Stm.Tm_ops)
+module L = struct
+  include Txcoll.Semlock.Make (Tcc_stm.Stm.Tm_ops)
+
+  let create ?stripes () = create ?stripes ~hash:Hashtbl.hash ~equal:Int.equal ()
+end
+
 module Stm = Tcc_stm.Stm
 
 (* Fabricate distinct transaction handles.  [Stm.current] outside a

@@ -9,6 +9,8 @@ module Tvar = Tcc_stm.Tvar
 module IM = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 module SM = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
 module Q = Txcoll.Host.Queue
+module DS = Txcoll.Host.Set (Txcoll.Host.Int_hashed)
+module Counter = Txcoll.Host.Counter
 
 (* ---------------- basic semantics ---------------- *)
 
@@ -361,21 +363,28 @@ let test_chains_bounded_under_traffic () =
   Alcotest.(check bool) "sorted-map chains bounded" true
     (SM.snapshot_history_length m <= Stm.version_chain_bound);
   let hm = IM.create ~stripes:4 () and q = Q.create () in
+  let ds = DS.create ~stripes:4 () and c = Counter.create ~shards:4 () in
   for round = 1 to 20 do
     Stm.atomic (fun () ->
         Tvar.set tv round;
         ignore (SM.put m (round mod 100) round);
         for k = 0 to 7 do
-          ignore (IM.put hm k round)
+          ignore (IM.put hm k round);
+          ignore (DS.add ds (k + (round mod 2 * 8)))
         done;
-        Q.put q round)
+        Q.put q round;
+        Counter.incr c)
   done;
   Alcotest.(check int) "quiescent tvar chain" 2 (Tvar.history_length tv);
   Alcotest.(check int) "quiescent sorted-map chains" 2
     (SM.snapshot_history_length m);
   Alcotest.(check int) "quiescent striped-map chains" 2
     (IM.snapshot_history_length hm);
-  Alcotest.(check int) "quiescent queue chain" 2 (Q.snapshot_history_length q)
+  Alcotest.(check int) "quiescent queue chain" 2 (Q.snapshot_history_length q);
+  Alcotest.(check int) "quiescent derived-set chains" 2
+    (DS.snapshot_history_length ds);
+  Alcotest.(check int) "quiescent counter chains" 2
+    (Counter.snapshot_history_length c)
 
 (* An exited domain's epoch slots leave the registries: 600 short-lived
    domains, one live at a time, each running a writing commit

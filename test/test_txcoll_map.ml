@@ -486,3 +486,92 @@ let suites =
           prop_reads_inside_txn_consistent;
         ] );
   ]
+
+(* ---------------- key equality of the hashed classes ---------------- *)
+
+(* The hash-map twin of txsorted.comparator: keys equal under the key
+   module's [equal] are one key to the stripes, the store buffer and the
+   semantic locks of Map, Set and Bag.  Under a case-insensitive key
+   module, a binding put as "apple" is found as "APPLE", one transaction
+   writing "pear" and "PEAR" leaves one binding, and a writer of "K"
+   aborts a transaction that read "k".  Stripes, buffers and lock tables
+   keyed by structural hashing lost all three. *)
+module Ci_string = struct
+  type t = string
+
+  let hash s = Hashtbl.hash (String.lowercase_ascii s)
+  let equal a b = String.equal (String.lowercase_ascii a) (String.lowercase_ascii b)
+end
+
+module CM = Txcoll.Host.Map (Ci_string)
+module CS = Txcoll.Host.Set (Ci_string)
+module CB = Txcoll.Host.Bag (Ci_string)
+
+let fruits = [ "apple"; "pear"; "kiwi"; "plum"; "fig"; "lime"; "date"; "yuzu" ]
+
+let test_equal_keys_found () =
+  List.iter
+    (fun k ->
+      let up = String.uppercase_ascii k in
+      let m = CM.create () in
+      ignore (CM.put m k 1);
+      Alcotest.(check (option int)) ("map finds " ^ up) (Some 1) (CM.find m up);
+      let s = CS.create () in
+      ignore (CS.add s k);
+      Alcotest.(check bool) ("set has " ^ up) true (CS.mem s up);
+      let b = CB.create () in
+      CB.add b k;
+      Alcotest.(check int) ("bag counts " ^ up) 1 (CB.count b up))
+    fruits
+
+let test_equal_keys_counted_once () =
+  let m = CM.create () and s = CS.create () and b = CB.create () in
+  Stm.atomic (fun () ->
+      List.iter
+        (fun k ->
+          ignore (CM.put m k 1);
+          ignore (CM.put m (String.uppercase_ascii k) 2);
+          ignore (CS.add s k);
+          ignore (CS.add s (String.uppercase_ascii k));
+          CB.add b k;
+          CB.add b (String.uppercase_ascii k))
+        fruits);
+  let n = List.length fruits in
+  Alcotest.(check int) "map size" n (CM.size m);
+  Alcotest.(check (option int)) "map: last write wins" (Some 2)
+    (CM.find m "pear");
+  Alcotest.(check int) "set size" n (CS.size s);
+  Alcotest.(check int) "bag elements" n (List.length (CB.to_list b));
+  Alcotest.(check int) "bag multiplicity" 2 (CB.count b "Pear")
+
+let test_equal_keys_conflict () =
+  let m = CM.create () and s = CS.create () and b = CB.create () in
+  ignore (CM.put m "k" 0);
+  List.iter
+    (fun (label, reader, writer) ->
+      Alcotest.(check int) (label ^ ": reader of k re-ran") 2
+        (conflict_scenario ~reader ~writer))
+    [
+      ( "map",
+        (fun () -> ignore (CM.find m "k")),
+        fun () -> ignore (CM.put m "K" 1) );
+      ( "set",
+        (fun () -> ignore (CS.mem s "k")),
+        fun () -> ignore (CS.add s "K") );
+      ( "bag",
+        (fun () -> ignore (CB.count b "k")),
+        fun () -> CB.add b "K" );
+    ]
+
+let suites =
+  suites
+  @ [
+      ( "txmap.key_equality",
+        [
+          Alcotest.test_case "equal keys found" `Quick test_equal_keys_found;
+          Alcotest.test_case "equal keys counted once" `Quick
+            test_equal_keys_counted_once;
+          Alcotest.test_case "equal keys conflict" `Quick
+            test_equal_keys_conflict;
+        ] );
+    ]
