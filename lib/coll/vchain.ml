@@ -97,11 +97,16 @@ let rec trim min_epoch = function
    the serialising lock), so the plain insert-at-head is order-correct;
    the in-place sorted insert below is a defensive fallback for a stamp
    race that the locking discipline should make impossible (a reader
-   walking past the splice sees either link, both valid chains).
+   walking past the splice sees either link, both valid chains).  A
+   publication at the head's own stamp replaces the head: one commit can
+   publish a chain more than once (two open-nested transactions' handlers
+   run at their outer commit), each time building on the version before.
    Returns the number of versions reclaimed. *)
 let publish t ~min_epoch stamp v =
   (match Atomic.get t with
-  | Node r as head when r.stamp >= stamp ->
+  | Node r when r.stamp = stamp ->
+      Atomic.set t (Node { stamp; v; next = r.next })
+  | Node r as head when r.stamp > stamp ->
       (* Out-of-order stamp (defensive): splice after the last node
          stamped >= [stamp], keeping the chain newest first. *)
       let rec ins = function

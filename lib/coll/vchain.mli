@@ -32,5 +32,6 @@ val publish : 'a t -> min_epoch:int -> int -> 'a -> int
 (** [publish t ~min_epoch stamp v] prepends version [v] at [stamp] and
     reclaims every version shadowed for all epochs [>= min_epoch]: the
     chain is cut right after its first entry stamped [<= min_epoch].
-    Returns the number of versions reclaimed.  Callers must be serialised
-    per chain. *)
+    A publication at the newest version's own stamp replaces that
+    version.  Returns the number of versions reclaimed.  Callers must be
+    serialised per chain. *)

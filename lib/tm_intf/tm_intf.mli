@@ -224,24 +224,14 @@ module type HASHED_MAP_OPS = sig
   val equal : key -> key -> bool
 end
 
-(** Operations of an underlying ordered map, extending {!MAP_OPS} with the
-    ordered traversals the [SortedMap] wrapper needs. *)
+(** An underlying ordered map: a {!MAP_OPS} with the comparator that
+    orders (and decides equality of) its keys.  The [SortedMap] wrapper
+    serves ordered reads from its own immutable shadows of the map, so it
+    needs no ordered traversal of it. *)
 module type SORTED_MAP_OPS = sig
   include MAP_OPS
 
   val compare_key : key -> key -> int
-
-  val min_binding : 'v t -> (key * 'v) option
-  val max_binding : 'v t -> (key * 'v) option
-
-  val iter_range : (key -> 'v -> unit) -> 'v t -> lo:key option -> hi:key option -> unit
-  (** In-order iteration over keys [k] with [lo <= k < hi] (missing bound =
-      unbounded), matching Java's half-open [subMap] views. *)
-
-  val iter_range_rev : (key -> 'v -> unit) -> 'v t -> lo:key option -> hi:key option -> unit
-  (** [iter_range] in descending key order.  [f] may raise for early exit;
-      reaching the first visited binding must cost O(log n), which is what
-      makes the sorted-map [lastKey] of a view cheap. *)
 end
 
 (** Operations of an underlying FIFO queue wrapped by the transactional work

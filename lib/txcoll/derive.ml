@@ -10,20 +10,24 @@
    {!Make} generates all of it from a {!SPEC}: the spec contributes only
    the *sequential* semantics (apply one buffered write to a shard,
    overlay a buffered write on an observation, the weight an observation
-   contributes to the collection's size) and declares which structural
-   facets ({!Commute_spec.facet}) its read operations can observe.  The
-   conflict relation is then derived, conservatively, from that facet
-   algebra instead of being hand-transcribed per class:
+   contributes to the collection's size) and declares its keying and
+   which structural facets ({!Commute_spec.facet}) its reads observe.
+   The conflict relation is then derived, conservatively, from that
+   facet algebra instead of being hand-transcribed per class.
 
-   - a read of key [k] locks [FKey k]; size/isEmpty/first reads lock
-     their structural facet;
-   - a committing batch invalidates [FKey k] for every buffered key, the
-     size facet when its net weight delta is non-zero, the isEmpty facet
-     when emptiness flips, and the first facet when it shrinks anywhere
-     or touches a key at or below the committed minimum;
-   - the committer remote-aborts every holder of an invalidated facet in
-     its prepare phase (before the TM's commit point), which is the
-     paper's optimistic semantic concurrency control.
+   Facets.  A read locks what it observed; a committing batch
+   invalidates, and so conflicts in its prepare phase:
+   - [FKey k] (point reads, value-returning writes): every buffered key;
+   - size: when the batch's net weight delta is non-zero;
+   - isEmpty: when emptiness flips;
+   - for ordered specs (Table 5) three more facets.  A range [lo, hi)
+     (range folds, view endpoints, cursor steps): every buffered key
+     inside it.  First/last (endpoints, unbounded folds): when the batch
+     actually moves the endpoint — a key appears beyond it, or the
+     endpoint key itself vanishes.
+   The committer remote-aborts every holder of an invalidated facet in
+   its prepare phase (before the TM's commit point), which is the paper's
+   optimistic semantic concurrency control.
 
    Soundness argument (checked end-to-end by test/test_derive.ml): a
    transaction that observed facet [F] holds [F]'s lock from the
@@ -35,17 +39,25 @@
    transaction ever observes a torn batch, and two operations declared
    commutative by the spec never conflict (their facets are disjoint),
    while every non-commuting pair overlaps on a facet and is forced to
-   conflict.
-
-   Conservatism costs only spurious aborts (the victim retries and
-   converges), never missed conflicts; the QCheck gate exercises both
+   conflict.  Conservatism costs only spurious aborts (the victim retries
+   and converges), never missed conflicts; the QCheck gate exercises both
    directions.
 
-   Keys.  The spec's [hash]/[equal] (or, for ordered specs, its
-   comparator) is the one notion of key equality: it picks a key's
-   stripe and keys the store buffer, the semantic lock tables and the
-   snapshot shadows, so two keys the class treats as equal are one key
-   everywhere.
+   Keys.  The spec's {!keying} is the one notion of key equality: it picks
+   a key's stripe and keys the store buffer, the semantic lock tables and
+   the snapshot shadows, so two keys the class treats as equal are one key
+   everywhere.  It also selects the layout of each of them:
+   - hashed specs: K hash stripes ([?stripes]), a hash-table store buffer,
+     shadows bucketed by hash;
+   - ordered specs: B ordered intervals cut by [?splitters] (one interval
+     without), each its own stripe and region, so key locks and range
+     locks are interval-local and writers of disjoint intervals commit in
+     parallel; an ordered store buffer that range reads merge in key
+     order; ordered shadows, which the ordered reads walk (under a span's
+     regions the newest shadow of a stripe is its committed shard).  The
+     committed endpoints are maintained under the structure region; a
+     commit that may empty a key plans every region, so that apply can
+     rescan them when it removes one.
 
    Snapshots.  Alongside each mutable shard sits a chain ([Coll.Vchain])
    of immutable shadows of it, plus one structure chain carrying the
@@ -61,11 +73,18 @@
    Pessimistic write policies are out of scope — the derivation is the
    paper's optimistic protocol. *)
 
+type 'k keying =
+  | Hashed of { hash : 'k -> int; equal : 'k -> 'k -> bool }
+      (** Equality with a hash that agrees with it. *)
+  | Ordered of ('k -> 'k -> int)
+      (** A comparator: keys are equal when it says 0.  Gives the spec
+          the range, first and last facets. *)
+
 module type SPEC = sig
   type 'v state
   (** One committed shard: mutable, not thread-safe — the generated
       wrapper serialises all access under its stripe's commit region.
-      ['v] is the element type of classes that carry values (the map);
+      ['v] is the element type of classes that carry values (the maps);
       the others ignore it. *)
 
   type key
@@ -80,10 +99,7 @@ module type SPEC = sig
       alphabet. *)
 
   val name : string
-
-  val hash : key -> int
-  val equal : key -> key -> bool
-  (** The class's key equality, with a hash that agrees with it. *)
+  val keying : key keying
 
   val create : unit -> 'v state
 
@@ -118,26 +134,38 @@ module type SPEC = sig
 
   val weight : 'v value option -> int
   (** The observation's contribution to the collection's size (map, set:
-      0/1 presence, bag/priority queue: multiplicity).  The functor
-      maintains the committed size as the running sum of weights and
-      derives the size/isEmpty conflict conditions from weight deltas. *)
+      0/1 presence, bag/priority queue: multiplicity); a key is present
+      when its weight is positive.  The functor maintains the committed
+      size as the running sum of weights and derives the size/isEmpty
+      conflict conditions from weight deltas and the endpoint conditions
+      from presence changes. *)
 
   (* ---- structural facets the class's reads can observe ---- *)
 
   val uses_size : bool
   val uses_isempty : bool
-
-  val uses_first : bool
-  (** Ordered minimum observation (priority queues).  Forces a single
-      stripe — the first facet is whole-collection state — and requires
-      [compare_key]. *)
-
-  val compare_key : (key -> key -> int) option
-  (** An ordered spec's comparator; its shadows are then ordered by it. *)
 end
 
 module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   module L = Semlock.Make (TM)
+
+  let ordered = match S.keying with Ordered _ -> true | Hashed _ -> false
+
+  (* Hashed structures' key functions.  Ordered specs never build one; a
+     comparator's equality and the constant hash (the one every comparator
+     agrees with) stand in. *)
+  let hash, equal =
+    match S.keying with
+    | Hashed { hash; equal } -> (hash, equal)
+    | Ordered compare -> ((fun _ -> 0), fun a b -> compare a b = 0)
+
+  let hashed_spec () =
+    invalid_arg (S.name ^ ": ordered operation on a hashed spec")
+
+  let cmp a b =
+    match S.keying with
+    | Ordered compare -> compare a b
+    | Hashed _ -> hashed_spec ()
 
   (* One store-buffer entry.  [prior] is the committed observation at the
      time the transaction first read the key ([None] = never read: the
@@ -146,20 +174,26 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      changing it aborts us first. *)
   type 'v bw = { mutable w : 'v S.wop; mutable prior : 'v S.value option option }
 
-  (* Immutable shadow of one shard.  Ordered specs keep a persistent map
-     under their comparator (so the first facet reads its minimum);
-     hashed ones a persistent map from key hash to the bindings sharing
-     that hash. *)
+  (* The store buffer, keyed like the class: ordered specs keep it in key
+     order, so range reads merge it with the committed shards. *)
+  type 'v buffer =
+    | Hbuffer of (S.key, 'v bw) Coll.Chain_hashmap.t
+    | Obuffer of (S.key, 'v bw) Coll.Ordmap.t
+
+  (* Immutable shadow of one shard: a persistent map under the
+     comparator (ordered specs), or from key hash to the bindings sharing
+     that hash (hashed ones). *)
   type 'v shadow =
-    | Hashed of (int, (S.key * 'v S.value) list) Coll.Pmap.t
-    | Ordered of (S.key, 'v S.value) Coll.Pmap.t
+    | Hshadow of (int, (S.key * 'v S.value) list) Coll.Pmap.t
+    | Oshadow of (S.key, 'v S.value) Coll.Pmap.t
 
   type 'v local = {
     mutable txn : TM.txn;
-    buffer : (S.key, 'v bw) Coll.Chain_hashmap.t;
+    buffer : 'v buffer;
     mutable key_locks : S.key list;
-    mutable stripes_mask : int;
-    mutable struct_locked : bool;
+    mutable stripes_mask : int; (* stripes of held key locks + blind keys *)
+    mutable ranges_mask : int; (* stripes holding this txn's range locks *)
+    mutable struct_locked : bool; (* holds a size/isEmpty/first/last lock *)
     shadows : 'v shadow option array;
         (* apply phase: the stripes' shadows being rebuilt, published and
            reset to [None] before it returns *)
@@ -183,6 +217,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     snap_size : int Coll.Vchain.t;
         (* committed-size chain; published only under the structure
            region *)
+    mutable cmin : S.key option;
+    mutable cmax : S.key option;
+        (* ordered specs: the least and greatest present committed keys;
+           read/written only under the structure region *)
     copy_key : S.key -> S.key;
         (* §5.1 "Leaking uncommitted data": keys recorded in the shared
            lock table stay visible to other transactions; a copier stores
@@ -191,78 +229,102 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   }
 
   let default_stripes = 16
+  let track_struct = S.uses_size || S.uses_isempty || ordered
+  let present v = S.weight v > 0
 
-  let track_struct = S.uses_size || S.uses_isempty || S.uses_first
+  (* ---------------- store buffer ---------------- *)
+
+  let buf_find b k =
+    match b with
+    | Hbuffer h -> Coll.Chain_hashmap.find h k
+    | Obuffer o -> Coll.Ordmap.find o k
+
+  let buf_add b k e =
+    match b with
+    | Hbuffer h -> Coll.Chain_hashmap.add h k e
+    | Obuffer o -> Coll.Ordmap.add o k e
+
+  let buf_iter f = function
+    | Hbuffer h -> Coll.Chain_hashmap.iter f h
+    | Obuffer o -> Coll.Ordmap.iter f o
+
+  let buf_fold f b acc =
+    match b with
+    | Hbuffer h -> Coll.Chain_hashmap.fold f h acc
+    | Obuffer o -> Coll.Ordmap.fold f o acc
+
+  let buf_is_empty = function
+    | Hbuffer h -> Coll.Chain_hashmap.is_empty h
+    | Obuffer o -> Coll.Ordmap.is_empty o
+
+  let buf_size = function
+    | Hbuffer h -> Coll.Chain_hashmap.size h
+    | Obuffer o -> Coll.Ordmap.size o
+
+  let buf_clear = function
+    | Hbuffer h -> Coll.Chain_hashmap.clear h
+    | Obuffer o -> Coll.Ordmap.clear o
+
+  let ordered_buffer l =
+    match l.buffer with Obuffer o -> o | Hbuffer _ -> hashed_spec ()
 
   (* ---------------- shadows ---------------- *)
 
   let shadow_empty () =
-    match S.compare_key with
-    | Some compare -> Ordered (Coll.Pmap.empty ~compare)
-    | None -> Hashed (Coll.Pmap.empty ~compare:Int.compare)
+    match S.keying with
+    | Ordered compare -> Oshadow (Coll.Pmap.empty ~compare)
+    | Hashed _ -> Hshadow (Coll.Pmap.empty ~compare:Int.compare)
 
   let rec drop_key k = function
     | [] -> []
-    | ((k', _) as b) :: rest -> if S.equal k k' then rest else b :: drop_key k rest
+    | ((k', _) as b) :: rest -> if equal k k' then rest else b :: drop_key k rest
 
   (* The shadow with [k] bound to [v] ([None] = unbound). *)
   let shadow_set sh k v =
     match sh with
-    | Ordered pm -> (
+    | Oshadow pm -> (
         match v with
-        | Some v -> Ordered (Coll.Pmap.add pm k v)
-        | None -> Ordered (Coll.Pmap.remove pm k))
-    | Hashed pm -> (
-        let h = S.hash k in
+        | Some v -> Oshadow (Coll.Pmap.add pm k v)
+        | None -> Oshadow (Coll.Pmap.remove pm k))
+    | Hshadow pm -> (
+        let h = hash k in
         let rest =
           match Coll.Pmap.find pm h with None -> [] | Some b -> drop_key k b
         in
         match (v, rest) with
-        | Some v, b -> Hashed (Coll.Pmap.add pm h ((k, v) :: b))
-        | None, [] -> Hashed (Coll.Pmap.remove pm h)
-        | None, b -> Hashed (Coll.Pmap.add pm h b))
+        | Some v, b -> Hshadow (Coll.Pmap.add pm h ((k, v) :: b))
+        | None, [] -> Hshadow (Coll.Pmap.remove pm h)
+        | None, b -> Hshadow (Coll.Pmap.add pm h b))
 
   let shadow_find sh k =
     match sh with
-    | Ordered pm -> Coll.Pmap.find pm k
-    | Hashed pm -> (
-        match Coll.Pmap.find pm (S.hash k) with
+    | Oshadow pm -> Coll.Pmap.find pm k
+    | Hshadow pm -> (
+        match Coll.Pmap.find pm (hash k) with
         | None -> None
         | Some b ->
-            List.find_map (fun (k', v) -> if S.equal k k' then Some v else None) b)
+            List.find_map (fun (k', v) -> if equal k k' then Some v else None) b)
 
   let shadow_fold f sh acc =
     match sh with
-    | Ordered pm -> Coll.Pmap.fold f pm acc
-    | Hashed pm ->
+    | Oshadow pm -> Coll.Pmap.fold f pm acc
+    | Hshadow pm ->
         Coll.Pmap.fold
           (fun _ b acc -> List.fold_left (fun acc (k, v) -> f k v acc) acc b)
           pm acc
 
-  exception Found of S.key
+  let sorted = function Oshadow pm -> pm | Hshadow _ -> hashed_spec ()
 
-  (* Least key of an ordered shadow not in [excluded]; hashed shadows
-     have no order ([uses_first] requires [compare_key]). *)
-  let shadow_min sh ~excluded =
-    match sh with
-    | Hashed _ -> None
-    | Ordered pm -> (
-        match
-          Coll.Pmap.iter (fun k _ -> if not (excluded k) then raise (Found k)) pm
-        with
-        | () -> None
-        | exception Found k -> Some k)
-
-  let no_key _ = false
-
-  let create ?(stripes = default_stripes) ?(copy_key = Fun.id) () =
-    if S.uses_first && Option.is_none S.compare_key then
-      invalid_arg (S.name ^ ": uses_first requires compare_key");
-    (* The first facet is whole-collection state: observing the minimum
-       must exclude every concurrent apply, so the ordered classes run
-       unsharded (one stripe = the structure region). *)
-    let stripes = if S.uses_first then 1 else stripes in
-    let locks = L.create ~stripes ~hash:S.hash ~equal:S.equal () in
+  (* [stripes] sizes a hashed spec's table, [splitters] cuts an ordered
+     one's. *)
+  let create ?(stripes = default_stripes) ?(splitters = []) ?(copy_key = Fun.id)
+      () =
+    let locks =
+      match S.keying with
+      | Hashed { hash; equal } -> L.create ~stripes ~hash ~equal ()
+      | Ordered compare ->
+          L.create_intervals ~splitters:(Array.of_list splitters) ~compare ()
+    in
     let k = L.stripe_count locks in
     {
       locks;
@@ -270,6 +332,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       snap = Array.init k (fun _ -> Coll.Vchain.make 0 (shadow_empty ()));
       csize = 0;
       snap_size = Coll.Vchain.make 0 0;
+      cmin = None;
+      cmax = None;
       copy_key;
       local_key = TM.new_local_key ();
     }
@@ -279,10 +343,28 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   let key_region t k = L.region_of_key t.locks k
   let stripe_count t = L.stripe_count t.locks
 
-  (* Snapshot reads resolve against the chains at the pinned stamp. *)
-  let snap_shadow t si =
-    Coll.Vchain.read_at t.snap.(si) (TM.snapshot_stamp ())
+  let all_regions t =
+    let acc = ref [] in
+    for i = stripe_count t - 1 downto 0 do
+      acc := L.stripe_region t.locks i :: !acc
+    done;
+    sregion t :: !acc
 
+  (* Nested criticals over the regions of the stripes [lo, hi) overlaps,
+     ascending index (= ascending rid). *)
+  let critical_span t ~lo ~hi f =
+    let i, j = L.interval_span t.locks ~lo ~hi in
+    let rec go i =
+      if i > j then f ()
+      else TM.critical (L.stripe_region t.locks i) (fun () -> go (i + 1))
+    in
+    go i
+
+  (* Snapshot reads resolve against the chains at the pinned stamp; the
+     other ordered reads walk the newest shadows under the stripes'
+     regions. *)
+  let snap_shadow t si = Coll.Vchain.read_at t.snap.(si) (TM.snapshot_stamp ())
+  let latest_shadow t si = Coll.Vchain.latest t.snap.(si)
   let snap_size t = Coll.Vchain.read_at t.snap_size (TM.snapshot_stamp ())
 
   (* Publish at [stamp].  Caller holds the chain's region (stripe [si]'s,
@@ -296,6 +378,92 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     TM.note_reclaimed
       (Coll.Vchain.publish t.snap_size ~min_epoch stamp t.csize)
 
+  (* ---------------- ordered walks ---------------- *)
+
+  (* Walk the ordered shadows' bindings in [lo, hi), ascending ([up]) or
+     descending: stripes hold disjoint ascending intervals, so visiting
+     them in index order is global key order.  [f] may raise to stop. *)
+  let walk t shadow ~up ~lo ~hi f =
+    let i, j = L.interval_span t.locks ~lo ~hi in
+    if up then
+      for si = i to j do
+        Coll.Pmap.iter_range f (sorted (shadow t si)) ~lo ~hi
+      done
+    else
+      for si = j downto i do
+        Coll.Pmap.iter_range_rev f (sorted (shadow t si)) ~lo ~hi
+      done
+
+  (* First binding an ordered walk visits; [iter] gets a visitor that ends
+     the walk at once — O(log n) per walk. *)
+  let first_visited iter =
+    let r = ref None in
+    (try
+       iter (fun k v ->
+           r := Some (k, v);
+           raise_notrace Exit)
+     with Exit -> ());
+    !r
+
+  (* Does [k] lie strictly above [above] ([None]: no lower limit)? *)
+  let past above k = match above with Some a -> cmp k a > 0 | None -> true
+  let no_key _ = false
+
+  (* First ([up]) or last committed binding in [lo, hi), strictly above
+     [above] when given, skipping the keys [skip] names. *)
+  let committed_seek t shadow ~up ~above ~lo ~hi ~skip =
+    first_visited (fun f ->
+        walk t shadow ~up ~lo ~hi (fun k v ->
+            if past above k && not (skip k) then f k v))
+
+  (* Least (or greatest) binding across the shadows: the first non-empty
+     stripe from that end. *)
+  let edge t shadow ~last =
+    let n = stripe_count t in
+    let rec go i =
+      if i < 0 || i >= n then None
+      else
+        let pm = sorted (shadow t i) in
+        match
+          if last then Coll.Pmap.max_binding pm else Coll.Pmap.min_binding pm
+        with
+        | Some _ as b -> b
+        | None -> go (if last then i - 1 else i + 1)
+    in
+    go (if last then n - 1 else 0)
+
+  (* The endpoint rule (Table 5): [k] appearing moves the first
+     (last) endpoint iff it lies below (above) it — or the collection was
+     empty; [k] vanishing moves it iff [k] is the endpoint.  [sign] is -1
+     for the first endpoint [ep], 1 for the last. *)
+  let moves ep k sign ~appears =
+    match ep with
+    | None -> appears
+    | Some e -> if appears then sign * cmp k e > 0 else cmp k e = 0
+
+  (* Maintain an ordered spec's committed endpoints as write [before ->
+     after] makes [k] appear or vanish; [true] when a vanished endpoint
+     needs [rescan_endpoints].  A presence change holds the structure
+     region. *)
+  let track_endpoints t k ~before ~after =
+    ordered
+    && present before <> present after
+    &&
+    let appears = present after in
+    let first = moves t.cmin k (-1) ~appears in
+    let last = moves t.cmax k 1 ~appears in
+    if appears then begin
+      if first then t.cmin <- Some k;
+      if last then t.cmax <- Some k;
+      false
+    end
+    else first || last
+
+  (* Caller holds every region, and has published the shards' shadows. *)
+  let rescan_endpoints t =
+    t.cmin <- Option.map fst (edge t latest_shadow ~last:false);
+    t.cmax <- Option.map fst (edge t latest_shadow ~last:true)
+
   (* ---------------- commit/abort handlers ---------------- *)
 
   (* Runs exactly once per transaction (the apply and abort handlers are
@@ -307,6 +475,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       (fun k ->
         TM.critical (key_region t k) (fun () -> L.release_key t.locks l.txn k))
       l.key_locks;
+    if l.ranges_mask <> 0 then
+      for i = 0 to stripe_count t - 1 do
+        if l.ranges_mask land (1 lsl i) <> 0 then
+          TM.critical (L.stripe_region t.locks i) (fun () ->
+              L.release_ranges_in_stripe t.locks l.txn i)
+      done;
     if l.struct_locked then
       TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn)
 
@@ -321,89 +495,115 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   (* Net weight change of the store buffer against current committed
      state — the derived size-facet conflict condition. *)
   let batch_delta t l =
-    Coll.Chain_hashmap.fold
+    buf_fold
       (fun k e acc ->
         let prior = prior_of t k e in
         acc + S.weight (S.view prior e.w) - S.weight prior)
       l.buffer 0
 
-  (* Commit region plan: the stripes of every locked/buffered key, plus
-     the structure region when the transaction read structural state or
-     its writes may move a structural facet (a blind write's effect is
-     unknown until applied, so it is planned conservatively). *)
-  let regions_plan t l () =
-    let struct_needed =
-      l.struct_locked
-      || (track_struct
-         && (not (Coll.Chain_hashmap.is_empty l.buffer))
-         && (S.uses_first
-            || Coll.Chain_hashmap.fold
-                 (fun _ e acc ->
-                   acc
-                   ||
-                   match e.prior with
-                   | None -> true
-                   | Some p -> S.weight (S.view p e.w) <> S.weight p)
-                 l.buffer false))
-    in
-    let acc = ref [] in
-    for i = stripe_count t - 1 downto 0 do
-      if l.stripes_mask land (1 lsl i) <> 0 then
-        acc := L.stripe_region t.locks i :: !acc
-    done;
-    if struct_needed then sregion t :: !acc else !acc
+  (* Could write [w] over committed observation [prior] ([None] = not
+     read) leave a present key absent?  A blind absorbing write does iff
+     it installs absence; a blind delta might. *)
+  let may_vacate prior w =
+    match prior with
+    | Some p -> present p && not (present (S.view p w))
+    | None -> (not (S.absorbing w)) || not (present (S.view None w))
 
-  (* Derived first-facet conflict condition, conservative: the batch can
-     only move the minimum if it shrinks some key's weight or touches a
-     key at or below the committed minimum (insertions above the current
-     minimum with no shrink leave it in place).  Over-approximation costs
-     a spurious abort of a min-observer, never a missed conflict. *)
-  let first_invalidated t l =
-    let cmp = Option.get S.compare_key in
-    let committed_min =
-      shadow_min (Coll.Vchain.latest t.snap.(0)) ~excluded:no_key
+  (* Commit region plan: the stripes of every locked/buffered key and of
+     every held range, plus the structure region when the transaction
+     read structural state or its writes may move a structural facet (a
+     blind write's effect is unknown until applied, so it is planned
+     conservatively).  An ordered batch that may empty a key plans every
+     region: removing an endpoint rescans every stripe for the new one. *)
+  let regions_plan t l () =
+    (* bit 0: the batch may empty a key; bit 1: it may move the size *)
+    let effects =
+      buf_fold
+        (fun _ e acc ->
+          let vacate = if may_vacate e.prior e.w then 1 else 0 in
+          let resize =
+            match e.prior with
+            | None -> 2
+            | Some p -> if S.weight (S.view p e.w) <> S.weight p then 2 else 0
+          in
+          acc lor vacate lor resize)
+        l.buffer 0
     in
-    Coll.Chain_hashmap.fold
-      (fun k e acc ->
-        acc
-        ||
+    if ordered && effects land 1 <> 0 then all_regions t
+    else begin
+      let mask = l.stripes_mask lor l.ranges_mask in
+      let acc = ref [] in
+      for i = stripe_count t - 1 downto 0 do
+        if mask land (1 lsl i) <> 0 then
+          acc := L.stripe_region t.locks i :: !acc
+      done;
+      if l.struct_locked || (track_struct && effects land 2 <> 0) then
+        sregion t :: !acc
+      else !acc
+    end
+
+  (* Derived first/last conflict condition (Table 5): the batch moves an
+     endpoint iff some key appears beyond it or the endpoint key itself
+     vanishes.  Caller holds the structure region. *)
+  let endpoint_conflicts t l ~self =
+    let first = ref false and last = ref false in
+    buf_iter
+      (fun k e ->
         let prior = prior_of t k e in
-        S.weight (S.view prior e.w) < S.weight prior
-        || (match committed_min with None -> true | Some m -> cmp k m <= 0))
-      l.buffer false
+        let appears = present (S.view prior e.w) in
+        if present prior <> appears then begin
+          if moves t.cmin k (-1) ~appears then first := true;
+          if moves t.cmax k 1 ~appears then last := true
+        end)
+      l.buffer;
+    if !first then L.conflict_first t.locks ~self;
+    if !last then L.conflict_last t.locks ~self
+
+  (* A buffered key invalidates its key facet and every range containing
+     it; caller holds the key's region. *)
+  let conflict_key_facets t ~self k =
+    L.conflict_key t.locks ~self k;
+    if ordered then L.conflict_range t.locks ~self ~compare:cmp k
 
   (* Prepare phase: abort the holders of every facet this batch
-     invalidates.  Read-only on the shards and may raise; it runs before
-     the TM's commit point so an exception aborts with nothing applied.
-     Every critical below re-enters a region the plan already holds. *)
+     invalidates — key and range facets under each key's region, then the
+     structural ones.  Read-only on the shards and may raise; it runs
+     before the TM's commit point so an exception aborts with nothing
+     applied.  A weight change or a presence flip puts the structure
+     region in the plan, so every critical below re-enters a region the
+     plan holds. *)
   let prepare_handler t l () =
     let self = l.txn in
-    Coll.Chain_hashmap.iter
-      (fun k _ ->
-        TM.critical (key_region t k) (fun () ->
-            L.conflict_key t.locks ~self k))
-      l.buffer;
-    if S.uses_size || S.uses_isempty then begin
-      let delta = batch_delta t l in
-      if delta <> 0 then
-        TM.critical (sregion t) (fun () ->
-            if S.uses_size then L.conflict_size t.locks ~self;
-            if
-              S.uses_isempty
-              && (t.csize = 0) <> (t.csize + delta = 0)
-            then L.conflict_isempty t.locks ~self)
-    end;
-    if S.uses_first && not (Coll.Chain_hashmap.is_empty l.buffer) then
+    let flips = ref false in
+    let delta =
+      buf_fold
+        (fun k e acc ->
+          TM.critical (key_region t k) (fun () ->
+              conflict_key_facets t ~self k);
+          if not track_struct then acc
+          else
+            let prior = prior_of t k e in
+            let after = S.view prior e.w in
+            if present prior <> present after then flips := true;
+            acc + S.weight after - S.weight prior)
+        l.buffer 0
+    in
+    if delta <> 0 || !flips then
       TM.critical (sregion t) (fun () ->
-          if first_invalidated t l then L.conflict_first t.locks ~self)
+          if S.uses_size && delta <> 0 then L.conflict_size t.locks ~self;
+          if S.uses_isempty && (t.csize = 0) <> (t.csize + delta = 0) then
+            L.conflict_isempty t.locks ~self;
+          if ordered && !flips && L.endpoint_locked t.locks then
+            endpoint_conflicts t l ~self)
 
   (* Apply phase, after the commit point: flush the buffer to the shards
      (one combined op per key), fold the weight delta into the committed
-     size, publish each changed stripe's shadow (and the size) once at
-     the commit stamp, release semantic locks. *)
-  let apply_handler t l stamp =
-    let delta = ref 0 in
-    Coll.Chain_hashmap.iter
+     size and the presence flips into the endpoints, publish each changed
+     stripe's shadow (and the size) once at the commit stamp, release
+     semantic locks.  A read-only commit only releases its locks. *)
+  let flush t l stamp =
+    let delta = ref 0 and rescan = ref false in
+    buf_iter
       (fun k e ->
         TM.critical (key_region t k) (fun () ->
             let si = L.stripe_index t.locks k in
@@ -414,6 +614,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
             S.apply shard k e.w;
             let after = S.view before e.w in
             delta := !delta + S.weight after - S.weight before;
+            if track_endpoints t k ~before ~after then rescan := true;
             let shadow =
               match l.shadows.(si) with
               | Some sh -> sh
@@ -430,10 +631,14 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           TM.critical (L.stripe_region t.locks si) (fun () ->
               publish_stripe t si ~min_epoch stamp shadow)
     done;
-    if track_struct && !delta <> 0 then
+    if track_struct && (!delta <> 0 || !rescan) then
       TM.critical (sregion t) (fun () ->
           t.csize <- t.csize + !delta;
-          publish_size t ~min_epoch stamp);
+          if !rescan then rescan_endpoints t;
+          if !delta <> 0 then publish_size t ~min_epoch stamp)
+
+  let apply_handler t l stamp =
+    if not (buf_is_empty l.buffer) then flush t l stamp;
     cleanup t l
 
   (* One local record per top-level transaction; its first use registers
@@ -450,9 +655,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       match spare with
       | Some l ->
           l.txn <- txn;
-          Coll.Chain_hashmap.clear l.buffer;
+          buf_clear l.buffer;
           l.key_locks <- [];
           l.stripes_mask <- 0;
+          l.ranges_mask <- 0;
           l.struct_locked <- false;
           Array.fill l.shadows 0 (Array.length l.shadows) None;
           l
@@ -460,12 +666,17 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           let rec l =
             {
               txn;
-              buffer = Coll.Chain_hashmap.create ~hash:S.hash ~equal:S.equal ();
+              buffer =
+                (match S.keying with
+                | Hashed { hash; equal } ->
+                    Hbuffer (Coll.Chain_hashmap.create ~hash ~equal ())
+                | Ordered compare -> Obuffer (Coll.Ordmap.create ~compare ()));
               key_locks = [];
               stripes_mask = 0;
+              ranges_mask = 0;
               struct_locked = false;
               shadows = Array.make (stripe_count t) None;
-              h_read_only = (fun () -> Coll.Chain_hashmap.is_empty l.buffer);
+              h_read_only = (fun () -> buf_is_empty l.buffer);
               h_regions = (fun () -> regions_plan t l ());
               h_prepare = (fun () -> prepare_handler t l ());
               h_apply = (fun stamp -> apply_handler t l stamp);
@@ -495,6 +706,20 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     L.lock_size t.locks l.txn;
     l.struct_locked <- true
 
+  (* Caller holds [sregion t]. *)
+  let lock_endpoint_held t l ~last =
+    (if last then L.lock_last else L.lock_first) t.locks l.txn;
+    l.struct_locked <- true
+
+  (* Registers [lo, hi) and records its stripes, so the commit plan covers
+     them and cleanup releases them.  Caller holds the span's regions. *)
+  let lock_range t l ~lo ~hi =
+    let i, j = L.interval_span t.locks ~lo ~hi in
+    L.lock_range t.locks l.txn ~compare:cmp { L.lo; hi };
+    for si = i to j do
+      l.ranges_mask <- l.ranges_mask lor (1 lsl si)
+    done
+
   (* ---------------- reads ---------------- *)
 
   let find t k =
@@ -505,7 +730,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     else begin
       let l = local_of t in
       TM.critical (key_region t k) (fun () ->
-          match Coll.Chain_hashmap.find l.buffer k with
+          match buf_find l.buffer k with
           | Some e ->
               if S.absorbing e.w then S.view None e.w
               else
@@ -551,36 +776,151 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           t.csize + batch_delta t l = 0)
     end
 
-  (* Least key whose (buffer-overlaid) observation is present.  Takes the
-     first-facet lock; committers that may move the minimum conflict it
-     in prepare. *)
-  let min_view t =
-    if not S.uses_first then
-      invalid_arg (S.name ^ ": first facet not in spec");
-    let cmp = Option.get S.compare_key in
-    if TM.in_snapshot () then shadow_min (snap_shadow t 0) ~excluded:no_key
-    else if not (TM.in_txn ()) then
-      TM.critical (sregion t) (fun () ->
-          shadow_min (Coll.Vchain.latest t.snap.(0)) ~excluded:no_key)
+  (* The calling transaction's first ([up]) or last binding in [lo, hi),
+     strictly above [above] when given ([lo] is then [above]): the first
+     committed key the buffer does not override against the first
+     buffered key still present, each found by an early-exit walk.
+     Caller holds the span's regions. *)
+  let merged_seek t l ~up ~above ~lo ~hi =
+    let buf = ordered_buffer l in
+    let committed =
+      committed_seek t latest_shadow ~up ~above ~lo ~hi
+        ~skip:(Coll.Ordmap.mem buf)
+    in
+    let buffered =
+      first_visited (fun f ->
+          (if up then Coll.Ordmap.iter_range else Coll.Ordmap.iter_range_rev)
+            (fun k e ->
+              if past above k then
+                match S.view (prior_of t k e) e.w with
+                | Some v -> f k v
+                | None -> ())
+            buf ~lo ~hi)
+    in
+    match (committed, buffered) with
+    | None, x | x, None -> x
+    | Some (kc, _), Some (kb, _) ->
+        let c = cmp kb kc in
+        if (up && c < 0) || ((not up) && c > 0) then buffered else committed
+
+  (* The first (or last) facet: the least (greatest) present key, with its
+     binding.  Inside a transaction it takes the facet's lock; committers
+     that move the endpoint conflict it in prepare.  With nothing
+     buffered the maintained committed endpoint answers; otherwise the
+     merged walk runs under every region. *)
+  let endpoint t ~last =
+    if not ordered then hashed_spec ();
+    let committed () =
+      match if last then t.cmax else t.cmin with
+      | None -> None
+      | Some k ->
+          Option.map
+            (fun v -> (k, v))
+            (TM.critical (key_region t k) (fun () -> S.find (shard_of t k) k))
+    in
+    if TM.in_snapshot () then edge t snap_shadow ~last
+    else if not (TM.in_txn ()) then TM.critical (sregion t) committed
     else begin
       let l = local_of t in
       TM.critical (sregion t) (fun () ->
-          L.lock_first t.locks l.txn;
-          l.struct_locked <- true;
-          let excluded k = Option.is_some (Coll.Chain_hashmap.find l.buffer k) in
-          let committed =
-            shadow_min (Coll.Vchain.latest t.snap.(0)) ~excluded
-          in
-          Coll.Chain_hashmap.fold
-            (fun k e best ->
-              match S.view (prior_of t k e) e.w with
-              | None -> best
-              | Some _ -> (
-                  match best with
-                  | None -> Some k
-                  | Some b -> if cmp k b < 0 then Some k else best))
-            l.buffer committed)
+          lock_endpoint_held t l ~last;
+          if buf_is_empty l.buffer then committed ()
+          else
+            L.critical_all t.locks (fun () ->
+                merged_seek t l ~up:(not last) ~above:None ~lo:None ~hi:None))
     end
+
+  (* Take the first (or last) facet lock without reading: an incremental
+     iteration that starts at the minimum (or runs off the maximum) has
+     observed that endpoint. *)
+  let lock_endpoint t ~last =
+    if TM.in_txn () then begin
+      let l = local_of t in
+      TM.critical (sregion t) (fun () -> lock_endpoint_held t l ~last)
+    end
+
+  (* Ordered seek with the locks its answer reveals: the first ([up]) or
+     last binding in [lo, hi) — strictly above [above] when given — takes
+     a range lock over the span it proved empty ([lo or above, found), or
+     [found, hi)) plus a key lock on the found key; no binding locks the
+     whole span.  O(log n) in every read mode. *)
+  let seek t ~up ~above ~lo ~hi =
+    if not ordered then hashed_spec ();
+    let lo = match above with Some _ -> above | None -> lo in
+    if TM.in_snapshot () then
+      committed_seek t snap_shadow ~up ~above ~lo ~hi ~skip:no_key
+    else if not (TM.in_txn ()) then
+      critical_span t ~lo ~hi (fun () ->
+          committed_seek t latest_shadow ~up ~above ~lo ~hi ~skip:no_key)
+    else begin
+      let l = local_of t in
+      critical_span t ~lo ~hi (fun () ->
+          match merged_seek t l ~up ~above ~lo ~hi with
+          | None ->
+              lock_range t l ~lo ~hi;
+              None
+          | Some (k, _) as r ->
+              if up then lock_range t l ~lo ~hi:(Some k)
+              else lock_range t l ~lo:(Some k) ~hi;
+              lock_key t l k;
+              r)
+    end
+
+  (* The calling transaction's bindings in [lo, hi), in key order: the
+     committed ones the buffer does not override merged with the buffered
+     ones still present.  Caller holds the span's regions. *)
+  let merged_range t l ~lo ~hi =
+    let buf = ordered_buffer l in
+    let committed = ref [] in
+    walk t latest_shadow ~up:false ~lo ~hi (fun k v ->
+        if not (Coll.Ordmap.mem buf k) then committed := (k, v) :: !committed);
+    let buffered = ref [] in
+    Coll.Ordmap.iter_range_rev
+      (fun k e ->
+        match S.view (prior_of t k e) e.w with
+        | Some v -> buffered := (k, v) :: !buffered
+        | None -> ())
+      buf ~lo ~hi;
+    List.merge (fun (a, _) (b, _) -> cmp a b) !committed !buffered
+
+  (* Ordered fold over [lo, hi) with Table 5 locking: the range lock over
+     the span, plus the first lock when it starts at the minimum and the
+     last lock when it runs off the maximum.  The bindings are read under
+     the span's regions (after the structure region, lowest rid, when an
+     endpoint lock is due); [f] runs after they are released — the
+     registered locks, not the regions, make the observation
+     serializable. *)
+  let fold_range f t init ~lo ~hi =
+    if not ordered then hashed_spec ();
+    if TM.in_snapshot () then begin
+      let acc = ref init in
+      walk t snap_shadow ~up:true ~lo ~hi (fun k v -> acc := f k v !acc);
+      !acc
+    end
+    else
+      let items =
+        if not (TM.in_txn ()) then
+          critical_span t ~lo ~hi (fun () ->
+              let acc = ref [] in
+              walk t latest_shadow ~up:false ~lo ~hi (fun k v ->
+                  acc := (k, v) :: !acc);
+              !acc)
+        else begin
+          let l = local_of t in
+          let read () =
+            critical_span t ~lo ~hi (fun () ->
+                lock_range t l ~lo ~hi;
+                merged_range t l ~lo ~hi)
+          in
+          if lo = None || hi = None then
+            TM.critical (sregion t) (fun () ->
+                if lo = None then lock_endpoint_held t l ~last:false;
+                if hi = None then lock_endpoint_held t l ~last:true;
+                read ())
+          else read ()
+        end
+      in
+      List.fold_left (fun acc (k, v) -> f k v acc) init items
 
   (* Snapshot enumeration: every stripe's shadow read at the same pinned
      stamp, a prefix-consistent cut across the whole collection. *)
@@ -602,7 +942,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
         acc :=
           S.fold
             (fun k v a ->
-              match Coll.Chain_hashmap.find l.buffer k with
+              match buf_find l.buffer k with
               | Some e -> (
                   match S.view (prior_of t k e) e.w with
                   | Some v' -> f k v' a
@@ -613,7 +953,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
             shard !acc)
       t.shards;
     (* Buffered keys with no committed binding. *)
-    Coll.Chain_hashmap.iter
+    buf_iter
       (fun k e ->
         if Option.is_none (S.find (shard_of t k) k) then
           match S.view (prior_of t k e) e.w with
@@ -627,13 +967,15 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     Array.iter (fun shard -> acc := S.fold f shard !acc) t.shards;
     !acc
 
-  (* Full enumeration.  Inside a transaction it locks the size facet (the
-     enumeration observes the complete contents, so any weight-changing
-     commit must conflict it) plus a key lock on every committed key
-     returned; specs without the size facet cannot enumerate
-     transactionally. *)
+  (* Full enumeration.  Ordered specs fold the whole key range in order
+     (range, first and last locks).  Hashed ones, inside a transaction,
+     lock the size facet (the enumeration observes the complete contents,
+     so any weight-changing commit must conflict it) plus a key lock on
+     every committed key returned; hashed specs without the size facet
+     cannot enumerate transactionally. *)
   let fold f t init =
-    if TM.in_snapshot () then snap_fold f t init
+    if ordered then fold_range f t init ~lo:None ~hi:None
+    else if TM.in_snapshot () then snap_fold f t init
     else if not (TM.in_txn ()) then
       L.critical_all t.locks (fun () -> committed_fold f t init)
     else begin
@@ -667,9 +1009,11 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   (* ---------------- writes ---------------- *)
 
   (* Non-transactional write: structure-then-stripe (ascending rid) so
-     the shard mutation, the committed-size update and their shadows are
-     atomic for structural readers; the publication draws its stamp
-     through [TM.begin_publish] under those regions. *)
+     the shard mutation, the committed size and endpoints and their
+     shadows are atomic for structural readers — every region when it may
+     empty a key of an ordered spec, for the endpoint rescan; the
+     publication draws its stamp through [TM.begin_publish] under those
+     regions. *)
   let nontxn_write t k w =
     if TM.in_snapshot () then
       invalid_arg (S.name ^ ": write inside a snapshot read section");
@@ -688,9 +1032,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
               publish_stripe t si ~min_epoch stamp
                 (shadow_set (Coll.Vchain.latest t.snap.(si)) k after);
               if d <> 0 then publish_size t ~min_epoch stamp);
+          if track_endpoints t k ~before ~after then rescan_endpoints t;
           before)
     in
-    if track_struct then TM.critical (sregion t) doit else doit ()
+    if ordered && may_vacate None w then L.critical_all t.locks doit
+    else if track_struct then TM.critical (sregion t) doit
+    else doit ()
 
   (* Transactional write: buffer the op (combining with an earlier write
      to the same key) and return the prior observation.  Blind writes
@@ -702,7 +1049,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     else begin
       let l = local_of t in
       TM.critical (key_region t k) (fun () ->
-          match Coll.Chain_hashmap.find l.buffer k with
+          match buf_find l.buffer k with
           | Some e ->
               let old =
                 if blind then None
@@ -723,7 +1070,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
               old
           | None ->
               if blind then begin
-                Coll.Chain_hashmap.add l.buffer k { w; prior = None };
+                buf_add l.buffer k { w; prior = None };
                 l.stripes_mask <-
                   l.stripes_mask lor (1 lsl L.stripe_index t.locks k);
                 None
@@ -733,7 +1080,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                    (Table 2: value-returning writes take a key lock). *)
                 lock_key t l k;
                 let p = S.find (shard_of t k) k in
-                Coll.Chain_hashmap.add l.buffer k { w; prior = Some p };
+                buf_add l.buffer k { w; prior = Some p };
                 p
               end)
     end
@@ -750,8 +1097,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     L.critical_all t.locks (fun () -> L.total_lockers t.locks)
 
   let buffered_writes t =
-    if not (TM.in_txn ()) then 0
-    else Coll.Chain_hashmap.size (local_of t).buffer
+    if not (TM.in_txn ()) then 0 else buf_size (local_of t).buffer
 
   (* Longest shadow chain (stripes and size) — reclamation probe: at most
      2 once no snapshot reader is pinned below the newest versions. *)

@@ -10,9 +10,8 @@
    [TM.critical] region, so operations and commits touching disjoint keys
    of the same collection never contend.  Two partition modes exist:
 
-   - [Hashed]: stripe [hash key mod K].  Used by the unordered map; range
-     locks make no sense per-stripe under a hash (a range overlaps every
-     stripe), so they live in the structure stripe as before.
+   - [Hashed]: stripe [hash key mod K].  Used by the hashed classes, which
+     take no range locks.
    - [Intervals]: B ordered intervals cut by a sorted splitter array
      (interval i = [s_{i-1}, s_i), unbounded at the edges); the stripe of
      [k] is found by binary search.  Because intervals respect key order,
@@ -25,21 +24,20 @@
      (the merge is the union), so stripe-local verdicts equal the verdict
      of the raw fragment list.
 
-   Whole-structure state — size/isEmpty/first/last lockers, and range
-   locks in hashed mode — lives in a dedicated structure stripe behind
-   [struct_region].  Deadlock freedom: the structure region is created
-   first, so its rid is the lowest of the collection's regions and stripe
-   rids ascend with stripe index; operations nest structure-then-stripe
-   criticals in ascending order and commits pre-acquire their rid-sorted
-   region plan, so every acquisition order is ascending.
+   Whole-structure state — size/isEmpty/first/last lockers — lives in a
+   dedicated structure stripe behind [struct_region].  Deadlock freedom:
+   the structure region is created first, so its rid is the lowest of the
+   collection's regions and stripe rids ascend with stripe index;
+   operations nest structure-then-stripe criticals in ascending order and
+   commits pre-acquire their rid-sorted region plan, so every acquisition
+   order is ascending.
 
    Synchronisation discipline: per-key functions ([lock_key],
    [conflict_key], [release_key], ...) require the caller to hold
    [region_of_key t k]; [lock_range]/[release_ranges_in_stripe] require
-   the overlapped stripe regions (interval mode) or [struct_region]
-   (hashed mode); [conflict_range t k] requires [region_of_key t k] in
-   interval mode and [struct_region] in hashed mode; structure functions
-   ([lock_size], [release_structure], ...) require [struct_region t].
+   the overlapped stripe regions; [conflict_range t k] requires
+   [region_of_key t k]; structure functions ([lock_size],
+   [release_structure], ...) require [struct_region t].
    [release_all] and the whole-table introspection helpers synchronise
    internally (regions are reentrant, so calling them with regions held is
    fine).
@@ -79,8 +77,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   type key_entry = {
     mutable readers : lockers;
     mutable writers : lockers;
-        (* Pending writers, used only by the pessimistic/undo-logging
-           variants (§5.1); the optimistic wrapper never writes here.
+        (* Pending writers, used only by the undo-logging variant (§5.1);
+           the optimistic classes never write here.
            Plural: concurrent writers of the same key must all stay
            registered so each one's commit conflicts with the others. *)
   }
@@ -95,9 +93,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     st_writers : (int, int) Hashtbl.t;
         (* txn_id -> number of key write-locks held in this stripe *)
     st_ranges : (int, 'k range list * TM.txn) Hashtbl.t;
-        (* Interval mode only: txn_id -> coalesced ranges overlapping this
-           stripe's interval (hashed mode keeps ranges in the structure
-           stripe). *)
+        (* txn_id -> coalesced ranges overlapping this stripe's
+           interval *)
     mutable st_range_count : int; (* total (range, owner) pairs here *)
     (* Pad the hot fields apart: stripes sit in one array and are locked
        from different domains, so without padding two stripes share a
@@ -119,17 +116,11 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   type 'k t = {
     stripes : 'k stripe array;
     partition : 'k partition;
-    sregion : TM.region;
-        (* structure stripe: size/isEmpty/first/last (+ hashed-mode range)
-           locks *)
+    sregion : TM.region; (* structure stripe: size/isEmpty/first/last locks *)
     mutable size_lockers : lockers;
     mutable isempty_lockers : lockers;
     mutable first_lockers : lockers;
     mutable last_lockers : lockers;
-    range_lockers : (int, 'k range list * TM.txn) Hashtbl.t;
-        (* hashed mode: txn_id -> pairwise non-touching ranges, coalesced
-           on insertion *)
-    mutable range_count : int; (* total (range, owner) pairs, hashed mode *)
   }
 
   let max_stripes = 62
@@ -173,8 +164,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
       isempty_lockers = [];
       first_lockers = [];
       last_lockers = [];
-      range_lockers = Hashtbl.create 8;
-      range_count = 0;
     }
 
   (* Hash-partitioned table; [hash] must agree with [equal]. *)
@@ -342,11 +331,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
       writer_incr st txn
     end
 
-  (* Allocation-free reader probe for the pessimistic write policies: does
-     any transaction other than [self] hold a read lock on [k]? *)
-  let key_has_other_reader t ~self k =
-    match find_entry t k with None -> false | Some e -> has_other ~self e.readers
-
   (* Some registered writer of [k], if any (introspection; when several
      writers are pending the choice is arbitrary — callers that need
      "a writer other than me" must use [key_has_foreign_writer]). *)
@@ -423,23 +407,17 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     Hashtbl.replace tbl id (rs, txn);
     List.length rs - List.length existing
 
-  (* Hashed mode: caller holds [struct_region].  Interval mode: caller
-     holds the stripe regions of [interval_span t ~lo:range.lo
+  (* Caller holds the stripe regions of [interval_span t ~lo:range.lo
      ~hi:range.hi]; the uncut range is registered in each overlapped
      stripe. *)
   let lock_range t txn ~compare range =
     let id = TM.txn_id txn in
-    match t.partition with
-    | Hashed _ ->
-        t.range_count <-
-          t.range_count + insert_range_coalesced ~compare t.range_lockers id txn range
-    | Intervals _ ->
-        let ilo, ihi = interval_span t ~lo:range.lo ~hi:range.hi in
-        for i = ilo to ihi do
-          let st = t.stripes.(i) in
-          st.st_range_count <-
-            st.st_range_count + insert_range_coalesced ~compare st.st_ranges id txn range
-        done
+    let ilo, ihi = interval_span t ~lo:range.lo ~hi:range.hi in
+    for i = ilo to ihi do
+      let st = t.stripes.(i) in
+      st.st_range_count <-
+        st.st_range_count + insert_range_coalesced ~compare st.st_ranges id txn range
+    done
 
   (* -------------------- release (commit/abort handlers) ---------------- *)
 
@@ -474,13 +452,7 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     t.size_lockers <- drop_locker t.size_lockers txn;
     t.isempty_lockers <- drop_locker t.isempty_lockers txn;
     t.first_lockers <- drop_locker t.first_lockers txn;
-    t.last_lockers <- drop_locker t.last_lockers txn;
-    let id = TM.txn_id txn in
-    match Hashtbl.find_opt t.range_lockers id with
-    | None -> ()
-    | Some (rs, _) ->
-        t.range_count <- t.range_count - List.length rs;
-        Hashtbl.remove t.range_lockers id
+    t.last_lockers <- drop_locker t.last_lockers txn
 
   (* Internally synchronised: sequential (non-nested) criticals per touched
      stripe, then the structure region — each reentrant if already held. *)
@@ -513,6 +485,10 @@ module Make (TM : Tm_intf.TM_OPS) = struct
         abort_others ~self e.readers;
         abort_others ~self e.writers
 
+  (* Does any transaction hold a first or last lock?  Lets a committer
+     skip the endpoint check nobody would observe. *)
+  let endpoint_locked t = t.first_lockers <> [] || t.last_lockers <> []
+
   let conflict_size t ~self = abort_others ~self t.size_lockers
   let conflict_isempty t ~self = abort_others ~self t.isempty_lockers
   let conflict_first t ~self = abort_others ~self t.first_lockers
@@ -522,23 +498,17 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     (match lo with None -> true | Some b -> compare k b >= 0)
     && match hi with None -> true | Some b -> compare k b < 0
 
-  (* Hashed mode scans the structure table (caller holds [struct_region]).
-     Interval mode consults only [k]'s stripe (caller holds
-     [region_of_key t k]): any range containing [k] overlaps [k]'s
-     interval and is registered there. *)
+  (* Consults only [k]'s stripe (caller holds [region_of_key t k]): any
+     range containing [k] overlaps [k]'s interval and is registered
+     there. *)
   let conflict_range t ~self ~compare k =
-    let scan tbl =
-      Hashtbl.iter
-        (fun _ (ranges, owner) ->
-          if
-            (not (TM.same_txn self owner))
-            && List.exists (fun r -> range_contains compare r k) ranges
-          then ignore (TM.remote_abort owner))
-        tbl
-    in
-    match t.partition with
-    | Hashed _ -> scan t.range_lockers
-    | Intervals _ -> scan t.stripes.(stripe_index t k).st_ranges
+    Hashtbl.iter
+      (fun _ (ranges, owner) ->
+        if
+          (not (TM.same_txn self owner))
+          && List.exists (fun r -> range_contains compare r k) ranges
+        then ignore (TM.remote_abort owner))
+      t.stripes.(stripe_index t k).st_ranges
 
   (* -------------------- introspection (tests, Table 2/5 traces) -------- *)
 
@@ -554,23 +524,15 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   let range_locked_by t txn =
     let id = TM.txn_id txn in
-    Hashtbl.mem t.range_lockers id
-    || Array.exists (fun st -> Hashtbl.mem st.st_ranges id) t.stripes
+    Array.exists (fun st -> Hashtbl.mem st.st_ranges id) t.stripes
 
   (* Does some range lock held by [txn] cover [k]?  Exact under
      coalescing: merged ranges equal the union of the inserted ones. *)
   let range_covered_by t txn ~compare k =
-    let id = TM.txn_id txn in
-    let covered tbl =
-      match Hashtbl.find_opt tbl id with
-      | None -> false
-      | Some (rs, _) -> List.exists (fun r -> range_contains compare r k) rs
-    in
-    covered t.range_lockers
-    ||
-    match t.partition with
-    | Hashed _ -> false
-    | Intervals _ -> covered t.stripes.(stripe_index t k).st_ranges
+    let st = t.stripes.(stripe_index t k) in
+    match Hashtbl.find_opt st.st_ranges (TM.txn_id txn) with
+    | None -> false
+    | Some (rs, _) -> List.exists (fun r -> range_contains compare r k) rs
 
   (* Entry counts for state dumps (the tables themselves are abstract). *)
   let key_entry_count t =
@@ -582,7 +544,7 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let last_locker_count t = List.length t.last_lockers
 
   let range_locker_count t =
-    Array.fold_left (fun acc st -> acc + st.st_range_count) t.range_count t.stripes
+    Array.fold_left (fun acc st -> acc + st.st_range_count) 0 t.stripes
 
   let total_lockers t =
     Array.fold_left
@@ -596,5 +558,4 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     + List.length t.isempty_lockers
     + List.length t.first_lockers
     + List.length t.last_lockers
-    + t.range_count
 end

@@ -16,8 +16,7 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
     type _ wop = int (* multiplicity delta *)
 
     let name = "TransactionalBag"
-    let hash = K.hash
-    let equal = K.equal
+    let keying = Derive.Hashed { hash = K.hash; equal = K.equal }
     let create () = Coll.Chain_hashmap.create ~hash:K.hash ~equal:K.equal ()
     let find s k = Coll.Chain_hashmap.find s k
 
@@ -37,8 +36,6 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
     let weight = function Some m -> m | None -> 0
     let uses_size = true
     let uses_isempty = true
-    let uses_first = false
-    let compare_key = None
   end
 
   module D = Derive.Make (TM) (Spec)

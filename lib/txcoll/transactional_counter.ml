@@ -4,7 +4,7 @@
    Increments commute, so the spec declares deltas as blind writes: a
    delta buffers locally ([combine] sums), takes no lock at operation
    time, and commits under its own stripe region only ([weight] is
-   constant 0 and no size/isEmpty/first facets, so the functor derives
+   constant 0 and no size/isEmpty facets, so the functor derives
    an empty commit-time conflict set — blind writers never register in
    the lock tables, so increments abort nobody and wait for nobody).
    Only [get] — a read of the key facets — conflicts with concurrent
@@ -25,8 +25,7 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     type _ wop = int (* delta *)
 
     let name = "TransactionalCounter"
-    let hash k = k
-    let equal = Int.equal
+    let keying = Derive.Hashed { hash = Fun.id; equal = Int.equal }
     let create () = Hashtbl.create 16
     let find s k = Hashtbl.find_opt s k
 
@@ -41,8 +40,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     let weight _ = 0
     let uses_size = false
     let uses_isempty = false
-    let uses_first = false
-    let compare_key = None
   end
 
   module D = Derive.Make (TM) (Spec)

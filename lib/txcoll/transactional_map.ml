@@ -18,15 +18,20 @@
    incremental cursor, and the Table 3 state dump.  The set is the same
    spec at [unit] values ({!Transactional_set}). *)
 
-module Spec (M : Tm_intf.HASHED_MAP_OPS) = struct
+module Spec_with
+    (M : Tm_intf.MAP_OPS)
+    (K : sig
+      val name : string
+      val keying : M.key Derive.keying
+    end) =
+struct
   type 'v state = 'v M.t
   type key = M.key
   type 'v value = 'v
   type 'v wop = 'v option (* the binding after the write; None = removal *)
 
-  let name = "Transactional_map"
-  let hash = M.hash
-  let equal = M.equal
+  let name = K.name
+  let keying = K.keying
   let create = M.create
   let find = M.find
 
@@ -45,9 +50,15 @@ module Spec (M : Tm_intf.HASHED_MAP_OPS) = struct
   let weight = function Some _ -> 1 | None -> 0
   let uses_size = true
   let uses_isempty = true
-  let uses_first = false
-  let compare_key = None
 end
+
+module Spec (M : Tm_intf.HASHED_MAP_OPS) =
+  Spec_with
+    (M)
+    (struct
+      let name = "Transactional_map"
+      let keying = Derive.Hashed { hash = M.hash; equal = M.equal }
+    end)
 
 module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
   module D = Derive.Make (TM) (Spec (M))
@@ -194,6 +205,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
             Format.fprintf ppf
               "  txn %-6d storeBuffer=%d entries, keyLocks=%d@."
               (TM.txn_id l.txn)
-              (Coll.Chain_hashmap.size l.buffer)
+              (D.buf_size l.buffer)
               (List.length l.key_locks))
 end

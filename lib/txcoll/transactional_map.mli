@@ -17,9 +17,24 @@
     snapshot stamp: no semantic locks, no critical regions, no conflicts,
     no aborts.  Write operations raise [Invalid_argument] there. *)
 
-(** The map's commutativity spec over [M]: a write is the binding it
-    installs ([None] = removal), last write wins and reads back without
-    a committed read, and an observation weighs its presence.
+(** The map's commutativity spec over [M] under [K.keying]: a write is
+    the binding it installs ([None] = removal), last write wins and reads
+    back without a committed read, and an observation weighs its
+    presence.  {!Transactional_sorted_map} derives from it under the
+    map's comparator. *)
+module Spec_with
+    (M : Tm_intf.MAP_OPS)
+    (K : sig
+      val name : string
+      val keying : M.key Derive.keying
+    end) :
+  Derive.SPEC
+    with type 'v state = 'v M.t
+     and type key = M.key
+     and type 'v value = 'v
+     and type 'v wop = 'v option
+
+(** The hashed map's spec: [Spec_with] under [M]'s hash and equality.
     {!Transactional_set} derives from it at [unit] values. *)
 module Spec (M : Tm_intf.HASHED_MAP_OPS) :
   Derive.SPEC

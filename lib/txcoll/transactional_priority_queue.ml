@@ -1,17 +1,11 @@
 (* TransactionalPriorityQueue (leaderboards), derived through {!Derive}.
 
    State is an ordered multiset: priority -> multiplicity over an
-   ordered map; the spec's comparator orders its snapshot shadows, whose
-   least key is the committed minimum.
+   ordered map, keyed by the priorities' comparator.
    [insert] is a blind +1 delta — inserts of distinct priorities
-   commute.  [peek_min]/[poll_min] read the first facet; the functor's
-   conservative first-invalidation rule (any shrink, or an insert at or
-   below the committed minimum) generates exactly the paper's Table 7
-   conflicts, plus sound spurious ones.
-
-   [uses_first] pins the lock table to a single stripe: the "first"
-   facet is whole-collection state, so per-stripe regions can't carve
-   it up. *)
+   commute.  [peek_min]/[poll_min] read the first facet, which a commit
+   invalidates exactly when it moves the minimum priority: a priority
+   appears below it, or its last copy goes. *)
 
 module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
   module Spec = struct
@@ -21,13 +15,7 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
     type _ wop = int (* multiplicity delta *)
 
     let name = "TransactionalPriorityQueue"
-
-    (* Key equality is [P.compare]; a constant hash is the one that
-       agrees with any comparator.  It only buckets the store buffer and
-       the lock table, which hold just the keys live transactions touch
-       (one stripe, ordered shadows). *)
-    let hash _ = 0
-    let equal a b = P.compare a b = 0
+    let keying = Derive.Ordered P.compare
     let create () = Coll.Ordmap.create ~compare:P.compare ()
     let find s k = Coll.Ordmap.find s k
 
@@ -46,8 +34,6 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
     let weight = function Some m -> m | None -> 0
     let uses_size = true
     let uses_isempty = true
-    let uses_first = true
-    let compare_key = Some P.compare
   end
 
   module D = Derive.Make (TM) (Spec)
@@ -57,14 +43,14 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
   let create () : t = D.create ()
   let insert t p = D.write_blind t p 1
   let count t p = Option.value (D.find t p) ~default:0
-  let peek_min t = D.min_view t
+  let peek_min t = Option.map fst (D.endpoint t ~last:false)
 
   let poll_min t =
-    (* [min_view] holds the first-facet lock, so the minimum can't be
+    (* [peek_min] holds the first-facet lock, so the minimum can't be
        invalidated between the peek and the buffered removal.  Outside a
        transaction the pair runs under the structure region. *)
     let poll () =
-      match D.min_view t with
+      match peek_min t with
       | None -> None
       | Some p ->
           D.write_blind t p (-1);

@@ -16,40 +16,17 @@
 module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
   type 'v t
 
-  type isempty_policy = Dedicated | Via_size
-
-  (** When write conflicts are detected (§5.1 "Alternatives to optimistic
-      concurrency control"): at commit, the committer aborts semantic-lock
-      holders ([Optimistic]); at operation time, the writer immediately
-      aborts other holders of the written key's lock
-      ([Pessimistic_aggressive]) or retries itself while another
-      transaction holds that key ([Pessimistic_timid]). *)
-  type write_policy = Optimistic | Pessimistic_aggressive | Pessimistic_timid
-
   val create :
-    ?splitters:M.key list ->
-    ?isempty_policy:isempty_policy ->
-    ?write_policy:write_policy ->
-    ?copy_key:(M.key -> M.key) ->
-    unit ->
-    'v t
+    ?splitters:M.key list -> ?copy_key:(M.key -> M.key) -> unit -> 'v t
   (** [splitters] cuts the key space into B = [length splitters + 1]
       ordered intervals (sorted and deduplicated internally, clamped to 61
       cut points), each owning its own committed sub-map, commit region and
-      key/range/writer lock tables: point operations and range scans of
-      disjoint intervals proceed in parallel, and a writer's commit plan
-      names only the intervals its buffered keys and locked ranges touch
-      (plus the structure region on presence changes; removals still plan
-      every region for the endpoint rescan).  The default (no splitters) is
-      a single interval — exactly the historical unsharded behaviour. *)
-
-  val wrap :
-    ?splitters:M.key list ->
-    ?isempty_policy:isempty_policy ->
-    ?write_policy:write_policy ->
-    ?copy_key:(M.key -> M.key) ->
-    'v M.t ->
-    'v t
+      key/range lock tables: point operations and range scans of disjoint
+      intervals proceed in parallel, and a writer's commit plan names only
+      the intervals its buffered keys and locked ranges touch (plus the
+      structure region on presence changes; a commit that may remove a key
+      plans every region, for the endpoint rescan).  The default (no
+      splitters) is a single interval. *)
 
   val compare_key : M.key -> M.key -> int
 

@@ -6,8 +6,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
 
   type t = unit Map.t
 
-  let create ?splitters ?isempty_policy () : t =
-    Map.create ?splitters ?isempty_policy ()
+  let create ?splitters () : t = Map.create ?splitters ()
 
   let mem (t : t) k = Map.mem t k
   let add (t : t) k = Map.put t k () = None

@@ -8,11 +8,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
 
   (** [splitters] as in
       {!Transactional_sorted_map.Make.create}. *)
-  val create :
-    ?splitters:M.key list ->
-    ?isempty_policy:Map.isempty_policy ->
-    unit ->
-    t
+  val create : ?splitters:M.key list -> unit -> t
 
   val mem : t -> M.key -> bool
   val add : t -> M.key -> bool

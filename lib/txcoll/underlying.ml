@@ -49,10 +49,6 @@ module Ordered_map_ops (K : ORDERED) :
   let size = Coll.Ordmap.size
   let iter = Coll.Ordmap.iter
   let compare_key = K.compare
-  let min_binding = Coll.Ordmap.min_binding
-  let max_binding = Coll.Ordmap.max_binding
-  let iter_range = Coll.Ordmap.iter_range
-  let iter_range_rev = Coll.Ordmap.iter_range_rev
 end
 
 module Oa_map_ops (K : HASHED) :
@@ -89,10 +85,6 @@ module Skiplist_map_ops (K : ORDERED) :
   let size = Coll.Skiplist.size
   let iter = Coll.Skiplist.iter
   let compare_key = K.compare
-  let min_binding = Coll.Skiplist.min_binding
-  let max_binding = Coll.Skiplist.max_binding
-  let iter_range = Coll.Skiplist.iter_range
-  let iter_range_rev = Coll.Skiplist.iter_range_rev
 end
 
 module Deque_ops : Tm_intf.QUEUE_OPS with type 'v t = 'v Coll.Fifo_deque.t =

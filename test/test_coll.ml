@@ -250,8 +250,25 @@ let prop_deque_model =
         ops
       && Q.to_list q = !model)
 
+(* Two publications at one stamp (one commit publishing a chain twice,
+   as two open-nested transactions' handlers do at their outer commit):
+   the second builds on the first and must be what readers at that stamp
+   and later see. *)
+let test_vchain_same_stamp () =
+  let c = Coll.Vchain.make 0 "v0" in
+  ignore (Coll.Vchain.publish c ~min_epoch:0 5 "first");
+  ignore (Coll.Vchain.publish c ~min_epoch:0 5 "first+second");
+  Alcotest.(check string) "latest" "first+second" (Coll.Vchain.latest c);
+  Alcotest.(check string) "read at the stamp" "first+second"
+    (Coll.Vchain.read_at c 5);
+  Alcotest.(check string) "older reader" "v0" (Coll.Vchain.read_at c 4);
+  Alcotest.(check int) "one version per stamp" 2 (Coll.Vchain.length c)
+
 let suites =
   [
+    ( "coll.vchain",
+      [ Alcotest.test_case "same-stamp publication" `Quick test_vchain_same_stamp ]
+    );
     ( "coll.hashmap",
       [
         Alcotest.test_case "basic" `Quick test_hashmap_basic;

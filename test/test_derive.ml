@@ -15,6 +15,7 @@ module DSet = Txcoll.Host.Set (Txcoll.Host.Int_hashed)
 module Bag = Txcoll.Host.Bag (Txcoll.Host.Int_hashed)
 module Pq = Txcoll.Host.Priority_queue (Txcoll.Host.Int_ordered)
 module Counter = Txcoll.Host.Counter
+module Sorted = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
 
 (* ---------------- unit: counter ---------------- *)
 
@@ -602,10 +603,115 @@ module Counter_case = struct
   let observes = function Cadd _ -> false | Cget -> true
 end
 
+(* ---- sorted-map case: the range, first and last facets ---- *)
+
+module Sorted_case = struct
+  let name = "derived sorted map"
+
+  type op =
+    | Sput of int * int
+    | Sremove of int
+    | Sget of int
+    | Srange of int * int (* fold over [lo, hi) *)
+    | Sfirst
+    | Slast
+    | Sview_first of int (* tailMap(lo).firstKey *)
+    | Sview_last of int (* headMap(hi).lastKey *)
+
+  let show_op = function
+    | Sput (k, v) -> Printf.sprintf "put %d %d" k v
+    | Sremove k -> Printf.sprintf "remove %d" k
+    | Sget k -> Printf.sprintf "get %d" k
+    | Srange (lo, hi) -> Printf.sprintf "range [%d,%d)" lo hi
+    | Sfirst -> "first_key"
+    | Slast -> "last_key"
+    | Sview_first lo -> Printf.sprintf "tail_map %d first_key" lo
+    | Sview_last hi -> Printf.sprintf "head_map %d last_key" hi
+
+  let key = QCheck.Gen.int_bound 5
+
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun k v -> Sput (k, v)) key (int_bound 1));
+          (3, map (fun k -> Sremove k) key);
+          (1, map (fun k -> Sget k) key);
+          (2, map2 (fun a b -> Srange (min a b, max a b + 1)) key key);
+          (1, return Sfirst);
+          (1, return Slast);
+          (1, map (fun k -> Sview_first k) key);
+          (1, map (fun k -> Sview_last k) key);
+        ])
+
+  let gen_setup =
+    QCheck.Gen.(
+      list_size (int_bound 4) (map2 (fun k v -> Sput (k, v)) key (int_bound 1)))
+
+  type model = (int, int) Hashtbl.t
+
+  let model_create () = Hashtbl.create 8
+  let opt = function None -> "none" | Some x -> string_of_int x
+
+  let model_sorted m =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+
+  let show_bindings l =
+    String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l)
+
+  let model_keys m keep = List.filter keep (List.map fst (model_sorted m))
+  let first_of = function [] -> None | k :: _ -> Some k
+  let last_of l = first_of (List.rev l)
+
+  let model_apply m = function
+    | Sput (k, v) ->
+        let old = Hashtbl.find_opt m k in
+        Hashtbl.replace m k v;
+        opt old
+    | Sremove k ->
+        let old = Hashtbl.find_opt m k in
+        Hashtbl.remove m k;
+        opt old
+    | Sget k -> opt (Hashtbl.find_opt m k)
+    | Srange (lo, hi) ->
+        show_bindings
+          (List.filter (fun (k, _) -> k >= lo && k < hi) (model_sorted m))
+    | Sfirst -> opt (first_of (model_keys m (fun _ -> true)))
+    | Slast -> opt (last_of (model_keys m (fun _ -> true)))
+    | Sview_first lo -> opt (first_of (model_keys m (fun k -> k >= lo)))
+    | Sview_last hi -> opt (last_of (model_keys m (fun k -> k < hi)))
+
+  let model_dump m = show_bindings (model_sorted m)
+
+  type t = int Sorted.t
+
+  (* Three intervals, so ranges and endpoints cross interval stripes. *)
+  let create () = Sorted.create ~splitters:[ 2; 4 ] ()
+
+  let apply t = function
+    | Sput (k, v) -> opt (Sorted.put t k v)
+    | Sremove k -> opt (Sorted.remove t k)
+    | Sget k -> opt (Sorted.find t k)
+    | Srange (lo, hi) ->
+        show_bindings
+          (List.rev
+             (Sorted.fold_range
+                (fun k v acc -> (k, v) :: acc)
+                t [] ~lo:(Some lo) ~hi:(Some hi)))
+    | Sfirst -> opt (Sorted.first_key t)
+    | Slast -> opt (Sorted.last_key t)
+    | Sview_first lo -> opt (Sorted.View.first_key (Sorted.tail_map t ~lo))
+    | Sview_last hi -> opt (Sorted.View.last_key (Sorted.head_map t ~hi))
+
+  let dump t = show_bindings (Sorted.to_list t)
+  let observes _ = true
+end
+
 module Set_sound = Soundness (Set_case)
 module Bag_sound = Soundness (Bag_case)
 module Pq_sound = Soundness (Pq_case)
 module Counter_sound = Soundness (Counter_case)
+module Sorted_sound = Soundness (Sorted_case)
 
 (* ---------------- derived chaos soak ---------------- *)
 
@@ -644,6 +750,7 @@ let suites =
     ("derive.spec.bag", qsuite Bag_sound.tests);
     ("derive.spec.pq", qsuite Pq_sound.tests);
     ("derive.spec.counter", qsuite Counter_sound.tests);
+    ("derive.spec.sorted", qsuite Sorted_sound.tests);
     ( "derive.chaos",
       [ Alcotest.test_case "derived soak" `Quick test_derived_soak ] );
   ]

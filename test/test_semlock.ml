@@ -6,6 +6,9 @@ module L = struct
   include Txcoll.Semlock.Make (Tcc_stm.Stm.Tm_ops)
 
   let create ?stripes () = create ?stripes ~hash:Hashtbl.hash ~equal:Int.equal ()
+
+  (* Range locks live in interval tables; one interval holds them all. *)
+  let one_interval () = create_intervals ~splitters:[||] ~compare:Int.compare ()
 end
 
 module Stm = Tcc_stm.Stm
@@ -21,7 +24,7 @@ let handle () =
   Domain.join (Domain.spawn (fun () -> Stm.atomic (fun () -> Stm.current ())))
 
 let test_acquire_release_balance () =
-  let t : int L.t = L.create () in
+  let t : int L.t = L.one_interval () in
   let a = handle () and b = handle () in
   L.lock_key t a 1;
   L.lock_key t b 1;
@@ -45,7 +48,7 @@ let test_idempotent_acquire () =
   Alcotest.(check int) "deduplicated" 2 (L.total_lockers t)
 
 let test_range_overlap_semantics () =
-  let t : int L.t = L.create () in
+  let t : int L.t = L.one_interval () in
   let a = handle () in
   L.lock_range t a ~compare:Int.compare { L.lo = Some 10; hi = Some 20 };
   let contains k = L.range_contains Int.compare { L.lo = Some 10; hi = Some 20 } k in
@@ -97,7 +100,7 @@ let test_multiple_writers_tracked () =
   Alcotest.(check int) "no key entries leak" 0 (L.key_entry_count t)
 
 let test_range_coalescing () =
-  let t : int L.t = L.create () in
+  let t : int L.t = L.one_interval () in
   let a = handle () and b = handle () in
   let lock owner r = L.lock_range t owner ~compare:Int.compare r in
   (* Duplicate and overlapping ranges collapse into one entry. *)
@@ -184,8 +187,8 @@ let test_interval_geometry () =
    the keys the raw fragments cover — [range_covered_by] is the predicate
    [conflict_range] uses to pick abort victims, so identical coverage
    means identical abort verdicts.  And the registered count must return
-   to zero after each lock/release cycle (no drift), in both partition
-   modes. *)
+   to zero after each lock/release cycle (no drift), on one interval and
+   on four. *)
 let prop_range_coalescing_exact =
   QCheck.Test.make ~name:"coalesced ranges match raw-fragment verdicts"
     ~count:80
@@ -193,7 +196,7 @@ let prop_range_coalescing_exact =
     (fun script ->
       let tables : (string * int L.t) list =
         [
-          ("hashed", L.create ());
+          ("one interval", L.one_interval ());
           ( "intervals",
             L.create_intervals ~splitters:[| 25; 50; 75 |] ~compare:Int.compare
               () );

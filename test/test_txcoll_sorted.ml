@@ -318,56 +318,6 @@ let suites =
       [ QCheck_alcotest.to_alcotest prop_sorted_matches_model ] );
   ]
 
-(* ---------------- pessimistic policies on the sorted map -------------- *)
-
-let test_sorted_pessimistic_aggressive () =
-  let m = SM.create ~write_policy:SM.Pessimistic_aggressive () in
-  ignore (SM.put m 10 "seed");
-  let n =
-    conflict_scenario
-      ~reader:(fun () -> ignore (SM.find m 10))
-      ~writer:(fun () -> ignore (SM.put m 10 "w"))
-  in
-  Alcotest.(check int) "reader aborted at write time" 2 n
-
-let test_sorted_pessimistic_range_conflict () =
-  (* Aggressive writes also abort range lockers at operation time. *)
-  let m = SM.create ~write_policy:SM.Pessimistic_aggressive () in
-  List.iter (fun k -> ignore (SM.put m k "s")) [ 10; 20; 30 ];
-  let n =
-    conflict_scenario
-      ~reader:(fun () ->
-        ignore (SM.fold_range (fun _ _ a -> a) m () ~lo:(Some 5) ~hi:(Some 25)))
-      ~writer:(fun () -> ignore (SM.put m 15 "w"))
-  in
-  Alcotest.(check int) "range locker aborted early" 2 n
-
-let test_sorted_pessimistic_parallel_correct () =
-  let m = SM.create ~write_policy:SM.Pessimistic_timid () in
-  let worker base () =
-    for i = 0 to 99 do
-      Stm.atomic (fun () -> ignore (SM.put m (base + i) "v"))
-    done
-  in
-  let ds = [ Domain.spawn (worker 0); Domain.spawn (worker 1000) ] in
-  List.iter Domain.join ds;
-  Alcotest.(check int) "all inserts" 200 (SM.size m);
-  Alcotest.(check int) "no leaks" 0 (SM.outstanding_locks m)
-
-let suites =
-  suites
-  @ [
-      ( "txsorted.pessimistic",
-        [
-          Alcotest.test_case "aggressive key conflict" `Quick
-            test_sorted_pessimistic_aggressive;
-          Alcotest.test_case "aggressive range conflict" `Quick
-            test_sorted_pessimistic_range_conflict;
-          Alcotest.test_case "timid parallel correctness" `Quick
-            test_sorted_pessimistic_parallel_correct;
-        ] );
-    ]
-
 (* ---------------- view endpoints: lastKey and isEmpty ---------------- *)
 
 let test_view_last_conflict_suffix_insert () =
@@ -407,13 +357,9 @@ let test_view_is_empty_conflict_insert () =
 module type ENDPOINT_MAP = sig
   type 'v t
   type 'v view
-  type isempty_policy
-  type write_policy
 
   val create :
     ?splitters:int list ->
-    ?isempty_policy:isempty_policy ->
-    ?write_policy:write_policy ->
     ?copy_key:(int -> int) ->
     unit ->
     'v t
