@@ -570,12 +570,38 @@ let bump_clock () =
      (or non-transactional store) that has passed its commit point but
      has not finished publishing its new versions ([max_int] otherwise).
 
-   The reclamation epoch is min(clock, reader slots, publication slots):
-   a version shadowed at that epoch (some newer version of the same
-   chain is stamped <= it) can never again be resolved by any pinned
-   reader, so it may be dropped.  Reading the clock FIRST is
-   load-bearing: it caps the epoch at a value the pin revalidation below
-   can order against.
+   The reclamation epoch is min(clock, reader slots, the caller's own
+   publication slot): a version shadowed at that epoch (some newer
+   version of the same chain is stamped <= it) can never again be
+   resolved by any pinned reader, so it may be dropped.  Reading the
+   clock FIRST is load-bearing: it caps the epoch at a value the pin
+   revalidation below can order against.  Every publisher trims inside
+   its own window, whose sample is below its stamp, so the new head is
+   stamped above the epoch and a quiescent chain keeps two entries: the
+   newest version and the one it replaced.
+
+   Why other domains' publication slots stay out of the epoch (they
+   only hold back pins):
+   - Publications to one chain are serialised under its region (a
+     collection shard, the size or queue image chain) or its versioned
+     lock (a tvar), and stamp-monotone: every publisher holds that lock
+     from before it draws its stamp until it has published.  So a trim of
+     a chain never runs while another commit's version of that same chain
+     is stamped but unpublished: the chain it cuts is complete up to its
+     newest stamp.
+   - Every trim reads the clock after its own publisher's bump, so the
+     epoch is at most the clock then, and the cut keeps the newest
+     version at or below the epoch and everything above it.
+   - A reader whose slot the trim saw has its pin [p] >= the epoch, so
+     the newest version <= [p] survives.  A reader whose slot the trim
+     missed stored it after the trim read the clock, and its pin
+     revalidation then saw the clock unchanged since its sample; so it
+     pins at or above the trim's clock, hence above the epoch, and
+     resolves the kept version or a newer one.
+   Another domain's open window therefore matters only to pins, which
+   wait it out below; counting it in the epoch let every domain's
+   commits hold back every other domain's chains, which then grew to
+   hundreds of versions.
 
    Pin protocol ([snap_pin]): publish the sampled clock into the reader
    slot, revalidate that the clock did not advance past the sample
@@ -647,10 +673,12 @@ let slots_min reg =
 
 (* Oldest epoch any present or future snapshot reader can still resolve:
    versions shadowed at it are reclaimable.  The clock is read before the
-   slot registries — see the protocol comment above. *)
+   reader slots; of the publication slots only the caller's own counts —
+   see the protocol comment above. *)
 let oldest_active_epoch () =
   let c = Atomic.get clock in
-  min c (min (slots_min reader_slots) (slots_min publish_slots))
+  let own = Atomic.get (Domain.DLS.get publish_slot_key).e_val in
+  min (min c own) (slots_min reader_slots)
 
 let note_reclaimed n =
   if n > 0 then begin

@@ -70,8 +70,27 @@
    against the newest shadow at or below the pinned stamp: no region, no
    semantic lock, no abort.
 
-   Pessimistic write policies are out of scope — the derivation is the
-   paper's optimistic protocol. *)
+   Update discipline (§5.1 "Redo versus undo logging"; Proust's
+   lazy/eager update axis).  The spec fixes it per class:
+   - [Lazy] (every class but the undo map): writes go to the store
+     buffer, a redo log, which apply flushes to the shards after the
+     commit point — the paper's optimistic protocol above.
+   - [Eager] (hashed specs only): a write updates its shard in place at
+     operation time.  Under the key's region it waits by [TM.retry] while
+     a foreign pending writer holds the key, registers as the key's
+     writer and aborts the key's other holders at once — only one
+     transaction may update a key in place.  Its store-buffer entry,
+     whose prior is always read, is the undo record: abort writes the
+     priors back before the writer lock goes.  Point reads wait by retry
+     on a foreign pending writer of their key, enumerations on any
+     foreign pending writer; reads outside a transaction resolve against
+     the newest shadows, which hold committed state only, and a write
+     outside one waits out the key's pending writer.  The committed size
+     still moves only at commit, so size and isEmpty read it without
+     waiting.  Prepare is unchanged; apply skips [S.apply] (the shards
+     already hold the writes) but folds the size delta and publishes the
+     shadows at the commit stamp, so snapshots never see an uncommitted
+     or undone write. *)
 
 type 'k keying =
   | Hashed of { hash : 'k -> int; equal : 'k -> 'k -> bool }
@@ -79,6 +98,10 @@ type 'k keying =
   | Ordered of ('k -> 'k -> int)
       (** A comparator: keys are equal when it says 0.  Gives the spec
           the range, first and last facets. *)
+
+(* How a class's writes reach its shards (see the header).  [Eager]
+   carries the write that restores a prior observation on abort. *)
+type ('value, 'wop) update = Lazy | Eager of ('value option -> 'wop)
 
 module type SPEC = sig
   type 'v state
@@ -100,6 +123,10 @@ module type SPEC = sig
 
   val name : string
   val keying : key keying
+
+  val update : ('v value, 'v wop) update
+  (** Fixed per class: [Lazy] redo logging, or [Eager] in-place update
+      with an undo log (hashed specs only). *)
 
   val create : unit -> 'v state
 
@@ -161,6 +188,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let hashed_spec () =
     invalid_arg (S.name ^ ": ordered operation on a hashed spec")
+
+  let eager = match S.update with Eager _ -> true | Lazy -> false
+
+  let () =
+    if eager && ordered then
+      invalid_arg (S.name ^ ": eager update needs a hashed spec")
 
   let cmp a b =
     match S.keying with
@@ -597,30 +630,33 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
             endpoint_conflicts t l ~self)
 
   (* Apply phase, after the commit point: flush the buffer to the shards
-     (one combined op per key), fold the weight delta into the committed
-     size and the presence flips into the endpoints, publish each changed
-     stripe's shadow (and the size) once at the commit stamp, release
-     semantic locks.  A read-only commit only releases its locks. *)
+     (one combined op per key; eager shards already hold it), fold the
+     weight delta into the committed size and the presence flips into the
+     endpoints, publish each changed stripe's shadow (and the size) once
+     at the commit stamp, release semantic locks.  A read-only commit only
+     releases its locks. *)
+  (* One key of [flush]; caller holds [key_region t k]. *)
+  let flush_key t l ~delta ~rescan k e =
+    let si = L.stripe_index t.locks k in
+    let shard = t.shards.(si) in
+    let before = match e.prior with Some p -> p | None -> S.find shard k in
+    if not eager then S.apply shard k e.w;
+    let after = S.view before e.w in
+    delta := !delta + S.weight after - S.weight before;
+    if track_endpoints t k ~before ~after then rescan := true;
+    let shadow =
+      match l.shadows.(si) with
+      | Some sh -> sh
+      | None -> Coll.Vchain.latest t.snap.(si)
+    in
+    l.shadows.(si) <- Some (shadow_set shadow k after)
+
   let flush t l stamp =
     let delta = ref 0 and rescan = ref false in
     buf_iter
       (fun k e ->
         TM.critical (key_region t k) (fun () ->
-            let si = L.stripe_index t.locks k in
-            let shard = t.shards.(si) in
-            let before =
-              match e.prior with Some p -> p | None -> S.find shard k
-            in
-            S.apply shard k e.w;
-            let after = S.view before e.w in
-            delta := !delta + S.weight after - S.weight before;
-            if track_endpoints t k ~before ~after then rescan := true;
-            let shadow =
-              match l.shadows.(si) with
-              | Some sh -> sh
-              | None -> Coll.Vchain.latest t.snap.(si)
-            in
-            l.shadows.(si) <- Some (shadow_set shadow k after)))
+            flush_key t l ~delta ~rescan k e))
       l.buffer;
     let min_epoch = TM.reclaim_epoch () in
     for si = 0 to Array.length l.shadows - 1 do
@@ -639,6 +675,21 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let apply_handler t l stamp =
     if not (buf_is_empty l.buffer) then flush t l stamp;
+    cleanup t l
+
+  (* Abort phase: an eager transaction writes each key's prior back under
+     the key's region while it still holds the key's writer lock, so no
+     other transaction sees the shard between the undo and the
+     release. *)
+  let abort_handler t l =
+    (match S.update with
+    | Lazy -> ()
+    | Eager restore ->
+        buf_iter
+          (fun k e ->
+            TM.critical (key_region t k) (fun () ->
+                S.apply (shard_of t k) k (restore (prior_of t k e))))
+          l.buffer);
     cleanup t l
 
   (* One local record per top-level transaction; its first use registers
@@ -680,7 +731,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
               h_regions = (fun () -> regions_plan t l ());
               h_prepare = (fun () -> prepare_handler t l ());
               h_apply = (fun stamp -> apply_handler t l stamp);
-              h_abort = (fun () -> cleanup t l);
+              h_abort = (fun () -> abort_handler t l);
             }
           in
           l
@@ -692,14 +743,25 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let local_of t = TM.txn_local t.local_key attach t
 
-  (* Caller holds [key_region t k]. *)
+  (* Caller holds [key_region t k].  On an eager spec it first waits by
+     retry while another transaction has [k] updated in place: the shard
+     holds that transaction's uncommitted write.  [TM.retry] raises, which
+     leaves the caller's criticals. *)
   let lock_key t l k =
+    if eager && L.key_has_foreign_writer t.locks ~self:l.txn k then TM.retry ();
     if not (L.key_locked_by t.locks l.txn k) then begin
       let committed_copy = t.copy_key k in
       L.lock_key t.locks l.txn committed_copy;
       l.key_locks <- committed_copy :: l.key_locks;
       l.stripes_mask <- l.stripes_mask lor (1 lsl L.stripe_index t.locks k)
     end
+
+  (* Committed read of [k] outside a transaction, under its region: an
+     eager shard may hold pending in-place writes, the newest shadow never
+     does. *)
+  let committed_find t k =
+    if eager then shadow_find (latest_shadow t (L.stripe_index t.locks k)) k
+    else S.find (shard_of t k) k
 
   (* Caller holds [sregion t]. *)
   let lock_size t l =
@@ -726,7 +788,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     if TM.in_snapshot () then
       shadow_find (snap_shadow t (L.stripe_index t.locks k)) k
     else if not (TM.in_txn ()) then
-      TM.critical (key_region t k) (fun () -> S.find (shard_of t k) k)
+      TM.critical (key_region t k) (fun () -> committed_find t k)
     else begin
       let l = local_of t in
       TM.critical (key_region t k) (fun () ->
@@ -922,20 +984,23 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       in
       List.fold_left (fun acc (k, v) -> f k v acc) init items
 
-  (* Snapshot enumeration: every stripe's shadow read at the same pinned
-     stamp, a prefix-consistent cut across the whole collection. *)
-  let snap_fold f t init =
+  (* Enumeration of the shadows [shadow] selects: inside a snapshot every
+     stripe's shadow at the same pinned stamp, a prefix-consistent cut
+     across the whole collection. *)
+  let shadows_fold shadow f t init =
     let acc = ref init in
     for si = 0 to stripe_count t - 1 do
-      acc := shadow_fold f (snap_shadow t si) !acc
+      acc := shadow_fold f (shadow t si) !acc
     done;
     !acc
 
   (* Committed bindings merged with the calling transaction's buffer,
      under all regions (structure then stripes, ascending rid).
      [on_committed k] runs for each committed key the transaction has not
-     buffered. *)
+     buffered.  On an eager spec it first waits, like [lock_key], while
+     another transaction has any key updated in place. *)
   let merged_fold t l ~on_committed f init =
+    if eager && L.any_other_writer t.locks ~self:l.txn then TM.retry ();
     let acc = ref init in
     Array.iter
       (fun shard ->
@@ -962,10 +1027,14 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       l.buffer;
     !acc
 
+  (* Caller holds every region; eager shards read as [committed_find]. *)
   let committed_fold f t init =
-    let acc = ref init in
-    Array.iter (fun shard -> acc := S.fold f shard !acc) t.shards;
-    !acc
+    if eager then shadows_fold latest_shadow f t init
+    else begin
+      let acc = ref init in
+      Array.iter (fun shard -> acc := S.fold f shard !acc) t.shards;
+      !acc
+    end
 
   (* Full enumeration.  Ordered specs fold the whole key range in order
      (range, first and last locks).  Hashed ones, inside a transaction,
@@ -975,7 +1044,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      cannot enumerate transactionally. *)
   let fold f t init =
     if ordered then fold_range f t init ~lo:None ~hi:None
-    else if TM.in_snapshot () then snap_fold f t init
+    else if TM.in_snapshot () then shadows_fold snap_shadow f t init
     else if not (TM.in_txn ()) then
       L.critical_all t.locks (fun () -> committed_fold f t init)
     else begin
@@ -994,15 +1063,15 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      transaction's buffered insertions, taking no key lock — the cursor's
      [find]s lock what they return.  [lock_size] takes the size facet
      with the enumeration. *)
-  let candidate_keys t ~lock_size:eager =
+  let candidate_keys t ~lock_size:with_size =
     let key k _ acc = k :: acc in
-    if TM.in_snapshot () then snap_fold key t []
+    if TM.in_snapshot () then shadows_fold snap_shadow key t []
     else if not (TM.in_txn ()) then
       L.critical_all t.locks (fun () -> committed_fold key t [])
     else begin
       let l = local_of t in
       L.critical_all t.locks (fun () ->
-          if eager then lock_size t l;
+          if with_size then lock_size t l;
           merged_fold t l ~on_committed:ignore key [])
     end
 
@@ -1013,12 +1082,17 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      shadows are atomic for structural readers — every region when it may
      empty a key of an ordered spec, for the endpoint rescan; the
      publication draws its stamp through [TM.begin_publish] under those
-     regions. *)
-  let nontxn_write t k w =
+     regions.  On an eager spec it spins while a transaction has the key
+     updated in place: its undo would overwrite this write. *)
+  exception Pending_writer
+
+  let rec nontxn_write t k w =
     if TM.in_snapshot () then
       invalid_arg (S.name ^ ": write inside a snapshot read section");
     let doit () =
       TM.critical (key_region t k) (fun () ->
+          if eager && L.key_writer t.locks k <> None then
+            raise_notrace Pending_writer;
           let si = L.stripe_index t.locks k in
           let shard = t.shards.(si) in
           let before = S.find shard k in
@@ -1035,17 +1109,46 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           if track_endpoints t k ~before ~after then rescan_endpoints t;
           before)
     in
-    if ordered && may_vacate None w then L.critical_all t.locks doit
-    else if track_struct then TM.critical (sregion t) doit
-    else doit ()
+    let run () =
+      if ordered && may_vacate None w then L.critical_all t.locks doit
+      else if track_struct then TM.critical (sregion t) doit
+      else doit ()
+    in
+    if not eager then run ()
+    else
+      match run () with
+      | before -> before
+      | exception Pending_writer ->
+          Domain.cpu_relax ();
+          nontxn_write t k w
+
+  (* Eager write, under the key's region: wait by retry on a foreign
+     pending writer ([lock_key]), register as the key's writer and abort
+     its other holders at once, keep the first prior as the undo record
+     and update the shard in place.  Returns the key's observation before
+     the write. *)
+  let eager_write t l k w =
+    TM.critical (key_region t k) (fun () ->
+        lock_key t l k;
+        L.lock_key_write t.locks l.txn k;
+        L.conflict_key t.locks ~self:l.txn k;
+        let shard = shard_of t k in
+        let old = S.find shard k in
+        (match buf_find l.buffer k with
+        | Some e -> e.w <- S.combine ~earlier:e.w ~later:w
+        | None -> buf_add l.buffer k { w; prior = Some old });
+        S.apply shard k w;
+        old)
 
   (* Transactional write: buffer the op (combining with an earlier write
      to the same key) and return the prior observation.  Blind writes
      read nothing and lock nothing — two blind writers of the same key
      never conflict with each other, only with the key's readers (this
-     is what makes counter increments commute). *)
+     is what makes counter increments commute).  Eager writes are never
+     blind: their prior is the undo record. *)
   let write t k w ~blind =
     if not (TM.in_txn ()) then nontxn_write t k w
+    else if eager then eager_write t (local_of t) k w
     else begin
       let l = local_of t in
       TM.critical (key_region t k) (fun () ->
@@ -1098,6 +1201,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let buffered_writes t =
     if not (TM.in_txn ()) then 0 else buf_size (local_of t).buffer
+
+  (* Length of the shadow chain of [k]'s stripe. *)
+  let key_history_length t k =
+    Coll.Vchain.length t.snap.(L.stripe_index t.locks k)
 
   (* Longest shadow chain (stripes and size) — reclamation probe: at most
      2 once no snapshot reader is pinned below the newest versions. *)

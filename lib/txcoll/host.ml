@@ -8,9 +8,9 @@
      let () = Tcc_stm.Stm.atomic (fun () -> ignore (M.put m "k" 1))
    ]}
 
-   Map, Set, Bag, Counter and Priority_queue are derived from their
-   commutativity specs through {!Derive}; a hashed class takes its key
-   equality and hash from [K]. *)
+   Every class but the queue is derived from its commutativity spec
+   through {!Derive}; a hashed class takes its key equality and hash
+   from [K]. *)
 
 module Tm = Tcc_stm.Stm.Tm_ops
 
@@ -45,10 +45,11 @@ module Map_over_open_addressing (K : Underlying.HASHED) =
 module Sorted_map_over_skiplist (K : Underlying.ORDERED) =
   Transactional_sorted_map.Make (Tm) (Underlying.Skiplist_map_ops (K))
 
-(* The undo-logging alternative (paper §5.1): in-place updates, exclusive
-   write locks, compensation on abort. *)
+(* The undo-logging alternative (paper §5.1): the map's spec derived with
+   eager update — in-place writes under exclusive write locks, priors
+   written back on abort. *)
 module Map_undo (K : Underlying.HASHED) =
-  Transactional_map_undo.Make (Tm) (Underlying.Hashed_map_ops (K))
+  Transactional_map.Make_undo (Tm) (Underlying.Hashed_map_ops (K))
 
 (* Common key modules. *)
 

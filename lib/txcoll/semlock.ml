@@ -77,8 +77,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   type key_entry = {
     mutable readers : lockers;
     mutable writers : lockers;
-        (* Pending writers, used only by the undo-logging variant (§5.1);
-           the optimistic classes never write here.
+        (* Pending writers, registered only by eager (undo-logging)
+           classes (§5.1); lazy classes never write here.
            Plural: concurrent writers of the same key must all stay
            registered so each one's commit conflicts with the others. *)
   }

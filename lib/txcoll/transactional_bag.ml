@@ -17,6 +17,7 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
 
     let name = "TransactionalBag"
     let keying = Derive.Hashed { hash = K.hash; equal = K.equal }
+    let update = Derive.Lazy
     let create () = Coll.Chain_hashmap.create ~hash:K.hash ~equal:K.equal ()
     let find s k = Coll.Chain_hashmap.find s k
 

@@ -26,6 +26,7 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
     let name = "TransactionalCounter"
     let keying = Derive.Hashed { hash = Fun.id; equal = Int.equal }
+    let update = Derive.Lazy
     let create () = Hashtbl.create 16
     let find s k = Hashtbl.find_opt s k
 
@@ -69,4 +70,5 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let outstanding_locks t = D.outstanding_locks t.d
   let shard_count t = t.shards
   let snapshot_history_length t = D.snapshot_history_length t.d
+  let own_history_length t = D.key_history_length t.d (shard_key t)
 end

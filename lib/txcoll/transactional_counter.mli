@@ -31,4 +31,8 @@ module Make (TM : Tm_intf.TM_OPS) : sig
 
   val snapshot_history_length : t -> int
   (** Longest snapshot version chain — 2 at quiescence. *)
+
+  val own_history_length : t -> int
+  (** Length of the chain of the calling domain's shard, the one its
+      increments publish to. *)
 end

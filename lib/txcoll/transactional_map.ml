@@ -32,6 +32,7 @@ struct
 
   let name = K.name
   let keying = K.keying
+  let update = Derive.Lazy
   let create = M.create
   let find = M.find
 
@@ -168,6 +169,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
   (* ---------------- introspection for tests/traces ---------------- *)
 
   let snapshot_history_length t = D.snapshot_history_length t.d
+  let key_history_length t k = D.key_history_length t.d k
   let holds_key_lock t k = D.holds_key_lock t.d k
 
   let holds_size_lock t =
@@ -207,4 +209,37 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
               (TM.txn_id l.txn)
               (D.buf_size l.buffer)
               (List.length l.key_locks))
+end
+
+(* The undo-logging map (paper §5.1, "Redo versus undo logging"): the same
+   spec under the eager discipline.  A write updates the shard in place
+   under the key's writer lock, aborting the key's readers at once and
+   waiting by retry on another writer; abort writes the priors back.  The
+   redo map above is the default; this one makes the design-space
+   comparison executable (the redo-vs-undo ablation). *)
+module Make_undo (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
+  module D =
+    Derive.Make
+      (TM)
+      (struct
+        include Spec (M)
+
+        let name = "Transactional_map.Make_undo"
+        let update = Derive.Eager Fun.id
+      end)
+
+  type 'v t = 'v D.t
+
+  let create () = D.create ()
+  let find = D.find
+  let mem t k = Option.is_some (find t k)
+  let put t k v = D.write t k (Some v) ~blind:false
+  let remove t k = D.write t k None ~blind:false
+  let size = D.size
+  let is_empty = D.is_empty
+  let fold = D.fold
+  let iter = D.iter
+  let to_list t = fold (fun k v acc -> (k, v) :: acc) t []
+  let outstanding_locks = D.outstanding_locks
+  let snapshot_history_length = D.snapshot_history_length
 end

@@ -154,8 +154,51 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
       version and the one it replaced) once no snapshot reader is pinned
       below the newest versions; 1 on a TM without snapshots. *)
 
+  val key_history_length : 'v t -> M.key -> int
+  (** Length of the shadow chain of the stripe holding the key — the one
+      chain a writer of only that key publishes to. *)
+
   val dump_state : Format.formatter -> 'v t -> unit
   (** Live rendering of Table 3's state inventory (committed / shared
       transactional / local transactional state).  The local section shows
       the calling transaction's state, and none outside a transaction. *)
+end
+
+(** The undo-logging map of paper §5.1 ("Redo versus undo logging"):
+    {!Spec} under {!Derive}'s eager discipline.  A write updates the
+    wrapped map in place under an exclusive write lock on its key — early
+    conflict detection, as undo logging requires — and abort writes the
+    priors back.  It shares the redo map's stripes, key equality and
+    snapshot reads.  The redo {!Make} is the default; this module makes
+    the design-space comparison executable. *)
+module Make_undo (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
+  type 'v t
+
+  val create : unit -> 'v t
+
+  val find : 'v t -> M.key -> 'v option
+  (** Retries transparently while another transaction has the key
+      written. *)
+
+  val mem : 'v t -> M.key -> bool
+
+  val put : 'v t -> M.key -> 'v -> 'v option
+  (** In-place update under an exclusive write lock; aborts foreign readers
+      of the key at once and waits (by retrying) on a foreign writer. *)
+
+  val remove : 'v t -> M.key -> 'v option
+
+  val size : 'v t -> int
+  (** The committed size plus the calling transaction's own delta. *)
+
+  val is_empty : 'v t -> bool
+
+  val fold : (M.key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+  (** Retries transparently while another transaction has any key
+      written. *)
+
+  val iter : (M.key -> 'v -> unit) -> 'v t -> unit
+  val to_list : 'v t -> (M.key * 'v) list
+  val outstanding_locks : 'v t -> int
+  val snapshot_history_length : 'v t -> int
 end

@@ -16,6 +16,7 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
 
     let name = "TransactionalPriorityQueue"
     let keying = Derive.Ordered P.compare
+    let update = Derive.Lazy
     let create () = Coll.Ordmap.create ~compare:P.compare ()
     let find s k = Coll.Ordmap.find s k
 

@@ -491,7 +491,8 @@ let suites =
 
 (* The hash-map twin of txsorted.comparator: keys equal under the key
    module's [equal] are one key to the stripes, the store buffer and the
-   semantic locks of Map, Set and Bag.  Under a case-insensitive key
+   semantic locks of Map, Set, Bag and the undo-logging map.  Under a
+   case-insensitive key
    module, a binding put as "apple" is found as "APPLE", one transaction
    writing "pear" and "PEAR" leaves one binding, and a writer of "K"
    aborts a transaction that read "k".  Stripes, buffers and lock tables
@@ -506,6 +507,7 @@ end
 module CM = Txcoll.Host.Map (Ci_string)
 module CS = Txcoll.Host.Set (Ci_string)
 module CB = Txcoll.Host.Bag (Ci_string)
+module CU = Txcoll.Host.Map_undo (Ci_string)
 
 let fruits = [ "apple"; "pear"; "kiwi"; "plum"; "fig"; "lime"; "date"; "yuzu" ]
 
@@ -521,16 +523,23 @@ let test_equal_keys_found () =
       Alcotest.(check bool) ("set has " ^ up) true (CS.mem s up);
       let b = CB.create () in
       CB.add b k;
-      Alcotest.(check int) ("bag counts " ^ up) 1 (CB.count b up))
+      Alcotest.(check int) ("bag counts " ^ up) 1 (CB.count b up);
+      let u = CU.create () in
+      ignore (CU.put u k 1);
+      Alcotest.(check (option int)) ("undo map finds " ^ up) (Some 1)
+        (Stm.atomic (fun () -> CU.find u up)))
     fruits
 
 let test_equal_keys_counted_once () =
   let m = CM.create () and s = CS.create () and b = CB.create () in
+  let u = CU.create () in
   Stm.atomic (fun () ->
       List.iter
         (fun k ->
           ignore (CM.put m k 1);
           ignore (CM.put m (String.uppercase_ascii k) 2);
+          ignore (CU.put u k 1);
+          ignore (CU.put u (String.uppercase_ascii k) 2);
           ignore (CS.add s k);
           ignore (CS.add s (String.uppercase_ascii k));
           CB.add b k;
@@ -542,11 +551,18 @@ let test_equal_keys_counted_once () =
     (CM.find m "pear");
   Alcotest.(check int) "set size" n (CS.size s);
   Alcotest.(check int) "bag elements" n (List.length (CB.to_list b));
-  Alcotest.(check int) "bag multiplicity" 2 (CB.count b "Pear")
+  Alcotest.(check int) "bag multiplicity" 2 (CB.count b "Pear");
+  Alcotest.(check int) "undo map size" n (CU.size u);
+  Alcotest.(check (option int)) "undo map: last write wins" (Some 2)
+    (CU.find u "pear");
+  Alcotest.(check int) "undo map bindings" n (List.length (CU.to_list u));
+  Alcotest.(check int) "undo map: no leaks" 0 (CU.outstanding_locks u)
 
 let test_equal_keys_conflict () =
   let m = CM.create () and s = CS.create () and b = CB.create () in
+  let u = CU.create () in
   ignore (CM.put m "k" 0);
+  ignore (CU.put u "k" 0);
   List.iter
     (fun (label, reader, writer) ->
       Alcotest.(check int) (label ^ ": reader of k re-ran") 2
@@ -561,11 +577,96 @@ let test_equal_keys_conflict () =
       ( "bag",
         (fun () -> ignore (CB.count b "k")),
         fun () -> CB.add b "K" );
+      ( "undo map",
+        (fun () -> ignore (CU.find u "k")),
+        fun () -> ignore (CU.put u "K" 1) );
     ]
+
+(* ---------------- undo-logging map ---------------- *)
+
+(* A write outside a transaction waits out a transaction that has its key
+   updated in place: were it to land first, that transaction's abort
+   would write its prior back over it. *)
+let test_undo_nontxn_write_waits_pending_writer () =
+  let module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed) in
+  let u = UM.create () in
+  ignore (UM.put u 0 0);
+  let phase = Atomic.make 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        try
+          Stm.atomic (fun () ->
+              ignore (UM.put u 0 1);
+              if Atomic.get phase = 0 then Atomic.set phase 1;
+              while Atomic.get phase < 2 do
+                Domain.cpu_relax ()
+              done;
+              (* Give the write below time to land, were it not to wait. *)
+              Unix.sleepf 0.02;
+              Stm.self_abort ())
+        with Stm.Aborted -> ())
+  in
+  while Atomic.get phase < 1 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set phase 2;
+  ignore (UM.put u 0 2);
+  Domain.join writer;
+  Alcotest.(check (option int)) "the later write survives the abort" (Some 2)
+    (Stm.atomic (fun () -> UM.find u 0));
+  Alcotest.(check (option int)) "and reads the same outside" (Some 2)
+    (UM.find u 0);
+  Alcotest.(check int) "no leaks" 0 (UM.outstanding_locks u)
+
+(* Two domains move units between keys of one undo map, one transaction
+   in ten aborting after its in-place writes, while both check the total
+   inside transactions and snapshots: a read or write that did not wait
+   out another transaction's in-place write sees its uncommitted state,
+   and a restored prior can overwrite a committed update. *)
+let test_undo_transfers_keep_sum () =
+  let module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed) in
+  let keys = 8 in
+  let u = UM.create () in
+  for k = 0 to keys - 1 do
+    ignore (UM.put u k 100)
+  done;
+  let total = 100 * keys in
+  let sum () = UM.fold (fun _ v acc -> acc + v) u 0 in
+  let worker d () =
+    let rng = Random.State.make [| d |] in
+    let bad = ref 0 in
+    for i = 1 to 1_000 do
+      let a = Random.State.int rng keys and b = Random.State.int rng keys in
+      (try
+         Stm.atomic (fun () ->
+             let take k f = ignore (UM.put u k (f (Option.get (UM.find u k)))) in
+             take a pred;
+             take b succ;
+             if i mod 10 = 0 then Stm.self_abort ())
+       with Stm.Aborted -> ());
+      if i mod 5 = 0 then begin
+        if Stm.atomic sum <> total then incr bad;
+        if Stm.snapshot sum <> total then incr bad
+      end
+    done;
+    !bad
+  in
+  let ds = List.init 2 (fun d -> Domain.spawn (worker d)) in
+  let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 ds in
+  Alcotest.(check int) "sums that missed the total" 0 bad;
+  Alcotest.(check int) "final total" total (sum ());
+  Alcotest.(check int) "no leaks" 0 (UM.outstanding_locks u)
 
 let suites =
   suites
   @ [
+      ( "txmap.undo",
+        [
+          Alcotest.test_case "write outside waits out a pending writer"
+            `Quick test_undo_nontxn_write_waits_pending_writer;
+          Alcotest.test_case "transfers keep the sum" `Quick
+            test_undo_transfers_keep_sum;
+        ] );
       ( "txmap.key_equality",
         [
           Alcotest.test_case "equal keys found" `Quick test_equal_keys_found;
