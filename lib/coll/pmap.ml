@@ -55,15 +55,15 @@ let empty ~compare = { cmp = compare; root = Empty; card = 0 }
 let size m = m.card
 let is_empty m = m.card = 0
 
-let find m key =
-  let cmp = m.cmp in
-  let rec go = function
-    | Empty -> None
-    | Node { l; k; v; r; _ } ->
-        let c = cmp key k in
-        if c = 0 then Some v else if c < 0 then go l else go r
-  in
-  go m.root
+(* No local closure: every committed point read of a derived class
+   descends here. *)
+let rec find_in cmp key = function
+  | Empty -> None
+  | Node { l; k; v; r; _ } ->
+      let c = cmp key k in
+      if c = 0 then Some v else find_in cmp key (if c < 0 then l else r)
+
+let find m key = find_in m.cmp key m.root
 
 let mem m key = Option.is_some (find m key)
 

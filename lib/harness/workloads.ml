@@ -26,12 +26,9 @@ module A = Sim_ds.Sim_avlmap
 module SL = Sim_ds.Spinlock
 
 module SimTxMap =
-  Txcoll.Transactional_map.Make (Sim.Tcc.Tm_ops)
-    (Txcoll.Underlying.Hashed_map_ops (Txcoll.Host.Int_hashed))
+  Txcoll.Transactional_map.Make (Sim.Tcc.Tm_ops) (Txcoll.Host.Int_hashed)
 
-module SimTxSorted =
-  Txcoll.Transactional_sorted_map.Make (Sim.Tcc.Tm_ops)
-    (Txcoll.Underlying.Ordered_map_ops (Int))
+module SimTxSorted = Txcoll.Transactional_sorted_map.Make (Sim.Tcc.Tm_ops) (Int)
 
 type variant = [ `Java_lock | `Atomos_naive | `Atomos_txcoll ]
 

@@ -195,43 +195,26 @@ module type TM_OPS = sig
   (** Report [n] reclaimed chain entries to the TM's statistics. *)
 end
 
-(** Operations a wrapped (underlying) map implementation must provide.  All
-    calls are made inside {!TM_OPS.critical} sections, so the implementation
-    needs no internal synchronisation — exactly the paper's "wrap existing
-    data structures" property. *)
-module type MAP_OPS = sig
+(** Operations of a wrapped (underlying) hashed map: the in-place table
+    of the undo-logging map.  All calls are made inside
+    {!TM_OPS.critical} sections, so the implementation needs no internal
+    synchronisation — exactly the paper's "wrap existing data structures"
+    property.  [hash] and [equal] are the map's own key functions, so the
+    wrapper's stripes, store buffer, lock tables and snapshot shadows agree
+    with the map on which keys are equal. *)
+module type HASHED_MAP_OPS = sig
   type key
   type 'v t
 
   val create : unit -> 'v t
   val find : 'v t -> key -> 'v option
-  val mem : 'v t -> key -> bool
+
   val add : 'v t -> key -> 'v -> unit
   (** Insert or replace. *)
 
   val remove : 'v t -> key -> unit
-  val size : 'v t -> int
-  val iter : (key -> 'v -> unit) -> 'v t -> unit
-end
-
-(** A {!MAP_OPS} over hashed keys that also exposes its key hash and
-    equality, so a wrapper's stripes, store buffer, lock tables and
-    snapshot shadows agree with the map on which keys are equal. *)
-module type HASHED_MAP_OPS = sig
-  include MAP_OPS
-
   val hash : key -> int
   val equal : key -> key -> bool
-end
-
-(** An underlying ordered map: a {!MAP_OPS} with the comparator that
-    orders (and decides equality of) its keys.  The [SortedMap] wrapper
-    serves ordered reads from its own immutable shadows of the map, so it
-    needs no ordered traversal of it. *)
-module type SORTED_MAP_OPS = sig
-  include MAP_OPS
-
-  val compare_key : key -> key -> int
 end
 
 (** Operations of an underlying FIFO queue wrapped by the transactional work

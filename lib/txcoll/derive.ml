@@ -8,8 +8,8 @@
    once lost by a hand-written wrapper showed that this plumbing is
    exactly where the bugs live.
    {!Make} generates all of it from a {!SPEC}: the spec contributes only
-   the *sequential* semantics (apply one buffered write to a shard,
-   overlay a buffered write on an observation, the weight an observation
+   the *sequential* semantics (overlay a buffered write on an
+   observation, collapse two writes to one key, the weight an observation
    contributes to the collection's size) and declares its keying and
    which structural facets ({!Commute_spec.facet}) its reads observe.
    The conflict relation is then derived, conservatively, from that
@@ -53,44 +53,50 @@
      without), each its own stripe and region, so key locks and range
      locks are interval-local and writers of disjoint intervals commit in
      parallel; an ordered store buffer that range reads merge in key
-     order; ordered shadows, which the ordered reads walk (under a span's
-     regions the newest shadow of a stripe is its committed shard).  The
+     order; ordered shadows, which range reads walk in key order.  The
      committed endpoints are maintained under the structure region; a
      commit that may empty a key plans every region, so that apply can
      rescan them when it removes one.
 
-   Snapshots.  Alongside each mutable shard sits a chain ([Coll.Vchain])
-   of immutable shadows of it, plus one structure chain carrying the
-   committed size.  A commit publishes the shadows of the stripes it
-   changed at its commit stamp while still holding those stripes'
-   regions (the structure chain under the structure region), and a
-   non-transactional write draws its stamp through [TM.begin_publish]
-   under the same regions, so publications to one chain are serialized
-   and stamp-monotone.  Inside [TM.in_snapshot] every read resolves
-   against the newest shadow at or below the pinned stamp: no region, no
-   semantic lock, no abort.
+   Committed state.  Each stripe keeps one copy of its committed state:
+   a chain ([Coll.Vchain]) of immutable shadows (a persistent map under
+   the comparator for ordered specs, from key hash to bucket for hashed
+   ones), plus one structure chain carrying the committed size.  The
+   newest shadow of a stripe is its committed state: under the stripe's
+   region every committed read resolves against it — point reads, the
+   buffered priors, enumerations, ordered walks and endpoints.  A commit
+   writes each buffered key once, binding it to [view before w] in the
+   stripe's new shadow, and publishes that shadow at its commit stamp
+   while still holding the stripe's region (the structure chain under the
+   structure region); a non-transactional write draws its stamp through
+   [TM.begin_publish] under the same regions, so publications to one
+   chain are serialized and stamp-monotone.  This is the redo log of
+   §5.1 over one versioned committed state, Proust's lazy update.  Inside
+   [TM.in_snapshot] every read resolves against the newest shadow at or
+   below the pinned stamp: no region, no semantic lock, no abort.
 
    Update discipline (§5.1 "Redo versus undo logging"; Proust's
    lazy/eager update axis).  The spec fixes it per class:
    - [Lazy] (every class but the undo map): writes go to the store
-     buffer, a redo log, which apply flushes to the shards after the
+     buffer, a redo log, which apply flushes into the shadows after the
      commit point — the paper's optimistic protocol above.
-   - [Eager] (hashed specs only): a write updates its shard in place at
+   - [Eager] (hashed specs only): the spec also names an in-place table
+     (one per stripe, the wrapped structure), and a write updates it at
      operation time.  Under the key's region it waits by [TM.retry] while
      a foreign pending writer holds the key, registers as the key's
      writer and aborts the key's other holders at once — only one
      transaction may update a key in place.  Its store-buffer entry,
      whose prior is always read, is the undo record: abort writes the
-     priors back before the writer lock goes.  Point reads wait by retry
-     on a foreign pending writer of their key, enumerations on any
-     foreign pending writer; reads outside a transaction resolve against
-     the newest shadows, which hold committed state only, and a write
-     outside one waits out the key's pending writer.  The committed size
-     still moves only at commit, so size and isEmpty read it without
-     waiting.  Prepare is unchanged; apply skips [S.apply] (the shards
-     already hold the writes) but folds the size delta and publishes the
-     shadows at the commit stamp, so snapshots never see an uncommitted
-     or undone write. *)
+     priors back before the writer lock goes.  Point reads inside a
+     transaction read the table and wait by retry on a foreign pending
+     writer of their key, enumerations on any foreign pending writer;
+     reads outside a transaction resolve against the newest shadows,
+     which hold committed state only, and a write outside one waits out
+     the key's pending writer.  The committed size still moves only at
+     commit, so size and isEmpty read it without waiting.  Prepare is
+     unchanged; apply folds the size delta and publishes the shadows at
+     the commit stamp, so snapshots never see an uncommitted or undone
+     write. *)
 
 type 'k keying =
   | Hashed of { hash : 'k -> int; equal : 'k -> 'k -> bool }
@@ -99,23 +105,28 @@ type 'k keying =
       (** A comparator: keys are equal when it says 0.  Gives the spec
           the range, first and last facets. *)
 
-(* How a class's writes reach its shards (see the header).  [Eager]
-   carries the write that restores a prior observation on abort. *)
-type ('value, 'wop) update = Lazy | Eager of ('value option -> 'wop)
+(* How a class's writes reach committed state (see the header).  [Eager]
+   carries the in-place table — mutable, not thread-safe: the generated
+   class serialises all access under the stripe's commit region — and
+   the write that restores a prior observation on abort. *)
+type ('key, 'value, 'wop) update =
+  | Lazy
+  | Eager : {
+      create : unit -> 'table;
+      find : 'table -> 'key -> 'value option;
+      apply : 'table -> 'key -> 'wop -> unit;
+      restore : 'value option -> 'wop;
+    }
+      -> ('key, 'value, 'wop) update
 
 module type SPEC = sig
-  type 'v state
-  (** One committed shard: mutable, not thread-safe — the generated
-      wrapper serialises all access under its stripe's commit region.
-      ['v] is the element type of classes that carry values (the maps);
-      the others ignore it. *)
-
   type key
 
   type 'v value
   (** What a read of one key observes (map: the bound value, set: [unit]
       presence, bag and priority queue: multiplicity, counter: the
-      shard's sum). *)
+      shard key's sum).  ['v] is the element type of classes that carry
+      values (the maps); the others ignore it. *)
 
   type 'v wop
   (** One buffered write to one key — the store-buffer (redo log)
@@ -124,21 +135,9 @@ module type SPEC = sig
   val name : string
   val keying : key keying
 
-  val update : ('v value, 'v wop) update
+  val update : (key, 'v value, 'v wop) update
   (** Fixed per class: [Lazy] redo logging, or [Eager] in-place update
       with an undo log (hashed specs only). *)
-
-  val create : unit -> 'v state
-
-  (* ---- sequential semantics of one shard ---- *)
-
-  val find : 'v state -> key -> 'v value option
-  val apply : 'v state -> key -> 'v wop -> unit
-  (** Flush one buffered write into the committed shard.  Called only
-      with the key's region held (commit apply phase, or a
-      non-transactional write). *)
-
-  val fold : (key -> 'v value -> 'a -> 'a) -> 'v state -> 'a -> 'a
 
   (* ---- store-buffer algebra ---- *)
 
@@ -150,8 +149,8 @@ module type SPEC = sig
   val view : 'v value option -> 'v wop -> 'v value option
   (** Overlay a buffered write on a prior observation: what a read of
       the key returns inside the transaction that buffered it, and what
-      [find] returns after [apply] — the functor relies on
-      [find (apply s k w) k = view (find s k) w]. *)
+      the commit binds the key to.  An [Eager] table's [apply] must agree
+      with it. *)
 
   val absorbing : 'v wop -> bool
   (** [true] when [view prior w] is independent of [prior] (set-style
@@ -208,17 +207,26 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   type 'v bw = { mutable w : 'v S.wop; mutable prior : 'v S.value option option }
 
   (* The store buffer, keyed like the class: ordered specs keep it in key
-     order, so range reads merge it with the committed shards. *)
+     order, so range reads merge it with the committed shadows. *)
   type 'v buffer =
     | Hbuffer of (S.key, 'v bw) Coll.Chain_hashmap.t
     | Obuffer of (S.key, 'v bw) Coll.Ordmap.t
 
-  (* Immutable shadow of one shard: a persistent map under the
-     comparator (ordered specs), or from key hash to the bindings sharing
-     that hash (hashed ones). *)
+  (* A hashed shadow's bucket: the bindings sharing one key hash. *)
+  type 'v bucket = Nil | Cons of S.key * 'v S.value * 'v bucket
+
+  (* Immutable committed state of one stripe: a persistent map under the
+     comparator (ordered specs), or from key hash to bucket (hashed
+     ones). *)
   type 'v shadow =
-    | Hshadow of (int, (S.key * 'v S.value) list) Coll.Pmap.t
+    | Hshadow of (int, 'v bucket) Coll.Pmap.t
     | Oshadow of (S.key, 'v S.value) Coll.Pmap.t
+
+  (* An [Eager] spec's in-place table for one stripe. *)
+  type 'v table = {
+    tfind : S.key -> 'v S.value option;
+    tapply : S.key -> 'v S.wop -> unit;
+  }
 
   type 'v local = {
     mutable txn : TM.txn;
@@ -239,10 +247,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   type 'v t = {
     locks : S.key L.t;
-    shards : 'v S.state array; (* shard [i] holds the keys of stripe [i] *)
     snap : 'v shadow Coll.Vchain.t array;
-        (* chain [i] versions shard [i]; published only while stripe [i]'s
+        (* chain [i] versions the committed state of stripe [i]; its
+           newest shadow is that state; published only while stripe [i]'s
            region is held *)
+    tables : 'v table array;
+        (* eager specs: stripe [i]'s in-place table; empty for lazy ones *)
     mutable csize : int;
         (* sum of committed weights; read/written only under the
            structure region, and only maintained when a structural facet
@@ -309,8 +319,18 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     | Hashed _ -> Hshadow (Coll.Pmap.empty ~compare:Int.compare)
 
   let rec drop_key k = function
-    | [] -> []
-    | ((k', _) as b) :: rest -> if equal k k' then rest else b :: drop_key k rest
+    | Nil -> Nil
+    | Cons (k', v, rest) ->
+        if equal k k' then rest else Cons (k', v, drop_key k rest)
+
+  let rec bucket_find k = function
+    | Nil -> None
+    | Cons (k', v, rest) -> if equal k k' then Some v else bucket_find k rest
+
+  let rec bucket_fold f b acc =
+    match b with
+    | Nil -> acc
+    | Cons (k, v, rest) -> bucket_fold f rest (f k v acc)
 
   (* The shadow with [k] bound to [v] ([None] = unbound). *)
   let shadow_set sh k v =
@@ -322,11 +342,11 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     | Hshadow pm -> (
         let h = hash k in
         let rest =
-          match Coll.Pmap.find pm h with None -> [] | Some b -> drop_key k b
+          match Coll.Pmap.find pm h with None -> Nil | Some b -> drop_key k b
         in
         match (v, rest) with
-        | Some v, b -> Hshadow (Coll.Pmap.add pm h ((k, v) :: b))
-        | None, [] -> Hshadow (Coll.Pmap.remove pm h)
+        | Some v, b -> Hshadow (Coll.Pmap.add pm h (Cons (k, v, b)))
+        | None, Nil -> Hshadow (Coll.Pmap.remove pm h)
         | None, b -> Hshadow (Coll.Pmap.add pm h b))
 
   let shadow_find sh k =
@@ -335,16 +355,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     | Hshadow pm -> (
         match Coll.Pmap.find pm (hash k) with
         | None -> None
-        | Some b ->
-            List.find_map (fun (k', v) -> if equal k k' then Some v else None) b)
+        | Some b -> bucket_find k b)
 
   let shadow_fold f sh acc =
     match sh with
     | Oshadow pm -> Coll.Pmap.fold f pm acc
-    | Hshadow pm ->
-        Coll.Pmap.fold
-          (fun _ b acc -> List.fold_left (fun acc (k, v) -> f k v acc) acc b)
-          pm acc
+    | Hshadow pm -> Coll.Pmap.fold (fun _ b acc -> bucket_fold f b acc) pm acc
 
   let sorted = function Oshadow pm -> pm | Hshadow _ -> hashed_spec ()
 
@@ -361,8 +377,14 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     let k = L.stripe_count locks in
     {
       locks;
-      shards = Array.init k (fun _ -> S.create ());
       snap = Array.init k (fun _ -> Coll.Vchain.make 0 (shadow_empty ()));
+      tables =
+        (match S.update with
+        | Lazy -> [||]
+        | Eager { create; find; apply; _ } ->
+            Array.init k (fun _ ->
+                let s = create () in
+                { tfind = find s; tapply = apply s }));
       csize = 0;
       snap_size = Coll.Vchain.make 0 0;
       cmin = None;
@@ -372,7 +394,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     }
 
   let sregion t = L.struct_region t.locks
-  let shard_of t k = t.shards.(L.stripe_index t.locks k)
+  let table_of t k = t.tables.(L.stripe_index t.locks k)
   let key_region t k = L.region_of_key t.locks k
   let stripe_count t = L.stripe_count t.locks
 
@@ -393,12 +415,16 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     in
     go i
 
-  (* Snapshot reads resolve against the chains at the pinned stamp; the
-     other ordered reads walk the newest shadows under the stripes'
+  (* Snapshot reads resolve against the chains at the pinned stamp; every
+     other committed read against the newest shadows, under the stripes'
      regions. *)
   let snap_shadow t si = Coll.Vchain.read_at t.snap.(si) (TM.snapshot_stamp ())
   let latest_shadow t si = Coll.Vchain.latest t.snap.(si)
   let snap_size t = Coll.Vchain.read_at t.snap_size (TM.snapshot_stamp ())
+
+  (* Committed observation of [k]; caller holds [key_region t k]. *)
+  let committed_find t k =
+    shadow_find (latest_shadow t (L.stripe_index t.locks k)) k
 
   (* Publish at [stamp].  Caller holds the chain's region (stripe [si]'s,
      or the structure region for the size chain), which serializes
@@ -492,7 +518,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     end
     else first || last
 
-  (* Caller holds every region, and has published the shards' shadows. *)
+  (* Caller holds every region, and has published the stripes' shadows. *)
   let rescan_endpoints t =
     t.cmin <- Option.map fst (edge t latest_shadow ~last:false);
     t.cmax <- Option.map fst (edge t latest_shadow ~last:true)
@@ -518,12 +544,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn)
 
   (* Committed observation backing a buffer entry; blind entries read it
-     from the shard under a nested stripe critical (ascending rid from
-     the structure region; reentrant from prepare with the plan held). *)
+     under a nested stripe critical (ascending rid from the structure
+     region; reentrant from prepare with the plan held). *)
   let prior_of t k (e : _ bw) =
     match e.prior with
     | Some p -> p
-    | None -> TM.critical (key_region t k) (fun () -> S.find (shard_of t k) k)
+    | None -> TM.critical (key_region t k) (fun () -> committed_find t k)
 
   (* Net weight change of the store buffer against current committed
      state — the derived size-facet conflict condition. *)
@@ -600,7 +626,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   (* Prepare phase: abort the holders of every facet this batch
      invalidates — key and range facets under each key's region, then the
-     structural ones.  Read-only on the shards and may raise; it runs
+     structural ones.  Read-only on committed state and may raise; it runs
      before the TM's commit point so an exception aborts with nothing
      applied.  A weight change or a presence flip puts the structure
      region in the plan, so every critical below re-enters a region the
@@ -629,26 +655,24 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           if ordered && !flips && L.endpoint_locked t.locks then
             endpoint_conflicts t l ~self)
 
-  (* Apply phase, after the commit point: flush the buffer to the shards
-     (one combined op per key; eager shards already hold it), fold the
-     weight delta into the committed size and the presence flips into the
+  (* Apply phase, after the commit point: bind each buffered key once in
+     its stripe's next shadow (one combined op per key), fold the weight
+     delta into the committed size and the presence flips into the
      endpoints, publish each changed stripe's shadow (and the size) once
      at the commit stamp, release semantic locks.  A read-only commit only
      releases its locks. *)
   (* One key of [flush]; caller holds [key_region t k]. *)
   let flush_key t l ~delta ~rescan k e =
     let si = L.stripe_index t.locks k in
-    let shard = t.shards.(si) in
-    let before = match e.prior with Some p -> p | None -> S.find shard k in
-    if not eager then S.apply shard k e.w;
+    let shadow =
+      match l.shadows.(si) with Some sh -> sh | None -> latest_shadow t si
+    in
+    let before =
+      match e.prior with Some p -> p | None -> shadow_find shadow k
+    in
     let after = S.view before e.w in
     delta := !delta + S.weight after - S.weight before;
     if track_endpoints t k ~before ~after then rescan := true;
-    let shadow =
-      match l.shadows.(si) with
-      | Some sh -> sh
-      | None -> Coll.Vchain.latest t.snap.(si)
-    in
     l.shadows.(si) <- Some (shadow_set shadow k after)
 
   let flush t l stamp =
@@ -679,16 +703,16 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   (* Abort phase: an eager transaction writes each key's prior back under
      the key's region while it still holds the key's writer lock, so no
-     other transaction sees the shard between the undo and the
+     other transaction sees the table between the undo and the
      release. *)
   let abort_handler t l =
     (match S.update with
     | Lazy -> ()
-    | Eager restore ->
+    | Eager { restore; _ } ->
         buf_iter
           (fun k e ->
             TM.critical (key_region t k) (fun () ->
-                S.apply (shard_of t k) k (restore (prior_of t k e))))
+                (table_of t k).tapply k (restore (prior_of t k e))))
           l.buffer);
     cleanup t l
 
@@ -744,7 +768,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   let local_of t = TM.txn_local t.local_key attach t
 
   (* Caller holds [key_region t k].  On an eager spec it first waits by
-     retry while another transaction has [k] updated in place: the shard
+     retry while another transaction has [k] updated in place: the table
      holds that transaction's uncommitted write.  [TM.retry] raises, which
      leaves the caller's criticals. *)
   let lock_key t l k =
@@ -756,12 +780,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       l.stripes_mask <- l.stripes_mask lor (1 lsl L.stripe_index t.locks k)
     end
 
-  (* Committed read of [k] outside a transaction, under its region: an
-     eager shard may hold pending in-place writes, the newest shadow never
-     does. *)
-  let committed_find t k =
-    if eager then shadow_find (latest_shadow t (L.stripe_index t.locks k)) k
-    else S.find (shard_of t k) k
+  (* The calling transaction's read of [k] outside its buffer, after
+     [lock_key]: the newest shadow, or an eager spec's table, which also
+     holds the transaction's own in-place writes ([lock_key] waited out
+     every foreign one).  Caller holds [key_region t k]. *)
+  let txn_find t k =
+    if eager then (table_of t k).tfind k else committed_find t k
 
   (* Caller holds [sregion t]. *)
   let lock_size t l =
@@ -804,14 +828,14 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                          depends on committed state, which makes this a
                          key read — lock it. *)
                       lock_key t l k;
-                      let p = S.find (shard_of t k) k in
+                      let p = committed_find t k in
                       e.prior <- Some p;
                       p
                 in
                 S.view prior e.w
           | None ->
               lock_key t l k;
-              S.find (shard_of t k) k)
+              txn_find t k)
     end
 
   let size t =
@@ -878,7 +902,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       | Some k ->
           Option.map
             (fun v -> (k, v))
-            (TM.critical (key_region t k) (fun () -> S.find (shard_of t k) k))
+            (TM.critical (key_region t k) (fun () -> committed_find t k))
     in
     if TM.in_snapshot () then edge t snap_shadow ~last
     else if not (TM.in_txn ()) then TM.critical (sregion t) committed
@@ -1001,40 +1025,24 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      another transaction has any key updated in place. *)
   let merged_fold t l ~on_committed f init =
     if eager && L.any_other_writer t.locks ~self:l.txn then TM.retry ();
-    let acc = ref init in
-    Array.iter
-      (fun shard ->
-        acc :=
-          S.fold
-            (fun k v a ->
-              match buf_find l.buffer k with
-              | Some e -> (
-                  match S.view (prior_of t k e) e.w with
-                  | Some v' -> f k v' a
-                  | None -> a)
-              | None ->
-                  on_committed k;
-                  f k v a)
-            shard !acc)
-      t.shards;
+    let overlay k e acc =
+      match S.view (prior_of t k e) e.w with Some v -> f k v acc | None -> acc
+    in
+    let acc =
+      shadows_fold latest_shadow
+        (fun k v acc ->
+          match buf_find l.buffer k with
+          | Some e -> overlay k e acc
+          | None ->
+              on_committed k;
+              f k v acc)
+        t init
+    in
     (* Buffered keys with no committed binding. *)
-    buf_iter
-      (fun k e ->
-        if Option.is_none (S.find (shard_of t k) k) then
-          match S.view (prior_of t k e) e.w with
-          | Some v -> acc := f k v !acc
-          | None -> ())
-      l.buffer;
-    !acc
-
-  (* Caller holds every region; eager shards read as [committed_find]. *)
-  let committed_fold f t init =
-    if eager then shadows_fold latest_shadow f t init
-    else begin
-      let acc = ref init in
-      Array.iter (fun shard -> acc := S.fold f shard !acc) t.shards;
-      !acc
-    end
+    buf_fold
+      (fun k e acc ->
+        if Option.is_none (committed_find t k) then overlay k e acc else acc)
+      l.buffer acc
 
   (* Full enumeration.  Ordered specs fold the whole key range in order
      (range, first and last locks).  Hashed ones, inside a transaction,
@@ -1046,7 +1054,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     if ordered then fold_range f t init ~lo:None ~hi:None
     else if TM.in_snapshot () then shadows_fold snap_shadow f t init
     else if not (TM.in_txn ()) then
-      L.critical_all t.locks (fun () -> committed_fold f t init)
+      L.critical_all t.locks (fun () -> shadows_fold latest_shadow f t init)
     else begin
       if not S.uses_size then
         invalid_arg
@@ -1067,7 +1075,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     let key k _ acc = k :: acc in
     if TM.in_snapshot () then shadows_fold snap_shadow key t []
     else if not (TM.in_txn ()) then
-      L.critical_all t.locks (fun () -> committed_fold key t [])
+      L.critical_all t.locks (fun () -> shadows_fold latest_shadow key t [])
     else begin
       let l = local_of t in
       L.critical_all t.locks (fun () ->
@@ -1078,8 +1086,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   (* ---------------- writes ---------------- *)
 
   (* Non-transactional write: structure-then-stripe (ascending rid) so
-     the shard mutation, the committed size and endpoints and their
-     shadows are atomic for structural readers — every region when it may
+     the new shadow, the committed size and endpoints are atomic for
+     structural readers — every region when it may
      empty a key of an ordered spec, for the endpoint rescan; the
      publication draws its stamp through [TM.begin_publish] under those
      regions.  On an eager spec it spins while a transaction has the key
@@ -1094,17 +1102,16 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           if eager && L.key_writer t.locks k <> None then
             raise_notrace Pending_writer;
           let si = L.stripe_index t.locks k in
-          let shard = t.shards.(si) in
-          let before = S.find shard k in
-          S.apply shard k w;
+          let shadow = latest_shadow t si in
+          let before = shadow_find shadow k in
+          if eager then t.tables.(si).tapply k w;
           let after = S.view before w in
           let d = if track_struct then S.weight after - S.weight before else 0 in
           if d <> 0 then t.csize <- t.csize + d;
           let stamp = TM.begin_publish () in
           Fun.protect ~finally:TM.end_publish (fun () ->
               let min_epoch = TM.reclaim_epoch () in
-              publish_stripe t si ~min_epoch stamp
-                (shadow_set (Coll.Vchain.latest t.snap.(si)) k after);
+              publish_stripe t si ~min_epoch stamp (shadow_set shadow k after);
               if d <> 0 then publish_size t ~min_epoch stamp);
           if track_endpoints t k ~before ~after then rescan_endpoints t;
           before)
@@ -1125,19 +1132,19 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   (* Eager write, under the key's region: wait by retry on a foreign
      pending writer ([lock_key]), register as the key's writer and abort
      its other holders at once, keep the first prior as the undo record
-     and update the shard in place.  Returns the key's observation before
+     and update the table in place.  Returns the key's observation before
      the write. *)
   let eager_write t l k w =
     TM.critical (key_region t k) (fun () ->
         lock_key t l k;
         L.lock_key_write t.locks l.txn k;
         L.conflict_key t.locks ~self:l.txn k;
-        let shard = shard_of t k in
-        let old = S.find shard k in
+        let table = table_of t k in
+        let old = table.tfind k in
         (match buf_find l.buffer k with
         | Some e -> e.w <- S.combine ~earlier:e.w ~later:w
         | None -> buf_add l.buffer k { w; prior = Some old });
-        S.apply shard k w;
+        table.tapply k w;
         old)
 
   (* Transactional write: buffer the op (combining with an earlier write
@@ -1163,7 +1170,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                     | Some p -> p
                     | None ->
                         lock_key t l k;
-                        let p = S.find (shard_of t k) k in
+                        let p = committed_find t k in
                         e.prior <- Some p;
                         p
                   in
@@ -1182,7 +1189,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                 (* Returning the prior observation reads the key
                    (Table 2: value-returning writes take a key lock). *)
                 lock_key t l k;
-                let p = S.find (shard_of t k) k in
+                let p = committed_find t k in
                 buf_add l.buffer k { w; prior = Some p };
                 p
               end)

@@ -10,21 +10,19 @@
 
    Every class but the queue is derived from its commutativity spec
    through {!Derive}; a hashed class takes its key equality and hash
-   from [K]. *)
+   from [K], an ordered one its comparator. *)
 
 module Tm = Tcc_stm.Stm.Tm_ops
 
-module Map (K : Underlying.HASHED) =
-  Transactional_map.Make (Tm) (Underlying.Hashed_map_ops (K))
+module Map (K : Underlying.HASHED) = Transactional_map.Make (Tm) (K)
 
 module Sorted_map (K : Underlying.ORDERED) =
-  Transactional_sorted_map.Make (Tm) (Underlying.Ordered_map_ops (K))
+  Transactional_sorted_map.Make (Tm) (K)
 
-module Set (K : Underlying.HASHED) =
-  Transactional_set.Make (Tm) (Underlying.Hashed_map_ops (K))
+module Set (K : Underlying.HASHED) = Transactional_set.Make (Tm) (K)
 
 module Sorted_set (K : Underlying.ORDERED) =
-  Transactional_sorted_set.Make (Tm) (Underlying.Ordered_map_ops (K))
+  Transactional_sorted_set.Make (Tm) (K)
 
 module Queue = Transactional_queue.Make (Tm) (Underlying.Deque_ops)
 
@@ -35,19 +33,12 @@ module Priority_queue (P : Underlying.ORDERED) =
 
 module Bag (K : Underlying.HASHED) = Transactional_bag.Make (Tm) (K)
 
-(* Alternative underlying implementations: the wrapper code is identical;
-   only the wrapped structure changes (paper: "they can serve as drop-in
-   replacements", with no knowledge of data structure internals). *)
-
-module Map_over_open_addressing (K : Underlying.HASHED) =
-  Transactional_map.Make (Tm) (Underlying.Oa_map_ops (K))
-
-module Sorted_map_over_skiplist (K : Underlying.ORDERED) =
-  Transactional_sorted_map.Make (Tm) (Underlying.Skiplist_map_ops (K))
-
 (* The undo-logging alternative (paper §5.1): the map's spec derived with
-   eager update — in-place writes under exclusive write locks, priors
-   written back on abort. *)
+   eager update — in-place writes to a wrapped chained hash map under
+   exclusive write locks, priors written back on abort.  Any
+   [Tm_intf.HASHED_MAP_OPS] can be wrapped instead, e.g.
+   [Transactional_map.Make_undo (Tm) (Underlying.Oa_map_ops (K))] over
+   open addressing (paper: "they can serve as drop-in replacements"). *)
 module Map_undo (K : Underlying.HASHED) =
   Transactional_map.Make_undo (Tm) (Underlying.Hashed_map_ops (K))
 

@@ -10,7 +10,6 @@
 
 module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
   module Spec = struct
-    type _ state = (K.t, int) Coll.Chain_hashmap.t
     type key = K.t
     type _ value = int (* multiplicity, always >= 1 in committed state *)
     type _ wop = int (* multiplicity delta *)
@@ -18,15 +17,6 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
     let name = "TransactionalBag"
     let keying = Derive.Hashed { hash = K.hash; equal = K.equal }
     let update = Derive.Lazy
-    let create () = Coll.Chain_hashmap.create ~hash:K.hash ~equal:K.equal ()
-    let find s k = Coll.Chain_hashmap.find s k
-
-    let apply s k d =
-      let m = Option.value (Coll.Chain_hashmap.find s k) ~default:0 + d in
-      if m <= 0 then Coll.Chain_hashmap.remove s k
-      else Coll.Chain_hashmap.add s k m
-
-    let fold f s acc = Coll.Chain_hashmap.fold f s acc
     let combine ~earlier ~later = earlier + later
 
     let view prior d =

@@ -19,7 +19,6 @@
 
 module Make (TM : Tm_intf.TM_OPS) = struct
   module Spec = struct
-    type _ state = (int, int) Hashtbl.t
     type key = int
     type _ value = int
     type _ wop = int (* delta *)
@@ -27,14 +26,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     let name = "TransactionalCounter"
     let keying = Derive.Hashed { hash = Fun.id; equal = Int.equal }
     let update = Derive.Lazy
-    let create () = Hashtbl.create 16
-    let find s k = Hashtbl.find_opt s k
-
-    let apply s k d =
-      let v = Option.value (Hashtbl.find_opt s k) ~default:0 + d in
-      Hashtbl.replace s k v
-
-    let fold f s acc = Hashtbl.fold f s acc
     let combine ~earlier ~later = earlier + later
     let view prior d = Some (Option.value prior ~default:0 + d)
     let absorbing _ = false

@@ -1,5 +1,5 @@
-(* TransactionalMap (paper §3.1): wraps an existing Map implementation and
-   replaces memory-level conflicts (size field, bucket collisions) with
+(* TransactionalMap (paper §3.1): replaces the memory-level conflicts of
+   a shared Map implementation (size field, bucket collisions) with
    semantic conflict detection on the Map abstract data type.
 
    The map is a class derived through {!Derive} from its commutativity
@@ -9,42 +9,29 @@
    presence.  The functor therefore generates exactly Table 2's locking —
    key locks on reads and value-returning writes, the size lock on size
    and enumeration, the isEmpty lock when emptiness flips — together with
-   the striped shards of the wrapped map, the store buffer, the commit
-   region plan, the prepare/apply/abort handlers and the snapshot shadow
-   chains (Table 3's committed, shared and local state).
+   the striped shadow chains that hold the committed bindings, the store
+   buffer, the commit region plan and the prepare/apply/abort handlers
+   (Table 3's committed, shared and local state).
 
    What stays here is what only the map has: the compound operations
    built from the primitives, the [isEmpty] encoding ablation, the
    incremental cursor, and the Table 3 state dump.  The set is the same
    spec at [unit] values ({!Transactional_set}). *)
 
-module Spec_with
-    (M : Tm_intf.MAP_OPS)
-    (K : sig
-      val name : string
-      val keying : M.key Derive.keying
-    end) =
+module Spec_with (K : sig
+  type key
+
+  val name : string
+  val keying : key Derive.keying
+end) =
 struct
-  type 'v state = 'v M.t
-  type key = M.key
+  type key = K.key
   type 'v value = 'v
   type 'v wop = 'v option (* the binding after the write; None = removal *)
 
   let name = K.name
   let keying = K.keying
   let update = Derive.Lazy
-  let create = M.create
-  let find = M.find
-
-  let apply s k = function
-    | Some v -> M.add s k v
-    | None -> M.remove s k
-
-  let fold f s acc =
-    let a = ref acc in
-    M.iter (fun k v -> a := f k v !a) s;
-    !a
-
   let combine ~earlier:_ ~later = later
   let view _ w = w
   let absorbing _ = true
@@ -53,16 +40,15 @@ struct
   let uses_isempty = true
 end
 
-module Spec (M : Tm_intf.HASHED_MAP_OPS) =
-  Spec_with
-    (M)
-    (struct
-      let name = "Transactional_map"
-      let keying = Derive.Hashed { hash = M.hash; equal = M.equal }
-    end)
+module Spec (K : Underlying.HASHED) = Spec_with (struct
+  type key = K.t
 
-module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
-  module D = Derive.Make (TM) (Spec (M))
+  let name = "Transactional_map"
+  let keying = Derive.Hashed { hash = K.hash; equal = K.equal }
+end)
+
+module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
+  module D = Derive.Make (TM) (Spec (K))
   module L = D.L
 
   type isempty_policy =
@@ -142,7 +128,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
      pinned stamp; such a cursor must be drained in the same section. *)
   type 'v cursor = {
     cparent : 'v t;
-    mutable candidates : M.key list;
+    mutable candidates : K.t list;
     mutable exhausted : bool;
     cpolicy : [ `Eager | `At_exhaustion ];
   }
@@ -184,7 +170,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
   let buffered_writes t = D.buffered_writes t.d
 
   (* Live rendering of Table 3's state inventory: committed state (the
-     sharded wrapped map), shared transactional state (lock tables), and
+     striped shadows), shared transactional state (lock tables), and
      the calling transaction's local state. *)
   let dump_state ppf t =
     let d = t.d in
@@ -212,20 +198,36 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
 end
 
 (* The undo-logging map (paper §5.1, "Redo versus undo logging"): the same
-   spec under the eager discipline.  A write updates the shard in place
-   under the key's writer lock, aborting the key's readers at once and
-   waiting by retry on another writer; abort writes the priors back.  The
-   redo map above is the default; this one makes the design-space
-   comparison executable (the redo-vs-undo ablation). *)
+   spec under the eager discipline, wrapping an existing map [M] as its
+   in-place table.  A write updates [M] in place under the key's writer
+   lock, aborting the key's readers at once and waiting by retry on
+   another writer; abort writes the priors back.  The redo map above is
+   the default; this one makes the design-space comparison executable
+   (the redo-vs-undo ablation). *)
 module Make_undo (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
   module D =
     Derive.Make
       (TM)
       (struct
-        include Spec (M)
+        include Spec (struct
+          type t = M.key
+
+          let hash = M.hash
+          let equal = M.equal
+        end)
 
         let name = "Transactional_map.Make_undo"
-        let update = Derive.Eager Fun.id
+
+        let update =
+          Derive.Eager
+            {
+              create = M.create;
+              find = M.find;
+              apply =
+                (fun m k -> function
+                  | Some v -> M.add m k v | None -> M.remove m k);
+              restore = Fun.id;
+            }
       end)
 
   type 'v t = 'v D.t

@@ -1,15 +1,15 @@
-(** TransactionalMap (paper §3.1): wraps an existing [Map] implementation so
-    that long-running transactions can operate on it concurrently without
-    the unnecessary memory-level conflicts of the implementation (size
-    fields, bucket collisions).  Conflicts are detected on the abstract data
-    type instead: read operations take semantic locks (Table 2), writes are
-    buffered per transaction and applied by a commit handler that aborts
-    transactions holding locks on the abstract state being overwritten.
+(** TransactionalMap (paper §3.1): a map that long-running transactions
+    can operate on concurrently without the memory-level conflicts of a
+    shared implementation (size fields, bucket collisions).  Conflicts are
+    detected on the abstract data type instead: read operations take
+    semantic locks (Table 2), writes are buffered per transaction and
+    applied by a commit handler that aborts transactions holding locks on
+    the abstract state being overwritten.
 
     All operations may be called inside or outside transactions; outside,
     each operation is its own atomic (auto-commit) transaction.
 
-    Keys are equal when [M.equal] says so; [M.hash] picks their stripe.
+    Keys are equal when [K.equal] says so; [K.hash] picks their stripe.
 
     Inside a snapshot read section ([TM.in_snapshot], e.g. [Stm.snapshot]),
     every read operation — point lookups, size/is_empty, folds and cursors
@@ -17,33 +17,31 @@
     snapshot stamp: no semantic locks, no critical regions, no conflicts,
     no aborts.  Write operations raise [Invalid_argument] there. *)
 
-(** The map's commutativity spec over [M] under [K.keying]: a write is
-    the binding it installs ([None] = removal), last write wins and reads
-    back without a committed read, and an observation weighs its
-    presence.  {!Transactional_sorted_map} derives from it under the
+(** The map's commutativity spec over keys [K.key] under [K.keying]: a
+    write is the binding it installs ([None] = removal), last write wins
+    and reads back without a committed read, and an observation weighs
+    its presence.  {!Transactional_sorted_map} derives from it under the
     map's comparator. *)
-module Spec_with
-    (M : Tm_intf.MAP_OPS)
-    (K : sig
-      val name : string
-      val keying : M.key Derive.keying
-    end) :
+module Spec_with (K : sig
+  type key
+
+  val name : string
+  val keying : key Derive.keying
+end) :
   Derive.SPEC
-    with type 'v state = 'v M.t
-     and type key = M.key
+    with type key = K.key
      and type 'v value = 'v
      and type 'v wop = 'v option
 
-(** The hashed map's spec: [Spec_with] under [M]'s hash and equality.
+(** The hashed map's spec: [Spec_with] under [K]'s hash and equality.
     {!Transactional_set} derives from it at [unit] values. *)
-module Spec (M : Tm_intf.HASHED_MAP_OPS) :
+module Spec (K : Underlying.HASHED) :
   Derive.SPEC
-    with type 'v state = 'v M.t
-     and type key = M.key
+    with type key = K.t
      and type 'v value = 'v
      and type 'v wop = 'v option
 
-module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
+module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) : sig
   type 'v t
 
   (** Encoding of [isEmpty] (§5.1 "Alternative semantic locks"). *)
@@ -59,10 +57,10 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
   val create :
     ?stripes:int ->
     ?isempty_policy:isempty_policy ->
-    ?copy_key:(M.key -> M.key) ->
+    ?copy_key:(K.t -> K.t) ->
     unit ->
     'v t
-  (** Create a map with a fresh underlying [M.t].
+  (** Create an empty map.
 
       [stripes] (default 16, clamped to [1, 62]) shards the semantic lock
       tables and the committed state into that many key stripes, each
@@ -81,27 +79,27 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
 
   (** {1 Point operations} *)
 
-  val find : 'v t -> M.key -> 'v option
+  val find : 'v t -> K.t -> 'v option
   (** Takes a key lock (unless served from the transaction's own buffer). *)
 
-  val mem : 'v t -> M.key -> bool
+  val mem : 'v t -> K.t -> bool
 
-  val put : 'v t -> M.key -> 'v -> 'v option
+  val put : 'v t -> K.t -> 'v -> 'v option
   (** Buffers the write and returns the previous value — thereby reading the
       key and taking its lock (Table 2). *)
 
-  val remove : 'v t -> M.key -> 'v option
+  val remove : 'v t -> K.t -> 'v option
 
-  val put_blind : 'v t -> M.key -> 'v -> unit
+  val put_blind : 'v t -> K.t -> 'v -> unit
   (** §5.1 extension: does not read the previous value, takes no key lock —
       two transactions blind-writing the same key need no ordering. *)
 
-  val remove_blind : 'v t -> M.key -> unit
+  val remove_blind : 'v t -> K.t -> unit
 
-  val put_if_absent : 'v t -> M.key -> 'v -> 'v
+  val put_if_absent : 'v t -> K.t -> 'v -> 'v
   (** Insert [v] unless the key is bound; returns the residing value. *)
 
-  val update : 'v t -> M.key -> ('v option -> 'v option) -> unit
+  val update : 'v t -> K.t -> ('v option -> 'v option) -> unit
   (** Read-modify-write under the key lock; [None] removes. *)
 
   (** {1 Aggregate operations} *)
@@ -112,13 +110,13 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
   val is_empty : 'v t -> bool
   (** Lock per [isempty_policy]. *)
 
-  val fold : (M.key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+  val fold : (K.t -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
   (** Full enumeration in one atomic step, merging the transaction's buffer:
       takes a key lock on every binding returned plus the size lock. *)
 
-  val iter : (M.key -> 'v -> unit) -> 'v t -> unit
-  val to_list : 'v t -> (M.key * 'v) list
-  val keys : 'v t -> M.key list
+  val iter : (K.t -> 'v -> unit) -> 'v t -> unit
+  val to_list : 'v t -> (K.t * 'v) list
+  val keys : 'v t -> K.t list
   val values : 'v t -> 'v list
 
   (** {1 Cursor iteration}
@@ -132,11 +130,11 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
   type 'v cursor
 
   val cursor : ?size_lock:[ `Eager | `At_exhaustion ] -> 'v t -> 'v cursor
-  val next : 'v cursor -> (M.key * 'v) option
+  val next : 'v cursor -> (K.t * 'v) option
 
   (** {1 Introspection} (tests, lock-table traces) *)
 
-  val holds_key_lock : 'v t -> M.key -> bool
+  val holds_key_lock : 'v t -> K.t -> bool
   val holds_size_lock : 'v t -> bool
   val holds_isempty_lock : 'v t -> bool
 
@@ -154,7 +152,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
       version and the one it replaced) once no snapshot reader is pinned
       below the newest versions; 1 on a TM without snapshots. *)
 
-  val key_history_length : 'v t -> M.key -> int
+  val key_history_length : 'v t -> K.t -> int
   (** Length of the shadow chain of the stripe holding the key — the one
       chain a writer of only that key publishes to. *)
 
@@ -165,7 +163,8 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
 end
 
 (** The undo-logging map of paper §5.1 ("Redo versus undo logging"):
-    {!Spec} under {!Derive}'s eager discipline.  A write updates the
+    {!Spec} under {!Derive}'s eager discipline, wrapping an existing map
+    [M] (one per stripe) as its in-place table.  A write updates the
     wrapped map in place under an exclusive write lock on its key — early
     conflict detection, as undo logging requires — and abort writes the
     priors back.  It shares the redo map's stripes, key equality and

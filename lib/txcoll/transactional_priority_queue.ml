@@ -9,7 +9,6 @@
 
 module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
   module Spec = struct
-    type _ state = (P.t, int) Coll.Ordmap.t
     type key = P.t
     type _ value = int (* multiplicity, always >= 1 in committed state *)
     type _ wop = int (* multiplicity delta *)
@@ -17,14 +16,6 @@ module Make (TM : Tm_intf.TM_OPS) (P : Underlying.ORDERED) = struct
     let name = "TransactionalPriorityQueue"
     let keying = Derive.Ordered P.compare
     let update = Derive.Lazy
-    let create () = Coll.Ordmap.create ~compare:P.compare ()
-    let find s k = Coll.Ordmap.find s k
-
-    let apply s k d =
-      let m = Option.value (Coll.Ordmap.find s k) ~default:0 + d in
-      if m <= 0 then Coll.Ordmap.remove s k else Coll.Ordmap.add s k m
-
-    let fold f s acc = Coll.Ordmap.fold f s acc
     let combine ~earlier ~later = earlier + later
 
     let view prior d =

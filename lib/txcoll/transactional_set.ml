@@ -6,8 +6,8 @@
    Table 1/2 conflicts: key facets for add/remove/mem, the size facet
    when presence flips, the isEmpty facet when emptiness flips. *)
 
-module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
-  module D = Derive.Make (TM) (Transactional_map.Spec (M))
+module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
+  module D = Derive.Make (TM) (Transactional_map.Spec (K))
 
   type t = unit D.t
 

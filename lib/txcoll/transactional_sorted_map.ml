@@ -16,23 +16,23 @@
    (subMap/headMap/tailMap), the incremental Table 5 cursor, the blind
    writes, and the Table 6 state dump and lock probes. *)
 
-module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
+module Make (TM : Tm_intf.TM_OPS) (K : Underlying.ORDERED) = struct
   module D =
     Derive.Make
       (TM)
-      (Transactional_map.Spec_with
-         (M)
-         (struct
-           let name = "Transactional_sorted_map"
-           let keying = Derive.Ordered M.compare_key
-         end))
+      (Transactional_map.Spec_with (struct
+        type key = K.t
+
+        let name = "Transactional_sorted_map"
+        let keying = Derive.Ordered K.compare
+      end))
 
   module L = D.L
 
   type 'v t = 'v D.t
 
   let create ?splitters ?copy_key () : 'v t = D.create ?splitters ?copy_key ()
-  let compare_key = M.compare_key
+  let compare_key = K.compare
   let stripe_count = D.stripe_count
 
   (* ---------------- point operations (as TransactionalMap) ------------- *)
@@ -61,11 +61,11 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
 
   (* ---------------- SortedMap views (subMap/headMap/tailMap) ----------- *)
 
-  type 'v view = { parent : 'v t; lo : M.key option; hi : M.key option }
+  type 'v view = { parent : 'v t; lo : K.t option; hi : K.t option }
 
   let in_bounds v k =
-    (match v.lo with None -> true | Some b -> M.compare_key k b >= 0)
-    && match v.hi with None -> true | Some b -> M.compare_key k b < 0
+    (match v.lo with None -> true | Some b -> K.compare k b >= 0)
+    && match v.hi with None -> true | Some b -> K.compare k b < 0
 
   let sub_map t ~lo ~hi = { parent = t; lo = Some lo; hi = Some hi }
   let head_map t ~hi = { parent = t; lo = None; hi = Some hi }
@@ -116,9 +116,9 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
      snapshot every step resolves at the section's pinned stamp. *)
   type 'v cursor = {
     cparent : 'v t;
-    clo : M.key option;
-    chi : M.key option;
-    mutable cpos : M.key option; (* last returned key *)
+    clo : K.t option;
+    chi : K.t option;
+    mutable cpos : K.t option; (* last returned key *)
     mutable cexhausted : bool;
   }
 

@@ -13,11 +13,11 @@
     snapshot stamp: no semantic locks, no critical regions, no conflicts,
     no aborts.  Write operations raise [Invalid_argument] there. *)
 
-module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
+module Make (TM : Tm_intf.TM_OPS) (K : Underlying.ORDERED) : sig
   type 'v t
 
   val create :
-    ?splitters:M.key list -> ?copy_key:(M.key -> M.key) -> unit -> 'v t
+    ?splitters:K.t list -> ?copy_key:(K.t -> K.t) -> unit -> 'v t
   (** [splitters] cuts the key space into B = [length splitters + 1]
       ordered intervals (sorted and deduplicated internally, clamped to 61
       cut points), each owning its own committed sub-map, commit region and
@@ -28,85 +28,85 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
       plans every region, for the endpoint rescan).  The default (no
       splitters) is a single interval. *)
 
-  val compare_key : M.key -> M.key -> int
+  val compare_key : K.t -> K.t -> int
 
   val stripe_count : 'v t -> int
   (** Number of intervals B. *)
 
   (** {1 Point operations} (as TransactionalMap) *)
 
-  val find : 'v t -> M.key -> 'v option
-  val mem : 'v t -> M.key -> bool
-  val put : 'v t -> M.key -> 'v -> 'v option
-  val remove : 'v t -> M.key -> 'v option
-  val put_blind : 'v t -> M.key -> 'v -> unit
-  val remove_blind : 'v t -> M.key -> unit
+  val find : 'v t -> K.t -> 'v option
+  val mem : 'v t -> K.t -> bool
+  val put : 'v t -> K.t -> 'v -> 'v option
+  val remove : 'v t -> K.t -> 'v option
+  val put_blind : 'v t -> K.t -> 'v -> unit
+  val remove_blind : 'v t -> K.t -> unit
   val size : 'v t -> int
   val is_empty : 'v t -> bool
 
   (** {1 Ordered access} *)
 
-  val first_binding : 'v t -> (M.key * 'v) option
+  val first_binding : 'v t -> (K.t * 'v) option
   (** Takes the first lock; conflicts with commits that change the
       minimum. *)
 
-  val last_binding : 'v t -> (M.key * 'v) option
-  val first_key : 'v t -> M.key option
-  val last_key : 'v t -> M.key option
+  val last_binding : 'v t -> (K.t * 'v) option
+  val first_key : 'v t -> K.t option
+  val last_key : 'v t -> K.t option
 
   val fold_range :
-    (M.key -> 'v -> 'acc -> 'acc) ->
+    (K.t -> 'v -> 'acc -> 'acc) ->
     'v t ->
     'acc ->
-    lo:M.key option ->
-    hi:M.key option ->
+    lo:K.t option ->
+    hi:K.t option ->
     'acc
   (** In-order fold over [lo <= k < hi] (half-open, Java [subMap] style),
       merging the transaction's sorted store buffer.  Takes a range lock
       over the span, plus the first lock when [lo = None] and the last lock
       when [hi = None]. *)
 
-  val fold : (M.key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
-  val iter : (M.key -> 'v -> unit) -> 'v t -> unit
-  val to_list : 'v t -> (M.key * 'v) list
+  val fold : (K.t -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+  val iter : (K.t -> 'v -> unit) -> 'v t -> unit
+  val to_list : 'v t -> (K.t * 'v) list
 
   (** {1 Views} — mutable [SortedMap] views as in Java *)
 
   type 'v view
 
-  val sub_map : 'v t -> lo:M.key -> hi:M.key -> 'v view
-  val head_map : 'v t -> hi:M.key -> 'v view
-  val tail_map : 'v t -> lo:M.key -> 'v view
+  val sub_map : 'v t -> lo:K.t -> hi:K.t -> 'v view
+  val head_map : 'v t -> hi:K.t -> 'v view
+  val tail_map : 'v t -> lo:K.t -> 'v view
 
   module View : sig
-    val find : 'v view -> M.key -> 'v option
-    val mem : 'v view -> M.key -> bool
+    val find : 'v view -> K.t -> 'v option
+    val mem : 'v view -> K.t -> bool
 
-    val put : 'v view -> M.key -> 'v -> 'v option
+    val put : 'v view -> K.t -> 'v -> 'v option
     (** @raise Invalid_argument outside the view's bounds. *)
 
-    val remove : 'v view -> M.key -> 'v option
-    val fold : (M.key -> 'v -> 'acc -> 'acc) -> 'v view -> 'acc -> 'acc
-    val iter : (M.key -> 'v -> unit) -> 'v view -> unit
-    val to_list : 'v view -> (M.key * 'v) list
+    val remove : 'v view -> K.t -> 'v option
+    val fold : (K.t -> 'v -> 'acc -> 'acc) -> 'v view -> 'acc -> 'acc
+    val iter : (K.t -> 'v -> unit) -> 'v view -> unit
+    val to_list : 'v view -> (K.t * 'v) list
     val size : 'v view -> int
 
     val is_empty : 'v view -> bool
     (** [first_binding v = None], with its locks: a range lock over the
         whole view when it is empty. *)
 
-    val first_binding : 'v view -> (M.key * 'v) option
+    val first_binding : 'v view -> (K.t * 'v) option
     (** Reveals the absence of keys in [lo, found): takes a range lock over
         that prefix and a key lock on the found key.  O(log n) in every read
         mode. *)
 
-    val last_binding : 'v view -> (M.key * 'v) option
+    val last_binding : 'v view -> (K.t * 'v) option
     (** The mirror image: a range lock over [found, hi) and a key lock on
         the found key (a range lock over the whole view when it is empty).
         O(log n) in every read mode. *)
 
-    val first_key : 'v view -> M.key option
-    val last_key : 'v view -> M.key option
+    val first_key : 'v view -> K.t option
+    val last_key : 'v view -> K.t option
   end
 
   (** {1 Ordered cursor} — the incremental iterator of Table 5: each [next]
@@ -117,12 +117,12 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) : sig
 
   type 'v cursor
 
-  val cursor : ?lo:M.key -> ?hi:M.key -> 'v t -> 'v cursor
-  val cursor_next : 'v cursor -> (M.key * 'v) option
+  val cursor : ?lo:K.t -> ?hi:K.t -> 'v t -> 'v cursor
+  val cursor_next : 'v cursor -> (K.t * 'v) option
 
   (** {1 Introspection} *)
 
-  val holds_key_lock : 'v t -> M.key -> bool
+  val holds_key_lock : 'v t -> K.t -> bool
   val holds_size_lock : 'v t -> bool
   val holds_range_lock : 'v t -> bool
   val holds_first_lock : 'v t -> bool

@@ -1,8 +1,8 @@
 (* TransactionalSortedSet: wrapper over TransactionalSortedMap with unit
    values (paper §5.1). *)
 
-module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
-  module Map = Transactional_sorted_map.Make (TM) (M)
+module Make (TM : Tm_intf.TM_OPS) (K : Underlying.ORDERED) = struct
+  module Map = Transactional_sorted_map.Make (TM) (K)
 
   type t = unit Map.t
 

@@ -1,6 +1,7 @@
-(* Adapters presenting the plain host data structures (lib/coll) through the
-   Tm_intf operation signatures, so they can serve as the wrapped "existing
-   implementations" of the transactional collection classes. *)
+(* Key modules of the derived collection classes, and adapters presenting
+   the plain host data structures (lib/coll) through the Tm_intf operation
+   signatures, so they can serve as the wrapped "existing implementations"
+   of the undo-logging map and the queue. *)
 
 module type HASHED = sig
   type t
@@ -24,31 +25,10 @@ module Hashed_map_ops (K : HASHED) :
 
   let hash = K.hash
   let equal = K.equal
-
   let create () = Coll.Chain_hashmap.create ~hash:K.hash ~equal:K.equal ()
   let find = Coll.Chain_hashmap.find
-  let mem = Coll.Chain_hashmap.mem
   let add = Coll.Chain_hashmap.add
   let remove = Coll.Chain_hashmap.remove
-  let size = Coll.Chain_hashmap.size
-  let iter = Coll.Chain_hashmap.iter
-end
-
-module Ordered_map_ops (K : ORDERED) :
-  Tm_intf.SORTED_MAP_OPS
-    with type key = K.t
-     and type 'v t = (K.t, 'v) Coll.Ordmap.t = struct
-  type key = K.t
-  type 'v t = (K.t, 'v) Coll.Ordmap.t
-
-  let create () = Coll.Ordmap.create ~compare:K.compare ()
-  let find = Coll.Ordmap.find
-  let mem = Coll.Ordmap.mem
-  let add = Coll.Ordmap.add
-  let remove = Coll.Ordmap.remove
-  let size = Coll.Ordmap.size
-  let iter = Coll.Ordmap.iter
-  let compare_key = K.compare
 end
 
 module Oa_map_ops (K : HASHED) :
@@ -60,31 +40,10 @@ module Oa_map_ops (K : HASHED) :
 
   let hash = K.hash
   let equal = K.equal
-
   let create () = Coll.Oa_hashmap.create ~hash:K.hash ~equal:K.equal ()
   let find = Coll.Oa_hashmap.find
-  let mem = Coll.Oa_hashmap.mem
   let add = Coll.Oa_hashmap.add
   let remove = Coll.Oa_hashmap.remove
-  let size = Coll.Oa_hashmap.size
-  let iter = Coll.Oa_hashmap.iter
-end
-
-module Skiplist_map_ops (K : ORDERED) :
-  Tm_intf.SORTED_MAP_OPS
-    with type key = K.t
-     and type 'v t = (K.t, 'v) Coll.Skiplist.t = struct
-  type key = K.t
-  type 'v t = (K.t, 'v) Coll.Skiplist.t
-
-  let create () = Coll.Skiplist.create ~compare:K.compare ()
-  let find = Coll.Skiplist.find
-  let mem = Coll.Skiplist.mem
-  let add = Coll.Skiplist.add
-  let remove = Coll.Skiplist.remove
-  let size = Coll.Skiplist.size
-  let iter = Coll.Skiplist.iter
-  let compare_key = K.compare
 end
 
 module Deque_ops : Tm_intf.QUEUE_OPS with type 'v t = 'v Coll.Fifo_deque.t =

@@ -5,6 +5,13 @@
 module Stm = Tcc_stm.Stm
 module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
 
+(* The same class wrapping an open-addressing table instead of the
+   chained hash map: existing structures can be swapped in. *)
+module UM_oa =
+  Txcoll.Transactional_map.Make_undo
+    (Txcoll.Host.Tm)
+    (Txcoll.Underlying.Oa_map_ops (Txcoll.Host.Int_hashed))
+
 let conflict_scenario ~reader ~writer =
   let phase = Atomic.make 0 in
   let signal n = if Atomic.get phase < n then Atomic.set phase n in
@@ -135,29 +142,43 @@ let test_undo_write_write_no_lost_update () =
   Alcotest.(check (option int)) "no lost increments" (Some (2 * n)) (UM.find m 0);
   Alcotest.(check int) "no leaks" 0 (UM.outstanding_locks m)
 
+module type UNDO_MAP = sig
+  type 'v t
+
+  val create : unit -> 'v t
+  val find : 'v t -> int -> 'v option
+  val put : 'v t -> int -> 'v -> 'v option
+  val size : 'v t -> int
+  val outstanding_locks : 'v t -> int
+end
+
+let model_property (module M : UNDO_MAP) wrapped =
+  QCheck.Test.make
+    ~name:
+      ("undo map over " ^ wrapped
+     ^ " equals model after mixed commits/aborts")
+    ~count:60
+    QCheck.(list (triple small_nat small_int bool))
+    (fun ops ->
+      let m = M.create () in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (k, v, abort) ->
+          let k = k mod 16 in
+          try
+            Stm.atomic (fun () ->
+                ignore (M.put m k v);
+                if abort then Stm.self_abort ());
+            Hashtbl.replace model k v
+          with Stm.Aborted -> ())
+        ops;
+      M.size m = Hashtbl.length model
+      && Hashtbl.fold (fun k v ok -> ok && M.find m k = Some v) model true
+      && M.outstanding_locks m = 0)
+
 let test_undo_model_property () =
-  let prop =
-    QCheck.Test.make ~name:"undo map equals model after mixed commits/aborts"
-      ~count:60
-      QCheck.(list (triple small_nat small_int bool))
-      (fun ops ->
-        let m = UM.create () in
-        let model = Hashtbl.create 16 in
-        List.iter
-          (fun (k, v, abort) ->
-            let k = k mod 16 in
-            try
-              Stm.atomic (fun () ->
-                  ignore (UM.put m k v);
-                  if abort then Stm.self_abort ());
-              Hashtbl.replace model k v
-            with Stm.Aborted -> ())
-          ops;
-        UM.size m = Hashtbl.length model
-        && Hashtbl.fold (fun k v ok -> ok && UM.find m k = Some v) model true
-        && UM.outstanding_locks m = 0)
-  in
-  QCheck.Test.check_exn prop
+  QCheck.Test.check_exn (model_property (module UM) "chaining");
+  QCheck.Test.check_exn (model_property (module UM_oa) "open addressing")
 
 let suites =
   [
@@ -171,6 +192,8 @@ let suites =
           test_undo_parallel_correct;
         Alcotest.test_case "write-write serializes" `Quick
           test_undo_write_write_waits;
+        Alcotest.test_case "write-write no lost update" `Quick
+          test_undo_write_write_no_lost_update;
         Alcotest.test_case "model property" `Quick test_undo_model_property;
       ] );
   ]

@@ -16,6 +16,7 @@ module Bag = Txcoll.Host.Bag (Txcoll.Host.Int_hashed)
 module Pq = Txcoll.Host.Priority_queue (Txcoll.Host.Int_ordered)
 module Counter = Txcoll.Host.Counter
 module Sorted = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
+module Map = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 
 (* ---------------- unit: counter ---------------- *)
 
@@ -177,6 +178,30 @@ let test_snapshot_reads_pinned_prefix () =
   Alcotest.(check string) "later pin sees the commit" committed
     (Stm.snapshot observe);
   Alcotest.(check string) "committed state agrees" committed (observe ())
+
+(* One copy of committed state: a quiescent derived map holds its
+   committed bindings once, in the newest shadow of each stripe (with no
+   snapshot pinned a chain keeps at most the version before, which shares
+   all but one path with it).  Heap words reachable per key at 4 096
+   committed int keys: hash map 20.7 and sorted map 12.1 when every
+   stripe also kept a mutable shard beside its shadows, 10.7 and 6.1 with
+   the shadows alone. *)
+let test_one_copy_of_committed_state () =
+  let n = 4096 in
+  let m = Map.create () and sm = Sorted.create () in
+  for k = 0 to n - 1 do
+    Stm.atomic (fun () ->
+        ignore (Map.put m k k);
+        ignore (Sorted.put sm k k))
+  done;
+  let per_key x = float (Obj.reachable_words (Obj.repr x)) /. float n in
+  let check what words bound =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1f words per key (<= %.0f)" what words bound)
+      true (words <= bound)
+  in
+  check "hash map" (per_key m) 14.;
+  check "sorted map" (per_key sm) 8.
 
 (* ---------------- QCheck spec soundness ---------------- *)
 
@@ -745,6 +770,8 @@ let suites =
         Alcotest.test_case "pq basics" `Quick test_pq_basics;
         Alcotest.test_case "snapshot reads pinned prefix" `Quick
           test_snapshot_reads_pinned_prefix;
+        Alcotest.test_case "one copy of committed state" `Quick
+          test_one_copy_of_committed_state;
       ] );
     ("derive.spec.set", qsuite Set_sound.tests);
     ("derive.spec.bag", qsuite Bag_sound.tests);

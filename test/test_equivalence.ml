@@ -1,14 +1,20 @@
 (* Equivalence properties:
    - cursor drains equal fold-based enumerations within one transaction;
-   - the two Map underlyings (chaining / open addressing) and the two
-     SortedMap underlyings (AVL / skip list) are observationally equal under
-     the wrapper, for random transactional programs. *)
+   - the undo-logging map wrapping chaining and wrapping open addressing
+     are observationally equal, for random transactional programs;
+   - the sorted map (committed state in AVL shadows) is observationally
+     equal to a plain skip list that receives only the committed
+     transactions. *)
 
 module Stm = Tcc_stm.Stm
 module IM = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 module SM = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
-module OaM = Txcoll.Host.Map_over_open_addressing (Txcoll.Host.Int_hashed)
-module SkipM = Txcoll.Host.Sorted_map_over_skiplist (Txcoll.Host.Int_ordered)
+module ChainM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
+
+module OaM =
+  Txcoll.Transactional_map.Make_undo
+    (Txcoll.Host.Tm)
+    (Txcoll.Underlying.Oa_map_ops (Txcoll.Host.Int_hashed))
 
 type op = Put of int * int | Remove of int | Abort_txn
 
@@ -86,34 +92,47 @@ let prop_cursor_equals_fold_sorted =
 let prop_underlyings_equivalent_map =
   QCheck.Test.make ~name:"chaining and open addressing observationally equal"
     ~count:80 arb_prog (fun prog ->
-      let a = IM.create () in
+      let a = ChainM.create () in
       let b = OaM.create () in
-      run_prog ~put:(fun k v -> ignore (IM.put a k v))
-        ~remove:(fun k -> ignore (IM.remove a k))
+      run_prog ~put:(fun k v -> ignore (ChainM.put a k v))
+        ~remove:(fun k -> ignore (ChainM.remove a k))
         prog;
       run_prog ~put:(fun k v -> ignore (OaM.put b k v))
         ~remove:(fun k -> ignore (OaM.remove b k))
         prog;
-      IM.size a = OaM.size b
-      && List.sort compare (IM.to_list a) = List.sort compare (OaM.to_list b))
+      ChainM.size a = OaM.size b
+      && List.sort compare (ChainM.to_list a)
+         = List.sort compare (OaM.to_list b))
 
 let prop_underlyings_equivalent_sorted =
   QCheck.Test.make ~name:"avl and skiplist observationally equal" ~count:80
     arb_prog (fun prog ->
       let a = SM.create () in
-      let b = SkipM.create () in
+      let b = Coll.Skiplist.create ~compare:Int.compare () in
       run_prog ~put:(fun k v -> ignore (SM.put a k v))
         ~remove:(fun k -> ignore (SM.remove a k))
         prog;
-      run_prog ~put:(fun k v -> ignore (SkipM.put b k v))
-        ~remove:(fun k -> ignore (SkipM.remove b k))
+      (* The skip list applies a transaction's operations only when it
+         commits, that is, when it does not abort itself. *)
+      List.iter
+        (fun txn_ops ->
+          if not (List.mem Abort_txn txn_ops) then
+            List.iter
+              (function
+                | Put (k, v) -> Coll.Skiplist.add b k v
+                | Remove k -> Coll.Skiplist.remove b k
+                | Abort_txn -> ())
+              txn_ops)
         prog;
-      SM.to_list a = SkipM.to_list b
-      && SM.first_key a = SkipM.first_key b
-      && SM.last_key a = SkipM.last_key b
+      let range = ref [] in
+      Coll.Skiplist.iter_range
+        (fun k _ -> range := k :: !range)
+        b ~lo:(Some 4) ~hi:(Some 15);
+      SM.to_list a = Coll.Skiplist.to_list b
+      && SM.first_key a = Option.map fst (Coll.Skiplist.min_binding b)
+      && SM.last_key a = Option.map fst (Coll.Skiplist.max_binding b)
       && SM.fold_range (fun k _ acc -> k :: acc) a [] ~lo:(Some 4) ~hi:(Some 15)
-         = SkipM.fold_range (fun k _ acc -> k :: acc) b [] ~lo:(Some 4)
-             ~hi:(Some 15))
+         = !range)
 
 let suites =
   [

@@ -14,8 +14,7 @@ module Ref_key = struct
   let equal a b = !a = !b
 end
 
-module RM = Txcoll.Transactional_map.Make (Tcc_stm.Stm.Tm_ops)
-    (Txcoll.Underlying.Hashed_map_ops (Ref_key))
+module RM = Txcoll.Transactional_map.Make (Tcc_stm.Stm.Tm_ops) (Ref_key)
 
 let test_mutable_key_without_copy_leaks () =
   let m = RM.create () in
@@ -35,9 +34,9 @@ let test_mutable_key_with_copy_is_safe () =
       ignore (RM.put m k 1);
       k := "beta");
   Alcotest.(check int) "no stranded locks" 0 (RM.outstanding_locks m);
-  (* The map binding itself is under the caller's control (the wrapped map
-     stores the original key, as java.util.HashMap would); only the lock
-     table is protected. *)
+  (* The map binding itself is under the caller's control (the committed
+     shadow stores the original key, as java.util.HashMap would); only the
+     lock table is protected. *)
   Alcotest.(check (option int)) "binding reachable under mutated content"
     (Some 1)
     (RM.find m (ref "beta"))

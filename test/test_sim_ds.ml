@@ -157,8 +157,7 @@ let test_structures_correct_under_contention () =
 (* TransactionalMap over the simulated TCC machine: the same functor body
    as the host instantiation, demonstrating TM-independence. *)
 module SimTxMap =
-  Txcoll.Transactional_map.Make (Sim.Tcc.Tm_ops)
-    (Txcoll.Underlying.Hashed_map_ops (Txcoll.Host.Int_hashed))
+  Txcoll.Transactional_map.Make (Sim.Tcc.Tm_ops) (Txcoll.Host.Int_hashed)
 
 let test_txcoll_over_tcc () =
   let m = Machine.create ~n_cpus:4 () in

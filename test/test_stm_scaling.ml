@@ -177,9 +177,11 @@ let test_retry_loop_allocation_free () =
 (* Point operations on an existing key inside [Stm.atomic]: the
    bookkeeping around the data (semantic lock owners, stripe lookup,
    handler registration, commit) must stay off the allocator.  The
-   budgets sit about 15% above the measured counts; with hashtable lock
-   owners and write set and the per-call retry-loop closures they read
-   285/631 (sorted map) and 233/506 (hash map). *)
+   budgets sit about 15% above the measured counts, 115/296 (sorted map)
+   and 110/287 (hash map) with committed state kept only in the shadows;
+   with hashtable lock owners and write set and the per-call retry-loop
+   closures they read 285/631 and 233/506, and 119/328 and 112/338 while
+   each stripe also kept a mutable shard. *)
 let test_point_op_allocation_budget () =
   let sm = SM.create () and m = IM.create () in
   for k = 0 to 63 do
@@ -187,10 +189,10 @@ let test_point_op_allocation_budget () =
     ignore (IM.put m k k)
   done;
   let per op = words_per_atomic (fun () -> ignore (op ())) in
-  check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 144.;
-  check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 397.;
-  check_budget "hash-map find" (per (fun () -> IM.find m 7)) 178.;
-  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 422.
+  check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 132.;
+  check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 340.;
+  check_budget "hash-map find" (per (fun () -> IM.find m 7)) 127.;
+  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 330.
 
 (* Commit-region plan construction must stay O(regions) per commit: one
    transaction writing one present key in each of [n] single-stripe maps

@@ -492,9 +492,6 @@ end
 
 module Tree_endpoints = View_endpoints (IntSM)
 
-module SkipSM = Txcoll.Host.Sorted_map_over_skiplist (Txcoll.Host.Int_ordered)
-module Skip_endpoints = View_endpoints (SkipSM)
-
 (* Allocation gate for [View.last_key] on a two-interval map whose view
    spans both intervals, in all three read modes: a fixed minor-words
    budget per call, and no growth with the map's size.  Rebuilding the
@@ -552,8 +549,6 @@ let suites =
             test_view_is_empty_conflict_insert;
           QCheck_alcotest.to_alcotest
             (Tree_endpoints.prop "view endpoints match model (AVL)");
-          QCheck_alcotest.to_alcotest
-            (Skip_endpoints.prop "view endpoints match model (skip list)");
           Alcotest.test_case "view lastKey allocation" `Quick
             test_view_last_key_allocation;
         ] );
