@@ -18,8 +18,7 @@ module Tcc = Sim.Tcc
 module Acc = Sim_ds.Acc
 module NQ = Sim_ds.Sim_queue
 
-module SimTxQueue =
-  Txcoll.Transactional_queue.Make (Sim.Tcc.Tm_ops) (Txcoll.Underlying.Deque_ops)
+module SimTxQueue = Txcoll.Transactional_queue.Make (Sim.Tcc.Tm_ops)
 
 type outcome = {
   label : string;

@@ -315,14 +315,17 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
   (* No separate prepare phase on the simulated machine: the hardware
      commit is already atomic under the commit token, so the two halves
      run back-to-back inside it.  The read-only certificate is likewise
-     unused — there is no fast path to take under the commit token — and
-     the stripe region plan is ignored: the commit token already
-     serialises hardware commits, so this is the K=1 degenerate instance
-     of the striped interface. *)
+     unused — there is no fast path to take under the commit token.  The
+     stripe region plan collapses to the handler's own region, held
+     across both halves as one critical step — the K=1 degenerate
+     instance of the striped interface: the token serialises commits, and
+     the region keeps other CPUs' critical sections (a reader, a queue's
+     op-time take) from interleaving with a half-applied batch. *)
   let on_commit_prepared ?read_only:_ ?regions:_ region ~prepare ~apply =
     on_commit region (fun () ->
-        prepare ();
-        apply (next_stamp ()))
+        critical region (fun () ->
+            prepare ();
+            apply (next_stamp ())))
 
   let on_abort h =
     match owner_frame () with

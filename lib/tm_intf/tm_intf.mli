@@ -217,19 +217,3 @@ module type HASHED_MAP_OPS = sig
   val equal : key -> key -> bool
 end
 
-(** Operations of an underlying FIFO queue wrapped by the transactional work
-    queue. *)
-module type QUEUE_OPS = sig
-  type 'v t
-
-  val create : unit -> 'v t
-  val enqueue : 'v t -> 'v -> unit
-  val dequeue : 'v t -> 'v option
-  val peek : 'v t -> 'v option
-  val is_empty : 'v t -> bool
-  val length : 'v t -> int
-
-  val push_front : 'v t -> 'v -> unit
-  (** Return an element to the head: the abort compensation uses this to
-      restore taken-but-unprocessed work in its original order. *)
-end

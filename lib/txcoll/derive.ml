@@ -96,7 +96,10 @@
      commit, so size and isEmpty read it without waiting.  Prepare is
      unchanged; apply folds the size delta and publishes the shadows at
      the commit stamp, so snapshots never see an uncommitted or undone
-     write. *)
+     write.
+   One operation reduces isolation on purpose, for the queue's takes
+   (§3.3): [write_endpoint_now] writes the committed first or last binding
+   at operation time, with no lock, and abort binds it back. *)
 
 type 'k keying =
   | Hashed of { hash : 'k -> int; equal : 'k -> 'k -> bool }
@@ -118,6 +121,10 @@ type ('key, 'value, 'wop) update =
       restore : 'value option -> 'wop;
     }
       -> ('key, 'value, 'wop) update
+
+(* The facets lock introspection reads ({!Make.holds_lock},
+   {!Make.lockers}). *)
+type facet = Semlock.facet = Keys | Size | Isempty | First | Last | Ranges
 
 module type SPEC = sig
   type key
@@ -235,6 +242,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     mutable stripes_mask : int; (* stripes of held key locks + blind keys *)
     mutable ranges_mask : int; (* stripes holding this txn's range locks *)
     mutable struct_locked : bool; (* holds a size/isEmpty/first/last lock *)
+    mutable undo : (S.key * 'v S.value) list;
+        (* bindings replaced by reduced-isolation writes, newest first *)
     shadows : 'v shadow option array;
         (* apply phase: the stripes' shadows being rebuilt, published and
            reset to [None] before it returns *)
@@ -541,7 +550,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
               L.release_ranges_in_stripe t.locks l.txn i)
       done;
     if l.struct_locked then
-      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn)
+      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn);
+    l.undo <- []
 
   (* Committed observation backing a buffer entry; blind entries read it
      under a nested stripe critical (ascending rid from the structure
@@ -701,11 +711,59 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     if not (buf_is_empty l.buffer) then flush t l stamp;
     cleanup t l
 
-  (* Abort phase: an eager transaction writes each key's prior back under
-     the key's region while it still holds the key's writer lock, so no
-     other transaction sees the table between the undo and the
-     release. *)
+  (* Bind [k] in committed state to [after before] at once, [before] being
+     its committed observation, and return [before]; [vacate]: the binding
+     may leave [k] absent, [table] applies the write to an eager spec's
+     table.  Structure-then-stripe (ascending rid), so the new shadow, the
+     committed size and endpoints are atomic for structural readers —
+     every region when an ordered spec's key may empty, for the endpoint
+     rescan; the publication draws its stamp through [TM.begin_publish]
+     under those regions.  On an eager spec it spins while a transaction
+     has the key updated in place: its undo would overwrite this write. *)
+  exception Pending_writer
+
+  let rec bind_now t k ~vacate ~table after =
+    let doit () =
+      TM.critical (key_region t k) (fun () ->
+          if eager && L.key_writer t.locks k <> None then
+            raise_notrace Pending_writer;
+          let si = L.stripe_index t.locks k in
+          let shadow = latest_shadow t si in
+          let before = shadow_find shadow k in
+          if eager then table t.tables.(si);
+          let after = after before in
+          let d = if track_struct then S.weight after - S.weight before else 0 in
+          if d <> 0 then t.csize <- t.csize + d;
+          let stamp = TM.begin_publish () in
+          Fun.protect ~finally:TM.end_publish (fun () ->
+              let min_epoch = TM.reclaim_epoch () in
+              publish_stripe t si ~min_epoch stamp (shadow_set shadow k after);
+              if d <> 0 then publish_size t ~min_epoch stamp);
+          if track_endpoints t k ~before ~after then rescan_endpoints t;
+          before)
+    in
+    let run () =
+      if ordered && vacate then L.critical_all t.locks doit
+      else if track_struct then TM.critical (sregion t) doit
+      else doit ()
+    in
+    if not eager then run ()
+    else
+      match run () with
+      | before -> before
+      | exception Pending_writer ->
+          Domain.cpu_relax ();
+          bind_now t k ~vacate ~table after
+
+  (* Abort phase: bind back what reduced-isolation writes replaced, newest
+     first.  An eager transaction writes each key's prior back under the
+     key's region while it still holds the key's writer lock, so no other
+     transaction sees the table between the undo and the release. *)
   let abort_handler t l =
+    List.iter
+      (fun (k, v) ->
+        ignore (bind_now t k ~vacate:false ~table:ignore (fun _ -> Some v)))
+      l.undo;
     (match S.update with
     | Lazy -> ()
     | Eager { restore; _ } ->
@@ -735,6 +793,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           l.stripes_mask <- 0;
           l.ranges_mask <- 0;
           l.struct_locked <- false;
+          l.undo <- [];
           Array.fill l.shadows 0 (Array.length l.shadows) None;
           l
       | None ->
@@ -750,6 +809,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
               stripes_mask = 0;
               ranges_mask = 0;
               struct_locked = false;
+              undo = [];
               shadows = Array.make (stripe_count t) None;
               h_read_only = (fun () -> buf_is_empty l.buffer);
               h_regions = (fun () -> regions_plan t l ());
@@ -838,10 +898,15 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
               txn_find t k)
     end
 
+  (* Committed size, ignoring the calling transaction and taking no lock:
+     the pinned one inside a snapshot. *)
+  let committed_size t =
+    if TM.in_snapshot () then snap_size t
+    else TM.critical (sregion t) (fun () -> t.csize)
+
   let size t =
     if not S.uses_size then invalid_arg (S.name ^ ": size facet not in spec");
-    if TM.in_snapshot () then snap_size t
-    else if not (TM.in_txn ()) then TM.critical (sregion t) (fun () -> t.csize)
+    if TM.in_snapshot () || not (TM.in_txn ()) then committed_size t
     else begin
       let l = local_of t in
       TM.critical (sregion t) (fun () ->
@@ -862,32 +927,58 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           t.csize + batch_delta t l = 0)
     end
 
+  (* The first ([up]) or last binding the calling transaction's buffer
+     leaves present in [lo, hi), strictly above [above] when given. *)
+  let buffered_seek t l ~up ~above ~lo ~hi =
+    first_visited (fun f ->
+        (if up then Coll.Ordmap.iter_range else Coll.Ordmap.iter_range_rev)
+          (fun k e ->
+            if past above k then
+              match S.view (prior_of t k e) e.w with
+              | Some v -> f k v
+              | None -> ())
+          (ordered_buffer l) ~lo ~hi)
+
   (* The calling transaction's first ([up]) or last binding in [lo, hi),
      strictly above [above] when given ([lo] is then [above]): the first
      committed key the buffer does not override against the first
      buffered key still present, each found by an early-exit walk.
      Caller holds the span's regions. *)
   let merged_seek t l ~up ~above ~lo ~hi =
-    let buf = ordered_buffer l in
     let committed =
       committed_seek t latest_shadow ~up ~above ~lo ~hi
-        ~skip:(Coll.Ordmap.mem buf)
+        ~skip:(Coll.Ordmap.mem (ordered_buffer l))
     in
-    let buffered =
-      first_visited (fun f ->
-          (if up then Coll.Ordmap.iter_range else Coll.Ordmap.iter_range_rev)
-            (fun k e ->
-              if past above k then
-                match S.view (prior_of t k e) e.w with
-                | Some v -> f k v
-                | None -> ())
-            buf ~lo ~hi)
-    in
+    let buffered = buffered_seek t l ~up ~above ~lo ~hi in
     match (committed, buffered) with
     | None, x | x, None -> x
     | Some (kc, _), Some (kb, _) ->
         let c = cmp kb kc in
         if (up && c < 0) || ((not up) && c > 0) then buffered else committed
+
+  (* Caller holds [sregion t]. *)
+  let committed_endpoint_held t ~last =
+    match if last then t.cmax else t.cmin with
+    | None -> None
+    | Some k ->
+        Option.map
+          (fun v -> (k, v))
+          (TM.critical (key_region t k) (fun () -> committed_find t k))
+
+  (* The committed first (or last) binding, ignoring the calling
+     transaction and taking no lock: the pinned one inside a snapshot. *)
+  let committed_endpoint t ~last =
+    if not ordered then hashed_spec ();
+    if TM.in_snapshot () then edge t snap_shadow ~last
+    else TM.critical (sregion t) (fun () -> committed_endpoint_held t ~last)
+
+  (* The first (or last) binding among the calling transaction's buffered
+     writes, taking no lock; [None] outside a transaction. *)
+  let buffered_endpoint t ~last =
+    if not (TM.in_txn ()) then None
+    else
+      buffered_seek t (local_of t) ~up:(not last) ~above:None ~lo:None
+        ~hi:None
 
   (* The first (or last) facet: the least (greatest) present key, with its
      binding.  Inside a transaction it takes the facet's lock; committers
@@ -895,22 +986,13 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      buffered the maintained committed endpoint answers; otherwise the
      merged walk runs under every region. *)
   let endpoint t ~last =
-    if not ordered then hashed_spec ();
-    let committed () =
-      match if last then t.cmax else t.cmin with
-      | None -> None
-      | Some k ->
-          Option.map
-            (fun v -> (k, v))
-            (TM.critical (key_region t k) (fun () -> committed_find t k))
-    in
-    if TM.in_snapshot () then edge t snap_shadow ~last
-    else if not (TM.in_txn ()) then TM.critical (sregion t) committed
+    if TM.in_snapshot () || not (TM.in_txn ()) then committed_endpoint t ~last
     else begin
+      if not ordered then hashed_spec ();
       let l = local_of t in
       TM.critical (sregion t) (fun () ->
           lock_endpoint_held t l ~last;
-          if buf_is_empty l.buffer then committed ()
+          if buf_is_empty l.buffer then committed_endpoint_held t ~last
           else
             L.critical_all t.locks (fun () ->
                 merged_seek t l ~up:(not last) ~above:None ~lo:None ~hi:None))
@@ -1085,49 +1167,38 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   (* ---------------- writes ---------------- *)
 
-  (* Non-transactional write: structure-then-stripe (ascending rid) so
-     the new shadow, the committed size and endpoints are atomic for
-     structural readers — every region when it may
-     empty a key of an ordered spec, for the endpoint rescan; the
-     publication draws its stamp through [TM.begin_publish] under those
-     regions.  On an eager spec it spins while a transaction has the key
-     updated in place: its undo would overwrite this write. *)
-  exception Pending_writer
-
-  let rec nontxn_write t k w =
+  let no_snapshot_write () =
     if TM.in_snapshot () then
-      invalid_arg (S.name ^ ": write inside a snapshot read section");
-    let doit () =
-      TM.critical (key_region t k) (fun () ->
-          if eager && L.key_writer t.locks k <> None then
-            raise_notrace Pending_writer;
-          let si = L.stripe_index t.locks k in
-          let shadow = latest_shadow t si in
-          let before = shadow_find shadow k in
-          if eager then t.tables.(si).tapply k w;
-          let after = S.view before w in
-          let d = if track_struct then S.weight after - S.weight before else 0 in
-          if d <> 0 then t.csize <- t.csize + d;
-          let stamp = TM.begin_publish () in
-          Fun.protect ~finally:TM.end_publish (fun () ->
-              let min_epoch = TM.reclaim_epoch () in
-              publish_stripe t si ~min_epoch stamp (shadow_set shadow k after);
-              if d <> 0 then publish_size t ~min_epoch stamp);
-          if track_endpoints t k ~before ~after then rescan_endpoints t;
-          before)
-    in
-    let run () =
-      if ordered && may_vacate None w then L.critical_all t.locks doit
-      else if track_struct then TM.critical (sregion t) doit
-      else doit ()
-    in
-    if not eager then run ()
-    else
-      match run () with
-      | before -> before
-      | exception Pending_writer ->
-          Domain.cpu_relax ();
-          nontxn_write t k w
+      invalid_arg (S.name ^ ": write inside a snapshot read section")
+
+  let nontxn_write t k w =
+    no_snapshot_write ();
+    bind_now t k ~vacate:(may_vacate None w)
+      ~table:(fun table -> table.tapply k w)
+      (fun before -> S.view before w)
+
+  (* Reduced-isolation write (§3.3; §5 "writes to the underlying state
+     from within open-nested transactions"): [w] reaches the committed
+     first (or last) binding at operation time, as a non-transactional
+     write does, with no semantic lock and no wait, and that binding is
+     returned ([None]: nothing committed).  Inside a transaction the
+     binding is kept in the local record: abort binds it back at its key,
+     commit drops it.  Sound on a lazy spec whose caller keeps every other
+     transaction off the key until this one ends (the queue's sequence
+     keys: each is put once and taken once). *)
+  let write_endpoint_now t ~last w =
+    if not ordered then hashed_spec ();
+    no_snapshot_write ();
+    L.critical_all t.locks (fun () ->
+        match committed_endpoint_held t ~last with
+        | None -> None
+        | Some (k, v) as r ->
+            ignore (nontxn_write t k w);
+            if TM.in_txn () then begin
+              let l = local_of t in
+              l.undo <- (k, v) :: l.undo
+            end;
+            r)
 
   (* Eager write, under the key's region: wait by retry on a foreign
      pending writer ([lock_key]), register as the key's writer and abort
@@ -1151,48 +1222,50 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      to the same key) and return the prior observation.  Blind writes
      read nothing and lock nothing — two blind writers of the same key
      never conflict with each other, only with the key's readers (this
-     is what makes counter increments commute).  Eager writes are never
-     blind: their prior is the undo record. *)
+     is what makes counter increments commute) — and touch only the
+     transaction's own buffer, so they take no region either.  Eager
+     writes are never blind: their prior is the undo record. *)
   let write t k w ~blind =
     if not (TM.in_txn ()) then nontxn_write t k w
     else if eager then eager_write t (local_of t) k w
     else begin
       let l = local_of t in
-      TM.critical (key_region t k) (fun () ->
-          match buf_find l.buffer k with
-          | Some e ->
-              let old =
-                if blind then None
-                else if S.absorbing e.w then S.view None e.w
-                else
-                  let prior =
-                    match e.prior with
-                    | Some p -> p
-                    | None ->
-                        lock_key t l k;
-                        let p = committed_find t k in
-                        e.prior <- Some p;
-                        p
-                  in
-                  S.view prior e.w
-              in
-              e.w <- S.combine ~earlier:e.w ~later:w;
-              old
-          | None ->
-              if blind then begin
-                buf_add l.buffer k { w; prior = None };
-                l.stripes_mask <-
-                  l.stripes_mask lor (1 lsl L.stripe_index t.locks k);
-                None
-              end
-              else begin
+      if blind then begin
+        (match buf_find l.buffer k with
+        | Some e -> e.w <- S.combine ~earlier:e.w ~later:w
+        | None ->
+            buf_add l.buffer k { w; prior = None };
+            l.stripes_mask <-
+              l.stripes_mask lor (1 lsl L.stripe_index t.locks k));
+        None
+      end
+      else
+        TM.critical (key_region t k) (fun () ->
+            match buf_find l.buffer k with
+            | Some e ->
+                let old =
+                  if S.absorbing e.w then S.view None e.w
+                  else
+                    let prior =
+                      match e.prior with
+                      | Some p -> p
+                      | None ->
+                          lock_key t l k;
+                          let p = committed_find t k in
+                          e.prior <- Some p;
+                          p
+                    in
+                    S.view prior e.w
+                in
+                e.w <- S.combine ~earlier:e.w ~later:w;
+                old
+            | None ->
                 (* Returning the prior observation reads the key
                    (Table 2: value-returning writes take a key lock). *)
                 lock_key t l k;
                 let p = committed_find t k in
                 buf_add l.buffer k { w; prior = Some p };
-                p
-              end)
+                p)
     end
 
   let write_blind t k w = ignore (write t k w ~blind:true)
@@ -1205,6 +1278,16 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let outstanding_locks t =
     L.critical_all t.locks (fun () -> L.total_lockers t.locks)
+
+  (* Does the calling transaction hold a lock on [facet]? *)
+  let holds_lock t facet =
+    L.critical_all t.locks (fun () ->
+        L.locked_by t.locks (TM.current ()) facet)
+
+  (* Registrations on [facet]: key entries, coalesced ranges, or the
+     owners of a structural facet. *)
+  let lockers t facet =
+    L.critical_all t.locks (fun () -> L.locker_count t.locks facet)
 
   let buffered_writes t =
     if not (TM.in_txn ()) then 0 else buf_size (local_of t).buffer

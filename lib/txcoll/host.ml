@@ -8,9 +8,9 @@
      let () = Tcc_stm.Stm.atomic (fun () -> ignore (M.put m "k" 1))
    ]}
 
-   Every class but the queue is derived from its commutativity spec
-   through {!Derive}; a hashed class takes its key equality and hash
-   from [K], an ordered one its comparator. *)
+   Every class is derived from its commutativity spec through
+   {!Derive}; a hashed class takes its key equality and hash from [K], an
+   ordered one its comparator. *)
 
 module Tm = Tcc_stm.Stm.Tm_ops
 
@@ -24,7 +24,7 @@ module Set (K : Underlying.HASHED) = Transactional_set.Make (Tm) (K)
 module Sorted_set (K : Underlying.ORDERED) =
   Transactional_sorted_set.Make (Tm) (K)
 
-module Queue = Transactional_queue.Make (Tm) (Underlying.Deque_ops)
+module Queue = Transactional_queue.Make (Tm)
 
 module Counter = Transactional_counter.Make (Tm)
 

@@ -67,6 +67,10 @@
    thereby serialised before the committing writer, which is not a
    conflict. *)
 
+(* The facets whose lock state introspection reads: every key entry, the
+   structural facets, and the range locks. *)
+type facet = Keys | Size | Isempty | First | Last | Ranges
+
 module Make (TM : Tm_intf.TM_OPS) = struct
   type 'k range = { lo : 'k option; hi : 'k option }
   (* Half-open interval [lo, hi); [None] = unbounded on that side. *)
@@ -510,41 +514,43 @@ module Make (TM : Tm_intf.TM_OPS) = struct
         then ignore (TM.remote_abort owner))
       t.stripes.(stripe_index t k).st_ranges
 
-  (* -------------------- introspection (tests, Table 2/5 traces) -------- *)
+  (* -------------------- introspection (tests, Table 3/6/9 dumps) ------- *)
 
   let key_locked_by t txn k =
     match find_entry t k with
     | None -> false
     | Some e -> locker_mem e.readers txn || locker_mem e.writers txn
 
-  let size_locked_by t txn = locker_mem t.size_lockers txn
-  let isempty_locked_by t txn = locker_mem t.isempty_lockers txn
-  let first_locked_by t txn = locker_mem t.first_lockers txn
-  let last_locked_by t txn = locker_mem t.last_lockers txn
+  let structural t = function
+    | Size -> t.size_lockers
+    | Isempty -> t.isempty_lockers
+    | First -> t.first_lockers
+    | Last -> t.last_lockers
+    | Keys | Ranges -> []
 
-  let range_locked_by t txn =
-    let id = TM.txn_id txn in
-    Array.exists (fun st -> Hashtbl.mem st.st_ranges id) t.stripes
+  (* Does [txn] hold a lock on [facet] (some key, some range)? *)
+  let locked_by t txn = function
+    | Keys ->
+        Array.exists
+          (fun st ->
+            kt_fold
+              (fun _ e acc ->
+                acc || locker_mem e.readers txn || locker_mem e.writers txn)
+              st.key_lockers false)
+          t.stripes
+    | Ranges ->
+        let id = TM.txn_id txn in
+        Array.exists (fun st -> Hashtbl.mem st.st_ranges id) t.stripes
+    | f -> locker_mem (structural t f) txn
 
-  (* Does some range lock held by [txn] cover [k]?  Exact under
-     coalescing: merged ranges equal the union of the inserted ones. *)
-  let range_covered_by t txn ~compare k =
-    let st = t.stripes.(stripe_index t k) in
-    match Hashtbl.find_opt st.st_ranges (TM.txn_id txn) with
-    | None -> false
-    | Some (rs, _) -> List.exists (fun r -> range_contains compare r k) rs
-
-  (* Entry counts for state dumps (the tables themselves are abstract). *)
-  let key_entry_count t =
-    Array.fold_left (fun acc st -> acc + kt_size st.key_lockers) 0 t.stripes
-
-  let size_locker_count t = List.length t.size_lockers
-  let isempty_locker_count t = List.length t.isempty_lockers
-  let first_locker_count t = List.length t.first_lockers
-  let last_locker_count t = List.length t.last_lockers
-
-  let range_locker_count t =
-    Array.fold_left (fun acc st -> acc + st.st_range_count) 0 t.stripes
+  (* Registrations on [facet]: key entries, coalesced ranges, or the
+     owners of a structural facet. *)
+  let locker_count t = function
+    | Keys ->
+        Array.fold_left (fun acc st -> acc + kt_size st.key_lockers) 0 t.stripes
+    | Ranges ->
+        Array.fold_left (fun acc st -> acc + st.st_range_count) 0 t.stripes
+    | f -> List.length (structural t f)
 
   let total_lockers t =
     Array.fold_left

@@ -49,7 +49,6 @@ end)
 
 module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
   module D = Derive.Make (TM) (Spec (K))
-  module L = D.L
 
   type isempty_policy =
     | Dedicated  (** isEmpty is a primitive operation with its own lock,
@@ -158,13 +157,8 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
   let key_history_length t k = D.key_history_length t.d k
   let holds_key_lock t k = D.holds_key_lock t.d k
 
-  let holds_size_lock t =
-    TM.critical (D.sregion t.d) (fun () ->
-        L.size_locked_by t.d.locks (TM.current ()))
-
-  let holds_isempty_lock t =
-    TM.critical (D.sregion t.d) (fun () ->
-        L.isempty_locked_by t.d.locks (TM.current ()))
+  let holds_size_lock t = D.holds_lock t.d Derive.Size
+  let holds_isempty_lock t = D.holds_lock t.d Derive.Isempty
 
   let outstanding_locks t = D.outstanding_locks t.d
   let buffered_writes t = D.buffered_writes t.d
@@ -175,26 +169,21 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
   let dump_state ppf t =
     let d = t.d in
     let local = if TM.in_txn () then Some (D.local_of d) else None in
-    L.critical_all d.locks (fun () ->
-        Format.fprintf ppf "Committed state:@.";
-        Format.fprintf ppf "  map                 %d bindings in %d stripes@."
-          d.csize (stripe_count t);
-        Format.fprintf ppf "Shared transactional state (open-nested):@.";
-        Format.fprintf ppf "  key2lockers         %d entries@."
-          (L.key_entry_count d.locks);
-        Format.fprintf ppf "  sizeLockers         %d@."
-          (L.size_locker_count d.locks);
-        Format.fprintf ppf "  isEmptyLockers      %d@."
-          (L.isempty_locker_count d.locks);
-        Format.fprintf ppf "Local transactional state (calling txn):@.";
-        match local with
-        | None -> Format.fprintf ppf "  none (outside a transaction)@."
-        | Some l ->
-            Format.fprintf ppf
-              "  txn %-6d storeBuffer=%d entries, keyLocks=%d@."
-              (TM.txn_id l.txn)
-              (D.buf_size l.buffer)
-              (List.length l.key_locks))
+    Format.fprintf ppf "Committed state:@.";
+    Format.fprintf ppf "  map                 %d bindings in %d stripes@."
+      (D.committed_size d) (stripe_count t);
+    Format.fprintf ppf "Shared transactional state (open-nested):@.";
+    Format.fprintf ppf "  key2lockers         %d entries@."
+      (D.lockers d Derive.Keys);
+    Format.fprintf ppf "  sizeLockers         %d@." (D.lockers d Derive.Size);
+    Format.fprintf ppf "  isEmptyLockers      %d@."
+      (D.lockers d Derive.Isempty);
+    Format.fprintf ppf "Local transactional state (calling txn):@.";
+    match local with
+    | None -> Format.fprintf ppf "  none (outside a transaction)@."
+    | Some l ->
+        Format.fprintf ppf "  txn %-6d storeBuffer=%d entries, keyLocks=%d@."
+          (TM.txn_id l.txn) (D.buf_size l.buffer) (List.length l.key_locks)
 end
 
 (* The undo-logging map (paper §5.1, "Redo versus undo logging"): the same

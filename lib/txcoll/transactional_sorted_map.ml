@@ -27,8 +27,6 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.ORDERED) = struct
         let keying = Derive.Ordered K.compare
       end))
 
-  module L = D.L
-
   type 'v t = 'v D.t
 
   let create ?splitters ?copy_key () : 'v t = D.create ?splitters ?copy_key ()
@@ -142,19 +140,11 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.ORDERED) = struct
   let holds_key_lock = D.holds_key_lock
   let outstanding_locks = D.outstanding_locks
 
-  let holds_struct_lock locked_by t =
-    TM.critical (D.sregion t) (fun () -> locked_by t.D.locks (TM.current ()))
-
-  let holds_size_lock t = holds_struct_lock L.size_locked_by t
-  let holds_first_lock t = holds_struct_lock L.first_locked_by t
-  let holds_last_lock t = holds_struct_lock L.last_locked_by t
-
-  let holds_range_lock t =
-    L.critical_all t.D.locks (fun () ->
-        L.range_locked_by t.D.locks (TM.current ()))
-
-  let outstanding_range_locks t =
-    L.critical_all t.D.locks (fun () -> L.range_locker_count t.D.locks)
+  let holds_size_lock t = D.holds_lock t Derive.Size
+  let holds_first_lock t = D.holds_lock t Derive.First
+  let holds_last_lock t = D.holds_lock t Derive.Last
+  let holds_range_lock t = D.holds_lock t Derive.Ranges
+  let outstanding_range_locks t = D.lockers t Derive.Ranges
 
   (* Number of regions the calling transaction's commit would plan right
      now (meaningful only inside a transaction).  Lets tests assert that a
@@ -167,29 +157,23 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.ORDERED) = struct
      calling transaction's). *)
   let dump_state ppf t =
     let local = if TM.in_txn () then Some (D.local_of t) else None in
-    let locks = t.D.locks in
-    L.critical_all locks (fun () ->
-        Format.fprintf ppf "Committed state:@.";
-        Format.fprintf ppf "  sortedMap           %d bindings (%d intervals)@."
-          t.D.csize (stripe_count t);
-        Format.fprintf ppf "  comparator          (read-only)@.";
-        Format.fprintf ppf "Shared transactional state (open-nested):@.";
-        Format.fprintf ppf "  key2lockers         %d entries@."
-          (L.key_entry_count locks);
-        Format.fprintf ppf "  sizeLockers         %d@."
-          (L.size_locker_count locks);
-        Format.fprintf ppf "  firstLockers        %d@."
-          (L.first_locker_count locks);
-        Format.fprintf ppf "  lastLockers         %d@."
-          (L.last_locker_count locks);
-        Format.fprintf ppf "  rangeLockers        %d@."
-          (L.range_locker_count locks);
-        Format.fprintf ppf "Local transactional state (calling txn):@.";
-        match local with
-        | None -> Format.fprintf ppf "  none (outside a transaction)@."
-        | Some l ->
-            Format.fprintf ppf
-              "  txn %-6d sortedStoreBuffer=%d entries, keyLocks=%d@."
-              (TM.txn_id l.D.txn) (D.buf_size l.D.buffer)
-              (List.length l.D.key_locks))
+    Format.fprintf ppf "Committed state:@.";
+    Format.fprintf ppf "  sortedMap           %d bindings (%d intervals)@."
+      (D.committed_size t) (stripe_count t);
+    Format.fprintf ppf "  comparator          (read-only)@.";
+    Format.fprintf ppf "Shared transactional state (open-nested):@.";
+    Format.fprintf ppf "  key2lockers         %d entries@."
+      (D.lockers t Derive.Keys);
+    Format.fprintf ppf "  sizeLockers         %d@." (D.lockers t Derive.Size);
+    Format.fprintf ppf "  firstLockers        %d@." (D.lockers t Derive.First);
+    Format.fprintf ppf "  lastLockers         %d@." (D.lockers t Derive.Last);
+    Format.fprintf ppf "  rangeLockers        %d@." (D.lockers t Derive.Ranges);
+    Format.fprintf ppf "Local transactional state (calling txn):@.";
+    match local with
+    | None -> Format.fprintf ppf "  none (outside a transaction)@."
+    | Some l ->
+        Format.fprintf ppf
+          "  txn %-6d sortedStoreBuffer=%d entries, keyLocks=%d@."
+          (TM.txn_id l.D.txn) (D.buf_size l.D.buffer)
+          (List.length l.D.key_locks)
 end

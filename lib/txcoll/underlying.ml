@@ -1,7 +1,7 @@
 (* Key modules of the derived collection classes, and adapters presenting
-   the plain host data structures (lib/coll) through the Tm_intf operation
-   signatures, so they can serve as the wrapped "existing implementations"
-   of the undo-logging map and the queue. *)
+   the plain host hash maps (lib/coll) through [Tm_intf.HASHED_MAP_OPS], so
+   they can serve as the wrapped "existing implementation" of the
+   undo-logging map. *)
 
 module type HASHED = sig
   type t
@@ -44,17 +44,4 @@ module Oa_map_ops (K : HASHED) :
   let find = Coll.Oa_hashmap.find
   let add = Coll.Oa_hashmap.add
   let remove = Coll.Oa_hashmap.remove
-end
-
-module Deque_ops : Tm_intf.QUEUE_OPS with type 'v t = 'v Coll.Fifo_deque.t =
-struct
-  type 'v t = 'v Coll.Fifo_deque.t
-
-  let create () = Coll.Fifo_deque.create ()
-  let enqueue = Coll.Fifo_deque.enqueue
-  let dequeue = Coll.Fifo_deque.dequeue
-  let peek = Coll.Fifo_deque.peek
-  let is_empty = Coll.Fifo_deque.is_empty
-  let length = Coll.Fifo_deque.length
-  let push_front = Coll.Fifo_deque.push_front
 end

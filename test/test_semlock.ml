@@ -13,6 +13,29 @@ end
 
 module Stm = Tcc_stm.Stm
 
+(* The facets of [L.locked_by] and [L.locker_count]. *)
+type facet = Txcoll.Semlock.facet =
+  | Keys
+  | Size
+  | Isempty
+  | First
+  | Last
+  | Ranges
+
+(* The lock table over a TM whose [remote_abort] records its victim
+   instead of aborting it, so a conflict check's verdict is observable. *)
+module Recording_tm = struct
+  include Stm.Tm_ops
+
+  let victims = ref []
+
+  let remote_abort owner =
+    victims := txn_id owner :: !victims;
+    true
+end
+
+module RL = Txcoll.Semlock.Make (Recording_tm)
+
 (* Fabricate distinct transaction handles.  [Stm.current] outside a
    transaction returns a per-domain cached auto-commit handle, and
    top-level descriptors are pooled per domain — a handle minted by a
@@ -97,7 +120,33 @@ let test_multiple_writers_tracked () =
     (L.key_has_foreign_writer t ~self:a 5);
   L.release_all t a ~keys:[ 5 ];
   Alcotest.(check int) "table empty" 0 (L.total_lockers t);
-  Alcotest.(check int) "no key entries leak" 0 (L.key_entry_count t)
+  Alcotest.(check int) "no key entries leak" 0 (L.locker_count t Keys)
+
+(* One probe pair reads every facet: [locked_by] per owner, and
+   [locker_count] as key entries, coalesced ranges or structural owners. *)
+let test_facet_introspection () =
+  let t : int L.t = L.one_interval () in
+  let a = handle () and b = handle () in
+  L.lock_key t a 1;
+  L.lock_key t b 1;
+  L.lock_key t b 2;
+  L.lock_size t a;
+  L.lock_isempty t b;
+  L.lock_first t a;
+  L.lock_first t b;
+  L.lock_last t b;
+  L.lock_range t a ~compare:Int.compare { L.lo = Some 0; hi = Some 5 };
+  let facets = [ Keys; Size; Isempty; First; Last; Ranges ] in
+  let held owner = List.filter (L.locked_by t owner) facets in
+  Alcotest.(check int) "a's facets" 4 (List.length (held a));
+  Alcotest.(check bool) "a: no isEmpty" false (L.locked_by t a Isempty);
+  Alcotest.(check bool) "b: no range" false (L.locked_by t b Ranges);
+  Alcotest.(check (list int)) "counts" [ 2; 1; 1; 2; 1; 1 ]
+    (List.map (L.locker_count t) facets);
+  L.release_all t a ~keys:[ 1 ];
+  L.release_all t b ~keys:[ 1; 2 ];
+  Alcotest.(check (list int)) "released" [ 0; 0; 0; 0; 0; 0 ]
+    (List.map (L.locker_count t) facets)
 
 let test_range_coalescing () =
   let t : int L.t = L.one_interval () in
@@ -107,28 +156,29 @@ let test_range_coalescing () =
   lock a { L.lo = Some 0; hi = Some 10 };
   lock a { L.lo = Some 0; hi = Some 10 };
   lock a { L.lo = Some 5; hi = Some 15 };
-  Alcotest.(check int) "duplicates+overlaps coalesce" 1 (L.range_locker_count t);
+  Alcotest.(check int) "duplicates+overlaps coalesce" 1
+    (L.locker_count t Ranges);
   (* Adjacent half-open ranges ([10,20) after [0,15)->[0,15)) merge too. *)
   lock a { L.lo = Some 15; hi = Some 20 };
-  Alcotest.(check int) "adjacent ranges merge" 1 (L.range_locker_count t);
+  Alcotest.(check int) "adjacent ranges merge" 1 (L.locker_count t Ranges);
   Alcotest.(check bool) "merged range covers the union" true
     (L.range_contains Int.compare { L.lo = Some 0; hi = Some 20 } 17);
   (* A separated range stays its own entry... *)
   lock a { L.lo = Some 100; hi = Some 110 };
-  Alcotest.(check int) "gap keeps two entries" 2 (L.range_locker_count t);
+  Alcotest.(check int) "gap keeps two entries" 2 (L.locker_count t Ranges);
   (* ...until a bridging range connects everything (one pass must absorb
      both existing entries). *)
   lock a { L.lo = Some 10; hi = Some 105 };
-  Alcotest.(check int) "bridge collapses to one" 1 (L.range_locker_count t);
+  Alcotest.(check int) "bridge collapses to one" 1 (L.locker_count t Ranges);
   (* Unbounded swallows everything. *)
   lock a { L.lo = None; hi = None };
-  Alcotest.(check int) "unbounded coalesces" 1 (L.range_locker_count t);
+  Alcotest.(check int) "unbounded coalesces" 1 (L.locker_count t Ranges);
   (* Per-owner isolation: another owner's range is a separate entry. *)
   lock b { L.lo = Some 0; hi = Some 1 };
-  Alcotest.(check int) "per-owner entries" 2 (L.range_locker_count t);
+  Alcotest.(check int) "per-owner entries" 2 (L.locker_count t Ranges);
   L.release_all t a ~keys:[];
   L.release_all t b ~keys:[];
-  Alcotest.(check int) "released" 0 (L.range_locker_count t)
+  Alcotest.(check int) "released" 0 (L.locker_count t Ranges)
 
 let test_striped_geometry () =
   let t : int L.t = L.create ~stripes:4 () in
@@ -183,42 +233,46 @@ let test_interval_geometry () =
   Alcotest.(check bool) "B=1 stripe region is the struct region" true
     (L.stripe_region t1 0 == L.struct_region t1)
 
-(* Satellite: under coalescing, the registered ranges must cover exactly
-   the keys the raw fragments cover — [range_covered_by] is the predicate
-   [conflict_range] uses to pick abort victims, so identical coverage
-   means identical abort verdicts.  And the registered count must return
-   to zero after each lock/release cycle (no drift), on one interval and
-   on four. *)
+(* Under coalescing, [conflict_range] must pick the owner of the
+   registered ranges as its abort victim for exactly the keys the raw
+   fragments cover: identical coverage means identical abort verdicts.
+   And the registered count must return to zero after each lock/release
+   cycle (no drift), on one interval and on four. *)
 let prop_range_coalescing_exact =
   QCheck.Test.make ~name:"coalesced ranges match raw-fragment verdicts"
     ~count:80
     QCheck.(list (pair (option (int_bound 100)) (option (int_bound 100))))
     (fun script ->
-      let tables : (string * int L.t) list =
+      let tables : (string * int RL.t) list =
         [
-          ("one interval", L.one_interval ());
+          ( "one interval",
+            RL.create_intervals ~splitters:[||] ~compare:Int.compare () );
           ( "intervals",
-            L.create_intervals ~splitters:[| 25; 50; 75 |] ~compare:Int.compare
+            RL.create_intervals ~splitters:[| 25; 50; 75 |] ~compare:Int.compare
               () );
         ]
       in
-      let a = handle () in
-      let raw = List.map (fun (lo, hi) -> { L.lo; hi }) script in
+      let a = handle () and b = handle () in
+      let raw = List.map (fun (lo, hi) -> { RL.lo; hi }) script in
+      let covered t k =
+        Recording_tm.victims := [];
+        RL.conflict_range t ~self:b ~compare:Int.compare k;
+        List.mem (Stm.txn_id a) !Recording_tm.victims
+      in
       List.for_all
         (fun (_name, t) ->
           let ok = ref true in
           (* Two cycles: counts must not drift across lock/release. *)
           for _cycle = 1 to 2 do
-            List.iter (fun r -> L.lock_range t a ~compare:Int.compare r) raw;
+            List.iter (fun r -> RL.lock_range t a ~compare:Int.compare r) raw;
             for k = -2 to 102 do
-              let covered = L.range_covered_by t a ~compare:Int.compare k in
               let expected =
-                List.exists (fun r -> L.range_contains Int.compare r k) raw
+                List.exists (fun r -> RL.range_contains Int.compare r k) raw
               in
-              if covered <> expected then ok := false
+              if covered t k <> expected then ok := false
             done;
-            L.release_all t a ~keys:[];
-            if L.range_locker_count t <> 0 then ok := false
+            RL.release_all t a ~keys:[];
+            if RL.locker_count t Ranges <> 0 then ok := false
           done;
           !ok)
         tables)
@@ -267,6 +321,8 @@ let suites =
         Alcotest.test_case "writer entries" `Quick test_writer_entry;
         Alcotest.test_case "multiple writers tracked" `Quick
           test_multiple_writers_tracked;
+        Alcotest.test_case "facet introspection" `Quick
+          test_facet_introspection;
         QCheck_alcotest.to_alcotest prop_range_coalescing_exact;
         QCheck_alcotest.to_alcotest prop_model_consistency;
       ] );

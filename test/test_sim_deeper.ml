@@ -113,8 +113,7 @@ let test_tcc_retry_now () =
 
 module SimTxSorted = Harness.Workloads.SimTxSorted
 
-module SimTxQueue =
-  Txcoll.Transactional_queue.Make (Sim.Tcc.Tm_ops) (Txcoll.Underlying.Deque_ops)
+module SimTxQueue = Txcoll.Transactional_queue.Make (Sim.Tcc.Tm_ops)
 
 let test_sorted_wrapper_on_tcc () =
   let m = Machine.create ~n_cpus:4 () in

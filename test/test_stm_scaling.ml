@@ -9,6 +9,7 @@ module Stm = Tcc_stm.Stm
 module Tvar = Tcc_stm.Tvar
 module IM = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 module SM = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
+module Q = Txcoll.Host.Queue
 
 (* Sharded stats must equal the exact event counts of a deterministic
    8-domain mixed workload: each domain performs a known number of
@@ -181,18 +182,28 @@ let test_retry_loop_allocation_free () =
    and 110/287 (hash map) with committed state kept only in the shadows;
    with hashtable lock owners and write set and the per-call retry-loop
    closures they read 285/631 and 233/506, and 119/328 and 112/338 while
-   each stripe also kept a mutable shard. *)
+   each stripe also kept a mutable shard.  A queue transaction that puts
+   one element and polls the committed head measures 529: two persistent
+   map path copies (the put's commit and the poll's removal) plus the
+   publications of both; the hand-written queue over a FIFO deque and a
+   persistent deque image read 209. *)
 let test_point_op_allocation_budget () =
-  let sm = SM.create () and m = IM.create () in
+  let sm = SM.create () and m = IM.create () and q = Q.create () in
   for k = 0 to 63 do
     ignore (SM.put sm k k);
-    ignore (IM.put m k k)
+    ignore (IM.put m k k);
+    Q.put q k
   done;
   let per op = words_per_atomic (fun () -> ignore (op ())) in
   check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 132.;
   check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 340.;
   check_budget "hash-map find" (per (fun () -> IM.find m 7)) 127.;
-  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 330.
+  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 330.;
+  check_budget "queue put + poll"
+    (per (fun () ->
+         Q.put q 7;
+         Q.poll q))
+    610.
 
 (* Commit-region plan construction must stay O(regions) per commit: one
    transaction writing one present key in each of [n] single-stripe maps

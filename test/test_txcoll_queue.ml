@@ -168,6 +168,43 @@ let test_parallel_work_conservation () =
   let leftover = drain 0 in
   Alcotest.(check int) "work conserved" produced (Atomic.get consumed + leftover)
 
+(* Two takers abort in the order they took, on two domains: each taken
+   element goes back to its own place, so the queue reads as it did
+   before either took (pushing each back on the front would leave
+   [2; 1; 3]). *)
+let test_interleaved_aborts_restore_order () =
+  let q = Q.create () in
+  List.iter (Q.put q) [ 1; 2; 3 ];
+  let phase = Atomic.make 0 in
+  let await n =
+    while Atomic.get phase < n do
+      Domain.cpu_relax ()
+    done
+  in
+  (* Take one element once phase [start] is reached, move to [took], wait
+     for [abort_at], abort, then move to [aborted]. *)
+  let taker ~start ~took ~abort_at ~aborted =
+    Domain.spawn (fun () ->
+        await start;
+        let got = ref None in
+        (try
+           Stm.atomic (fun () ->
+               got := Q.poll q;
+               Atomic.set phase took;
+               await abort_at;
+               Stm.self_abort ())
+         with Stm.Aborted -> ());
+        Atomic.set phase aborted;
+        !got)
+  in
+  let t1 = taker ~start:0 ~took:1 ~abort_at:2 ~aborted:3 in
+  let t2 = taker ~start:1 ~took:2 ~abort_at:3 ~aborted:4 in
+  Alcotest.(check (option int)) "T1 took the head" (Some 1) (Domain.join t1);
+  Alcotest.(check (option int)) "T2 took the next" (Some 2) (Domain.join t2);
+  let drained = List.init 3 (fun _ -> Option.get (Q.poll q)) in
+  Alcotest.(check (list int)) "original order restored" [ 1; 2; 3 ] drained;
+  Alcotest.(check (option int)) "nothing else" None (Q.poll q)
+
 let suites =
   [
     ( "txqueue.single",
@@ -196,5 +233,7 @@ let suites =
       [
         Alcotest.test_case "work conservation with aborts" `Quick
           test_parallel_work_conservation;
+        Alcotest.test_case "interleaved aborts restore order" `Quick
+          test_interleaved_aborts_restore_order;
       ] );
   ]
