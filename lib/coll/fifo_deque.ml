@@ -54,7 +54,11 @@ let to_list t =
   iter (fun v -> acc := v :: !acc) t;
   List.rev !acc
 
+(* Drops only the live slots: O(length), whatever the capacity grew to. *)
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
+  let cap = Array.length t.buf in
+  for i = 0 to t.len - 1 do
+    t.buf.((t.head + i) mod cap) <- None
+  done;
   t.head <- 0;
   t.len <- 0

@@ -1,7 +1,6 @@
-(** A growable ring-buffer FIFO with [push_front], used as the underlying
-    queue wrapped by the transactional work queue.  [push_front] lets the
-    abort compensation return dequeued-but-unprocessed work to the front, as
-    the Delaunay-style work queue requires.  Not thread-safe. *)
+(** A growable ring-buffer FIFO with [push_front]: the per-transaction
+    record of a derived work queue's puts, in put order, until commit
+    draws their keys.  Not thread-safe. *)
 
 type 'v t
 

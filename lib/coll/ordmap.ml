@@ -15,7 +15,7 @@ type ('k, 'v) t = {
 let height = function Leaf -> 0 | Node { h; _ } -> h
 
 let node l k v r =
-  Node { l; k; v; r; h = 1 + max (height l) (height r) }
+  Node { l; k; v; r; h = 1 + Int.max (height l) (height r) }
 
 let balance l k v r =
   let hl = height l and hr = height r in

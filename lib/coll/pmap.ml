@@ -21,8 +21,9 @@ type ('k, 'v) t = {
 
 let height = function Empty -> 0 | Node { h; _ } -> h
 
-let node l k v r =
-  Node { l; k; v; r; h = 1 + max (height l) (height r) }
+(* [Int.max]: the polymorphic [max] compares through a C call on every
+   node. *)
+let node l k v r = Node { l; k; v; r; h = 1 + Int.max (height l) (height r) }
 
 let balance l k v r =
   let hl = height l and hr = height r in
@@ -67,21 +68,21 @@ let find m key = find_in m.cmp key m.root
 
 let mem m key = Option.is_some (find m key)
 
+(* [add_in] and [remove_in] are top-level, so no closure is allocated per
+   call; [grew]/[shrank] report whether the size moved. *)
+let rec add_in cmp key value grew = function
+  | Empty ->
+      grew := true;
+      Node { l = Empty; k = key; v = value; r = Empty; h = 1 }
+  | Node { l; k; v; r; h } ->
+      let c = cmp key k in
+      if c = 0 then Node { l; k = key; v = value; r; h }
+      else if c < 0 then balance (add_in cmp key value grew l) k v r
+      else balance l k v (add_in cmp key value grew r)
+
 let add m key value =
-  let cmp = m.cmp in
-  let grew = ref true in
-  let rec go = function
-    | Empty -> node Empty key value Empty
-    | Node { l; k; v; r; _ } ->
-        let c = cmp key k in
-        if c = 0 then begin
-          grew := false;
-          node l key value r
-        end
-        else if c < 0 then balance (go l) k v r
-        else balance l k v (go r)
-  in
-  let root = go m.root in
+  let grew = ref false in
+  let root = add_in m.cmp key value grew m.root in
   { m with root; card = (if !grew then m.card + 1 else m.card) }
 
 (* Leftmost binding of a non-empty tree (for deletion by successor). *)
@@ -95,31 +96,30 @@ let rec tree_max = function
   | Node { r = Empty; k; v; _ } -> Some (k, v)
   | Node { r; _ } -> tree_max r
 
+let rec del_min = function
+  | Empty -> assert false
+  | Node { l = Empty; r; _ } -> r
+  | Node { l; k; v; r; _ } -> balance (del_min l) k v r
+
+let rec remove_in cmp key shrank = function
+  | Empty -> Empty
+  | Node { l; k; v; r; _ } ->
+      let c = cmp key k in
+      if c = 0 then begin
+        shrank := true;
+        match (l, r) with
+        | Empty, t | t, Empty -> t
+        | _ ->
+            let sk, sv = Option.get (tree_min r) in
+            balance l sk sv (del_min r)
+      end
+      else if c < 0 then balance (remove_in cmp key shrank l) k v r
+      else balance l k v (remove_in cmp key shrank r)
+
 let remove m key =
-  let cmp = m.cmp in
-  let removed = ref false in
-  let rec go = function
-    | Empty -> Empty
-    | Node { l; k; v; r; _ } ->
-        let c = cmp key k in
-        if c = 0 then begin
-          removed := true;
-          match (l, r) with
-          | Empty, t | t, Empty -> t
-          | _ ->
-              let sk, sv = Option.get (tree_min r) in
-              let rec del_min = function
-                | Empty -> assert false
-                | Node { l = Empty; r; _ } -> r
-                | Node { l; k; v; r; _ } -> balance (del_min l) k v r
-              in
-              balance l sk sv (del_min r)
-        end
-        else if c < 0 then balance (go l) k v r
-        else balance l k v (go r)
-  in
-  let root = go m.root in
-  if !removed then { m with root; card = m.card - 1 } else m
+  let shrank = ref false in
+  let root = remove_in m.cmp key shrank m.root in
+  if !shrank then { m with root; card = m.card - 1 } else m
 
 let min_binding m = tree_min m.root
 let max_binding m = tree_max m.root

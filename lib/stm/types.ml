@@ -668,7 +668,7 @@ let publish_slot_key = slot_key publish_slots
 
 let slots_min reg =
   List.fold_left
-    (fun acc s -> min acc (Atomic.get s.e_val))
+    (fun acc s -> Int.min acc (Atomic.get s.e_val))
     max_int (Atomic.get reg)
 
 (* Oldest epoch any present or future snapshot reader can still resolve:
@@ -678,7 +678,7 @@ let slots_min reg =
 let oldest_active_epoch () =
   let c = Atomic.get clock in
   let own = Atomic.get (Domain.DLS.get publish_slot_key).e_val in
-  min (min c own) (slots_min reader_slots)
+  Int.min (Int.min c own) (slots_min reader_slots)
 
 let note_reclaimed n =
   if n > 0 then begin

@@ -97,9 +97,11 @@
      unchanged; apply folds the size delta and publishes the shadows at
      the commit stamp, so snapshots never see an uncommitted or undone
      write.
-   One operation reduces isolation on purpose, for the queue's takes
-   (§3.3): [write_endpoint_now] writes the committed first or last binding
-   at operation time, with no lock, and abort binds it back. *)
+   The queue (§3.3) adds two operations.  [append] is a blind write whose
+   key is drawn at commit, under the structure region, so key order is
+   commit order.  [first_now] reads the first binding without a lock and
+   can remove it at operation time, reducing isolation on purpose; abort
+   binds it back. *)
 
 type 'k keying =
   | Hashed of { hash : 'k -> int; equal : 'k -> 'k -> bool }
@@ -242,8 +244,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     mutable stripes_mask : int; (* stripes of held key locks + blind keys *)
     mutable ranges_mask : int; (* stripes holding this txn's range locks *)
     mutable struct_locked : bool; (* holds a size/isEmpty/first/last lock *)
+    appends : ((unit -> S.key) * 'v S.wop) Coll.Fifo_deque.t;
+        (* [append]ed writes, oldest first, with their key sources *)
     mutable undo : (S.key * 'v S.value) list;
-        (* bindings replaced by reduced-isolation writes, newest first *)
+        (* bindings [first_now] removed, newest first *)
     shadows : 'v shadow option array;
         (* apply phase: the stripes' shadows being rebuilt, published and
            reset to [None] before it returns *)
@@ -510,27 +514,29 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     | Some e -> if appears then sign * cmp k e > 0 else cmp k e = 0
 
   (* Maintain an ordered spec's committed endpoints as write [before ->
-     after] makes [k] appear or vanish; [true] when a vanished endpoint
-     needs [rescan_endpoints].  A presence change holds the structure
-     region. *)
+     after] makes [k] appear or vanish, and return the endpoints that
+     vanished, for [rescan_endpoints]: bit 0 the first, bit 1 the last.  A
+     presence change holds the structure region. *)
   let track_endpoints t k ~before ~after =
-    ordered
-    && present before <> present after
-    &&
-    let appears = present after in
-    let first = moves t.cmin k (-1) ~appears in
-    let last = moves t.cmax k 1 ~appears in
-    if appears then begin
-      if first then t.cmin <- Some k;
-      if last then t.cmax <- Some k;
-      false
-    end
-    else first || last
+    if (not ordered) || present before = present after then 0
+    else
+      let appears = present after in
+      let first = moves t.cmin k (-1) ~appears in
+      let last = moves t.cmax k 1 ~appears in
+      if appears then begin
+        if first then t.cmin <- Some k;
+        if last then t.cmax <- Some k;
+        0
+      end
+      else Bool.to_int first lor (Bool.to_int last lsl 1)
 
-  (* Caller holds every region, and has published the stripes' shadows. *)
-  let rescan_endpoints t =
-    t.cmin <- Option.map fst (edge t latest_shadow ~last:false);
-    t.cmax <- Option.map fst (edge t latest_shadow ~last:true)
+  (* Recompute the endpoints [vanished] names.  Caller holds every region,
+     and has published the stripes' shadows. *)
+  let rescan_endpoints t vanished =
+    if vanished land 1 <> 0 then
+      t.cmin <- Option.map fst (edge t latest_shadow ~last:false);
+    if vanished land 2 <> 0 then
+      t.cmax <- Option.map fst (edge t latest_shadow ~last:true)
 
   (* ---------------- commit/abort handlers ---------------- *)
 
@@ -583,7 +589,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      read structural state or its writes may move a structural facet (a
      blind write's effect is unknown until applied, so it is planned
      conservatively).  An ordered batch that may empty a key plans every
-     region: removing an endpoint rescans every stripe for the new one. *)
+     region: removing an endpoint rescans every stripe for the new one.
+     So does a batch with appends, whose keys are not drawn yet. *)
   let regions_plan t l () =
     (* bit 0: the batch may empty a key; bit 1: it may move the size *)
     let effects =
@@ -598,7 +605,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           acc lor vacate lor resize)
         l.buffer 0
     in
-    if ordered && effects land 1 <> 0 then all_regions t
+    if
+      (ordered && effects land 1 <> 0)
+      || not (Coll.Fifo_deque.is_empty l.appends)
+    then all_regions t
     else begin
       let mask = l.stripes_mask lor l.ranges_mask in
       let acc = ref [] in
@@ -640,9 +650,21 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      before the TM's commit point so an exception aborts with nothing
      applied.  A weight change or a presence flip puts the structure
      region in the plan, so every critical below re-enters a region the
-     plan holds. *)
+     plan holds.  It first draws the appends' keys, oldest first, under the
+     structure region, which every commit or non-transactional write with
+     appends holds from then until its keys are bound: key order is the
+     order appends reach committed state.  From here they are writes in
+     the buffer whose prior is known: a fresh key has no binding. *)
   let prepare_handler t l () =
     let self = l.txn in
+    if not (Coll.Fifo_deque.is_empty l.appends) then begin
+      TM.critical (sregion t) (fun () ->
+          Coll.Fifo_deque.iter
+            (fun (fresh, w) ->
+              buf_add l.buffer (fresh ()) { w; prior = Some None })
+            l.appends);
+      Coll.Fifo_deque.clear l.appends
+    end;
     let flips = ref false in
     let delta =
       buf_fold
@@ -682,11 +704,11 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     in
     let after = S.view before e.w in
     delta := !delta + S.weight after - S.weight before;
-    if track_endpoints t k ~before ~after then rescan := true;
+    rescan := !rescan lor track_endpoints t k ~before ~after;
     l.shadows.(si) <- Some (shadow_set shadow k after)
 
   let flush t l stamp =
-    let delta = ref 0 and rescan = ref false in
+    let delta = ref 0 and rescan = ref 0 in
     buf_iter
       (fun k e ->
         TM.critical (key_region t k) (fun () ->
@@ -701,10 +723,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           TM.critical (L.stripe_region t.locks si) (fun () ->
               publish_stripe t si ~min_epoch stamp shadow)
     done;
-    if track_struct && (!delta <> 0 || !rescan) then
+    if track_struct && (!delta <> 0 || !rescan <> 0) then
       TM.critical (sregion t) (fun () ->
           t.csize <- t.csize + !delta;
-          if !rescan then rescan_endpoints t;
+          rescan_endpoints t !rescan;
           if !delta <> 0 then publish_size t ~min_epoch stamp)
 
   let apply_handler t l stamp =
@@ -712,14 +734,38 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     cleanup t l
 
   (* Bind [k] in committed state to [after before] at once, [before] being
-     its committed observation, and return [before]; [vacate]: the binding
-     may leave [k] absent, [table] applies the write to an eager spec's
-     table.  Structure-then-stripe (ascending rid), so the new shadow, the
-     committed size and endpoints are atomic for structural readers —
-     every region when an ordered spec's key may empty, for the endpoint
-     rescan; the publication draws its stamp through [TM.begin_publish]
-     under those regions.  On an eager spec it spins while a transaction
-     has the key updated in place: its undo would overwrite this write. *)
+     its committed observation, and return [before]; [table] applies the
+     write to an eager spec's table.  Caller holds [k]'s region, and the
+     structure region when a structural facet is in use (every region when
+     an ordered spec's key may empty, for the endpoint rescan), so the new
+     shadow, the committed size and endpoints are atomic for structural
+     readers; the publication draws its stamp through [TM.begin_publish]
+     under those regions. *)
+  let bind_held t k ~table after =
+    let si = L.stripe_index t.locks k in
+    let shadow = latest_shadow t si in
+    let before = shadow_find shadow k in
+    if eager then table t.tables.(si);
+    let after = after before in
+    let d = if track_struct then S.weight after - S.weight before else 0 in
+    if d <> 0 then t.csize <- t.csize + d;
+    let stamp = TM.begin_publish () in
+    (match
+       let min_epoch = TM.reclaim_epoch () in
+       publish_stripe t si ~min_epoch stamp (shadow_set shadow k after);
+       if d <> 0 then publish_size t ~min_epoch stamp
+     with
+    | () -> TM.end_publish ()
+    | exception e ->
+        TM.end_publish ();
+        raise e);
+    rescan_endpoints t (track_endpoints t k ~before ~after);
+    before
+
+  (* [bind_held] under its regions, taken structure-then-stripe (ascending
+     rid); [vacate]: the binding may leave [k] absent.  On an eager spec it
+     spins while a transaction has the key updated in place: its undo
+     would overwrite this write. *)
   exception Pending_writer
 
   let rec bind_now t k ~vacate ~table after =
@@ -727,20 +773,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       TM.critical (key_region t k) (fun () ->
           if eager && L.key_writer t.locks k <> None then
             raise_notrace Pending_writer;
-          let si = L.stripe_index t.locks k in
-          let shadow = latest_shadow t si in
-          let before = shadow_find shadow k in
-          if eager then table t.tables.(si);
-          let after = after before in
-          let d = if track_struct then S.weight after - S.weight before else 0 in
-          if d <> 0 then t.csize <- t.csize + d;
-          let stamp = TM.begin_publish () in
-          Fun.protect ~finally:TM.end_publish (fun () ->
-              let min_epoch = TM.reclaim_epoch () in
-              publish_stripe t si ~min_epoch stamp (shadow_set shadow k after);
-              if d <> 0 then publish_size t ~min_epoch stamp);
-          if track_endpoints t k ~before ~after then rescan_endpoints t;
-          before)
+          bind_held t k ~table after)
     in
     let run () =
       if ordered && vacate then L.critical_all t.locks doit
@@ -780,8 +813,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      capacity; it is reset here rather than by [cleanup], so a handler
      that raised half-way cannot leak state into the reuse.
 
-     Read-only certificate: an empty store buffer means prepare would
-     detect nothing and apply only releases read locks, so a
+     Read-only certificate: an empty store buffer and no appends mean
+     prepare would detect nothing and apply only releases read locks, so a
      getter-only transaction takes the TM's read-only fast path. *)
   let attach t txn spare =
     let l =
@@ -793,6 +826,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           l.stripes_mask <- 0;
           l.ranges_mask <- 0;
           l.struct_locked <- false;
+          Coll.Fifo_deque.clear l.appends;
           l.undo <- [];
           Array.fill l.shadows 0 (Array.length l.shadows) None;
           l
@@ -809,9 +843,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
               stripes_mask = 0;
               ranges_mask = 0;
               struct_locked = false;
+              appends = Coll.Fifo_deque.create ~initial_capacity:1 ();
               undo = [];
               shadows = Array.make (stripe_count t) None;
-              h_read_only = (fun () -> buf_is_empty l.buffer);
+              h_read_only =
+                (fun () ->
+                  buf_is_empty l.buffer && Coll.Fifo_deque.is_empty l.appends);
               h_regions = (fun () -> regions_plan t l ());
               h_prepare = (fun () -> prepare_handler t l ());
               h_apply = (fun stamp -> apply_handler t l stamp);
@@ -971,14 +1008,6 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     if not ordered then hashed_spec ();
     if TM.in_snapshot () then edge t snap_shadow ~last
     else TM.critical (sregion t) (fun () -> committed_endpoint_held t ~last)
-
-  (* The first (or last) binding among the calling transaction's buffered
-     writes, taking no lock; [None] outside a transaction. *)
-  let buffered_endpoint t ~last =
-    if not (TM.in_txn ()) then None
-    else
-      buffered_seek t (local_of t) ~up:(not last) ~above:None ~lo:None
-        ~hi:None
 
   (* The first (or last) facet: the least (greatest) present key, with its
      binding.  Inside a transaction it takes the facet's lock; committers
@@ -1177,28 +1206,60 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       ~table:(fun table -> table.tapply k w)
       (fun before -> S.view before w)
 
-  (* Reduced-isolation write (§3.3; §5 "writes to the underlying state
-     from within open-nested transactions"): [w] reaches the committed
-     first (or last) binding at operation time, as a non-transactional
-     write does, with no semantic lock and no wait, and that binding is
-     returned ([None]: nothing committed).  Inside a transaction the
-     binding is kept in the local record: abort binds it back at its key,
-     commit drops it.  Sound on a lazy spec whose caller keeps every other
-     transaction off the key until this one ends (the queue's sequence
-     keys: each is put once and taken once). *)
-  let write_endpoint_now t ~last w =
-    if not ordered then hashed_spec ();
+  (* ---------------- the work queue's operations (§3.3) ---------------- *)
+
+  (* Append: a blind write of [w] at a key [fresh] draws when the write
+     reaches committed state, always under the structure region, so key
+     order is that order (and [fresh] needs no synchronisation of its own).
+     [fresh] must draw keys that were never bound.
+     Inside a transaction the write waits in the local record until
+     prepare draws its key; until then only [first_now] sees it. *)
+  let append t ~fresh w =
     no_snapshot_write ();
-    L.critical_all t.locks (fun () ->
-        match committed_endpoint_held t ~last with
-        | None -> None
-        | Some (k, v) as r ->
-            ignore (nontxn_write t k w);
-            if TM.in_txn () then begin
-              let l = local_of t in
-              l.undo <- (k, v) :: l.undo
-            end;
-            r)
+    if TM.in_txn () then Coll.Fifo_deque.enqueue (local_of t).appends (fresh, w)
+    else
+      TM.critical (sregion t) (fun () -> ignore (nontxn_write t (fresh ()) w))
+
+  (* The first binding's value, taking no lock: the committed first
+     binding, else the calling transaction's oldest append, else [None],
+     which inside a transaction locks isEmpty — all in one critical
+     section, so a commit cannot slip between the reads and the lock.
+     [take] also removes what it returns: an append from the local record,
+     a committed binding at once (§3.3, §5 "writes to the underlying state
+     from within open-nested transactions"), as a non-transactional write
+     does, with no semantic lock and no wait.  Inside a transaction that
+     removal is recorded: abort binds it back at its key, commit drops it.
+     Sound on a lazy spec whose keys no other transaction writes or locks
+     (the queue's: each key is appended once and taken once). *)
+  let first_now t ~take =
+    if not ordered then hashed_spec ();
+    if take then no_snapshot_write ();
+    if TM.in_snapshot () then Option.map snd (edge t snap_shadow ~last:false)
+    else
+      let l = if TM.in_txn () then Some (local_of t) else None in
+      L.critical_all t.locks (fun () ->
+          match t.cmin with
+          | Some k ->
+              let before =
+                if take then bind_held t k ~table:ignore (fun _ -> None)
+                else committed_find t k
+              in
+              (match (l, before) with
+              | Some l, Some v when take -> l.undo <- (k, v) :: l.undo
+              | _ -> ());
+              before
+          | None -> (
+              match l with
+              | None -> None
+              | Some l -> (
+                  match Coll.Fifo_deque.peek l.appends with
+                  | Some (_, w) ->
+                      if take then ignore (Coll.Fifo_deque.dequeue l.appends);
+                      S.view None w
+                  | None ->
+                      L.lock_isempty t.locks l.txn;
+                      l.struct_locked <- true;
+                      None)))
 
   (* Eager write, under the key's region: wait by retry on a foreign
      pending writer ([lock_key]), register as the key's writer and abort
@@ -1279,7 +1340,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   let outstanding_locks t =
     L.critical_all t.locks (fun () -> L.total_lockers t.locks)
 
-  (* Does the calling transaction hold a lock on [facet]? *)
+  (* Does the calling transaction hold a lock on [facet]?  Not [Keys]:
+     [holds_key_lock] probes a key. *)
   let holds_lock t facet =
     L.critical_all t.locks (fun () ->
         L.locked_by t.locks (TM.current ()) facet)

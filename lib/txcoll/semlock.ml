@@ -528,16 +528,10 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     | Last -> t.last_lockers
     | Keys | Ranges -> []
 
-  (* Does [txn] hold a lock on [facet] (some key, some range)? *)
+  (* Does [txn] hold a lock on [facet] (some range)?  Keys are probed one
+     at a time, by [key_locked_by]. *)
   let locked_by t txn = function
-    | Keys ->
-        Array.exists
-          (fun st ->
-            kt_fold
-              (fun _ e acc ->
-                acc || locker_mem e.readers txn || locker_mem e.writers txn)
-              st.key_lockers false)
-          t.stripes
+    | Keys -> invalid_arg "Semlock.locked_by: probe keys with key_locked_by"
     | Ranges ->
         let id = TM.txn_id txn in
         Array.exists (fun st -> Hashtbl.mem st.st_ranges id) t.stripes

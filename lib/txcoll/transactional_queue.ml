@@ -4,39 +4,43 @@
 
    The queue is a class derived through {!Derive} from an ordered spec
    over [int] sequence keys: an element is bound at the key its [put]
-   drew from a per-queue counter, so key order is queue order, and a
-   write is [Put v] or [Take].  Table 9's state maps onto the derived
+   drew from a per-queue counter when it committed, so key order is
+   commit order and queue order.  Table 9's state maps onto the derived
    one: the committed queue is the shadow chain of the single interval,
-   emptyLockers is the isEmpty facet, addBuffer is the store buffer and
-   removeBuffer is the local record of reduced-isolation writes.
+   emptyLockers is the isEmpty facet, addBuffer is the transaction's
+   appends and removeBuffer is the record of the elements it took.
 
-   - [put] is a blind lazy write at a fresh key: it takes no lock, never
+   - [put] is {!Derive.Make.append}: a blind write whose key is drawn at
+     commit under the queue's structure region.  It takes no lock, never
      leaks speculative work, and its commit conflicts only through
      {!Derive}'s emptiness-flip rule (Tables 7 and 8: "if now
      non-empty").
    - [poll]/[take] reduce isolation on purpose (§5: "writes to the
      underlying state from within open-nested transactions"): the
      committed first element is removed at operation time by
-     {!Derive.Make.write_endpoint_now}, with no lock, so no other
-     transaction can steal work that would be invalid if this one aborts
-     — the Delaunay-mesh motivation.  Abort binds each taken element back at
-     its original key, which restores the queue order whatever order
-     aborting takers run in.
-   - Reads see the committed first element and committed size without
-     locking.  With nothing committed they fall back to the transaction's
-     own buffered puts in key order, and a [None] result locks isEmpty.
-     Inside [Stm.snapshot] they read the chains at the pinned stamp. *)
+     {!Derive.Make.first_now}, with no lock, so no other transaction can
+     steal work that would be invalid if this one aborts — the
+     Delaunay-mesh motivation.  Abort binds each taken element back at its
+     original key, which restores the queue order whatever order aborting
+     takers run in.
+   - Reads see the committed first element without locking.  With nothing
+     committed they fall back to the transaction's own puts, oldest
+     first, and a [None] result locks isEmpty.  Inside [Stm.snapshot]
+     they read the chains at the pinned stamp. *)
 
 module Spec = struct
   type key = int
   type 'v value = 'v
-  type 'v wop = Put of 'v | Take
+
+  (* A write puts its value; a take removes a binding without passing
+     through the store buffer. *)
+  type 'v wop = 'v
 
   let name = "Transactional_queue"
   let keying = Derive.Ordered Int.compare
   let update = Derive.Lazy
   let combine ~earlier:_ ~later = later
-  let view _ = function Put v -> Some v | Take -> None
+  let view _ v = Some v
   let absorbing _ = true
   let weight = function Some _ -> 1 | None -> 0
   let uses_size = true
@@ -46,38 +50,18 @@ end
 module Make (TM : Tm_intf.TM_OPS) = struct
   module D = Derive.Make (TM) (Spec)
 
-  type 'v t = { d : 'v D.t; next : int Atomic.t (* the next put's key *) }
+  type 'v t = { d : 'v D.t; fresh : unit -> int (* draws a put's key *) }
 
-  let create () = { d = D.create (); next = Atomic.make 0 }
+  let create () =
+    let next = Atomic.make 0 in
+    { d = D.create (); fresh = (fun () -> Atomic.fetch_and_add next 1) }
 
   (* ---------------- Channel operations ---------------- *)
 
-  let put t v = D.write_blind t.d (Atomic.fetch_and_add t.next 1) (Spec.Put v)
+  let put t v = D.append t.d ~fresh:t.fresh v
   let offer = put
-
-  (* The committed first element, else the transaction's first buffered
-     put, else [None] with the isEmpty lock, looking again when a put
-     committed since the committed read. *)
-  let rec peek t =
-    match D.committed_endpoint t.d ~last:false with
-    | Some (_, v) -> Some v
-    | None -> (
-        match D.buffered_endpoint t.d ~last:false with
-        | Some (_, v) -> Some v
-        | None -> if D.is_empty t.d then None else peek t)
-
-  (* As [peek], removing what it finds: a committed element at once, a
-     buffered one from the buffer. *)
-  let rec poll t =
-    match D.write_endpoint_now t.d ~last:false Spec.Take with
-    | Some (_, v) -> Some v
-    | None -> (
-        match D.buffered_endpoint t.d ~last:false with
-        | Some (k, v) ->
-            D.write_blind t.d k Spec.Take;
-            Some v
-        | None -> if D.is_empty t.d then None else poll t)
-
+  let peek t = D.first_now t.d ~take:false
+  let poll t = D.first_now t.d ~take:true
   let take = poll
 
   (* Committed length: a debugging/statistics view, NOT part of the Channel
@@ -106,5 +90,7 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     | None -> Format.fprintf ppf "  none (outside a transaction)@."
     | Some l ->
         Format.fprintf ppf "  txn %-6d addBuffer=%d, removeBuffer=%d@."
-          (TM.txn_id l.D.txn) (D.buf_size l.D.buffer) (List.length l.D.undo)
+          (TM.txn_id l.D.txn)
+          (Coll.Fifo_deque.length l.D.appends)
+          (List.length l.D.undo)
 end

@@ -7,7 +7,9 @@
     remove from the committed queue immediately (so no other transaction
     can steal work that would be invalid if this transaction aborts) and
     abort puts each taken element back at its original position; [put]
-    defers to commit so speculative new work never leaks.  The only
+    defers to commit so speculative new work never leaks, and its element
+    takes its place in the queue at commit, so queue order is commit
+    order.  The only
     semantic conflict is observed emptiness invalidated by a committing put
     (Tables 7 and 8).
 
@@ -24,15 +26,16 @@ module Make (TM : Tm_intf.TM_OPS) : sig
   val create : unit -> 'v t
 
   val put : 'v t -> 'v -> unit
-  (** Enqueue at commit time; discarded if the transaction aborts. *)
+  (** Enqueue at commit time, behind every element committed before;
+      discarded if the transaction aborts. *)
 
   val offer : 'v t -> 'v -> unit
   (** Alias of {!put} (the queue is unbounded, so offer always succeeds). *)
 
   val poll : 'v t -> 'v option
   (** Dequeue immediately (reduced isolation).  Falls back to the
-      transaction's own deferred additions; a [None] result takes the empty
-      lock, conflicting with any committing [put]. *)
+      transaction's own deferred additions, oldest first; a [None] result
+      takes the empty lock, conflicting with any committing [put]. *)
 
   val take : 'v t -> 'v option
   (** Alias of {!poll} (non-blocking). *)

@@ -122,8 +122,9 @@ let test_multiple_writers_tracked () =
   Alcotest.(check int) "table empty" 0 (L.total_lockers t);
   Alcotest.(check int) "no key entries leak" 0 (L.locker_count t Keys)
 
-(* One probe pair reads every facet: [locked_by] per owner, and
-   [locker_count] as key entries, coalesced ranges or structural owners. *)
+(* One probe pair reads every facet: [locked_by] per owner (keys are
+   probed one at a time, by [key_locked_by]), and [locker_count] as key
+   entries, coalesced ranges or structural owners. *)
 let test_facet_introspection () =
   let t : int L.t = L.one_interval () in
   let a = handle () and b = handle () in
@@ -137,8 +138,8 @@ let test_facet_introspection () =
   L.lock_last t b;
   L.lock_range t a ~compare:Int.compare { L.lo = Some 0; hi = Some 5 };
   let facets = [ Keys; Size; Isempty; First; Last; Ranges ] in
-  let held owner = List.filter (L.locked_by t owner) facets in
-  Alcotest.(check int) "a's facets" 4 (List.length (held a));
+  let held owner = List.filter (L.locked_by t owner) (List.tl facets) in
+  Alcotest.(check int) "a's facets" 3 (List.length (held a));
   Alcotest.(check bool) "a: no isEmpty" false (L.locked_by t a Isempty);
   Alcotest.(check bool) "b: no range" false (L.locked_by t b Ranges);
   Alcotest.(check (list int)) "counts" [ 2; 1; 1; 2; 1; 1 ]

@@ -183,7 +183,7 @@ let test_retry_loop_allocation_free () =
    with hashtable lock owners and write set and the per-call retry-loop
    closures they read 285/631 and 233/506, and 119/328 and 112/338 while
    each stripe also kept a mutable shard.  A queue transaction that puts
-   one element and polls the committed head measures 529: two persistent
+   one element and polls the committed head measures 389: two persistent
    map path copies (the put's commit and the poll's removal) plus the
    publications of both; the hand-written queue over a FIFO deque and a
    persistent deque image read 209. *)
@@ -203,7 +203,7 @@ let test_point_op_allocation_budget () =
     (per (fun () ->
          Q.put q 7;
          Q.poll q))
-    610.
+    450.
 
 (* Commit-region plan construction must stay O(regions) per commit: one
    transaction writing one present key in each of [n] single-stripe maps

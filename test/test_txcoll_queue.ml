@@ -205,6 +205,34 @@ let test_interleaved_aborts_restore_order () =
   Alcotest.(check (list int)) "original order restored" [ 1; 2; 3 ] drained;
   Alcotest.(check (option int)) "nothing else" None (Q.poll q)
 
+(* Queue order is commit order: T1 puts first but commits after T2, so
+   T2's element comes out first, as in the only serial order (T2; T1)
+   that matches what a reader between the two commits saw. *)
+let test_put_order_is_commit_order () =
+  let q = Q.create () in
+  let phase = Atomic.make 0 in
+  let await n =
+    while Atomic.get phase < n do
+      Domain.cpu_relax ()
+    done
+  in
+  let t1 =
+    Domain.spawn (fun () ->
+        Stm.atomic (fun () ->
+            Q.put q "a";
+            if Atomic.get phase = 0 then Atomic.set phase 1;
+            await 2))
+  in
+  await 1;
+  Stm.atomic (fun () -> Q.put q "b");
+  let seen = Stm.atomic (fun () -> Q.peek q) in
+  Atomic.set phase 2;
+  Domain.join t1;
+  Alcotest.(check (option string)) "between the commits" (Some "b") seen;
+  let drained = List.init 2 (fun _ -> Option.get (Q.poll q)) in
+  Alcotest.(check (list string)) "commit order" [ "b"; "a" ] drained;
+  Alcotest.(check (option string)) "nothing else" None (Q.poll q)
+
 let suites =
   [
     ( "txqueue.single",
@@ -235,5 +263,7 @@ let suites =
           test_parallel_work_conservation;
         Alcotest.test_case "interleaved aborts restore order" `Quick
           test_interleaved_aborts_restore_order;
+        Alcotest.test_case "put order is commit order" `Quick
+          test_put_order_is_commit_order;
       ] );
   ]
