@@ -1,6 +1,10 @@
-(** Persistent balanced map with a runtime comparator: the value type of a
+(** Persistent ordered map with a runtime comparator: the value type of a
     semantic shard's version chain.  Each committed shard state is one
-    immutable tree; successive versions share untouched subtrees. *)
+    immutable B+-tree whose leaves hold sorted key and value arrays;
+    successive versions share untouched nodes.  A write copies one array
+    per level; a range walk searches each bound once per level, then scans
+    leaf arrays.  Keys ascending from the right edge pack leaves fully.
+    Removal drops emptied nodes and merges nothing else. *)
 
 type ('k, 'v) t
 
@@ -11,7 +15,8 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val mem : ('k, 'v) t -> 'k -> bool
 
 val add : ('k, 'v) t -> 'k -> 'v -> ('k, 'v) t
-(** Insert or replace; O(log n), shares untouched subtrees. *)
+(** Insert or replace; O(log n), shares untouched nodes.  Replacing keeps
+    the stored key (and the leaf's key array) and binds the new value. *)
 
 val remove : ('k, 'v) t -> 'k -> ('k, 'v) t
 val min_binding : ('k, 'v) t -> ('k * 'v) option

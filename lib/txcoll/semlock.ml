@@ -504,15 +504,18 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   (* Consults only [k]'s stripe (caller holds [region_of_key t k]): any
      range containing [k] overlaps [k]'s interval and is registered
-     there. *)
+     there.  A stripe holding no ranges returns before building the
+     iteration closure: prepare calls this for every buffered key. *)
   let conflict_range t ~self ~compare k =
-    Hashtbl.iter
-      (fun _ (ranges, owner) ->
-        if
-          (not (TM.same_txn self owner))
-          && List.exists (fun r -> range_contains compare r k) ranges
-        then ignore (TM.remote_abort owner))
-      t.stripes.(stripe_index t k).st_ranges
+    let st = t.stripes.(stripe_index t k) in
+    if st.st_range_count > 0 then
+      Hashtbl.iter
+        (fun _ (ranges, owner) ->
+          if
+            (not (TM.same_txn self owner))
+            && List.exists (fun r -> range_contains compare r k) ranges
+          then ignore (TM.remote_abort owner))
+        st.st_ranges
 
   (* -------------------- introspection (tests, Table 3/6/9 dumps) ------- *)
 

@@ -184,11 +184,17 @@ let test_remote_abort_settlement_vs_snapshots () =
   Alcotest.(check int) "the aborted attempt retried and committed" 2
     (Tvar.get v);
   (* Racing settlement: an attacker fires outcomes at a running victim
-     while a snapshot reader loops pinned sections over the same map. *)
+     while a snapshot reader loops pinned sections over the same map.  The
+     victim starts once the reader has finished one pinned section, so the
+     reader cannot miss the whole race. *)
   let stop = Atomic.make false in
+  let reader_pinned = Atomic.make false in
   let victim_handle = Atomic.make None in
   let victim =
     Domain.spawn (fun () ->
+        while not (Atomic.get reader_pinned) do
+          Domain.cpu_relax ()
+        done;
         let committed = ref 0 in
         for i = 1 to 300 do
           Stm.atomic (fun () ->
@@ -210,7 +216,8 @@ let test_remote_abort_settlement_vs_snapshots () =
               let n = Map.fold (fun _ _ n -> n + 1) map 0 in
               if n <> Map.size map then incr errs;
               let a = Map.find map 0 in
-              if Map.find map 0 <> a then incr errs)
+              if Map.find map 0 <> a then incr errs);
+          Atomic.set reader_pinned true
         done;
         (!snaps, !errs))
   in

@@ -158,10 +158,11 @@ let rec take n = function
    the reverse walk. *)
 let rev_mirrors_fwd ~iter_range ~iter_range_rev ~lo ~hi ~stop expect =
   let collect ?(stop = max_int) iter =
-    let acc = ref [] in
+    let acc = ref [] and seen = ref 0 in
     (try
        iter (fun k v ->
-           if List.length !acc = stop then raise Exit;
+           if !seen = stop then raise Exit;
+           incr seen;
            acc := (k, v) :: !acc)
      with Exit -> ());
     List.rev !acc
@@ -204,6 +205,106 @@ let prop_iter_range_rev =
            ~iter_range:(fun f -> Coll.Skiplist.iter_range f s)
            ~iter_range_rev:(fun f -> Coll.Skiplist.iter_range_rev f s)
       && Coll.Skiplist.max_binding s = O.max_binding o)
+
+(* ------------------------------------------------------------------ *)
+(* Pmap against Stdlib.Map                                             *)
+
+module IMap = Map.Make (Int)
+
+(* Every version of one run of [Pmap] updates, oldest first, each beside
+   the [Stdlib.Map] holding the same bindings.  A random run makes [2 n]
+   updates, adding (3 in 4) or removing keys drawn from [0, 2 n]: it ends
+   near [n] keys.  A FIFO run builds [n] ascending keys, then [n] times
+   removes the least and adds one past the greatest: leaves empty from
+   the left and the root collapses. *)
+let pmap_versions ~fifo n rs =
+  let step (p, m) = function
+    | `Add (k, v) -> (Coll.Pmap.add p k v, IMap.add k v m)
+    | `Remove k -> (Coll.Pmap.remove p k, IMap.remove k m)
+  in
+  let ops =
+    if fifo then
+      List.init n (fun k -> `Add (k, -k))
+      @ List.concat
+          (List.init n (fun i -> [ `Remove i; `Add (n + i, -(n + i)) ]))
+    else
+      List.init (2 * n) (fun _ ->
+          let k = Random.State.int rs ((2 * n) + 1) in
+          if Random.State.int rs 4 < 3 then `Add (k, Random.State.bits rs)
+          else `Remove k)
+  in
+  let v0 = (Coll.Pmap.empty ~compare:Int.compare, IMap.empty) in
+  List.fold_left (fun vs op -> step (List.hd vs) op :: vs) [ v0 ] ops
+  |> List.rev
+
+(* [p] answers every query as [m] does: point reads at keys in and around
+   [m]'s range, the edges, the folds, and both range walks at random
+   bounds, stopped early by raising. *)
+let pmap_agrees rs (p, m) =
+  let module P = Coll.Pmap in
+  let bindings = IMap.bindings m in
+  let span =
+    3 + match IMap.max_binding_opt m with Some (k, _) -> k | None -> 0
+  in
+  let key () = Random.State.int rs span - 2 in
+  let bound () = if Random.State.int rs 4 = 0 then None else Some (key ()) in
+  let iterated = ref [] in
+  P.iter (fun k v -> iterated := (k, v) :: !iterated) p;
+  P.size p = IMap.cardinal m
+  && P.is_empty p = IMap.is_empty m
+  && P.to_list p = bindings
+  && List.rev !iterated = bindings
+  && List.rev (P.fold (fun k v acc -> (k, v) :: acc) p []) = bindings
+  && P.min_binding p = IMap.min_binding_opt m
+  && P.max_binding p = IMap.max_binding_opt m
+  && List.for_all
+       (fun _ ->
+         let k = key () in
+         P.find p k = IMap.find_opt k m && P.mem p k = IMap.mem k m)
+       (List.init 40 Fun.id)
+  && List.for_all
+       (fun _ ->
+         let lo = bound () and hi = bound () in
+         let expect =
+           List.filter
+             (fun (k, _) ->
+               (match lo with None -> true | Some b -> k >= b)
+               && match hi with None -> true | Some b -> k < b)
+             bindings
+         in
+         rev_mirrors_fwd ~lo ~hi ~stop:(Random.State.int rs 40) expect
+           ~iter_range:(fun f -> P.iter_range f p)
+           ~iter_range_rev:(fun f -> P.iter_range_rev f p))
+       (List.init 12 Fun.id)
+
+(* The large runs (n >= 1 500) end well past 1 024 keys, more than two
+   levels of 32-wide nodes hold.  After the whole run, twenty-one
+   versions spread over it, the oldest included, must each still answer
+   for their own bindings. *)
+let prop_pmap_model =
+  QCheck.Test.make ~name:"pmap agrees with Stdlib.Map, every version"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (fifo, n, seed) ->
+         Printf.sprintf "%s n=%d seed=%d"
+           (if fifo then "fifo" else "random")
+           n seed)
+       QCheck.Gen.(
+         triple bool
+           (frequency
+              [
+                (2, int_bound 70);
+                (1, int_range 100 700);
+                (2, int_range 1500 3000);
+              ])
+           int))
+    (fun (fifo, n, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let versions = Array.of_list (pmap_versions ~fifo n rs) in
+      let last = Array.length versions - 1 in
+      List.init 21 (fun i -> i * last / 20)
+      |> List.sort_uniq Int.compare
+      |> List.for_all (fun i -> pmap_agrees rs versions.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* Fifo_deque                                                          *)
@@ -284,6 +385,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_ordmap_model;
       ] );
     ("coll.range_rev", [ QCheck_alcotest.to_alcotest prop_iter_range_rev ]);
+    ("coll.pmap", [ QCheck_alcotest.to_alcotest prop_pmap_model ]);
     ( "coll.deque",
       [
         Alcotest.test_case "fifo" `Quick test_deque_fifo;

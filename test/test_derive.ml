@@ -185,7 +185,10 @@ let test_snapshot_reads_pinned_prefix () =
    all but one path with it).  Heap words reachable per key at 4 096
    committed int keys: hash map 20.7 and sorted map 12.1 when every
    stripe also kept a mutable shard beside its shadows, 10.7 and 6.1 with
-   the shadows alone. *)
+   the shadows alone as AVL trees, 7.1 and 2.3 with B+-tree shadows (a
+   hash map's key costs its 4-word bucket cons plus its slots in leaves
+   about 70% full; a sorted map filled in key order packs its leaves).
+   The bounds sit about 15% above the B+-tree figures. *)
 let test_one_copy_of_committed_state () =
   let n = 4096 in
   let m = Map.create () and sm = Sorted.create () in
@@ -197,11 +200,11 @@ let test_one_copy_of_committed_state () =
   let per_key x = float (Obj.reachable_words (Obj.repr x)) /. float n in
   let check what words bound =
     Alcotest.(check bool)
-      (Printf.sprintf "%s: %.1f words per key (<= %.0f)" what words bound)
+      (Printf.sprintf "%s: %.2f words per key (<= %.1f)" what words bound)
       true (words <= bound)
   in
-  check "hash map" (per_key m) 14.;
-  check "sorted map" (per_key sm) 8.
+  check "hash map" (per_key m) 8.1;
+  check "sorted map" (per_key sm) 2.6
 
 (* ---------------- QCheck spec soundness ---------------- *)
 

@@ -178,13 +178,16 @@ let test_retry_loop_allocation_free () =
 (* Point operations on an existing key inside [Stm.atomic]: the
    bookkeeping around the data (semantic lock owners, stripe lookup,
    handler registration, commit) must stay off the allocator.  The
-   budgets sit about 15% above the measured counts, 115/296 (sorted map)
-   and 110/287 (hash map) with committed state kept only in the shadows;
-   with hashtable lock owners and write set and the per-call retry-loop
-   closures they read 285/631 and 233/506, and 119/328 and 112/338 while
-   each stripe also kept a mutable shard.  A queue transaction that puts
-   one element and polls the committed head measures 389: two persistent
-   map path copies (the put's commit and the poll's removal) plus the
+   budgets were set about 15% above the counts measured with committed
+   state kept only in persistent AVL shadows, 115/296 (sorted map) and
+   110/287 (hash map).  With B+-tree shadows the counts read 115/301 and
+   110/284: a put's path copy now includes its leaf's whole value array
+   (33 words for a full leaf).  With hashtable lock owners and
+   write set and the per-call retry-loop closures they read 285/631 and
+   233/506, and 119/328 and 112/338 while each stripe also kept a mutable
+   shard.  A queue transaction that puts one element and polls the
+   committed head measures 385 (389 over the AVL): two persistent-map
+   path copies (the put's commit and the poll's removal) plus the
    publications of both; the hand-written queue over a FIFO deque and a
    persistent deque image read 209. *)
 let test_point_op_allocation_budget () =
