@@ -128,7 +128,18 @@ module type TM_OPS = sig
       will enter beyond their own nested {!critical} sections in ascending
       rid order.  Defaults to [fun () -> [r]].  A TM without multi-region
       commit (the simulated TCC machine) may ignore it and serialise on
-      [r]. *)
+      [r].
+
+      Held regions.  [prepare], and an [apply] that receives a non-zero
+      stamp (a write commit), run with every region of every handler's
+      plan held, from before the first [prepare] until after the last
+      [apply]; a TM that ignores plans runs both halves as one atomic step
+      that no other {!critical} section interleaves with.  The handlers
+      may therefore touch the state those regions guard without entering
+      {!critical} themselves, and state a [prepare] reads stays as read
+      until [apply].  An [apply] that receives stamp [0] (the read-only
+      fast path) runs with no region held and takes its own {!critical}
+      sections. *)
 
   val on_abort : (unit -> unit) -> unit
   (** Register an abort handler: a compensating action that releases semantic

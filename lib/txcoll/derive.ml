@@ -97,6 +97,19 @@
      unchanged; apply folds the size delta and publishes the shadows at
      the commit stamp, so snapshots never see an uncommitted or undone
      write.
+   Per-key path.  A point operation finds its key's stripe once and
+   hands it to the stripe's region, the lock table, the committed read
+   and the transaction's key-lock record, which keeps (copied key,
+   stripe), so release neither hashes nor searches for the stripe again.
+   Locking a key is one find-or-add in the stripe's lock table.  Prepare,
+   and the apply of a write commit (non-zero stamp), run with the
+   commit's whole region plan held ({!Tm_intf.TM_OPS.on_commit_prepared})
+   and enter no critical section of their own: the plan covers every
+   buffered key's and held lock's stripe, and the structure region
+   whenever they touch it.  Prepare reads a blind entry's committed prior
+   once and records it for apply.  Only the releases of the read-only
+   fast path (stamp 0) and of abort, which hold no region, take each
+   region in turn.
    The queue (§3.3) adds two operations.  [append] is a blind write whose
    key is drawn at commit, under the structure region, so key order is
    commit order.  [first_now] reads the first binding without a lock and
@@ -212,8 +225,17 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      time the transaction first read the key ([None] = never read: the
      writes so far are blind); it stays valid for the transaction's
      lifetime because reading it also takes the key's lock, so any commit
-     changing it aborts us first. *)
+     changing it aborts us first.  Prepare records a blind entry's prior
+     for apply, which runs with the same regions held. *)
   type 'v bw = { mutable w : 'v S.wop; mutable prior : 'v S.value option option }
+
+  (* The key locks a transaction holds: the copied key and its stripe,
+     newest first. *)
+  type key_locks = No_keys | Key_lock of S.key * int * key_locks
+
+  let rec key_lock_count = function
+    | No_keys -> 0
+    | Key_lock (_, _, rest) -> 1 + key_lock_count rest
 
   (* The store buffer, keyed like the class: ordered specs keep it in key
      order, so range reads merge it with the committed shadows. *)
@@ -240,7 +262,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   type 'v local = {
     mutable txn : TM.txn;
     buffer : 'v buffer;
-    mutable key_locks : S.key list;
+    mutable key_locks : key_locks;
     mutable stripes_mask : int; (* stripes of held key locks + blind keys *)
     mutable ranges_mask : int; (* stripes holding this txn's range locks *)
     mutable struct_locked : bool; (* holds a size/isEmpty/first/last lock *)
@@ -407,14 +429,14 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     }
 
   let sregion t = L.struct_region t.locks
-  let table_of t k = t.tables.(L.stripe_index t.locks k)
-  let key_region t k = L.region_of_key t.locks k
+  let stripe_of t k = L.stripe_index t.locks k
+  let stripe_region t si = L.stripe_region t.locks si
   let stripe_count t = L.stripe_count t.locks
 
   let all_regions t =
     let acc = ref [] in
     for i = stripe_count t - 1 downto 0 do
-      acc := L.stripe_region t.locks i :: !acc
+      acc := stripe_region t i :: !acc
     done;
     sregion t :: !acc
 
@@ -424,7 +446,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     let i, j = L.interval_span t.locks ~lo ~hi in
     let rec go i =
       if i > j then f ()
-      else TM.critical (L.stripe_region t.locks i) (fun () -> go (i + 1))
+      else TM.critical (stripe_region t i) (fun () -> go (i + 1))
     in
     go i
 
@@ -435,9 +457,9 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   let latest_shadow t si = Coll.Vchain.latest t.snap.(si)
   let snap_size t = Coll.Vchain.read_at t.snap_size (TM.snapshot_stamp ())
 
-  (* Committed observation of [k]; caller holds [key_region t k]. *)
-  let committed_find t k =
-    shadow_find (latest_shadow t (L.stripe_index t.locks k)) k
+  (* Committed observation of [k], of stripe [si]; caller holds
+     [stripe_region t si]. *)
+  let committed_find t si k = shadow_find (latest_shadow t si) k
 
   (* Publish at [stamp].  Caller holds the chain's region (stripe [si]'s,
      or the structure region for the size chain), which serializes
@@ -540,35 +562,62 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   (* ---------------- commit/abort handlers ---------------- *)
 
+  (* Release [self]'s key locks; each stripe region is held when [held],
+     else taken in a sequential critical. *)
+  let rec release_keys t self ~held = function
+    | No_keys -> ()
+    | Key_lock (k, si, rest) ->
+        if held then L.release_key_at t.locks si self k
+        else
+          TM.critical (stripe_region t si) (fun () ->
+              L.release_key_at t.locks si self k);
+        release_keys t self ~held rest
+
   (* Runs exactly once per transaction (the apply and abort handlers are
-     mutually exclusive).  The releases run as sequential (never nested)
-     criticals: with the commit's region plan held they are reentrant; on
-     the abort and read-only paths nothing is held. *)
-  let cleanup t l =
-    List.iter
-      (fun k ->
-        TM.critical (key_region t k) (fun () -> L.release_key t.locks l.txn k))
-      l.key_locks;
+     mutually exclusive).  [held]: the caller holds every region the
+     releases touch, as an apply at a non-zero stamp does — the commit's
+     region plan covers the stripe of every held key or range lock, and
+     the structure region when a structural lock is held.  Otherwise (the
+     abort and the read-only fast path, which hold nothing) every release
+     takes its region in a sequential, never nested, critical. *)
+  let cleanup t l ~held =
+    let self = l.txn in
+    release_keys t self ~held l.key_locks;
     if l.ranges_mask <> 0 then
       for i = 0 to stripe_count t - 1 do
-        if l.ranges_mask land (1 lsl i) <> 0 then
-          TM.critical (L.stripe_region t.locks i) (fun () ->
-              L.release_ranges_in_stripe t.locks l.txn i)
+        if l.ranges_mask land (1 lsl i) <> 0 then begin
+          if held then L.release_ranges_in_stripe t.locks self i
+          else
+            TM.critical (stripe_region t i) (fun () ->
+                L.release_ranges_in_stripe t.locks self i)
+        end
       done;
-    if l.struct_locked then
-      TM.critical (sregion t) (fun () -> L.release_structure t.locks l.txn);
+    if l.struct_locked then begin
+      if held then L.release_structure t.locks self
+      else TM.critical (sregion t) (fun () -> L.release_structure t.locks self)
+    end;
     l.undo <- []
 
-  (* Committed observation backing a buffer entry; blind entries read it
-     under a nested stripe critical (ascending rid from the structure
-     region; reentrant from prepare with the plan held). *)
+  (* Committed observation backing a buffer entry; a blind entry reads it
+     from its stripe's newest shadow, so the caller holds that stripe's
+     region. *)
+  let prior_held t k (e : _ bw) =
+    match e.prior with
+    | Some p -> p
+    | None -> committed_find t (stripe_of t k) k
+
+  (* [prior_held] for a caller holding only the structure region: a blind
+     entry is read under a nested stripe critical (ascending rid). *)
   let prior_of t k (e : _ bw) =
     match e.prior with
     | Some p -> p
-    | None -> TM.critical (key_region t k) (fun () -> committed_find t k)
+    | None ->
+        let si = stripe_of t k in
+        TM.critical (stripe_region t si) (fun () -> committed_find t si k)
 
   (* Net weight change of the store buffer against current committed
-     state — the derived size-facet conflict condition. *)
+     state — the derived size-facet conflict condition.  Caller holds the
+     structure region. *)
   let batch_delta t l =
     buf_fold
       (fun k e acc ->
@@ -590,7 +639,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      blind write's effect is unknown until applied, so it is planned
      conservatively).  An ordered batch that may empty a key plans every
      region: removing an endpoint rescans every stripe for the new one.
-     So does a batch with appends, whose keys are not drawn yet. *)
+     So does a batch with appends, whose keys are not drawn yet.  Prepare,
+     apply and the apply's releases enter no region outside this plan. *)
   let regions_plan t l () =
     (* bit 0: the batch may empty a key; bit 1: it may move the size *)
     let effects =
@@ -613,8 +663,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       let mask = l.stripes_mask lor l.ranges_mask in
       let acc = ref [] in
       for i = stripe_count t - 1 downto 0 do
-        if mask land (1 lsl i) <> 0 then
-          acc := L.stripe_region t.locks i :: !acc
+        if mask land (1 lsl i) <> 0 then acc := stripe_region t i :: !acc
       done;
       if l.struct_locked || (track_struct && effects land 2 <> 0) then
         sregion t :: !acc
@@ -623,12 +672,13 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   (* Derived first/last conflict condition (Table 5): the batch moves an
      endpoint iff some key appears beyond it or the endpoint key itself
-     vanishes.  Caller holds the structure region. *)
+     vanishes.  Caller holds the structure region and the buffered keys'
+     stripe regions. *)
   let endpoint_conflicts t l ~self =
     let first = ref false and last = ref false in
     buf_iter
       (fun k e ->
-        let prior = prior_of t k e in
+        let prior = prior_held t k e in
         let appears = present (S.view prior e.w) in
         if present prior <> appears then begin
           if moves t.cmin k (-1) ~appears then first := true;
@@ -639,63 +689,74 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     if !last then L.conflict_last t.locks ~self
 
   (* A buffered key invalidates its key facet and every range containing
-     it; caller holds the key's region. *)
-  let conflict_key_facets t ~self k =
-    L.conflict_key t.locks ~self k;
-    if ordered then L.conflict_range t.locks ~self ~compare:cmp k
+     it; caller holds the key's stripe [si] region. *)
+  let conflict_key_facets t ~self si k =
+    L.conflict_key_at t.locks si ~self k;
+    if ordered then L.conflict_range_at t.locks si ~self ~compare:cmp k
 
   (* Prepare phase: abort the holders of every facet this batch
-     invalidates — key and range facets under each key's region, then the
-     structural ones.  Read-only on committed state and may raise; it runs
-     before the TM's commit point so an exception aborts with nothing
-     applied.  A weight change or a presence flip puts the structure
-     region in the plan, so every critical below re-enters a region the
-     plan holds.  It first draws the appends' keys, oldest first, under the
-     structure region, which every commit or non-transactional write with
-     appends holds from then until its keys are bound: key order is the
-     order appends reach committed state.  From here they are writes in
-     the buffer whose prior is known: a fresh key has no binding. *)
+     invalidates — key and range facets in each key's stripe, then the
+     structural ones.  It changes no committed state and may raise; it
+     runs before the TM's commit point so an exception aborts with nothing
+     applied.  It runs with the commit's region plan held and enters no
+     critical of its own: the plan covers every buffered key's stripe, and
+     a weight change or a presence flip puts the structure region in it.
+     A blind entry's prior is read here once and recorded for apply: the
+     regions stay held until then.  Prepare first draws the appends' keys,
+     oldest first; a batch with appends plans every region, and every
+     non-transactional write with appends holds the structure region, from
+     the draw until its keys are bound: key order is the order appends
+     reach committed state.  From here they are writes in the buffer whose
+     prior is known: a fresh key has no binding. *)
   let prepare_handler t l () =
     let self = l.txn in
     if not (Coll.Fifo_deque.is_empty l.appends) then begin
-      TM.critical (sregion t) (fun () ->
-          Coll.Fifo_deque.iter
-            (fun (fresh, w) ->
-              buf_add l.buffer (fresh ()) { w; prior = Some None })
-            l.appends);
+      Coll.Fifo_deque.iter
+        (fun (fresh, w) ->
+          buf_add l.buffer (fresh ()) { w; prior = Some None })
+        l.appends;
       Coll.Fifo_deque.clear l.appends
     end;
     let flips = ref false in
     let delta =
       buf_fold
         (fun k e acc ->
-          TM.critical (key_region t k) (fun () ->
-              conflict_key_facets t ~self k);
+          let si = stripe_of t k in
+          conflict_key_facets t ~self si k;
           if not track_struct then acc
           else
-            let prior = prior_of t k e in
+            let prior =
+              match e.prior with
+              | Some p -> p
+              | None ->
+                  let p = committed_find t si k in
+                  e.prior <- Some p;
+                  p
+            in
             let after = S.view prior e.w in
             if present prior <> present after then flips := true;
             acc + S.weight after - S.weight prior)
         l.buffer 0
     in
-    if delta <> 0 || !flips then
-      TM.critical (sregion t) (fun () ->
-          if S.uses_size && delta <> 0 then L.conflict_size t.locks ~self;
-          if S.uses_isempty && (t.csize = 0) <> (t.csize + delta = 0) then
-            L.conflict_isempty t.locks ~self;
-          if ordered && !flips && L.endpoint_locked t.locks then
-            endpoint_conflicts t l ~self)
+    if delta <> 0 || !flips then begin
+      if S.uses_size && delta <> 0 then L.conflict_size t.locks ~self;
+      if S.uses_isempty && (t.csize = 0) <> (t.csize + delta = 0) then
+        L.conflict_isempty t.locks ~self;
+      if ordered && !flips && L.endpoint_locked t.locks then
+        endpoint_conflicts t l ~self
+    end
 
   (* Apply phase, after the commit point: bind each buffered key once in
      its stripe's next shadow (one combined op per key), fold the weight
      delta into the committed size and the presence flips into the
      endpoints, publish each changed stripe's shadow (and the size) once
-     at the commit stamp, release semantic locks.  A read-only commit only
-     releases its locks. *)
-  (* One key of [flush]; caller holds [key_region t k]. *)
+     at the commit stamp, release semantic locks.  A non-zero stamp is a
+     write commit, which holds its whole region plan, so nothing here
+     enters a critical; a read-only commit (stamp 0, nothing held) only
+     releases its locks, each under its region. *)
+  (* One key of [flush]. *)
   let flush_key t l ~delta ~rescan k e =
-    let si = L.stripe_index t.locks k in
+    let si = stripe_of t k in
     let shadow =
       match l.shadows.(si) with Some sh -> sh | None -> latest_shadow t si
     in
@@ -709,40 +770,34 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let flush t l stamp =
     let delta = ref 0 and rescan = ref 0 in
-    buf_iter
-      (fun k e ->
-        TM.critical (key_region t k) (fun () ->
-            flush_key t l ~delta ~rescan k e))
-      l.buffer;
+    buf_iter (fun k e -> flush_key t l ~delta ~rescan k e) l.buffer;
     let min_epoch = TM.reclaim_epoch () in
     for si = 0 to Array.length l.shadows - 1 do
       match l.shadows.(si) with
       | None -> ()
       | Some shadow ->
           l.shadows.(si) <- None;
-          TM.critical (L.stripe_region t.locks si) (fun () ->
-              publish_stripe t si ~min_epoch stamp shadow)
+          publish_stripe t si ~min_epoch stamp shadow
     done;
-    if track_struct && (!delta <> 0 || !rescan <> 0) then
-      TM.critical (sregion t) (fun () ->
-          t.csize <- t.csize + !delta;
-          rescan_endpoints t !rescan;
-          if !delta <> 0 then publish_size t ~min_epoch stamp)
+    if track_struct && (!delta <> 0 || !rescan <> 0) then begin
+      t.csize <- t.csize + !delta;
+      rescan_endpoints t !rescan;
+      if !delta <> 0 then publish_size t ~min_epoch stamp
+    end
 
   let apply_handler t l stamp =
     if not (buf_is_empty l.buffer) then flush t l stamp;
-    cleanup t l
+    cleanup t l ~held:(stamp <> 0)
 
-  (* Bind [k] in committed state to [after before] at once, [before] being
-     its committed observation, and return [before]; [table] applies the
-     write to an eager spec's table.  Caller holds [k]'s region, and the
-     structure region when a structural facet is in use (every region when
-     an ordered spec's key may empty, for the endpoint rescan), so the new
-     shadow, the committed size and endpoints are atomic for structural
-     readers; the publication draws its stamp through [TM.begin_publish]
-     under those regions. *)
-  let bind_held t k ~table after =
-    let si = L.stripe_index t.locks k in
+  (* Bind [k], of stripe [si], in committed state to [after before] at
+     once, [before] being its committed observation, and return [before];
+     [table] applies the write to an eager spec's table.  Caller holds
+     [k]'s region, and the structure region when a structural facet is in
+     use (every region when an ordered spec's key may empty, for the
+     endpoint rescan), so the new shadow, the committed size and endpoints
+     are atomic for structural readers; the publication draws its stamp
+     through [TM.begin_publish] under those regions. *)
+  let bind_held t si k ~table after =
     let shadow = latest_shadow t si in
     let before = shadow_find shadow k in
     if eager then table t.tables.(si);
@@ -769,11 +824,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   exception Pending_writer
 
   let rec bind_now t k ~vacate ~table after =
+    let si = stripe_of t k in
     let doit () =
-      TM.critical (key_region t k) (fun () ->
-          if eager && L.key_writer t.locks k <> None then
+      TM.critical (stripe_region t si) (fun () ->
+          if eager && L.key_writer_at t.locks si k <> None then
             raise_notrace Pending_writer;
-          bind_held t k ~table after)
+          bind_held t si k ~table after)
     in
     let run () =
       if ordered && vacate then L.critical_all t.locks doit
@@ -791,7 +847,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   (* Abort phase: bind back what reduced-isolation writes replaced, newest
      first.  An eager transaction writes each key's prior back under the
      key's region while it still holds the key's writer lock, so no other
-     transaction sees the table between the undo and the release. *)
+     transaction sees the table between the undo and the release.  No
+     region is held on abort. *)
   let abort_handler t l =
     List.iter
       (fun (k, v) ->
@@ -802,10 +859,11 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     | Eager { restore; _ } ->
         buf_iter
           (fun k e ->
-            TM.critical (key_region t k) (fun () ->
-                (table_of t k).tapply k (restore (prior_of t k e))))
+            let si = stripe_of t k in
+            TM.critical (stripe_region t si) (fun () ->
+                t.tables.(si).tapply k (restore (prior_held t k e))))
           l.buffer);
-    cleanup t l
+    cleanup t l ~held:false
 
   (* One local record per top-level transaction; its first use registers
      the single commit handler and single abort handler of §5's
@@ -822,7 +880,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       | Some l ->
           l.txn <- txn;
           buf_clear l.buffer;
-          l.key_locks <- [];
+          l.key_locks <- No_keys;
           l.stripes_mask <- 0;
           l.ranges_mask <- 0;
           l.struct_locked <- false;
@@ -839,7 +897,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                 | Hashed { hash; equal } ->
                     Hbuffer (Coll.Chain_hashmap.create ~hash ~equal ())
                 | Ordered compare -> Obuffer (Coll.Ordmap.create ~compare ()));
-              key_locks = [];
+              key_locks = No_keys;
               stripes_mask = 0;
               ranges_mask = 0;
               struct_locked = false;
@@ -864,25 +922,25 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let local_of t = TM.txn_local t.local_key attach t
 
-  (* Caller holds [key_region t k].  On an eager spec it first waits by
-     retry while another transaction has [k] updated in place: the table
-     holds that transaction's uncommitted write.  [TM.retry] raises, which
-     leaves the caller's criticals. *)
-  let lock_key t l k =
-    if eager && L.key_has_foreign_writer t.locks ~self:l.txn k then TM.retry ();
-    if not (L.key_locked_by t.locks l.txn k) then begin
-      let committed_copy = t.copy_key k in
-      L.lock_key t.locks l.txn committed_copy;
-      l.key_locks <- committed_copy :: l.key_locks;
-      l.stripes_mask <- l.stripes_mask lor (1 lsl L.stripe_index t.locks k)
+  (* Lock [k], of stripe [si]; caller holds [stripe_region t si].  On an
+     eager spec it first waits by retry while another transaction has [k]
+     updated in place: the table holds that transaction's uncommitted
+     write.  [TM.retry] raises, which leaves the caller's criticals.  The
+     lock table and the transaction's record each keep a copy of [k]. *)
+  let lock_key t l si k =
+    if eager && L.key_has_foreign_writer_at t.locks si ~self:l.txn k then
+      TM.retry ();
+    if L.lock_key_at t.locks si l.txn ~copy:t.copy_key k then begin
+      l.key_locks <- Key_lock (t.copy_key k, si, l.key_locks);
+      l.stripes_mask <- l.stripes_mask lor (1 lsl si)
     end
 
   (* The calling transaction's read of [k] outside its buffer, after
      [lock_key]: the newest shadow, or an eager spec's table, which also
      holds the transaction's own in-place writes ([lock_key] waited out
-     every foreign one).  Caller holds [key_region t k]. *)
-  let txn_find t k =
-    if eager then (table_of t k).tfind k else committed_find t k
+     every foreign one).  Caller holds [stripe_region t si]. *)
+  let txn_find t si k =
+    if eager then t.tables.(si).tfind k else committed_find t si k
 
   (* Caller holds [sregion t]. *)
   let lock_size t l =
@@ -906,13 +964,13 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   (* ---------------- reads ---------------- *)
 
   let find t k =
-    if TM.in_snapshot () then
-      shadow_find (snap_shadow t (L.stripe_index t.locks k)) k
+    let si = stripe_of t k in
+    if TM.in_snapshot () then shadow_find (snap_shadow t si) k
     else if not (TM.in_txn ()) then
-      TM.critical (key_region t k) (fun () -> committed_find t k)
+      TM.critical (stripe_region t si) (fun () -> committed_find t si k)
     else begin
       let l = local_of t in
-      TM.critical (key_region t k) (fun () ->
+      TM.critical (stripe_region t si) (fun () ->
           match buf_find l.buffer k with
           | Some e ->
               if S.absorbing e.w then S.view None e.w
@@ -924,15 +982,15 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                       (* Delta-style write-then-read: the observation
                          depends on committed state, which makes this a
                          key read — lock it. *)
-                      lock_key t l k;
-                      let p = committed_find t k in
+                      lock_key t l si k;
+                      let p = committed_find t si k in
                       e.prior <- Some p;
                       p
                 in
                 S.view prior e.w
           | None ->
-              lock_key t l k;
-              txn_find t k)
+              lock_key t l si k;
+              txn_find t si k)
     end
 
   (* Committed size, ignoring the calling transaction and taking no lock:
@@ -965,13 +1023,14 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     end
 
   (* The first ([up]) or last binding the calling transaction's buffer
-     leaves present in [lo, hi), strictly above [above] when given. *)
+     leaves present in [lo, hi), strictly above [above] when given.
+     Caller holds the span's regions. *)
   let buffered_seek t l ~up ~above ~lo ~hi =
     first_visited (fun f ->
         (if up then Coll.Ordmap.iter_range else Coll.Ordmap.iter_range_rev)
           (fun k e ->
             if past above k then
-              match S.view (prior_of t k e) e.w with
+              match S.view (prior_held t k e) e.w with
               | Some v -> f k v
               | None -> ())
           (ordered_buffer l) ~lo ~hi)
@@ -998,9 +1057,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     match if last then t.cmax else t.cmin with
     | None -> None
     | Some k ->
+        let si = stripe_of t k in
         Option.map
           (fun v -> (k, v))
-          (TM.critical (key_region t k) (fun () -> committed_find t k))
+          (TM.critical (stripe_region t si) (fun () -> committed_find t si k))
 
   (* The committed first (or last) binding, ignoring the calling
      transaction and taking no lock: the pinned one inside a snapshot. *)
@@ -1059,7 +1119,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           | Some (k, _) as r ->
               if up then lock_range t l ~lo ~hi:(Some k)
               else lock_range t l ~lo:(Some k) ~hi;
-              lock_key t l k;
+              lock_key t l (stripe_of t k) k;
               r)
     end
 
@@ -1074,7 +1134,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     let buffered = ref [] in
     Coll.Ordmap.iter_range_rev
       (fun k e ->
-        match S.view (prior_of t k e) e.w with
+        match S.view (prior_held t k e) e.w with
         | Some v -> buffered := (k, v) :: !buffered
         | None -> ())
       buf ~lo ~hi;
@@ -1137,7 +1197,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   let merged_fold t l ~on_committed f init =
     if eager && L.any_other_writer t.locks ~self:l.txn then TM.retry ();
     let overlay k e acc =
-      match S.view (prior_of t k e) e.w with Some v -> f k v acc | None -> acc
+      match S.view (prior_held t k e) e.w with Some v -> f k v acc | None -> acc
     in
     let acc =
       shadows_fold latest_shadow
@@ -1152,7 +1212,9 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     (* Buffered keys with no committed binding. *)
     buf_fold
       (fun k e acc ->
-        if Option.is_none (committed_find t k) then overlay k e acc else acc)
+        if Option.is_none (committed_find t (stripe_of t k) k) then
+          overlay k e acc
+        else acc)
       l.buffer acc
 
   (* Full enumeration.  Ordered specs fold the whole key range in order
@@ -1173,7 +1235,9 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       let l = local_of t in
       L.critical_all t.locks (fun () ->
           lock_size t l;
-          merged_fold t l ~on_committed:(lock_key t l) f init)
+          merged_fold t l
+            ~on_committed:(fun k -> lock_key t l (stripe_of t k) k)
+            f init)
     end
 
   let iter f t = fold (fun k v () -> f k v) t ()
@@ -1240,9 +1304,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       L.critical_all t.locks (fun () ->
           match t.cmin with
           | Some k ->
+              let si = stripe_of t k in
               let before =
-                if take then bind_held t k ~table:ignore (fun _ -> None)
-                else committed_find t k
+                if take then bind_held t si k ~table:ignore (fun _ -> None)
+                else committed_find t si k
               in
               (match (l, before) with
               | Some l, Some v when take -> l.undo <- (k, v) :: l.undo
@@ -1267,11 +1332,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      and update the table in place.  Returns the key's observation before
      the write. *)
   let eager_write t l k w =
-    TM.critical (key_region t k) (fun () ->
-        lock_key t l k;
-        L.lock_key_write t.locks l.txn k;
-        L.conflict_key t.locks ~self:l.txn k;
-        let table = table_of t k in
+    let si = stripe_of t k in
+    TM.critical (stripe_region t si) (fun () ->
+        lock_key t l si k;
+        L.lock_key_write_at t.locks si l.txn ~copy:t.copy_key k;
+        L.conflict_key_at t.locks si ~self:l.txn k;
+        let table = t.tables.(si) in
         let old = table.tfind k in
         (match buf_find l.buffer k with
         | Some e -> e.w <- S.combine ~earlier:e.w ~later:w
@@ -1291,17 +1357,17 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     else if eager then eager_write t (local_of t) k w
     else begin
       let l = local_of t in
+      let si = stripe_of t k in
       if blind then begin
         (match buf_find l.buffer k with
         | Some e -> e.w <- S.combine ~earlier:e.w ~later:w
         | None ->
             buf_add l.buffer k { w; prior = None };
-            l.stripes_mask <-
-              l.stripes_mask lor (1 lsl L.stripe_index t.locks k));
+            l.stripes_mask <- l.stripes_mask lor (1 lsl si));
         None
       end
       else
-        TM.critical (key_region t k) (fun () ->
+        TM.critical (stripe_region t si) (fun () ->
             match buf_find l.buffer k with
             | Some e ->
                 let old =
@@ -1311,8 +1377,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                       match e.prior with
                       | Some p -> p
                       | None ->
-                          lock_key t l k;
-                          let p = committed_find t k in
+                          lock_key t l si k;
+                          let p = committed_find t si k in
                           e.prior <- Some p;
                           p
                     in
@@ -1323,8 +1389,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
             | None ->
                 (* Returning the prior observation reads the key
                    (Table 2: value-returning writes take a key lock). *)
-                lock_key t l k;
-                let p = committed_find t k in
+                lock_key t l si k;
+                let p = committed_find t si k in
                 buf_add l.buffer k { w; prior = Some p };
                 p)
     end
@@ -1334,7 +1400,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   (* ---------------- introspection ---------------- *)
 
   let holds_key_lock t k =
-    TM.critical (key_region t k) (fun () ->
+    TM.critical (stripe_region t (stripe_of t k)) (fun () ->
         L.key_locked_by t.locks (TM.current ()) k)
 
   let outstanding_locks t =
@@ -1356,7 +1422,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   (* Length of the shadow chain of [k]'s stripe. *)
   let key_history_length t k =
-    Coll.Vchain.length t.snap.(L.stripe_index t.locks k)
+    Coll.Vchain.length t.snap.(stripe_of t k)
 
   (* Longest shadow chain (stripes and size) — reclamation probe: at most
      2 once no snapshot reader is pinned below the newest versions. *)

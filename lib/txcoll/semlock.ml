@@ -32,15 +32,17 @@
    commits pre-acquire their rid-sorted region plan, so every acquisition
    order is ascending.
 
-   Synchronisation discipline: per-key functions ([lock_key],
-   [conflict_key], [release_key], ...) require the caller to hold
-   [region_of_key t k]; [lock_range]/[release_ranges_in_stripe] require
-   the overlapped stripe regions; [conflict_range t k] requires
-   [region_of_key t k]; structure functions ([lock_size],
-   [release_structure], ...) require [struct_region t].
-   [release_all] and the whole-table introspection helpers synchronise
-   internally (regions are reentrant, so calling them with regions held is
-   fine).
+   Synchronisation discipline: per-key functions take the stripe the
+   caller found ([stripe_index t k], computed once per key and operation)
+   and require the caller to hold that stripe's region
+   ([lock_key_at], [conflict_key_at], [conflict_range_at],
+   [release_key_at], ...); the key-taking forms, kept for tests and
+   introspection, find the stripe themselves.  [lock_range] and
+   [release_ranges_in_stripe] require the overlapped stripe regions;
+   structure functions ([lock_size], [release_structure], ...) require
+   [struct_region t].  [release_all] and the whole-table introspection
+   helpers synchronise internally (regions are reentrant, so calling them
+   with regions held is fine).
 
    Lock owners (a key's readers and pending writers, the size, isEmpty,
    first and last lockers) are plain lists deduplicated by [TM.txn_id] —
@@ -221,7 +223,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
         count_splitters ~strict:false cmp splitters k
 
   let stripe_region t i = t.stripes.(i).st_region
-  let region_of_key t k = (t.stripes.(stripe_index t k)).st_region
 
   (* Inclusive stripe span overlapped by the half-open range [lo, hi).
      Hashed mode destroys order, so every stripe is overlapped.  Interval
@@ -292,7 +293,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     | Hashed_keys h -> Coll.Chain_hashmap.fold f h acc
     | Ordered_keys o -> Coll.Ordmap.fold f o acc
 
-  let find_entry t k = kt_find t.stripes.(stripe_index t k).key_lockers k
+  let find_entry_at t si k = kt_find t.stripes.(si).key_lockers k
+  let find_entry t k = find_entry_at t (stripe_index t k) k
 
   let writer_incr st txn =
     let id = TM.txn_id txn in
@@ -307,44 +309,65 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     | Some n -> Hashtbl.replace st.st_writers id (n - 1)
 
   (* -------------------- acquisition (read operations) ------------------ *)
-  (* Per-key: caller holds [region_of_key t k].  Structure: caller holds
-     [struct_region t]. *)
+  (* Per-key: [si] is [stripe_index t k] and the caller holds
+     [stripe_region t si].  Structure: caller holds [struct_region t]. *)
 
-  let entry_for st k =
+  (* [k]'s entry in stripe [st], added under [copy k] when missing. *)
+  let entry_for st ~copy k =
     match kt_find st.key_lockers k with
     | Some e -> e
     | None ->
         let e = { readers = []; writers = [] } in
         (match st.key_lockers with
-        | Hashed_keys h -> Coll.Chain_hashmap.add h k e
-        | Ordered_keys o -> Coll.Ordmap.add o k e);
+        | Hashed_keys h -> Coll.Chain_hashmap.add h (copy k) e
+        | Ordered_keys o -> Coll.Ordmap.add o (copy k) e);
         e
 
+  (* Read-lock [k]: one find-or-add in the stripe's table.  Returns [true]
+     when this call registered [txn], [false] when [txn] already held the
+     key as a reader or a writer.  A new entry is stored under [copy k]. *)
+  let lock_key_at t si txn ~copy k =
+    let e = entry_for t.stripes.(si) ~copy k in
+    if locker_mem e.readers txn || locker_mem e.writers txn then false
+    else begin
+      e.readers <- txn :: e.readers;
+      true
+    end
+
   let lock_key t txn k =
-    let e = entry_for t.stripes.(stripe_index t k) k in
-    e.readers <- add_locker e.readers txn
+    ignore (lock_key_at t (stripe_index t k) txn ~copy:Fun.id k)
 
   (* Register [txn] as a pending writer of [k].  Idempotent per
      transaction; every distinct writer stays registered, so a later
      writer's commit still conflicts with an earlier one. *)
-  let lock_key_write t txn k =
-    let st = t.stripes.(stripe_index t k) in
-    let e = entry_for st k in
+  let lock_key_write_at t si txn ~copy k =
+    let st = t.stripes.(si) in
+    let e = entry_for st ~copy k in
     if not (locker_mem e.writers txn) then begin
       e.writers <- txn :: e.writers;
       writer_incr st txn
     end
 
+  let lock_key_write t txn k =
+    lock_key_write_at t (stripe_index t k) txn ~copy:Fun.id k
+
   (* Some registered writer of [k], if any (introspection; when several
      writers are pending the choice is arbitrary — callers that need
      "a writer other than me" must use [key_has_foreign_writer]). *)
-  let key_writer t k =
-    match find_entry t k with
+  let key_writer_at t si k =
+    match find_entry_at t si k with
     | Some { writers = w :: _; _ } -> Some w
     | _ -> None
 
+  let key_writer t k = key_writer_at t (stripe_index t k) k
+
+  let key_has_foreign_writer_at t si ~self k =
+    match find_entry_at t si k with
+    | None -> false
+    | Some e -> has_other ~self e.writers
+
   let key_has_foreign_writer t ~self k =
-    match find_entry t k with None -> false | Some e -> has_other ~self e.writers
+    key_has_foreign_writer_at t (stripe_index t k) ~self k
 
   let any_other_writer t ~self =
     let id = TM.txn_id self in
@@ -425,8 +448,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   (* -------------------- release (commit/abort handlers) ---------------- *)
 
-  let release_key t txn k =
-    let st = t.stripes.(stripe_index t k) in
+  let release_key_at t si txn k =
+    let st = t.stripes.(si) in
     match kt_find st.key_lockers k with
     | None -> ()
     | Some e -> (
@@ -462,7 +485,9 @@ module Make (TM : Tm_intf.TM_OPS) = struct
      stripe, then the structure region — each reentrant if already held. *)
   let release_all t txn ~keys =
     List.iter
-      (fun k -> TM.critical (region_of_key t k) (fun () -> release_key t txn k))
+      (fun k ->
+        let si = stripe_index t k in
+        TM.critical (stripe_region t si) (fun () -> release_key_at t si txn k))
       keys;
     Array.iteri
       (fun i st ->
@@ -482,8 +507,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
         abort_other ~self owner;
         abort_others ~self rest
 
-  let conflict_key t ~self k =
-    match find_entry t k with
+  let conflict_key_at t si ~self k =
+    match find_entry_at t si k with
     | None -> ()
     | Some e ->
         abort_others ~self e.readers;
@@ -502,12 +527,12 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     (match lo with None -> true | Some b -> compare k b >= 0)
     && match hi with None -> true | Some b -> compare k b < 0
 
-  (* Consults only [k]'s stripe (caller holds [region_of_key t k]): any
+  (* Consults only [k]'s stripe [si] (caller holds its region): any
      range containing [k] overlaps [k]'s interval and is registered
      there.  A stripe holding no ranges returns before building the
      iteration closure: prepare calls this for every buffered key. *)
-  let conflict_range t ~self ~compare k =
-    let st = t.stripes.(stripe_index t k) in
+  let conflict_range_at t si ~self ~compare k =
+    let st = t.stripes.(si) in
     if st.st_range_count > 0 then
       Hashtbl.iter
         (fun _ (ranges, owner) ->
@@ -516,6 +541,9 @@ module Make (TM : Tm_intf.TM_OPS) = struct
             && List.exists (fun r -> range_contains compare r k) ranges
           then ignore (TM.remote_abort owner))
         st.st_ranges
+
+  let conflict_range t ~self ~compare k =
+    conflict_range_at t (stripe_index t k) ~self ~compare k
 
   (* -------------------- introspection (tests, Table 3/6/9 dumps) ------- *)
 

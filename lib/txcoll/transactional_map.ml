@@ -183,7 +183,7 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
     | None -> Format.fprintf ppf "  none (outside a transaction)@."
     | Some l ->
         Format.fprintf ppf "  txn %-6d storeBuffer=%d entries, keyLocks=%d@."
-          (TM.txn_id l.txn) (D.buf_size l.buffer) (List.length l.key_locks)
+          (TM.txn_id l.txn) (D.buf_size l.buffer) (D.key_lock_count l.key_locks)
 end
 
 (* The undo-logging map (paper §5.1, "Redo versus undo logging"): the same

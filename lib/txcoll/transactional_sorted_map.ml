@@ -175,5 +175,5 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.ORDERED) = struct
         Format.fprintf ppf
           "  txn %-6d sortedStoreBuffer=%d entries, keyLocks=%d@."
           (TM.txn_id l.D.txn) (D.buf_size l.D.buffer)
-          (List.length l.D.key_locks)
+          (D.key_lock_count l.D.key_locks)
 end

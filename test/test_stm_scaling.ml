@@ -178,18 +178,20 @@ let test_retry_loop_allocation_free () =
 (* Point operations on an existing key inside [Stm.atomic]: the
    bookkeeping around the data (semantic lock owners, stripe lookup,
    handler registration, commit) must stay off the allocator.  The
-   budgets were set about 15% above the counts measured with committed
-   state kept only in persistent AVL shadows, 115/296 (sorted map) and
-   110/287 (hash map).  With B+-tree shadows the counts read 115/301 and
-   110/284: a put's path copy now includes its leaf's whole value array
-   (33 words for a full leaf).  With hashtable lock owners and
-   write set and the per-call retry-loop closures they read 285/631 and
-   233/506, and 119/328 and 112/338 while each stripe also kept a mutable
-   shard.  A queue transaction that puts one element and polls the
-   committed head measures 385 (389 over the AVL): two persistent-map
-   path copies (the put's commit and the poll's removal) plus the
-   publications of both; the hand-written queue over a FIFO deque and a
-   persistent deque image read 209. *)
+   budgets are set about 15% above the counts measured once each key's
+   stripe is found once per operation and a write commit's prepare,
+   apply and releases enter no critical section of their own (the commit
+   holds their regions): 105/254 (sorted map), 100/237 (hash map), and
+   322 for a queue transaction that puts one element and polls the
+   committed head (two persistent-map path copies, the put's commit and
+   the poll's removal, plus the publications of both).  Earlier counts:
+   115/301, 110/284 and 385 with B+-tree shadows, where a put's path copy
+   includes its leaf's whole value array (33 words for a full leaf);
+   115/296, 110/287 and 389 with committed state kept only in persistent
+   AVL shadows; 119/328 and 112/338 while each stripe also kept a
+   mutable shard; 285/631 and 233/506 with hashtable lock owners and
+   write set and the per-call retry-loop closures.  The hand-written
+   queue over a FIFO deque and a persistent deque image read 209. *)
 let test_point_op_allocation_budget () =
   let sm = SM.create () and m = IM.create () and q = Q.create () in
   for k = 0 to 63 do
@@ -198,15 +200,15 @@ let test_point_op_allocation_budget () =
     Q.put q k
   done;
   let per op = words_per_atomic (fun () -> ignore (op ())) in
-  check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 132.;
-  check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 340.;
-  check_budget "hash-map find" (per (fun () -> IM.find m 7)) 127.;
-  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 330.;
+  check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 121.;
+  check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 292.;
+  check_budget "hash-map find" (per (fun () -> IM.find m 7)) 115.;
+  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 273.;
   check_budget "queue put + poll"
     (per (fun () ->
          Q.put q 7;
          Q.poll q))
-    450.
+    370.
 
 (* Commit-region plan construction must stay O(regions) per commit: one
    transaction writing one present key in each of [n] single-stripe maps

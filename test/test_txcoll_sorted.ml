@@ -622,3 +622,90 @@ let suites =
             test_key_locks_follow_comparator;
         ] );
     ]
+
+(* ---------------- lock release on every commit path ---------------- *)
+
+(* Three intervals: A = (-inf, 100), B = [100, 200), C = [200, +inf).  A
+   write commit releases its locks inside its apply, with its whole
+   region plan held; a read-only commit releases them on the fast path
+   and an aborted attempt in its abort handler, each with no region held.
+   Every path must leave the lock tables empty. *)
+let three_intervals () =
+  let m = SM.create ~splitters:[ 100; 200 ] () in
+  List.iter (fun k -> ignore (SM.put m k (string_of_int k))) [ 5; 150; 250 ];
+  m
+
+(* A key lock in A, a range lock over B and the size lock, checked as
+   held. *)
+let read_three_facets m =
+  ignore (SM.find m 5);
+  ignore (SM.fold_range (fun _ _ acc -> acc) m () ~lo:(Some 110) ~hi:(Some 190));
+  ignore (SM.size m);
+  Alcotest.(check bool) "key lock in A held" true (SM.holds_key_lock m 5);
+  Alcotest.(check bool) "range lock over B held" true (SM.holds_range_lock m);
+  Alcotest.(check bool) "size lock held" true (SM.holds_size_lock m)
+
+let check_released what m =
+  Alcotest.(check int) (what ^ ": no outstanding locks") 0
+    (SM.outstanding_locks m);
+  Alcotest.(check int) (what ^ ": no range locks") 0
+    (SM.outstanding_range_locks m);
+  Stm.atomic (fun () ->
+      Alcotest.(check bool) (what ^ ": no key lock") false
+        (SM.holds_key_lock m 5);
+      List.iter
+        (fun (facet, holds) ->
+          Alcotest.(check bool) (what ^ ": no " ^ facet ^ " lock") false
+            (holds m))
+        [
+          ("size", SM.holds_size_lock);
+          ("range", SM.holds_range_lock);
+          ("first", SM.holds_first_lock);
+          ("last", SM.holds_last_lock);
+        ])
+
+let test_release_paths () =
+  let m = three_intervals () in
+  Stm.atomic (fun () ->
+      read_three_facets m;
+      ignore (SM.put m 260 "c"));
+  check_released "write commit" m;
+  Alcotest.(check (option string)) "write applied" (Some "c") (SM.find m 260);
+  Stm.atomic (fun () -> read_three_facets m);
+  check_released "read-only commit" m;
+  (try
+     Stm.atomic (fun () ->
+         read_three_facets m;
+         ignore (SM.put m 270 "c");
+         Stm.self_abort ())
+   with Stm.Aborted -> ());
+  check_released "aborted attempt" m;
+  Alcotest.(check (option string)) "abort applied nothing" None (SM.find m 270)
+
+(* A writer committing to A's key still remote-aborts a reader that holds
+   the key lock and has not committed yet. *)
+let test_release_paths_remote_abort () =
+  let m = three_intervals () in
+  let n =
+    conflict_scenario
+      ~reader:(fun () ->
+        ignore (SM.find m 5);
+        ignore
+          (SM.fold_range (fun _ _ acc -> acc) m () ~lo:(Some 110) ~hi:(Some 190));
+        ignore (SM.size m))
+      ~writer:(fun () -> ignore (SM.put m 5 "a"))
+  in
+  Alcotest.(check int) "reader re-ran" 2 n;
+  check_released "after both commits" m
+
+let suites =
+  suites
+  @ [
+      ( "txsorted.release",
+        [
+          Alcotest.test_case "every commit path releases" `Quick
+            test_release_paths;
+          Alcotest.test_case "write commit still remote-aborts readers" `Quick
+            test_release_paths_remote_abort;
+        ] );
+    ]
