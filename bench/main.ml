@@ -13,9 +13,10 @@
    lock-based run, with violation counts underneath (see EXPERIMENTS.md for
    the paper-vs-measured comparison).
 
-   The targets stmscale, derived, openloop, chaos, failover and starve
-   check their own gates: one line per gate, and a non-zero exit once the
-   requested targets have run if any gate failed. *)
+   The targets stmscale, derived, openloop, chaos, failover and starve,
+   and ablation's redo-vs-undo audit, check their own gates: one line per
+   gate, and a non-zero exit once the requested targets have run if any
+   gate failed. *)
 
 let ppf = Fmt.stdout
 
@@ -158,9 +159,14 @@ let ablation () =
   Harness.Ablations.(render ppf "isEmpty lock encoding (§5.1)" (isempty ()));
   Harness.Ablations.(render ppf "blind put (§5.1 Extensions)" (blind_put ()));
   Harness.Ablations.(render ppf "contention backoff" (backoff ()));
-  Harness.Ablations.(
-    render ppf "redo vs undo logging, host STM (cycles = elapsed µs; violations = retried attempts)"
-      (redo_vs_undo ()))
+  let outcomes, audits = Harness.Ablations.redo_vs_undo () in
+  Harness.Ablations.render ppf
+    "redo vs undo logging, host STM (cycles = elapsed µs; violations = retried attempts)"
+    outcomes;
+  List.iter
+    (fun { Harness.Ablations.check; fresh; expected } ->
+      gate_eq check fresh expected)
+    audits
 
 let hostmap () = Harness.Host_validation.(render ppf (run ()))
 let queue () = Harness.Queue_bench.(render ppf (sweep ()))

@@ -103,7 +103,9 @@ let backoff ?(n_cpus = 16) () =
 (* Redo vs undo logging (§5.1) on the host STM: same contended workload
    (read one key, write another, small key space) against the redo-based
    TransactionalMap and the undo-logging variant.  [cycles] holds elapsed
-   microseconds; [violations] holds the number of retried attempts. *)
+   microseconds; [violations] holds the number of retried attempts.  After
+   its run each map is audited: no semantic lock left registered, and
+   every seeded key still bound. *)
 
 module RedoMap = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 module UndoMap = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
@@ -111,9 +113,17 @@ module UndoMap = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
 type host_map_ops = {
   find : int -> string option;
   put : int -> string -> string option;
+  size : unit -> int;
+  outstanding_locks : unit -> int;
 }
 
-let run_host_contention ~ops ~n_domains ~txns ~key_space =
+(* One audited quantity of a run: [fresh] must equal [expected]. *)
+type audit = { check : string; fresh : int; expected : int }
+
+let run_host_contention ~label ~ops ~n_domains ~txns ~key_space =
+  for k = 0 to key_space - 1 do
+    ignore (ops.put k "seed")
+  done;
   let attempts = Atomic.make 0 in
   let committed = Atomic.make 0 in
   let t0 = Unix.gettimeofday () in
@@ -132,37 +142,58 @@ let run_host_contention ~ops ~n_domains ~txns ~key_space =
   let ds = List.init n_domains (fun d -> Domain.spawn (worker d)) in
   List.iter Domain.join ds;
   let elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  (elapsed_us, Atomic.get attempts - Atomic.get committed)
+  {
+    label;
+    cycles = elapsed_us;
+    violations = Atomic.get attempts - Atomic.get committed;
+  }
 
 let redo_vs_undo ?(n_domains = 2) ?(txns = 1500) ?(key_space = 8) () =
-  let redo = RedoMap.create () in
-  for k = 0 to key_space - 1 do
-    ignore (RedoMap.put redo k "seed")
-  done;
-  let c1, r1 =
-    run_host_contention ~n_domains ~txns ~key_space
-      ~ops:
+  let redo = RedoMap.create () and undo = UndoMap.create () in
+  let maps =
+    [
+      ( "redo logging (optimistic)",
+        "redo",
         {
-          find = (fun k -> RedoMap.find redo k);
-          put = (fun k v -> RedoMap.put redo k v);
-        }
-  in
-  let undo = UndoMap.create () in
-  for k = 0 to key_space - 1 do
-    ignore (UndoMap.put undo k "seed")
-  done;
-  let c2, r2 =
-    run_host_contention ~n_domains ~txns ~key_space
-      ~ops:
+          find = RedoMap.find redo;
+          put = RedoMap.put redo;
+          size = (fun () -> RedoMap.size redo);
+          outstanding_locks = (fun () -> RedoMap.outstanding_locks redo);
+        } );
+      ( "undo logging (pessimistic)",
+        "undo",
         {
-          find = (fun k -> UndoMap.find undo k);
-          put = (fun k v -> UndoMap.put undo k v);
-        }
+          find = UndoMap.find undo;
+          put = UndoMap.put undo;
+          size = (fun () -> UndoMap.size undo);
+          outstanding_locks = (fun () -> UndoMap.outstanding_locks undo);
+        } );
+    ]
   in
-  [
-    { label = "redo logging (optimistic)"; cycles = c1; violations = r1 };
-    { label = "undo logging (pessimistic)"; cycles = c2; violations = r2 };
-  ]
+  let outcomes =
+    List.map
+      (fun (label, _, ops) ->
+        run_host_contention ~label ~ops ~n_domains ~txns ~key_space)
+      maps
+  in
+  let audits =
+    List.concat_map
+      (fun (_, name, ops) ->
+        [
+          {
+            check = "ablation." ^ name ^ ".outstanding_locks";
+            fresh = ops.outstanding_locks ();
+            expected = 0;
+          };
+          {
+            check = "ablation." ^ name ^ ".size";
+            fresh = ops.size ();
+            expected = key_space;
+          };
+        ])
+      maps
+  in
+  (outcomes, audits)
 
 let render ppf title outcomes =
   Fmt.pf ppf "@.Ablation: %s@." title;

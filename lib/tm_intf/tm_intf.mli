@@ -205,26 +205,3 @@ module type TM_OPS = sig
   val note_reclaimed : int -> unit
   (** Report [n] reclaimed chain entries to the TM's statistics. *)
 end
-
-(** Operations of a wrapped (underlying) hashed map: the in-place table
-    of the undo-logging map.  All calls are made inside
-    {!TM_OPS.critical} sections, so the implementation needs no internal
-    synchronisation — exactly the paper's "wrap existing data structures"
-    property.  [hash] and [equal] are the map's own key functions, so the
-    wrapper's stripes, store buffer, lock tables and snapshot shadows agree
-    with the map on which keys are equal. *)
-module type HASHED_MAP_OPS = sig
-  type key
-  type 'v t
-
-  val create : unit -> 'v t
-  val find : 'v t -> key -> 'v option
-
-  val add : 'v t -> key -> 'v -> unit
-  (** Insert or replace. *)
-
-  val remove : 'v t -> key -> unit
-  val hash : key -> int
-  val equal : key -> key -> bool
-end
-

@@ -70,33 +70,31 @@
    while still holding the stripe's region (the structure chain under the
    structure region); a non-transactional write draws its stamp through
    [TM.begin_publish] under the same regions, so publications to one
-   chain are serialized and stamp-monotone.  This is the redo log of
+   chain are serialized and stamp-monotone.  Such a write is the
+   auto-commit transaction [TM.current] names: before it publishes, it
+   remote-aborts the holders of every facet it invalidates, by the rule
+   prepare applies to a batch.  This is the redo log of
    §5.1 over one versioned committed state, Proust's lazy update.  Inside
    [TM.in_snapshot] every read resolves against the newest shadow at or
    below the pinned stamp: no region, no semantic lock, no abort.
 
    Update discipline (§5.1 "Redo versus undo logging"; Proust's
-   lazy/eager update axis).  The spec fixes it per class:
-   - [Lazy] (every class but the undo map): writes go to the store
-     buffer, a redo log, which apply flushes into the shadows after the
-     commit point — the paper's optimistic protocol above.
-   - [Eager] (hashed specs only): the spec also names an in-place table
-     (one per stripe, the wrapped structure), and a write updates it at
-     operation time.  Under the key's region it waits by [TM.retry] while
-     a foreign pending writer holds the key, registers as the key's
-     writer and aborts the key's other holders at once — only one
-     transaction may update a key in place.  Its store-buffer entry,
-     whose prior is always read, is the undo record: abort writes the
-     priors back before the writer lock goes.  Point reads inside a
-     transaction read the table and wait by retry on a foreign pending
-     writer of their key, enumerations on any foreign pending writer;
-     reads outside a transaction resolve against the newest shadows,
-     which hold committed state only, and a write outside one waits out
-     the key's pending writer.  The committed size still moves only at
-     commit, so size and isEmpty read it without waiting.  Prepare is
-     unchanged; apply folds the size delta and publishes the shadows at
-     the commit stamp, so snapshots never see an uncommitted or undone
-     write.
+   separation of when conflicts are detected from where versions live).
+   Every class keeps its versions alike: writes go to the store buffer, a
+   redo log, which apply flushes into the shadows after the commit point.
+   The spec fixes when write conflicts are detected:
+   - [Lazy] (every class but the undo map): at commit, the paper's
+     optimistic protocol above.
+   - [Eager] (hashed specs only): at the write.  Under the key's region a
+     write waits by [TM.retry] while a foreign pending writer holds the
+     key, registers as the key's writer and aborts the key's other holders
+     at once, so a key has one pending writer at a time; its prior is
+     always read.  Point reads inside a transaction wait by retry on a
+     foreign pending writer of their key, enumerations on any foreign
+     pending writer, and a write outside a transaction waits out the key's
+     pending writer.  Reads resolve against the buffer and the newest
+     shadows, as lazy reads do, and abort restores nothing: the shadows
+     hold committed state only.
    Per-key path.  A point operation finds its key's stripe once and
    hands it to the stripe's region, the lock table, the committed read
    and the transaction's key-lock record, which keeps (copied key,
@@ -123,19 +121,8 @@ type 'k keying =
       (** A comparator: keys are equal when it says 0.  Gives the spec
           the range, first and last facets. *)
 
-(* How a class's writes reach committed state (see the header).  [Eager]
-   carries the in-place table — mutable, not thread-safe: the generated
-   class serialises all access under the stripe's commit region — and
-   the write that restores a prior observation on abort. *)
-type ('key, 'value, 'wop) update =
-  | Lazy
-  | Eager : {
-      create : unit -> 'table;
-      find : 'table -> 'key -> 'value option;
-      apply : 'table -> 'key -> 'wop -> unit;
-      restore : 'value option -> 'wop;
-    }
-      -> ('key, 'value, 'wop) update
+(* When a class detects write conflicts (see the header). *)
+type update = Lazy | Eager
 
 (* The facets lock introspection reads ({!Make.holds_lock},
    {!Make.lockers}). *)
@@ -157,9 +144,10 @@ module type SPEC = sig
   val name : string
   val keying : key keying
 
-  val update : (key, 'v value, 'v wop) update
-  (** Fixed per class: [Lazy] redo logging, or [Eager] in-place update
-      with an undo log (hashed specs only). *)
+  val update : update
+  (** Fixed per class: [Lazy] commit-time conflict detection, or [Eager]
+      write-time detection with one pending writer per key (hashed specs
+      only). *)
 
   (* ---- store-buffer algebra ---- *)
 
@@ -171,8 +159,7 @@ module type SPEC = sig
   val view : 'v value option -> 'v wop -> 'v value option
   (** Overlay a buffered write on a prior observation: what a read of
       the key returns inside the transaction that buffered it, and what
-      the commit binds the key to.  An [Eager] table's [apply] must agree
-      with it. *)
+      the commit binds the key to. *)
 
   val absorbing : 'v wop -> bool
   (** [true] when [view prior w] is independent of [prior] (set-style
@@ -210,7 +197,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   let hashed_spec () =
     invalid_arg (S.name ^ ": ordered operation on a hashed spec")
 
-  let eager = match S.update with Eager _ -> true | Lazy -> false
+  let eager = match S.update with Eager -> true | Lazy -> false
 
   let () =
     if eager && ordered then
@@ -253,17 +240,11 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     | Hshadow of (int, 'v bucket) Coll.Pmap.t
     | Oshadow of (S.key, 'v S.value) Coll.Pmap.t
 
-  (* An [Eager] spec's in-place table for one stripe. *)
-  type 'v table = {
-    tfind : S.key -> 'v S.value option;
-    tapply : S.key -> 'v S.wop -> unit;
-  }
-
   type 'v local = {
     mutable txn : TM.txn;
     buffer : 'v buffer;
     mutable key_locks : key_locks;
-    mutable stripes_mask : int; (* stripes of held key locks + blind keys *)
+    mutable stripes_mask : int; (* stripes of held key locks *)
     mutable ranges_mask : int; (* stripes holding this txn's range locks *)
     mutable struct_locked : bool; (* holds a size/isEmpty/first/last lock *)
     appends : ((unit -> S.key) * 'v S.wop) Coll.Fifo_deque.t;
@@ -286,8 +267,6 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
         (* chain [i] versions the committed state of stripe [i]; its
            newest shadow is that state; published only while stripe [i]'s
            region is held *)
-    tables : 'v table array;
-        (* eager specs: stripe [i]'s in-place table; empty for lazy ones *)
     mutable csize : int;
         (* sum of committed weights; read/written only under the
            structure region, and only maintained when a structural facet
@@ -413,13 +392,6 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     {
       locks;
       snap = Array.init k (fun _ -> Coll.Vchain.make 0 (shadow_empty ()));
-      tables =
-        (match S.update with
-        | Lazy -> [||]
-        | Eager { create; find; apply; _ } ->
-            Array.init k (fun _ ->
-                let s = create () in
-                { tfind = find s; tapply = apply s }));
       csize = 0;
       snap_size = Coll.Vchain.make 0 0;
       cmin = None;
@@ -535,6 +507,12 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     | None -> appears
     | Some e -> if appears then sign * cmp k e > 0 else cmp k e = 0
 
+  (* The committed endpoints [k] appearing or vanishing moves: bit 0 the
+     first, bit 1 the last.  Caller holds the structure region. *)
+  let endpoint_moves t k ~appears =
+    Bool.to_int (moves t.cmin k (-1) ~appears)
+    lor (Bool.to_int (moves t.cmax k 1 ~appears) lsl 1)
+
   (* Maintain an ordered spec's committed endpoints as write [before ->
      after] makes [k] appear or vanish, and return the endpoints that
      vanished, for [rescan_endpoints]: bit 0 the first, bit 1 the last.  A
@@ -543,14 +521,13 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     if (not ordered) || present before = present after then 0
     else
       let appears = present after in
-      let first = moves t.cmin k (-1) ~appears in
-      let last = moves t.cmax k 1 ~appears in
+      let moved = endpoint_moves t k ~appears in
       if appears then begin
-        if first then t.cmin <- Some k;
-        if last then t.cmax <- Some k;
+        if moved land 1 <> 0 then t.cmin <- Some k;
+        if moved land 2 <> 0 then t.cmax <- Some k;
         0
       end
-      else Bool.to_int first lor (Bool.to_int last lsl 1)
+      else moved
 
   (* Recompute the endpoints [vanished] names.  Caller holds every region,
      and has published the stripes' shadows. *)
@@ -633,19 +610,24 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     | Some p -> present p && not (present (S.view p w))
     | None -> (not (S.absorbing w)) || not (present (S.view None w))
 
-  (* Commit region plan: the stripes of every locked/buffered key and of
-     every held range, plus the structure region when the transaction
+  (* Commit region plan: the stripes of every held key lock and range and
+     of every buffered key, plus the structure region when the transaction
      read structural state or its writes may move a structural facet (a
      blind write's effect is unknown until applied, so it is planned
-     conservatively).  An ordered batch that may empty a key plans every
-     region: removing an endpoint rescans every stripe for the new one.
-     So does a batch with appends, whose keys are not drawn yet.  Prepare,
-     apply and the apply's releases enter no region outside this plan. *)
+     conservatively).  A buffered key's stripe is found here, as prepare
+     and apply find it, so a key object mutated since its operation is
+     planned where the commit uses it.  An ordered batch that may empty a
+     key plans every region: removing an endpoint rescans every stripe for
+     the new one.  So does a batch with appends, whose keys are not drawn
+     yet.  Prepare, apply and the apply's releases enter no region outside
+     this plan. *)
   let regions_plan t l () =
+    let mask = ref (l.stripes_mask lor l.ranges_mask) in
     (* bit 0: the batch may empty a key; bit 1: it may move the size *)
     let effects =
       buf_fold
-        (fun _ e acc ->
+        (fun k e acc ->
+          mask := !mask lor (1 lsl stripe_of t k);
           let vacate = if may_vacate e.prior e.w then 1 else 0 in
           let resize =
             match e.prior with
@@ -660,39 +642,38 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       || not (Coll.Fifo_deque.is_empty l.appends)
     then all_regions t
     else begin
-      let mask = l.stripes_mask lor l.ranges_mask in
       let acc = ref [] in
       for i = stripe_count t - 1 downto 0 do
-        if mask land (1 lsl i) <> 0 then acc := stripe_region t i :: !acc
+        if !mask land (1 lsl i) <> 0 then acc := stripe_region t i :: !acc
       done;
       if l.struct_locked || (track_struct && effects land 2 <> 0) then
         sregion t :: !acc
       else !acc
     end
 
-  (* Derived first/last conflict condition (Table 5): the batch moves an
-     endpoint iff some key appears beyond it or the endpoint key itself
-     vanishes.  Caller holds the structure region and the buffered keys'
-     stripe regions. *)
-  let endpoint_conflicts t l ~self =
-    let first = ref false and last = ref false in
-    buf_iter
-      (fun k e ->
-        let prior = prior_held t k e in
-        let appears = present (S.view prior e.w) in
-        if present prior <> appears then begin
-          if moves t.cmin k (-1) ~appears then first := true;
-          if moves t.cmax k 1 ~appears then last := true
-        end)
-      l.buffer;
-    if !first then L.conflict_first t.locks ~self;
-    if !last then L.conflict_last t.locks ~self
-
-  (* A buffered key invalidates its key facet and every range containing
+  (* A written key invalidates its key facet and every range containing
      it; caller holds the key's stripe [si] region. *)
   let conflict_key_facets t ~self si k =
     L.conflict_key_at t.locks si ~self k;
     if ordered then L.conflict_range_at t.locks si ~self ~compare:cmp k
+
+  (* The structural facets writes moving the committed size by [delta]
+     invalidate: size when [delta] is non-zero, isEmpty when emptiness
+     flips.  Returns whether first/last holders remain to be conflicted:
+     some key's presence [flips] and an endpoint lock is held.  Caller
+     holds the structure region. *)
+  let conflict_size_facets t ~self ~delta ~flips =
+    if S.uses_size && delta <> 0 then L.conflict_size t.locks ~self;
+    if S.uses_isempty && (t.csize = 0) <> (t.csize + delta = 0) then
+      L.conflict_isempty t.locks ~self;
+    ordered && flips && L.endpoint_locked t.locks
+
+  (* Derived first/last conflict condition (Table 5): abort the holders
+     of the endpoints [moved] names ([endpoint_moves]): a key appeared
+     beyond the endpoint, or the endpoint key itself vanished. *)
+  let conflict_endpoints t ~self moved =
+    if moved land 1 <> 0 then L.conflict_first t.locks ~self;
+    if moved land 2 <> 0 then L.conflict_last t.locks ~self
 
   (* Prepare phase: abort the holders of every facet this batch
      invalidates — key and range facets in each key's stripe, then the
@@ -738,13 +719,19 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
             acc + S.weight after - S.weight prior)
         l.buffer 0
     in
-    if delta <> 0 || !flips then begin
-      if S.uses_size && delta <> 0 then L.conflict_size t.locks ~self;
-      if S.uses_isempty && (t.csize = 0) <> (t.csize + delta = 0) then
-        L.conflict_isempty t.locks ~self;
-      if ordered && !flips && L.endpoint_locked t.locks then
-        endpoint_conflicts t l ~self
-    end
+    if
+      (delta <> 0 || !flips)
+      && conflict_size_facets t ~self ~delta ~flips:!flips
+    then
+      conflict_endpoints t ~self
+        (buf_fold
+           (fun k e moved ->
+             let prior = prior_held t k e in
+             let appears = present (S.view prior e.w) in
+             if present prior <> appears then
+               moved lor endpoint_moves t k ~appears
+             else moved)
+           l.buffer 0)
 
   (* Apply phase, after the commit point: bind each buffered key once in
      its stripe's next shadow (one combined op per key), fold the weight
@@ -790,19 +777,30 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
     cleanup t l ~held:(stamp <> 0)
 
   (* Bind [k], of stripe [si], in committed state to [after before] at
-     once, [before] being its committed observation, and return [before];
-     [table] applies the write to an eager spec's table.  Caller holds
-     [k]'s region, and the structure region when a structural facet is in
-     use (every region when an ordered spec's key may empty, for the
-     endpoint rescan), so the new shadow, the committed size and endpoints
-     are atomic for structural readers; the publication draws its stamp
+     once, [before] being its committed observation, and return [before].
+     With [conflict] the binding is a write of the auto-commit transaction
+     and first remote-aborts the holders of the facets it invalidates, as
+     prepare would for a batch of this one write.  Caller holds [k]'s
+     region, and the structure region when a structural facet is in use
+     (every region when an ordered spec's key may empty, for the endpoint
+     rescan), so the new shadow, the committed size and endpoints are
+     atomic for structural readers; the publication draws its stamp
      through [TM.begin_publish] under those regions. *)
-  let bind_held t si k ~table after =
+  let bind_held t si k ~conflict after =
     let shadow = latest_shadow t si in
     let before = shadow_find shadow k in
-    if eager then table t.tables.(si);
     let after = after before in
     let d = if track_struct then S.weight after - S.weight before else 0 in
+    if conflict then begin
+      let self = TM.current () in
+      conflict_key_facets t ~self si k;
+      let appears = present after in
+      if
+        track_struct
+        && conflict_size_facets t ~self ~delta:d
+             ~flips:(present before <> appears)
+      then conflict_endpoints t ~self (endpoint_moves t k ~appears)
+    end;
     if d <> 0 then t.csize <- t.csize + d;
     let stamp = TM.begin_publish () in
     (match
@@ -819,17 +817,17 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   (* [bind_held] under its regions, taken structure-then-stripe (ascending
      rid); [vacate]: the binding may leave [k] absent.  On an eager spec it
-     spins while a transaction has the key updated in place: its undo
-     would overwrite this write. *)
+     spins while a transaction is the key's pending writer: a key has one
+     writer at a time. *)
   exception Pending_writer
 
-  let rec bind_now t k ~vacate ~table after =
+  let rec bind_now t k ~vacate ~conflict after =
     let si = stripe_of t k in
     let doit () =
       TM.critical (stripe_region t si) (fun () ->
           if eager && L.key_writer_at t.locks si k <> None then
             raise_notrace Pending_writer;
-          bind_held t si k ~table after)
+          bind_held t si k ~conflict after)
     in
     let run () =
       if ordered && vacate then L.critical_all t.locks doit
@@ -842,27 +840,15 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       | before -> before
       | exception Pending_writer ->
           Domain.cpu_relax ();
-          bind_now t k ~vacate ~table after
+          bind_now t k ~vacate ~conflict after
 
   (* Abort phase: bind back what reduced-isolation writes replaced, newest
-     first.  An eager transaction writes each key's prior back under the
-     key's region while it still holds the key's writer lock, so no other
-     transaction sees the table between the undo and the release.  No
-     region is held on abort. *)
+     first.  No region is held on abort. *)
   let abort_handler t l =
     List.iter
       (fun (k, v) ->
-        ignore (bind_now t k ~vacate:false ~table:ignore (fun _ -> Some v)))
+        ignore (bind_now t k ~vacate:false ~conflict:false (fun _ -> Some v)))
       l.undo;
-    (match S.update with
-    | Lazy -> ()
-    | Eager { restore; _ } ->
-        buf_iter
-          (fun k e ->
-            let si = stripe_of t k in
-            TM.critical (stripe_region t si) (fun () ->
-                t.tables.(si).tapply k (restore (prior_held t k e))))
-          l.buffer);
     cleanup t l ~held:false
 
   (* One local record per top-level transaction; its first use registers
@@ -923,10 +909,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
   let local_of t = TM.txn_local t.local_key attach t
 
   (* Lock [k], of stripe [si]; caller holds [stripe_region t si].  On an
-     eager spec it first waits by retry while another transaction has [k]
-     updated in place: the table holds that transaction's uncommitted
-     write.  [TM.retry] raises, which leaves the caller's criticals.  The
-     lock table and the transaction's record each keep a copy of [k]. *)
+     eager spec it first waits by retry while another transaction is
+     [k]'s pending writer.  [TM.retry] raises, which leaves the caller's
+     criticals.  The lock table and the transaction's record each keep a
+     copy of [k]. *)
   let lock_key t l si k =
     if eager && L.key_has_foreign_writer_at t.locks si ~self:l.txn k then
       TM.retry ();
@@ -934,13 +920,6 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       l.key_locks <- Key_lock (t.copy_key k, si, l.key_locks);
       l.stripes_mask <- l.stripes_mask lor (1 lsl si)
     end
-
-  (* The calling transaction's read of [k] outside its buffer, after
-     [lock_key]: the newest shadow, or an eager spec's table, which also
-     holds the transaction's own in-place writes ([lock_key] waited out
-     every foreign one).  Caller holds [stripe_region t si]. *)
-  let txn_find t si k =
-    if eager then t.tables.(si).tfind k else committed_find t si k
 
   (* Caller holds [sregion t]. *)
   let lock_size t l =
@@ -990,7 +969,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                 S.view prior e.w
           | None ->
               lock_key t l si k;
-              txn_find t si k)
+              committed_find t si k)
     end
 
   (* Committed size, ignoring the calling transaction and taking no lock:
@@ -1193,7 +1172,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      under all regions (structure then stripes, ascending rid).
      [on_committed k] runs for each committed key the transaction has not
      buffered.  On an eager spec it first waits, like [lock_key], while
-     another transaction has any key updated in place. *)
+     another transaction is any key's pending writer. *)
   let merged_fold t l ~on_committed f init =
     if eager && L.any_other_writer t.locks ~self:l.txn then TM.retry ();
     let overlay k e acc =
@@ -1266,9 +1245,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
 
   let nontxn_write t k w =
     no_snapshot_write ();
-    bind_now t k ~vacate:(may_vacate None w)
-      ~table:(fun table -> table.tapply k w)
-      (fun before -> S.view before w)
+    bind_now t k ~vacate:(may_vacate None w) ~conflict:true (fun before ->
+        S.view before w)
 
   (* ---------------- the work queue's operations (§3.3) ---------------- *)
 
@@ -1306,7 +1284,7 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
           | Some k ->
               let si = stripe_of t k in
               let before =
-                if take then bind_held t si k ~table:ignore (fun _ -> None)
+                if take then bind_held t si k ~conflict:false (fun _ -> None)
                 else committed_find t si k
               in
               (match (l, before) with
@@ -1326,47 +1304,27 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                       l.struct_locked <- true;
                       None)))
 
-  (* Eager write, under the key's region: wait by retry on a foreign
-     pending writer ([lock_key]), register as the key's writer and abort
-     its other holders at once, keep the first prior as the undo record
-     and update the table in place.  Returns the key's observation before
-     the write. *)
-  let eager_write t l k w =
-    let si = stripe_of t k in
-    TM.critical (stripe_region t si) (fun () ->
-        lock_key t l si k;
-        L.lock_key_write_at t.locks si l.txn ~copy:t.copy_key k;
-        L.conflict_key_at t.locks si ~self:l.txn k;
-        let table = t.tables.(si) in
-        let old = table.tfind k in
-        (match buf_find l.buffer k with
-        | Some e -> e.w <- S.combine ~earlier:e.w ~later:w
-        | None -> buf_add l.buffer k { w; prior = Some old });
-        table.tapply k w;
-        old)
-
   (* Transactional write: buffer the op (combining with an earlier write
      to the same key) and return the prior observation.  Blind writes
      read nothing and lock nothing — two blind writers of the same key
      never conflict with each other, only with the key's readers (this
      is what makes counter increments commute) — and touch only the
      transaction's own buffer, so they take no region either.  Eager
-     writes are never blind: their prior is the undo record. *)
+     writes are never blind: a key's first write waits by retry on a
+     foreign pending writer ([lock_key]), reads the prior, registers as
+     the key's writer and aborts its other holders at once. *)
   let write t k w ~blind =
     if not (TM.in_txn ()) then nontxn_write t k w
-    else if eager then eager_write t (local_of t) k w
     else begin
       let l = local_of t in
-      let si = stripe_of t k in
-      if blind then begin
+      if blind && not eager then begin
         (match buf_find l.buffer k with
         | Some e -> e.w <- S.combine ~earlier:e.w ~later:w
-        | None ->
-            buf_add l.buffer k { w; prior = None };
-            l.stripes_mask <- l.stripes_mask lor (1 lsl si));
+        | None -> buf_add l.buffer k { w; prior = None });
         None
       end
       else
+        let si = stripe_of t k in
         TM.critical (stripe_region t si) (fun () ->
             match buf_find l.buffer k with
             | Some e ->
@@ -1390,6 +1348,10 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
                 (* Returning the prior observation reads the key
                    (Table 2: value-returning writes take a key lock). *)
                 lock_key t l si k;
+                if eager then begin
+                  L.lock_key_write_at t.locks si l.txn ~copy:t.copy_key k;
+                  L.conflict_key_at t.locks si ~self:l.txn k
+                end;
                 let p = committed_find t si k in
                 buf_add l.buffer k { w; prior = Some p };
                 p)

@@ -34,13 +34,9 @@ module Priority_queue (P : Underlying.ORDERED) =
 module Bag (K : Underlying.HASHED) = Transactional_bag.Make (Tm) (K)
 
 (* The undo-logging alternative (paper §5.1): the map's spec derived with
-   eager update — in-place writes to a wrapped chained hash map under
-   exclusive write locks, priors written back on abort.  Any
-   [Tm_intf.HASHED_MAP_OPS] can be wrapped instead, e.g.
-   [Transactional_map.Make_undo (Tm) (Underlying.Oa_map_ops (K))] over
-   open addressing (paper: "they can serve as drop-in replacements"). *)
-module Map_undo (K : Underlying.HASHED) =
-  Transactional_map.Make_undo (Tm) (Underlying.Hashed_map_ops (K))
+   eager conflict detection — one pending writer per key, readers waiting
+   on it — over the same store buffer and shadows as [Map]. *)
+module Map_undo (K : Underlying.HASHED) = Transactional_map.Make_undo (Tm) (K)
 
 (* Common key modules. *)
 

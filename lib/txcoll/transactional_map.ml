@@ -187,36 +187,21 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
 end
 
 (* The undo-logging map (paper §5.1, "Redo versus undo logging"): the same
-   spec under the eager discipline, wrapping an existing map [M] as its
-   in-place table.  A write updates [M] in place under the key's writer
-   lock, aborting the key's readers at once and waiting by retry on
-   another writer; abort writes the priors back.  The redo map above is
-   the default; this one makes the design-space comparison executable
-   (the redo-vs-undo ablation). *)
-module Make_undo (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) = struct
+   spec under the eager discipline, which detects write conflicts at the
+   write.  A write registers as its key's one pending writer, aborting the
+   key's readers at once and waiting by retry on another writer; versions
+   live in the same store buffer and shadows as the redo map's.  The redo
+   map above is the default; this one makes the design-space comparison
+   executable (the redo-vs-undo ablation). *)
+module Make_undo (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) = struct
   module D =
     Derive.Make
       (TM)
       (struct
-        include Spec (struct
-          type t = M.key
-
-          let hash = M.hash
-          let equal = M.equal
-        end)
+        include Spec (K)
 
         let name = "Transactional_map.Make_undo"
-
-        let update =
-          Derive.Eager
-            {
-              create = M.create;
-              find = M.find;
-              apply =
-                (fun m k -> function
-                  | Some v -> M.add m k v | None -> M.remove m k);
-              restore = Fun.id;
-            }
+        let update = Derive.Eager
       end)
 
   type 'v t = 'v D.t

@@ -163,41 +163,41 @@ module Make (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) : sig
 end
 
 (** The undo-logging map of paper §5.1 ("Redo versus undo logging"):
-    {!Spec} under {!Derive}'s eager discipline, wrapping an existing map
-    [M] (one per stripe) as its in-place table.  A write updates the
-    wrapped map in place under an exclusive write lock on its key — early
-    conflict detection, as undo logging requires — and abort writes the
-    priors back.  It shares the redo map's stripes, key equality and
-    snapshot reads.  The redo {!Make} is the default; this module makes
-    the design-space comparison executable. *)
-module Make_undo (TM : Tm_intf.TM_OPS) (M : Tm_intf.HASHED_MAP_OPS) : sig
+    {!Spec} under {!Derive}'s eager discipline.  A write registers as its
+    key's one pending writer — early conflict detection, as undo logging
+    requires — aborting the key's readers at once and waiting (by
+    retrying) on another writer; readers wait on a pending writer.  It
+    keeps its versions in the same store buffer and shadows as the redo
+    map, so abort restores nothing.  The redo {!Make} is the default; this
+    module makes the design-space comparison executable. *)
+module Make_undo (TM : Tm_intf.TM_OPS) (K : Underlying.HASHED) : sig
   type 'v t
 
   val create : unit -> 'v t
 
-  val find : 'v t -> M.key -> 'v option
+  val find : 'v t -> K.t -> 'v option
   (** Retries transparently while another transaction has the key
       written. *)
 
-  val mem : 'v t -> M.key -> bool
+  val mem : 'v t -> K.t -> bool
 
-  val put : 'v t -> M.key -> 'v -> 'v option
-  (** In-place update under an exclusive write lock; aborts foreign readers
-      of the key at once and waits (by retrying) on a foreign writer. *)
+  val put : 'v t -> K.t -> 'v -> 'v option
+  (** Buffered under an exclusive write lock; aborts foreign readers of
+      the key at once and waits (by retrying) on a foreign writer. *)
 
-  val remove : 'v t -> M.key -> 'v option
+  val remove : 'v t -> K.t -> 'v option
 
   val size : 'v t -> int
   (** The committed size plus the calling transaction's own delta. *)
 
   val is_empty : 'v t -> bool
 
-  val fold : (M.key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+  val fold : (K.t -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
   (** Retries transparently while another transaction has any key
       written. *)
 
-  val iter : (M.key -> 'v -> unit) -> 'v t -> unit
-  val to_list : 'v t -> (M.key * 'v) list
+  val iter : (K.t -> 'v -> unit) -> 'v t -> unit
+  val to_list : 'v t -> (K.t * 'v) list
   val outstanding_locks : 'v t -> int
   val snapshot_history_length : 'v t -> int
 end

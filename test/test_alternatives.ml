@@ -5,13 +5,6 @@
 module Stm = Tcc_stm.Stm
 module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
 
-(* The same class wrapping an open-addressing table instead of the
-   chained hash map: existing structures can be swapped in. *)
-module UM_oa =
-  Txcoll.Transactional_map.Make_undo
-    (Txcoll.Host.Tm)
-    (Txcoll.Underlying.Oa_map_ops (Txcoll.Host.Int_hashed))
-
 let conflict_scenario ~reader ~writer =
   let phase = Atomic.make 0 in
   let signal n = if Atomic.get phase < n then Atomic.set phase n in
@@ -47,7 +40,7 @@ let test_undo_basic_semantics () =
   Stm.atomic (fun () ->
       Alcotest.(check (option string)) "put returns old" (Some "a")
         (UM.put m 1 "b");
-      Alcotest.(check (option string)) "read own in-place write" (Some "b")
+      Alcotest.(check (option string)) "read own write" (Some "b")
         (UM.find m 1);
       ignore (UM.put m 2 "c");
       Alcotest.(check int) "size live" 2 (UM.size m));
@@ -80,7 +73,7 @@ let test_undo_writer_aborts_reader () =
       ~reader:(fun () -> ignore (UM.find m 1))
       ~writer:(fun () -> ignore (UM.put m 1 "w"))
   in
-  Alcotest.(check int) "in-place writer aborts reader at op time" 2 n
+  Alcotest.(check int) "eager writer aborts reader at op time" 2 n
 
 let test_undo_parallel_correct () =
   let m = UM.create () in
@@ -142,43 +135,28 @@ let test_undo_write_write_no_lost_update () =
   Alcotest.(check (option int)) "no lost increments" (Some (2 * n)) (UM.find m 0);
   Alcotest.(check int) "no leaks" 0 (UM.outstanding_locks m)
 
-module type UNDO_MAP = sig
-  type 'v t
-
-  val create : unit -> 'v t
-  val find : 'v t -> int -> 'v option
-  val put : 'v t -> int -> 'v -> 'v option
-  val size : 'v t -> int
-  val outstanding_locks : 'v t -> int
-end
-
-let model_property (module M : UNDO_MAP) wrapped =
-  QCheck.Test.make
-    ~name:
-      ("undo map over " ^ wrapped
-     ^ " equals model after mixed commits/aborts")
+let prop_undo_model =
+  QCheck.Test.make ~name:"undo map equals model after mixed commits/aborts"
     ~count:60
     QCheck.(list (triple small_nat small_int bool))
     (fun ops ->
-      let m = M.create () in
+      let m = UM.create () in
       let model = Hashtbl.create 16 in
       List.iter
         (fun (k, v, abort) ->
           let k = k mod 16 in
           try
             Stm.atomic (fun () ->
-                ignore (M.put m k v);
+                ignore (UM.put m k v);
                 if abort then Stm.self_abort ());
             Hashtbl.replace model k v
           with Stm.Aborted -> ())
         ops;
-      M.size m = Hashtbl.length model
-      && Hashtbl.fold (fun k v ok -> ok && M.find m k = Some v) model true
-      && M.outstanding_locks m = 0)
+      UM.size m = Hashtbl.length model
+      && Hashtbl.fold (fun k v ok -> ok && UM.find m k = Some v) model true
+      && UM.outstanding_locks m = 0)
 
-let test_undo_model_property () =
-  QCheck.Test.check_exn (model_property (module UM) "chaining");
-  QCheck.Test.check_exn (model_property (module UM_oa) "open addressing")
+let test_undo_model_property () = QCheck.Test.check_exn prop_undo_model
 
 let suites =
   [

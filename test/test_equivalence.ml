@@ -1,7 +1,8 @@
 (* Equivalence properties:
    - cursor drains equal fold-based enumerations within one transaction;
-   - the undo-logging map wrapping chaining and wrapping open addressing
-     are observationally equal, for random transactional programs;
+   - the redo map and the undo-logging map (the map's spec with lazy and
+     with eager conflict detection) are observationally equal, for random
+     transactional programs with aborts;
    - the sorted map (committed state in AVL shadows) is observationally
      equal to a plain skip list that receives only the committed
      transactions. *)
@@ -9,12 +10,7 @@
 module Stm = Tcc_stm.Stm
 module IM = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 module SM = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
-module ChainM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
-
-module OaM =
-  Txcoll.Transactional_map.Make_undo
-    (Txcoll.Host.Tm)
-    (Txcoll.Underlying.Oa_map_ops (Txcoll.Host.Int_hashed))
+module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
 
 type op = Put of int * int | Remove of int | Abort_txn
 
@@ -89,20 +85,25 @@ let prop_cursor_equals_fold_sorted =
           in
           drain [] = by_fold))
 
-let prop_underlyings_equivalent_map =
-  QCheck.Test.make ~name:"chaining and open addressing observationally equal"
-    ~count:80 arb_prog (fun prog ->
-      let a = ChainM.create () in
-      let b = OaM.create () in
-      run_prog ~put:(fun k v -> ignore (ChainM.put a k v))
-        ~remove:(fun k -> ignore (ChainM.remove a k))
+let prop_redo_undo_equivalent =
+  QCheck.Test.make ~name:"redo and undo maps observationally equal" ~count:80
+    arb_prog (fun prog ->
+      let a = IM.create () in
+      let b = UM.create () in
+      (* Every put and remove returns the prior binding it observed. *)
+      let seen_a = ref [] and seen_b = ref [] in
+      let see seen r = seen := r :: !seen in
+      run_prog
+        ~put:(fun k v -> see seen_a (IM.put a k v))
+        ~remove:(fun k -> see seen_a (IM.remove a k))
         prog;
-      run_prog ~put:(fun k v -> ignore (OaM.put b k v))
-        ~remove:(fun k -> ignore (OaM.remove b k))
+      run_prog
+        ~put:(fun k v -> see seen_b (UM.put b k v))
+        ~remove:(fun k -> see seen_b (UM.remove b k))
         prog;
-      ChainM.size a = OaM.size b
-      && List.sort compare (ChainM.to_list a)
-         = List.sort compare (OaM.to_list b))
+      !seen_a = !seen_b
+      && IM.size a = UM.size b
+      && List.sort compare (IM.to_list a) = List.sort compare (UM.to_list b))
 
 let prop_underlyings_equivalent_sorted =
   QCheck.Test.make ~name:"avl and skiplist observationally equal" ~count:80
@@ -141,7 +142,7 @@ let suites =
         [
           prop_cursor_equals_fold_map;
           prop_cursor_equals_fold_sorted;
-          prop_underlyings_equivalent_map;
+          prop_redo_undo_equivalent;
           prop_underlyings_equivalent_sorted;
         ] );
   ]

@@ -71,6 +71,32 @@ let test_copy_key_conflicts_still_detected () =
   Domain.join d2;
   Alcotest.(check int) "conflict detected through copies" 2 !attempts
 
+(* A key object mutated between its operation and the commit is keyed
+   where the commit finds it: the commit plan takes the region of the
+   interval the buffered key now falls in, the one apply binds it in. *)
+module Ref_ordered = struct
+  type t = string ref
+
+  let compare a b = String.compare !a !b
+end
+
+module RSM =
+  Txcoll.Transactional_sorted_map.Make (Tcc_stm.Stm.Tm_ops) (Ref_ordered)
+
+let test_commit_plan_follows_mutated_key () =
+  let m = RSM.create ~splitters:[ ref "m" ] ~copy_key:(fun r -> ref !r) () in
+  let k = ref "alpha" in
+  let plan = ref 0 in
+  Stm.atomic (fun () ->
+      ignore (RSM.put m k 1);
+      k := "zulu";
+      plan := RSM.commit_plan_size m);
+  Alcotest.(check int) "plan holds both intervals and the structure"
+    (RSM.all_region_count m) !plan;
+  Alcotest.(check int) "no stranded locks" 0 (RSM.outstanding_locks m);
+  Alcotest.(check (option int)) "bound under the mutated content" (Some 1)
+    (RSM.find m (ref "zulu"))
+
 let suites =
   [
     ( "key-leak",
@@ -81,5 +107,7 @@ let suites =
           test_mutable_key_with_copy_is_safe;
         Alcotest.test_case "conflicts preserved through copies" `Quick
           test_copy_key_conflicts_still_detected;
+        Alcotest.test_case "commit plan follows a mutated key" `Quick
+          test_commit_plan_follows_mutated_key;
       ] );
   ]

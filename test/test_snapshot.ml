@@ -15,10 +15,10 @@ module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
 
 (* ---------------- basic semantics ---------------- *)
 
-(* The undo-logging map updates its shards in place, yet serves snapshots
-   from the same shadow chains as the redo map: reads inside
+(* The undo-logging map detects conflicts at the write but keeps its
+   versions in the same shadow chains as the redo map: reads inside
    [Stm.snapshot] see the pinned prefix while another domain commits, and
-   a pending (then aborted) in-place write is never visible. *)
+   a pending (then aborted) write is never visible. *)
 let test_snapshot_undo_map () =
   let m = UM.create () in
   for k = 0 to 9 do
@@ -71,7 +71,7 @@ let test_snapshot_undo_map () =
   let outside = (UM.find m 0, UM.find m 1000, UM.find m 1) in
   Atomic.set phase 2;
   Domain.join d;
-  Alcotest.(check bool) "pending in-place write not in a snapshot" true
+  Alcotest.(check bool) "pending write not in a snapshot" true
     (pending = committed);
   Alcotest.(check bool) "nor in a read outside a transaction" true
     (outside = (Some 0, None, Some 1));

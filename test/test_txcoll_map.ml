@@ -584,9 +584,9 @@ let test_equal_keys_conflict () =
 
 (* ---------------- undo-logging map ---------------- *)
 
-(* A write outside a transaction waits out a transaction that has its key
-   updated in place: were it to land first, that transaction's abort
-   would write its prior back over it. *)
+(* A write outside a transaction waits out a transaction that is its
+   key's pending writer, since eager detection gives a key one writer at
+   a time; the later write must survive that transaction's abort. *)
 let test_undo_nontxn_write_waits_pending_writer () =
   let module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed) in
   let u = UM.create () in
@@ -619,10 +619,10 @@ let test_undo_nontxn_write_waits_pending_writer () =
   Alcotest.(check int) "no leaks" 0 (UM.outstanding_locks u)
 
 (* Two domains move units between keys of one undo map, one transaction
-   in ten aborting after its in-place writes, while both check the total
-   inside transactions and snapshots: a read or write that did not wait
-   out another transaction's in-place write sees its uncommitted state,
-   and a restored prior can overwrite a committed update. *)
+   in ten aborting after its writes, while both check the total inside
+   transactions and snapshots: a read or write that did not wait out
+   another transaction's pending write acts on a prior that write is about
+   to replace, and an aborted write must leave no trace. *)
 let test_undo_transfers_keep_sum () =
   let module UM = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed) in
   let keys = 8 in
@@ -657,6 +657,72 @@ let test_undo_transfers_keep_sum () =
   Alcotest.(check int) "final total" total (sum ());
   Alcotest.(check int) "no leaks" 0 (UM.outstanding_locks u)
 
+(* ---------------- writes outside a transaction ---------------- *)
+
+(* A write outside a transaction is the auto-commit transaction
+   [TM.current] names, so it conflicts what it changes as a commit would.
+   A transaction observes [first], waits while another domain makes the
+   [outside] writes, then observes [second]; the observation it commits
+   must come before all of those writes or after them. *)
+let outside_writes_between ~first ~second ~outside =
+  let phase = Atomic.make 0 in
+  let attempts = ref 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        Stm.atomic (fun () ->
+            incr attempts;
+            let a = first () in
+            if !attempts = 1 then begin
+              Atomic.set phase 1;
+              while Atomic.get phase < 2 do
+                Domain.cpu_relax ()
+              done
+            end;
+            (a, second ())))
+  in
+  while Atomic.get phase < 1 do
+    Domain.cpu_relax ()
+  done;
+  outside ();
+  Atomic.set phase 2;
+  Domain.join reader
+
+let test_nontxn_writes_conflict_keys () =
+  let m = IM.create () in
+  ignore (IM.put m 1 0);
+  ignore (IM.put m 3 0);
+  let k1, k3 =
+    outside_writes_between
+      ~first:(fun () -> IM.find m 1)
+      ~second:(fun () -> IM.find m 3)
+      ~outside:(fun () ->
+        ignore (IM.put m 1 42);
+        ignore (IM.put m 3 43))
+  in
+  let show = Option.fold ~none:"none" ~some:string_of_int in
+  Alcotest.(check bool)
+    (Printf.sprintf "k1=%s k3=%s: both writes or neither" (show k1) (show k3))
+    true
+    ((k1, k3) = (Some 0, Some 0) || (k1, k3) = (Some 42, Some 43));
+  Alcotest.(check int) "no leaks" 0 (IM.outstanding_locks m)
+
+let test_nontxn_insert_conflicts_size () =
+  let m = IM.create () in
+  ignore (IM.put m 1 0);
+  ignore (IM.put m 3 0);
+  let size, k5 =
+    outside_writes_between
+      ~first:(fun () -> IM.size m)
+      ~second:(fun () -> IM.mem m 5)
+      ~outside:(fun () -> ignore (IM.put m 5 1))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "size=%d, key 5 %s: the insert or not" size
+       (if k5 then "present" else "absent"))
+    true
+    ((size, k5) = (2, false) || (size, k5) = (3, true));
+  Alcotest.(check int) "no leaks" 0 (IM.outstanding_locks m)
+
 let suites =
   suites
   @ [
@@ -674,5 +740,12 @@ let suites =
             test_equal_keys_counted_once;
           Alcotest.test_case "equal keys conflict" `Quick
             test_equal_keys_conflict;
+        ] );
+      ( "txmap.nontxn",
+        [
+          Alcotest.test_case "outside writes conflict their keys" `Quick
+            test_nontxn_writes_conflict_keys;
+          Alcotest.test_case "outside insert conflicts size" `Quick
+            test_nontxn_insert_conflicts_size;
         ] );
     ]

@@ -12,10 +12,6 @@ module Counter = H.Counter
 module Bag = H.Bag (H.Int_hashed)
 module Pq = H.Priority_queue (H.Int_ordered)
 module Map_undo = H.Map_undo (H.Int_hashed)
-module Oa_map =
-  Txcoll.Transactional_map.Make_undo
-    (H.Tm)
-    (Txcoll.Underlying.Oa_map_ops (H.Int_hashed))
 
 (* ---------------- dropped collections are freed ---------------- *)
 
@@ -61,8 +57,6 @@ let classes =
     ("Priority_queue", fun i -> let p = Pq.create () in txn (fun () -> Pq.insert p i));
     ( "Map_undo",
       fun i -> let m = Map_undo.create () in txn (fun () -> Map_undo.put m i i) );
-    ( "Map_over_open_addressing",
-      fun i -> let m = Oa_map.create () in txn (fun () -> Oa_map.put m i i) );
     ( "Places (eager)",
       fun i ->
         let p = Places.create ~place_count:2 ~key_space:64 () in
