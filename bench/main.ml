@@ -13,10 +13,12 @@
    lock-based run, with violation counts underneath (see EXPERIMENTS.md for
    the paper-vs-measured comparison).
 
-   The targets stmscale, derived, openloop, chaos, failover and starve,
-   and ablation's redo-vs-undo audit, check their own gates: one line per
-   gate, and a non-zero exit once the requested targets have run if any
-   gate failed. *)
+   The targets table1, table7, stmscale, derived, openloop, chaos,
+   failover and starve, and ablation's redo-vs-undo audit, check their own
+   gates: one line per gate, and a non-zero exit once the requested
+   targets have run if any gate failed.  table1 races every derived
+   class's operation pairs on small states and gates 0 runs that differ
+   from the serial run in commit order. *)
 
 let ppf = Fmt.stdout
 
@@ -63,7 +65,23 @@ module Stm = Tcc_stm.Stm
 let table1 () =
   Harness.Commute_spec.render_map_table ppf ();
   Fmt.pf ppf "read-only operations always commute: %b@."
-    (Harness.Commute_spec.reads_commute ())
+    (Harness.Commute_spec.reads_commute ());
+  gate_eq "Table 1/4 conditions inexact"
+    (List.length
+       (List.filter
+          (fun v -> not v.Harness.Commute_spec.condition_exact)
+          (Harness.Commute_spec.check_all ())))
+    0;
+  let reports = Harness.Commit_order.measure () in
+  Harness.Commit_order.render ppf reports;
+  List.iter
+    (fun (name, r) ->
+      let n f = List.length (f r) in
+      gate_eq (name ^ " commit-order violations")
+        (n Harness.Commit_order.violations) 0;
+      gate_eq (name ^ " unobserved-write aborts")
+        (n Harness.Commit_order.floor_aborts) 0)
+    reports
 
 let table2 () = Harness.Locktables.render_table2 ppf ()
 
@@ -130,11 +148,15 @@ let table5 () = Harness.Locktables.render_table5 ppf ()
 
 let table7 () =
   Fmt.pf ppf "@.Table 7 — Channel conflict conditions (brute force)@.";
+  let rows = Harness.Commute_spec.qcheck_all () in
   List.iter
     (fun (pair, ok) ->
       Fmt.pf ppf "  %-24s condition %s@." pair
         (if ok then "verified" else "MISMATCH"))
-    (Harness.Commute_spec.qcheck_all ())
+    rows;
+  gate_eq "Table 7 conditions mismatched"
+    (List.length (List.filter (fun (_, ok) -> not ok) rows))
+    0
 
 let table8 () = Harness.Locktables.render_table8 ppf ()
 

@@ -156,6 +156,7 @@ let queue_cmd =
 
 let run_tables () =
   Harness.Commute_spec.render_map_table ppf ();
+  Harness.Commit_order.(render ppf (measure ()));
   Harness.Locktables.render_table2 ppf ();
   Harness.Locktables.render_table5 ppf ();
   Harness.Locktables.render_table8 ppf ()

@@ -58,12 +58,27 @@ let remove t k =
       t.size <- t.size - 1
   | None -> ()
 
-let iter f t = Array.iter (List.iter (fun (k, v) -> f k v)) t.buckets
+(* Top-level recursions, so a walk allocates nothing of its own. *)
+let rec iter_bucket f = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      f k v;
+      iter_bucket f rest
 
-let fold f t init =
-  let acc = ref init in
-  iter (fun k v -> acc := f k v !acc) t;
-  !acc
+let iter f t =
+  let b = t.buckets in
+  for i = 0 to Array.length b - 1 do
+    iter_bucket f b.(i)
+  done
+
+let rec fold_bucket f l acc =
+  match l with [] -> acc | (k, v) :: rest -> fold_bucket f rest (f k v acc)
+
+let rec fold_buckets f b i acc =
+  if i = Array.length b then acc
+  else fold_buckets f b (i + 1) (fold_bucket f b.(i) acc)
+
+let fold f t init = fold_buckets f t.buckets 0 init
 
 let to_list t = fold (fun k v acc -> (k, v) :: acc) t []
 

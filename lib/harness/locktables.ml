@@ -1,8 +1,8 @@
 (* Regenerate the semantic-lock tables (Tables 2, 5 and 8) by tracing the
    actual host implementation: run each operation inside a transaction,
    inspect which locks the transaction holds, then abort so nothing leaks.
-   The write-conflict column comes from {!Commute_spec}'s verified conflict
-   sets. *)
+   Whether the commits' write conflicts catch every non-commuting pair is
+   measured on the same classes by {!Commit_order} (bench [table1]). *)
 
 module Stm = Tcc_stm.Stm
 module IM = Txcoll.Host.Map (Txcoll.Host.Int_hashed)

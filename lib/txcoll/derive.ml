@@ -11,13 +11,13 @@
    the *sequential* semantics (overlay a buffered write on an
    observation, collapse two writes to one key, the weight an observation
    contributes to the collection's size) and declares its keying and
-   which structural facets ({!Commute_spec.facet}) its reads observe.
-   The conflict relation is then derived, conservatively, from that
-   facet algebra instead of being hand-transcribed per class.
+   which structural facets ({!Semlock.facet}) its reads observe.
+   The conflict relation is then derived, conservatively, from those
+   facets instead of being hand-transcribed per class.
 
    Facets.  A read locks what it observed; a committing batch
    invalidates, and so conflicts in its prepare phase:
-   - [FKey k] (point reads, value-returning writes): every buffered key;
+   - the key (point reads, value-returning writes): every buffered key;
    - size: when the batch's net weight delta is non-zero;
    - isEmpty: when emptiness flips;
    - for ordered specs (Table 5) three more facets.  A range [lo, hi)
@@ -29,19 +29,23 @@
    its prepare phase (before the TM's commit point), which is the paper's
    optimistic semantic concurrency control.
 
-   Soundness argument (checked end-to-end by test/test_derive.ml): a
-   transaction that observed facet [F] holds [F]'s lock from the
-   operation until its commit completes, and a committing writer holds
-   every region of its plan from before prepare until after apply.  A
-   reader that registered before the writer's prepare is remote-aborted
-   (before anything applied); a reader arriving later blocks on the
-   writer's regions and observes either none or all of the batch — so no
-   transaction ever observes a torn batch, and two operations declared
-   commutative by the spec never conflict (their facets are disjoint),
-   while every non-commuting pair overlaps on a facet and is forced to
-   conflict.  Conservatism costs only spurious aborts (the victim retries
-   and converges), never missed conflicts; the QCheck gate exercises both
-   directions.
+   Soundness argument (measured on every shipped class by
+   [Harness.Commit_order]): a transaction that observed facet [F] holds
+   [F]'s lock from the operation until its commit completes, and a
+   committing writer holds every region of its plan from before prepare
+   until after apply.  A reader that registered before the writer's
+   prepare is remote-aborted (before anything applied); a reader
+   arriving later blocks on the writer's regions and observes either none
+   or all of the batch — so no transaction ever observes a torn batch,
+   and every non-commuting pair either overlaps on a facet and is forced
+   to conflict or, when one side observed nothing (a blind write), is
+   serialised after the other.  Conflicts are detected per facet, not per
+   value: a write to a key conflicts with the holders of the key and of
+   every range containing it even when it leaves the key as it was, or
+   changes it in a way the holder's result does not show (a containsKey
+   against an overwrite).  Those are the only spurious aborts the
+   exhaustive check measures; they cost a retry, never a missed
+   conflict.
 
    Keys.  The spec's {!keying} is the one notion of key equality: it picks
    a key's stripe and keys the store buffer, the semantic lock tables and

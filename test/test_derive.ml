@@ -1,14 +1,9 @@
 (* Tests for the spec-derived collection classes ({!Txcoll.Derive}):
    unit coverage for Counter/Bag/PriorityQueue, the counter's
-   zero-conflict guarantee, and QCheck spec-soundness properties run
-   against the *real* STM:
-
-   - every pair of operations the sequential model declares commutative
-     is order-equivalent through concurrent two-transaction programs
-     (same results, same final state, regardless of scheduling);
-   - every non-commutative pair is forced to conflict (the observer is
-     remote-aborted or waits: its transaction needs >= 2 attempts when a
-     conflicting write commits mid-flight). *)
+   zero-conflict guarantee, and each class's exhaustive commit-order check
+   through the real STM: every (row, write) pair of operations on every
+   small state, the row parked in its transaction while the write commits
+   from another domain, must equal the serial run in commit order. *)
 
 module Stm = Tcc_stm.Stm
 module DSet = Txcoll.Host.Set (Txcoll.Host.Int_hashed)
@@ -206,540 +201,35 @@ let test_one_copy_of_committed_state () =
   check "hash map" (per_key m) 8.1;
   check "sorted map" (per_key sm) 2.6
 
-(* ---------------- QCheck spec soundness ---------------- *)
-
-(* A collection case packages the derived implementation with its
-   sequential model.  Results are encoded as strings so the driver can
-   compare them generically; [dump] is the canonical committed state. *)
-module type CASE = sig
-  val name : string
-
-  type op
-
-  val show_op : op -> string
-  val gen_op : op QCheck.Gen.t
-  val gen_setup : op list QCheck.Gen.t
-
-  type model
-
-  val model_create : unit -> model
-  val model_apply : model -> op -> string
-  val model_dump : model -> string
-
-  type t
-
-  val create : unit -> t
-  val apply : t -> op -> string
-  val dump : t -> string
-  val observes : op -> bool
-end
-
-module Soundness (C : CASE) = struct
-  (* Run [a; b] and [b; a] through the model from the same setup. *)
-  let model_orders setup a b =
-    let run first second =
-      let m = C.model_create () in
-      List.iter (fun o -> ignore (C.model_apply m o)) setup;
-      let r1 = C.model_apply m first in
-      let r2 = C.model_apply m second in
-      (r1, r2, C.model_dump m)
-    in
-    let ra1, rb1, s1 = run a b in
-    let rb2, ra2, s2 = run b a in
-    ((ra1, rb1, s1), (ra2, rb2, s2))
-
-  let commutative setup a b =
-    let (ra1, rb1, s1), (ra2, rb2, s2) = model_orders setup a b in
-    ra1 = ra2 && rb1 = rb2 && s1 = s2
-
-  let build setup =
-    let t = C.create () in
-    List.iter (fun o -> ignore (C.apply t o)) setup;
-    t
-
-  (* Commutative pair: run the two ops as concurrent single-op
-     transactions; results and final state must equal the (unique)
-     sequential outcome. *)
-  let check_commutative setup a b =
-    let (ra, rb, s), _ = model_orders setup a b in
-    let t = build setup in
-    let got_a = ref "" and got_b = ref "" in
-    let d1 =
-      Domain.spawn (fun () -> Stm.atomic (fun () -> got_a := C.apply t a))
-    in
-    let d2 =
-      Domain.spawn (fun () -> Stm.atomic (fun () -> got_b := C.apply t b))
-    in
-    Domain.join d1;
-    Domain.join d2;
-    if !got_a <> ra then
-      QCheck.Test.fail_reportf "%s: %s returned %s, model says %s" C.name
-        (C.show_op a) !got_a ra;
-    if !got_b <> rb then
-      QCheck.Test.fail_reportf "%s: %s returned %s, model says %s" C.name
-        (C.show_op b) !got_b rb;
-    let dumped = C.dump t in
-    if dumped <> s then
-      QCheck.Test.fail_reportf "%s: state %s, model says %s" C.name dumped s;
-    true
-
-  (* Non-commutative pair: the observer transaction performs its op,
-     parks mid-flight while the other op commits, then tries to commit.
-     The derived conflict sets must force it to a second attempt. *)
-  let check_conflicting setup a b =
-    (* Pick the op whose observation the other changes as the in-flight
-       observer; the other (necessarily a writer) commits against it. *)
-    let observer, writer =
-      let (ra1, rb1, _), (ra2, rb2, _) = model_orders setup a b in
-      if ra1 <> ra2 then (a, b)
-      else if rb1 <> rb2 then (b, a)
-      else if C.observes a then (a, b)
-      else (b, a)
-    in
-    let t = build setup in
-    let phase = Atomic.make 0 in
-    let signal n = if Atomic.get phase < n then Atomic.set phase n in
-    let await n =
-      while Atomic.get phase < n do
-        Domain.cpu_relax ()
-      done
-    in
-    let attempts = ref 0 in
-    let d1 =
-      Domain.spawn (fun () ->
-          Stm.atomic (fun () ->
-              incr attempts;
-              ignore (C.apply t observer);
-              signal 1;
-              if !attempts = 1 then await 2))
-    in
-    let d2 =
-      Domain.spawn (fun () ->
-          await 1;
-          Stm.atomic (fun () -> ignore (C.apply t writer));
-          signal 2)
-    in
-    Domain.join d1;
-    Domain.join d2;
-    if !attempts < 2 then
-      QCheck.Test.fail_reportf
-        "%s: non-commutative pair (%s observer, %s writer) committed without \
-         conflict"
-        C.name (C.show_op observer) (C.show_op writer);
-    true
-
-  let print_case (setup, (a, b)) =
-    Printf.sprintf "%s setup=[%s] a=%s b=%s" C.name
-      (String.concat "; " (List.map C.show_op setup))
-      (C.show_op a) (C.show_op b)
-
-  let arb =
-    QCheck.make ~print:print_case
-      QCheck.Gen.(triple C.gen_setup C.gen_op C.gen_op |> map (fun (s, a, b) -> (s, (a, b))))
-
-  let tests =
-    [
-      QCheck.Test.make
-        ~name:(C.name ^ ": commutative pairs are order-equivalent")
-        ~count:40 arb
-        (fun (setup, (a, b)) ->
-          QCheck.assume (commutative setup a b);
-          check_commutative setup a b);
-      QCheck.Test.make
-        ~name:(C.name ^ ": non-commutative pairs forced to conflict")
-        ~count:40 arb
-        (fun (setup, (a, b)) ->
-          QCheck.assume (not (commutative setup a b));
-          check_conflicting setup a b);
-    ]
-end
-
-(* ---- set case ---- *)
-
-module Set_case = struct
-  let name = "derived set"
-
-  type op = Add of int | Remove of int | Mem of int | Size | Is_empty
-
-  let show_op = function
-    | Add k -> Printf.sprintf "add %d" k
-    | Remove k -> Printf.sprintf "remove %d" k
-    | Mem k -> Printf.sprintf "mem %d" k
-    | Size -> "size"
-    | Is_empty -> "is_empty"
-
-  let gen_op =
-    QCheck.Gen.(
-      frequency
-        [
-          (3, map (fun k -> Add k) (int_bound 3));
-          (3, map (fun k -> Remove k) (int_bound 3));
-          (2, map (fun k -> Mem k) (int_bound 3));
-          (1, return Size);
-          (1, return Is_empty);
-        ])
-
-  let gen_setup =
-    QCheck.Gen.(
-      list_size (int_bound 4)
-        (map2 (fun k b -> if b then Add k else Remove k) (int_bound 3) bool))
-
-  type model = (int, unit) Hashtbl.t
-
-  let model_create () = Hashtbl.create 8
-
-  let model_apply m = function
-    | Add k ->
-        let fresh = not (Hashtbl.mem m k) in
-        Hashtbl.replace m k ();
-        string_of_bool fresh
-    | Remove k ->
-        let present = Hashtbl.mem m k in
-        Hashtbl.remove m k;
-        string_of_bool present
-    | Mem k -> string_of_bool (Hashtbl.mem m k)
-    | Size -> string_of_int (Hashtbl.length m)
-    | Is_empty -> string_of_bool (Hashtbl.length m = 0)
-
-  let model_dump m =
-    Hashtbl.fold (fun k () acc -> k :: acc) m []
-    |> List.sort compare |> List.map string_of_int |> String.concat ","
-
-  type t = DSet.t
-
-  let create () = DSet.create ()
-
-  let apply t = function
-    | Add k -> string_of_bool (DSet.add t k)
-    | Remove k -> string_of_bool (DSet.remove t k)
-    | Mem k -> string_of_bool (DSet.mem t k)
-    | Size -> string_of_int (DSet.size t)
-    | Is_empty -> string_of_bool (DSet.is_empty t)
-
-  let dump t =
-    DSet.to_list t |> List.sort compare |> List.map string_of_int
-    |> String.concat ","
-
-  let observes _ = true
-end
-
-(* ---- bag case ---- *)
-
-module Bag_case = struct
-  let name = "derived bag"
-
-  type op = Badd of int | Badd_n of int * int | Bremove of int | Bcount of int | Bsize
-
-  let show_op = function
-    | Badd k -> Printf.sprintf "add %d" k
-    | Badd_n (k, n) -> Printf.sprintf "add_n %d %d" k n
-    | Bremove k -> Printf.sprintf "remove_one %d" k
-    | Bcount k -> Printf.sprintf "count %d" k
-    | Bsize -> "size"
-
-  let gen_op =
-    QCheck.Gen.(
-      frequency
-        [
-          (3, map (fun k -> Badd k) (int_bound 3));
-          (2, map2 (fun k n -> Badd_n (k, n + 1)) (int_bound 3) (int_bound 2));
-          (3, map (fun k -> Bremove k) (int_bound 3));
-          (2, map (fun k -> Bcount k) (int_bound 3));
-          (1, return Bsize);
-        ])
-
-  let gen_setup =
-    QCheck.Gen.(
-      list_size (int_bound 4)
-        (map2 (fun k n -> Badd_n (k, n + 1)) (int_bound 3) (int_bound 2)))
-
-  type model = (int, int) Hashtbl.t
-
-  let model_create () = Hashtbl.create 8
-  let mcount m k = Option.value (Hashtbl.find_opt m k) ~default:0
-
-  let model_apply m = function
-    | Badd k ->
-        Hashtbl.replace m k (mcount m k + 1);
-        "()"
-    | Badd_n (k, n) ->
-        if n > 0 then Hashtbl.replace m k (mcount m k + n);
-        "()"
-    | Bremove k ->
-        let c = mcount m k in
-        if c > 1 then Hashtbl.replace m k (c - 1)
-        else if c = 1 then Hashtbl.remove m k;
-        string_of_bool (c > 0)
-    | Bcount k -> string_of_int (mcount m k)
-    | Bsize -> string_of_int (Hashtbl.fold (fun _ c acc -> acc + c) m 0)
-
-  let model_dump m =
-    Hashtbl.fold (fun k c acc -> (k, c) :: acc) m []
-    |> List.sort compare
-    |> List.map (fun (k, c) -> Printf.sprintf "%d:%d" k c)
-    |> String.concat ","
-
-  type t = Bag.t
-
-  let create () = Bag.create ()
-
-  let apply t = function
-    | Badd k ->
-        Bag.add t k;
-        "()"
-    | Badd_n (k, n) ->
-        Bag.add_n t k n;
-        "()"
-    | Bremove k -> string_of_bool (Bag.remove_one t k)
-    | Bcount k -> string_of_int (Bag.count t k)
-    | Bsize -> string_of_int (Bag.size t)
-
-  let dump t =
-    Bag.to_list t |> List.sort compare
-    |> List.map (fun (k, c) -> Printf.sprintf "%d:%d" k c)
-    |> String.concat ","
-
-  let observes = function
-    | Badd _ | Badd_n _ -> false
-    | Bremove _ | Bcount _ | Bsize -> true
-end
-
-(* ---- priority-queue case ---- *)
-
-module Pq_case = struct
-  let name = "derived pq"
-
-  type op = Insert of int | Peek | Poll | Pcount of int
-
-  let show_op = function
-    | Insert p -> Printf.sprintf "insert %d" p
-    | Peek -> "peek_min"
-    | Poll -> "poll_min"
-    | Pcount p -> Printf.sprintf "count %d" p
-
-  let gen_op =
-    QCheck.Gen.(
-      frequency
-        [
-          (3, map (fun p -> Insert p) (int_bound 4));
-          (2, return Peek);
-          (3, return Poll);
-          (1, map (fun p -> Pcount p) (int_bound 4));
-        ])
-
-  let gen_setup =
-    QCheck.Gen.(list_size (int_bound 4) (map (fun p -> Insert p) (int_bound 4)))
-
-  type model = (int, int) Hashtbl.t
-
-  let model_create () = Hashtbl.create 8
-  let mcount m k = Option.value (Hashtbl.find_opt m k) ~default:0
-
-  let mmin m =
-    Hashtbl.fold
-      (fun k _ best ->
-        match best with Some b when b <= k -> best | _ -> Some k)
-      m None
-
-  let model_apply m = function
-    | Insert p ->
-        Hashtbl.replace m p (mcount m p + 1);
-        "()"
-    | Peek -> (
-        match mmin m with None -> "none" | Some p -> string_of_int p)
-    | Poll -> (
-        match mmin m with
-        | None -> "none"
-        | Some p ->
-            let c = mcount m p in
-            if c > 1 then Hashtbl.replace m p (c - 1) else Hashtbl.remove m p;
-            string_of_int p)
-    | Pcount p -> string_of_int (mcount m p)
-
-  let model_dump m =
-    Hashtbl.fold (fun k c acc -> (k, c) :: acc) m []
-    |> List.sort compare
-    |> List.map (fun (k, c) -> Printf.sprintf "%d:%d" k c)
-    |> String.concat ","
-
-  type t = Pq.t
-
-  let create () = Pq.create ()
-
-  let apply t = function
-    | Insert p ->
-        Pq.insert t p;
-        "()"
-    | Peek -> (
-        match Pq.peek_min t with None -> "none" | Some p -> string_of_int p)
-    | Poll -> (
-        match Pq.poll_min t with None -> "none" | Some p -> string_of_int p)
-    | Pcount p -> string_of_int (Pq.count t p)
-
-  let dump t =
-    Pq.to_list t |> List.sort compare
-    |> List.map (fun (k, c) -> Printf.sprintf "%d:%d" k c)
-    |> String.concat ","
-
-  let observes = function
-    | Insert _ -> false
-    | Peek | Poll | Pcount _ -> true
-end
-
-(* ---- counter case ---- *)
-
-module Counter_case = struct
-  let name = "derived counter"
-
-  type op = Cadd of int | Cget
-
-  let show_op = function
-    | Cadd d -> Printf.sprintf "add %d" d
-    | Cget -> "get"
-
-  let gen_op =
-    QCheck.Gen.(
-      frequency
-        [ (3, map (fun d -> Cadd (d + 1)) (int_bound 3)); (2, return Cget) ])
-
-  let gen_setup =
-    QCheck.Gen.(list_size (int_bound 3) (map (fun d -> Cadd (d + 1)) (int_bound 3)))
-
-  type model = int ref
-
-  let model_create () = ref 0
-
-  let model_apply m = function
-    | Cadd d ->
-        m := !m + d;
-        "()"
-    | Cget -> string_of_int !m
-
-  let model_dump m = string_of_int !m
-
-  type t = Counter.t
-
-  let create () = Counter.create ~shards:4 ()
-
-  let apply t = function
-    | Cadd d ->
-        Counter.add t d;
-        "()"
-    | Cget -> string_of_int (Counter.get t)
-
-  let dump t = string_of_int (Counter.get t)
-  let observes = function Cadd _ -> false | Cget -> true
-end
-
-(* ---- sorted-map case: the range, first and last facets ---- *)
-
-module Sorted_case = struct
-  let name = "derived sorted map"
-
-  type op =
-    | Sput of int * int
-    | Sremove of int
-    | Sget of int
-    | Srange of int * int (* fold over [lo, hi) *)
-    | Sfirst
-    | Slast
-    | Sview_first of int (* tailMap(lo).firstKey *)
-    | Sview_last of int (* headMap(hi).lastKey *)
-
-  let show_op = function
-    | Sput (k, v) -> Printf.sprintf "put %d %d" k v
-    | Sremove k -> Printf.sprintf "remove %d" k
-    | Sget k -> Printf.sprintf "get %d" k
-    | Srange (lo, hi) -> Printf.sprintf "range [%d,%d)" lo hi
-    | Sfirst -> "first_key"
-    | Slast -> "last_key"
-    | Sview_first lo -> Printf.sprintf "tail_map %d first_key" lo
-    | Sview_last hi -> Printf.sprintf "head_map %d last_key" hi
-
-  let key = QCheck.Gen.int_bound 5
-
-  let gen_op =
-    QCheck.Gen.(
-      frequency
-        [
-          (3, map2 (fun k v -> Sput (k, v)) key (int_bound 1));
-          (3, map (fun k -> Sremove k) key);
-          (1, map (fun k -> Sget k) key);
-          (2, map2 (fun a b -> Srange (min a b, max a b + 1)) key key);
-          (1, return Sfirst);
-          (1, return Slast);
-          (1, map (fun k -> Sview_first k) key);
-          (1, map (fun k -> Sview_last k) key);
-        ])
-
-  let gen_setup =
-    QCheck.Gen.(
-      list_size (int_bound 4) (map2 (fun k v -> Sput (k, v)) key (int_bound 1)))
-
-  type model = (int, int) Hashtbl.t
-
-  let model_create () = Hashtbl.create 8
-  let opt = function None -> "none" | Some x -> string_of_int x
-
-  let model_sorted m =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
-
-  let show_bindings l =
-    String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l)
-
-  let model_keys m keep = List.filter keep (List.map fst (model_sorted m))
-  let first_of = function [] -> None | k :: _ -> Some k
-  let last_of l = first_of (List.rev l)
-
-  let model_apply m = function
-    | Sput (k, v) ->
-        let old = Hashtbl.find_opt m k in
-        Hashtbl.replace m k v;
-        opt old
-    | Sremove k ->
-        let old = Hashtbl.find_opt m k in
-        Hashtbl.remove m k;
-        opt old
-    | Sget k -> opt (Hashtbl.find_opt m k)
-    | Srange (lo, hi) ->
-        show_bindings
-          (List.filter (fun (k, _) -> k >= lo && k < hi) (model_sorted m))
-    | Sfirst -> opt (first_of (model_keys m (fun _ -> true)))
-    | Slast -> opt (last_of (model_keys m (fun _ -> true)))
-    | Sview_first lo -> opt (first_of (model_keys m (fun k -> k >= lo)))
-    | Sview_last hi -> opt (last_of (model_keys m (fun k -> k < hi)))
-
-  let model_dump m = show_bindings (model_sorted m)
-
-  type t = int Sorted.t
-
-  (* Three intervals, so ranges and endpoints cross interval stripes. *)
-  let create () = Sorted.create ~splitters:[ 2; 4 ] ()
-
-  let apply t = function
-    | Sput (k, v) -> opt (Sorted.put t k v)
-    | Sremove k -> opt (Sorted.remove t k)
-    | Sget k -> opt (Sorted.find t k)
-    | Srange (lo, hi) ->
-        show_bindings
-          (List.rev
-             (Sorted.fold_range
-                (fun k v acc -> (k, v) :: acc)
-                t [] ~lo:(Some lo) ~hi:(Some hi)))
-    | Sfirst -> opt (Sorted.first_key t)
-    | Slast -> opt (Sorted.last_key t)
-    | Sview_first lo -> opt (Sorted.View.first_key (Sorted.tail_map t ~lo))
-    | Sview_last hi -> opt (Sorted.View.last_key (Sorted.head_map t ~hi))
-
-  let dump t = show_bindings (Sorted.to_list t)
-  let observes _ = true
-end
-
-module Set_sound = Soundness (Set_case)
-module Bag_sound = Soundness (Bag_case)
-module Pq_sound = Soundness (Pq_case)
-module Counter_sound = Soundness (Counter_case)
-module Sorted_sound = Soundness (Sorted_case)
+(* ---------------- commit-order check ---------------- *)
+
+(* One class's exhaustive commit-order run ({!Harness.Commit_order}):
+   every (row, write) pair on every small state equals the serial run in
+   commit order, whether the pair commutes on its state or not, and a
+   write whose keys the row did not observe never aborts it. *)
+let spec_tests label name =
+  let open Harness.Commit_order in
+  let cases os = List.map (fun o -> o.case) os in
+  let violations commuting () =
+    let os = report name in
+    Alcotest.(check (list string))
+      "commit-order violations" []
+      (cases (List.filter (fun o -> o.commutes = commuting) (violations os)));
+    Alcotest.(check bool)
+      "such pairs exist" true
+      (List.exists (fun o -> o.commutes = commuting) os)
+  in
+  [
+    Alcotest.test_case (label ^ ": commutative pairs are order-equivalent")
+      `Quick (violations true);
+    Alcotest.test_case
+      (label ^ ": non-commutative pairs serialise in commit order")
+      `Quick (violations false);
+    Alcotest.test_case (label ^ ": unobserved writes never abort") `Quick
+      (fun () ->
+        Alcotest.(check (list string))
+          "aborted" [] (cases (floor_aborts (report name))));
+  ]
 
 (* ---------------- derived chaos soak ---------------- *)
 
@@ -760,8 +250,6 @@ let test_derived_soak () =
         (r.Harness.Chaos.committed > 0))
     [ 1; 2; 3 ]
 
-let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
-
 let suites =
   [
     ( "derive.units",
@@ -776,11 +264,14 @@ let suites =
         Alcotest.test_case "one copy of committed state" `Quick
           test_one_copy_of_committed_state;
       ] );
-    ("derive.spec.set", qsuite Set_sound.tests);
-    ("derive.spec.bag", qsuite Bag_sound.tests);
-    ("derive.spec.pq", qsuite Pq_sound.tests);
-    ("derive.spec.counter", qsuite Counter_sound.tests);
-    ("derive.spec.sorted", qsuite Sorted_sound.tests);
+    ("derive.spec.set", spec_tests "derived set" "set");
+    ("derive.spec.bag", spec_tests "derived bag" "bag");
+    ("derive.spec.pq", spec_tests "derived pq" "priority queue");
+    ("derive.spec.counter", spec_tests "derived counter" "counter");
+    ("derive.spec.sorted", spec_tests "derived sorted map" "sorted map");
+    ("derive.spec.map", spec_tests "derived map" "map");
+    ("derive.spec.undo", spec_tests "derived undo map" "undo map");
+    ("derive.spec.queue", spec_tests "derived queue" "queue");
     ( "derive.chaos",
       [ Alcotest.test_case "derived soak" `Quick test_derived_soak ] );
   ]
