@@ -318,8 +318,8 @@ let chaos () =
             (Harness.Chaos.default_soak ~domains:2 ~ops_per_domain
                ~key_space:48 ~seed 0.05)
         in
-        Fmt.pf ppf "  seed %d: %a@." seed Harness.Chaos.pp_snapshot_report r;
-        r.sn_ok)
+        Fmt.pf ppf "  seed %d: %a@." seed Harness.Chaos.pp_report r;
+        r.ok)
       chaos_seeds
   in
   gate_runs "chaos.snapshot_soak_runs_ok" snapshot_oks;
@@ -333,14 +333,26 @@ let chaos () =
           Harness.Chaos.run_derived_soak
             (Harness.Chaos.default_soak ~domains:2 ~ops_per_domain ~seed 0.05)
         in
-        let c, ra, hf, d = r.injections in
-        Fmt.pf ppf "  seed %d: ok %b committed %d injections %d/%d/%d/%d@." seed
-          r.ok r.committed c ra hf d;
-        List.iter (fun e -> Fmt.pf ppf "        FAILED: %s@." e) r.errors;
+        Fmt.pf ppf "  seed %d: %a@." seed Harness.Chaos.pp_report r;
         r.ok)
       chaos_seeds
   in
-  gate_runs "chaos.derived_soak_runs_ok" derived_oks
+  gate_runs "chaos.derived_soak_runs_ok" derived_oks;
+  Fmt.pf ppf
+    "@.Striped soak (2 domains, one 16-stripe map, disjoint partitions, \
+     seeded injection)@.";
+  let striped_oks =
+    List.map
+      (fun seed ->
+        let r =
+          Harness.Chaos.run_striped_soak
+            (Harness.Chaos.default_soak ~domains:2 ~ops_per_domain ~seed 0.05)
+        in
+        Fmt.pf ppf "  seed %d: %a@." seed Harness.Chaos.pp_report r;
+        r.ok)
+      chaos_seeds
+  in
+  gate_runs "chaos.striped_soak_runs_ok" striped_oks
 
 (* Failover soak: kill/recover a master place mid-traffic, per seed and
    replication mode.  A run is ok when no committed write was lost, every
@@ -363,8 +375,8 @@ let failover () =
             in
             Fmt.pf ppf "  mode=%-5s seed=%d: %a@."
               (Harness.Chaos.mode_name mode)
-              seed Harness.Chaos.pp_failover_report r;
-            r.fv_ok)
+              seed Harness.Chaos.pp_report r;
+            r.ok)
           chaos_seeds)
       [ Places.Eager; Places.Lazy { max_lag = 8 } ]
   in

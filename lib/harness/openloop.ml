@@ -37,7 +37,8 @@
    "Sustainable" means: nothing dropped or shed, ≥95% of the schedule
    completed, and p99 within the SLO.  Each probe runs for [duration] or
    until it has scheduled [min_probe_requests] arrivals at its rate,
-   whichever is longer. *)
+   whichever is longer.  A starting rate past the knee steps down by
+   sqrt 2 within [descent_budget] seconds of probes. *)
 
 module Stm = Tcc_stm.Stm
 
@@ -186,27 +187,40 @@ let sustainable ~slo_us r =
    descended to a low rate is never empty. *)
 let min_probe_requests = 200
 
+(* Most seconds of probes a descent from the starting rate schedules.  A
+   probe at rate r lasts at least [min_probe_requests / r], so each step
+   down by sqrt 2 stretches the probe by as much: from 200 req/s the
+   descent probes 200, 141, 100, 71 and 50 req/s for 1 + 1.4 + 2 + 2.8 + 4
+   = 11.2 s, and the next probe (5.7 s) would pass the budget.  Small steps
+   buy more probes: on a noisy host one probe's p99 fails at any rate. *)
+let descent_budget = 15.
+
 let rate_search ?(domains = 2) ?(seed = 1) ?(slo_us = 1000.)
     ?(start_rate = 500.) ?(max_rate = 2e6) ?(refine = 3) ~duration
     (worker : worker) =
   let probes = ref [] in
+  let length rate =
+    Float.max duration (float_of_int min_probe_requests /. rate)
+  in
   let run rate =
-    let duration =
-      Float.max duration (float_of_int min_probe_requests /. rate)
+    let r =
+      run_at ~domains ~seed ~slo_us ~rate ~duration:(length rate) worker
     in
-    let r = run_at ~domains ~seed ~slo_us ~rate ~duration worker in
     probes := { p_rate = rate; p_result = r } :: !probes;
     r
   in
-  (* If the starting rate is already past the knee, walk down a few
-     octaves before giving up — keeps the search robust to slow hosts. *)
-  let rec descend rate tries =
+  (* If the starting rate is already past the knee, step down within
+     [descent_budget] before giving up — keeps the search robust to slow
+     hosts and to one probe's outlier p99. *)
+  let rec descend rate spent =
     let r = run rate in
+    let spent = spent +. length rate in
+    let next = rate /. sqrt 2. in
     if sustainable ~slo_us r then Some (rate, r)
-    else if tries = 0 then None
-    else descend (rate /. 4.) (tries - 1)
+    else if spent +. length next > descent_budget then None
+    else descend next spent
   in
-  match descend start_rate 4 with
+  match descend start_rate 0. with
   | None -> { sustainable_rate = 0.; knee = None; probes = List.rev !probes }
   | Some (rate0, r0) ->
       (* Geometric ramp until the SLO breaks (or the cap). *)

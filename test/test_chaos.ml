@@ -76,23 +76,25 @@ let test_abort_handler_failure_stops_retry () =
 let test_chaos_determinism () =
   (* Single domain: the whole schedule is deterministic, so two runs with
      the same seed must produce the same injection counts and final
-     contents. *)
-  let soak seed =
-    Chaos.run_soak
-      (Chaos.default_soak ~domains:1 ~ops_per_domain:800 ~seed 0.1)
-  in
-  let a = soak 42 and b = soak 42 in
-  Alcotest.(check bool) "run A converged" true a.ok;
-  Alcotest.(check bool) "run B converged" true b.ok;
-  Alcotest.(check string) "identical fingerprints for identical seeds"
-    a.fingerprint b.fingerprint;
-  Alcotest.(check bool) "injections actually happened" true
-    (let c, r, h, d = a.injections in
-     c + r + h + d > 0);
-  Alcotest.(check bool) "identical injection schedules" true
-    (a.injections = b.injections);
-  let other = soak 43 in
-  Alcotest.(check bool) "different seed still converges" true other.ok
+     contents, for the map/sorted/queue mix and the derived one. *)
+  List.iter
+    (fun (mix, run) ->
+      let soak seed =
+        run (Chaos.default_soak ~domains:1 ~ops_per_domain:800 ~seed 0.1)
+      in
+      let a : Chaos.report = soak 42 and b = soak 42 in
+      let check what = Alcotest.(check bool) (mix ^ ": " ^ what) true in
+      check "run A converged" a.ok;
+      check "run B converged" b.ok;
+      Alcotest.(check string)
+        (mix ^ ": identical fingerprints for identical seeds")
+        a.fingerprint b.fingerprint;
+      check "injections actually happened"
+        (let c, r, h, d = a.injections in
+         c + r + h + d > 0);
+      check "identical injection schedules" (a.injections = b.injections);
+      check "different seed still converges" (soak 43).ok)
+    [ ("soak", Chaos.run_soak); ("derived", Chaos.run_derived_soak) ]
 
 (* ---------------- acceptance soak matrix ---------------- *)
 
@@ -135,13 +137,13 @@ let test_snapshot_reader_soak () =
           (Chaos.default_soak ~domains:2 ~ops_per_domain:600 ~key_space:48
              ~seed 0.05)
       in
-      if not r.sn_ok then
+      if not r.ok then
         Alcotest.failf "snapshot soak seed=%d: %s" seed
-          (String.concat "; " r.sn_errors);
+          (String.concat "; " r.errors);
       Alcotest.(check bool)
         (Printf.sprintf "snapshots observed (seed=%d)" seed)
         true
-        (r.sn_snapshots > 0 && r.sn_writer_commits > 0))
+        (List.assoc "snapshots" r.counts > 0 && r.committed > 0))
     [ 1; 2; 3 ]
 
 (* ---------------- remote-abort settlement vs snapshot readers -------- *)
@@ -295,14 +297,15 @@ let test_failover_soak () =
                   (Chaos.default_failover ~domains:2 ~ops_per_domain
                      ~places:4 ~key_space:96 ~kills:2 ~mode ~seed 0.05)
               in
-              if not r.fv_ok then
+              if not r.ok then
                 Alcotest.failf "failover soak ops=%d seed=%d mode=%s: %s"
                   ops_per_domain seed (Chaos.mode_name mode)
-                  (String.concat "; " r.fv_errors);
+                  (String.concat "; " r.errors);
               Alcotest.(check bool)
                 (Printf.sprintf "kills executed (ops=%d seed=%d %s)"
                    ops_per_domain seed (Chaos.mode_name mode))
-                true (r.fv_kills = 2))
+                true
+                (List.assoc "kills" r.counts = 2))
             [ 11; 12 ])
         [ Places.Eager; Places.Lazy { max_lag = 8 } ])
     [ 600; 40 ]
