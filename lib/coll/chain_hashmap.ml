@@ -13,14 +13,16 @@ let index t k = t.hash k land max_int mod Array.length t.buckets
 let size t = t.size
 let is_empty t = t.size = 0
 
-let find t k =
-  let rec scan = function
-    | [] -> None
-    | (k', v) :: rest -> if t.equal k k' then Some v else scan rest
-  in
-  scan t.buckets.(index t k)
+(* Top-level recursions throughout, so a lookup allocates nothing and an
+   update only the bucket prefix it rebuilds. *)
+let rec suffix equal k = function
+  | (k', _) :: rest as l -> if equal k k' then l else suffix equal k rest
+  | [] -> []
 
-let mem t k = Option.is_some (find t k)
+let find t k =
+  match suffix t.equal k t.buckets.(index t k) with
+  | (_, v) :: _ -> Some v
+  | [] -> None
 
 let resize t =
   let old = t.buckets in
@@ -31,32 +33,47 @@ let resize t =
          t.buckets.(i) <- binding :: t.buckets.(i)))
     old
 
+let insert t i k v =
+  t.buckets.(i) <- (k, v) :: t.buckets.(i);
+  t.size <- t.size + 1;
+  if t.size > 3 * Array.length t.buckets / 4 then resize t
+
+(* The bucket without [k]'s binding if [drop] holds on its value. *)
+let rec drop_if equal k drop = function
+  | ((k', v) as b) :: rest as l ->
+      if equal k k' then if drop v then rest else l
+      else
+        let r = drop_if equal k drop rest in
+        if r == rest then l else b :: r
+  | [] -> []
+
+let always _ = true
+
+let drop_at t i k drop =
+  let bucket = t.buckets.(i) in
+  let rest = drop_if t.equal k drop bucket in
+  if rest != bucket then begin
+    t.buckets.(i) <- rest;
+    t.size <- t.size - 1
+  end
+
+(* A replaced binding moves to the front of its bucket. *)
 let add t k v =
   let i = index t k in
-  let rec replace = function
-    | [] -> None
-    | (k', _) :: rest when t.equal k k' -> Some ((k, v) :: rest)
-    | b :: rest -> Option.map (fun r -> b :: r) (replace rest)
-  in
-  match replace t.buckets.(i) with
-  | Some bucket -> t.buckets.(i) <- bucket
-  | None ->
-      t.buckets.(i) <- (k, v) :: t.buckets.(i);
-      t.size <- t.size + 1;
-      if t.size > 3 * Array.length t.buckets / 4 then resize t
+  drop_at t i k always;
+  insert t i k v
 
-let remove t k =
+let find_or_add t k ~copy ~make =
   let i = index t k in
-  let rec drop = function
-    | [] -> None
-    | (k', _) :: rest when t.equal k k' -> Some rest
-    | b :: rest -> Option.map (fun r -> b :: r) (drop rest)
-  in
-  match drop t.buckets.(i) with
-  | Some bucket ->
-      t.buckets.(i) <- bucket;
-      t.size <- t.size - 1
-  | None -> ()
+  match suffix t.equal k t.buckets.(i) with
+  | (_, v) :: _ -> v
+  | [] ->
+      let v = make () in
+      insert t i (copy k) v;
+      v
+
+let remove_if t k drop = drop_at t (index t k) k drop
+let remove t k = remove_if t k always
 
 (* Top-level recursions, so a walk allocates nothing of its own. *)
 let rec iter_bucket f = function
@@ -79,8 +96,6 @@ let rec fold_buckets f b i acc =
   else fold_buckets f b (i + 1) (fold_bucket f b.(i) acc)
 
 let fold f t init = fold_buckets f t.buckets 0 init
-
-let to_list t = fold (fun k v acc -> (k, v) :: acc) t []
 
 let clear t =
   Array.fill t.buckets 0 (Array.length t.buckets) [];

@@ -16,10 +16,16 @@ val create :
 val size : ('k, 'v) t -> int
 val is_empty : ('k, 'v) t -> bool
 val find : ('k, 'v) t -> 'k -> 'v option
-val mem : ('k, 'v) t -> 'k -> bool
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 val remove : ('k, 'v) t -> 'k -> unit
+
+val find_or_add :
+  ('k, 'v) t -> 'k -> copy:('k -> 'k) -> make:(unit -> 'v) -> 'v
+(** [k]'s value; when [k] is unbound, binds [copy k] to [make ()] first. *)
+
+val remove_if : ('k, 'v) t -> 'k -> ('v -> bool) -> unit
+(** Removes [k]'s binding when the predicate holds on its value. *)
+
 val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-val to_list : ('k, 'v) t -> ('k * 'v) list
 val clear : ('k, 'v) t -> unit

@@ -50,35 +50,43 @@ let balance l k v r =
   else node l k v r
 
 let create ~compare () = { compare; root = Leaf; size = 0 }
-let compare_key t = t.compare
 let size t = t.size
 let is_empty t = t.size = 0
 
+(* Top-level recursions throughout, so a lookup allocates nothing and an
+   update only its path copy. *)
+let rec find_node cmp key = function
+  | Leaf -> Leaf
+  | Node { l; k; r; _ } as n ->
+      let c = cmp key k in
+      if c = 0 then n else find_node cmp key (if c < 0 then l else r)
+
 let find t key =
-  let rec go = function
-    | Leaf -> None
-    | Node { l; k; v; r; _ } ->
-        let c = t.compare key k in
-        if c = 0 then Some v else if c < 0 then go l else go r
-  in
-  go t.root
+  match find_node t.compare key t.root with
+  | Node { v; _ } -> Some v
+  | Leaf -> None
 
-let mem t key = Option.is_some (find t key)
+let mem t key = find_node t.compare key t.root != Leaf
 
-let add t key value =
-  let added = ref false in
-  let rec go = function
-    | Leaf ->
-        added := true;
-        node Leaf key value Leaf
-    | Node { l; k; v; r; _ } ->
-        let c = t.compare key k in
-        if c = 0 then node l key value r
-        else if c < 0 then balance (go l) k v r
-        else balance l k v (go r)
-  in
-  t.root <- go t.root;
-  if !added then t.size <- t.size + 1
+let rec add_in t key value = function
+  | Leaf ->
+      t.size <- t.size + 1;
+      node Leaf key value Leaf
+  | Node { l; k; v; r; _ } ->
+      let c = t.compare key k in
+      if c = 0 then node l key value r
+      else if c < 0 then balance (add_in t key value l) k v r
+      else balance l k v (add_in t key value r)
+
+let add t key value = t.root <- add_in t key value t.root
+
+let find_or_add t key ~copy ~make =
+  match find_node t.compare key t.root with
+  | Node { v; _ } -> v
+  | Leaf ->
+      let v = make () in
+      add t (copy key) v;
+      v
 
 let rec min_node = function
   | Leaf -> None
@@ -93,70 +101,62 @@ let rec max_node = function
 let min_binding t = min_node t.root
 let max_binding t = max_node t.root
 
-let remove t key =
-  let removed = ref false in
-  let rec go = function
-    | Leaf -> Leaf
-    | Node { l; k; v; r; _ } ->
-        let c = t.compare key k in
-        if c < 0 then balance (go l) k v r
-        else if c > 0 then balance l k v (go r)
+let rec remove_min = function
+  | Leaf -> Leaf
+  | Node { l = Leaf; r; _ } -> r
+  | Node { l; k; v; r; _ } -> balance (remove_min l) k v r
+
+(* A subtree the removal leaves alone comes back uncopied. *)
+let rec remove_in t key drop = function
+  | Leaf -> Leaf
+  | Node { l; k; v; r; _ } as n ->
+      let c = t.compare key k in
+      if c = 0 then
+        if not (drop v) then n
         else begin
-          removed := true;
+          t.size <- t.size - 1;
           match min_node r with
           | None -> l
           | Some (sk, sv) -> balance l sk sv (remove_min r)
         end
-  and remove_min = function
-    | Leaf -> Leaf
-    | Node { l = Leaf; r; _ } -> r
-    | Node { l; k; v; r; _ } -> balance (remove_min l) k v r
-  in
-  t.root <- go t.root;
-  if !removed then t.size <- t.size - 1
+      else
+        let l' = if c < 0 then remove_in t key drop l else l in
+        let r' = if c > 0 then remove_in t key drop r else r in
+        if l' == l && r' == r then n else balance l' k v r'
 
-let iter f t =
-  let rec go = function
-    | Leaf -> ()
-    | Node { l; k; v; r; _ } ->
-        go l;
-        f k v;
-        go r
-  in
-  go t.root
+let remove_if t key drop = t.root <- remove_in t key drop t.root
+let remove t key = remove_if t key (fun _ -> true)
+
+let above t lo k = match lo with None -> true | Some b -> t.compare k b >= 0
+let below t hi k = match hi with None -> true | Some b -> t.compare k b < 0
+
+(* In-order iteration over [lo <= k < hi] (half-open, Java subMap style). *)
+let rec range_in f t lo hi = function
+  | Leaf -> ()
+  | Node { l; k; v; r; _ } ->
+      if above t lo k then range_in f t lo hi l;
+      if above t lo k && below t hi k then f k v;
+      if below t hi k then range_in f t lo hi r
+
+let iter_range f t ~lo ~hi = range_in f t lo hi t.root
+let iter f t = range_in f t None None t.root
+
+(* Reverse-order iteration over the same range.  Raising from [f] after
+   the first visit costs one root-to-leaf descent, so the last binding
+   below [hi] is found in O(log n). *)
+let rec range_rev_in f t lo hi = function
+  | Leaf -> ()
+  | Node { l; k; v; r; _ } ->
+      if below t hi k then range_rev_in f t lo hi r;
+      if above t lo k && below t hi k then f k v;
+      if above t lo k then range_rev_in f t lo hi l
+
+let iter_range_rev f t ~lo ~hi = range_rev_in f t lo hi t.root
 
 let fold f t init =
   let acc = ref init in
   iter (fun k v -> acc := f k v !acc) t;
   !acc
-
-(* In-order iteration over [lo <= k < hi] (half-open, Java subMap style). *)
-let iter_range f t ~lo ~hi =
-  let above_lo k = match lo with None -> true | Some b -> t.compare k b >= 0 in
-  let below_hi k = match hi with None -> true | Some b -> t.compare k b < 0 in
-  let rec go = function
-    | Leaf -> ()
-    | Node { l; k; v; r; _ } ->
-        if above_lo k then go l;
-        if above_lo k && below_hi k then f k v;
-        if below_hi k then go r
-  in
-  go t.root
-
-(* Reverse-order iteration over the same [lo <= k < hi] range.  Raising
-   from [f] after the first visit costs one root-to-leaf descent, so the
-   last binding below [hi] is found in O(log n). *)
-let iter_range_rev f t ~lo ~hi =
-  let above_lo k = match lo with None -> true | Some b -> t.compare k b >= 0 in
-  let below_hi k = match hi with None -> true | Some b -> t.compare k b < 0 in
-  let rec go = function
-    | Leaf -> ()
-    | Node { l; k; v; r; _ } ->
-        if below_hi k then go r;
-        if above_lo k && below_hi k then f k v;
-        if above_lo k then go l
-  in
-  go t.root
 
 let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
 

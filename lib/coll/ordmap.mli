@@ -6,13 +6,20 @@
 type ('k, 'v) t
 
 val create : compare:('k -> 'k -> int) -> unit -> ('k, 'v) t
-val compare_key : ('k, 'v) t -> 'k -> 'k -> int
 val size : ('k, 'v) t -> int
 val is_empty : ('k, 'v) t -> bool
 val find : ('k, 'v) t -> 'k -> 'v option
 val mem : ('k, 'v) t -> 'k -> bool
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 val remove : ('k, 'v) t -> 'k -> unit
+
+val find_or_add :
+  ('k, 'v) t -> 'k -> copy:('k -> 'k) -> make:(unit -> 'v) -> 'v
+(** [k]'s value; when [k] is unbound, binds [copy k] to [make ()] first. *)
+
+val remove_if : ('k, 'v) t -> 'k -> ('v -> bool) -> unit
+(** Removes [k]'s binding when the predicate holds on its value. *)
+
 val min_binding : ('k, 'v) t -> ('k * 'v) option
 val max_binding : ('k, 'v) t -> ('k * 'v) option
 val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit

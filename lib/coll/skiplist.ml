@@ -35,9 +35,7 @@ let create ~compare () =
     rng = Random.State.make [| 0x5C1B |];
   }
 
-let compare_key t = t.compare
 let size t = t.size
-let is_empty t = t.size = 0
 
 let random_level t =
   let rec go l =
@@ -85,8 +83,6 @@ let find t key =
   | Some n when t.compare n.key key = 0 -> Some n.value
   | _ -> None
 
-let mem t key = Option.is_some (find t key)
-
 let add t key value =
   let update = find_predecessors t key in
   match update.(0).forward.(0) with
@@ -128,15 +124,6 @@ let max_binding t =
   let n = last_before t None in
   if n == t.head then None else Some (n.key, n.value)
 
-let iter f t =
-  let rec go = function
-    | Some n ->
-        f n.key n.value;
-        go n.forward.(0)
-    | None -> ()
-  in
-  go t.head.forward.(0)
-
 let iter_range f t ~lo ~hi =
   let above k = match lo with None -> true | Some b -> t.compare k b >= 0 in
   let below k = match hi with None -> true | Some b -> t.compare k b < 0 in
@@ -153,6 +140,8 @@ let iter_range f t ~lo ~hi =
   in
   go start
 
+let iter f t = iter_range f t ~lo:None ~hi:None
+
 (* The list is singly linked, so each reverse step is a fresh predecessor
    descent: O(log n) per visited binding and no materialised range. *)
 let iter_range_rev f t ~lo ~hi =
@@ -165,17 +154,10 @@ let iter_range_rev f t ~lo ~hi =
   in
   go (last_before t hi)
 
-let fold f t init =
-  let acc = ref init in
-  iter (fun k v -> acc := f k v !acc) t;
-  !acc
-
-let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
-
-let clear t =
-  Array.fill t.head.forward 0 max_level None;
-  t.level <- 1;
-  t.size <- 0
+let to_list t =
+  let acc = ref [] in
+  iter (fun k v -> acc := (k, v) :: !acc) t;
+  List.rev !acc
 
 (* Structural invariants, for property tests: every level is sorted and a
    sublist of the level below; size matches level 0. *)

@@ -7,11 +7,8 @@
 type ('k, 'v) t
 
 val create : compare:('k -> 'k -> int) -> unit -> ('k, 'v) t
-val compare_key : ('k, 'v) t -> 'k -> 'k -> int
 val size : ('k, 'v) t -> int
-val is_empty : ('k, 'v) t -> bool
 val find : ('k, 'v) t -> 'k -> 'v option
-val mem : ('k, 'v) t -> 'k -> bool
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 val remove : ('k, 'v) t -> 'k -> unit
 val min_binding : ('k, 'v) t -> ('k * 'v) option
@@ -26,7 +23,5 @@ val iter_range_rev :
 (** [iter_range] in descending key order, one O(log n) predecessor descent
     per visited binding; [f] may raise for early exit. *)
 
-val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 val to_list : ('k, 'v) t -> ('k * 'v) list
-val clear : ('k, 'v) t -> unit
 val check_invariants : ('k, 'v) t -> unit

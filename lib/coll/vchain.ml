@@ -54,9 +54,6 @@ let latest t =
   | Node r -> r.v
   | Nil -> assert false (* chains are never empty *)
 
-let latest_stamp t =
-  match Atomic.get t with Node r -> r.stamp | Nil -> assert false
-
 (* Newest committed version with stamp <= [ts].  Under the snapshot pin
    protocol such an entry always exists (the pin caps every later trim at
    the pinned epoch); the [None] case means the caller read an unpinned

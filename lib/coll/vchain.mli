@@ -16,9 +16,6 @@ val length : 'a t -> int
 val latest : 'a t -> 'a
 (** Newest committed version. *)
 
-val latest_stamp : 'a t -> int
-(** Stamp of the newest committed version. *)
-
 val read_at : 'a t -> int -> 'a
 (** [read_at t ts] is the newest version stamped [<= ts].  Total: falls
     back to the oldest surviving version when nothing qualifies, which is

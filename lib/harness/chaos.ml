@@ -406,14 +406,26 @@ let spawn_workers sc ~section ?(role = "worker") ~salt ~colls ?(tail = ignore)
    — a fold count or order torn across stripes, intervals or places
    breaks it — then the soak's own [check].  A pin older than a place's
    promotion is refused with [Place_down]: the history it needs died with
-   the old master, so count a denial and re-pin. *)
+   the old master, so count a denial and re-pin.  A broken invariant
+   fails in every later section too, so the reader keeps the first
+   message of each failing check, named by its text up to the first
+   digit, and counts the repeats. *)
 let spawn_reader sc ~section ~colls check =
   let stop = Atomic.make false in
   let read () =
-    let errors = ref [] in
+    let firsts = Hashtbl.create 8 and names = ref [] in
     let fail msg =
-      errors :=
-        (soak_context sc ~section:(section ^ ".reader") ^ msg) :: !errors
+      let rec upto i =
+        if i = String.length msg || (msg.[i] >= '0' && msg.[i] <= '9') then i
+        else upto (i + 1)
+      in
+      let name = String.sub msg 0 (upto 0) in
+      match Hashtbl.find_opt firsts name with
+      | Some (_, repeats) -> incr repeats
+      | None ->
+          let first = soak_context sc ~section:(section ^ ".reader") ^ msg in
+          Hashtbl.add firsts name (first, ref 0);
+          names := name :: !names
     in
     let snapshots = ref 0 and denials = ref 0 in
     while not (Atomic.get stop) do
@@ -427,7 +439,13 @@ let spawn_reader sc ~section ~colls check =
           incr denials;
           Unix.sleepf 0.0002
     done;
-    (!snapshots, !denials, List.rev !errors)
+    let summary name =
+      match Hashtbl.find firsts name with
+      | first, { contents = 0 } -> first
+      | first, { contents = n } ->
+          Printf.sprintf "%s (and %d more like it)" first n
+    in
+    (!snapshots, !denials, List.rev_map summary !names)
   in
   let dom = Domain.spawn read in
   fun () ->

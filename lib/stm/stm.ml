@@ -301,27 +301,27 @@ let release_locks top n =
 
 (* Acquire write locks in tv_id order (no deadlock), spinning a bounded
    number of times on each before declaring a conflict.  [wids] is sorted
-   at insertion and the pre-lock vlock values go into the [acq_old]
-   scratch, so acquisition allocates nothing. *)
+   at insertion, the pre-lock vlock values go into the [acq_old] scratch
+   and the spin is top-level, so acquisition allocates nothing. *)
+let rec lock_write top i spins =
+  let (W (tv, _)) = top.wents.(i) in
+  let cur = Atomic.get tv.vlock in
+  if locked cur then
+    if spins = 0 then begin
+      release_locks top i;
+      raise Conflict_exn
+    end
+    else begin
+      Domain.cpu_relax ();
+      lock_write top i (spins - 1)
+    end
+  else if Atomic.compare_and_set tv.vlock cur (cur + 1) then
+    top.acq_old.(i) <- cur
+  else lock_write top i spins
+
 let lock_writes top =
   for i = 0 to top.wlen - 1 do
-    let (W (tv, _)) = top.wents.(i) in
-    let rec try_lock spins =
-      let cur = Atomic.get tv.vlock in
-      if locked cur then
-        if spins = 0 then begin
-          release_locks top i;
-          raise Conflict_exn
-        end
-        else begin
-          Domain.cpu_relax ();
-          try_lock (spins - 1)
-        end
-      else if Atomic.compare_and_set tv.vlock cur (cur + 1) then
-        top.acq_old.(i) <- cur
-      else try_lock spins
-    in
-    try_lock 1024
+    lock_write top i 1024
   done
 
 let validate_reads top = level_valid top.self_opt top
@@ -421,17 +421,6 @@ let finish_commit top =
   let s = my_stats () in
   s.s_commits <- s.s_commits + 1
 
-(* Publish the redo log and finish a handler-less writing commit.  Every
-   mutating commit draws a write version: snapshot readers key visibility
-   off unique commit stamps, so even commits that only mutate semantic
-   state (handler path below) must advance the clock. *)
-let publish_and_finish top =
-  publish_window_enter ();
-  let wv = bump_clock () in
-  publish_writes top wv;
-  publish_window_exit ();
-  finish_commit top
-
 let finish_read_only top =
   Atomic.set top.top_status Committed;
   let s = my_stats () in
@@ -445,61 +434,67 @@ let rec unlock_regions = function
       unlock_regions rest;
       region_unlock r
 
-(* The handler path of [commit_top], run with every region of the commit
-   plan held. *)
-let commit_in_regions top handlers =
+(* The front of every writing commit, in TL2 order: lock the write set,
+   open the publication window, draw the stamp [wv], then validate reads,
+   run prepare handlers and settle Active -> Committing.  A commit landing
+   on a read after its validation draws a later stamp, so stamp order is a
+   serialization order and every pin sees a serializable cut.  An exit
+   after the bump unlocks and closes the window, publishing nothing (the
+   stamp goes unused).  Semantic-only commits draw a stamp too. *)
+let lock_and_stamp top handlers =
   lock_writes top;
-  (try
-     if not (validate_reads top) then raise Conflict_exn;
-     chaos Chaos_in_commit;
-     top.in_prepare <- true;
-     List.iter
-       (fun h -> match h.ch_prepare with Some p -> p () | None -> ())
-       handlers;
-     top.in_prepare <- false;
-     if not (Atomic.compare_and_set top.top_status Active Committing) then
-       raise Remote_aborted_exn
-   with e ->
-     top.in_prepare <- false;
-     release_locks top top.wlen;
-     raise e);
-  (* Commit point passed.  The publication window opens before the bump:
-     a snapshot pin concurrent with this commit either waits out the chain
-     publications below (tvar chains and the semantic shard chains the
-     applies publish at [wv]) or pins above [wv].  Every mutating commit
-     draws a write version here — semantic-only commits included —
-     because snapshot visibility is keyed off unique commit stamps. *)
   publish_window_enter ();
   let wv = bump_clock () in
-  let failures = run_applies wv handlers in
+  match
+    if not (validate_reads top) then raise Conflict_exn;
+    chaos Chaos_in_commit;
+    top.in_prepare <- true;
+    List.iter
+      (fun h -> match h.ch_prepare with Some p -> p () | None -> ())
+      handlers;
+    top.in_prepare <- false;
+    if not (Atomic.compare_and_set top.top_status Active Committing) then
+      raise Remote_aborted_exn
+  with
+  | () -> wv
+  | exception e ->
+      top.in_prepare <- false;
+      release_locks top top.wlen;
+      publish_window_exit ();
+      raise e
+
+(* The back of every writing commit, after the regions are released: each
+   tvar's held vlock serialises its write-back, the open window covers it. *)
+let publish_and_finish top wv =
   publish_writes top wv;
   publish_window_exit ();
-  finish_commit top;
-  if failures <> [] then raise (Handler_failure { committed = true; failures })
+  finish_commit top
 
-(* Commit a top-level transaction.  When the transaction registered
-   handlers, the whole sequence
+(* Commit a top-level transaction.  With handlers, the sequence is
 
-     acquire commit regions -> lock write set -> validate reads ->
-     run prepare handlers (semantic conflict detection) ->
-     flip to Committing -> run apply handlers -> publish memory writes ->
-     Committed
+     acquire commit regions -> lock write set -> open the publication
+     window and draw the stamp -> validate reads -> run prepare handlers
+     (semantic conflict detection) -> flip to Committing -> run apply
+     handlers -> release the regions -> publish memory writes -> close
+     the window -> Committed
 
-   executes while holding the commit regions of every collection the
-   handlers touch (acquired in rid order, hence deadlock-free), making the
-   handlers' semantic conflict checks and buffer application atomic with
-   the memory-level commit (multi-level transaction commit).  Commits whose
-   handlers touch disjoint collections hold disjoint regions and proceed in
-   parallel.
+   and the regions of every collection the handlers touch (acquired in
+   rid order, hence deadlock-free) are held from before the stamp until
+   the applies have published, making the handlers' semantic conflict
+   checks and buffer application atomic with the memory-level commit
+   (multi-level transaction commit) and each shard chain's stamps
+   monotone.  Disjoint collections' commits proceed in parallel.  A
+   handler-less writing commit runs the same front and back.
 
    Prepare handlers run *before* the commit point: an exception there
    (lost semantic race, contention-manager deferral, injected fault)
-   releases the write locks and regions with nothing applied and retries
-   the transaction.  Apply handlers run after the commit point under the
-   aggregating wrapper.  Commit handlers must not access tvars: the
-   collection classes operate on their wrapped structures inside
-   [critical] regions instead (the region locks are reentrant, so a
-   handler re-entering its own region's [critical] is fine).
+   releases the write locks, the window and the regions with nothing
+   applied and retries the transaction.  Apply handlers run after the
+   commit point under the aggregating wrapper.  Commit handlers must not
+   access tvars: the collection classes operate on their wrapped
+   structures inside [critical] regions instead (the region locks are
+   reentrant, so a handler re-entering its own region's [critical] is
+   fine).
 
    Read-only fast paths.  A transaction that wrote no tvars and whose
    handlers all certify [ch_read_only] commits without touching the global
@@ -523,18 +518,7 @@ let commit_top ~run_handlers top =
         raise Remote_aborted_exn;
       finish_read_only top
     end
-    else begin
-      lock_writes top;
-      (try
-         if not (validate_reads top) then raise Conflict_exn;
-         chaos Chaos_in_commit;
-         if not (Atomic.compare_and_set top.top_status Active Committing) then
-           raise Remote_aborted_exn
-       with e ->
-         release_locks top top.wlen;
-         raise e);
-      publish_and_finish top
-    end
+    else publish_and_finish top (lock_and_stamp top [])
   else if top.wlen = 0 && List.for_all (fun h -> h.ch_read_only ()) handlers
   then begin
     (* Semantic read-only fast path: the collections buffered no
@@ -555,11 +539,18 @@ let commit_top ~run_handlers top =
     let regions = commit_regions handlers in
     List.iter region_lock regions;
     (* Hand-rolled instead of Fun.protect, as in [region_critical]. *)
-    match commit_in_regions top handlers with
-    | () -> unlock_regions regions
-    | exception e ->
-        unlock_regions regions;
-        raise e
+    let wv =
+      match lock_and_stamp top handlers with
+      | wv -> wv
+      | exception e ->
+          unlock_regions regions;
+          raise e
+    in
+    (* Commit point passed; [run_applies] never raises. *)
+    let failures = run_applies wv handlers in
+    unlock_regions regions;
+    publish_and_finish top wv;
+    if failures <> [] then raise (Handler_failure { committed = true; failures })
   end
 
 (* Newest-first: compensations undo in reverse registration order.  Every

@@ -277,10 +277,12 @@ val read_set_cardinal : unit -> int
     deterministic injector built on them.  The hook is process-global and
     called from STM internals: [Chaos_attempt] at the start of every
     top-level attempt, [Chaos_before_commit] after the transaction body
-    and before the commit, [Chaos_in_commit] inside the commit after
-    read-set validation (before the commit point — an exception there
-    aborts cleanly).  Hooks may raise (e.g. {!retry_now}), spin, register
-    handlers or deliver {!remote_abort}s; they must not block. *)
+    and before the commit, [Chaos_in_commit] inside the commit with the
+    stamp drawn and the reads validated (on a writing commit: write locks
+    held, publication window open, which snapshot pins wait out; before
+    the commit point — an exception there aborts cleanly).  Hooks may
+    raise (e.g. {!retry_now}), spin, register handlers or deliver
+    {!remote_abort}s; they must not block. *)
 module Chaos : sig
   type event = Types.chaos_event =
     | Chaos_attempt

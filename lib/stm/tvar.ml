@@ -21,7 +21,7 @@ let get tv =
   if in_snapshot () then Coll.Vchain.read_at tv.hist (snapshot_stamp ())
   else
     match !(context ()) with
-    | None -> fst (read_committed tv)
+    | None -> read_committed tv
     | Some txn -> lazy_rv_read txn tv
 
 (* Non-transactional store: lock, open the publication window, advance

@@ -10,9 +10,9 @@
      conflict detection uses to abort readers holding conflicting locks.
 
    Hot-path representation choices:
-   - the read set is a deduplicating growable array plus a tv_id -> slot
-     table, so re-reading a tvar is an O(1) no-op and nested-transaction
-     merges are index-aware bulk appends;
+   - the read set is a deduplicating growable array plus an open-addressed
+     set of its tv_ids, so re-reading a tvar is one probe and a no-op and
+     nested-transaction merges are index-aware bulk appends;
    - read-version extension re-checks every nesting level's reads tvar by
      tvar, the rescan that invisible reads make inherent;
    - the write set is two grow-only arrays kept in step: the tv_ids in
@@ -295,12 +295,14 @@ type rentry = R : 'a tvar_repr * int -> rentry
 type wentry = W : 'a tvar_repr * 'a -> wentry
 
 (* ------------------------------------------------------------------ *)
-(* Deduplicated read set: growable array + tv_id -> slot index.        *)
+(* Deduplicated read set: growable array + open-addressed tv_id set.     *)
 
 type read_set = {
   mutable r_arr : rentry array;
   mutable r_len : int;
-  r_idx : (int, int) Hashtbl.t; (* tv_id -> index into [r_arr] *)
+  mutable r_idx : int array;
+      (* the recorded tv_ids, linear probing, 0 = free (tv_ids start at 1);
+         twice the length of [r_arr], a power of two *)
 }
 
 let dummy_tvar =
@@ -317,34 +319,56 @@ let dummy_rentry = R (dummy_tvar, 0)
    answer (compared physically). *)
 let no_write = W (dummy_tvar, 0)
 
-let rs_create () = { r_arr = [||]; r_len = 0; r_idx = Hashtbl.create 16 }
-let rs_mem rs tv_id = Hashtbl.mem rs.r_idx tv_id
+let rs_create () = { r_arr = [||]; r_len = 0; r_idx = [||] }
 
-(* Reuse: drop the entries but keep the array and the index's bucket
-   vector (Hashtbl.clear does not shrink), so a recycled descriptor's read
-   set allocates nothing. *)
+(* The cell holding [id] in [idx], or the free cell where it would go.
+   Fibonacci hashing spreads strided tv_ids over the table. *)
+let rec rs_probe_from idx mask id i =
+  let c = idx.(i) in
+  if c = 0 || c = id then i else rs_probe_from idx mask id ((i + 1) land mask)
+
+let rs_probe idx id =
+  let mask = Array.length idx - 1 in
+  rs_probe_from idx mask id (((id * 0x9E3779B97F4A7C1) lsr 20) land mask)
+
+(* Reuse: keep the arrays, free each id's cell in reverse insertion order
+   (so every probe run is intact when its id is looked up): O(entries). *)
 let rs_clear rs =
-  rs.r_len <- 0;
-  Hashtbl.clear rs.r_idx
+  for i = rs.r_len - 1 downto 0 do
+    let (R (tv, _)) = rs.r_arr.(i) in
+    rs.r_idx.(rs_probe rs.r_idx tv.tv_id) <- 0
+  done;
+  rs.r_len <- 0
 
-let rs_push rs (R (tv, _) as e) =
-  if not (Hashtbl.mem rs.r_idx tv.tv_id) then begin
-    let cap = Array.length rs.r_arr in
-    if rs.r_len = cap then begin
-      let arr = Array.make (max 8 (2 * cap)) dummy_rentry in
-      Array.blit rs.r_arr 0 arr 0 rs.r_len;
-      rs.r_arr <- arr
-    end;
-    rs.r_arr.(rs.r_len) <- e;
-    Hashtbl.add rs.r_idx tv.tv_id rs.r_len;
-    rs.r_len <- rs.r_len + 1
+(* Make room for one more entry: when the array is full, double it and
+   rebuild the index at twice its length, so the index stays half empty. *)
+let rs_reserve rs =
+  let cap = Array.length rs.r_arr in
+  if rs.r_len = cap then begin
+    let arr = Array.make (max 8 (2 * cap)) dummy_rentry in
+    let idx = Array.make (2 * Array.length arr) 0 in
+    for i = 0 to rs.r_len - 1 do
+      let (R (tv, _) as e) = rs.r_arr.(i) in
+      arr.(i) <- e;
+      idx.(rs_probe idx tv.tv_id) <- tv.tv_id
+    done;
+    rs.r_arr <- arr;
+    rs.r_idx <- idx
   end
 
+let rs_insert rs c (R (tv, _) as e) =
+  rs.r_idx.(c) <- tv.tv_id;
+  rs.r_arr.(rs.r_len) <- e;
+  rs.r_len <- rs.r_len + 1
+
 (* Index-aware bulk append (closed-nested merge): entries already present
-   in [dst] are skipped in O(1) via the index. *)
+   in [dst] are skipped in one probe each. *)
 let rs_append dst src =
   for i = 0 to src.r_len - 1 do
-    rs_push dst src.r_arr.(i)
+    let (R (tv, _) as e) = src.r_arr.(i) in
+    rs_reserve dst;
+    let c = rs_probe dst.r_idx tv.tv_id in
+    if dst.r_idx.(c) = 0 then rs_insert dst c e
   done
 
 (* ------------------------------------------------------------------ *)
@@ -761,12 +785,23 @@ let rec find_write txn tv_id =
   if i >= 0 then txn.wents.(i)
   else match txn.parent with None -> no_write | Some p -> find_write p tv_id
 
-(* [true] iff some level of the nesting stack already recorded a read of
-   [tv_id]; makes re-reads O(1) no-ops on the read-set. *)
-let rec stack_has_read txn tv_id =
-  rs_mem txn.reads tv_id
-  ||
-  match txn.parent with None -> false | Some p -> stack_has_read p tv_id
+let rec has_read lvl tv_id =
+  match lvl with
+  | None -> false
+  | Some t ->
+      let idx = t.reads.r_idx in
+      (Array.length idx > 0 && idx.(rs_probe idx tv_id) = tv_id)
+      || has_read t.parent tv_id
+
+(* Record a read of [tv] at version [ver] unless some level of the nesting
+   stack already has: one probe of this level's index, plus one per
+   enclosing level ([has_read]) for a read new here. *)
+let record_read txn tv ver =
+  let rs = txn.reads in
+  rs_reserve rs;
+  let c = rs_probe rs.r_idx tv.tv_id in
+  if rs.r_idx.(c) = 0 && not (has_read txn.parent tv.tv_id) then
+    rs_insert rs c (R (tv, ver))
 
 (* Grow the write-set arrays (and the parallel [acq_old] scratch) to hold
    at least [n] entries; grow-only, reused across attempts and
@@ -799,21 +834,16 @@ let record_write txn tv_id w =
 
 let locked v = v land 1 = 1
 
-(* Read a consistent (value, version) snapshot of a committed tvar. *)
+(* The committed value of an unlocked tvar, read under its versioned
+   lock as a seqlock. *)
 let rec read_committed tv =
   let v1 = Atomic.get tv.vlock in
-  if locked v1 then begin
+  let v = Atomic.get tv.value in
+  if locked v1 || Atomic.get tv.vlock <> v1 then begin
     Domain.cpu_relax ();
     read_committed tv
   end
-  else
-    let v = Atomic.get tv.value in
-    let v2 = Atomic.get tv.vlock in
-    if v1 = v2 then (v, v1)
-    else begin
-      Domain.cpu_relax ();
-      read_committed tv
-    end
+  else v
 
 (* A read entry is still valid if its tvar is unlocked at the recorded
    version, or locked by [self] itself (commit-time validation only).
@@ -888,18 +918,25 @@ let pending_value : type a. a tvar_repr -> wentry -> a =
   assert (Obj.repr tv' == Obj.repr tv);
   (Obj.magic v : a)
 
+(* [read_committed] inline, so the version comes back without a (value,
+   version) pair; a retry re-checks the abort flag and the write set. *)
 let rec lazy_rv_read : type a. txn -> a tvar_repr -> a =
  fun txn tv ->
   check_not_aborted txn;
   let w = find_write txn tv.tv_id in
   if w != no_write then pending_value tv w
   else
-    let v, ver = read_committed tv in
-    if ver > txn.top.rv then
+    let ver = Atomic.get tv.vlock in
+    let v = Atomic.get tv.value in
+    if locked ver || Atomic.get tv.vlock <> ver then begin
+      Domain.cpu_relax ();
+      lazy_rv_read txn tv
+    end
+    else if ver > txn.top.rv then
       if extend_read_version txn then lazy_rv_read txn tv
       else raise Conflict_exn
     else begin
-      if not (stack_has_read txn tv.tv_id) then rs_push txn.reads (R (tv, ver));
+      record_read txn tv ver;
       v
     end
 
@@ -1033,7 +1070,7 @@ let reset_for_attempt t =
 type chaos_event =
   | Chaos_attempt (* start of each top-level attempt, context installed *)
   | Chaos_before_commit (* body done, before the commit sequence *)
-  | Chaos_in_commit (* inside commit: write locks held, reads validated *)
+  | Chaos_in_commit (* in commit: locks held, stamp drawn, reads validated *)
 
 let chaos_hook : (chaos_event -> unit) option Atomic.t = Atomic.make None
 

@@ -312,16 +312,15 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   (* Per-key: [si] is [stripe_index t k] and the caller holds
      [stripe_region t si].  Structure: caller holds [struct_region t]. *)
 
-  (* [k]'s entry in stripe [st], added under [copy k] when missing. *)
+  let new_entry () = { readers = []; writers = [] }
+
+  (* [k]'s entry in stripe [st], added under [copy k] when missing: one
+     find-or-add. *)
   let entry_for st ~copy k =
-    match kt_find st.key_lockers k with
-    | Some e -> e
-    | None ->
-        let e = { readers = []; writers = [] } in
-        (match st.key_lockers with
-        | Hashed_keys h -> Coll.Chain_hashmap.add h (copy k) e
-        | Ordered_keys o -> Coll.Ordmap.add o (copy k) e);
-        e
+    match st.key_lockers with
+    | Hashed_keys h ->
+        Coll.Chain_hashmap.find_or_add h k ~copy ~make:new_entry
+    | Ordered_keys o -> Coll.Ordmap.find_or_add o k ~copy ~make:new_entry
 
   (* Read-lock [k]: one find-or-add in the stripe's table.  Returns [true]
      when this call registered [txn], [false] when [txn] already held the
@@ -448,21 +447,21 @@ module Make (TM : Tm_intf.TM_OPS) = struct
 
   (* -------------------- release (commit/abort handlers) ---------------- *)
 
+  (* Drop [txn] from entry [e]; [true] when that leaves [e] empty. *)
+  let release_entry st txn e =
+    e.readers <- drop_locker e.readers txn;
+    if locker_mem e.writers txn then begin
+      e.writers <- drop_locker e.writers txn;
+      writer_decr st txn
+    end;
+    e.readers = [] && e.writers = []
+
+  (* One find-and-drop-if-empty. *)
   let release_key_at t si txn k =
     let st = t.stripes.(si) in
-    match kt_find st.key_lockers k with
-    | None -> ()
-    | Some e -> (
-        e.readers <- drop_locker e.readers txn;
-        if locker_mem e.writers txn then begin
-          e.writers <- drop_locker e.writers txn;
-          writer_decr st txn
-        end;
-        match (e, st.key_lockers) with
-        | { readers = []; writers = [] }, Hashed_keys h ->
-            Coll.Chain_hashmap.remove h k
-        | { readers = []; writers = [] }, Ordered_keys o -> Coll.Ordmap.remove o k
-        | _ -> ())
+    match st.key_lockers with
+    | Hashed_keys h -> Coll.Chain_hashmap.remove_if h k (release_entry st txn)
+    | Ordered_keys o -> Coll.Ordmap.remove_if o k (release_entry st txn)
 
   (* Caller holds [stripe_region t i]. *)
   let release_ranges_in_stripe t txn i =

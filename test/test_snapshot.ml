@@ -608,6 +608,70 @@ let test_inplace_trim_race () =
   Alcotest.(check bool) "bare chain back to bound" true
     (Coll.Vchain.length chain <= bound)
 
+(* ---------------- stamp order ---------------- *)
+
+(* A pin must see a serializable cut.  The test domain runs [y := x + 1]
+   and parks inside its commit, reads validated, while a second domain
+   commits [x := 5] and then pins a snapshot of x and y.  The parked
+   transaction read x = 0, so it serialises before [x := 5]: a cut that
+   shows x = 5 must show y = 1.  A writer that validated its reads before
+   drawing its stamp let [x := 5] draw the smaller stamp, and a pin
+   between the two showed (5, 0).  The parked commit resumes when the
+   snapshot returns, or 50 ms after it started, since the pin now waits
+   for the parked commit's publication window.  [with_map] also puts into
+   a map, which sends the commit down the handler path. *)
+let test_snapshot_orders_after_parked_commit ~with_map () =
+  let x = Tvar.make 0 and y = Tvar.make 0 and m = IM.create () in
+  let me = Domain.self () in
+  let parked = Atomic.make false in
+  let pin_started = Atomic.make 0. and snap_done = Atomic.make false in
+  let park () =
+    let t0 = Unix.gettimeofday () in
+    Atomic.set parked true;
+    let waiting () =
+      let now = Unix.gettimeofday () and p = Atomic.get pin_started in
+      (not (Atomic.get snap_done))
+      && (p = 0. || now -. p < 0.05)
+      && now -. t0 < 5.
+    in
+    while waiting () do
+      Unix.sleepf 0.0002
+    done
+  in
+  let other =
+    Domain.spawn (fun () ->
+        while not (Atomic.get parked) do
+          Unix.sleepf 0.0002
+        done;
+        Tvar.set x 5;
+        Atomic.set pin_started (Unix.gettimeofday ());
+        let cut =
+          Stm.snapshot (fun () -> (Tvar.get x, Tvar.get y, IM.find m 1))
+        in
+        Atomic.set snap_done true;
+        cut)
+  in
+  Stm.Chaos.set_hook
+    (Some
+       (function
+       | Stm.Chaos.Chaos_in_commit
+         when Domain.self () = me && not (Atomic.get parked) ->
+           park ()
+       | _ -> ()));
+  Fun.protect
+    ~finally:(fun () -> Stm.Chaos.set_hook None)
+    (fun () ->
+      Stm.atomic (fun () ->
+          let v = Tvar.get x in
+          Tvar.set y (v + 1);
+          if with_map then ignore (IM.put m 1 v)));
+  let sx, sy, sm = Domain.join other in
+  Alcotest.(check int) "parked commit kept its read of x = 0" 1 (Tvar.get y);
+  Alcotest.(check (triple int int (option int)))
+    "snapshot after x := 5 shows the commit serialised before it"
+    (5, 1, if with_map then Some 0 else None)
+    (sx, sy, sm)
+
 (* ---------------- allocation budget ---------------- *)
 
 (* The snapshot-read commit path is pin + chain reads + unpin: after
@@ -674,6 +738,10 @@ let suites =
           test_snapshot_undo_map;
         Alcotest.test_case "multi-domain rows region- and abort-free" `Quick
           test_snapshot_rows_region_and_abort_free;
+        Alcotest.test_case "pin after a parked tvar commit" `Quick
+          (test_snapshot_orders_after_parked_commit ~with_map:false);
+        Alcotest.test_case "pin after a parked handler commit" `Quick
+          (test_snapshot_orders_after_parked_commit ~with_map:true);
       ] );
     ( "snapshot.reclamation",
       [

@@ -3,7 +3,8 @@
    read-only commit fast path (clock untouched, serializability and chaos
    injection preserved), uniqueness of block-leased transaction ids, the
    one-bump-per-writing-commit clock invariant, and the allocation bounds
-   of the pooled retry loop and of commit-plan construction. *)
+   of the pooled retry loop, the tvar path, point operations and
+   commit-plan construction. *)
 
 module Stm = Tcc_stm.Stm
 module Tvar = Tcc_stm.Tvar
@@ -175,16 +176,35 @@ let check_budget what per budget =
 let test_retry_loop_allocation_free () =
   check_budget "empty atomic" (words_per_atomic ignore) 16.
 
+(* The tvar path: 8 distinct reads, and 8 read-modify-writes, in one
+   transaction.  A read allocates its read-set entry and nothing else (no
+   runtime hashing into a table, no (value, version) pair), and the commit
+   locks, validates and publishes without closures.  The budgets are set
+   about 15% above the counts measured with the open-addressed read-set
+   index: 29 and 85 words (each write adds its buffered entry and its
+   version-chain node); the hashtable index with a (value, version) pair
+   per read and a locking closure per write read 85 and 189. *)
+let test_tvar_path_allocation_budget () =
+  let tvs = Array.init 8 Tvar.make in
+  let reads () = Array.fold_left (fun acc tv -> acc + Tvar.get tv) 0 tvs in
+  let rmws () = Array.iter (fun tv -> Tvar.set tv (Tvar.get tv + 1)) tvs in
+  let per op = words_per_atomic (fun () -> ignore (op ())) in
+  check_budget "8 tvar reads" (per reads) 33.;
+  check_budget "8 tvar read-modify-writes" (per rmws) 98.
+
 (* Point operations on an existing key inside [Stm.atomic]: the
    bookkeeping around the data (semantic lock owners, stripe lookup,
    handler registration, commit) must stay off the allocator.  The
-   budgets are set about 15% above the counts measured once each key's
-   stripe is found once per operation and a write commit's prepare,
-   apply and releases enter no critical section of their own (the commit
-   holds their regions): 105/254 (sorted map), 100/237 (hash map), and
-   322 for a queue transaction that puts one element and polls the
-   committed head (two persistent-map path copies, the put's commit and
-   the poll's removal, plus the publications of both).  Earlier counts:
+   budgets are set about 15% above the counts measured once the lock
+   tables and store buffers find, add and remove without per-call
+   closures and a lock-table step searches once: 73/204 (sorted map),
+   75/163 (hash map), and 301 for a queue transaction that puts one
+   element and polls the committed head (two persistent-map path copies,
+   the put's commit and the poll's removal, plus the publications of
+   both).  Earlier counts: 104/261, 99/198 and 327 with those closures;
+   105/254, 100/237 and 322 once each key's stripe was found once per
+   operation and a write commit's prepare, apply and releases entered no
+   critical section of their own;
    115/301, 110/284 and 385 with B+-tree shadows, where a put's path copy
    includes its leaf's whole value array (33 words for a full leaf);
    115/296, 110/287 and 389 with committed state kept only in persistent
@@ -200,15 +220,15 @@ let test_point_op_allocation_budget () =
     Q.put q k
   done;
   let per op = words_per_atomic (fun () -> ignore (op ())) in
-  check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 121.;
-  check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 292.;
-  check_budget "hash-map find" (per (fun () -> IM.find m 7)) 115.;
-  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 273.;
+  check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 84.;
+  check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 235.;
+  check_budget "hash-map find" (per (fun () -> IM.find m 7)) 86.;
+  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 187.;
   check_budget "queue put + poll"
     (per (fun () ->
          Q.put q 7;
          Q.poll q))
-    370.
+    346.
 
 (* Commit-region plan construction must stay O(regions) per commit: one
    transaction writing one present key in each of [n] single-stripe maps
@@ -266,5 +286,7 @@ let suites =
           test_commit_plan_allocation_linear;
         Alcotest.test_case "point-operation allocation budgets" `Quick
           test_point_op_allocation_budget;
+        Alcotest.test_case "tvar-path allocation budgets" `Quick
+          test_tvar_path_allocation_budget;
       ] );
   ]
