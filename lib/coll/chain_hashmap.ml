@@ -38,20 +38,20 @@ let insert t i k v =
   t.size <- t.size + 1;
   if t.size > 3 * Array.length t.buckets / 4 then resize t
 
-(* The bucket without [k]'s binding if [drop] holds on its value. *)
-let rec drop_if equal k drop = function
+(* The bucket without [k]'s binding if [drop x y] holds on its value. *)
+let rec drop_if equal k drop x y = function
   | ((k', v) as b) :: rest as l ->
-      if equal k k' then if drop v then rest else l
+      if equal k k' then if drop x y v then rest else l
       else
-        let r = drop_if equal k drop rest in
+        let r = drop_if equal k drop x y rest in
         if r == rest then l else b :: r
   | [] -> []
 
-let always _ = true
+let always () () _ = true
 
-let drop_at t i k drop =
+let drop_at t i k drop x y =
   let bucket = t.buckets.(i) in
-  let rest = drop_if t.equal k drop bucket in
+  let rest = drop_if t.equal k drop x y bucket in
   if rest != bucket then begin
     t.buckets.(i) <- rest;
     t.size <- t.size - 1
@@ -60,7 +60,7 @@ let drop_at t i k drop =
 (* A replaced binding moves to the front of its bucket. *)
 let add t k v =
   let i = index t k in
-  drop_at t i k always;
+  drop_at t i k always () ();
   insert t i k v
 
 let find_or_add t k ~copy ~make =
@@ -72,8 +72,8 @@ let find_or_add t k ~copy ~make =
       insert t i (copy k) v;
       v
 
-let remove_if t k drop = drop_at t (index t k) k drop
-let remove t k = remove_if t k always
+let remove_if t k drop x y = drop_at t (index t k) k drop x y
+let remove t k = remove_if t k always () ()
 
 (* Top-level recursions, so a walk allocates nothing of its own. *)
 let rec iter_bucket f = function

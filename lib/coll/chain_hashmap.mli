@@ -23,8 +23,10 @@ val find_or_add :
   ('k, 'v) t -> 'k -> copy:('k -> 'k) -> make:(unit -> 'v) -> 'v
 (** [k]'s value; when [k] is unbound, binds [copy k] to [make ()] first. *)
 
-val remove_if : ('k, 'v) t -> 'k -> ('v -> bool) -> unit
-(** Removes [k]'s binding when the predicate holds on its value. *)
+val remove_if : ('k, 'v) t -> 'k -> ('a -> 'b -> 'v -> bool) -> 'a -> 'b -> unit
+(** [remove_if t k f x y] removes [k]'s binding when [f x y] holds on its
+    value.  [f]'s leading arguments travel apart from it, so a caller can
+    pass a top-level [f] and allocate no closure. *)
 
 val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc

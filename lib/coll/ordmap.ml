@@ -107,12 +107,12 @@ let rec remove_min = function
   | Node { l; k; v; r; _ } -> balance (remove_min l) k v r
 
 (* A subtree the removal leaves alone comes back uncopied. *)
-let rec remove_in t key drop = function
+let rec remove_in t key drop x y = function
   | Leaf -> Leaf
   | Node { l; k; v; r; _ } as n ->
       let c = t.compare key k in
       if c = 0 then
-        if not (drop v) then n
+        if not (drop x y v) then n
         else begin
           t.size <- t.size - 1;
           match min_node r with
@@ -120,12 +120,13 @@ let rec remove_in t key drop = function
           | Some (sk, sv) -> balance l sk sv (remove_min r)
         end
       else
-        let l' = if c < 0 then remove_in t key drop l else l in
-        let r' = if c > 0 then remove_in t key drop r else r in
+        let l' = if c < 0 then remove_in t key drop x y l else l in
+        let r' = if c > 0 then remove_in t key drop x y r else r in
         if l' == l && r' == r then n else balance l' k v r'
 
-let remove_if t key drop = t.root <- remove_in t key drop t.root
-let remove t key = remove_if t key (fun _ -> true)
+let remove_if t key drop x y = t.root <- remove_in t key drop x y t.root
+let always () () _ = true
+let remove t key = remove_if t key always () ()
 
 let above t lo k = match lo with None -> true | Some b -> t.compare k b >= 0
 let below t hi k = match hi with None -> true | Some b -> t.compare k b < 0

@@ -271,7 +271,4 @@ let fold f m init =
   iter (fun k v -> acc := f k v !acc) m;
   !acc
 
-let of_seq ~compare seq =
-  Seq.fold_left (fun m (k, v) -> add m k v) (empty ~compare) seq
-
 let to_list m = List.rev (fold (fun k v acc -> (k, v) :: acc) m [])

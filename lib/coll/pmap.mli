@@ -34,5 +34,4 @@ val iter_range_rev :
 (** [iter_range] in descending key order; [f] may raise for early exit,
     which makes "last binding below [hi]" O(log n). *)
 
-val of_seq : compare:('k -> 'k -> int) -> ('k * 'v) Seq.t -> ('k, 'v) t
 val to_list : ('k, 'v) t -> ('k * 'v) list

@@ -54,7 +54,6 @@ type 'v replica = {
   r_mx : Mutex.t;
   r_map : (int, 'v) Hashtbl.t;
   r_sorted : (int, 'v) Hashtbl.t;
-  mutable r_stamp : int; (* stamp of the last applied batch *)
 }
 
 type 'v inbox = {
@@ -122,7 +121,6 @@ let apply_batch pl b =
       | Some v -> Hashtbl.replace tbl op.ro_key v
       | None -> Hashtbl.remove tbl op.ro_key)
     b.b_ops;
-  pl.p_replica.r_stamp <- b.b_stamp;
   Atomic.incr pl.p_applied
 
 (* Batches are popped and applied under the replica mutex for the whole
@@ -432,7 +430,6 @@ let create ?(place_count = 4) ?(key_space = 1024) ?(mode = Eager)
           r_mx = Mutex.create ();
           r_map = Hashtbl.create 64;
           r_sorted = Hashtbl.create 64;
-          r_stamp = 0;
         };
       p_shipped = Atomic.make 0;
       p_applied = Atomic.make 0;
@@ -483,12 +480,6 @@ let batches_shipped t =
 
 let batches_applied t =
   Array.fold_left (fun acc pl -> acc + Atomic.get pl.p_applied) 0 t.t_places
-
-let replica_stamp t p = (place_ix t p).p_replica.r_stamp
-
-let replica_size t p =
-  let pl = place_ix t p in
-  Mutex.protect pl.p_replica.r_mx (fun () -> Hashtbl.length pl.p_replica.r_map)
 
 let tbl_agrees tbl l =
   Hashtbl.length tbl = List.length l

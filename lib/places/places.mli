@@ -96,7 +96,6 @@ val sorted_find : 'v t -> int -> 'v option
 val sorted_put : 'v t -> int -> 'v -> 'v option
 val sorted_remove : 'v t -> int -> 'v option
 val sorted_size : 'v t -> int
-val sorted_fold : (int -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
 val sorted_to_list : 'v t -> (int * 'v) list
 
 (** {1 Failure domain} *)
@@ -142,12 +141,6 @@ val lag_bound : 'v t -> int option
 
 val batches_shipped : 'v t -> int
 val batches_applied : 'v t -> int
-
-val replica_stamp : 'v t -> int -> int
-(** Commit stamp of the last batch applied to the place's replica. *)
-
-val replica_size : 'v t -> int -> int
-(** Hash-map bindings in the place's replica (test probe). *)
 
 val replica_agrees : 'v t -> bool
 (** Drains, then structurally compares every up place's master map and

@@ -293,14 +293,6 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
           incr critical_depth;
           Fun.protect ~finally:(fun () -> decr critical_depth) f)
 
-  (* Commit handlers on the simulated machine already run inside the
-     CPU's hardware commit (which holds the commit token), so the region
-     only scopes conflict detection, not handler serialisation. *)
-  let on_commit _region h =
-    match owner_frame () with
-    | None -> h ()
-    | Some f -> f.Machine.commit_handlers <- h :: f.Machine.commit_handlers
-
   (* Commit stamps: the simulated machine keeps no multi-version state,
      but the collections still publish into their shard chains through
      the shared interface, so stamps must be unique and monotone.  The
@@ -320,12 +312,19 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
      across both halves as one critical step — the K=1 degenerate
      instance of the striped interface: the token serialises commits, and
      the region keeps other CPUs' critical sections (a reader, a queue's
-     op-time take) from interleaving with a half-applied batch. *)
+     op-time take) from interleaving with a half-applied batch.  Commit
+     handlers already run inside the CPU's hardware commit (which holds
+     the commit token), so the region only scopes conflict detection, not
+     handler serialisation. *)
   let on_commit_prepared ?read_only:_ ?regions:_ region ~prepare ~apply =
-    on_commit region (fun () ->
-        critical region (fun () ->
-            prepare ();
-            apply (next_stamp ())))
+    let h () =
+      critical region (fun () ->
+          prepare ();
+          apply (next_stamp ()))
+    in
+    match owner_frame () with
+    | None -> h ()
+    | Some f -> f.Machine.commit_handlers <- h :: f.Machine.commit_handlers
 
   let on_abort h =
     match owner_frame () with
@@ -336,7 +335,6 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = txn = struct
           f.Machine.local_aborts <- h :: f.Machine.local_aborts
 
   let remote_abort = remote_abort
-  let self_abort () = self_abort ()
   let retry () = retry_now ()
 
   (* No multi-version snapshot mode on the simulated machine: reads are

@@ -131,17 +131,16 @@ let txn_local key init env =
   | None -> init env (current ()) None
   | Some t -> lookup t.top key init env 0
 
-(* Handlers carry the commit region they operate on; [None] means the
-   process-wide fallback region (plain [on_commit] callers).  Handlers
-   registered through these untyped entry points are never assumed
-   read-only: only the two-phase registration can certify that. *)
-let on_commit_in region h =
+(* A handler registered here has no region of its own: it serialises on
+   the process-wide fallback region.  It is never assumed read-only: only
+   the two-phase registration can certify that. *)
+let on_commit h =
   match !(context ()) with
   | None -> h () (* auto-commit: the operation is its own transaction *)
   | Some t ->
       t.commit_handlers <-
         {
-          ch_region = region;
+          ch_region = None;
           ch_regions = None;
           ch_prepare = None;
           ch_read_only = never_read_only;
@@ -149,32 +148,10 @@ let on_commit_in region h =
         }
         :: t.commit_handlers
 
-let on_commit h = on_commit_in None h
-
 let on_abort h =
   match !(context ()) with
   | None -> () (* auto-commit transactions never abort *)
   | Some t -> t.abort_handlers <- h :: t.abort_handlers
-
-(* Handler registration targeting the top-level transaction regardless of
-   the current nesting depth: what the collection classes need, since lock
-   ownership and compensation belong to the top-level outcome. *)
-let on_top_commit_in region h =
-  match !(context ()) with
-  | None -> h ()
-  | Some t ->
-      let top = t.top in
-      top.commit_handlers <-
-        {
-          ch_region = region;
-          ch_regions = None;
-          ch_prepare = None;
-          ch_read_only = never_read_only;
-          ch_apply = (fun _ -> h ());
-        }
-        :: top.commit_handlers
-
-let on_top_commit h = on_top_commit_in None h
 
 (* Two-phase registration used by the collection classes: [prepare] runs
    before the commit point (semantic conflict detection; may raise to
@@ -943,12 +920,10 @@ module Tm_ops : Tm_intf.TM_OPS with type txn = handle = struct
 
   let new_region () = make_region ()
   let critical r f = region_critical r f
-  let on_commit r h = on_top_commit_in (Some r) h
   let on_commit_prepared ?read_only ?regions r ~prepare ~apply =
     on_top_commit_prepared ?read_only ?regions r ~prepare ~apply
   let on_abort = on_top_abort
   let remote_abort = remote_abort
-  let self_abort () = self_abort ()
   let retry () = retry_now ()
   let in_snapshot = Types.in_snapshot
   let snapshot_stamp = Types.snapshot_stamp

@@ -198,11 +198,11 @@ val on_commit : (unit -> unit) -> unit
     during the top-level commit, after validation; they must not access
     {!Tvar.t}s.  Handlers registered through this region-less entry point
     serialise on a process-wide fallback region; collection classes
-    register through {!Tm_ops.on_commit} with their own region instead, so
-    their commits only serialise per collection.  Outside a transaction the
-    handler runs immediately (auto-commit).  If handlers raise, all of them
-    still run and {!Handler_failure}[ { committed = true; _ }] is raised
-    after the commit completes. *)
+    register through {!Tm_ops.on_commit_prepared} with their own region
+    plan instead, so their commits only serialise per collection.  Outside
+    a transaction the handler runs immediately (auto-commit).  If handlers
+    raise, all of them still run and {!Handler_failure}
+    [{ committed = true; _ }] is raised after the commit completes. *)
 
 val on_abort : (unit -> unit) -> unit
 (** Register a compensating abort handler, run (newest first) if the
@@ -210,11 +210,6 @@ val on_abort : (unit -> unit) -> unit
     transaction aborts, per the paper's handler semantics.  If handlers
     raise, all of them still run and {!Handler_failure}
     [{ committed = false; _ }] is raised in place of the retry. *)
-
-val on_top_commit : (unit -> unit) -> unit
-(** Like {!on_commit}, but always registers on the top-level transaction
-    regardless of nesting depth — the registration mode the collection
-    classes use, since lock ownership belongs to the top-level outcome. *)
 
 val on_top_abort : (unit -> unit) -> unit
 (** Like {!on_abort}, but always registers on the top-level transaction —

@@ -17,8 +17,3 @@ let incr_open ?(by = 1) t =
       Tvar.set t (Tvar.get t + by);
       Stm.on_abort (fun () ->
           Stm.atomic (fun () -> Tvar.set t (Tvar.get t - by))))
-
-(* Open-nested read: the parent keeps no read dependency, trading
-   serializability for concurrency exactly as the paper's reduced-isolation
-   counters do. *)
-let get_open t = Stm.open_nested (fun () -> Tvar.get t)

@@ -14,7 +14,3 @@ val incr : ?by:int -> t -> unit
 
 val incr_open : ?by:int -> t -> unit
 (** Open-nested increment with abort compensation: no parent dependency. *)
-
-val get_open : t -> int
-(** Open-nested read: the parent retains no read dependency on the counter,
-    so the result is a non-serializable snapshot. *)

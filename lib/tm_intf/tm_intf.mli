@@ -68,16 +68,6 @@ module type TM_OPS = sig
       rolled back if the enclosing transaction later aborts (compensation is
       the job of abort handlers). *)
 
-  val on_commit : region -> (unit -> unit) -> unit
-  (** [on_commit r h] registers commit handler [h], operating on region [r],
-      on the current top-level transaction.  Commit handlers run during the
-      commit phase, after validation; they apply buffered changes, perform
-      semantic conflict detection and release semantic locks.  The commit
-      phase holds the (deduplicated, deadlock-free ordered) set of regions
-      of all registered handlers, so commits whose handlers touch disjoint
-      collections proceed in parallel while commits into the same collection
-      serialise on its region. *)
-
   val on_commit_prepared :
     ?read_only:(unit -> bool) ->
     ?regions:(unit -> region list) ->
@@ -154,9 +144,6 @@ module type TM_OPS = sig
       its commit point (it then serialises before the caller, which is not a
       conflict), [true] when the abort was delivered or [t] was already
       aborted/finished aborting. *)
-
-  val self_abort : unit -> 'a
-  (** Abort the current transaction explicitly (program-directed abort). *)
 
   val retry : unit -> 'a
   (** Abort the current transaction and retry it transparently (with the

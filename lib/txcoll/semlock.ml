@@ -16,7 +16,7 @@
      (interval i = [s_{i-1}, s_i), unbounded at the edges); the stripe of
      [k] is found by binary search.  Because intervals respect key order,
      a range lock is registered in exactly the stripes its span overlaps
-     ([interval_span]), and [conflict_range k] needs to consult only the
+     ([interval_span]), and [conflict_range_at] needs to consult only the
      stripe owning [k] — any range containing [k] necessarily overlaps
      [k]'s interval and is registered there.  Per-stripe registration
      stores the *uncut* range in each overlapped stripe; coalescing is
@@ -36,8 +36,8 @@
    caller found ([stripe_index t k], computed once per key and operation)
    and require the caller to hold that stripe's region
    ([lock_key_at], [conflict_key_at], [conflict_range_at],
-   [release_key_at], ...); the key-taking forms, kept for tests and
-   introspection, find the stripe themselves.  [lock_range] and
+   [release_key_at], ...); [release_all] and the introspection probe
+   [key_locked_by] find the stripe themselves.  [lock_range] and
    [release_ranges_in_stripe] require the overlapped stripe regions;
    structure functions ([lock_size], [release_structure], ...) require
    [struct_region t].  [release_all] and the whole-table introspection
@@ -294,19 +294,22 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     | Ordered_keys o -> Coll.Ordmap.fold f o acc
 
   let find_entry_at t si k = kt_find t.stripes.(si).key_lockers k
-  let find_entry t k = find_entry_at t (stripe_index t k) k
 
   let writer_incr st txn =
     let id = TM.txn_id txn in
-    Hashtbl.replace st.st_writers id
-      (1 + Option.value (Hashtbl.find_opt st.st_writers id) ~default:0)
+    let n =
+      match Hashtbl.find st.st_writers id with
+      | n -> n
+      | exception Not_found -> 0
+    in
+    Hashtbl.replace st.st_writers id (n + 1)
 
   let writer_decr st txn =
     let id = TM.txn_id txn in
-    match Hashtbl.find_opt st.st_writers id with
-    | None -> ()
-    | Some 1 -> Hashtbl.remove st.st_writers id
-    | Some n -> Hashtbl.replace st.st_writers id (n - 1)
+    match Hashtbl.find st.st_writers id with
+    | exception Not_found -> ()
+    | 1 -> Hashtbl.remove st.st_writers id
+    | n -> Hashtbl.replace st.st_writers id (n - 1)
 
   (* -------------------- acquisition (read operations) ------------------ *)
   (* Per-key: [si] is [stripe_index t k] and the caller holds
@@ -333,9 +336,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
       true
     end
 
-  let lock_key t txn k =
-    ignore (lock_key_at t (stripe_index t k) txn ~copy:Fun.id k)
-
   (* Register [txn] as a pending writer of [k].  Idempotent per
      transaction; every distinct writer stays registered, so a later
      writer's commit still conflicts with an earlier one. *)
@@ -347,26 +347,18 @@ module Make (TM : Tm_intf.TM_OPS) = struct
       writer_incr st txn
     end
 
-  let lock_key_write t txn k =
-    lock_key_write_at t (stripe_index t k) txn ~copy:Fun.id k
-
   (* Some registered writer of [k], if any (introspection; when several
      writers are pending the choice is arbitrary — callers that need
-     "a writer other than me" must use [key_has_foreign_writer]). *)
+     "a writer other than me" must use [key_has_foreign_writer_at]). *)
   let key_writer_at t si k =
     match find_entry_at t si k with
     | Some { writers = w :: _; _ } -> Some w
     | _ -> None
 
-  let key_writer t k = key_writer_at t (stripe_index t k) k
-
   let key_has_foreign_writer_at t si ~self k =
     match find_entry_at t si k with
     | None -> false
     | Some e -> has_other ~self e.writers
-
-  let key_has_foreign_writer t ~self k =
-    key_has_foreign_writer_at t (stripe_index t k) ~self k
 
   let any_other_writer t ~self =
     let id = TM.txn_id self in
@@ -460,8 +452,8 @@ module Make (TM : Tm_intf.TM_OPS) = struct
   let release_key_at t si txn k =
     let st = t.stripes.(si) in
     match st.key_lockers with
-    | Hashed_keys h -> Coll.Chain_hashmap.remove_if h k (release_entry st txn)
-    | Ordered_keys o -> Coll.Ordmap.remove_if o k (release_entry st txn)
+    | Hashed_keys h -> Coll.Chain_hashmap.remove_if h k release_entry st txn
+    | Ordered_keys o -> Coll.Ordmap.remove_if o k release_entry st txn
 
   (* Caller holds [stripe_region t i]. *)
   let release_ranges_in_stripe t txn i =
@@ -541,13 +533,10 @@ module Make (TM : Tm_intf.TM_OPS) = struct
           then ignore (TM.remote_abort owner))
         st.st_ranges
 
-  let conflict_range t ~self ~compare k =
-    conflict_range_at t (stripe_index t k) ~self ~compare k
-
   (* -------------------- introspection (tests, Table 3/6/9 dumps) ------- *)
 
   let key_locked_by t txn k =
-    match find_entry t k with
+    match find_entry_at t (stripe_index t k) k with
     | None -> false
     | Some e -> locker_mem e.readers txn || locker_mem e.writers txn
 

@@ -59,7 +59,6 @@ module Make (TM : Tm_intf.TM_OPS) = struct
     else D.fold (fun _ v acc -> acc + v) t.d 0
 
   let outstanding_locks t = D.outstanding_locks t.d
-  let shard_count t = t.shards
   let snapshot_history_length t = D.snapshot_history_length t.d
   let own_history_length t = D.key_history_length t.d (shard_key t)
 end

@@ -27,7 +27,6 @@ module Make (TM : Tm_intf.TM_OPS) : sig
       and inside [Stm.snapshot] the sum at the pinned stamp. *)
 
   val outstanding_locks : t -> int
-  val shard_count : t -> int
 
   val snapshot_history_length : t -> int
   (** Longest snapshot version chain — 2 at quiescence. *)

@@ -8,49 +8,6 @@
 
 module Stm = Tcc_stm.Stm
 
-(* ---------------- model tests for the new plain structures ---------- *)
-
-let test_skiplist_model () =
-  let s = Coll.Skiplist.create ~compare:Int.compare () in
-  let model = Hashtbl.create 16 in
-  let rng = Random.State.make [| 5 |] in
-  for _ = 1 to 3000 do
-    let k = Random.State.int rng 128 in
-    if Random.State.int rng 3 < 2 then begin
-      let v = Random.State.int rng 1000 in
-      Coll.Skiplist.add s k v;
-      Hashtbl.replace model k v
-    end
-    else begin
-      Coll.Skiplist.remove s k;
-      Hashtbl.remove model k
-    end
-  done;
-  Coll.Skiplist.check_invariants s;
-  Alcotest.(check int) "size" (Hashtbl.length model) (Coll.Skiplist.size s);
-  Hashtbl.iter
-    (fun k v ->
-      Alcotest.(check (option int)) "find" (Some v) (Coll.Skiplist.find s k))
-    model;
-  let keys = List.map fst (Coll.Skiplist.to_list s) in
-  Alcotest.(check (list int)) "sorted" (List.sort Int.compare keys) keys
-
-let test_skiplist_range () =
-  let s = Coll.Skiplist.create ~compare:Int.compare () in
-  for k = 0 to 30 do
-    Coll.Skiplist.add s k (k * 2)
-  done;
-  let got = ref [] in
-  Coll.Skiplist.iter_range (fun k _ -> got := k :: !got) s ~lo:(Some 10)
-    ~hi:(Some 15);
-  Alcotest.(check (list int)) "range" [ 10; 11; 12; 13; 14 ] (List.rev !got);
-  Alcotest.(check (option (pair int int)))
-    "min" (Some (0, 0))
-    (Coll.Skiplist.min_binding s);
-  Alcotest.(check (option (pair int int)))
-    "max" (Some (30, 60))
-    (Coll.Skiplist.max_binding s)
-
 (* ---------------- shared wrapper suite ---------------- *)
 
 module type WRAPPED_MAP = sig
@@ -270,11 +227,6 @@ module S3 = Sorted_suite (struct let name = "avl" end) (Avl_adapter)
 
 let suites =
   [
-    ( "coll.alt",
-      [
-        Alcotest.test_case "skiplist model" `Quick test_skiplist_model;
-        Alcotest.test_case "skiplist range" `Quick test_skiplist_range;
-      ] );
     S1.suite;
     S2.suite;
     S3.suite;

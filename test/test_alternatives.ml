@@ -114,7 +114,7 @@ let test_undo_write_write_waits () =
   done
 
 let test_undo_write_write_no_lost_update () =
-  (* Regression companion to the Semlock.lock_key_write displacement fix:
+  (* Regression companion to the Semlock.lock_key_write_at displacement fix:
      with a single writer slot, a second registered writer silently
      deregistered the first, so the first's write-write conflict could be
      lost.  Two transactions doing read-modify-write increments of one key

@@ -133,7 +133,7 @@ let prop_ordmap_model =
       && sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) sorted)
 
 (* ------------------------------------------------------------------ *)
-(* Reverse range iteration (Ordmap, Pmap, Skiplist)                    *)
+(* Reverse range iteration (Ordmap, Pmap)                              *)
 
 (* Keys to insert, [lo], [hi] and how many bindings the reverse walk may
    visit before [f] raises.  Bounds reach past the key space at both ends,
@@ -175,21 +175,19 @@ let rev_mirrors_fwd ~iter_range ~iter_range_rev ~lo ~hi ~stop expect =
 
 let prop_iter_range_rev =
   QCheck.Test.make
-    ~name:"iter_range_rev mirrors iter_range (ordmap, pmap, skiplist)"
-    ~count:300 arb_rev_case (fun (keys, lo, hi, stop) ->
+    ~name:"iter_range_rev mirrors iter_range (ordmap, pmap)" ~count:300
+    arb_rev_case (fun (keys, lo, hi, stop) ->
       let o = O.create ~compare:Int.compare () in
-      let s = Coll.Skiplist.create ~compare:Int.compare () in
-      List.iter
-        (fun k ->
-          O.add o k (k * 10);
-          Coll.Skiplist.add s k (k * 10))
-        keys;
+      List.iter (fun k -> O.add o k (k * 10)) keys;
       let p =
-        Coll.Pmap.of_seq ~compare:Int.compare
-          (List.to_seq (List.map (fun k -> (k, k * 10)) keys))
+        List.fold_left
+          (fun p k -> Coll.Pmap.add p k (k * 10))
+          (Coll.Pmap.empty ~compare:Int.compare)
+          keys
       in
+      let sorted = List.sort_uniq Int.compare keys in
       let expect =
-        List.sort_uniq Int.compare keys
+        sorted
         |> List.filter (fun k ->
                (match lo with None -> true | Some b -> k >= b)
                && match hi with None -> true | Some b -> k < b)
@@ -201,10 +199,8 @@ let prop_iter_range_rev =
       && rev_mirrors_fwd ~lo ~hi ~stop expect
            ~iter_range:(fun f -> Coll.Pmap.iter_range f p)
            ~iter_range_rev:(fun f -> Coll.Pmap.iter_range_rev f p)
-      && rev_mirrors_fwd ~lo ~hi ~stop expect
-           ~iter_range:(fun f -> Coll.Skiplist.iter_range f s)
-           ~iter_range_rev:(fun f -> Coll.Skiplist.iter_range_rev f s)
-      && Coll.Skiplist.max_binding s = O.max_binding o)
+      && O.max_binding o
+         = List.fold_left (fun _ k -> Some (k, k * 10)) None sorted)
 
 (* ------------------------------------------------------------------ *)
 (* Pmap against Stdlib.Map                                             *)

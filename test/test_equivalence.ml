@@ -4,7 +4,7 @@
      with eager conflict detection) are observationally equal, for random
      transactional programs with aborts;
    - the sorted map (committed state in AVL shadows) is observationally
-     equal to a plain skip list that receives only the committed
+     equal to a [Stdlib.Map] that receives only the committed
      transactions. *)
 
 module Stm = Tcc_stm.Stm
@@ -105,35 +105,40 @@ let prop_redo_undo_equivalent =
       && IM.size a = UM.size b
       && List.sort compare (IM.to_list a) = List.sort compare (UM.to_list b))
 
-let prop_underlyings_equivalent_sorted =
-  QCheck.Test.make ~name:"avl and skiplist observationally equal" ~count:80
+module IMap = Map.Make (Int)
+
+let prop_sorted_equals_stdlib_map =
+  QCheck.Test.make ~name:"avl and Stdlib.Map observationally equal" ~count:80
     arb_prog (fun prog ->
       let a = SM.create () in
-      let b = Coll.Skiplist.create ~compare:Int.compare () in
       run_prog ~put:(fun k v -> ignore (SM.put a k v))
         ~remove:(fun k -> ignore (SM.remove a k))
         prog;
-      (* The skip list applies a transaction's operations only when it
+      (* The reference applies a transaction's operations only when it
          commits, that is, when it does not abort itself. *)
-      List.iter
-        (fun txn_ops ->
-          if not (List.mem Abort_txn txn_ops) then
-            List.iter
-              (function
-                | Put (k, v) -> Coll.Skiplist.add b k v
-                | Remove k -> Coll.Skiplist.remove b k
-                | Abort_txn -> ())
-              txn_ops)
-        prog;
-      let range = ref [] in
-      Coll.Skiplist.iter_range
-        (fun k _ -> range := k :: !range)
-        b ~lo:(Some 4) ~hi:(Some 15);
-      SM.to_list a = Coll.Skiplist.to_list b
-      && SM.first_key a = Option.map fst (Coll.Skiplist.min_binding b)
-      && SM.last_key a = Option.map fst (Coll.Skiplist.max_binding b)
+      let b =
+        List.fold_left
+          (fun b txn_ops ->
+            if List.mem Abort_txn txn_ops then b
+            else
+              List.fold_left
+                (fun b -> function
+                  | Put (k, v) -> IMap.add k v b
+                  | Remove k -> IMap.remove k b
+                  | Abort_txn -> b)
+                b txn_ops)
+          IMap.empty prog
+      in
+      let range =
+        IMap.fold
+          (fun k _ acc -> if k >= 4 && k < 15 then k :: acc else acc)
+          b []
+      in
+      SM.to_list a = IMap.bindings b
+      && SM.first_key a = Option.map fst (IMap.min_binding_opt b)
+      && SM.last_key a = Option.map fst (IMap.max_binding_opt b)
       && SM.fold_range (fun k _ acc -> k :: acc) a [] ~lo:(Some 4) ~hi:(Some 15)
-         = !range)
+         = range)
 
 let suites =
   [
@@ -143,6 +148,6 @@ let suites =
           prop_cursor_equals_fold_map;
           prop_cursor_equals_fold_sorted;
           prop_redo_undo_equivalent;
-          prop_underlyings_equivalent_sorted;
+          prop_sorted_equals_stdlib_map;
         ] );
   ]

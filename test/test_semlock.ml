@@ -46,12 +46,20 @@ module RL = Txcoll.Semlock.Make (Recording_tm)
 let handle () =
   Domain.join (Domain.spawn (fun () -> Stm.atomic (fun () -> Stm.current ())))
 
+(* Read- and write-lock one key as [Derive] does: find its stripe, then
+   register through the stripe-taking form. *)
+let lock_key t txn k =
+  ignore (L.lock_key_at t (L.stripe_index t k) txn ~copy:Fun.id k)
+
+let lock_key_write t txn k =
+  L.lock_key_write_at t (L.stripe_index t k) txn ~copy:Fun.id k
+
 let test_acquire_release_balance () =
   let t : int L.t = L.one_interval () in
   let a = handle () and b = handle () in
-  L.lock_key t a 1;
-  L.lock_key t b 1;
-  L.lock_key t a 2;
+  lock_key t a 1;
+  lock_key t b 1;
+  lock_key t a 2;
   L.lock_size t a;
   L.lock_range t b ~compare:Int.compare { L.lo = Some 0; hi = Some 10 };
   Alcotest.(check int) "five locks held" 5 (L.total_lockers t);
@@ -64,8 +72,8 @@ let test_acquire_release_balance () =
 let test_idempotent_acquire () =
   let t : int L.t = L.create () in
   let a = handle () in
-  L.lock_key t a 1;
-  L.lock_key t a 1;
+  lock_key t a 1;
+  lock_key t a 1;
   L.lock_size t a;
   L.lock_size t a;
   Alcotest.(check int) "deduplicated" 2 (L.total_lockers t)
@@ -86,12 +94,13 @@ let test_range_overlap_semantics () =
 let test_writer_entry () =
   let t : int L.t = L.create () in
   let a = handle () and b = handle () in
-  L.lock_key_write t a 5;
-  Alcotest.(check bool) "writer recorded" true (L.key_writer t 5 <> None);
+  let si = L.stripe_index t 5 in
+  lock_key_write t a 5;
+  Alcotest.(check bool) "writer recorded" true (L.key_writer_at t si 5 <> None);
   Alcotest.(check bool) "writer counts as locked_by" true (L.key_locked_by t a 5);
   Alcotest.(check bool) "not for others" false (L.key_locked_by t b 5);
   L.release_all t a ~keys:[ 5 ];
-  Alcotest.(check bool) "writer released" true (L.key_writer t 5 = None);
+  Alcotest.(check bool) "writer released" true (L.key_writer_at t si 5 = None);
   Alcotest.(check int) "table empty" 0 (L.total_lockers t)
 
 (* Regression: a second transaction write-locking the same key must not
@@ -101,23 +110,24 @@ let test_writer_entry () =
 let test_multiple_writers_tracked () =
   let t : int L.t = L.create () in
   let a = handle () and b = handle () in
-  L.lock_key_write t a 5;
-  L.lock_key_write t b 5;
+  let si = L.stripe_index t 5 in
+  lock_key_write t a 5;
+  lock_key_write t b 5;
   Alcotest.(check int) "both writers registered" 2 (L.total_lockers t);
   Alcotest.(check bool) "a still locked_by" true (L.key_locked_by t a 5);
   Alcotest.(check bool) "b locked_by" true (L.key_locked_by t b 5);
   Alcotest.(check bool) "a sees a foreign writer" true
-    (L.key_has_foreign_writer t ~self:a 5);
+    (L.key_has_foreign_writer_at t si ~self:a 5);
   Alcotest.(check bool) "b sees a foreign writer" true
-    (L.key_has_foreign_writer t ~self:b 5);
+    (L.key_has_foreign_writer_at t si ~self:b 5);
   (* Releasing b must leave a's write lock intact (pre-fix, a's entry was
      already gone and the table leaked b's writer count instead). *)
   L.release_all t b ~keys:[ 5 ];
   Alcotest.(check bool) "a survives b's release" true (L.key_locked_by t a 5);
   Alcotest.(check bool) "a is the remaining writer" true
-    (L.key_writer t 5 <> None);
+    (L.key_writer_at t si 5 <> None);
   Alcotest.(check bool) "no foreign writer for a now" false
-    (L.key_has_foreign_writer t ~self:a 5);
+    (L.key_has_foreign_writer_at t si ~self:a 5);
   L.release_all t a ~keys:[ 5 ];
   Alcotest.(check int) "table empty" 0 (L.total_lockers t);
   Alcotest.(check int) "no key entries leak" 0 (L.locker_count t Keys)
@@ -128,9 +138,9 @@ let test_multiple_writers_tracked () =
 let test_facet_introspection () =
   let t : int L.t = L.one_interval () in
   let a = handle () and b = handle () in
-  L.lock_key t a 1;
-  L.lock_key t b 1;
-  L.lock_key t b 2;
+  lock_key t a 1;
+  lock_key t b 1;
+  lock_key t b 2;
   L.lock_size t a;
   L.lock_isempty t b;
   L.lock_first t a;
@@ -190,9 +200,9 @@ let test_striped_geometry () =
   done;
   (* Lock bookkeeping is unchanged by striping. *)
   let a = handle () and b = handle () in
-  L.lock_key t a 1;
-  L.lock_key t b 1;
-  L.lock_key t a 2;
+  lock_key t a 1;
+  lock_key t b 1;
+  lock_key t a 2;
   L.lock_size t a;
   Alcotest.(check int) "four locks held" 4 (L.total_lockers t);
   Alcotest.(check bool) "a holds key 1" true (L.key_locked_by t a 1);
@@ -234,7 +244,7 @@ let test_interval_geometry () =
   Alcotest.(check bool) "B=1 stripe region is the struct region" true
     (L.stripe_region t1 0 == L.struct_region t1)
 
-(* Under coalescing, [conflict_range] must pick the owner of the
+(* Under coalescing, [conflict_range_at] must pick the owner of the
    registered ranges as its abort victim for exactly the keys the raw
    fragments cover: identical coverage means identical abort verdicts.
    And the registered count must return to zero after each lock/release
@@ -257,7 +267,8 @@ let prop_range_coalescing_exact =
       let raw = List.map (fun (lo, hi) -> { RL.lo; hi }) script in
       let covered t k =
         Recording_tm.victims := [];
-        RL.conflict_range t ~self:b ~compare:Int.compare k;
+        RL.conflict_range_at t (RL.stripe_index t k) ~self:b
+          ~compare:Int.compare k;
         List.mem (Stm.txn_id a) !Recording_tm.victims
       in
       List.for_all
@@ -289,7 +300,7 @@ let prop_model_consistency =
       List.iter
         (fun (o, k, acquire) ->
           if acquire then begin
-            L.lock_key t owners.(o) k;
+            lock_key t owners.(o) k;
             Hashtbl.replace model (o, k) ()
           end
           else begin

@@ -3,7 +3,6 @@
 module Stm = Tcc_stm.Stm
 module H = Stm_ds.Stm_hashmap
 module A = Stm_ds.Stm_avlmap
-module Q = Stm_ds.Stm_queue
 module C = Stm_ds.Stm_counter
 module U = Stm_ds.Stm_uidgen
 
@@ -115,28 +114,6 @@ let prop_hashmap_model =
       H.size m = Hashtbl.length model
       && Hashtbl.fold (fun k v ok -> ok && H.find m k = Some v) model true)
 
-let test_queue_fifo () =
-  let q = Q.create () in
-  for i = 1 to 50 do
-    Q.enqueue q i
-  done;
-  Alcotest.(check int) "length" 50 (Q.length q);
-  Alcotest.(check (option int)) "peek" (Some 1) (Q.peek q);
-  let out = List.init 50 (fun _ -> Option.get (Q.dequeue q)) in
-  Alcotest.(check (list int)) "fifo" (List.init 50 (fun i -> i + 1)) out;
-  Alcotest.(check (option int)) "empty" None (Q.dequeue q)
-
-let test_queue_abort_rolls_back () =
-  let q = Q.create () in
-  Q.enqueue q 1;
-  (try
-     Stm.atomic (fun () ->
-         ignore (Q.dequeue q);
-         Q.enqueue q 99;
-         Stm.self_abort ())
-   with Stm.Aborted -> ());
-  Alcotest.(check (list int)) "queue untouched" [ 1 ] (Q.to_list q)
-
 let test_counter_open_nested_compensation () =
   let c = C.create () in
   (try
@@ -195,11 +172,6 @@ let suites =
       [
         Alcotest.test_case "sorted ops" `Quick test_avl_sorted_ops;
         QCheck_alcotest.to_alcotest prop_avl_model;
-      ] );
-    ( "stm_ds.queue",
-      [
-        Alcotest.test_case "fifo" `Quick test_queue_fifo;
-        Alcotest.test_case "abort rolls back" `Quick test_queue_abort_rolls_back;
       ] );
     ( "stm_ds.counters",
       [

@@ -195,13 +195,16 @@ let test_tvar_path_allocation_budget () =
 (* Point operations on an existing key inside [Stm.atomic]: the
    bookkeeping around the data (semantic lock owners, stripe lookup,
    handler registration, commit) must stay off the allocator.  The
-   budgets are set about 15% above the counts measured once the lock
-   tables and store buffers find, add and remove without per-call
-   closures and a lock-table step searches once: 73/204 (sorted map),
-   75/163 (hash map), and 301 for a queue transaction that puts one
-   element and polls the committed head (two persistent-map path copies,
-   the put's commit and the poll's removal, plus the publications of
-   both).  Earlier counts: 104/261, 99/198 and 327 with those closures;
+   budgets are set about 15% above the counts measured once releasing a
+   key lock passes the lock tables a top-level predicate instead of a
+   per-key closure: 67/198 (sorted map), 69/157 (hash map), and 301 for a
+   queue transaction that puts one element and polls the committed head
+   (two persistent-map path copies, the put's commit and the poll's
+   removal, plus the publications of both).  Earlier counts: 73/204,
+   75/163 and 301 with that closure, once the lock tables and store
+   buffers found, added and removed without other per-call closures and
+   a lock-table step searched once; 104/261, 99/198 and 327 with those
+   closures;
    105/254, 100/237 and 322 once each key's stripe was found once per
    operation and a write commit's prepare, apply and releases entered no
    critical section of their own;
@@ -220,10 +223,10 @@ let test_point_op_allocation_budget () =
     Q.put q k
   done;
   let per op = words_per_atomic (fun () -> ignore (op ())) in
-  check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 84.;
-  check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 235.;
-  check_budget "hash-map find" (per (fun () -> IM.find m 7)) 86.;
-  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 187.;
+  check_budget "sorted-map find" (per (fun () -> SM.find sm 7)) 77.;
+  check_budget "sorted-map put" (per (fun () -> SM.put sm 7 1)) 228.;
+  check_budget "hash-map find" (per (fun () -> IM.find m 7)) 79.;
+  check_budget "hash-map put" (per (fun () -> IM.put m 7 1)) 181.;
   check_budget "queue put + poll"
     (per (fun () ->
          Q.put q 7;

@@ -52,6 +52,8 @@ let test_ordered_iteration_merges_buffer () =
     [ (10, "ten"); (20, "20"); (25, "25"); (30, "30"); (50, "50") ]
     (SM.to_list m)
 
+let binding = Alcotest.(option (pair int string))
+
 let test_first_last_with_buffer () =
   let m = seeded () in
   Stm.atomic (fun () ->
@@ -59,8 +61,16 @@ let test_first_last_with_buffer () =
       ignore (SM.remove m 50);
       Alcotest.(check (option int)) "buffered min" (Some 5) (SM.first_key m);
       Alcotest.(check (option int)) "max after buffered remove" (Some 40)
-        (SM.last_key m));
-  Alcotest.(check (option int)) "committed min" (Some 5) (SM.first_key m)
+        (SM.last_key m);
+      Alcotest.check binding "buffered min binding" (Some (5, "new min"))
+        (SM.first_binding m);
+      Alcotest.check binding "max binding after buffered remove"
+        (Some (40, "40")) (SM.last_binding m));
+  Alcotest.(check (option int)) "committed min" (Some 5) (SM.first_key m);
+  Alcotest.check binding "committed min binding" (Some (5, "new min"))
+    (SM.first_binding m);
+  Alcotest.check binding "committed max binding" (Some (40, "40"))
+    (SM.last_binding m)
 
 let test_range_fold () =
   let m = seeded () in
@@ -80,6 +90,22 @@ let test_views () =
     (List.map fst (SM.View.to_list v));
   Alcotest.(check (option int)) "view first" (Some 20) (SM.View.first_key v);
   Alcotest.(check (option int)) "view last" (Some 40) (SM.View.last_key v);
+  Alcotest.check binding "view first binding" (Some (20, "20"))
+    (SM.View.first_binding v);
+  Alcotest.check binding "view last binding" (Some (40, "40"))
+    (SM.View.last_binding v);
+  Stm.atomic (fun () ->
+      ignore (SM.put m 20 "twenty");
+      ignore (SM.put m 40 "forty");
+      Alcotest.check binding "buffered view first binding"
+        (Some (20, "twenty")) (SM.View.first_binding v);
+      Alcotest.check binding "buffered view last binding"
+        (Some (40, "forty")) (SM.View.last_binding v));
+  let empty = SM.sub_map m ~lo:31 ~hi:39 in
+  Alcotest.check binding "empty view first binding" None
+    (SM.View.first_binding empty);
+  Alcotest.check binding "empty view last binding" None
+    (SM.View.last_binding empty);
   Alcotest.(check int) "view size" 3 (SM.View.size v);
   Alcotest.check_raises "put outside bounds rejected"
     (Invalid_argument "TransactionalSortedMap.View.put") (fun () ->
@@ -95,7 +121,13 @@ let test_empty_map_endpoints () =
   let m = SM.create () in
   Stm.atomic (fun () ->
       Alcotest.(check (option int)) "first of empty" None (SM.first_key m);
-      Alcotest.(check (option int)) "last of empty" None (SM.last_key m))
+      Alcotest.(check (option int)) "last of empty" None (SM.last_key m);
+      Alcotest.check binding "first binding of empty" None (SM.first_binding m);
+      Alcotest.check binding "last binding of empty" None (SM.last_binding m));
+  Alcotest.check binding "committed first binding of empty" None
+    (SM.first_binding m);
+  Alcotest.check binding "committed last binding of empty" None
+    (SM.last_binding m)
 
 let test_abort_restores () =
   let m = seeded () in
@@ -352,33 +384,6 @@ let test_view_is_empty_conflict_insert () =
   Alcotest.(check (list bool)) "empty, then not after the retry"
     [ true; false ] (List.rev !seen)
 
-(* What the model test below uses of a sorted map over int keys; both the
-   AVL and the skip-list instances match it. *)
-module type ENDPOINT_MAP = sig
-  type 'v t
-  type 'v view
-
-  val create :
-    ?splitters:int list ->
-    ?copy_key:(int -> int) ->
-    unit ->
-    'v t
-
-  val put : 'v t -> int -> 'v -> 'v option
-  val remove : 'v t -> int -> 'v option
-  val last_key : 'v t -> int option
-  val sub_map : 'v t -> lo:int -> hi:int -> 'v view
-  val head_map : 'v t -> hi:int -> 'v view
-  val tail_map : 'v t -> lo:int -> 'v view
-  val outstanding_locks : 'v t -> int
-
-  module View : sig
-    val first_key : 'v view -> int option
-    val last_key : 'v view -> int option
-    val is_empty : 'v view -> bool
-  end
-end
-
 type view_op = Vput of int | Vremove of int | Vcheck of int * int
 
 let arb_view_case =
@@ -414,83 +419,84 @@ let arb_view_case =
    transaction whose buffer removes the committed maximum and applies
    random puts and removes, then the committed state again. *)
 
-module View_endpoints (S : ENDPOINT_MAP) = struct
-  (* Views over [a, b] in every shape: sub, head and tail. *)
-  let views m a b =
-    let lo = min a b and hi = max a b in
-    [
-      (S.sub_map m ~lo ~hi, Some lo, Some hi);
-      (S.head_map m ~hi, None, Some hi);
-      (S.tail_map m ~lo, Some lo, None);
-    ]
+(* Views over [a, b] in every shape: sub, head and tail. *)
+let views m a b =
+  let lo = min a b and hi = max a b in
+  [
+    (IntSM.sub_map m ~lo ~hi, Some lo, Some hi);
+    (IntSM.head_map m ~hi, None, Some hi);
+    (IntSM.tail_map m ~lo, Some lo, None);
+  ]
 
-  let agrees model m a b =
-    List.for_all
-      (fun (v, lo, hi) ->
-        let inside =
-          IntMap.filter
-            (fun k _ ->
-              (match lo with None -> true | Some b -> k >= b)
-              && match hi with None -> true | Some b -> k < b)
-            model
-        in
-        S.View.first_key v = Option.map fst (IntMap.min_binding_opt inside)
-        && S.View.last_key v = Option.map fst (IntMap.max_binding_opt inside)
-        && S.View.is_empty v = IntMap.is_empty inside)
-      (views m a b)
+let agrees model m a b =
+  List.for_all
+    (fun (v, lo, hi) ->
+      let inside =
+        IntMap.filter
+          (fun k _ ->
+            (match lo with None -> true | Some b -> k >= b)
+            && match hi with None -> true | Some b -> k < b)
+          model
+      in
+      IntSM.View.first_key v = Option.map fst (IntMap.min_binding_opt inside)
+      && IntSM.View.last_key v = Option.map fst (IntMap.max_binding_opt inside)
+      && IntSM.View.first_binding v = IntMap.min_binding_opt inside
+      && IntSM.View.last_binding v = IntMap.max_binding_opt inside
+      && IntSM.View.is_empty v = IntMap.is_empty inside)
+    (views m a b)
 
-  let checks ops =
-    List.filter_map (function Vcheck (a, b) -> Some (a, b) | _ -> None) ops
+let checks ops =
+  List.filter_map (function Vcheck (a, b) -> Some (a, b) | _ -> None) ops
 
-  (* Every check outside a transaction and inside one snapshot. *)
-  let committed_agree model m ops =
-    let all () =
-      List.for_all (fun (a, b) -> agrees model m a b) ((0, 32) :: checks ops)
-    in
-    all () && Stm.snapshot all
+(* Every check outside a transaction and inside one snapshot. *)
+let committed_agree model m ops =
+  let all () =
+    List.for_all (fun (a, b) -> agrees model m a b) ((0, 32) :: checks ops)
+  in
+  all () && Stm.snapshot all
 
-  let prop name =
-    QCheck.Test.make ~name ~count:100 arb_view_case (fun (init, ops) ->
-        let m = S.create ~splitters:[ 8; 16; 24 ] () in
-        let model =
-          List.fold_left
-            (fun acc k ->
-              ignore (S.put m k k);
-              IntMap.add k k acc)
-            IntMap.empty init
-        in
-        let ok = committed_agree model m ops in
-        let model, ok_in =
-          Stm.atomic (fun () ->
-              let model =
-                match S.last_key m with
-                | None -> model
-                | Some mx ->
-                    ignore (S.remove m mx);
-                    IntMap.remove mx model
-              in
-              let ok_in = ref true in
-              let model =
-                List.fold_left
-                  (fun model op ->
-                    match op with
-                    | Vput k ->
-                        ignore (S.put m k k);
-                        IntMap.add k k model
-                    | Vremove k ->
-                        ignore (S.remove m k);
-                        IntMap.remove k model
-                    | Vcheck (a, b) ->
-                        if not (agrees model m a b) then ok_in := false;
-                        model)
-                  model ops
-              in
-              (model, !ok_in && agrees model m 0 32))
-        in
-        ok && ok_in && committed_agree model m ops && S.outstanding_locks m = 0)
-end
-
-module Tree_endpoints = View_endpoints (IntSM)
+let prop_view_endpoints =
+  QCheck.Test.make ~name:"view endpoints match model (AVL)" ~count:100
+    arb_view_case (fun (init, ops) ->
+      let m = IntSM.create ~splitters:[ 8; 16; 24 ] () in
+      let model =
+        List.fold_left
+          (fun acc k ->
+            ignore (IntSM.put m k k);
+            IntMap.add k k acc)
+          IntMap.empty init
+      in
+      let ok = committed_agree model m ops in
+      let model, ok_in =
+        Stm.atomic (fun () ->
+            let model =
+              match IntSM.last_key m with
+              | None -> model
+              | Some mx ->
+                  ignore (IntSM.remove m mx);
+                  IntMap.remove mx model
+            in
+            let ok_in = ref true in
+            let model =
+              List.fold_left
+                (fun model op ->
+                  match op with
+                  | Vput k ->
+                      ignore (IntSM.put m k k);
+                      IntMap.add k k model
+                  | Vremove k ->
+                      ignore (IntSM.remove m k);
+                      IntMap.remove k model
+                  | Vcheck (a, b) ->
+                      if not (agrees model m a b) then ok_in := false;
+                      model)
+                model ops
+            in
+            (model, !ok_in && agrees model m 0 32))
+      in
+      ok && ok_in
+      && committed_agree model m ops
+      && IntSM.outstanding_locks m = 0)
 
 (* Allocation gate for [View.last_key] on a two-interval map whose view
    spans both intervals, in all three read modes: a fixed minor-words
@@ -547,8 +553,7 @@ let suites =
             test_view_last_no_conflict_prefix_insert;
           Alcotest.test_case "insert into empty view vs isEmpty" `Quick
             test_view_is_empty_conflict_insert;
-          QCheck_alcotest.to_alcotest
-            (Tree_endpoints.prop "view endpoints match model (AVL)");
+          QCheck_alcotest.to_alcotest prop_view_endpoints;
           Alcotest.test_case "view lastKey allocation" `Quick
             test_view_last_key_allocation;
         ] );
