@@ -280,27 +280,22 @@ let chaos_seeds =
 let chaos () =
   let ops_per_domain = 800 in
   Fmt.pf ppf "@.Chaos soak (2 domains, map+sorted+queue, seeded injection)@.";
-  Fmt.pf ppf "  %5s %5s %-8s %6s %-10s %s@." "p" "seed" "policy" "ok"
-    "committed" "injections (conflict/remote/handler/delay)";
+  Fmt.pf ppf "  %5s %5s %6s %-10s %s@." "p" "seed" "ok" "committed"
+    "injections (conflict/remote/handler/delay)";
   let soak_oks =
     List.concat_map
       (fun p ->
-        List.concat_map
+        List.map
           (fun seed ->
-            List.map
-              (fun policy ->
-                let r =
-                  Harness.Chaos.run_soak
-                    (Harness.Chaos.default_soak ~policy ~domains:2
-                       ~ops_per_domain ~seed p)
-                in
-                let c, ra, hf, d = r.injections in
-                Fmt.pf ppf "  %5.2f %5d %-8s %6b %10d %d/%d/%d/%d@." p seed
-                  (Stm.Contention.name policy)
-                  r.ok r.committed c ra hf d;
-                List.iter (fun e -> Fmt.pf ppf "        FAILED: %s@." e) r.errors;
-                r.ok)
-              [ Stm.Contention.default; Stm.Contention.Greedy ])
+            let r =
+              Harness.Chaos.run_soak
+                (Harness.Chaos.default_soak ~domains:2 ~ops_per_domain ~seed p)
+            in
+            let c, ra, hf, d = r.injections in
+            Fmt.pf ppf "  %5.2f %5d %6b %10d %d/%d/%d/%d@." p seed r.ok
+              r.committed c ra hf d;
+            List.iter (fun e -> Fmt.pf ppf "        FAILED: %s@." e) r.errors;
+            r.ok)
           chaos_seeds)
       chaos_probs
   in
@@ -386,15 +381,14 @@ let starve () =
   Fmt.pf ppf
     "@.Forced starvation (1 long writer vs 3 short writers, same keys)@.";
   let budget = { Stm.max_retries = Some 12; max_seconds = None } in
-  let run ?budget policy =
-    let r = Harness.Starvation.run ~policy ?budget ~rounds:20 () in
+  let run fallback =
+    let r = Harness.Starvation.run ~fallback ~budget ~rounds:20 () in
     Fmt.pf ppf "  %a@." Harness.Starvation.pp_report r;
     r
   in
-  ignore (run ~budget Stm.Contention.default);
-  let greedy = run Stm.Contention.Greedy in
-  gate_eq "starve.greedy_completed" greedy.completed greedy.rounds;
-  gate_eq "starve.greedy_starved" greedy.starved 0
+  ignore (run false);
+  let fb = run true in
+  gate_eq "starve.fallback_completed" fb.completed fb.rounds
 
 (* ------------------------------------------------------------------ *)
 (* STM commit-throughput scaling: transactions committing into per-domain

@@ -119,12 +119,12 @@ let overflow g f =
    an admitted run that raises [Stm.Starved] goes to the overload policy
    too.  Any other exception escaping an admitted run still counts the
    admission before propagating, so the ledger holds on every path. *)
-let run ?policy ?budget f =
+let run ?budget f =
   match Atomic.get gate with
   | Some g when not (Stm.in_txn () || Stm.in_snapshot ()) ->
       if try_admit g then begin
         let budget = match budget with Some _ -> budget | None -> g.g_budget in
-        match Stm.atomic ?policy ?budget f with
+        match Stm.atomic ?budget f with
         | r ->
             Atomic.incr n_admitted;
             r
@@ -134,7 +134,7 @@ let run ?policy ?budget f =
             raise e
       end
       else overflow g f
-  | _ -> Stm.atomic ?policy ?budget f
+  | _ -> Stm.atomic ?budget f
 
 let admitted () = Atomic.get n_admitted
 let shed () = Atomic.get n_shed

@@ -101,21 +101,17 @@ let stream_key : int64 ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0L
 (* ---------------- failure context ---------------- *)
 
 (* Every failure message a soak emits carries the seed, the soak section
-   that produced it, the contention manager the soak ran under, and the
-   most recent injection the reporting domain's own stream fired — plus,
-   once per failing report, the one command that replays the exact
-   schedule.  The injection site is tracked per-domain so a worker's
-   failure names its own last fault, not another domain's. *)
+   that produced it and the most recent injection the reporting domain's
+   own stream fired ([soak_context]) — plus, once per failing report, the
+   one command that replays the exact schedule.  The injection site is
+   tracked per-domain so a worker's failure names its own last fault, not
+   another domain's. *)
 
 let last_injection_key : string ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref "none")
 
 let note_injection site = Domain.DLS.get last_injection_key := site
 let last_injection () = !(Domain.DLS.get last_injection_key)
-
-let fail_context ~cm cfg ~section =
-  Printf.sprintf "[seed=%d section=%s cm=%s last_injection=%s] " cfg.seed
-    section (Stm.Contention.name cm) (last_injection ())
 
 let repro_hint ~target cfg =
   Printf.sprintf "reproduce: CHAOS_SEEDS=%d dune exec bench/main.exe -- %s"
@@ -192,19 +188,19 @@ let uninstall () = Stm.Chaos.set_hook None
 
 type soak_config = {
   chaos : config;
-  policy : Stm.Contention.policy;
   domains : int;
   ops_per_domain : int;
   key_space : int;  (* per-worker partition width *)
 }
 
-let default_soak ?(policy = Stm.Contention.default) ?(domains = 2)
-    ?(ops_per_domain = 1500) ?(key_space = 64) ~seed p =
-  { chaos = uniform ~seed p; policy; domains; ops_per_domain; key_space }
+let default_soak ?(domains = 2) ?(ops_per_domain = 1500) ?(key_space = 64)
+    ~seed p =
+  { chaos = uniform ~seed p; domains; ops_per_domain; key_space }
 
-(* Failure-message prefix of a soak: names the contention manager the
-   soak's transactions ran under. *)
-let soak_context sc ~section = fail_context ~cm:sc.policy sc.chaos ~section
+(* Failure-message prefix of a soak. *)
+let soak_context sc ~section =
+  Printf.sprintf "[seed=%d section=%s last_injection=%s] " sc.chaos.seed
+    section (last_injection ())
 
 type report = {
   ok : bool;
@@ -339,7 +335,7 @@ let txn w body effect =
     w.committed <- w.committed + 1;
     effect (Option.get !got)
   in
-  match Stm.atomic ~policy:w.sc.policy (fun () -> got := Some (body ())) with
+  match Stm.atomic (fun () -> got := Some (body ())) with
   | () -> commit ()
   | exception Stm.Handler_failure { committed; failures } ->
       List.iter
@@ -839,12 +835,12 @@ type failover_config = {
 
 (* [key_space] is the store's TOTAL key space, interval-partitioned over
    the places. *)
-let default_failover ?policy ?(domains = 2) ?(ops_per_domain = 1200)
+let default_failover ?(domains = 2) ?(ops_per_domain = 1200)
     ?(places = 4) ?(key_space = 192) ?(kills = 3) ?(mode = Places.Eager) ~seed
     p =
   {
     soak =
-      default_soak ?policy ~domains ~ops_per_domain
+      default_soak ~domains ~ops_per_domain
         ~key_space:(key_space / domains) ~seed p;
     places;
     mode;

@@ -1,26 +1,23 @@
-(* Forced-starvation scenario for the contention-manager comparison: one
-   long writer repeatedly updates a whole block of keys in a single
-   transaction while several short writers hammer the same keys with
-   one-key transactions.
+(* Forced-starvation scenario for the progress rule: one long writer
+   repeatedly updates a whole block of keys in a single transaction while
+   several short writers hammer the same keys with one-key transactions.
 
    Under optimistic semantic concurrency control the short writers'
    commits remote-abort the long writer (key-lock conflicts, Table 2), so
    with plain backoff the long transaction can retry indefinitely — the
-   classic starvation schedule.  Under the Greedy policy every short
-   committer defers to the older long transaction instead of aborting it
-   (the long writer keeps its start ticket across retries, while each
-   short call draws a fresh, younger one), so each round completes after
-   bounded interference: [completed = rounds] and no starvation.  With a
-   retry/deadline budget instead, exhaustion surfaces as [Stm.Starved]
-   and is counted here. *)
+   classic starvation schedule.  With a retry/deadline budget, exhaustion
+   surfaces as [Stm.Starved] and is counted here.  With [~fallback:true] a
+   starved round then reruns under [Stm.serialised]: short committers
+   defer to the serialised transaction instead of aborting it, so the
+   round completes and [completed = rounds]. *)
 
 module Stm = Tcc_stm.Stm
 module Map = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 
 type report = {
-  policy : string;
+  fallback : bool;
   rounds : int;
-  completed : int;  (* long-writer rounds that committed *)
+  completed : int;  (* long-writer rounds that committed, fallback included *)
   starved : int;  (* long-writer rounds that exhausted their budget *)
   long_retries : int;  (* total aborted attempts of the long writer *)
   elapsed_s : float;
@@ -31,16 +28,11 @@ let think spins =
     Domain.cpu_relax ()
   done
 
-let run ?(policy = Stm.Contention.default) ?budget ?(rounds = 40) ?(keys = 48)
+let run ?(fallback = false) ?budget ?(rounds = 40) ?(keys = 48)
     ?(short_domains = 3) ?(long_spin = 300) ?(long_sleep = 2e-4) () =
   let map = Map.create () in
   let stop = Atomic.make false in
   let started = Atomic.make 0 in
-  (* The short writers run under the same policy: deferral is decided by
-     the committer about to deliver a remote abort, so the policy must be
-     system-wide for its progress guarantee to hold (a Greedy short
-     committer defers to the older long transaction instead of aborting
-     it). *)
   let shorts =
     List.init short_domains (fun d ->
         Domain.spawn (fun () ->
@@ -48,7 +40,7 @@ let run ?(policy = Stm.Contention.default) ?budget ?(rounds = 40) ?(keys = 48)
             while not (Atomic.get stop) do
               incr i;
               let k = (d + !i) mod keys in
-              Stm.atomic ~policy (fun () -> ignore (Map.put map k !i));
+              Stm.atomic (fun () -> ignore (Map.put map k !i));
               if !i = 1 then Atomic.incr started
             done))
   in
@@ -60,31 +52,34 @@ let run ?(policy = Stm.Contention.default) ?budget ?(rounds = 40) ?(keys = 48)
   done;
   let completed = ref 0 and starved = ref 0 and long_retries = ref 0 in
   let t0 = Unix.gettimeofday () in
+  let commit r =
+    long_retries := !long_retries + r;
+    incr completed
+  in
   for round = 1 to rounds do
-    match
-      Stm.atomic ~policy ?budget (fun () ->
-          for k = 0 to keys - 1 do
-            ignore (Map.put map k round);
-            think long_spin;
-            (* Periodic real yield: on a single core the long transaction
-               is otherwise never preempted mid-body and the starvation
-               schedule silently degenerates to lock-step execution. *)
-            if long_sleep > 0. && k mod 8 = 0 then Unix.sleepf long_sleep
-          done;
-          Stm.retries ())
-    with
-    | r ->
-        long_retries := !long_retries + r;
-        incr completed
+    let body () =
+      for k = 0 to keys - 1 do
+        ignore (Map.put map k round);
+        think long_spin;
+        (* Periodic real yield: on a single core the long transaction is
+           otherwise never preempted mid-body and the starvation schedule
+           silently degenerates to lock-step execution. *)
+        if long_sleep > 0. && k mod 8 = 0 then Unix.sleepf long_sleep
+      done;
+      Stm.retries ()
+    in
+    match Stm.atomic ?budget body with
+    | r -> commit r
     | exception Stm.Starved { attempts; _ } ->
         long_retries := !long_retries + attempts;
-        incr starved
+        incr starved;
+        if fallback then commit (Stm.serialised body)
   done;
   let elapsed_s = Unix.gettimeofday () -. t0 in
   Atomic.set stop true;
   List.iter Domain.join shorts;
   {
-    policy = Stm.Contention.name policy;
+    fallback;
     rounds;
     completed = !completed;
     starved = !starved;
@@ -94,5 +89,5 @@ let run ?(policy = Stm.Contention.default) ?budget ?(rounds = 40) ?(keys = 48)
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "policy=%-7s rounds=%d completed=%d starved=%d long_retries=%d elapsed=%.2fs"
-    r.policy r.rounds r.completed r.starved r.long_retries r.elapsed_s
+    "fallback=%-5b rounds=%d completed=%d starved=%d long_retries=%d elapsed=%.2fs"
+    r.fallback r.rounds r.completed r.starved r.long_retries r.elapsed_s

@@ -4,9 +4,10 @@
    Key decisions, in correctness order:
 
    - The replication log is emitted from the collections' exception-safe
-     [on_commit_prepared] apply phase, with the place's region held and
-     the commit stamp in hand: per-place batch order therefore equals
-     stamp order, and a batch exists iff the transaction committed.
+     [on_commit_prepared] apply phase, with the place's region held: the
+     region orders the place's commits, so per-place batch order equals
+     commit-stamp order, and a batch exists iff the transaction
+     committed.
 
    - The inbox the batches land in is owned by the *slave* side: a
      committer appends synchronously (both modes) and the lazy drainer
@@ -48,7 +49,7 @@ type mode = Eager | Lazy of { max_lag : int }
    serialise exactly this. *)
 type 'v rop = { ro_sorted : bool; ro_key : int; ro_val : 'v option }
 
-type 'v batch = { b_stamp : int; b_ops : 'v rop list (* application order *) }
+type 'v batch = 'v rop list (* application order *)
 
 type 'v replica = {
   r_mx : Mutex.t;
@@ -120,7 +121,7 @@ let apply_batch pl b =
       match op.ro_val with
       | Some v -> Hashtbl.replace tbl op.ro_key v
       | None -> Hashtbl.remove tbl op.ro_key)
-    b.b_ops;
+    b;
   Atomic.incr pl.p_applied
 
 (* Batches are popped and applied under the replica mutex for the whole
@@ -148,10 +149,10 @@ let rec amax a v =
 (* Called from the replication handler's apply phase: the place's region
    is held and the transaction is past its commit point.  Appending to
    the inbox is what makes the commit durable against a master kill. *)
-let ship mode pl stamp ops =
+let ship mode pl ops =
   let post =
     Mutex.protect pl.p_inbox.i_mx (fun () ->
-        Queue.add { b_stamp = stamp; b_ops = ops } pl.p_inbox.i_q;
+        Queue.add ops pl.p_inbox.i_q;
         pl.p_inbox.i_len <- pl.p_inbox.i_len + 1;
         pl.p_inbox.i_len)
   in
@@ -183,8 +184,8 @@ let attach mode pl _txn _spare =
          failure-domain gate.  Raising here vetoes the whole commit —
          nothing applied, nothing shipped. *)
       if not (up_and_current pl l) then raise (place_down pl))
-    ~apply:(fun wv ->
-      if l.pl_ops <> [] then ship mode pl wv (List.rev l.pl_ops));
+    ~apply:(fun _ ->
+      if l.pl_ops <> [] then ship mode pl (List.rev l.pl_ops));
   l
 
 let local_of t pl =

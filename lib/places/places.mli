@@ -3,14 +3,15 @@
     The transactional key space [0, key_space) is partitioned into P
     contiguous intervals, each owned by a {e place} — the x10
     [LocalStore]/[MasterStore]/[SlaveStore] blueprint, domain-hosted first
-    but process-ready by design (replication batches are pure stamped
-    data).  A place hosts one master {!Txcoll} hash map and one master
-    sorted map over its interval; every committed mutation is emitted from
-    the collections' exception-safe [on_commit_prepared] apply phase as a
-    stamped replication-log batch into the paired slave's inbox, and
-    applied to the slave replica either {e eagerly} (synchronously, inside
-    the commit's place region) or {e lazily} (bounded lag, drained by a
-    background domain with committer-side backpressure at the bound).
+    but process-ready by design (replication batches are pure data).  A
+    place hosts one master {!Txcoll} hash map and one master sorted map
+    over its interval; every committed mutation is emitted from the
+    collections' exception-safe [on_commit_prepared] apply phase as a
+    replication-log batch into the paired slave's inbox, in commit-stamp
+    order, and applied to the slave replica either {e eagerly}
+    (synchronously, inside the commit's place region) or {e lazily}
+    (bounded lag, drained by a background domain with committer-side
+    backpressure at the bound).
 
     Failure domain: {!kill} marks a place down — every transactional
     operation (and any in-flight transaction that already touched the

@@ -47,18 +47,6 @@ module Monoclock = struct
     else l
 end
 
-(* ------------------------------------------------------------------ *)
-(* Contention management *)
-
-module Contention = struct
-  type policy = Types.cm_policy = Backoff | Greedy
-
-  let default = default_cm
-  let set_global p = Atomic.set global_cm p
-  let global () = Atomic.get global_cm
-  let name = policy_name
-end
-
 type budget = { max_retries : int option; max_seconds : float option }
 
 (* Auto-commit context: an already-committed handle so that semantic lock
@@ -214,15 +202,15 @@ let retry_now () =
 
 type remote_abort_outcome = Delivered | Already_aborted | Too_late
 
-(* Program-directed abort with contention-manager arbitration.  When the
-   caller is a transaction inside its own prepare phase (semantic conflict
-   detection at commit), the caller's policy may decide to *defer* to the
-   target instead of aborting it: Greedy yields to older start tickets.
-   Deferring raises [Deferred_exn], unwinding the caller's commit attempt
-   (nothing has been applied yet — prepare runs before the commit point)
-   so it retries while the elder proceeds.  The oldest transaction in the
-   system is never deferred-out and never aborted by a Greedy committer:
-   starvation freedom for semantic conflicts.
+(* Program-directed abort with one progress rule.  When the caller is a
+   transaction inside its own prepare phase (semantic conflict detection
+   at commit) and the target is the live transaction running under
+   [serialised], the caller *defers* instead of aborting it: it raises
+   [Deferred_exn], unwinding its commit attempt (nothing has been applied
+   yet — prepare runs before the commit point) so it retries while the
+   fallback proceeds.  At most one transaction holds the fallback region,
+   so a budget with [~on_starved:serialised] ends in a commit as far as
+   commit-time semantic conflicts go.  Every other target is aborted.
 
    The status race against a target that is concurrently entering its own
    commit is resolved deterministically by the CAS loop below, and every
@@ -231,17 +219,12 @@ type remote_abort_outcome = Delivered | Already_aborted | Too_late
    its commit point first and serialises before the caller). *)
 let remote_abort_outcome (t : handle) =
   (match !(context ()) with
-  | Some self when self.top.in_prepare && self.top.txn_id <> t.txn_id ->
-      let defer =
-        self.top.cm = Greedy
-        && Atomic.get t.top_status = Active
-        && t.prio < self.top.prio
-      in
-      if defer then begin
-        let s = my_stats () in
-        s.s_deferrals <- s.s_deferrals + 1;
-        raise Deferred_exn
-      end
+  | Some self
+    when self.top.in_prepare && t.serialised && self.top.txn_id <> t.txn_id
+         && Atomic.get t.top_status = Active ->
+      let s = my_stats () in
+      s.s_deferrals <- s.s_deferrals + 1;
+      raise Deferred_exn
   | _ -> ());
   let rec go () =
     match Atomic.get t.top_status with
@@ -464,7 +447,8 @@ let publish_and_finish top wv =
    handler-less writing commit runs the same front and back.
 
    Prepare handlers run *before* the commit point: an exception there
-   (lost semantic race, contention-manager deferral, injected fault)
+   (lost semantic race, deferral to the serialised fallback, injected
+   fault)
    releases the write locks, the window and the regions with nothing
    applied and retries the transaction.  Apply handlers run after the
    commit point under the aggregating wrapper.  Commit handlers must not
@@ -538,7 +522,7 @@ let run_abort_handlers handlers = run_guarded (fun h () -> h ()) () [] handlers
 let mark_aborted t = ignore (Atomic.compare_and_set t.top_status Active Aborted)
 
 (* Run [f] as a fresh top-level transaction, retrying on conflicts and
-   remote aborts under the contention policy until it commits or the
+   remote aborts after a jittered backoff until it commits or the
    budget (max retries / wall-clock deadline) is exhausted, which raises
    [Starved].  An open-nested attempt ([open_attempt]) does not execute
    its commit handlers at commit; [open_nested] migrates them to the
@@ -556,11 +540,10 @@ let mark_aborted t = ignore (Atomic.compare_and_set t.top_status Active Aborted)
    Every top-level entry ([atomic], [serialised], [open_nested]) starts
    in [begin_top], so each rejects a call from inside a snapshot
    section. *)
-let begin_top ~open_attempt cm =
+let begin_top ~open_attempt =
   if Types.in_snapshot () then
     invalid_arg "Stm.atomic: inside a snapshot read section";
-  let cm = match cm with Some c -> c | None -> Atomic.get global_cm in
-  let t = acquire_top ~cm ~prio:(fresh_prio ()) in
+  let t = acquire_top () in
   t.open_attempt <- open_attempt;
   (* In-flight accounting: the quiescence probe behind [reset_stats].  The
      increment/decrement bracket every exit path of [run_attempts]
@@ -577,7 +560,7 @@ let budget_start = function
 
 (* [n] is the index of the attempt that would run next; called after
    attempt [n - 1] failed. *)
-let check_budget t budget t0 n =
+let check_budget budget t0 n =
   match budget with
   | None -> ()
   | Some b ->
@@ -593,7 +576,7 @@ let check_budget t budget t0 n =
       if over_retries || over_time then begin
         let s = my_stats () in
         s.s_starved <- s.s_starved + 1;
-        record_retries t.cm n;
+        record_retries n;
         raise (Starved { attempts = n; elapsed })
       end
 
@@ -620,7 +603,7 @@ let rec attempt ctx t budget t0 f n =
   with
   | r ->
       ctx := None;
-      record_retries t.cm n;
+      record_retries n;
       r
   | exception
       ((Conflict_exn | Child_conflict_exn | Remote_aborted_exn | Deferred_exn)
@@ -634,15 +617,15 @@ let rec attempt ctx t budget t0 f n =
       let failures = abort_and_compensate t in
       if failures <> [] then
         raise (Handler_failure { committed = false; failures });
-      check_budget t budget t0 (n + 1);
-      cm_wait t.cm n;
+      check_budget budget t0 (n + 1);
+      backoff_wait n;
       attempt ctx t budget t0 f (n + 1)
   | exception (Handler_failure _ as e) when Atomic.get t.top_status = Committed
     ->
       (* Our own commit completed; apply-handler failures surface after
          the fact, with the transaction's effects in place. *)
       ctx := None;
-      record_retries t.cm n;
+      record_retries n;
       raise e
   | exception Explicit_abort_exn ->
       let s = my_stats () in
@@ -674,8 +657,9 @@ let run_attempts t budget t0 f =
       release_top t;
       raise e
 
-let run_top ?cm ?budget f =
-  let t = begin_top ~open_attempt:false cm in
+let run_top ?(serialised = false) ?budget f =
+  let t = begin_top ~open_attempt:false in
+  t.serialised <- serialised;
   run_attempts t budget (budget_start budget) f
 
 let closed_nested_in parent f =
@@ -698,7 +682,7 @@ let closed_nested_in parent f =
     | exception Child_conflict_exn ->
         (* Partial rollback: only the child's tentative state is dropped. *)
         ctx := parent.self_opt;
-        cm_wait parent.top.cm n;
+        backoff_wait n;
         attempt (n + 1)
     | exception e ->
         ctx := parent.self_opt;
@@ -706,29 +690,30 @@ let closed_nested_in parent f =
   in
   attempt 0
 
-let atomic ?policy ?budget ?on_starved f =
+let atomic ?budget ?on_starved f =
   match !(context ()) with
   | None -> (
       match on_starved with
-      | None -> run_top ?cm:policy ?budget f
+      | None -> run_top ?budget f
       | Some fallback -> (
-          try run_top ?cm:policy ?budget f with Starved _ -> fallback ()))
+          try run_top ?budget f with Starved _ -> fallback ()))
   | Some parent -> closed_nested_in parent f
 
 let closed_nested f = atomic f
 
 (* Starvation fallback: run [f] as a transaction while holding the
-   process-wide fallback commit region for the whole attempt, so
-   serialised fallbacks never contend with each other.  The fallback
-   region has the smallest rid, so holding it while the commit acquires
-   collection regions preserves the global acquisition order. *)
+   process-wide fallback commit region for the whole transaction, so
+   serialised fallbacks never contend with each other and at most one is
+   live; committers defer to it in prepare ([remote_abort_outcome]).  The
+   fallback region has the smallest rid, so holding it while the commit
+   acquires collection regions preserves the global acquisition order. *)
 let serialised f =
   if in_txn () then f ()
   else begin
     region_lock global_commit_region;
     Fun.protect
       ~finally:(fun () -> region_unlock global_commit_region)
-      (fun () -> run_top f)
+      (fun () -> run_top ~serialised:true f)
   end
 
 let open_nested f =
@@ -738,7 +723,7 @@ let open_nested f =
   | Some parent ->
       (* Inside a transaction, so never inside a snapshot: [begin_top]
          cannot raise here. *)
-      let open_txn = begin_top ~open_attempt:true None in
+      let open_txn = begin_top ~open_attempt:true in
       ctx := None;
       (match run_attempts open_txn None 0. f with
       | r ->
@@ -877,14 +862,11 @@ let commit_region_waits () = stats_sum (fun s -> s.s_region_waits)
 let regions_held () = stats_sum (fun s -> s.s_regions_held)
 
 let retry_histogram () =
-  [ Backoff; Greedy ]
-  |> List.map (fun p ->
-         let i = policy_index p in
-         let row = Array.make hist_buckets 0 in
-         List.iter
-           (fun s -> Array.iteri (fun b c -> row.(b) <- row.(b) + c) s.s_hist.(i))
-           (all_stats ());
-         (policy_name p, row))
+  let row = Array.make hist_buckets 0 in
+  List.iter
+    (fun s -> Array.iteri (fun b c -> row.(b) <- row.(b) + c) s.s_hist)
+    (all_stats ());
+  row
 
 (* Guarded reset: zeroing shards while another domain is mid-transaction
    would silently corrupt every aggregated counter (a commit recorded after

@@ -15,16 +15,16 @@
 
     The hot loop touches no shared mutable state per transaction:
     statistics are sharded per domain and aggregated lazily by
-    {!global_stats}, transaction ids and priority tickets are leased to
-    domains in blocks of 1024, top-level descriptors (with their grow-only
+    {!global_stats}, transaction ids are leased to domains in blocks of
+    1024, top-level descriptors (with their grow-only
     read/write-set scratch) are pooled in domain-local storage so the retry
     loop is allocation-free, read-only commits skip the global clock and
     all locking entirely, and writer commits advance the clock with at most
     one extra atomic step under contention (GV5-style adoption).
 
-    Robustness layer: pluggable contention management ({!Contention}),
-    transaction budgets with a typed {!Starved} outcome and a serialised
-    fallback ({!serialised}), exception-safe handler execution aggregating
+    Robustness layer: jittered backoff between attempts, transaction
+    budgets with a typed {!Starved} outcome and a serialised fallback
+    ({!serialised}) that committers defer to, exception-safe handler execution aggregating
     failures into {!Handler_failure}, and seeded fault-injection hooks
     ({!Chaos}) — see DESIGN.md "Robustness". *)
 
@@ -84,54 +84,17 @@ type handle
 (** Identity of a top-level transaction; the owner recorded in semantic lock
     tables. *)
 
-(** {1 Contention management} *)
-
-module Contention : sig
-  type policy = Types.cm_policy =
-    | Backoff
-        (** Jittered exponential backoff: wait [~ 2^min(retries, 12)]
-            cpu-relax spins between attempts; a committer always aborts a
-            conflicting lock holder.  The default, matching the seed
-            behaviour plus jitter. *)
-    | Greedy
-        (** Timestamp priority: every top-level [atomic] call draws one
-            monotonic start ticket kept across its retries; a committer
-            defers to any older transaction instead of remote-aborting it.
-            The oldest transaction in the system is never deferred-to nor
-            semantically aborted, so it eventually commits: starvation
-            freedom for semantic conflicts. *)
-
-  val default : policy
-  (** [Backoff].  [Greedy] is not the default: a younger writer defers to
-      an older reader that may itself be waiting for that writer. *)
-
-  val set_global : policy -> unit
-  (** Set the policy used by {!atomic} calls that do not pass [?policy].
-      Affects transactions started after the call. *)
-
-  val global : unit -> policy
-
-  val name : policy -> string
-  (** ["backoff"] or ["greedy"] — the keys of
-      {!retry_histogram}. *)
-end
-
 type budget = { max_retries : int option; max_seconds : float option }
 (** Progress budget for one {!atomic} call.  [max_retries = Some m] allows
     [m] retries ([m + 1] executions in total); [max_seconds] is a
     wall-clock deadline checked after each aborted attempt.  Exhaustion
     raises {!Starved} (or runs the [?on_starved] fallback). *)
 
-val atomic :
-  ?policy:Contention.policy ->
-  ?budget:budget ->
-  ?on_starved:(unit -> 'a) ->
-  (unit -> 'a) ->
-  'a
+val atomic : ?budget:budget -> ?on_starved:(unit -> 'a) -> (unit -> 'a) -> 'a
 (** [atomic f] runs [f] transactionally.  At top level it retries [f] on
-    memory conflicts and remote aborts — waiting between attempts per the
-    contention [?policy] (default: the global policy) — until it commits
-    or the [?budget] is exhausted, which raises {!Starved} or, when
+    memory conflicts and remote aborts — waiting a jittered
+    [~ 2^min(retries, 12)] cpu-relax spins between attempts — until it
+    commits or the [?budget] is exhausted, which raises {!Starved} or, when
     [?on_starved] is given, returns [on_starved ()] instead (typically
     {!serialised}[ f]).  Nested inside another transaction it is a
     closed-nested transaction and the options are ignored: a conflict
@@ -187,11 +150,15 @@ val version_chain_bound : int
 
 val serialised : (unit -> 'a) -> 'a
 (** Starvation fallback: run [f] as a top-level transaction while holding
-    the process-wide fallback commit region for the whole attempt, so
-    serialised fallbacks never contend with each other (they still conflict
-    with — and win against or retry on — ordinary optimistic
-    transactions).  Intended as [~on_starved:(fun () -> serialised f)].
-    Inside a transaction it just runs [f] in the enclosing transaction. *)
+    the process-wide fallback commit region for the whole transaction, so
+    at most one serialised transaction is live at a time.  A committer
+    that finds it holding a conflicting semantic lock in its prepare phase
+    defers to it instead of remote-aborting it ({!remote_abort_outcome}),
+    so [~on_starved:(fun () -> serialised f)] after a budget guarantees
+    that [f] commits against commit-time semantic conflicts.  The
+    guarantee stops there: a write-time abort ([Derive.Eager] policies)
+    or a memory-level tvar conflict still aborts and retries it.  Inside a
+    transaction it just runs [f] in the enclosing transaction. *)
 
 val on_commit : (unit -> unit) -> unit
 (** Register a commit handler on the current nesting level.  Handlers run
@@ -249,11 +216,12 @@ val remote_abort_outcome : handle -> remote_abort_outcome
     [Active]/[Committing] status race is resolved deterministically by a
     CAS loop and every outcome is counted in {!global_stats}.
 
-    Contention-manager arbitration: when the caller is itself inside its
-    commit's prepare phase, its policy may instead {e defer} — Greedy to an
-    older target — by raising an internal exception that retries the
-    caller with nothing applied.  Callers that hold resources across this
-    call must release them in an abort/[Fun.protect] path. *)
+    One progress rule: when the caller is itself inside its commit's
+    prepare phase and the target is the live {!serialised} transaction,
+    the caller {e defers} instead, raising an internal exception that
+    retries the caller with nothing applied (counted in
+    [stats.deferrals]).  Callers that hold resources across this call must
+    release them in an abort/[Fun.protect] path. *)
 
 val remote_abort : handle -> bool
 (** [remote_abort t] is [true] unless the outcome was [Too_late]. *)
@@ -303,7 +271,8 @@ type stats = {
   explicit_aborts : int;  (** {!self_abort} occurrences *)
   starved : int;  (** budget exhaustions ({!Starved} raised or fallback run) *)
   deferrals : int;
-      (** committer-side contention-manager deferrals (Greedy) *)
+      (** commit attempts that deferred to the live {!serialised}
+          transaction in prepare instead of remote-aborting it *)
   remote_aborts_delivered : int;  (** {!remote_abort_outcome} = [Delivered] *)
   remote_aborts_late : int;  (** {!remote_abort_outcome} = [Too_late] *)
   handler_failures : int;  (** commit/abort handlers that raised *)
@@ -360,11 +329,10 @@ val regions_held : unit -> int
     whenever no commit/critical section is executing — the leak probe the
     chaos soak asserts after every run. *)
 
-val retry_histogram : unit -> (string * int array) list
-(** Per-policy histogram of retries-to-completion: entry [(name, h)] gives,
-    for policy [name] ({!Contention.name}), [h.(b)] completions (commit or
-    starvation) whose retry count fell in bucket [b] (bucket 0 = 0 retries,
-    then power-of-two buckets).  Reset by {!reset_stats}. *)
+val retry_histogram : unit -> int array
+(** Histogram of retries-to-completion: [h.(b)] completions (commit or
+    starvation) whose retry count fell in bucket [b] (bucket 0 = 0
+    retries, then power-of-two buckets).  Reset by {!reset_stats}. *)
 
 (** {!Tm_intf.TM_OPS} instance: plugs this STM into the transactional
     collection classes. *)

@@ -22,9 +22,9 @@
      and commit-time lock acquisition allocates nothing;
    - every per-transaction touch of shared mutable state is gone from the
      hot loop: statistics are sharded per domain (aggregated lazily),
-     transaction ids and priority tickets are leased to domains in blocks,
-     and top-level descriptors are pooled in domain-local storage and
-     reused across attempts and transactions (grow-only scratch).
+     transaction ids are leased to domains in blocks, and top-level
+     descriptors are pooled in domain-local storage and reused across
+     attempts and transactions (grow-only scratch).
 
    Semantic commit phases (commits that run commit handlers) are serialised
    per [region]: each collection owns a region, handlers are registered
@@ -49,24 +49,8 @@ exception Explicit_abort_exn
 (* The program requested its own abort. *)
 
 exception Deferred_exn
-(* The committing transaction's contention manager chose to yield to an
-   older lock holder instead of aborting it; retry. *)
-
-(* ------------------------------------------------------------------ *)
-(* Contention management.  The policy decides two things: how long an
-   aborted transaction waits before retrying, and — during the semantic
-   prepare phase — whether a committer aborts a conflicting lock holder or
-   defers to it (see [Stm.remote_abort]).  [Backoff] is the seed behaviour
-   (always abort the other, jittered exponential wait); [Greedy] defers to
-   transactions with an older start ticket, which totally orders
-   transactions and therefore guarantees the oldest transaction in the
-   system is never deferred-out or aborted semantically: starvation
-   freedom for semantic conflicts. *)
-
-type cm_policy = Backoff | Greedy
-
-let default_cm = Backoff
-let global_cm : cm_policy Atomic.t = Atomic.make default_cm
+(* The committing transaction yielded to the serialised fallback
+   transaction instead of aborting it; retry. *)
 
 (* Per-domain splitmix64 state for backoff jitter: avoids a shared Random
    state (contention) and keeps single-domain runs deterministic. *)
@@ -103,9 +87,6 @@ let rand_int bound = if bound <= 0 then 0 else rand_bits () mod bound
 
 let hist_buckets = 16
 
-let policy_index = function Backoff -> 0 | Greedy -> 1
-let policy_name = function Backoff -> "backoff" | Greedy -> "greedy"
-
 type domain_stats = {
   mutable s_commits : int;
   mutable s_ro_commits : int; (* commits taking the read-only fast path *)
@@ -130,7 +111,7 @@ type domain_stats = {
          first attempt and their final outcome.  Not a statistic: a
          quiescence probe ([Stm.reset_stats] refuses to run while any
          shard's count is non-zero), so [stats_reset] must never zero it. *)
-  s_hist : int array array; (* policy x retry bucket *)
+  s_hist : int array; (* retry bucket *)
   (* cache-line padding *)
   mutable s_pad0 : int;
   mutable s_pad1 : int;
@@ -162,7 +143,7 @@ let fresh_stats () =
     s_snapshot_reads = 0;
     s_versions_reclaimed = 0;
     s_inflight = 0;
-    s_hist = Array.init 2 (fun _ -> Array.make hist_buckets 0);
+    s_hist = Array.make hist_buckets 0;
     s_pad0 = 0;
     s_pad1 = 0;
     s_pad2 = 0;
@@ -217,47 +198,35 @@ let stats_reset () =
       (* [s_inflight] is deliberately left alone: it is a liveness probe,
          not a counter, and zeroing it would erase the evidence that a
          caller violated the quiescence precondition. *)
-      Array.iter (fun row -> Array.fill row 0 hist_buckets 0) s.s_hist)
+      Array.fill s.s_hist 0 hist_buckets 0)
     (all_stats ())
 
 let inflight_sum () = stats_sum (fun s -> s.s_inflight)
 
-(* Per-policy retry histograms: bucket 0 = committed first try, bucket k
-   = retry count with k significant bits (1, 2-3, 4-7, ...).  Recorded at
-   commit and at starvation, per policy of the finishing transaction. *)
-let record_retries cm n =
+(* Retry histogram: bucket 0 = committed first try, bucket k = retry count
+   with k significant bits (1, 2-3, 4-7, ...).  Recorded at commit and at
+   starvation. *)
+let record_retries n =
   let rec bits n = if n <= 0 then 0 else 1 + bits (n lsr 1) in
   let b = if n = 0 then 0 else min (hist_buckets - 1) (bits n) in
-  let row = (my_stats ()).s_hist.(policy_index cm) in
+  let row = (my_stats ()).s_hist in
   row.(b) <- row.(b) + 1
 
 (* ------------------------------------------------------------------ *)
-(* Id leases.  Transaction ids and priority tickets are process-unique but
-   no longer drawn one fetch_and_add at a time: each domain leases a block
-   of [lease_block] ids and hands them out from domain-local state, so the
-   shared counters are touched once per thousand transactions instead of
-   once per transaction (and per nested child).
-
-   Priority tickets keep their total order — disjoint blocks never collide
-   — but a block is only as old as its lease, so Greedy's "older start
-   ticket wins" is exact within a domain and approximate across domains by
-   up to one block.  The starvation guarantee survives: the transaction
-   holding the globally smallest live ticket is still never deferred-out,
-   and every other domain's tickets climb past any stalled ticket after at
-   most [lease_block] local transactions, which bounds the transient. *)
+(* Id leases.  Transaction ids are process-unique but not drawn one
+   fetch_and_add at a time: each domain leases a block of [lease_block]
+   ids and hands them out from domain-local state, so the shared counter
+   is touched once per thousand transactions instead of once per
+   transaction (and per nested child). *)
 
 let lease_block = 1024
 
 type id_lease = { mutable l_next : int; mutable l_limit : int }
 
 let next_txn_id : int Atomic.t = Atomic.make 1
-let next_prio : int Atomic.t = Atomic.make 1
 let next_tv_id : int Atomic.t = Atomic.make 1
 
 let txn_id_lease_key : id_lease Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { l_next = 0; l_limit = 0 })
-
-let prio_lease_key : id_lease Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { l_next = 0; l_limit = 0 })
 
 let lease_from counter l =
@@ -271,7 +240,6 @@ let lease_from counter l =
   id
 
 let fresh_txn_id () = lease_from next_txn_id (Domain.DLS.get txn_id_lease_key)
-let fresh_prio () = lease_from next_prio (Domain.DLS.get prio_lease_key)
 
 (* ------------------------------------------------------------------ *)
 
@@ -469,9 +437,9 @@ let global_commit_region = make_region ()
 
 (* A commit handler has up to two phases.  [ch_prepare] (semantic conflict
    detection) runs before the commit point, while the transaction is still
-   Active and abortable, so it may raise — a contention-manager deferral
-   or an injected conflict there simply retries the transaction, with
-   nothing applied.  [ch_apply] (buffer application + semantic lock
+   Active and abortable, so it may raise — a deferral to the serialised
+   fallback or an injected conflict there simply retries the transaction,
+   with nothing applied.  [ch_apply] (buffer application + semantic lock
    release) runs after the commit point; apply handlers are executed under
    a protective wrapper that never skips the remaining handlers and
    aggregates anything raised into [Stm.Handler_failure].
@@ -548,10 +516,9 @@ type txn = {
   parent : txn option;
   mutable top : txn;
   mutable retries : int;
-  mutable cm : cm_policy; (* contention policy governing this top-level txn *)
-  mutable prio : int;
-      (* start ticket of the owning [atomic] call; constant across its
-         retries, so age (and with it Greedy priority) accumulates *)
+  mutable serialised : bool;
+      (* top level only: the transaction runs under [Stm.serialised], which
+         holds the fallback region; a committer in prepare defers to it *)
   mutable in_prepare : bool;
       (* top level only: inside the prepare phase of its own commit —
          the only point where remote_abort may decide to defer *)
@@ -888,18 +855,11 @@ let extend_read_version innermost =
   else if innermost.parent <> None then raise Child_conflict_exn
   else false
 
-(* Policy-directed wait before the next attempt.  Backoff is the seed's
-   exponential spin (2^min(n, 12) cpu-relax rounds), jittered per-domain;
-   Greedy relies on priority for progress and pauses briefly. *)
-let cm_wait cm n =
-  let spins =
-    match cm with
-    | Backoff ->
-        let s = 1 lsl min n 12 in
-        (s / 2) + 1 + rand_int (s + 1)
-    | Greedy -> 64 + rand_int 256
-  in
-  for _ = 1 to spins do
+(* Wait before the next attempt: exponential spin (2^min(n, 12)
+   cpu-relax rounds), jittered per domain. *)
+let backoff_wait n =
+  let s = 1 lsl min n 12 in
+  for _ = 1 to (s / 2) + 1 + rand_int (s + 1) do
     Domain.cpu_relax ()
   done
 
@@ -947,9 +907,7 @@ let buffered_write : type a. txn -> a tvar_repr -> a -> unit =
 
 (* ------------------------------------------------------------------ *)
 
-let make_top ?cm ?prio () =
-  let cm = match cm with Some c -> c | None -> Atomic.get global_cm in
-  let prio = match prio with Some p -> p | None -> fresh_prio () in
+let make_top () =
   let rec t =
     {
       txn_id = fresh_txn_id ();
@@ -967,8 +925,7 @@ let make_top ?cm ?prio () =
       parent = None;
       top = t;
       retries = 0;
-      cm;
-      prio;
+      serialised = false;
       in_prepare = false;
       self_opt = Some t;
       slots = { live = [||]; n_live = 0; spare = [||]; n_spare = 0 };
@@ -994,8 +951,7 @@ let make_child parent =
       parent = Some parent;
       top = parent.top;
       retries = 0;
-      cm = parent.top.cm;
-      prio = parent.top.prio;
+      serialised = false;
       in_prepare = false;
       self_opt = Some t;
       slots = parent.top.slots;
@@ -1020,17 +976,16 @@ let make_child parent =
 let top_pool_key : txn list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let acquire_top ~cm ~prio =
+let acquire_top () =
   let pool = Domain.DLS.get top_pool_key in
   match !pool with
   | t :: rest ->
       pool := rest;
-      t.cm <- cm;
-      t.prio <- prio;
+      t.serialised <- false;
       t.retries <- 0;
       t.top_status <- Atomic.make Active;
       t
-  | [] -> make_top ~cm ~prio ()
+  | [] -> make_top ()
 
 let release_top t =
   let pool = Domain.DLS.get top_pool_key in

@@ -99,29 +99,23 @@ let test_chaos_determinism () =
 (* ---------------- acceptance soak matrix ---------------- *)
 
 let test_soak_matrix () =
-  (* p in {0.01, 0.05, 0.2} x 3 seeds x {default, greedy}, 2 domains, all
-     three collection classes; every run must pass the linearizability and
-     leak checks inside [run_soak]. *)
+  (* p in {0.01, 0.05, 0.2} x 3 seeds, 2 domains, all three collection
+     classes; every run must pass the linearizability and leak checks
+     inside [run_soak]. *)
   List.iter
     (fun p ->
       List.iter
         (fun seed ->
-          List.iter
-            (fun policy ->
-              let r =
-                Chaos.run_soak
-                  (Chaos.default_soak ~policy ~domains:2 ~ops_per_domain:500
-                     ~seed p)
-              in
-              if not r.ok then
-                Alcotest.failf "soak p=%.2f seed=%d policy=%s: %s" p seed
-                  (Stm.Contention.name policy)
-                  (String.concat "; " r.errors);
-              Alcotest.(check bool)
-                (Printf.sprintf "work committed (p=%.2f seed=%d %s)" p seed
-                   (Stm.Contention.name policy))
-                true (r.committed > 0))
-            [ Stm.Contention.default; Stm.Contention.Greedy ])
+          let r =
+            Chaos.run_soak
+              (Chaos.default_soak ~domains:2 ~ops_per_domain:500 ~seed p)
+          in
+          if not r.ok then
+            Alcotest.failf "soak p=%.2f seed=%d: %s" p seed
+              (String.concat "; " r.errors);
+          Alcotest.(check bool)
+            (Printf.sprintf "work committed (p=%.2f seed=%d)" p seed)
+            true (r.committed > 0))
         [ 1; 2; 3 ])
     [ 0.01; 0.05; 0.2 ]
 
@@ -258,20 +252,13 @@ let test_remote_abort_settlement_vs_snapshots () =
   Alcotest.(check int) "all transactions settled (quiescent)" 0
     (Stm.in_flight_transactions ())
 
-let test_soak_greedy_smoke () =
-  let sc =
-    Chaos.default_soak ~policy:Stm.Contention.Greedy ~domains:2
-      ~ops_per_domain:400 ~seed:7 0.05
-  in
-  let r = Chaos.run_soak sc in
-  if not r.ok then
-    Alcotest.failf "greedy soak: %s" (String.concat "; " r.errors);
-  (* A failing report names the manager the soak ran under and replays
-     from the seed alone. *)
-  let expected = "[seed=7 section=soak.final cm=greedy " in
+let test_soak_failure_prefix () =
+  let sc = Chaos.default_soak ~domains:2 ~seed:7 0.05 in
+  (* A failing report names the seed and section, and replays from the
+     seed alone. *)
+  let expected = "[seed=7 section=soak.final last_injection=" in
   let prefix = Chaos.soak_context sc ~section:"soak.final" in
-  Alcotest.(check string) "failure prefix names the contention manager"
-    expected
+  Alcotest.(check string) "failure prefix names seed and section" expected
     (String.sub prefix 0 (min (String.length prefix) (String.length expected)));
   Alcotest.(check string) "repro line"
     "reproduce: CHAOS_SEEDS=7 dune exec bench/main.exe -- chaos"
@@ -325,9 +312,10 @@ let suites =
       [
         Alcotest.test_case "same seed, same schedule and contents" `Quick
           test_chaos_determinism;
-        Alcotest.test_case "soak matrix (3 probs x 3 seeds x 2 policies)"
-          `Slow test_soak_matrix;
-        Alcotest.test_case "soak under greedy" `Quick test_soak_greedy_smoke;
+        Alcotest.test_case "soak matrix (3 probs x 3 seeds)" `Slow
+          test_soak_matrix;
+        Alcotest.test_case "soak failure prefix" `Quick
+          test_soak_failure_prefix;
         Alcotest.test_case "snapshot readers vs injected writers" `Quick
           test_snapshot_reader_soak;
         Alcotest.test_case "remote-abort settlement races snapshot readers"

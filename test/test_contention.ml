@@ -1,4 +1,5 @@
-(* Contention management, budgets and handler exception safety. *)
+(* Budgets, the serialised fallback and the progress rule that makes it
+   one, retry accounting and remote-abort settlement. *)
 
 module Stm = Tcc_stm.Stm
 module Tvar = Tcc_stm.Tvar
@@ -77,53 +78,60 @@ let test_serialised_basic () =
   let r = Stm.atomic (fun () -> Stm.serialised (fun () -> Tvar.get v)) in
   Alcotest.(check int) "nested serialised reads through" 11 r
 
-let test_policies_commit () =
-  (* Every policy must still commit ordinary contended work. *)
-  List.iter
-    (fun policy ->
-      let v = Tvar.make 0 in
-      let doms =
-        List.init 3 (fun _ ->
-            Domain.spawn (fun () ->
-                for _ = 1 to 500 do
-                  Stm.atomic ~policy (fun () -> Tvar.modify v succ)
-                done))
-      in
-      List.iter Domain.join doms;
-      Alcotest.(check int)
-        ("counter under " ^ Stm.Contention.name policy)
-        1500 (Tvar.get v))
-    [ Stm.Contention.default; Stm.Contention.Greedy ]
-
-let test_global_policy () =
-  Stm.Contention.set_global Stm.Contention.Greedy;
-  Alcotest.(check string) "global set" "greedy"
-    (Stm.Contention.name (Stm.Contention.global ()));
-  let v = Tvar.make 0 in
-  Stm.atomic (fun () -> Tvar.set v 1);
-  Alcotest.(check int) "commits under global greedy" 1 (Tvar.get v);
-  Stm.Contention.set_global Stm.Contention.default;
-  Alcotest.(check string) "global restored" "backoff"
-    (Stm.Contention.name (Stm.Contention.global ()))
+(* A serialised transaction holds key 0's lock and stays parked until a
+   writer to key 0 has reached its commit: the writer must defer to it in
+   prepare rather than remote-abort it, and commit after it. *)
+let test_deferral_to_serialised () =
+  Stm.reset_stats ();
+  let map = Map.create () in
+  let held = Atomic.make false and writer_done = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get held) do
+          Domain.cpu_relax ()
+        done;
+        Stm.atomic (fun () -> ignore (Map.put map 0 2));
+        Atomic.set writer_done true)
+  in
+  let attempts = ref 0 in
+  Stm.serialised (fun () ->
+      incr attempts;
+      ignore (Map.find map 0);
+      Atomic.set held true;
+      (* Park until the writer has deferred once; a writer that aborts us
+         instead commits first, which also ends the wait. *)
+      let deadline = Unix.gettimeofday () +. 5. in
+      while
+        (Stm.global_stats ()).deferrals = 0
+        && (not (Atomic.get writer_done))
+        && Unix.gettimeofday () < deadline
+      do
+        Domain.cpu_relax ()
+      done;
+      ignore (Map.put map 0 1));
+  Domain.join writer;
+  Alcotest.(check bool) "writer deferred" true
+    ((Stm.global_stats ()).deferrals >= 1);
+  Alcotest.(check int) "serialised ran once: never remote-aborted" 1 !attempts;
+  Alcotest.(check (option int)) "writer committed after it" (Some 2)
+    (Map.find map 0);
+  Alcotest.(check int) "no region held" 0 (Stm.regions_held ())
 
 let test_retry_histogram () =
   Stm.reset_stats ();
   let v = Tvar.make 0 in
-  (* Commits with exactly 0 and exactly 2 retries under the default
-     policy. *)
+  (* Commits with exactly 0 and exactly 2 retries. *)
   Stm.atomic (fun () -> Tvar.set v 1);
   let tries = ref 0 in
   Stm.atomic (fun () ->
       incr tries;
       if !tries <= 2 then ignore (Stm.retry_now ());
       Tvar.set v 2);
-  let hist = List.assoc "backoff" (Stm.retry_histogram ()) in
+  let hist = Stm.retry_histogram () in
   Alcotest.(check int) "bucket 0 (no retries)" 1 hist.(0);
   Alcotest.(check int) "bucket 2 (2 retries)" 1 hist.(2);
   Alcotest.(check int) "total completions" 2
-    (Array.fold_left ( + ) 0 hist);
-  Alcotest.(check bool) "other policies untouched" true
-    (Array.for_all (( = ) 0) (List.assoc "greedy" (Stm.retry_histogram ())))
+    (Array.fold_left ( + ) 0 hist)
 
 let test_remote_abort_outcomes () =
   Stm.reset_stats ();
@@ -166,21 +174,23 @@ let test_remote_abort_outcomes () =
 
 (* ---------------- forced starvation scenario ---------------- *)
 
-let test_greedy_starvation_freedom () =
-  Stm.reset_stats ();
+let test_fallback_completes () =
+  (* A budget with the serialised fallback: every starved round reruns
+     serialised, which short committers defer to, so every round
+     commits. *)
   let r =
-    Harness.Starvation.run ~policy:Stm.Contention.Greedy ~rounds:15 ~keys:32
-      ~short_domains:3 ()
+    Harness.Starvation.run ~fallback:true
+      ~budget:{ Stm.max_retries = Some 8; max_seconds = None }
+      ~rounds:15 ~keys:32 ~short_domains:3 ()
   in
   Alcotest.(check int) "all long-writer rounds completed" r.rounds r.completed;
-  Alcotest.(check int) "no starvation under greedy" 0 r.starved;
-  Alcotest.(check int) "stat_starved = 0" 0 (Stm.global_stats ()).starved
+  Alcotest.(check int) "no region leaked" 0 (Stm.regions_held ())
 
 let test_backoff_budget_accounting () =
   (* Same schedule under plain backoff with a budget: every round either
      completes or is counted starved — nothing is lost or wedged. *)
   let r =
-    Harness.Starvation.run ~policy:Stm.Contention.default
+    Harness.Starvation.run
       ~budget:{ Stm.max_retries = Some 8; max_seconds = None }
       ~rounds:10 ~keys:32 ~short_domains:3 ()
   in
@@ -202,16 +212,16 @@ let suites =
           test_on_starved_fallback;
         Alcotest.test_case "starvation counted" `Quick test_starved_counted;
         Alcotest.test_case "serialised" `Quick test_serialised_basic;
-        Alcotest.test_case "all policies commit" `Quick test_policies_commit;
-        Alcotest.test_case "global policy" `Quick test_global_policy;
+        Alcotest.test_case "committers defer to serialised" `Quick
+          test_deferral_to_serialised;
         Alcotest.test_case "retry histogram" `Quick test_retry_histogram;
         Alcotest.test_case "remote abort outcomes" `Quick
           test_remote_abort_outcomes;
       ] );
     ( "stm.starvation",
       [
-        Alcotest.test_case "greedy: long writer completes, starved=0" `Quick
-          test_greedy_starvation_freedom;
+        Alcotest.test_case "fallback: every round completes" `Quick
+          test_fallback_completes;
         Alcotest.test_case "backoff+budget: rounds accounted" `Quick
           test_backoff_budget_accounting;
       ] );
