@@ -181,10 +181,8 @@ let ablation () =
   Harness.Ablations.(render ppf "isEmpty lock encoding (§5.1)" (isempty ()));
   Harness.Ablations.(render ppf "blind put (§5.1 Extensions)" (blind_put ()));
   Harness.Ablations.(render ppf "contention backoff" (backoff ()));
-  let outcomes, audits = Harness.Ablations.redo_vs_undo () in
-  Harness.Ablations.render ppf
-    "redo vs undo logging, host STM (cycles = elapsed µs; violations = retried attempts)"
-    outcomes;
+  let sides, audits = Harness.Ablations.redo_vs_undo () in
+  Harness.Ablations.render_redo_vs_undo ppf sides;
   List.iter
     (fun { Harness.Ablations.check; fresh; expected } ->
       gate_eq check fresh expected)
@@ -397,17 +395,7 @@ let starve () =
    plus same-collection scaling over striped and interval-partitioned
    maps.  The target gates the 1->4-domain scaling ratios. *)
 
-type stmscale_row = {
-  workload : string;
-  domains : int;
-  total_txns : int;
-  commits_per_s : float;
-  p99_us : float;
-  region_waits : int;
-  aborts : int;
-  minor_words_per_commit : float;
-  clock_bumps : int;
-}
+module CL = Harness.Closed_loop
 
 (* Key range of the read workloads: every read finds one key of a shared
    prepopulated map.  "read_only" runs each find in [Stm.snapshot] — the
@@ -417,9 +405,6 @@ type stmscale_row = {
    "read_mostly" is the 95/5 mix: 19 snapshot finds per one small write
    transaction. *)
 let ro_keys = 1024
-
-let stat_aborts (s : Stm.stats) =
-  s.conflict_aborts + s.remote_aborts + s.explicit_aborts
 
 let stmscale_run ~workload ~domains ~txns_per_domain =
   (* [~stripes:1] keeps these workloads' historical meaning now that maps
@@ -439,63 +424,26 @@ let stmscale_run ~workload ~domains ~txns_per_domain =
         ignore (IM.put m k k)
       done
   | _ -> ());
-  let op d (m : int IM.t) =
-    match workload with
-    | "read_only" ->
-        fun i ->
-          Stm.snapshot (fun () ->
-              ignore (IM.find m (((d * 37) + i) land (ro_keys - 1))))
-    | "read_mostly" ->
-        fun i ->
-          let k = ((d * 37) + i) land (ro_keys - 1) in
-          if i mod 20 = 0 then Stm.atomic (fun () -> ignore (IM.put m k i))
-          else Stm.snapshot (fun () -> ignore (IM.find m k))
-    | _ ->
-        fun i ->
-          Stm.atomic (fun () ->
-              let k = (d * txns_per_domain) + i in
-              ignore (IM.put m k i);
-              if i > 1 then ignore (IM.find m (k - 1)))
-  in
-  Stm.reset_stats ();
-  let waits_before = Stm.commit_region_waits () in
-  let stats_before = Stm.global_stats () in
-  let t0 = Unix.gettimeofday () in
-  (* [Gc.minor_words] is domain-local: each worker measures its own
-     allocation delta around the workload and returns it through join,
-     along with its per-transaction latencies (preallocated float array;
-     the constant timing overhead is identical across workloads). *)
-  let ds =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            let m = match shared with Some m -> m | None -> IM.create () in
-            let f = op d m in
-            let lat = Array.make txns_per_domain 0. in
-            let w0 = Gc.minor_words () in
-            for i = 1 to txns_per_domain do
-              let s = Unix.gettimeofday () in
-              f i;
-              lat.(i - 1) <- Unix.gettimeofday () -. s
-            done;
-            (Gc.minor_words () -. w0, lat)))
-  in
-  let results = List.map Domain.join ds in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let words = List.fold_left (fun acc (w, _) -> acc +. w) 0. results in
-  let p99_us = Harness.Hdr.p99_us (List.map snd results) in
-  let stats_after = Stm.global_stats () in
-  let total = domains * txns_per_domain in
-  {
-    workload;
-    domains;
-    total_txns = total;
-    commits_per_s = float_of_int total /. elapsed;
-    p99_us;
-    region_waits = Stm.commit_region_waits () - waits_before;
-    aborts = stat_aborts stats_after - stat_aborts stats_before;
-    minor_words_per_commit = words /. float_of_int total;
-    clock_bumps = stats_after.clock_bumps - stats_before.clock_bumps;
-  }
+  (* The disjoint workload builds its private map in the worker domain,
+     outside the timed loop. *)
+  CL.run ~label:workload ~domains ~txns_per_domain (fun d ->
+      let m = match shared with Some m -> m | None -> IM.create () in
+      match workload with
+      | "read_only" ->
+          fun i ->
+            Stm.snapshot (fun () ->
+                ignore (IM.find m (((d * 37) + i) land (ro_keys - 1))))
+      | "read_mostly" ->
+          fun i ->
+            let k = ((d * 37) + i) land (ro_keys - 1) in
+            if i mod 20 = 0 then Stm.atomic (fun () -> ignore (IM.put m k i))
+            else Stm.snapshot (fun () -> ignore (IM.find m k))
+      | _ ->
+          fun i ->
+            Stm.atomic (fun () ->
+                let k = (d * txns_per_domain) + i in
+                ignore (IM.put m k i);
+                if i > 0 then ignore (IM.find m (k - 1))))
 
 (* Same-collection scaling: every domain hammers its own disjoint key
    partition of ONE shared striped map.  The partitions are pre-populated,
@@ -505,17 +453,10 @@ let stmscale_run ~workload ~domains ~txns_per_domain =
    semantic-layer striping exists for; before striping it serialised on
    the collection's single region exactly like "shared". *)
 
-type semscale_row = {
-  ss_stripes : int;
-  ss_domains : int;
-  ss_total_txns : int;
-  ss_commits_per_s : float;
-  ss_p99_us : float;
-  ss_region_waits : int;
-}
-
 let semscale_stripes = 32
 let semscale_keys_per_domain = 1024
+
+let semscale_label stripes = Printf.sprintf "semscale k=%d" stripes
 
 let semscale_run ~stripes ~domains ~txns_per_domain =
   let m = IM.create ~stripes () in
@@ -524,35 +465,11 @@ let semscale_run ~stripes ~domains ~txns_per_domain =
       ignore (IM.put m ((d * semscale_keys_per_domain) + i) 0)
     done
   done;
-  let waits_before = Stm.commit_region_waits () in
-  let t0 = Unix.gettimeofday () in
-  let ds =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            (* Preallocated latency buffer: the measurement loop allocates
-               nothing of its own beyond the transactions it times. *)
-            let lat = Array.make txns_per_domain 0. in
-            let base = d * semscale_keys_per_domain in
-            for i = 0 to txns_per_domain - 1 do
-              let k = base + (i land (semscale_keys_per_domain - 1)) in
-              let s = Unix.gettimeofday () in
-              Stm.atomic (fun () -> ignore (IM.put m k i));
-              lat.(i) <- Unix.gettimeofday () -. s
-            done;
-            lat))
-  in
-  let lats = List.map Domain.join ds in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let p99_us = Harness.Hdr.p99_us lats in
-  let total = domains * txns_per_domain in
-  {
-    ss_stripes = stripes;
-    ss_domains = domains;
-    ss_total_txns = total;
-    ss_commits_per_s = float_of_int total /. elapsed;
-    ss_p99_us = p99_us;
-    ss_region_waits = Stm.commit_region_waits () - waits_before;
-  }
+  CL.run ~label:(semscale_label stripes) ~domains ~txns_per_domain (fun d ->
+      let base = d * semscale_keys_per_domain in
+      fun i ->
+        let k = base + (i land (semscale_keys_per_domain - 1)) in
+        Stm.atomic (fun () -> ignore (IM.put m k i)))
 
 (* Same experiment over the sorted map: one shared
    TransactionalSortedMap, each domain overwriting its own disjoint key
@@ -563,25 +480,17 @@ let semscale_run ~stripes ~domains ~txns_per_domain =
 
 module SOM = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
 
-type sortedscale_row = {
-  so_workload : string;  (* "write" | "snapshot_read" *)
-  so_intervals : int;
-  so_domains : int;
-  so_total_txns : int;
-  so_commits_per_s : float;
-  so_p99_us : float;
-  so_region_waits : int;
-}
-
 let sortedscale_intervals = 8
 let sortedscale_keys_per_domain = 1024
 
-let sortedscale_run ~intervals ~domains ~txns_per_domain =
-  (* Splitters at the per-domain key-range boundaries: domain d's keys
-     [d*K, (d+1)*K) land in interval d (for d < B). *)
+let sortedscale_label intervals = Printf.sprintf "sorted write b=%d" intervals
+
+(* The sorted map with splitters at the per-domain key-range boundaries
+   (domain d's keys [d*K, (d+1)*K) land in interval d, for d < B),
+   populated for [domains] domains. *)
+let sortedscale_map ~intervals ~domains =
   let splitters =
-    List.init (intervals - 1) (fun i ->
-        (i + 1) * sortedscale_keys_per_domain)
+    List.init (intervals - 1) (fun i -> (i + 1) * sortedscale_keys_per_domain)
   in
   let m = SOM.create ~splitters () in
   for d = 0 to domains - 1 do
@@ -589,36 +498,18 @@ let sortedscale_run ~intervals ~domains ~txns_per_domain =
       ignore (SOM.put m ((d * sortedscale_keys_per_domain) + i) 0)
     done
   done;
-  let waits_before = Stm.commit_region_waits () in
-  let t0 = Unix.gettimeofday () in
-  let ds =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            let lat = Array.make txns_per_domain 0. in
-            let base = d * sortedscale_keys_per_domain in
-            for i = 0 to txns_per_domain - 1 do
-              let k = base + (i land (sortedscale_keys_per_domain - 1)) in
-              let s = Unix.gettimeofday () in
-              (* Presence-preserving overwrite: the commit plan stays the
-                 key's interval region alone. *)
-              Stm.atomic (fun () -> ignore (SOM.put m k i));
-              lat.(i) <- Unix.gettimeofday () -. s
-            done;
-            lat))
-  in
-  let lats = List.map Domain.join ds in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let p99_us = Harness.Hdr.p99_us lats in
-  let total = domains * txns_per_domain in
-  {
-    so_workload = "write";
-    so_intervals = intervals;
-    so_domains = domains;
-    so_total_txns = total;
-    so_commits_per_s = float_of_int total /. elapsed;
-    so_p99_us = p99_us;
-    so_region_waits = Stm.commit_region_waits () - waits_before;
-  }
+  m
+
+let sortedscale_run ~intervals ~domains ~txns_per_domain =
+  let m = sortedscale_map ~intervals ~domains in
+  CL.run ~label:(sortedscale_label intervals) ~domains ~txns_per_domain
+    (fun d ->
+      let base = d * sortedscale_keys_per_domain in
+      fun i ->
+        let k = base + (i land (sortedscale_keys_per_domain - 1)) in
+        (* Presence-preserving overwrite: the commit plan stays the key's
+           interval region alone. *)
+        Stm.atomic (fun () -> ignore (SOM.put m k i)))
 
 (* Snapshot-read row: the same interval-partitioned sorted map, but each
    domain runs [Stm.snapshot] sections doing a point find plus a range
@@ -627,57 +518,29 @@ let sortedscale_run ~intervals ~domains ~txns_per_domain =
    regions.  In snapshot mode it touches neither: region_waits stay 0 at
    every domain count (gated by the same tier-1 test as read_only). *)
 let sortedscale_snapshot_run ~intervals ~domains ~txns_per_domain =
-  let splitters =
-    List.init (intervals - 1) (fun i -> (i + 1) * sortedscale_keys_per_domain)
-  in
-  let m = SOM.create ~splitters () in
-  for d = 0 to max 1 domains - 1 do
-    for i = 0 to sortedscale_keys_per_domain - 1 do
-      ignore (SOM.put m ((d * sortedscale_keys_per_domain) + i) 0)
-    done
-  done;
-  let waits_before = Stm.commit_region_waits () in
-  let t0 = Unix.gettimeofday () in
-  let ds =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            let lat = Array.make txns_per_domain 0. in
-            let base = d * sortedscale_keys_per_domain in
-            (* Window straddling the upper interval boundary of this
-               domain's key range (clamped inside the populated space). *)
-            let edge =
-              min
-                (base + sortedscale_keys_per_domain)
-                ((max 1 domains * sortedscale_keys_per_domain) - 16)
-            in
-            for i = 0 to txns_per_domain - 1 do
-              let k = base + (i land (sortedscale_keys_per_domain - 1)) in
-              let s = Unix.gettimeofday () in
-              Stm.snapshot (fun () ->
-                  ignore (SOM.find m k);
-                  ignore
-                    (SOM.fold_range
-                       (fun _ _ n -> n + 1)
-                       m 0
-                       ~lo:(Some (edge - 16))
-                       ~hi:(Some (edge + 16))));
-              lat.(i) <- Unix.gettimeofday () -. s
-            done;
-            lat))
-  in
-  let lats = List.map Domain.join ds in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let p99_us = Harness.Hdr.p99_us lats in
-  let total = domains * txns_per_domain in
-  {
-    so_workload = "snapshot_read";
-    so_intervals = intervals;
-    so_domains = domains;
-    so_total_txns = total;
-    so_commits_per_s = float_of_int total /. elapsed;
-    so_p99_us = p99_us;
-    so_region_waits = Stm.commit_region_waits () - waits_before;
-  }
+  let m = sortedscale_map ~intervals ~domains in
+  CL.run
+    ~label:(Printf.sprintf "sorted snapshot b=%d" intervals)
+    ~domains ~txns_per_domain
+    (fun d ->
+      let base = d * sortedscale_keys_per_domain in
+      (* Window straddling the upper interval boundary of this domain's
+         key range (clamped inside the populated space). *)
+      let edge =
+        min
+          (base + sortedscale_keys_per_domain)
+          ((domains * sortedscale_keys_per_domain) - 16)
+      in
+      fun i ->
+        let k = base + (i land (sortedscale_keys_per_domain - 1)) in
+        Stm.snapshot (fun () ->
+            ignore (SOM.find m k);
+            ignore
+              (SOM.fold_range
+                 (fun _ _ n -> n + 1)
+                 m 0
+                 ~lo:(Some (edge - 16))
+                 ~hi:(Some (edge + 16)))))
 
 (* Relative gates: a fresh 1->4-domain ratio must stay above 60% of the
    baseline the gate was set from (a 1-core host, so the baselines sit
@@ -687,10 +550,16 @@ let sortedscale_snapshot_run ~intervals ~domains ~txns_per_domain =
    below it. *)
 let scaling_floor baseline = 0.6 *. baseline
 
-(* commits/s at 4 domains over commits/s at 1, from (domains, commits/s)
-   pairs; NaN when either row is missing. *)
-let scaling_1_to_4 rows =
-  let at d = Option.value ~default:nan (List.assoc_opt d rows) in
+(* commits/s at 4 domains over commits/s at 1 among the rows labelled
+   [label]; NaN when either row is missing. *)
+let scaling_1_to_4 rows label =
+  let at d =
+    match
+      List.find_opt (fun r -> r.CL.label = label && r.CL.domains = d) rows
+    with
+    | Some r -> r.CL.commits_per_s
+    | None -> nan
+  in
   at 4 /. at 1
 
 let stmscale () =
@@ -699,109 +568,44 @@ let stmscale () =
   (* Warm-up pass so the first timed configuration is not paying one-time
      initialisation costs. *)
   ignore (stmscale_run ~workload:"disjoint" ~domains:1 ~txns_per_domain:1_000);
+  let over domains run =
+    List.map (fun d -> run ~domains:d ~txns_per_domain) domains
+  in
+  (* Same-collection scaling over the striped map and the sorted map
+     (domains up to at least 4 so the recorded 1→4 ratio is meaningful,
+     further if the host has the cores).  K = 1 and B = 1 rows regenerate
+     the single-region baseline on the same workload; the gated ratios
+     come from the K = 32 and B = 8 rows.  The snapshot rows' cross-interval
+     range reads must keep region_waits at 0 at every domain count. *)
+  let same_domains = List.filter (fun d -> d <= max 4 cores) [ 1; 2; 4; 8 ] in
   let rows =
     List.concat_map
-      (fun workload ->
-        List.map
-          (fun domains -> stmscale_run ~workload ~domains ~txns_per_domain)
-          [ 1; 2; 4; 8 ])
+      (fun workload -> over [ 1; 2; 4; 8 ] (stmscale_run ~workload))
       [ "disjoint"; "shared"; "read_only"; "read_mostly" ]
+    @ List.concat_map
+        (fun stripes -> over same_domains (semscale_run ~stripes))
+        [ 1; semscale_stripes ]
+    @ List.concat_map
+        (fun intervals -> over same_domains (sortedscale_run ~intervals))
+        [ 1; sortedscale_intervals ]
+    @ over same_domains
+        (sortedscale_snapshot_run ~intervals:sortedscale_intervals)
   in
   Fmt.pf ppf "@.STM commit scaling (host STM, %d core%s available)@." cores
     (if cores = 1 then "" else "s");
-  Fmt.pf ppf "  %-11s %7s %10s %14s %10s %13s %7s %10s %12s@." "workload"
-    "domains" "txns" "commits/s" "p99 (us)" "region_waits" "aborts"
-    "mw/commit" "clock_bumps";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "  %-11s %7d %10d %14.0f %10.1f %13d %7d %10.1f %12d@."
-        r.workload r.domains r.total_txns r.commits_per_s r.p99_us
-        r.region_waits r.aborts r.minor_words_per_commit r.clock_bumps)
-    rows;
-  (* Same-collection scaling over the striped map (domains up to at least
-     4 so the recorded 1→4 ratio is meaningful, further if the host has
-     the cores). *)
-  let semscale_domains =
-    List.filter (fun d -> d <= max 4 cores) [ 1; 2; 4; 8 ]
-  in
-  (* K = 1 rows regenerate the un-striped baseline on the same workload;
-     the gated ratio comes from the striped rows. *)
-  let semscale_rows =
-    List.concat_map
-      (fun stripes ->
-        List.map
-          (fun domains -> semscale_run ~stripes ~domains ~txns_per_domain)
-          semscale_domains)
-      [ 1; semscale_stripes ]
-  in
-  Fmt.pf ppf "@.Same-collection scaling (one shared map, disjoint keys)@.";
-  Fmt.pf ppf "  %7s %7s %10s %14s %10s %13s@." "stripes" "domains" "txns"
-    "commits/s" "p99 (us)" "region_waits";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "  %7d %7d %10d %14.0f %10.1f %13d@." r.ss_stripes
-        r.ss_domains r.ss_total_txns r.ss_commits_per_s r.ss_p99_us
-        r.ss_region_waits)
-    semscale_rows;
-  (* Same-collection scaling for the sorted map: B = 1 regenerates the
-     single-region baseline, B = 8 puts each writer's key range in its
-     own interval.  The gated ratio compares the two. *)
-  let sortedscale_rows =
-    List.concat_map
-      (fun intervals ->
-        List.map
-          (fun domains -> sortedscale_run ~intervals ~domains ~txns_per_domain)
-          semscale_domains)
-      [ 1; sortedscale_intervals ]
-    (* Snapshot-read rows: cross-interval range reads in [Stm.snapshot];
-       region_waits must stay 0 at every domain count. *)
-    @ List.map
-        (fun domains ->
-          sortedscale_snapshot_run ~intervals:sortedscale_intervals ~domains
-            ~txns_per_domain)
-        semscale_domains
-  in
   Fmt.pf ppf
-    "@.Sorted-map same-collection scaling (disjoint per-domain intervals)@.";
-  Fmt.pf ppf "  %-13s %9s %7s %10s %14s %10s %13s@." "workload" "intervals"
-    "domains" "txns" "commits/s" "p99 (us)" "region_waits";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "  %-13s %9d %7d %10d %14.0f %10.1f %13d@." r.so_workload
-        r.so_intervals r.so_domains r.so_total_txns r.so_commits_per_s
-        r.so_p99_us r.so_region_waits)
-    sortedscale_rows;
-  let workload_scaling w =
-    scaling_1_to_4
-      (List.filter_map
-         (fun r ->
-           if r.workload = w then Some (r.domains, r.commits_per_s) else None)
-         rows)
-  in
-  let semscale =
-    scaling_1_to_4
-      (List.filter_map
-         (fun r ->
-           if r.ss_stripes = semscale_stripes then
-             Some (r.ss_domains, r.ss_commits_per_s)
-           else None)
-         semscale_rows)
-  in
-  let sortedscale intervals =
-    scaling_1_to_4
-      (List.filter_map
-         (fun r ->
-           if r.so_workload = "write" && r.so_intervals = intervals then
-             Some (r.so_domains, r.so_commits_per_s)
-           else None)
-         sortedscale_rows)
-  in
-  let b8 = sortedscale sortedscale_intervals and b1 = sortedscale 1 in
+    "  semscale: one shared map of k stripes; sorted: one sorted map of b \
+     intervals; both over disjoint per-domain keys@.";
+  Fmt.pf ppf "  %s@." CL.header;
+  List.iter (Fmt.pf ppf "  %a@." CL.pp_row) rows;
+  let scaling = scaling_1_to_4 rows in
+  let semscale = scaling (semscale_label semscale_stripes) in
+  let b8 = scaling (sortedscale_label sortedscale_intervals)
+  and b1 = scaling (sortedscale_label 1) in
   Fmt.pf ppf "@.Gates (1->4-domain scaling ratios, minor words per commit)@.";
-  gate_ge "stmscale.disjoint_scaling_1_to_4" (workload_scaling "disjoint")
+  gate_ge "stmscale.disjoint_scaling_1_to_4" (scaling "disjoint")
     (scaling_floor 0.275);
-  gate_ge "stmscale.read_mostly_scaling_1_to_4"
-    (workload_scaling "read_mostly")
+  gate_ge "stmscale.read_mostly_scaling_1_to_4" (scaling "read_mostly")
     (scaling_floor 0.383);
   gate_ge "stmscale.semscale_scaling_1_to_4" semscale (scaling_floor 0.597);
   gate_ge "stmscale.sortedscale_scaling_1_to_4" b8 (scaling_floor 0.216);
@@ -813,15 +617,12 @@ let stmscale () =
      tables and store buffers lost their per-call closures, after which
      it reads 308.  The bound sits 15% above. *)
   let disjoint_words =
-    match
-      List.filter_map
-        (fun r ->
-          if r.workload = "disjoint" then Some r.minor_words_per_commit
-          else None)
-        rows
-    with
+    match List.filter (fun r -> r.CL.label = "disjoint") rows with
     | [] -> nan
-    | ws -> List.fold_left Float.max neg_infinity ws
+    | ds ->
+        List.fold_left
+          (fun acc r -> Float.max acc r.CL.minor_words_per_txn)
+          neg_infinity ds
   in
   gate_le "stmscale.disjoint_minor_words_per_commit" disjoint_words 355.;
   (* Absolute scaling needs the cores to scale onto. *)
@@ -1062,34 +863,21 @@ let derived_set_gate = 0.85
 let derived_pairs = 5
 
 let derived_set_run ~impl ~domains ~txns_per_domain =
-  let t0 = Stm.Monoclock.now () in
-  let ds =
-    List.init domains (fun _ ->
-        Domain.spawn (fun () ->
-            match impl with
-            | `Map ->
-                let m : unit IM.t = IM.create () in
-                for i = 1 to txns_per_domain do
-                  Stm.atomic (fun () ->
-                      ignore (IM.put m i ());
-                      if i > 1 then ignore (IM.find m (i - 1)))
-                done
-            | `Derived ->
-                let s = DSet.create () in
-                for i = 1 to txns_per_domain do
-                  Stm.atomic (fun () ->
-                      ignore (DSet.add s i);
-                      if i > 1 then ignore (DSet.mem s (i - 1)))
-                done))
-  in
-  List.iter Domain.join ds;
-  let elapsed = Stm.Monoclock.now () -. t0 in
-  float_of_int (domains * txns_per_domain) /. elapsed
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  a.(Array.length a / 2)
+  let label = match impl with `Map -> "map" | `Derived -> "derived_set" in
+  CL.run ~label ~domains ~txns_per_domain (fun _ ->
+      match impl with
+      | `Map ->
+          let m : unit IM.t = IM.create () in
+          fun i ->
+            Stm.atomic (fun () ->
+                ignore (IM.put m i ());
+                if i > 0 then ignore (IM.find m (i - 1)))
+      | `Derived ->
+          let s = DSet.create () in
+          fun i ->
+            Stm.atomic (fun () ->
+                ignore (DSet.add s i);
+                if i > 0 then ignore (DSet.mem s (i - 1))))
 
 (* Interleaved map and set runs: the median map and set commits/s and the
    median of the per-pair set/map ratios. *)
@@ -1098,31 +886,12 @@ let derived_set_pairs ~domains ~txns_per_domain =
     List.init derived_pairs (fun _ ->
         let m = derived_set_run ~impl:`Map ~domains ~txns_per_domain in
         let s = derived_set_run ~impl:`Derived ~domains ~txns_per_domain in
-        (m, s))
+        (m.CL.commits_per_s, s.CL.commits_per_s))
   in
-  ( median (List.map fst pairs),
-    median (List.map snd pairs),
-    median (List.map (fun (m, s) -> s /. m) pairs) )
-
-let derived_counter_run ~domains ~incrs_per_domain =
-  let c = DCounter.create () in
-  let stats0 = Stm.global_stats () in
-  let waits0 = Stm.commit_region_waits () in
-  let t0 = Stm.Monoclock.now () in
-  let ds =
-    List.init domains (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to incrs_per_domain do
-              Stm.atomic (fun () -> DCounter.incr c)
-            done))
-  in
-  List.iter Domain.join ds;
-  let elapsed = Stm.Monoclock.now () -. t0 in
-  let stats1 = Stm.global_stats () in
-  ( float_of_int (domains * incrs_per_domain) /. elapsed,
-    stat_aborts stats1 - stat_aborts stats0,
-    Stm.commit_region_waits () - waits0,
-    DCounter.get c )
+  let _, map_med, _ = CL.quartiles (List.map fst pairs) in
+  let _, set_med, _ = CL.quartiles (List.map snd pairs) in
+  let _, ratio_med, _ = CL.quartiles (List.map (fun (m, s) -> s /. m) pairs) in
+  (map_med, set_med, ratio_med)
 
 let derived () =
   let txns = 20_000 in
@@ -1141,16 +910,17 @@ let derived () =
   in
   let ratio = List.assoc 4 ratios in
   let domains = 4 and incrs = 25_000 in
-  let cps, aborts, waits, total =
-    derived_counter_run ~domains ~incrs_per_domain:incrs
+  let c = DCounter.create () in
+  let r =
+    CL.run ~label:"counter incr" ~domains ~txns_per_domain:incrs (fun _ _ ->
+        Stm.atomic (fun () -> DCounter.incr c))
   in
-  Fmt.pf ppf
-    "  counter: %d domains x %d incrs -> %.0f/s, aborts %d, region waits \
-     %d, sum %d@."
-    domains incrs cps aborts waits total;
+  let total = DCounter.get c in
+  Fmt.pf ppf "  %s@.  %a@." CL.header CL.pp_row r;
+  Fmt.pf ppf "  counter sum %d@." total;
   gate_ge "derived.set_ratio_4dom" ratio derived_set_gate;
-  gate_eq "derived.counter_aborts" aborts 0;
-  gate_eq "derived.counter_region_waits" waits 0;
+  gate_eq "derived.counter_aborts" r.aborts 0;
+  gate_eq "derived.counter_region_waits" r.region_waits 0;
   gate_eq "derived.counter_sum" total (domains * incrs)
 
 let targets : (string * (unit -> unit)) list =

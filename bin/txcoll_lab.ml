@@ -112,17 +112,13 @@ let jbb_cmd =
 (* ---------------- jbb-host ---------------- *)
 
 let run_jbb_host n_domains tasks =
-  let w = Jbb.Host_jbb.create () in
-  let new_orders, payments, others, elapsed =
-    Jbb.Host_jbb.run w ~n_domains ~tasks_per_domain:tasks
-  in
+  let t = Jbb.Multi_jbb.create ~warehouses:1 () in
+  let r = Jbb.Multi_jbb.run_closed t ~n_domains ~tasks_per_domain:tasks in
   Fmt.pf ppf "domains: %d  tasks/domain: %d@." n_domains tasks;
-  Fmt.pf ppf "new orders: %d  payments: %d  other: %d@." new_orders payments
-    others;
-  Fmt.pf ppf "throughput: %.0f ops/s@."
-    (float_of_int (n_domains * tasks) /. elapsed);
-  Fmt.pf ppf "audit: %b@."
-    (Jbb.Host_jbb.audit w ~new_orders_done:new_orders ~payments_done:payments)
+  Fmt.pf ppf "new orders: %d  payments: %d  other: %d@." r.Jbb.Model.new_orders
+    r.payments r.others;
+  Fmt.pf ppf "throughput: %.0f ops/s@." r.row.commits_per_s;
+  Fmt.pf ppf "audit: %b@." r.consistent
 
 let jbb_host_cmd =
   let n_domains =

@@ -102,10 +102,11 @@ let backoff ?(n_cpus = 16) () =
 (* ------------------------------------------------------------------ *)
 (* Redo vs undo logging (§5.1) on the host STM: same contended workload
    (read one key, write another, small key space) against the redo-based
-   TransactionalMap and the undo-logging variant.  [cycles] holds elapsed
-   microseconds; [violations] holds the number of retried attempts.  After
-   its run each map is audited: no semantic lock left registered, and
-   every seeded key still bound. *)
+   TransactionalMap and the undo-logging variant, in interleaved
+   redo/undo pairs so host drift moves both sides alike.  Each run is a
+   closed-loop row; its [aborts] are the retried attempts.  After the
+   runs each map is audited: no semantic lock left registered, and every
+   seeded key still bound. *)
 
 module RedoMap = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 module UndoMap = Txcoll.Host.Map_undo (Txcoll.Host.Int_hashed)
@@ -120,65 +121,56 @@ type host_map_ops = {
 (* One audited quantity of a run: [fresh] must equal [expected]. *)
 type audit = { check : string; fresh : int; expected : int }
 
+(* The value written is the value read with each letter advanced, so
+   values keep the seed's four bytes however long the run: the rows
+   compare the maps, not a string copy that grows with every commit. *)
+let next_letter c = if c = 'z' then 'a' else Char.chr (Char.code c + 1)
+
 let run_host_contention ~label ~ops ~n_domains ~txns ~key_space =
   for k = 0 to key_space - 1 do
     ignore (ops.put k "seed")
   done;
-  let attempts = Atomic.make 0 in
-  let committed = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let worker d () =
-    let rng = Random.State.make [| 0xAB1; d |] in
-    for _ = 1 to txns do
-      Tcc_stm.Stm.atomic (fun () ->
-          Atomic.incr attempts;
-          let k1 = Random.State.int rng key_space in
-          let k2 = Random.State.int rng key_space in
-          let v = Option.value ~default:"" (ops.find k1) in
-          ignore (ops.put k2 (v ^ "x")));
-      Atomic.incr committed
-    done
-  in
-  let ds = List.init n_domains (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join ds;
-  let elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  {
-    label;
-    cycles = elapsed_us;
-    violations = Atomic.get attempts - Atomic.get committed;
-  }
+  Closed_loop.run ~label ~domains:n_domains ~txns_per_domain:txns (fun d ->
+      let rng = Random.State.make [| 0xAB1; d |] in
+      fun _ ->
+        Tcc_stm.Stm.atomic (fun () ->
+            let k1 = Random.State.int rng key_space in
+            let k2 = Random.State.int rng key_space in
+            let v = Option.value ~default:"" (ops.find k1) in
+            ignore (ops.put k2 (String.map next_letter v))))
 
-let redo_vs_undo ?(n_domains = 2) ?(txns = 1500) ?(key_space = 8) () =
+let redo_vs_undo_pairs = 5
+
+(* Interleaved redo/undo runs: the redo rows and the undo rows, each in
+   run order, and the audits. *)
+let redo_vs_undo ?(n_domains = 2) ?(txns = 20_000) ?(key_space = 8) () =
   let redo = RedoMap.create () and undo = UndoMap.create () in
-  let maps =
-    [
-      ( "redo logging (optimistic)",
-        "redo",
-        {
-          find = RedoMap.find redo;
-          put = RedoMap.put redo;
-          size = (fun () -> RedoMap.size redo);
-          outstanding_locks = (fun () -> RedoMap.outstanding_locks redo);
-        } );
-      ( "undo logging (pessimistic)",
-        "undo",
-        {
-          find = UndoMap.find undo;
-          put = UndoMap.put undo;
-          size = (fun () -> UndoMap.size undo);
-          outstanding_locks = (fun () -> UndoMap.outstanding_locks undo);
-        } );
-    ]
+  let redo_ops =
+    {
+      find = RedoMap.find redo;
+      put = RedoMap.put redo;
+      size = (fun () -> RedoMap.size redo);
+      outstanding_locks = (fun () -> RedoMap.outstanding_locks redo);
+    }
+  and undo_ops =
+    {
+      find = UndoMap.find undo;
+      put = UndoMap.put undo;
+      size = (fun () -> UndoMap.size undo);
+      outstanding_locks = (fun () -> UndoMap.outstanding_locks undo);
+    }
   in
-  let outcomes =
-    List.map
-      (fun (label, _, ops) ->
-        run_host_contention ~label ~ops ~n_domains ~txns ~key_space)
-      maps
+  let run label ops =
+    run_host_contention ~label ~ops ~n_domains ~txns ~key_space
+  in
+  let runs =
+    List.init redo_vs_undo_pairs (fun _ ->
+        let r = run "redo logging (optimistic)" redo_ops in
+        (r, run "undo logging (pessimistic)" undo_ops))
   in
   let audits =
     List.concat_map
-      (fun (_, name, ops) ->
+      (fun (name, ops) ->
         [
           {
             check = "ablation." ^ name ^ ".outstanding_locks";
@@ -191,9 +183,9 @@ let redo_vs_undo ?(n_domains = 2) ?(txns = 1500) ?(key_space = 8) () =
             expected = key_space;
           };
         ])
-      maps
+      [ ("redo", redo_ops); ("undo", undo_ops) ]
   in
-  (outcomes, audits)
+  ((List.map fst runs, List.map snd runs), audits)
 
 let render ppf title outcomes =
   Fmt.pf ppf "@.Ablation: %s@." title;
@@ -202,3 +194,29 @@ let render ppf title outcomes =
       Fmt.pf ppf "  %-28s cycles: %10d   violations: %6d@." o.label o.cycles
         o.violations)
     outcomes
+
+(* Every run's row, then per side the median commits/s with its
+   interquartile range, and whether the gap between the two medians
+   exceeds both sides' IQRs. *)
+let render_redo_vs_undo ppf (redo_rows, undo_rows) =
+  Fmt.pf ppf
+    "@.Ablation: redo vs undo logging, host STM (interleaved pairs; aborts = \
+     retried attempts)@.";
+  Fmt.pf ppf "  %s@." Closed_loop.header;
+  List.iter (Fmt.pf ppf "  %a@." Closed_loop.pp_row) (redo_rows @ undo_rows);
+  let summary rows =
+    let q1, med, q3 =
+      Closed_loop.quartiles
+        (List.map (fun r -> r.Closed_loop.commits_per_s) rows)
+    in
+    let label = (List.hd rows).Closed_loop.label in
+    Fmt.pf ppf "  %-26s median %.0f commits/s, IQR %.0f (%.1f%% of median)@."
+      label med (q3 -. q1)
+      (100. *. (q3 -. q1) /. med);
+    (med, q3 -. q1)
+  in
+  let m1, iqr1 = summary redo_rows in
+  let m2, iqr2 = summary undo_rows in
+  let gap = Float.abs (m1 -. m2) in
+  Fmt.pf ppf "  median gap %.0f commits/s; exceeds both IQRs: %b@." gap
+    (gap > Float.max iqr1 iqr2)

@@ -18,9 +18,9 @@
    bucket's midpoint, so a reported p99 is within the bucket error of the
    true order statistic.  The true maximum is tracked exactly on the side.
 
-   The module also owns the exact sort-based percentile used by the
-   closed-loop benches ([p99_us] over per-domain latency arrays), which
-   was previously copy-pasted at every bench site. *)
+   The module also owns the exact sort-based percentile of the
+   closed-loop driver ([p99_us] over per-domain latency arrays, read by
+   {!Closed_loop.run}). *)
 
 type t = {
   counts : int array;
@@ -114,11 +114,9 @@ let mean_us t =
 
 (* ------------------------------------------------------------------ *)
 (* Exact percentile over per-domain closed-loop latency arrays (seconds),
-   reported in microseconds.  Shared by the stmscale / semscale /
-   sortedscale benches, which each used to inline the same
-   concat-sort-index block.  The index formula is kept bit-for-bit
-   ([n * 99 / 100] for p99) so recorded BENCH trajectories stay
-   comparable across the refactor. *)
+   reported in microseconds.  The index formula is kept bit-for-bit
+   ([n * 99 / 100] for p99) so recorded p99 figures stay comparable
+   across refactors. *)
 
 let percentile_us_exact ~num ~den lats =
   let all = Array.concat lats in

@@ -11,50 +11,22 @@ module Stm = Tcc_stm.Stm
 module Naive = Stm_ds.Stm_hashmap
 module Wrapped = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 
-type outcome = {
-  label : string;
-  elapsed_us : int;
-  committed : int;
-  retries : int;
-}
-
 type ops = { find : int -> unit; put : int -> unit; remove : int -> unit }
 
-(* Busy-work making the transaction long, as in the paper's micro-benchmarks
-   ("each operation is surrounded by computation"). *)
-let think n =
-  let x = ref 0 in
-  for i = 1 to n do
-    x := !x + (i land 7)
-  done;
-  ignore (Sys.opaque_identity !x)
-
+(* Retries are the row's [aborts]: every retried attempt of a body. *)
 let run_variant ~label ~ops ~n_domains ~ops_per_domain ~key_space ~work =
-  let attempts = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let worker d () =
-    let rng = Random.State.make [| 0x40A; d |] in
-    for _ = 1 to ops_per_domain do
-      let k = Random.State.int rng key_space in
-      let dice = Random.State.int rng 100 in
-      Stm.atomic (fun () ->
-          Atomic.incr attempts;
-          think (work / 2);
-          if dice < 80 then ops.find k
-          else if dice < 90 then ops.put k
-          else ops.remove k;
-          think (work / 2))
-    done
-  in
-  let ds = List.init n_domains (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join ds;
-  let committed = n_domains * ops_per_domain in
-  {
-    label;
-    elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6);
-    committed;
-    retries = Atomic.get attempts - committed;
-  }
+  Closed_loop.run ~label ~domains:n_domains ~txns_per_domain:ops_per_domain
+    (fun d ->
+      let rng = Random.State.make [| 0x40A; d |] in
+      fun _ ->
+        let k = Random.State.int rng key_space in
+        let dice = Random.State.int rng 100 in
+        Stm.atomic (fun () ->
+            Closed_loop.busy (work / 2);
+            if dice < 80 then ops.find k
+            else if dice < 90 then ops.put k
+            else ops.remove k;
+            Closed_loop.busy (work / 2)))
 
 let run ?(n_domains = 2) ?(ops_per_domain = 4000) ?(key_space = 512)
     ?(work = 20_000) () =
@@ -62,7 +34,7 @@ let run ?(n_domains = 2) ?(ops_per_domain = 4000) ?(key_space = 512)
   for i = 0 to (key_space / 2) - 1 do
     Naive.add naive (2 * i) i
   done;
-  let naive_outcome =
+  let naive_row =
     run_variant ~label:"naive tvar hash map" ~n_domains ~ops_per_domain
       ~key_space ~work
       ~ops:
@@ -76,7 +48,7 @@ let run ?(n_domains = 2) ?(ops_per_domain = 4000) ?(key_space = 512)
   for i = 0 to (key_space / 2) - 1 do
     ignore (Wrapped.put wrapped (2 * i) i)
   done;
-  let wrapped_outcome =
+  let wrapped_row =
     run_variant ~label:"TransactionalMap wrapper" ~n_domains ~ops_per_domain
       ~key_space ~work
       ~ops:
@@ -86,13 +58,11 @@ let run ?(n_domains = 2) ?(ops_per_domain = 4000) ?(key_space = 512)
           remove = (fun k -> ignore (Wrapped.remove wrapped k));
         }
   in
-  [ naive_outcome; wrapped_outcome ]
+  [ naive_row; wrapped_row ]
 
-let render ppf outcomes =
+let render ppf rows =
   Fmt.pf ppf
-    "@.Host-STM validation (real domains): retries caused by the map itself@.";
-  List.iter
-    (fun o ->
-      Fmt.pf ppf "  %-28s committed: %6d   retries: %6d   elapsed: %8d us@."
-        o.label o.committed o.retries o.elapsed_us)
-    outcomes
+    "@.Host-STM validation (real domains): retries (aborts) caused by the map \
+     itself@.";
+  Fmt.pf ppf "  %s@." Closed_loop.header;
+  List.iter (Fmt.pf ppf "  %a@." Closed_loop.pp_row) rows

@@ -10,8 +10,9 @@
    - [`Txcoll]: additionally, the three shared tables are transactional
      collection classes.
 
-   [run] counts transaction retries, the host-level analogue of the
-   simulator's violation counts in Figure 4. *)
+   A run's closed-loop row counts transaction retries as its [aborts],
+   the host-level analogue of the simulator's violation counts in
+   Figure 4. *)
 
 module Stm = Tcc_stm.Stm
 module Tvar = Tcc_stm.Tvar
@@ -21,6 +22,7 @@ module OrderMap = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
 module HistMap = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
 module StmSorted = Stm_ds.Stm_avlmap
 module StmHash = Stm_ds.Stm_hashmap
+module Closed_loop = Harness.Closed_loop
 open Model
 
 type variant = [ `Lock | `Baseline | `Open | `Txcoll ]
@@ -241,51 +243,40 @@ let make (p : params) = function
 
 (* ---------------- the five operations ---------------- *)
 
-let busy n =
-  let x = ref 0 in
-  for i = 1 to n do
-    x := !x + (i land 7)
-  done;
-  ignore (Sys.opaque_identity !x)
-
-let new_order (p : params) (api : api) rng attempts =
+let new_order (p : params) (api : api) rng =
   let lines = 5 + Random.State.int rng 6 in
   let customer = Random.State.int rng p.n_customers in
   let items = Array.init lines (fun _ -> Random.State.int rng p.n_items) in
   api.in_op (fun () ->
-      incr attempts;
-      busy p.base_work;
+      Closed_loop.busy p.base_work;
       let uid = api.uid_next () in
       Array.iter api.stock_dec items;
       api.order_put uid (encode_order ~customer ~lines);
       api.neworder_put uid customer;
       api.order_count_incr ())
 
-let payment (p : params) (api : api) rng attempts =
+let payment (p : params) (api : api) rng =
   let customer = Random.State.int rng p.n_customers in
   let amount = 1 + Random.State.int rng 50 in
   api.in_op (fun () ->
-      incr attempts;
-      busy p.base_work;
+      Closed_loop.busy p.base_work;
       api.ytd_add amount;
       api.balance_add customer (-amount);
       let hid = api.hid_next () in
       api.history_put hid amount)
 
-let order_status (p : params) (api : api) rng attempts =
+let order_status (p : params) (api : api) rng =
   let customer = Random.State.int rng p.n_customers in
   api.in_op (fun () ->
-      incr attempts;
-      busy (p.base_work / 2);
+      Closed_loop.busy (p.base_work / 2);
       ignore (api.balance_get customer);
       match api.order_last () with
       | None -> ()
       | Some uid -> ignore (api.order_get uid))
 
-let delivery (p : params) (api : api) _rng attempts =
+let delivery (p : params) (api : api) _rng =
   api.in_op (fun () ->
-      incr attempts;
-      busy p.base_work;
+      Closed_loop.busy p.base_work;
       match api.neworder_first () with
       | None -> ()
       | Some uid -> (
@@ -294,95 +285,36 @@ let delivery (p : params) (api : api) _rng attempts =
           | None -> ()
           | Some o -> api.balance_add (order_customer o) 1))
 
-let stock_level (p : params) (api : api) _rng attempts =
+let stock_level (p : params) (api : api) _rng =
   api.in_op (fun () ->
-      incr attempts;
-      busy (p.base_work / 2);
+      Closed_loop.busy (p.base_work / 2);
       let hi = api.uid_peek () in
       ignore (api.order_range_count (max 1 (hi - 20)) hi))
 
-let run_op p api rng attempts = function
-  | New_order -> new_order p api rng attempts
-  | Payment -> payment p api rng attempts
-  | Order_status -> order_status p api rng attempts
-  | Delivery -> delivery p api rng attempts
-  | Stock_level -> stock_level p api rng attempts
+let run_op p api rng = function
+  | New_order -> new_order p api rng
+  | Payment -> payment p api rng
+  | Order_status -> order_status p api rng
+  | Delivery -> delivery p api rng
+  | Stock_level -> stock_level p api rng
 
 (* ---------------- driver ---------------- *)
 
-type result = {
-  new_orders : int;
-  payments : int;
-  others : int;
-  retries : int;
-  elapsed : float;
-  consistent : bool;
-}
-
-let run_api ~(p : params) ~(api : api) ~n_domains ~tasks_per_domain =
-  let new_orders = Atomic.make 0 in
-  let payments = Atomic.make 0 in
-  let others = Atomic.make 0 in
-  let attempts_total = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let worker d () =
-    let rng = Random.State.make [| 0x7BB; d |] in
-    let attempts = ref 0 in
-    for _ = 1 to tasks_per_domain do
-      let kind = pick_op rng in
-      run_op p api rng attempts kind;
-      match kind with
-      | New_order -> Atomic.incr new_orders
-      | Payment -> Atomic.incr payments
-      | Order_status | Delivery | Stock_level -> Atomic.incr others
-    done;
-    ignore (Atomic.fetch_and_add attempts_total !attempts)
-  in
-  let ds = List.init n_domains (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join ds;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let no = Atomic.get new_orders and pa = Atomic.get payments in
-  {
-    new_orders = no;
-    payments = pa;
-    others = Atomic.get others;
-    retries = Atomic.get attempts_total - (n_domains * tasks_per_domain);
-    elapsed;
-    consistent = api.audit ~new_orders:no ~payments:pa;
-  }
-
 let run_variant ?(p = default_params) ~variant ~n_domains ~tasks_per_domain () =
-  run_api ~p ~api:(make p variant) ~n_domains ~tasks_per_domain
+  let api = make p variant in
+  run_mix ~label:(variant_name variant) ~seed:0x7BB ~n_domains
+    ~tasks_per_domain ~op:(run_op p api) ~audit:api.audit
 
 let compare_variants ?(p = default_params) ?(n_domains = 2)
     ?(tasks_per_domain = 1500) () =
   List.map
-    (fun v ->
-      (variant_name v, run_variant ~p ~variant:v ~n_domains ~tasks_per_domain ()))
+    (fun variant -> run_variant ~p ~variant ~n_domains ~tasks_per_domain ())
     [ `Lock; `Baseline; `Open; `Txcoll ]
 
 let render ppf results =
-  Fmt.pf ppf "@.SPECjbb2000 on real domains (host STM)@.";
-  Fmt.pf ppf "  %-22s %10s %8s %12s %6s@." "variant" "ops/s" "retries"
-    "elapsed(us)" "audit";
+  Fmt.pf ppf "@.SPECjbb2000 on real domains (host STM; aborts = retries)@.";
+  Fmt.pf ppf "  %s %6s@." Closed_loop.header "audit";
   List.iter
-    (fun (name, r) ->
-      let total = r.new_orders + r.payments + r.others in
-      Fmt.pf ppf "  %-22s %10.0f %8d %12.0f %6b@." name
-        (float_of_int total /. r.elapsed)
-        r.retries (r.elapsed *. 1e6) r.consistent)
+    (fun r ->
+      Fmt.pf ppf "  %a %6b@." Closed_loop.pp_row r.row r.consistent)
     results
-
-(* Convenience wrapper for the example application: the transactional
-   configuration with a post-run consistency audit. *)
-
-type warehouse = { p : params; api : api }
-
-let create ?(p = default_params) () = { p; api = make p `Txcoll }
-
-let run w ~n_domains ~tasks_per_domain =
-  let r = run_api ~p:w.p ~api:w.api ~n_domains ~tasks_per_domain in
-  (r.new_orders, r.payments, r.others, r.elapsed)
-
-let audit w ~new_orders_done ~payments_done =
-  w.api.audit ~new_orders:new_orders_done ~payments:payments_done

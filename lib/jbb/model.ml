@@ -44,3 +44,40 @@ let per_cpu total n_cpus cpu =
 let encode_order ~customer ~lines = (customer * 100) + lines
 let order_lines order = order mod 100
 let order_customer order = order / 100
+
+(* A closed-loop run of the weighted mix: each domain draws op kinds from
+   its own [Random.State.make [| seed; d |]] and runs them through [op];
+   the committed new-order and payment counts then feed [audit]. *)
+type result = {
+  row : Harness.Closed_loop.row;
+  new_orders : int;
+  payments : int;
+  others : int;
+  consistent : bool;
+}
+
+let run_mix ~label ~seed ~n_domains ~tasks_per_domain ~op ~audit =
+  let new_orders = Atomic.make 0 in
+  let payments = Atomic.make 0 in
+  let others = Atomic.make 0 in
+  let row =
+    Harness.Closed_loop.run ~label ~domains:n_domains
+      ~txns_per_domain:tasks_per_domain (fun d ->
+        let rng = Random.State.make [| seed; d |] in
+        fun _ ->
+          let kind = pick_op rng in
+          op rng kind;
+          Atomic.incr
+            (match kind with
+            | New_order -> new_orders
+            | Payment -> payments
+            | Order_status | Delivery | Stock_level -> others))
+  in
+  let no = Atomic.get new_orders and pa = Atomic.get payments in
+  {
+    row;
+    new_orders = no;
+    payments = pa;
+    others = Atomic.get others;
+    consistent = audit ~new_orders:no ~payments:pa;
+  }

@@ -31,6 +31,7 @@ module Counter = Stm_ds.Stm_counter
 module Uidgen = Stm_ds.Stm_uidgen
 module OrderMap = Txcoll.Host.Sorted_map (Txcoll.Host.Int_ordered)
 module HistMap = Txcoll.Host.Map (Txcoll.Host.Int_hashed)
+module Closed_loop = Harness.Closed_loop
 open Model
 
 (* Key span reserved per warehouse; uids stay far below it. *)
@@ -129,7 +130,7 @@ let new_order ?(run = fun f -> Stm.atomic f) t rng =
     match remote with Some r -> t.warehouses.(r) | None -> w
   in
   run (fun () ->
-      Host_jbb.busy t.p.base_work;
+      Closed_loop.busy t.p.base_work;
       let uid = Uidgen.next w.next_order in
       Array.iter
         (fun i -> Tvar.set supply.stock.(i) (Tvar.get supply.stock.(i) - 1))
@@ -149,7 +150,7 @@ let payment ?(run = fun f -> Stm.atomic f) t rng =
   let amount = 1 + Random.State.int rng 50 in
   let w = t.warehouses.(home) in
   run (fun () ->
-      Host_jbb.busy t.p.base_work;
+      Closed_loop.busy t.p.base_work;
       Tvar.set w.customers.(customer)
         (Tvar.get w.customers.(customer) - amount);
       (match remote with
@@ -171,7 +172,7 @@ let order_status ?(run = fun f -> Stm.atomic f) t rng =
       ~hi:(key ~warehouse:(home + 1) 0)
   in
   run (fun () ->
-      Host_jbb.busy (t.p.base_work / 2);
+      Closed_loop.busy (t.p.base_work / 2);
       ignore (Tvar.get w.customers.(customer));
       match OrderMap.View.last_key view with
       | None -> ()
@@ -186,7 +187,7 @@ let delivery ?(run = fun f -> Stm.atomic f) t rng =
       ~hi:(key ~warehouse:(home + 1) 0)
   in
   run (fun () ->
-      Host_jbb.busy t.p.base_work;
+      Closed_loop.busy t.p.base_work;
       match OrderMap.View.first_key view with
       | None -> ()
       | Some k -> (
@@ -204,7 +205,7 @@ let stock_level ?(run = fun f -> Stm.atomic f) t rng =
   let home = pick_home t rng in
   let w = t.warehouses.(home) in
   run (fun () ->
-      Host_jbb.busy (t.p.base_work / 2);
+      Closed_loop.busy (t.p.base_work / 2);
       let hi = Uidgen.peek w.next_order in
       let lo = max 1 (hi - 20) in
       ignore
@@ -250,40 +251,9 @@ let audit t ~new_orders ~payments =
   && counted = new_orders
   && conserved t
 
-(* ---------------- closed-loop driver (tests) ---------------- *)
-
-type result = {
-  new_orders : int;
-  payments : int;
-  others : int;
-  elapsed : float;
-  consistent : bool;
-}
+(* ---------------- closed-loop run ---------------- *)
 
 let run_closed ?(seed = 0x3bb) t ~n_domains ~tasks_per_domain =
-  let new_orders = Atomic.make 0 in
-  let payments = Atomic.make 0 in
-  let others = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let worker d () =
-    let rng = Random.State.make [| seed; d |] in
-    for _ = 1 to tasks_per_domain do
-      let kind = pick_op rng in
-      run_op t rng kind;
-      match kind with
-      | New_order -> Atomic.incr new_orders
-      | Payment -> Atomic.incr payments
-      | Order_status | Delivery | Stock_level -> Atomic.incr others
-    done
-  in
-  let ds = List.init n_domains (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join ds;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let no = Atomic.get new_orders and pa = Atomic.get payments in
-  {
-    new_orders = no;
-    payments = pa;
-    others = Atomic.get others;
-    elapsed;
-    consistent = audit t ~new_orders:no ~payments:pa;
-  }
+  run_mix
+    ~label:(Printf.sprintf "jbb W=%d" (n_warehouses t))
+    ~seed ~n_domains ~tasks_per_domain ~op:(run_op t) ~audit:(audit t)

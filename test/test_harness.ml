@@ -114,6 +114,48 @@ let test_locktable_traces () =
     (Harness.Locktables.probe_map (fun m ->
          Harness.Locktables.IM.put_blind m 10 0))
 
+(* ---------------- closed-loop driver ---------------- *)
+
+module CL = Harness.Closed_loop
+module Stm = Tcc_stm.Stm
+module Tvar = Tcc_stm.Tvar
+
+(* The deterministic workload of test_stm_scaling's sharded-stats test,
+   through the driver: private tvars, so no conflict and no commit
+   region; every domain writes [writes] times, reads [reads] times and
+   self-aborts [aborts] times (each abort caught).  The row's counters are
+   deltas around spawn and join, so they are exact. *)
+let test_closed_loop_row_exact () =
+  let domains = 4 and writes = 150 and reads = 100 and aborts = 25 in
+  let txns = writes + reads + aborts in
+  let r =
+    CL.run ~label:"exact" ~domains ~txns_per_domain:txns (fun _ ->
+        let tv = Tvar.make 0 in
+        fun i ->
+          if i < writes then Stm.atomic (fun () -> Tvar.set tv i)
+          else if i < writes + reads then
+            Stm.atomic (fun () -> ignore (Tvar.get tv))
+          else
+            try Stm.atomic (fun () -> Stm.self_abort ())
+            with Stm.Aborted -> ())
+  in
+  Alcotest.(check int) "transactions" (domains * txns) r.CL.txns;
+  Alcotest.(check int) "explicit aborts" (domains * aborts) r.CL.aborts;
+  Alcotest.(check int) "clock bumps" (domains * writes) r.CL.clock_bumps;
+  Alcotest.(check int) "region waits" 0 r.CL.region_waits;
+  (* The driver allocates nothing per transaction: an empty atomic reads
+     no more minor words through it than test_stm_scaling's empty-atomic
+     budget. *)
+  let empty =
+    CL.run ~label:"empty" ~domains:1 ~txns_per_domain:20_000 (fun _ _ ->
+        Stm.atomic ignore)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "empty atomic %.1f minor words (<= 16)"
+       empty.CL.minor_words_per_txn)
+    true
+    (empty.CL.minor_words_per_txn <= 16.)
+
 let suites =
   [
     ( "spec.tables",
@@ -135,5 +177,10 @@ let suites =
         Alcotest.test_case "figure 3" `Slow test_fig3_shape;
         Alcotest.test_case "ablation isEmpty" `Quick test_ablation_isempty;
         Alcotest.test_case "ablation blind put" `Quick test_ablation_blind_put;
+      ] );
+    ( "closed-loop",
+      [
+        Alcotest.test_case "row counts exact" `Quick
+          test_closed_loop_row_exact;
       ] );
   ]

@@ -90,13 +90,13 @@ let test_figure4_ordering () =
 (* ---------------- host JBB ---------------- *)
 
 let test_host_jbb_audit () =
-  let w = Jbb.Host_jbb.create ~p:small () in
-  let new_orders, payments, _, _ =
-    Jbb.Host_jbb.run w ~n_domains:2 ~tasks_per_domain:300
-  in
-  Alcotest.(check bool) "ops ran" true (new_orders > 0 && payments > 0);
-  Alcotest.(check bool) "audit passes" true
-    (Jbb.Host_jbb.audit w ~new_orders_done:new_orders ~payments_done:payments)
+  (* The transactional configuration as the example application and
+     perfbench run it: one warehouse of the multi-warehouse model. *)
+  let t = Jbb.Multi_jbb.create ~p:small ~warehouses:1 () in
+  let r = Jbb.Multi_jbb.run_closed t ~n_domains:2 ~tasks_per_domain:300 in
+  Alcotest.(check bool) "ops ran" true
+    (r.Jbb.Model.new_orders > 0 && r.payments > 0);
+  Alcotest.(check bool) "audit passes" true r.consistent
 
 let test_host_jbb_all_variants_consistent () =
   (* Every variant's committed tables must agree with its committed
@@ -111,7 +111,7 @@ let test_host_jbb_all_variants_consistent () =
       in
       Alcotest.(check bool)
         (Jbb.Host_jbb.variant_name v ^ " consistent")
-        true r.Jbb.Host_jbb.consistent)
+        true r.Jbb.Model.consistent)
     [ `Lock; `Baseline; `Open; `Txcoll ]
 
 let test_host_jbb_baseline_retries_most () =
@@ -122,7 +122,7 @@ let test_host_jbb_baseline_retries_most () =
   let run v =
     (Jbb.Host_jbb.run_variant ~p:small ~variant:v ~n_domains:2
        ~tasks_per_domain:400 ())
-      .Jbb.Host_jbb.retries
+      .Jbb.Model.row.aborts
   in
   let trial () =
     let baseline = run `Baseline and txcoll = run `Txcoll in
@@ -147,8 +147,8 @@ let test_multi_jbb_sequential_audit () =
     (Jbb.Multi_jbb.conserved t);
   let r = Jbb.Multi_jbb.run_closed t ~n_domains:1 ~tasks_per_domain:200 in
   Alcotest.(check bool) "ops ran" true
-    (r.Jbb.Multi_jbb.new_orders > 0 && r.Jbb.Multi_jbb.payments > 0);
-  Alcotest.(check bool) "sequential audit" true r.Jbb.Multi_jbb.consistent
+    (r.Jbb.Model.new_orders > 0 && r.Jbb.Model.payments > 0);
+  Alcotest.(check bool) "sequential audit" true r.Jbb.Model.consistent
 
 let prop_multi_jbb_conservation =
   (* The ISSUE's headline invariant: across W in {1,4,8} and the whole
@@ -172,7 +172,7 @@ let prop_multi_jbb_conservation =
       let r =
         Jbb.Multi_jbb.run_closed ~seed t ~n_domains:2 ~tasks_per_domain:60
       in
-      if not r.Jbb.Multi_jbb.consistent then
+      if not r.Jbb.Model.consistent then
         QCheck.Test.fail_reportf
           "audit failed: W=%d rf=%g seed=%d (total_value=%d)" warehouses
           remote_fraction seed
